@@ -13,12 +13,7 @@
 //! are wall-clock numbers on shared runners, not model output):
 //!
 //! * `serve_throughput/single_drain/64` — ns per request through the
-//!   synchronous drain path (submit 64, drain, execute, one thread),
-//!   running the default six-step host NTT engine;
-//! * `serve_throughput/single_drain_radix2/64` — the same drain path
-//!   with the six-step engine disabled
-//!   ([`cross_poly::six_step::set_force_radix2`]), so the recorded
-//!   delta is the serving-loop req/s win from the engine swap alone;
+//!   synchronous drain path (submit 64, drain, execute, one thread);
 //! * `serve_throughput/serve_multi/64` — ns per request through the
 //!   serving loop (4 client threads × 16 requests, 4 workers,
 //!   whole-depth drain with a 5 ms micro-batching window).
@@ -265,27 +260,11 @@ fn serve_throughput(_c: &mut Criterion) {
             single_s = single_s.min(pass);
         }
     }
-    // The same drain path with the six-step engine disabled — the
-    // engine-swap delta on a real serving workload.
-    cross_poly::six_step::set_force_radix2(true);
-    let mut radix2_s = f64::INFINITY;
-    for round in 0..=ITERS {
-        let pass = single_drain_pass(&ctx, &ev, &scheduler, &replay_keys, &ct);
-        if round > 0 {
-            radix2_s = radix2_s.min(pass);
-        }
-    }
-    cross_poly::six_step::set_force_radix2(false);
     let (multi_s, occupancy) = serve_rounds(&ctx, &serve_keys, &ct);
 
     let single_ns = single_s / DEPTH as f64 * 1e9;
-    let radix2_ns = radix2_s / DEPTH as f64 * 1e9;
     let multi_ns = multi_s / DEPTH as f64 * 1e9;
     results::record(&format!("serve_throughput/single_drain/{DEPTH}"), single_ns);
-    results::record(
-        &format!("serve_throughput/single_drain_radix2/{DEPTH}"),
-        radix2_ns,
-    );
     results::record(&format!("serve_throughput/serve_multi/{DEPTH}"), multi_ns);
     println!(
         "  serve_throughput/{DEPTH}: serve {:.0} req/s ({WORKERS} workers, occupancy {:.2}) \
@@ -294,13 +273,6 @@ fn serve_throughput(_c: &mut Criterion) {
         occupancy,
         1e9 / single_ns,
         single_ns / multi_ns,
-    );
-    println!(
-        "  serve_throughput/{DEPTH}: six-step drain {:.0} req/s vs radix-2 drain {:.0} req/s \
-         ({:+.1}% req/s from the engine swap)",
-        1e9 / single_ns,
-        1e9 / radix2_ns,
-        (radix2_ns / single_ns - 1.0) * 100.0,
     );
 
     // Multi-tenant soak: Zipf-skewed tenants, thrashing key cache,

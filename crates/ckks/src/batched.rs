@@ -1,5 +1,7 @@
-//! Batched homomorphic evaluation — first-class batch execution from
-//! the ciphertext API down (paper Fig. 11b, §V-A).
+//! The batched ciphertext container and the two heavy kernels every
+//! operator bottoms out in — rescale and hybrid key switching — over
+//! the fused batch dimension (paper Fig. 11b, §V-A), next to the
+//! reference dataflows they are pinned against.
 //!
 //! A [`BatchedCiphertext`] packs `B` same-level ciphertexts into two
 //! batch-major [`PolyBatch`]es, so every lowered kernel underneath —
@@ -7,13 +9,13 @@
 //! fused `batch` dimension instead of once per ciphertext. Scales stay
 //! per-entry (CKKS tracks them approximately), level is shared.
 //!
-//! Every batched operator is **bit-exact** with the corresponding
-//! sequential loop over [`Evaluator`]'s single-ciphertext methods: the
-//! batch-major layout only changes where residues live, never what is
-//! computed on them. The workspace-level property tests
-//! (`tests/batched_equivalence.rs`) pin this down per operator.
+//! The kernels here take any batch size, one included: the eager
+//! [`Evaluator`] methods run them on a borrowed batch of one, so
+//! batched ≡ eager is one code path, and the layout only changes where
+//! residues live, never what is computed on them
+//! (`tests/batched_equivalence.rs` pins it per operator).
 
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, CtView};
 use crate::eval::Evaluator;
 use crate::keys::SwitchingKey;
 use crate::ks_plan::KsPlan;
@@ -40,24 +42,24 @@ pub struct BatchedCiphertext {
 }
 
 impl BatchedCiphertext {
-    /// Gathers same-level ciphertexts into one batch.
+    /// Gathers same-level ciphertexts into one batch (one copy of
+    /// every residue).
     ///
     /// # Panics
     /// Panics if `cts` is empty or levels diverge.
-    pub fn from_ciphertexts(cts: &[Ciphertext]) -> Self {
+    pub fn from_ciphertexts<'a>(cts: impl IntoIterator<Item = &'a Ciphertext>) -> Self {
+        let cts: Vec<CtView> = cts.into_iter().map(Ciphertext::view).collect();
         assert!(!cts.is_empty(), "batch must be non-empty");
         let level = cts[0].level;
         assert!(
             cts.iter().all(|c| c.level == level),
             "ciphertexts must share a level (mod_drop first)"
         );
-        let c0s: Vec<RnsPoly> = cts.iter().map(|c| c.c0.clone()).collect();
-        let c1s: Vec<RnsPoly> = cts.iter().map(|c| c.c1.clone()).collect();
         Self {
-            c0: PolyBatch::from_polys(&c0s),
-            c1: PolyBatch::from_polys(&c1s),
+            c0: PolyBatch::from_polys(cts.iter().map(|c| c.c0)),
+            c1: PolyBatch::from_polys(cts.iter().map(|c| c.c1)),
             level,
-            scales: cts.iter().map(|c| c.scale).collect(),
+            scales: cts.iter().map(|c| c.scales[0]).collect(),
         }
     }
 
@@ -77,6 +79,36 @@ impl BatchedCiphertext {
             .collect()
     }
 
+    /// This batch as an operand.
+    ///
+    /// # Panics
+    /// Panics if the components and the scale list disagree on the
+    /// batch size.
+    pub(crate) fn view(&self) -> CtView<'_> {
+        assert!(
+            self.c0.batch() == self.batch() && self.c1.batch() == self.batch(),
+            "components and scales must agree on the batch size"
+        );
+        CtView {
+            c0: &self.c0,
+            c1: &self.c1,
+            level: self.level,
+            scales: &self.scales,
+        }
+    }
+
+    /// The result of an operator on a one-entry view, handed back
+    /// without copying a residue.
+    pub(crate) fn into_single(self) -> Ciphertext {
+        assert_eq!(self.batch(), 1, "not a batch of one");
+        Ciphertext {
+            c0: self.c0,
+            c1: self.c1,
+            level: self.level,
+            scale: self.scales[0],
+        }
+    }
+
     /// Number of ciphertexts in the batch.
     pub fn batch(&self) -> usize {
         self.scales.len()
@@ -94,170 +126,28 @@ impl BatchedCiphertext {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Batched modulus drop to `level` (scales unchanged).
-    pub fn mod_drop_batch(&self, ct: &BatchedCiphertext, level: usize) -> BatchedCiphertext {
-        assert!(level >= 1 && level <= ct.level, "cannot raise levels");
-        if level == ct.level {
-            return ct.clone();
-        }
-        let new_ctx = self.context().level_ctx(level).clone();
-        BatchedCiphertext {
-            c0: ct.c0.truncate_to(new_ctx.clone()),
-            c1: ct.c1.truncate_to(new_ctx),
-            level,
-            scales: ct.scales.clone(),
-        }
-    }
-
-    fn align_batch(
-        &self,
-        a: &BatchedCiphertext,
-        b: &BatchedCiphertext,
-    ) -> (BatchedCiphertext, BatchedCiphertext) {
-        assert_eq!(a.batch(), b.batch(), "batch size mismatch");
-        let level = a.level.min(b.level);
-        (self.mod_drop_batch(a, level), self.mod_drop_batch(b, level))
-    }
-
-    /// Batched HE-Add.
-    ///
-    /// # Panics
-    /// Panics on per-entry scale mismatch beyond the 1 % CKKS drift
-    /// tolerance (same contract as [`Evaluator::add`]).
-    pub fn add_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
-        let (a, b) = self.align_batch(a, b);
-        for (sa, sb) in a.scales.iter().zip(&b.scales) {
-            assert!((sa / sb - 1.0).abs() < 1e-2, "scale mismatch: {sa} vs {sb}");
-        }
-        BatchedCiphertext {
-            c0: a.c0.add(&b.c0),
-            c1: a.c1.add(&b.c1),
-            level: a.level,
-            scales: a.scales.clone(),
-        }
-    }
-
-    /// Batched HE-Sub. Same contract as [`Evaluator::sub`]: operands
-    /// align to the lower level, per-entry scales must agree within
-    /// the 1 % CKKS drift tolerance.
-    pub fn sub_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
-        let (a, b) = self.align_batch(a, b);
-        for (sa, sb) in a.scales.iter().zip(&b.scales) {
-            assert!((sa / sb - 1.0).abs() < 1e-2, "scale mismatch: {sa} vs {sb}");
-        }
-        BatchedCiphertext {
-            c0: a.c0.sub(&b.c0),
-            c1: a.c1.sub(&b.c1),
-            level: a.level,
-            scales: a.scales.clone(),
-        }
-    }
-
-    /// Batched ciphertext × plaintext multiply: one plaintext
-    /// (evaluation domain, encoded at the batch level) broadcast
-    /// across every entry. Bit-exact with looping
-    /// [`Evaluator::mult_plain`] on the identical plaintext; result
-    /// scales are `scales[b] · pt_scale` (rescale separately).
-    pub fn mult_plain_batch(
-        &self,
-        ct: &BatchedCiphertext,
-        pt: &RnsPoly,
-        pt_scale: f64,
-    ) -> BatchedCiphertext {
-        assert_eq!(
-            pt.level_count(),
-            ct.level,
-            "encode the plaintext at the batch level"
-        );
-        assert!(
-            pt_scale.is_finite() && pt_scale > 0.0,
-            "plaintext scale must be a positive finite value, got {pt_scale}"
-        );
-        let budget: f64 = self.context().q_moduli()[..ct.level]
-            .iter()
-            .map(|&q| q as f64)
-            .product();
-        for s in &ct.scales {
-            let product = s * pt_scale;
-            assert!(
-                product.is_finite() && product < budget / 2.0,
-                "scale overflow: entry scale {s} × pt_scale {pt_scale} exceeds \
-                 the level-{} modulus budget {budget:e}",
-                ct.level
-            );
-        }
-        BatchedCiphertext {
-            c0: ct.c0.mul_pointwise_poly(pt),
-            c1: ct.c1.mul_pointwise_poly(pt),
-            level: ct.level,
-            scales: ct.scales.iter().map(|s| s * pt_scale).collect(),
-        }
-    }
-
-    /// Batched HE-Mult: fused tensor products, one batched key switch,
-    /// one batched rescale. Bit-exact with looping [`Evaluator::mult`].
-    pub fn mult_batch(
-        &self,
-        a: &BatchedCiphertext,
-        b: &BatchedCiphertext,
-        relin: &SwitchingKey,
-    ) -> BatchedCiphertext {
-        let (a, b) = self.align_batch(a, b);
-        let d0 = a.c0.mul_pointwise(&b.c0);
-        let d1 = a.c0.mul_pointwise(&b.c1).add(&a.c1.mul_pointwise(&b.c0));
-        let d2 = a.c1.mul_pointwise(&b.c1);
-        let (k0, k1) = self.key_switch_batch(&d2, relin);
-        let ct = BatchedCiphertext {
-            c0: d0.add(&k0),
-            c1: d1.add(&k1),
-            level: a.level,
-            scales: a
-                .scales
-                .iter()
-                .zip(&b.scales)
-                .map(|(sa, sb)| sa * sb)
-                .collect(),
-        };
-        self.rescale_batch(&ct)
-    }
-
-    /// Batched rescale on the key-switching fast path: only the
+    /// Rescale on the key-switching fast path: only the
     /// dropped limb leaves the evaluation domain (`1 INTT + (l-1) NTT`
     /// instead of `l INTT + (l-1) NTT`), the surviving limbs are
     /// updated pointwise in evaluation form — exact by NTT linearity:
     /// `NTT((c_i − cl_i)·q_last⁻¹) = (NTT(c_i) − NTT(cl_i))·q_last⁻¹`
     /// since every map involved is an exact function mod `q_i` — and
     /// `q_last⁻¹ mod q_i` comes as a precomputed Shoup pair off the
-    /// cached [`KsPlan`]. Bit-exact with looping [`Evaluator::rescale`]
-    /// and with [`Evaluator::rescale_batch_reference`]
-    /// (`tests/ks_fast.rs`).
-    ///
-    /// # Panics
-    /// Panics at level 1 (no limb left to drop).
-    pub fn rescale_batch(&self, ct: &BatchedCiphertext) -> BatchedCiphertext {
+    /// cached [`KsPlan`]. The one body behind [`Evaluator::rescale`] and
+    /// [`Evaluator::rescale_batch`].
+    pub(crate) fn rescale_view(&self, ct: CtView) -> BatchedCiphertext {
         assert!(ct.level >= 2, "cannot rescale at level 1");
         let ctx = self.context();
         let l = ct.level;
-        let batch = ct.batch();
         let n = ctx.params().n;
         let q_last = ctx.q_moduli()[l - 1];
         let plan = ctx.ks_plan(l).clone();
         let old_ctx = ctx.level_ctx(l).clone();
         let new_ctx = ctx.level_ctx(l - 1).clone();
         let rescale_pb = |p: &PolyBatch| -> PolyBatch {
-            // Ciphertext components live in evaluation form; take the
-            // (rare) coefficient-domain caller through one conversion.
-            let p_eval_owned;
-            let pe: &PolyBatch = if p.domain() == Domain::Evaluation {
-                p
-            } else {
-                p_eval_owned = {
-                    let mut c = p.clone();
-                    c.to_evaluation();
-                    c
-                };
-                &p_eval_owned
-            };
+            // Ciphertext components live in evaluation form; the (rare)
+            // coefficient-domain caller pays one conversion.
+            let pe = p.in_domain(Domain::Evaluation);
             // The dropped limb is the only one that needs coefficients.
             let mut last = pe.limbs()[l - 1].clone();
             for seg in last.chunks_mut(n) {
@@ -285,11 +175,11 @@ impl<'a> Evaluator<'a> {
                     .collect();
                 new_limbs.push(limb);
             }
-            PolyBatch::from_limbs(new_ctx.clone(), batch, new_limbs, Domain::Evaluation)
+            PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Evaluation)
         };
         BatchedCiphertext {
-            c0: rescale_pb(&ct.c0),
-            c1: rescale_pb(&ct.c1),
+            c0: rescale_pb(ct.c0),
+            c1: rescale_pb(ct.c1),
             level: l - 1,
             scales: ct.scales.iter().map(|s| s / q_last as f64).collect(),
         }
@@ -303,7 +193,6 @@ impl<'a> Evaluator<'a> {
     pub fn rescale_batch_reference(&self, ct: &BatchedCiphertext) -> BatchedCiphertext {
         assert!(ct.level >= 2, "cannot rescale at level 1");
         let l = ct.level;
-        let batch = ct.batch();
         let q_last = self.context().q_moduli()[l - 1];
         let new_ctx = self.context().level_ctx(l - 1).clone();
         let rescale_pb = |p: &PolyBatch| -> PolyBatch {
@@ -326,8 +215,7 @@ impl<'a> Evaluator<'a> {
                     .collect();
                 new_limbs.push(limb);
             }
-            let mut out =
-                PolyBatch::from_limbs(new_ctx.clone(), batch, new_limbs, Domain::Coefficient);
+            let mut out = PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Coefficient);
             out.to_evaluation();
             out
         };
@@ -339,71 +227,19 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Batched HE-Rotate by `steps` slots: one fused automorphism pass
-    /// and one batched key switch. Bit-exact with looping
-    /// [`Evaluator::rotate`].
-    pub fn rotate_batch(
-        &self,
-        ct: &BatchedCiphertext,
-        steps: usize,
-        rot_key: &SwitchingKey,
-    ) -> BatchedCiphertext {
-        let g = self.context().galois_element(steps);
-        let perms = self.context().galois_eval_perm(g);
-        // c0 and the evaluation-form c1 rotate as transform-free index
-        // gathers (NTT(σ_g(c)) = π_g(NTT(c)), exact); only the digit
-        // source needs coefficient form, so one INTT of c1 is the
-        // whole transform bill before the key switch.
-        let c0r = ct.c0.gather_eval(&perms);
-        let c1r_eval = ct.c1.gather_eval(&perms);
-        let mut c1 = ct.c1.clone();
-        c1.to_coefficient();
-        let c1r_coeff = c1.automorphism(g);
-        let (k0, k1) = self.key_switch_core(&c1r_eval, &c1r_coeff, rot_key);
-        BatchedCiphertext {
-            c0: c0r.add(&k0),
-            c1: k1,
-            level: ct.level,
-            scales: ct.scales.clone(),
-        }
-    }
-
     /// Batched hybrid key switching on the cached-plan fast path:
     /// digit decomposition, fast base extension and the key inner
     /// products all run over the fused `batch · N` rows (the BConv
     /// matmul sees `N·batch` streamed rows, the key limbs broadcast
-    /// across the batch). Bit-exact with looping
-    /// [`Evaluator::key_switch`] and with
-    /// [`Evaluator::key_switch_batch_reference`] (`tests/ks_fast.rs`).
+    /// across the batch); a single polynomial is the batch-of-one
+    /// call. Returns `(out0, out1)` with `out0 + out1·s ≈ d·s'`.
+    /// Bit-exact with [`Evaluator::key_switch_batch_reference`]
+    /// (`tests/ks_fast.rs`).
     pub fn key_switch_batch(&self, d: &PolyBatch, key: &SwitchingKey) -> (PolyBatch, PolyBatch) {
-        // The core wants both domain forms; derive the missing one.
-        match d.domain() {
-            Domain::Evaluation => {
-                let mut d_coeff = d.clone();
-                d_coeff.to_coefficient();
-                self.key_switch_core(d, &d_coeff, key)
-            }
-            Domain::Coefficient => {
-                let mut d_eval = d.clone();
-                d_eval.to_evaluation();
-                self.key_switch_core(&d_eval, d, key)
-            }
-        }
-    }
-
-    /// Single-polynomial key switch over already-prepared domain forms
-    /// (the hoisted-rotation path: the caller owns the coefficient
-    /// form, so nothing is INTT'd twice).
-    pub(crate) fn key_switch_prepared(
-        &self,
-        d_eval: &RnsPoly,
-        d_coeff: &RnsPoly,
-        key: &SwitchingKey,
-    ) -> (RnsPoly, RnsPoly) {
-        let e = PolyBatch::from_polys(std::slice::from_ref(d_eval));
-        let c = PolyBatch::from_polys(std::slice::from_ref(d_coeff));
-        let (out0, out1) = self.key_switch_core(&e, &c, key);
-        (out0.poly(0), out1.poly(0))
+        // The core wants both domain forms; the missing one is derived.
+        let d_eval = d.in_domain(Domain::Evaluation);
+        let d_coeff = d.in_domain(Domain::Coefficient);
+        self.key_switch_core(&d_eval, &d_coeff, key)
     }
 
     /// The key-switching fast path (DESIGN.md §12). Three wins over the
@@ -423,7 +259,7 @@ impl<'a> Evaluator<'a> {
     ///    strict reduction at the end; congruence mod `q` plus a
     ///    canonical final fold make the result bit-identical to the
     ///    strict add-per-digit chain.
-    fn key_switch_core(
+    pub(crate) fn key_switch_core(
         &self,
         d_eval: &PolyBatch,
         d_coeff: &PolyBatch,
@@ -486,8 +322,8 @@ impl<'a> Evaluator<'a> {
             small_ntt::reduce_strict_slice(&mut acc1[t], qt);
         }
         (
-            self.mod_down_fast(&plan, &ks_ctx, acc0, l, batch),
-            self.mod_down_fast(&plan, &ks_ctx, acc1, l, batch),
+            self.mod_down_fast(&plan, &ks_ctx, acc0, l),
+            self.mod_down_fast(&plan, &ks_ctx, acc1, l),
         )
     }
 
@@ -504,7 +340,6 @@ impl<'a> Evaluator<'a> {
         ks_ctx: &Arc<RnsContext>,
         mut limbs: Vec<Vec<u64>>,
         l: usize,
-        batch: usize,
     ) -> PolyBatch {
         let ctx = self.context();
         let n = ctx.params().n;
@@ -538,7 +373,7 @@ impl<'a> Evaluator<'a> {
                 .collect();
             new_limbs.push(limb);
         }
-        PolyBatch::from_limbs(level_ctx, batch, new_limbs, Domain::Evaluation)
+        PolyBatch::from_limbs(level_ctx, new_limbs, Domain::Evaluation)
     }
 
     /// The pre-plan key-switch oracle: per-call kernel compilation,
@@ -601,8 +436,7 @@ impl<'a> Evaluator<'a> {
             for (limb, &target_slot) in converted.into_iter().zip(&other_idx) {
                 ext_limbs[target_slot] = limb;
             }
-            let mut ext =
-                PolyBatch::from_limbs(ks_ctx.clone(), batch, ext_limbs, Domain::Coefficient);
+            let mut ext = PolyBatch::from_limbs(ks_ctx.clone(), ext_limbs, Domain::Coefficient);
             ext.to_evaluation();
             // select the key limbs for this level: q indices 0..l plus
             // the extension indices big_l..big_l+k of the global chain.
@@ -631,7 +465,6 @@ impl<'a> Evaluator<'a> {
     fn mod_down_batch_reference(&self, c: &PolyBatch, l: usize) -> PolyBatch {
         let ctx = self.context();
         let n = ctx.params().n;
-        let batch = c.batch();
         let qs: Vec<u64> = ctx.q_moduli()[..l].to_vec();
         let ps: Vec<u64> = ctx.p_moduli().to_vec();
         let level_ctx = ctx.level_ctx(l).clone();
@@ -653,7 +486,7 @@ impl<'a> Evaluator<'a> {
                 .collect();
             new_limbs.push(limb);
         }
-        let mut out = PolyBatch::from_limbs(level_ctx, batch, new_limbs, Domain::Coefficient);
+        let mut out = PolyBatch::from_limbs(level_ctx, new_limbs, Domain::Coefficient);
         out.to_evaluation();
         out
     }

@@ -1,10 +1,20 @@
 //! Homomorphic evaluation: the four backbone HE operators of the paper
 //! (HE-Add, HE-Mult, Rescale, Rotate) plus hybrid key switching.
+//!
+//! Every operator has **one body**, written over the borrowed
+//! `CtView` that both a [`Ciphertext`] and a [`BatchedCiphertext`]
+//! lend for free. The eager method and its `*_batch` form are two
+//! signatures over that body — a single ciphertext is the `batch = 1`
+//! point of the paper's streamed batch dimension (Fig. 11b, §V-A), not
+//! a different program — so batched ≡ eager holds by construction
+//! (`tests/batched_equivalence.rs` still pins it per operator). The
+//! key-switch and rescale kernels live in [`crate::batched`].
 
 use crate::batched::BatchedCiphertext;
-use crate::ciphertext::Ciphertext;
+use crate::ciphertext::{Ciphertext, CtView};
 use crate::context::CkksContext;
 use crate::keys::SwitchingKey;
+use cross_poly::ring::Domain;
 use cross_poly::rns_poly::RnsPoly;
 use cross_poly::PolyBatch;
 
@@ -21,9 +31,9 @@ pub struct Evaluator<'a> {
 /// [`Evaluator::hoisted_rotate`].
 #[derive(Debug, Clone)]
 pub struct HoistedDecomposition {
-    pub(crate) c0_eval: RnsPoly,
-    pub(crate) c1_eval: RnsPoly,
-    pub(crate) c1_coeff: RnsPoly,
+    pub(crate) c0_eval: PolyBatch,
+    pub(crate) c1_eval: PolyBatch,
+    pub(crate) c1_coeff: PolyBatch,
     /// Level of the source ciphertext.
     pub level: usize,
     /// Scale of the source ciphertext.
@@ -36,8 +46,8 @@ impl<'a> Evaluator<'a> {
         Self { ctx }
     }
 
-    /// The bound context (the batched operators and the `cross_sched`
-    /// replay executor encode plaintext constants through it).
+    /// The bound context (the `cross_sched` replay executor encodes
+    /// plaintext constants through it).
     pub fn context(&self) -> &'a CkksContext {
         self.ctx
     }
@@ -47,22 +57,45 @@ impl<'a> Evaluator<'a> {
     /// context — one allocation per polynomial regardless of how many
     /// levels are dropped.
     pub fn mod_drop(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
+        self.drop_to(ct.view(), level).into_single()
+    }
+
+    /// Batched modulus drop to `level` (scales unchanged).
+    pub fn mod_drop_batch(&self, ct: &BatchedCiphertext, level: usize) -> BatchedCiphertext {
+        self.drop_to(ct.view(), level)
+    }
+
+    fn drop_to(&self, ct: CtView, level: usize) -> BatchedCiphertext {
         assert!(level >= 1 && level <= ct.level, "cannot raise levels");
-        if level == ct.level {
-            return ct.clone();
-        }
         let new_ctx = self.ctx.level_ctx(level).clone();
-        Ciphertext {
+        BatchedCiphertext {
             c0: ct.c0.truncate_to(new_ctx.clone()),
             c1: ct.c1.truncate_to(new_ctx),
             level,
-            scale: ct.scale,
+            scales: ct.scales.to_vec(),
         }
     }
 
-    fn align(&self, a: &Ciphertext, b: &Ciphertext) -> (Ciphertext, Ciphertext) {
+    /// Runs `f` on both operands at their lower common level. An
+    /// operand already there is borrowed as it is; only a higher one
+    /// is truncated.
+    fn with_aligned<R>(&self, a: CtView, b: CtView, f: impl FnOnce(CtView, CtView) -> R) -> R {
+        assert_eq!(a.scales.len(), b.scales.len(), "batch size mismatch");
         let level = a.level.min(b.level);
-        (self.mod_drop(a, level), self.mod_drop(b, level))
+        let (dropped_a, dropped_b);
+        let a = if a.level == level {
+            a
+        } else {
+            dropped_a = self.drop_to(a, level);
+            dropped_a.view()
+        };
+        let b = if b.level == level {
+            b
+        } else {
+            dropped_b = self.drop_to(b, level);
+            dropped_b.view()
+        };
+        f(a, b)
     }
 
     /// HE-Add.
@@ -72,31 +105,47 @@ impl<'a> Evaluator<'a> {
     /// silently corrupt CKKS messages; sub-percent drift from unequal
     /// rescale moduli is the approximation CKKS tolerates by design).
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (a, b) = self.align(a, b);
-        assert!(
-            (a.scale / b.scale - 1.0).abs() < 1e-2,
-            "scale mismatch: {} vs {}",
-            a.scale,
-            b.scale
-        );
-        Ciphertext {
-            c0: a.c0.add(&b.c0),
-            c1: a.c1.add(&b.c1),
-            level: a.level,
-            scale: a.scale,
-        }
+        self.linear(a.view(), b.view(), PolyBatch::add)
+            .into_single()
     }
 
-    /// HE-Sub.
+    /// Batched HE-Add (per-entry scale check).
+    pub fn add_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
+        self.linear(a.view(), b.view(), PolyBatch::add)
+    }
+
+    /// HE-Sub. Same contract as [`Evaluator::add`]: operands align to
+    /// the lower level, scales must agree within the 1 % CKKS drift
+    /// tolerance.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        let (a, b) = self.align(a, b);
-        assert!((a.scale / b.scale - 1.0).abs() < 1e-2, "scale mismatch");
-        Ciphertext {
-            c0: a.c0.sub(&b.c0),
-            c1: a.c1.sub(&b.c1),
-            level: a.level,
-            scale: a.scale,
-        }
+        self.linear(a.view(), b.view(), PolyBatch::sub)
+            .into_single()
+    }
+
+    /// Batched HE-Sub (per-entry scale check).
+    pub fn sub_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
+        self.linear(a.view(), b.view(), PolyBatch::sub)
+    }
+
+    /// The component-wise operators: `op` on both components at the
+    /// aligned level.
+    fn linear(
+        &self,
+        a: CtView,
+        b: CtView,
+        op: fn(&PolyBatch, &PolyBatch) -> PolyBatch,
+    ) -> BatchedCiphertext {
+        self.with_aligned(a, b, |a, b| {
+            for (sa, sb) in a.scales.iter().zip(b.scales) {
+                assert!((sa / sb - 1.0).abs() < 1e-2, "scale mismatch: {sa} vs {sb}");
+            }
+            BatchedCiphertext {
+                c0: op(a.c0, b.c0),
+                c1: op(a.c1, b.c1),
+                level: a.level,
+                scales: a.scales.to_vec(),
+            }
+        })
     }
 
     /// Plaintext addition (plaintext encoded at the ciphertext's level
@@ -110,21 +159,37 @@ impl<'a> Evaluator<'a> {
     /// silently corrupts the message (the deep-chain footgun this
     /// guard exists for; see DESIGN.md §13).
     pub fn add_plain(&self, ct: &Ciphertext, pt: &RnsPoly, pt_scale: f64) -> Ciphertext {
+        self.add_plain_view(ct.view(), pt, pt_scale).into_single()
+    }
+
+    /// Batched plaintext addition: one plaintext broadcast across every
+    /// entry, each entry's scale checked against `pt_scale`.
+    pub fn add_plain_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        pt: &RnsPoly,
+        pt_scale: f64,
+    ) -> BatchedCiphertext {
+        self.add_plain_view(ct.view(), pt, pt_scale)
+    }
+
+    fn add_plain_view(&self, ct: CtView, pt: &RnsPoly, pt_scale: f64) -> BatchedCiphertext {
         assert_eq!(
             pt.level_count(),
             ct.level,
             "encode the plaintext at ct's level"
         );
-        assert!(
-            (ct.scale / pt_scale - 1.0).abs() < 1e-2,
-            "plaintext scale mismatch: ct at {}, plaintext encoded at {pt_scale}",
-            ct.scale
-        );
-        Ciphertext {
-            c0: ct.c0.add(pt),
+        for s in ct.scales {
+            assert!(
+                (s / pt_scale - 1.0).abs() < 1e-2,
+                "plaintext scale mismatch: ct at {s}, plaintext encoded at {pt_scale}"
+            );
+        }
+        BatchedCiphertext {
+            c0: ct.c0.add_poly(pt),
             c1: ct.c1.clone(),
             level: ct.level,
-            scale: ct.scale,
+            scales: ct.scales.to_vec(),
         }
     }
 
@@ -138,6 +203,22 @@ impl<'a> Evaluator<'a> {
     /// point the scaled message wraps mod `Q` and every later op
     /// silently mis-tracks.
     pub fn mult_plain(&self, ct: &Ciphertext, pt: &RnsPoly, pt_scale: f64) -> Ciphertext {
+        self.mult_plain_view(ct.view(), pt, pt_scale).into_single()
+    }
+
+    /// Batched ciphertext × plaintext multiply: one plaintext
+    /// (evaluation domain, encoded at the batch level) broadcast
+    /// across every entry; result scales are `scales[b] · pt_scale`.
+    pub fn mult_plain_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        pt: &RnsPoly,
+        pt_scale: f64,
+    ) -> BatchedCiphertext {
+        self.mult_plain_view(ct.view(), pt, pt_scale)
+    }
+
+    fn mult_plain_view(&self, ct: CtView, pt: &RnsPoly, pt_scale: f64) -> BatchedCiphertext {
         assert_eq!(
             pt.level_count(),
             ct.level,
@@ -151,89 +232,116 @@ impl<'a> Evaluator<'a> {
             .iter()
             .map(|&q| q as f64)
             .product();
-        let product = ct.scale * pt_scale;
-        assert!(
-            product.is_finite() && product < budget / 2.0,
-            "scale overflow: ct.scale {} × pt_scale {pt_scale} exceeds the \
-             level-{} modulus budget {budget:e}",
-            ct.scale,
-            ct.level
-        );
-        Ciphertext {
-            c0: ct.c0.mul_pointwise(pt),
-            c1: ct.c1.mul_pointwise(pt),
+        for s in ct.scales {
+            let product = s * pt_scale;
+            assert!(
+                product.is_finite() && product < budget / 2.0,
+                "scale overflow: ct.scale {s} × pt_scale {pt_scale} exceeds the \
+                 level-{} modulus budget {budget:e}",
+                ct.level
+            );
+        }
+        BatchedCiphertext {
+            c0: ct.c0.mul_pointwise_poly(pt),
+            c1: ct.c1.mul_pointwise_poly(pt),
             level: ct.level,
-            scale: ct.scale * pt_scale,
+            scales: ct.scales.iter().map(|s| s * pt_scale).collect(),
         }
     }
 
     /// HE-Mult: tensor product, relinearization with the `s²` switching
     /// key, then one rescale.
     pub fn mult(&self, a: &Ciphertext, b: &Ciphertext, relin: &SwitchingKey) -> Ciphertext {
-        let (a, b) = self.align(a, b);
-        let d0 = a.c0.mul_pointwise(&b.c0);
-        let d1 = a.c0.mul_pointwise(&b.c1).add(&a.c1.mul_pointwise(&b.c0));
-        let d2 = a.c1.mul_pointwise(&b.c1);
-        let (k0, k1) = self.key_switch(&d2, relin);
-        let ct = Ciphertext {
-            c0: d0.add(&k0),
-            c1: d1.add(&k1),
-            level: a.level,
-            scale: a.scale * b.scale,
-        };
-        self.rescale(&ct)
+        self.mult_view(a.view(), b.view(), relin).into_single()
     }
 
-    /// HE-Mult without the final rescale (for scale-management schemes).
-    pub fn mult_no_rescale(
+    /// Batched HE-Mult: fused tensor products, one batched key switch,
+    /// one batched rescale.
+    pub fn mult_batch(
         &self,
-        a: &Ciphertext,
-        b: &Ciphertext,
+        a: &BatchedCiphertext,
+        b: &BatchedCiphertext,
         relin: &SwitchingKey,
-    ) -> Ciphertext {
-        let (a, b) = self.align(a, b);
-        let d0 = a.c0.mul_pointwise(&b.c0);
-        let d1 = a.c0.mul_pointwise(&b.c1).add(&a.c1.mul_pointwise(&b.c0));
-        let d2 = a.c1.mul_pointwise(&b.c1);
-        let (k0, k1) = self.key_switch(&d2, relin);
-        Ciphertext {
-            c0: d0.add(&k0),
-            c1: d1.add(&k1),
-            level: a.level,
-            scale: a.scale * b.scale,
-        }
+    ) -> BatchedCiphertext {
+        self.mult_view(a.view(), b.view(), relin)
+    }
+
+    fn mult_view(&self, a: CtView, b: CtView, relin: &SwitchingKey) -> BatchedCiphertext {
+        self.with_aligned(a, b, |a, b| {
+            let d0 = a.c0.mul_pointwise(b.c0);
+            let d1 = a.c0.mul_pointwise(b.c1).add(&a.c1.mul_pointwise(b.c0));
+            let d2 = a.c1.mul_pointwise(b.c1);
+            let (k0, k1) = self.key_switch_batch(&d2, relin);
+            let ct = BatchedCiphertext {
+                c0: d0.add(&k0),
+                c1: d1.add(&k1),
+                level: a.level,
+                scales: a.scales.iter().zip(b.scales).map(|(x, y)| x * y).collect(),
+            };
+            self.rescale_view(ct.view())
+        })
     }
 
     /// Rescale: divides by the last modulus and drops one limb
     /// (`1 INTT + (l-1) NTT` worth of domain conversions — the kernel
-    /// mix of paper Fig. 14). Delegates to the batch-1 case of
-    /// [`Evaluator::rescale_batch`], which owns the arithmetic.
+    /// mix of paper Fig. 14).
     ///
     /// # Panics
     /// Panics at level 1 (no limb left to drop).
     pub fn rescale(&self, ct: &Ciphertext) -> Ciphertext {
-        let batch = BatchedCiphertext::from_ciphertexts(std::slice::from_ref(ct));
-        self.rescale_batch(&batch).to_ciphertexts().remove(0)
+        self.rescale_view(ct.view()).into_single()
     }
 
-    /// HE-Rotate by `steps` slots (Galois automorphism + key switch).
-    /// Runs as the one-rotation case of the hoisted pipeline: one
-    /// decomposition (the INTT of both components), then one Galois
-    /// application — so a lone rotate and a hoisted fan-out execute
-    /// the same code and stay bit-identical by construction.
+    /// Batched rescale. Bit-exact with
+    /// [`Evaluator::rescale_batch_reference`] (`tests/ks_fast.rs`).
+    pub fn rescale_batch(&self, ct: &BatchedCiphertext) -> BatchedCiphertext {
+        self.rescale_view(ct.view())
+    }
+
+    /// HE-Rotate by `steps` slots (Galois automorphism + key switch):
+    /// one INTT of `c1` for the digit source, then the Galois tail a
+    /// hoisted fan-out also runs — so a lone rotate and a hoisted one
+    /// stay bit-identical by construction.
     pub fn rotate(&self, ct: &Ciphertext, steps: usize, rot_key: &SwitchingKey) -> Ciphertext {
-        self.apply_galois(
-            &self.hoist_decompose(ct),
-            self.ctx.galois_element(steps),
-            rot_key,
-        )
+        self.galois(ct.view(), self.ctx.galois_element(steps), rot_key)
+            .into_single()
+    }
+
+    /// Batched HE-Rotate by `steps` slots: one fused automorphism pass
+    /// and one batched key switch.
+    pub fn rotate_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        steps: usize,
+        rot_key: &SwitchingKey,
+    ) -> BatchedCiphertext {
+        self.galois(ct.view(), self.ctx.galois_element(steps), rot_key)
     }
 
     /// Slot-wise complex conjugation (`σ_{2N-1}` + key switch with the
     /// conjugation key).
     pub fn conjugate(&self, ct: &Ciphertext, conj_key: &SwitchingKey) -> Ciphertext {
-        let g = 2 * self.ctx.params().n as u64 - 1;
-        self.apply_galois(&self.hoist_decompose(ct), g, conj_key)
+        self.galois(ct.view(), self.conjugation_element(), conj_key)
+            .into_single()
+    }
+
+    /// Batched slot-wise complex conjugation.
+    pub fn conjugate_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        conj_key: &SwitchingKey,
+    ) -> BatchedCiphertext {
+        self.galois(ct.view(), self.conjugation_element(), conj_key)
+    }
+
+    fn conjugation_element(&self) -> u64 {
+        2 * self.ctx.params().n as u64 - 1
+    }
+
+    /// A whole Galois operation: the INTT of `c1` (the only transform
+    /// before the key switch), then the shared tail.
+    fn galois(&self, ct: CtView, g: u64, key: &SwitchingKey) -> BatchedCiphertext {
+        self.galois_tail(ct, &ct.c1.in_domain(Domain::Coefficient), g, key)
     }
 
     /// Hoists the rotation-independent prefix of a Galois operation:
@@ -250,19 +358,17 @@ impl<'a> Evaluator<'a> {
     /// base-extension error by `L·Q mod p` — DESIGN.md §12), and the
     /// hoisted path is pinned bit-identical to independent rotates.
     pub fn hoist_decompose(&self, ct: &Ciphertext) -> HoistedDecomposition {
-        let mut c1_coeff = ct.c1.clone();
-        c1_coeff.to_coefficient();
+        let ct = ct.view();
         HoistedDecomposition {
             c0_eval: ct.c0.clone(),
             c1_eval: ct.c1.clone(),
-            c1_coeff,
+            c1_coeff: ct.c1.in_domain(Domain::Coefficient).into_owned(),
             level: ct.level,
-            scale: ct.scale,
+            scale: ct.scales[0],
         }
     }
 
-    /// One rotation off a hoisted decomposition: Galois permutation of
-    /// the coefficient forms, then a key switch fed both domain forms
+    /// One rotation off a hoisted decomposition: the Galois tail alone
     /// (no redundant INTT round trip). Bit-identical to
     /// [`Evaluator::rotate`] on the source ciphertext.
     pub fn hoisted_rotate(
@@ -271,52 +377,66 @@ impl<'a> Evaluator<'a> {
         steps: usize,
         rot_key: &SwitchingKey,
     ) -> Ciphertext {
-        self.apply_galois(h, self.ctx.galois_element(steps), rot_key)
+        let source = CtView {
+            c0: &h.c0_eval,
+            c1: &h.c1_eval,
+            level: h.level,
+            scales: std::slice::from_ref(&h.scale),
+        };
+        self.galois_tail(source, &h.c1_coeff, self.ctx.galois_element(steps), rot_key)
+            .into_single()
     }
 
-    /// A rotation fan-out over one ciphertext: decomposes once, then
-    /// applies each `(steps, key)` rotation off the shared prefix.
-    /// Bit-identical to `k` independent [`Evaluator::rotate`] calls.
+    /// A rotation fan-out over one ciphertext: inverts `c1` once, then
+    /// applies each `(steps, key)` rotation's Galois tail off the
+    /// borrowed source. Bit-identical to `k` independent
+    /// [`Evaluator::rotate`] calls.
     pub fn hoisted_rotations(
         &self,
         ct: &Ciphertext,
         rotations: &[(usize, &SwitchingKey)],
     ) -> Vec<Ciphertext> {
-        let h = self.hoist_decompose(ct);
+        let ct = ct.view();
+        let c1_coeff = ct.c1.in_domain(Domain::Coefficient);
         rotations
             .iter()
-            .map(|&(steps, key)| self.hoisted_rotate(&h, steps, key))
+            .map(|&(steps, key)| {
+                self.galois_tail(ct, &c1_coeff, self.ctx.galois_element(steps), key)
+                    .into_single()
+            })
             .collect()
     }
 
-    /// Shared Galois tail: gather both evaluation forms through the
+    /// The one Galois tail: gather both evaluation forms through the
     /// cached index permutation (`NTT(σ_g(c)) = π_g(NTT(c))`, exact —
     /// zero transforms), permute the coefficient-form `c1` for the
     /// digit decomposition, and key-switch with both domain forms
     /// prepared.
-    fn apply_galois(&self, h: &HoistedDecomposition, g: u64, key: &SwitchingKey) -> Ciphertext {
+    fn galois_tail(
+        &self,
+        ct: CtView,
+        c1_coeff: &PolyBatch,
+        g: u64,
+        key: &SwitchingKey,
+    ) -> BatchedCiphertext {
         let perms = self.ctx.galois_eval_perm(g);
-        let c0r = h.c0_eval.gather_eval(&perms);
-        let c1r_eval = h.c1_eval.gather_eval(&perms);
-        let c1r_coeff = h.c1_coeff.automorphism(g);
-        let (k0, k1) = self.key_switch_prepared(&c1r_eval, &c1r_coeff, key);
-        Ciphertext {
+        let c0r = ct.c0.gather_eval(&perms);
+        let c1r_eval = ct.c1.gather_eval(&perms);
+        let c1r_coeff = c1_coeff.automorphism(g);
+        let (k0, k1) = self.key_switch_core(&c1r_eval, &c1r_coeff, key);
+        BatchedCiphertext {
             c0: c0r.add(&k0),
             c1: k1,
-            level: h.level,
-            scale: h.scale,
+            level: ct.level,
+            scales: ct.scales.to_vec(),
         }
     }
 
-    /// Hybrid key switching (paper \[37\]): digit-decomposes `d`,
-    /// base-extends each digit to `Q_l·P`, inner-products with the key
-    /// digits, and divides by `P`. Returns `(out0, out1)` with
-    /// `out0 + out1·s ≈ d·s'`. Delegates to the batch-1 case of
-    /// [`Evaluator::key_switch_batch`], which owns the arithmetic.
+    /// Hybrid key switching (paper \[37\]) of one polynomial: the
+    /// batch-of-one spelling of [`Evaluator::key_switch_batch`].
+    /// Returns `(out0, out1)` with `out0 + out1·s ≈ d·s'`.
     pub fn key_switch(&self, d: &RnsPoly, key: &SwitchingKey) -> (RnsPoly, RnsPoly) {
-        let batch = PolyBatch::from_polys(std::slice::from_ref(d));
-        let (out0, out1) = self.key_switch_batch(&batch, key);
-        (out0.poly(0), out1.poly(0))
+        self.key_switch_batch(d, key)
     }
 }
 
@@ -537,8 +657,8 @@ mod tests {
         let mut c1 = ca.c1.clone();
         for l in (1..ca.level).rev() {
             let c = ctx.level_ctx(l).clone();
-            c0 = c0.drop_last_limb(c.clone());
-            c1 = c1.drop_last_limb(c);
+            c0 = c0.truncate_to(c.clone());
+            c1 = c1.truncate_to(c);
         }
         assert_eq!(direct.c0.limbs(), c0.limbs());
         assert_eq!(direct.c1.limbs(), c1.limbs());

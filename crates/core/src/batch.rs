@@ -98,9 +98,7 @@ impl RnsNttPlans {
     /// TPU paths.
     pub fn forward_batch(&self, pb: &PolyBatch) -> PolyBatch {
         self.check(pb, Domain::Coefficient);
-        let mut out = pb.clone();
-        out.to_evaluation();
-        out
+        pb.in_domain(Domain::Evaluation).into_owned()
     }
 
     /// Inverse-transforms an evaluation-domain batch back to
@@ -109,9 +107,7 @@ impl RnsNttPlans {
     /// [`Ntt3Plan::inverse_batch_reference`] per limb.
     pub fn inverse_batch(&self, pb: &PolyBatch) -> PolyBatch {
         self.check(pb, Domain::Evaluation);
-        let mut out = pb.clone();
-        out.to_coefficient();
-        out
+        pb.in_domain(Domain::Coefficient).into_owned()
     }
 
     /// Forward transform on the simulator: `L` fused batch kernels,
@@ -125,7 +121,7 @@ impl RnsNttPlans {
             .zip(pb.limbs())
             .map(|(plan, limb)| plan.forward_batch_on_tpu(sim, limb, batch))
             .collect();
-        PolyBatch::from_limbs(pb.context().clone(), batch, out, Domain::Evaluation)
+        PolyBatch::from_limbs(pb.context().clone(), out, Domain::Evaluation)
     }
 
     /// Inverse transform on the simulator.
@@ -138,7 +134,7 @@ impl RnsNttPlans {
             .zip(pb.limbs())
             .map(|(plan, limb)| plan.inverse_batch_on_tpu(sim, limb, batch))
             .collect();
-        PolyBatch::from_limbs(pb.context().clone(), batch, out, Domain::Coefficient)
+        PolyBatch::from_limbs(pb.context().clone(), out, Domain::Coefficient)
     }
 
     /// Charges the cost of forward-transforming a batch of `batch`

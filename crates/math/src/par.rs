@@ -4,27 +4,57 @@
 //! The MAT 3-step plan and the RNS limb loops are data-parallel with no
 //! shared mutable state; `rayon` would be the natural tool but the
 //! build environment has no registry access, so this module provides
-//! the two primitives the batched pipeline needs on plain
+//! the primitives the batched pipeline needs on plain
 //! [`std::thread::scope`]:
 //!
 //! * [`par_for_each_mut`] — run a closure over every element of a
-//!   mutable slice, items partitioned contiguously across workers;
+//!   mutable slice, items partitioned contiguously across workers
+//!   ([`par_for_each_sized`]: on as many workers as the work pays for);
 //! * [`par_chunks_mut`] — the `rayon`-style `par_chunks_mut`: run a
 //!   closure over fixed-size chunks of one backing slice.
 //!
-//! Both fall back to the serial loop when a single worker suffices, so
+//! All fall back to the serial loop when a single worker suffices, so
 //! results are bit-identical either way (each item is touched by
 //! exactly one closure invocation, and closures are independent).
 
-/// Number of worker threads to use (`available_parallelism`, min 1).
+use std::sync::OnceLock;
+
+/// Minimum work *per worker* before a limb or batch loop fans out to
+/// scoped threads, in residue operations: one per residue an
+/// element-wise kernel touches, `log₂ N` per residue of a transform
+/// (≈ 1 ns each on the host either way) — so about half a millisecond
+/// of arithmetic per worker, against 50–100 µs to spawn and join plus
+/// whatever a cold second core costs in situ. Measured on the 2-vCPU
+/// benchmark host: at `1 << 16` a lone Set B polynomial (8 NTTs,
+/// 852 k operations) fanned out and `decrypt` lost 15 %; at `1 << 19`
+/// it stays serial and only fused batches fan out, which read 9 %
+/// faster on `eager_chain` and 16 % on `serve_tenants` (CHANGES.md,
+/// PR 13). Results are bit-identical either way.
+pub const MIN_PAR_WORK: usize = 1 << 19;
+
+/// Number of worker threads to use (`available_parallelism`, min 1),
+/// read once: the query costs a syscall and a cgroup lookup, too much
+/// to pay on every kernel call.
 pub fn parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Workers worth spawning for `work` residue operations: one per
+/// [`MIN_PAR_WORK`] of it, at most [`parallelism`] — so a wider host
+/// never uses fewer workers than a narrower one would — and at least
+/// the calling thread.
+pub fn workers_for(work: usize) -> usize {
+    (work / MIN_PAR_WORK).clamp(1, parallelism())
 }
 
 /// Runs `f(i, &mut items[i])` for every element, distributing
-/// contiguous blocks of items over scoped worker threads.
+/// contiguous blocks of items over all [`parallelism`] scoped worker
+/// threads.
 ///
 /// `f` must be independent per item (no cross-item ordering is
 /// guaranteed). With one worker or one item this degrades to the plain
@@ -34,15 +64,36 @@ where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
-    let workers = parallelism().min(items.len());
+    par_for_each_sized(items, usize::MAX, f);
+}
+
+/// [`par_for_each_mut`] on the [`workers_for`] a loop of `work` residue
+/// operations in total pays for — the one gate every limb and batch
+/// fan-out in the stack goes through.
+#[inline]
+pub fn par_for_each_sized<T, F>(items: &mut [T], work: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let workers = workers_for(work).min(items.len());
     if workers <= 1 {
+        // kept apart from the spawn below so the serial case inlines
+        // `f` into the caller's loop (≈5 % on a 65 k-residue pass)
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }
-        return;
+    } else {
+        fan_out(items, workers, &f);
     }
+}
+
+fn fan_out<T, F>(items: &mut [T], workers: usize, f: &F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
     let block = items.len().div_ceil(workers);
-    let f = &f;
     std::thread::scope(|scope| {
         for (b, chunk) in items.chunks_mut(block).enumerate() {
             scope.spawn(move || {
@@ -85,11 +136,22 @@ mod tests {
     }
 
     #[test]
+    fn workers_scale_with_work_up_to_the_host() {
+        assert_eq!(workers_for(0), 1);
+        assert_eq!(workers_for(2 * MIN_PAR_WORK - 1), 1);
+        assert_eq!(workers_for(2 * MIN_PAR_WORK), parallelism().min(2));
+        assert_eq!(workers_for(usize::MAX), parallelism());
+    }
+
+    #[test]
     fn for_each_touches_every_item_once() {
-        let mut v: Vec<u64> = (0..1000).collect();
-        par_for_each_mut(&mut v, |i, x| *x += i as u64);
-        for (i, &x) in v.iter().enumerate() {
-            assert_eq!(x, 2 * i as u64);
+        // serial, work-sized and full fan-out all visit each item once
+        for work in [0, 3 * MIN_PAR_WORK, usize::MAX] {
+            let mut v: Vec<u64> = (0..1000).collect();
+            par_for_each_sized(&mut v, work, |i, x| *x += i as u64);
+            for (i, &x) in v.iter().enumerate() {
+                assert_eq!(x, 2 * i as u64);
+            }
         }
     }
 

@@ -1,45 +1,51 @@
-//! Batch-major RNS polynomial batches — the unit of work of the
-//! paper's best configurations (Fig. 11b).
+//! RNS ("double-CRT") polynomials, one or a batch at a time — the one
+//! polynomial container of the stack.
 //!
 //! A [`PolyBatch`] holds `batch` polynomials over one shared
 //! [`RnsContext`] in *struct-of-limbs, batch-major* layout: limb `i` is
 //! a single contiguous vector of `batch · N` residues, polynomial `b`'s
-//! degree-`N` segment at `[b·N .. (b+1)·N]`. Two consequences:
+//! degree-`N` segment at `[b·N .. (b+1)·N]`. The paper treats batch as
+//! just the streamed matmul dimension (Fig. 11b, §V-A), so a single
+//! post-CRT ciphertext polynomial (§II-A3) is the `batch = 1` point on
+//! that axis, not a different type: [`RnsPoly`] is an alias that spells
+//! "batch of one" in signatures. Two consequences of the layout:
 //!
 //! * every element-wise HE kernel (VecModMul/Add, scalar ops) runs once
 //!   over the whole limb instead of `batch` times — the layout the MXU
 //!   batching of `cross-core` streams directly;
-//! * the limb × batch loop nest is embarrassingly parallel, so domain
-//!   conversions fan out over [`cross_math::par`]'s scoped workers.
+//! * the limb × batch loop nest is embarrassingly parallel, so kernels
+//!   fan out over [`cross_math::par`]'s scoped workers once the work
+//!   pays for the spawn.
 //!
-//! All operations are bit-identical to applying the corresponding
-//! [`RnsPoly`] operation to each polynomial independently — the
-//! equivalence the batched-vs-sequential property tests pin down.
+//! Batch entries never interact: a batch-`B` result is bit-identical to
+//! the `B` batch-of-one results laid side by side — the property the
+//! batched-vs-sequential tests pin down.
 
 use crate::ring::Domain;
 use crate::rns_poly::{RnsContext, RnsPoly};
 use crate::six_step;
-use cross_math::modops::{add_mod, barrett_mu, mul_mod, mul_mod_barrett32, neg_mod, sub_mod};
+use cross_math::modops::{
+    add_mod, barrett_mu, from_signed, mul_mod, mul_mod_barrett32, neg_mod, sub_mod,
+};
 use cross_math::par;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-/// Minimum total residues before a batched limb loop fans out to
-/// scoped threads — below this, spawn/join dominates the arithmetic
-/// and the serial loop wins (results are bit-identical either way).
-const MIN_PAR_ELEMS: usize = 1 << 14;
-
-/// [`par::par_for_each_mut`] gated on total work size.
-fn maybe_par<T, F>(items: &mut [T], total_elems: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    if total_elems < MIN_PAR_ELEMS {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
+/// One segment of a limb-wise product — the HE `VecModMul` inner loop.
+/// For moduli below 2³² the per-element division is replaced by a
+/// Barrett reduction against `⌊2⁶⁴/q⌋` — bit-identical to [`mul_mod`]
+/// and the dominant win on tensor products, where both operands vary
+/// and Shoup precomputation cannot apply.
+fn mul_segment(q: u64, a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+    if q >> 32 == 0 {
+        let mu = barrett_mu(q);
+        out.extend(
+            a.iter()
+                .zip(b)
+                .map(|(&x, &y)| mul_mod_barrett32(x, y, q, mu)),
+        );
     } else {
-        par::par_for_each_mut(items, f);
+        out.extend(a.iter().zip(b).map(|(&x, &y)| mul_mod(x, y, q)));
     }
 }
 
@@ -75,20 +81,23 @@ impl PolyBatch {
         z
     }
 
-    /// Wraps raw batch-major limb data.
+    /// Wraps raw batch-major limb data; the batch size is the limb
+    /// length over the degree.
     ///
     /// # Panics
-    /// Panics on shape mismatch with the context.
-    pub fn from_limbs(
-        ctx: Arc<RnsContext>,
-        batch: usize,
-        limbs: Vec<Vec<u64>>,
-        domain: Domain,
-    ) -> Self {
-        assert!(batch >= 1, "batch must be non-empty");
+    /// Panics on shape mismatch with the context: a wrong limb count,
+    /// ragged limbs, or a limb length that is not a positive multiple
+    /// of `N`.
+    pub fn from_limbs(ctx: Arc<RnsContext>, limbs: Vec<Vec<u64>>, domain: Domain) -> Self {
         assert_eq!(limbs.len(), ctx.level_count(), "limb count mismatch");
+        let len = limbs[0].len();
+        let batch = len / ctx.n();
+        assert!(
+            batch >= 1 && batch * ctx.n() == len,
+            "limb length must be a positive multiple of the degree"
+        );
         for l in &limbs {
-            assert_eq!(l.len(), batch * ctx.n(), "limb length mismatch");
+            assert_eq!(l.len(), len, "limb length mismatch");
         }
         Self {
             ctx,
@@ -98,67 +107,54 @@ impl PolyBatch {
         }
     }
 
-    /// Per-limb, per-segment gather in the evaluation domain — the
-    /// batched sibling of [`RnsPoly::gather_eval`]: every degree-`N`
-    /// segment of limb `t` is reindexed by `perms[t]`.
-    ///
-    /// # Panics
-    /// Panics off the evaluation domain or on a ragged table.
-    pub fn gather_eval(&self, perms: &[Vec<u32>]) -> Self {
-        assert_eq!(
-            self.domain,
-            Domain::Evaluation,
-            "gather_eval permutes evaluation points"
-        );
-        assert!(perms.len() >= self.limbs.len(), "one permutation per limb");
-        let n = self.ctx.n();
-        let mut out: Vec<Vec<u64>> = self.limbs.iter().map(|l| vec![0u64; l.len()]).collect();
-        maybe_par(&mut out, self.total_elems(), |t, limb| {
-            let perm = &perms[t];
-            assert_eq!(perm.len(), n, "permutation length mismatch");
-            for (seg_out, seg_in) in limb.chunks_mut(n).zip(self.limbs[t].chunks(n)) {
-                for (o, &s) in seg_out.iter_mut().zip(perm) {
-                    *o = seg_in[s as usize];
-                }
-            }
-        });
+    /// Lifts signed coefficients (e.g. a sampled secret or error) into
+    /// every limb of a batch of one.
+    pub fn from_signed_coeffs(ctx: Arc<RnsContext>, coeffs: &[i64]) -> Self {
+        assert_eq!(coeffs.len(), ctx.n());
+        let limbs = ctx
+            .moduli()
+            .iter()
+            .map(|&q| coeffs.iter().map(|&v| from_signed(v, q)).collect())
+            .collect();
         Self {
-            ctx: self.ctx.clone(),
-            batch: self.batch,
-            limbs: out,
-            domain: self.domain,
+            ctx,
+            batch: 1,
+            limbs,
+            domain: Domain::Coefficient,
         }
     }
 
-    /// Gathers independent polynomials into one batch.
+    /// Concatenates polynomials (or whole batches) into one batch, in
+    /// order.
     ///
     /// # Panics
     /// Panics if `polys` is empty or the polynomials disagree on
     /// degree, basis, or domain.
-    pub fn from_polys(polys: &[RnsPoly]) -> Self {
+    pub fn from_polys<'a>(polys: impl IntoIterator<Item = &'a PolyBatch>) -> Self {
+        let polys: Vec<&PolyBatch> = polys.into_iter().collect();
         assert!(!polys.is_empty(), "batch must be non-empty");
-        let first = &polys[0];
-        let ctx = first.context().clone();
-        let n = ctx.n();
-        for p in polys {
-            assert_eq!(p.context().n(), n, "degree mismatch");
-            assert_eq!(p.context().moduli(), ctx.moduli(), "basis mismatch");
-            assert_eq!(p.domain(), first.domain(), "domain mismatch");
+        let first = polys[0];
+        let ctx = first.ctx.clone();
+        for p in &polys {
+            assert_eq!(p.ctx.n(), ctx.n(), "degree mismatch");
+            assert_eq!(p.ctx.moduli(), ctx.moduli(), "basis mismatch");
+            assert_eq!(p.domain, first.domain, "domain mismatch");
         }
+        let batch = polys.iter().map(|p| p.batch).sum();
         let limbs = (0..ctx.level_count())
             .map(|i| {
-                let mut limb = Vec::with_capacity(polys.len() * n);
-                for p in polys {
-                    limb.extend_from_slice(&p.limbs()[i]);
+                let mut limb = Vec::with_capacity(batch * ctx.n());
+                for p in &polys {
+                    limb.extend_from_slice(&p.limbs[i]);
                 }
                 limb
             })
             .collect();
         Self {
             ctx,
-            batch: polys.len(),
+            batch,
             limbs,
-            domain: first.domain(),
+            domain: first.domain,
         }
     }
 
@@ -167,16 +163,20 @@ impl PolyBatch {
         (0..self.batch).map(|b| self.poly(b)).collect()
     }
 
-    /// Extracts polynomial `b` as a standalone [`RnsPoly`].
+    /// Extracts polynomial `b` as a standalone batch of one.
     pub fn poly(&self, b: usize) -> RnsPoly {
         assert!(b < self.batch, "batch index out of range");
         let n = self.ctx.n();
-        let limbs = self
-            .limbs
-            .iter()
-            .map(|l| l[b * n..(b + 1) * n].to_vec())
-            .collect();
-        RnsPoly::from_limbs(self.ctx.clone(), limbs, self.domain)
+        Self {
+            ctx: self.ctx.clone(),
+            batch: 1,
+            limbs: self
+                .limbs
+                .iter()
+                .map(|l| l[b * n..(b + 1) * n].to_vec())
+                .collect(),
+            domain: self.domain,
+        }
     }
 
     /// Shared context handle.
@@ -209,21 +209,22 @@ impl PolyBatch {
         &mut self.limbs
     }
 
-    /// Total residues across all limbs — the work-size gate for
-    /// [`maybe_par`].
+    /// Total residues across all limbs — the work of one element-wise
+    /// pass, for [`par::par_for_each_sized`].
     fn total_elems(&self) -> usize {
         self.limbs.len() * self.batch * self.ctx.n()
     }
 
     /// Runs `f(limb_index, segment)` over every degree-`N` segment of
-    /// every limb, fanned out over the scoped-thread pool when the
-    /// batch is large enough to pay for the spawn.
+    /// every limb, fanned out over as many scoped workers as the
+    /// transforms pay for.
     fn for_each_segment_mut<F>(&mut self, f: F)
     where
         F: Fn(usize, &mut [u64]) + Sync,
     {
         let n = self.ctx.n();
-        let total = self.total_elems();
+        // a transform does log₂N butterfly layers over every residue
+        let work = self.total_elems() * n.trailing_zeros() as usize;
         let mut segments: Vec<(usize, &mut [u64])> =
             Vec::with_capacity(self.limbs.len() * self.batch);
         for (i, limb) in self.limbs.iter_mut().enumerate() {
@@ -231,11 +232,13 @@ impl PolyBatch {
                 segments.push((i, seg));
             }
         }
-        maybe_par(&mut segments, total, |_, (i, seg)| f(*i, seg));
+        par::par_for_each_sized(&mut segments, work, |_, (i, seg)| f(*i, seg));
     }
 
-    /// Converts all polynomials to the evaluation domain — the batched
-    /// parallel limb loop (`level_count · batch` independent NTTs).
+    /// Converts all polynomials to the evaluation domain —
+    /// `level_count · batch` independent NTTs (six-step host engine
+    /// above its size threshold; bit-identical to the radix-2 loop
+    /// either way).
     pub fn to_evaluation(&mut self) {
         if self.domain == Domain::Coefficient {
             let ctx = self.ctx.clone();
@@ -253,168 +256,141 @@ impl PolyBatch {
         }
     }
 
-    fn check_compat(&self, other: &Self) {
-        assert_eq!(self.ctx.n(), other.ctx.n(), "degree mismatch");
-        assert_eq!(self.batch, other.batch, "batch size mismatch");
-        assert_eq!(self.level_count(), other.level_count(), "level mismatch");
-        assert_eq!(self.domain, other.domain, "domain mismatch");
+    /// This batch in `domain`: itself when it is already there, a
+    /// transformed copy otherwise.
+    pub fn in_domain(&self, domain: Domain) -> Cow<'_, Self> {
+        if self.domain == domain {
+            return Cow::Borrowed(self);
+        }
+        let mut copy = self.clone();
+        match domain {
+            Domain::Evaluation => copy.to_evaluation(),
+            Domain::Coefficient => copy.to_coefficient(),
+        }
+        Cow::Owned(copy)
     }
 
-    fn zip_with(&self, other: &Self, f: fn(u64, u64, u64) -> u64) -> Self {
-        let mut out: Vec<Vec<u64>> = self.limbs.iter().map(|l| vec![0u64; l.len()]).collect();
-        let moduli = self.ctx.moduli();
-        maybe_par(&mut out, self.total_elems(), |i, limb| {
-            let q = moduli[i];
-            for (o, (&x, &y)) in limb
-                .iter_mut()
-                .zip(self.limbs[i].iter().zip(&other.limbs[i]))
-            {
-                *o = f(x, y, q);
-            }
-        });
+    /// A same-shape result whose limb `i` is `f(i)`, limbs fanned out
+    /// over as many scoped workers as the pass pays for.
+    fn map_limbs(&self, f: impl Fn(usize) -> Vec<u64> + Sync) -> Self {
+        let mut limbs = vec![Vec::new(); self.limbs.len()];
+        par::par_for_each_sized(&mut limbs, self.total_elems(), |i, limb| *limb = f(i));
         Self {
             ctx: self.ctx.clone(),
             batch: self.batch,
-            limbs: out,
+            limbs,
             domain: self.domain,
         }
     }
 
+    /// Runs `kernel(q_i, segment, other_limb_i, out)` over every limb,
+    /// `other`'s limb meeting each of this batch's segments of its own
+    /// length: the whole limb when the batch sizes agree, every
+    /// degree-`N` entry in turn when `other` is a broadcast batch of one.
+    fn zip_limbs(
+        &self,
+        other: &Self,
+        kernel: impl Fn(u64, &[u64], &[u64], &mut Vec<u64>) + Sync,
+    ) -> Self {
+        assert_eq!(self.ctx.n(), other.ctx.n(), "degree mismatch");
+        assert_eq!(self.level_count(), other.level_count(), "level mismatch");
+        assert_eq!(self.domain, other.domain, "domain mismatch");
+        let moduli = self.ctx.moduli();
+        self.map_limbs(|i| {
+            let w = &other.limbs[i];
+            let mut out = Vec::with_capacity(self.limbs[i].len());
+            for seg in self.limbs[i].chunks(w.len()) {
+                kernel(moduli[i], seg, w, &mut out);
+            }
+            out
+        })
+    }
+
+    fn zip_with(&self, other: &Self, f: impl Fn(u64, u64, u64) -> u64 + Sync) -> Self {
+        self.zip_limbs(other, |q, a, b, out| {
+            out.extend(a.iter().zip(b).map(|(&x, &y)| f(x, y, q)))
+        })
+    }
+
+    fn assert_evaluation(&self) {
+        assert_eq!(
+            self.domain,
+            Domain::Evaluation,
+            "pointwise products require the evaluation domain"
+        );
+    }
+
     /// Limb-wise sum over the whole batch.
     pub fn add(&self, other: &Self) -> Self {
-        self.check_compat(other);
+        assert_eq!(self.batch, other.batch, "batch size mismatch");
         self.zip_with(other, add_mod)
     }
 
     /// Limb-wise difference over the whole batch.
     pub fn sub(&self, other: &Self) -> Self {
-        self.check_compat(other);
+        assert_eq!(self.batch, other.batch, "batch size mismatch");
         self.zip_with(other, sub_mod)
     }
 
+    /// Sum with a single polynomial broadcast across the batch (an
+    /// encoded plaintext added to every entry).
+    ///
+    /// # Panics
+    /// Panics on basis/domain mismatch or a multi-entry `other`.
+    pub fn add_poly(&self, other: &RnsPoly) -> Self {
+        assert_eq!(other.batch, 1, "broadcast operand must be a batch of one");
+        self.zip_with(other, add_mod)
+    }
+
     /// Limb-wise pointwise product over the whole batch — one fused
-    /// `batch · N`-wide VecModMul per limb, Barrett-reduced against a
-    /// per-limb `⌊2⁶⁴/q⌋` constant when the modulus fits 32 bits
-    /// (bit-identical to `mul_mod`, no division in the inner loop).
+    /// `batch · N`-wide VecModMul per limb. Both operands must be in
+    /// the evaluation domain.
     ///
     /// # Panics
     /// Panics if either operand is in the coefficient domain.
     pub fn mul_pointwise(&self, other: &Self) -> Self {
-        self.check_compat(other);
-        assert_eq!(
-            self.domain,
-            Domain::Evaluation,
-            "pointwise products require the evaluation domain"
-        );
-        let mut out: Vec<Vec<u64>> = self.limbs.iter().map(|l| vec![0u64; l.len()]).collect();
-        let moduli = self.ctx.moduli();
-        maybe_par(&mut out, self.total_elems(), |i, limb| {
-            let q = moduli[i];
-            let pairs = limb
-                .iter_mut()
-                .zip(self.limbs[i].iter().zip(&other.limbs[i]));
-            if q >> 32 == 0 {
-                let mu = barrett_mu(q);
-                for (o, (&x, &y)) in pairs {
-                    *o = mul_mod_barrett32(x, y, q, mu);
-                }
-            } else {
-                for (o, (&x, &y)) in pairs {
-                    *o = mul_mod(x, y, q);
-                }
-            }
-        });
-        Self {
-            ctx: self.ctx.clone(),
-            batch: self.batch,
-            limbs: out,
-            domain: self.domain,
-        }
+        assert_eq!(self.batch, other.batch, "batch size mismatch");
+        self.assert_evaluation();
+        self.zip_limbs(other, mul_segment)
     }
 
     /// Pointwise product with a single polynomial broadcast across the
-    /// batch (e.g. a switching-key limb multiplying every batch entry).
+    /// batch (e.g. a switching-key limb or an encoded plaintext
+    /// multiplying every batch entry).
     ///
     /// # Panics
-    /// Panics on basis/domain mismatch or coefficient-domain operands.
+    /// Panics on basis/domain mismatch, coefficient-domain operands, or
+    /// a multi-entry `other`.
     pub fn mul_pointwise_poly(&self, other: &RnsPoly) -> Self {
-        assert_eq!(self.ctx.n(), other.context().n(), "degree mismatch");
-        assert_eq!(self.level_count(), other.level_count(), "level mismatch");
-        assert_eq!(self.domain, other.domain(), "domain mismatch");
-        assert_eq!(
-            self.domain,
-            Domain::Evaluation,
-            "pointwise products require the evaluation domain"
-        );
-        let n = self.ctx.n();
-        let mut out: Vec<Vec<u64>> = self.limbs.iter().map(|l| vec![0u64; l.len()]).collect();
-        let moduli = self.ctx.moduli();
-        maybe_par(&mut out, self.total_elems(), |i, limb| {
-            let q = moduli[i];
-            let w = &other.limbs()[i];
-            let barrett = (q >> 32 == 0).then(|| barrett_mu(q));
-            for (seg_out, seg_in) in limb.chunks_mut(n).zip(self.limbs[i].chunks(n)) {
-                match barrett {
-                    Some(mu) => {
-                        for ((o, &x), &y) in seg_out.iter_mut().zip(seg_in).zip(w) {
-                            *o = mul_mod_barrett32(x, y, q, mu);
-                        }
-                    }
-                    None => {
-                        for ((o, &x), &y) in seg_out.iter_mut().zip(seg_in).zip(w) {
-                            *o = mul_mod(x, y, q);
-                        }
-                    }
-                }
-            }
-        });
-        Self {
-            ctx: self.ctx.clone(),
-            batch: self.batch,
-            limbs: out,
-            domain: self.domain,
-        }
+        assert_eq!(other.batch, 1, "broadcast operand must be a batch of one");
+        self.assert_evaluation();
+        self.zip_limbs(other, mul_segment)
     }
 
     /// Negation over the whole batch.
     pub fn neg(&self) -> Self {
-        let mut out: Vec<Vec<u64>> = self.limbs.iter().map(|l| vec![0u64; l.len()]).collect();
         let moduli = self.ctx.moduli();
-        maybe_par(&mut out, self.total_elems(), |i, limb| {
-            let q = moduli[i];
-            for (o, &x) in limb.iter_mut().zip(&self.limbs[i]) {
-                *o = neg_mod(x, q);
-            }
-        });
-        Self {
-            ctx: self.ctx.clone(),
-            batch: self.batch,
-            limbs: out,
-            domain: self.domain,
-        }
+        self.map_limbs(|i| {
+            self.limbs[i]
+                .iter()
+                .map(|&x| neg_mod(x, moduli[i]))
+                .collect()
+        })
     }
 
-    /// Multiplies limb `i` by scalar `s[i]` across the whole batch.
+    /// Multiplies limb `i` by scalar `s[i]` across the whole batch —
+    /// BConv step 1 / rescale shape.
     ///
     /// # Panics
     /// Panics if `s.len() != level_count()`.
     pub fn mul_scalar_per_limb(&self, s: &[u64]) -> Self {
         assert_eq!(s.len(), self.level_count());
-        let mut out: Vec<Vec<u64>> = self.limbs.iter().map(|l| vec![0u64; l.len()]).collect();
         let moduli = self.ctx.moduli();
-        maybe_par(&mut out, self.total_elems(), |i, limb| {
+        self.map_limbs(|i| {
             let q = moduli[i];
             let si = s[i] % q;
-            for (o, &x) in limb.iter_mut().zip(&self.limbs[i]) {
-                *o = mul_mod(x, si, q);
-            }
-        });
-        Self {
-            ctx: self.ctx.clone(),
-            batch: self.batch,
-            limbs: out,
-            domain: self.domain,
-        }
+            self.limbs[i].iter().map(|&x| mul_mod(x, si, q)).collect()
+        })
     }
 
     /// Galois automorphism `σ_g` applied to every batch entry
@@ -428,11 +404,11 @@ impl PolyBatch {
         );
         let n = self.ctx.n();
         let two_n = 2 * n as u64;
-        let mut out: Vec<Vec<u64>> = self.limbs.iter().map(|l| vec![0u64; l.len()]).collect();
         let moduli = self.ctx.moduli();
-        maybe_par(&mut out, self.total_elems(), |i, limb| {
+        self.map_limbs(|i| {
             let q = moduli[i];
-            for (seg_out, seg_in) in limb.chunks_mut(n).zip(self.limbs[i].chunks(n)) {
+            let mut out = vec![0u64; self.limbs[i].len()];
+            for (seg_out, seg_in) in out.chunks_mut(n).zip(self.limbs[i].chunks(n)) {
                 for (j, &aj) in seg_in.iter().enumerate() {
                     if aj == 0 {
                         continue;
@@ -446,17 +422,46 @@ impl PolyBatch {
                     }
                 }
             }
-        });
-        Self {
-            ctx: self.ctx.clone(),
-            batch: self.batch,
-            limbs: out,
-            domain: self.domain,
-        }
+            out
+        })
+    }
+
+    /// Per-limb, per-segment gather in the evaluation domain: every
+    /// degree-`N` segment of limb `t` is reindexed by `perms[t]`,
+    /// `out[t][b·N + i] = self[t][b·N + perms[t][i]]`.
+    ///
+    /// The Galois automorphism `σ_g` permutes the negacyclic
+    /// evaluation points (`σ_g(c)(ψ^e) = c(ψ^{g·e mod 2N})`, and odd
+    /// exponents stay odd), so with the right index table this equals
+    /// `NTT(σ_g(INTT(·)))` bit-for-bit with zero transforms — the
+    /// caller supplies one permutation per limb (orderings are
+    /// engine- and modulus-specific).
+    ///
+    /// # Panics
+    /// Panics off the evaluation domain or on a ragged table.
+    pub fn gather_eval(&self, perms: &[Vec<u32>]) -> Self {
+        assert_eq!(
+            self.domain,
+            Domain::Evaluation,
+            "gather_eval permutes evaluation points"
+        );
+        assert!(perms.len() >= self.limbs.len(), "one permutation per limb");
+        let n = self.ctx.n();
+        self.map_limbs(|t| {
+            let perm = &perms[t];
+            assert_eq!(perm.len(), n, "permutation length mismatch");
+            let mut out = Vec::with_capacity(self.limbs[t].len());
+            for seg in self.limbs[t].chunks(n) {
+                out.extend(perm.iter().map(|&s| seg[s as usize]));
+            }
+            out
+        })
     }
 
     /// Drops trailing limbs down to `new_ctx` (a prefix of this batch's
-    /// basis) in one step — the batched modulus-drop shape.
+    /// basis) in one step — the modulus-drop shape (coefficient
+    /// interpretation unchanged mod the remaining basis), one
+    /// allocation per polynomial however many levels are dropped.
     ///
     /// # Panics
     /// Panics if `new_ctx` is not a prefix of the current basis.
@@ -475,6 +480,16 @@ impl PolyBatch {
             limbs: self.limbs[..l].to_vec(),
             domain: self.domain,
         }
+    }
+
+    /// Reconstructs coefficient `j` of a batch of one as a centered
+    /// `f64` via CRT — the decode-side helper (requires the coefficient
+    /// domain).
+    pub fn coeff_signed_f64(&self, j: usize) -> f64 {
+        assert_eq!(self.batch, 1, "decode one polynomial at a time");
+        assert_eq!(self.domain, Domain::Coefficient);
+        let residues: Vec<u64> = self.limbs.iter().map(|l| l[j]).collect();
+        self.ctx.basis().reconstruct_signed_f64(&residues)
     }
 }
 
@@ -511,39 +526,52 @@ mod tests {
             assert_eq!(a.limbs(), b.limbs());
             assert_eq!(a.domain(), b.domain());
         }
+        // from_limbs reads the batch size off the limb length.
+        let again = PolyBatch::from_limbs(c, pb.limbs().to_vec(), pb.domain());
+        assert_eq!(again.batch(), 4);
     }
 
     #[test]
     fn batched_ntt_matches_sequential() {
-        let c = ctx(6, 3);
-        let polys = sample_polys(&c, 5, 2);
-        let mut pb = PolyBatch::from_polys(&polys);
-        pb.to_evaluation();
-        for (b, p) in polys.iter().enumerate() {
-            let mut want = p.clone();
-            want.to_evaluation();
-            assert_eq!(pb.poly(b).limbs(), want.limbs(), "poly {b}");
-        }
-        pb.to_coefficient();
-        for (b, p) in polys.iter().enumerate() {
-            assert_eq!(pb.poly(b).limbs(), p.limbs(), "roundtrip poly {b}");
+        // the second shape is three workers' worth under the fan-out
+        // gate, the first (and every lone polynomial) runs serial
+        for (logn, l, batch) in [(6, 3, 5), (12, 4, 8)] {
+            let c = ctx(logn, l);
+            let polys = sample_polys(&c, batch, 2);
+            let mut pb = PolyBatch::from_polys(&polys);
+            pb.to_evaluation();
+            for (b, p) in polys.iter().enumerate() {
+                let mut want = p.clone();
+                want.to_evaluation();
+                assert_eq!(pb.poly(b).limbs(), want.limbs(), "poly {b}");
+            }
+            pb.to_coefficient();
+            for (b, p) in polys.iter().enumerate() {
+                assert_eq!(pb.poly(b).limbs(), p.limbs(), "roundtrip poly {b}");
+            }
         }
     }
 
     #[test]
     fn elementwise_ops_match_sequential() {
-        let c = ctx(5, 2);
-        let xs = sample_polys(&c, 3, 3);
-        let ys = sample_polys(&c, 3, 11);
-        let bx = PolyBatch::from_polys(&xs);
-        let by = PolyBatch::from_polys(&ys);
-        let sum = bx.add(&by);
-        let diff = bx.sub(&by);
-        let neg = bx.neg();
-        for b in 0..3 {
-            assert_eq!(sum.poly(b).limbs(), xs[b].add(&ys[b]).limbs());
-            assert_eq!(diff.poly(b).limbs(), xs[b].sub(&ys[b]).limbs());
-            assert_eq!(neg.poly(b).limbs(), xs[b].neg().limbs());
+        // 2^13 × 8 limbs × 16 entries is the smallest Set B batch whose
+        // element-wise passes fan out (two workers' worth)
+        for (logn, l, batch) in [(5, 2, 3), (13, 8, 16)] {
+            let c = ctx(logn, l);
+            let xs = sample_polys(&c, batch, 3);
+            let ys = sample_polys(&c, batch, 11);
+            let bx = PolyBatch::from_polys(&xs);
+            let by = PolyBatch::from_polys(&ys);
+            let sum = bx.add(&by);
+            let diff = bx.sub(&by);
+            let neg = bx.neg();
+            let bcast = bx.add_poly(&ys[0]);
+            for b in 0..batch {
+                assert_eq!(sum.poly(b).limbs(), xs[b].add(&ys[b]).limbs());
+                assert_eq!(diff.poly(b).limbs(), xs[b].sub(&ys[b]).limbs());
+                assert_eq!(neg.poly(b).limbs(), xs[b].neg().limbs());
+                assert_eq!(bcast.poly(b).limbs(), xs[b].add(&ys[0]).limbs());
+            }
         }
     }
 
@@ -578,9 +606,20 @@ mod tests {
         let rot = pb.automorphism(5);
         let s = vec![3u64, 1, 7];
         let scaled = pb.mul_scalar_per_limb(&s);
+        let perms: Vec<Vec<u32>> = (0..3u32)
+            .map(|t| (0..32u32).map(|i| (i * 5 + t) % 32).collect())
+            .collect();
+        let mut pe = pb.clone();
+        pe.to_evaluation();
+        let gathered = pe.gather_eval(&perms);
         for (b, x) in xs.iter().enumerate() {
             assert_eq!(rot.poly(b).limbs(), x.automorphism(5).limbs());
             assert_eq!(scaled.poly(b).limbs(), x.mul_scalar_per_limb(&s).limbs());
+            let entry = pe.poly(b);
+            for (t, perm) in perms.iter().enumerate() {
+                let want: Vec<u64> = perm.iter().map(|&s| entry.limbs()[t][s as usize]).collect();
+                assert_eq!(gathered.poly(b).limbs()[t], want, "entry {b} limb {t}");
+            }
         }
     }
 
@@ -593,8 +632,7 @@ mod tests {
         let t = pb.truncate_to(c2.clone());
         assert_eq!(t.level_count(), 2);
         for (b, x) in xs.iter().enumerate() {
-            let c2b = Arc::new(c.truncated(2));
-            assert_eq!(t.poly(b).limbs(), x.drop_last_limb(c2b).limbs());
+            assert_eq!(t.poly(b).limbs(), x.truncate_to(c2.clone()).limbs());
         }
     }
 
@@ -617,5 +655,14 @@ mod tests {
         e.to_evaluation();
         let coeff = PolyBatch::from_polys(&xs);
         let _ = e.add(&coeff);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch of one")]
+    fn multi_entry_broadcast_operand_rejected() {
+        let c = ctx(4, 2);
+        let mut pb = PolyBatch::from_polys(&sample_polys(&c, 2, 1));
+        pb.to_evaluation();
+        let _ = pb.mul_pointwise_poly(&pb);
     }
 }

@@ -1,15 +1,13 @@
-//! RNS ("double-CRT") polynomials: one residue limb per modulus.
+//! The RNS ("double-CRT") context — degree, basis and per-limb NTT
+//! tables — and [`RnsPoly`], the batch-of-one spelling of
+//! [`PolyBatch`].
 //!
 //! An [`RnsPoly`] is the paper's post-CRT ciphertext polynomial
 //! (§II-A3): `L` limbs of degree-`N` residues that are processed
 //! independently — the limb-level parallelism every accelerator exploits.
 
-use crate::ring::Domain;
-use crate::six_step;
+use crate::batch::PolyBatch;
 use crate::tables::NttTables;
-use cross_math::modops::{
-    add_mod, barrett_mu, from_signed, mul_mod, mul_mod_barrett32, neg_mod, sub_mod,
-};
 use cross_math::rns::RnsBasis;
 use std::sync::Arc;
 
@@ -86,330 +84,16 @@ impl RnsContext {
     }
 }
 
-/// An RNS polynomial: `limbs[i][j]` is coefficient/evaluation `j` mod `q_i`.
-#[derive(Debug, Clone)]
-pub struct RnsPoly {
-    ctx: Arc<RnsContext>,
-    limbs: Vec<Vec<u64>>,
-    domain: Domain,
-}
-
-impl RnsPoly {
-    /// The zero polynomial in the coefficient domain.
-    pub fn zero(ctx: Arc<RnsContext>) -> Self {
-        let limbs = vec![vec![0u64; ctx.n()]; ctx.level_count()];
-        Self {
-            ctx,
-            limbs,
-            domain: Domain::Coefficient,
-        }
-    }
-
-    /// Wraps raw limb data.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch with the context.
-    pub fn from_limbs(ctx: Arc<RnsContext>, limbs: Vec<Vec<u64>>, domain: Domain) -> Self {
-        assert_eq!(limbs.len(), ctx.level_count(), "limb count mismatch");
-        for l in &limbs {
-            assert_eq!(l.len(), ctx.n(), "limb length mismatch");
-        }
-        Self { ctx, limbs, domain }
-    }
-
-    /// Lifts signed coefficients (e.g. a sampled secret or error) into
-    /// every limb.
-    pub fn from_signed_coeffs(ctx: Arc<RnsContext>, coeffs: &[i64]) -> Self {
-        assert_eq!(coeffs.len(), ctx.n());
-        let limbs = ctx
-            .moduli()
-            .iter()
-            .map(|&q| coeffs.iter().map(|&v| from_signed(v, q)).collect())
-            .collect();
-        Self {
-            ctx,
-            limbs,
-            domain: Domain::Coefficient,
-        }
-    }
-
-    /// Shared context handle.
-    pub fn context(&self) -> &Arc<RnsContext> {
-        &self.ctx
-    }
-
-    /// Current domain.
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
-    /// Limb views.
-    pub fn limbs(&self) -> &[Vec<u64>] {
-        &self.limbs
-    }
-
-    /// Mutable limb views (caller must preserve reduction invariants).
-    pub fn limbs_mut(&mut self) -> &mut [Vec<u64>] {
-        &mut self.limbs
-    }
-
-    /// Number of limbs.
-    pub fn level_count(&self) -> usize {
-        self.limbs.len()
-    }
-
-    /// Converts all limbs to the evaluation domain (six-step host
-    /// engine above its size threshold; bit-identical to the radix-2
-    /// loop either way).
-    pub fn to_evaluation(&mut self) {
-        if self.domain == Domain::Coefficient {
-            for (limb, t) in self.limbs.iter_mut().zip(self.ctx.tables()) {
-                six_step::forward_inplace(limb, t);
-            }
-            self.domain = Domain::Evaluation;
-        }
-    }
-
-    /// Converts all limbs to the coefficient domain.
-    pub fn to_coefficient(&mut self) {
-        if self.domain == Domain::Evaluation {
-            for (limb, t) in self.limbs.iter_mut().zip(self.ctx.tables()) {
-                six_step::inverse_inplace(limb, t);
-            }
-            self.domain = Domain::Coefficient;
-        }
-    }
-
-    fn check_compat(&self, other: &Self) {
-        assert_eq!(self.ctx.n(), other.ctx.n(), "degree mismatch");
-        assert_eq!(self.level_count(), other.level_count(), "level mismatch");
-        assert_eq!(self.domain, other.domain, "domain mismatch");
-    }
-
-    /// Limb-wise sum.
-    pub fn add(&self, other: &Self) -> Self {
-        self.check_compat(other);
-        self.zip_with(other, add_mod)
-    }
-
-    /// Limb-wise difference.
-    pub fn sub(&self, other: &Self) -> Self {
-        self.check_compat(other);
-        self.zip_with(other, sub_mod)
-    }
-
-    /// Limb-wise pointwise product — the HE `VecModMul` kernel. Both
-    /// operands must be in the evaluation domain.
-    ///
-    /// For moduli below 2³² the per-element division is replaced by a
-    /// Barrett reduction against a per-limb `⌊2⁶⁴/q⌋` constant —
-    /// bit-identical to [`mul_mod`] and the dominant win on the tensor
-    /// products inside `Evaluator::mult`, where both operands vary and
-    /// Shoup precomputation cannot apply.
-    ///
-    /// # Panics
-    /// Panics if either operand is in the coefficient domain.
-    pub fn mul_pointwise(&self, other: &Self) -> Self {
-        self.check_compat(other);
-        assert_eq!(
-            self.domain,
-            Domain::Evaluation,
-            "pointwise products require the evaluation domain"
-        );
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(&other.limbs)
-            .zip(self.ctx.moduli())
-            .map(|((a, b), &q)| {
-                if q >> 32 == 0 {
-                    let mu = barrett_mu(q);
-                    a.iter()
-                        .zip(b)
-                        .map(|(&x, &y)| mul_mod_barrett32(x, y, q, mu))
-                        .collect()
-                } else {
-                    a.iter().zip(b).map(|(&x, &y)| mul_mod(x, y, q)).collect()
-                }
-            })
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            domain: self.domain,
-        }
-    }
-
-    fn zip_with(&self, other: &Self, f: fn(u64, u64, u64) -> u64) -> Self {
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(&other.limbs)
-            .zip(self.ctx.moduli())
-            .map(|((a, b), &q)| a.iter().zip(b).map(|(&x, &y)| f(x, y, q)).collect())
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            domain: self.domain,
-        }
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Self {
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(self.ctx.moduli())
-            .map(|(a, &q)| a.iter().map(|&x| neg_mod(x, q)).collect())
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            domain: self.domain,
-        }
-    }
-
-    /// Multiplies limb `i` by scalar `s[i]` — BConv step 1 / rescale shape.
-    ///
-    /// # Panics
-    /// Panics if `s.len() != level_count()`.
-    pub fn mul_scalar_per_limb(&self, s: &[u64]) -> Self {
-        assert_eq!(s.len(), self.level_count());
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(s)
-            .zip(self.ctx.moduli())
-            .map(|((a, &si), &q)| a.iter().map(|&x| mul_mod(x, si % q, q)).collect())
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            domain: self.domain,
-        }
-    }
-
-    /// Uniform scalar product across limbs.
-    pub fn mul_scalar(&self, s: u64) -> Self {
-        let per: Vec<u64> = self.ctx.moduli().iter().map(|&q| s % q).collect();
-        self.mul_scalar_per_limb(&per)
-    }
-
-    /// Galois automorphism `σ_g` applied limb-wise (coefficient domain).
-    pub fn automorphism(&self, g: u64) -> Self {
-        assert!(g % 2 == 1, "Galois elements must be odd");
-        assert_eq!(
-            self.domain,
-            Domain::Coefficient,
-            "reference automorphism operates on coefficients"
-        );
-        let n = self.ctx.n();
-        let two_n = 2 * n as u64;
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(self.ctx.moduli())
-            .map(|(a, &q)| {
-                let mut out = vec![0u64; n];
-                for (j, &aj) in a.iter().enumerate() {
-                    if aj == 0 {
-                        continue;
-                    }
-                    let e = (j as u64 * (g % two_n)) % two_n;
-                    if e < n as u64 {
-                        out[e as usize] = add_mod(out[e as usize], aj, q);
-                    } else {
-                        let idx = (e - n as u64) as usize;
-                        out[idx] = sub_mod(out[idx], aj, q);
-                    }
-                }
-                out
-            })
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            domain: self.domain,
-        }
-    }
-
-    /// Per-limb gather in the evaluation domain:
-    /// `out[t][i] = self[t][perms[t][i]]`.
-    ///
-    /// The Galois automorphism `σ_g` permutes the negacyclic
-    /// evaluation points (`σ_g(c)(ψ^e) = c(ψ^{g·e mod 2N})`, and odd
-    /// exponents stay odd), so with the right index table this equals
-    /// `NTT(σ_g(INTT(·)))` bit-for-bit with zero transforms — the
-    /// caller supplies one permutation per limb (orderings are
-    /// engine- and modulus-specific).
-    ///
-    /// # Panics
-    /// Panics off the evaluation domain or on a ragged table.
-    pub fn gather_eval(&self, perms: &[Vec<u32>]) -> Self {
-        assert_eq!(
-            self.domain,
-            Domain::Evaluation,
-            "gather_eval permutes evaluation points"
-        );
-        assert!(perms.len() >= self.limbs.len(), "one permutation per limb");
-        let limbs = self
-            .limbs
-            .iter()
-            .zip(perms)
-            .map(|(a, perm)| {
-                assert_eq!(perm.len(), a.len(), "permutation length mismatch");
-                perm.iter().map(|&s| a[s as usize]).collect()
-            })
-            .collect();
-        Self {
-            ctx: self.ctx.clone(),
-            limbs,
-            domain: self.domain,
-        }
-    }
-
-    /// Drops the last limb (coefficient interpretation unchanged mod the
-    /// remaining basis). Used by rescale and modulus switching.
-    pub fn drop_last_limb(&self, new_ctx: Arc<RnsContext>) -> Self {
-        assert_eq!(new_ctx.level_count(), self.level_count() - 1);
-        self.truncate_to(new_ctx)
-    }
-
-    /// Drops trailing limbs down to `new_ctx` (a prefix of this poly's
-    /// basis) in one step — the direct modulus-drop shape, avoiding one
-    /// reallocation per intermediate level.
-    ///
-    /// # Panics
-    /// Panics if `new_ctx` is not a prefix of the current basis.
-    pub fn truncate_to(&self, new_ctx: Arc<RnsContext>) -> Self {
-        let l = new_ctx.level_count();
-        assert!(l >= 1 && l <= self.level_count(), "cannot raise levels");
-        assert_eq!(new_ctx.n(), self.ctx.n(), "degree mismatch");
-        assert_eq!(
-            new_ctx.moduli(),
-            &self.ctx.moduli()[..l],
-            "target basis must be a prefix"
-        );
-        Self {
-            ctx: new_ctx,
-            limbs: self.limbs[..l].to_vec(),
-            domain: self.domain,
-        }
-    }
-
-    /// Reconstructs coefficient `j` as a centered `f64` via CRT — the
-    /// decode-side helper (requires the coefficient domain).
-    pub fn coeff_signed_f64(&self, j: usize) -> f64 {
-        assert_eq!(self.domain, Domain::Coefficient);
-        let residues: Vec<u64> = self.limbs.iter().map(|l| l[j]).collect();
-        self.ctx.basis().reconstruct_signed_f64(&residues)
-    }
-}
+/// A single RNS polynomial: the `batch() == 1` case of [`PolyBatch`],
+/// which owns every kernel. The alias names that case in signatures
+/// (ciphertext components, plaintexts, key material); the boundaries
+/// that need exactly one polynomial assert it.
+pub type RnsPoly = PolyBatch;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::Domain;
     use cross_math::primes;
 
     fn ctx(logn: u32, l: usize) -> Arc<RnsContext> {
@@ -423,6 +107,7 @@ mod tests {
         let c = ctx(4, 3);
         let coeffs: Vec<i64> = (0..16).map(|i| i - 8).collect();
         let p = RnsPoly::from_signed_coeffs(c, &coeffs);
+        assert_eq!(p.batch(), 1);
         for (j, &v) in coeffs.iter().enumerate() {
             assert_eq!(p.coeff_signed_f64(j), v as f64);
         }
@@ -517,8 +202,7 @@ mod tests {
     fn truncated_context_drop_limb() {
         let c = ctx(4, 3);
         let p = RnsPoly::from_signed_coeffs(c.clone(), &[2i64; 16]);
-        let c2 = Arc::new(c.truncated(2));
-        let d = p.drop_last_limb(c2);
+        let d = p.truncate_to(Arc::new(c.truncated(2)));
         assert_eq!(d.level_count(), 2);
         assert_eq!(d.coeff_signed_f64(0), 2.0);
     }

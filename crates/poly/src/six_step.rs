@@ -32,7 +32,6 @@ use crate::transpose::transpose_inplace;
 use cross_math::bitrev::bit_reverse;
 use cross_math::modops::{inv_mod, mul_mod};
 use cross_math::par;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Degrees below this stay on the plain radix-2 loop in the
@@ -41,37 +40,11 @@ use std::sync::Arc;
 /// amortize the transposes. Results are bit-identical either way.
 pub const SIX_STEP_MIN_N: usize = 64;
 
-/// Minimum residue count (`batch · N`) before the batch transforms fan
-/// out over the scoped thread pool — below it, thread spawning costs
-/// more than the transforms (mirrors `PolyBatch`'s threshold).
-pub const BATCH_PAR_MIN_ELEMS: usize = 1 << 14;
-
-/// Process-wide escape hatch: route [`forward_inplace`] /
-/// [`inverse_inplace`] to the radix-2 loop regardless of size. Used by
-/// benches to measure end-to-end deltas and by tests to pin
-/// bit-identity; results never change, only speed.
-static FORCE_RADIX2: AtomicBool = AtomicBool::new(false);
-
-/// Toggles the radix-2 escape hatch (see `FORCE_RADIX2` above).
-pub fn set_force_radix2(on: bool) {
-    FORCE_RADIX2.store(on, Ordering::Relaxed);
-}
-
-/// Whether the radix-2 escape hatch is currently on.
-pub fn force_radix2() -> bool {
-    FORCE_RADIX2.load(Ordering::Relaxed)
-}
-
 /// The balanced `N = R·C` split (`R ≤ C ≤ 2R`).
 pub fn balanced_split(n: usize) -> (usize, usize) {
     debug_assert!(n.is_power_of_two());
     let r = 1usize << (n.trailing_zeros() / 2);
     (r, n / r)
-}
-
-#[inline]
-fn use_six_step(n: usize) -> bool {
-    n >= SIX_STEP_MIN_N && !force_radix2()
 }
 
 /// Forward negacyclic NTT through the default host engine: the cached
@@ -82,7 +55,7 @@ fn use_six_step(n: usize) -> bool {
 /// # Panics
 /// Panics if `a.len() != tables.n()`.
 pub fn forward_inplace(a: &mut [u64], tables: &NttTables) {
-    if use_six_step(tables.n()) {
+    if tables.n() >= SIX_STEP_MIN_N {
         tables.six_step_plan().forward_inplace(a);
     } else {
         ntt::forward_inplace(a, tables);
@@ -96,7 +69,7 @@ pub fn forward_inplace(a: &mut [u64], tables: &NttTables) {
 /// # Panics
 /// Panics if `a.len() != tables.n()`.
 pub fn inverse_inplace(a: &mut [u64], tables: &NttTables) {
-    if use_six_step(tables.n()) {
+    if tables.n() >= SIX_STEP_MIN_N {
         tables.six_step_plan().inverse_inplace(a);
     } else {
         ntt::inverse_inplace(a, tables);
@@ -222,21 +195,22 @@ impl SixStepPlan {
         transpose_inplace(a, c, r);
     }
 
-    /// Forward-transforms `batch` polynomials stored back-to-back,
-    /// fanning out across the batch dimension on the scoped pool once
-    /// the work clears [`BATCH_PAR_MIN_ELEMS`].
+    /// Runs `f` on each of the `batch` polynomials stored back-to-back
+    /// in `a`, fanned out across the batch on as many scoped workers as
+    /// `log₂N` butterfly layers over `batch · N` residues pay for.
+    fn for_each_poly(&self, a: &mut [u64], batch: usize, f: impl Fn(&mut [u64]) + Sync) {
+        assert_eq!(a.len(), batch * self.n, "batch shape mismatch");
+        let work = a.len() * self.n.trailing_zeros() as usize;
+        let mut polys: Vec<&mut [u64]> = a.chunks_exact_mut(self.n).collect();
+        par::par_for_each_sized(&mut polys, work, |_, p| f(p));
+    }
+
+    /// Forward-transforms `batch` polynomials stored back-to-back.
     ///
     /// # Panics
     /// Panics if `a.len() != batch · N`.
     pub fn forward_batch_inplace(&self, a: &mut [u64], batch: usize) {
-        assert_eq!(a.len(), batch * self.n, "batch shape mismatch");
-        if batch >= 2 && a.len() >= BATCH_PAR_MIN_ELEMS && par::parallelism() > 1 {
-            par::par_chunks_mut(a, self.n, |_, p| self.forward_inplace(p));
-        } else {
-            for p in a.chunks_exact_mut(self.n) {
-                self.forward_inplace(p);
-            }
-        }
+        self.for_each_poly(a, batch, |p| self.forward_inplace(p));
     }
 
     /// Inverse counterpart of [`SixStepPlan::forward_batch_inplace`].
@@ -244,14 +218,7 @@ impl SixStepPlan {
     /// # Panics
     /// Panics if `a.len() != batch · N`.
     pub fn inverse_batch_inplace(&self, a: &mut [u64], batch: usize) {
-        assert_eq!(a.len(), batch * self.n, "batch shape mismatch");
-        if batch >= 2 && a.len() >= BATCH_PAR_MIN_ELEMS && par::parallelism() > 1 {
-            par::par_chunks_mut(a, self.n, |_, p| self.inverse_inplace(p));
-        } else {
-            for p in a.chunks_exact_mut(self.n) {
-                self.inverse_inplace(p);
-            }
-        }
+        self.for_each_poly(a, batch, |p| self.inverse_inplace(p));
     }
 }
 
@@ -376,8 +343,9 @@ mod tests {
 
     #[test]
     fn batch_matches_loop_and_parallel_threshold() {
-        // 2^11 × 8 = 2^14 residues crosses BATCH_PAR_MIN_ELEMS.
-        for (logn, batch) in [(6u32, 1usize), (6, 3), (9, 8), (11, 8)] {
+        // 2^13 × 10 residues × 13 layers is two workers' worth under
+        // the fan-out gate; the smaller shapes stay serial.
+        for (logn, batch) in [(6u32, 1usize), (6, 3), (9, 8), (11, 8), (13, 10)] {
             let t = tables(logn, 28);
             let plan = SixStepPlan::new(&t);
             let a = residues(batch * t.n(), t.q(), 42);
@@ -399,19 +367,23 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_is_transparent_and_toggleable() {
-        let t = tables(8, 28);
-        let a = residues(t.n(), t.q(), 9);
-        let mut six = a.clone();
-        forward_inplace(&mut six, &t);
-        set_force_radix2(true);
-        let mut r2 = a.clone();
-        forward_inplace(&mut r2, &t);
-        set_force_radix2(false);
-        assert_eq!(six, r2, "dispatch must not change values");
-        let mut back = six;
-        inverse_inplace(&mut back, &t);
-        assert_eq!(back, a);
+    fn dispatcher_is_transparent() {
+        // One degree on each side of SIX_STEP_MIN_N: whichever engine
+        // the dispatcher picks, values match the radix-2 loop.
+        for logn in [4u32, 8] {
+            let t = tables(logn, 28);
+            let a = residues(t.n(), t.q(), 9);
+            let mut six = a.clone();
+            forward_inplace(&mut six, &t);
+            let mut r2 = a.clone();
+            ntt::forward_inplace(&mut r2, &t);
+            assert_eq!(six, r2, "dispatch must not change values");
+            let mut back = six;
+            inverse_inplace(&mut back, &t);
+            ntt::inverse_inplace(&mut r2, &t);
+            assert_eq!(back, r2);
+            assert_eq!(back, a);
+        }
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Functional execution of op graphs: replay a recorded graph through
-//! the eager [`Evaluator`], or execute a [`Schedule`] through the
-//! batched evaluator so fused groups actually run as
+//! Functional execution of op graphs: replay a recorded graph op by
+//! op, or execute a [`Schedule`] so fused groups actually run as
 //! [`BatchedCiphertext`] kernels.
 //!
 //! Both paths are **bit-exact** with calling the evaluator eagerly:
-//! replay dispatches the identical single-ciphertext methods, and
-//! schedule execution leans on the batched operators' own bit-exactness
-//! contract (`tests/batched_equivalence.rs`). `tests/sched_model.rs`
-//! pins both.
+//! every op goes through the `*_batch` operators, whose bodies the
+//! eager methods share (a lone op is the batch of one), and batch
+//! entries never interact (`tests/batched_equivalence.rs`).
+//! `tests/sched_model.rs` pins both.
 
 use crate::ir::{HeOpKind, NodeId, OpGraph};
 use crate::sched::Schedule;
 use cross_ckks::{BatchedCiphertext, Ciphertext, Evaluator, HoistedDecomposition, SwitchingKey};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// The switching keys replay needs — the relinearization key for
@@ -82,155 +82,187 @@ impl<'a> ReplayKeys<'a> {
     }
 }
 
-/// Executes `ops` same-kind, same-level operations: the eager
-/// single-ciphertext method when there is one, the batched operator
-/// when the group is larger. Operands are mod-dropped to `level`
-/// first — exactly the alignment the eager evaluator performs
-/// internally, so both paths stay bit-exact.
+/// `ct` at `level`: borrowed when it is already there, mod-dropped
+/// otherwise (which panics on a `level` above the ciphertext's).
+fn at_level<'c>(ev: &Evaluator, ct: &'c Ciphertext, level: usize) -> Cow<'c, Ciphertext> {
+    if ct.level == level {
+        Cow::Borrowed(ct)
+    } else {
+        Cow::Owned(ev.mod_drop(ct, level))
+    }
+}
+
+/// Executes a group of same-kind operations at `level` as one batched
+/// evaluator call; a lone op is the batch of one. Operands are
+/// mod-dropped to `level` first — exactly the alignment the eager
+/// evaluator performs internally, and the eager methods run the same
+/// operator bodies on a batch of one, so group size never changes what
+/// is computed — including the panic on a node declared above its
+/// operands' level.
 fn exec_group(
     ev: &Evaluator,
     keys: &ReplayKeys,
     kind: HeOpKind,
     level: usize,
-    lhs: Vec<Ciphertext>,
-    rhs: Vec<Ciphertext>,
+    lhs: &[&Ciphertext],
+    rhs: &[&Ciphertext],
 ) -> Vec<Ciphertext> {
     assert!(
         kind.replayable() && kind != HeOpKind::Input,
         "{} is cost-only and cannot be executed",
         kind.label()
     );
-    if lhs.len() == 1 {
-        // Same alignment as the batched path below (a no-op for
-        // recorder-built graphs, whose node level is already the
-        // operands' aligned level), so group size never changes what
-        // is computed — including the panic on a node declared above
-        // its operands' level.
-        let a = ev.mod_drop(&lhs[0], level);
-        return vec![match kind {
-            HeOpKind::Add => ev.add(&a, &ev.mod_drop(&rhs[0], level)),
-            HeOpKind::Sub => ev.sub(&a, &ev.mod_drop(&rhs[0], level)),
-            HeOpKind::Mult => ev.mult(&a, &ev.mod_drop(&rhs[0], level), keys.relin()),
-            HeOpKind::PlainMultConst { cid } => exec_plain_mult_const(ev, keys, cid, &a),
-            HeOpKind::PlainAddConst { cid } => exec_plain_add_const(ev, keys, cid, &a),
-            HeOpKind::Rotate { steps } => ev.rotate(&a, steps, keys.rotation(steps)),
-            HeOpKind::Rescale => ev.rescale(&a),
-            HeOpKind::ModDrop { to_level } => ev.mod_drop(&a, to_level),
-            // Hoist kinds run through the hoisted-decomposition side
-            // map in `replay`/`execute_schedule`, never through here.
-            _ => unreachable!(),
-        }];
-    }
-    let align = |cts: Vec<Ciphertext>| -> Vec<Ciphertext> {
-        cts.iter().map(|c| ev.mod_drop(c, level)).collect()
+    let pack = |cts: &[&Ciphertext]| -> BatchedCiphertext {
+        let aligned: Vec<_> = cts.iter().map(|c| at_level(ev, c, level)).collect();
+        BatchedCiphertext::from_ciphertexts(aligned.iter().map(|c| &**c))
     };
-    if let HeOpKind::PlainAddConst { cid } = kind {
-        // Each member encodes its constant at its *own* scale — a
-        // per-entry plaintext, so there is no shared broadcast kernel.
-        // The eager loop is the batched semantics.
-        return align(lhs)
-            .iter()
-            .map(|c| exec_plain_add_const(ev, keys, cid, c))
-            .collect();
-    }
-    let a = BatchedCiphertext::from_ciphertexts(&align(lhs));
     let out = match kind {
-        HeOpKind::Add => ev.add_batch(&a, &BatchedCiphertext::from_ciphertexts(&align(rhs))),
-        HeOpKind::Sub => ev.sub_batch(&a, &BatchedCiphertext::from_ciphertexts(&align(rhs))),
-        HeOpKind::Mult => ev.mult_batch(
-            &a,
-            &BatchedCiphertext::from_ciphertexts(&align(rhs)),
-            keys.relin(),
-        ),
+        HeOpKind::Add => ev.add_batch(&pack(lhs), &pack(rhs)),
+        HeOpKind::Sub => ev.sub_batch(&pack(lhs), &pack(rhs)),
+        HeOpKind::Mult => ev.mult_batch(&pack(lhs), &pack(rhs), keys.relin()),
         HeOpKind::PlainMultConst { cid } => {
-            // One encode, broadcast across the whole group — the true
-            // fused kernel, bit-exact with per-member `mult_plain` of
-            // the identical plaintext.
+            // One encode, broadcast across the whole group.
             let (value, pt_scale) = keys.mult_const(cid);
             let ctx = ev.context();
             let pt = ctx.encode_at(&vec![value; ctx.slot_count()], level, pt_scale);
-            ev.mult_plain_batch(&a, &pt, pt_scale)
+            ev.mult_plain_batch(&pack(lhs), &pt, pt_scale)
         }
-        HeOpKind::Rotate { steps } => ev.rotate_batch(&a, steps, keys.rotation(steps)),
-        HeOpKind::Rescale => ev.rescale_batch(&a),
-        HeOpKind::ModDrop { to_level } => ev.mod_drop_batch(&a, to_level),
+        HeOpKind::PlainAddConst { cid } => {
+            // Each member encodes its constant at its *own* (level,
+            // scale) so the add is drift-free — a per-entry plaintext,
+            // so there is no shared broadcast kernel to pack for.
+            let value = keys.add_const(cid);
+            let ctx = ev.context();
+            return lhs
+                .iter()
+                .map(|c| {
+                    let a = at_level(ev, c, level);
+                    let pt = ctx.encode_at(&vec![value; ctx.slot_count()], level, a.scale);
+                    ev.add_plain(&a, &pt, a.scale)
+                })
+                .collect();
+        }
+        HeOpKind::Rotate { steps } => ev.rotate_batch(&pack(lhs), steps, keys.rotation(steps)),
+        HeOpKind::Rescale => ev.rescale_batch(&pack(lhs)),
+        HeOpKind::ModDrop { to_level } => ev.mod_drop_batch(&pack(lhs), to_level),
+        // Hoist kinds run through the hoisted-decomposition side map
+        // in `replay`/`execute_schedule`, never through here.
         _ => unreachable!(),
     };
     out.to_ciphertexts()
 }
 
-/// Eager `PlainMultConst`: encode the registered constant at the
-/// node's level and registered scale, then `mult_plain`.
-fn exec_plain_mult_const(
-    ev: &Evaluator,
-    keys: &ReplayKeys,
-    cid: u32,
-    a: &Ciphertext,
-) -> Ciphertext {
-    let (value, pt_scale) = keys.mult_const(cid);
-    let ctx = ev.context();
-    let pt = ctx.encode_at(&vec![value; ctx.slot_count()], a.level, pt_scale);
-    ev.mult_plain(a, &pt, pt_scale)
+/// One execution in progress: a value slot per node plus the hoisted
+/// decompositions, keyed by the `HoistDecomp` node that produced them.
+struct Run<'a> {
+    graph: &'a OpGraph,
+    ev: &'a Evaluator<'a>,
+    keys: &'a ReplayKeys<'a>,
+    results: Vec<Option<Ciphertext>>,
+    decomps: BTreeMap<NodeId, HoistedDecomposition>,
 }
 
-/// Eager `PlainAddConst`: encode the registered constant at the
-/// operand's own (level, scale) so the add is drift-free.
-fn exec_plain_add_const(ev: &Evaluator, keys: &ReplayKeys, cid: u32, a: &Ciphertext) -> Ciphertext {
-    let value = keys.add_const(cid);
-    let ctx = ev.context();
-    let pt = ctx.encode_at(&vec![value; ctx.slot_count()], a.level, a.scale);
-    ev.add_plain(a, &pt, a.scale)
-}
-
-/// Executes one hoist-pipeline node against the decomposition side
-/// map. `HoistDecomp` mod-drops its operand to the node level (the
-/// same alignment every other kind gets), stores the real hoisted
-/// decomposition under its node id, and passes the aligned ciphertext
-/// through as its value. `HoistedRotate` runs off the producer's
-/// stored decomposition — the functional hoisted path, bit-identical
-/// to a full rotate of the pass-through value because
-/// [`Evaluator::hoisted_rotate`] and [`Evaluator::rotate`] share one
-/// Galois tail — falling back to the eager rotate if its input was
-/// not decomposed (a hand-built graph wiring HoistedRotate to an
-/// ordinary producer) or sits at another level.
-#[allow(clippy::too_many_arguments)]
-fn exec_hoist_node(
-    ev: &Evaluator,
-    keys: &ReplayKeys,
-    kind: HeOpKind,
-    level: usize,
-    input: NodeId,
-    results: &[Option<Ciphertext>],
-    decomps: &mut BTreeMap<NodeId, HoistedDecomposition>,
-    id: NodeId,
-) -> Ciphertext {
-    match kind {
-        HeOpKind::HoistDecomp => {
-            let a = ev.mod_drop(&operand(results, input), level);
-            decomps.insert(id, ev.hoist_decompose(&a));
-            a
+impl<'a> Run<'a> {
+    /// Seeds the input nodes, in construction order, from `inputs`.
+    fn new(
+        graph: &'a OpGraph,
+        ev: &'a Evaluator<'a>,
+        keys: &'a ReplayKeys<'a>,
+        inputs: &[Ciphertext],
+    ) -> Self {
+        let mut results: Vec<Option<Ciphertext>> = vec![None; graph.len()];
+        let mut unused = inputs.iter();
+        for node in graph.nodes() {
+            if node.kind == HeOpKind::Input {
+                let ct = unused.next().expect("not enough input ciphertexts");
+                results[node.id] = Some(ct.clone());
+            }
         }
-        HeOpKind::HoistedRotate { steps } => match decomps.get(&input) {
-            Some(h) if h.level == level => ev.hoisted_rotate(h, steps, keys.rotation(steps)),
-            _ => ev.rotate(
-                &ev.mod_drop(&operand(results, input), level),
-                steps,
-                keys.rotation(steps),
-            ),
-        },
-        _ => unreachable!("not a hoist kind"),
+        assert!(unused.next().is_none(), "unused input ciphertexts");
+        Self {
+            graph,
+            ev,
+            keys,
+            results,
+            decomps: BTreeMap::new(),
+        }
+    }
+
+    fn operand(&self, id: NodeId) -> &Ciphertext {
+        self.results[id]
+            .as_ref()
+            .unwrap_or_else(|| panic!("node {id} produced no value (cost-only producer?)"))
+    }
+
+    /// Executes the same-kind ops `nodes` at `level` and stores their
+    /// values; cost-only kinds produce none.
+    fn exec(&mut self, kind: HeOpKind, level: usize, nodes: &[NodeId]) {
+        let graph = self.graph;
+        for &id in nodes {
+            assert_eq!(graph.node(id).batch, 1, "pre-fused nodes are cost-only");
+        }
+        if !kind.replayable() {
+            return;
+        }
+        if matches!(kind, HeOpKind::HoistDecomp | HeOpKind::HoistedRotate { .. }) {
+            // Hoist-pipeline groups run node by node off the shared
+            // decomposition map — each rotation is already just the
+            // cheap tail, so there is no batched variant to prefer.
+            for &id in nodes {
+                let out = self.exec_hoist_node(kind, level, id);
+                self.results[id] = Some(out);
+            }
+            return;
+        }
+        // operand `k` of every member (none for a unary kind's rhs)
+        let side = |k: usize| -> Vec<&Ciphertext> {
+            let members = if k < kind.arity() { nodes } else { &[] };
+            members
+                .iter()
+                .map(|&id| self.operand(graph.node(id).inputs[k]))
+                .collect()
+        };
+        let out = exec_group(self.ev, self.keys, kind, level, &side(0), &side(1));
+        for (&id, ct) in nodes.iter().zip(out) {
+            self.results[id] = Some(ct);
+        }
+    }
+
+    /// Executes one hoist-pipeline node against the decomposition side
+    /// map. `HoistDecomp` mod-drops its operand to the node level (the
+    /// same alignment every other kind gets), stores the real hoisted
+    /// decomposition under its node id, and passes the aligned
+    /// ciphertext through as its value. `HoistedRotate` runs off the
+    /// producer's stored decomposition — the functional hoisted path,
+    /// bit-identical to a full rotate of the pass-through value because
+    /// [`Evaluator::hoisted_rotate`] and [`Evaluator::rotate`] share
+    /// one Galois tail — falling back to the eager rotate if its input
+    /// was not decomposed (a hand-built graph wiring HoistedRotate to
+    /// an ordinary producer) or sits at another level.
+    fn exec_hoist_node(&mut self, kind: HeOpKind, level: usize, id: NodeId) -> Ciphertext {
+        let (ev, keys) = (self.ev, self.keys);
+        let input = self.graph.node(id).inputs[0];
+        match kind {
+            HeOpKind::HoistDecomp => {
+                let a = ev.mod_drop(self.operand(input), level);
+                self.decomps.insert(id, ev.hoist_decompose(&a));
+                a
+            }
+            HeOpKind::HoistedRotate { steps } => match self.decomps.get(&input) {
+                Some(h) if h.level == level => ev.hoisted_rotate(h, steps, keys.rotation(steps)),
+                _ => {
+                    let a = at_level(ev, self.operand(input), level);
+                    ev.rotate(&a, steps, keys.rotation(steps))
+                }
+            },
+            _ => unreachable!("not a hoist kind"),
+        }
     }
 }
 
-fn operand(results: &[Option<Ciphertext>], id: NodeId) -> Ciphertext {
-    results[id]
-        .clone()
-        .unwrap_or_else(|| panic!("node {id} produced no value (cost-only producer?)"))
-}
-
-/// Replays a recorded graph op by op through the eager evaluator.
-/// Returns one slot per node (`None` for cost-only kinds). Input nodes
-/// consume `inputs` in construction order.
+/// Replays a recorded graph op by op, in construction order. Returns
+/// one slot per node (`None` for cost-only kinds). Input nodes consume
+/// `inputs` in construction order.
 ///
 /// # Panics
 /// Panics if `inputs` does not match the graph's input-node count, on
@@ -244,57 +276,19 @@ pub fn replay(
     keys: &ReplayKeys,
     inputs: &[Ciphertext],
 ) -> Vec<Option<Ciphertext>> {
-    let mut results: Vec<Option<Ciphertext>> = vec![None; graph.len()];
-    let mut decomps: BTreeMap<NodeId, HoistedDecomposition> = BTreeMap::new();
-    let mut next_input = 0usize;
+    let mut run = Run::new(graph, ev, keys, inputs);
     for node in graph.nodes() {
-        if node.kind == HeOpKind::Input {
-            assert!(next_input < inputs.len(), "not enough input ciphertexts");
-            results[node.id] = Some(inputs[next_input].clone());
-            next_input += 1;
-            continue;
+        if node.kind != HeOpKind::Input {
+            run.exec(node.kind, node.level, &[node.id]);
         }
-        assert_eq!(node.batch, 1, "pre-fused nodes are cost-only");
-        if !node.kind.replayable() {
-            continue;
-        }
-        if matches!(
-            node.kind,
-            HeOpKind::HoistDecomp | HeOpKind::HoistedRotate { .. }
-        ) {
-            let out = exec_hoist_node(
-                ev,
-                keys,
-                node.kind,
-                node.level,
-                node.inputs[0],
-                &results,
-                &mut decomps,
-                node.id,
-            );
-            results[node.id] = Some(out);
-            continue;
-        }
-        let lhs = vec![operand(&results, node.inputs[0])];
-        let rhs = if node.kind.arity() == 2 {
-            vec![operand(&results, node.inputs[1])]
-        } else {
-            Vec::new()
-        };
-        results[node.id] = Some(
-            exec_group(ev, keys, node.kind, node.level, lhs, rhs)
-                .pop()
-                .unwrap(),
-        );
     }
-    assert_eq!(next_input, inputs.len(), "unused input ciphertexts");
-    results
+    run.results
 }
 
 /// Executes a schedule: every [`crate::sched::FusedBatch`] runs as one
-/// batched-evaluator call over its member ops (single-member groups
-/// take the eager path), in schedule order. Semantics and panics match
-/// [`replay`]; results are bit-identical to it.
+/// batched-evaluator call over its member ops, in schedule order.
+/// Semantics and panics match [`replay`]; results are bit-identical to
+/// it.
 pub fn execute_schedule(
     graph: &OpGraph,
     schedule: &Schedule,
@@ -302,62 +296,11 @@ pub fn execute_schedule(
     keys: &ReplayKeys,
     inputs: &[Ciphertext],
 ) -> Vec<Option<Ciphertext>> {
-    let mut results: Vec<Option<Ciphertext>> = vec![None; graph.len()];
-    let mut decomps: BTreeMap<NodeId, HoistedDecomposition> = BTreeMap::new();
-    let mut next_input = 0usize;
-    for node in graph.nodes() {
-        if node.kind == HeOpKind::Input {
-            assert!(next_input < inputs.len(), "not enough input ciphertexts");
-            results[node.id] = Some(inputs[next_input].clone());
-            next_input += 1;
-        }
-    }
-    assert_eq!(next_input, inputs.len(), "unused input ciphertexts");
-
+    let mut run = Run::new(graph, ev, keys, inputs);
     for batch in &schedule.batches {
-        if !batch.kind.replayable() {
-            continue;
-        }
-        if matches!(
-            batch.kind,
-            HeOpKind::HoistDecomp | HeOpKind::HoistedRotate { .. }
-        ) {
-            // Hoist-pipeline groups run node by node off the shared
-            // decomposition map — each rotation is already just the
-            // cheap tail, so there is no batched variant to prefer.
-            for &id in &batch.nodes {
-                let node = graph.node(id);
-                assert_eq!(node.batch, 1, "pre-fused nodes cannot be executed");
-                let out = exec_hoist_node(
-                    ev,
-                    keys,
-                    batch.kind,
-                    batch.level,
-                    node.inputs[0],
-                    &results,
-                    &mut decomps,
-                    id,
-                );
-                results[id] = Some(out);
-            }
-            continue;
-        }
-        let mut lhs = Vec::with_capacity(batch.nodes.len());
-        let mut rhs = Vec::new();
-        for &id in &batch.nodes {
-            let node = graph.node(id);
-            assert_eq!(node.batch, 1, "pre-fused nodes cannot be executed");
-            lhs.push(operand(&results, node.inputs[0]));
-            if node.kind.arity() == 2 {
-                rhs.push(operand(&results, node.inputs[1]));
-            }
-        }
-        let out = exec_group(ev, keys, batch.kind, batch.level, lhs, rhs);
-        for (&id, ct) in batch.nodes.iter().zip(out) {
-            results[id] = Some(ct);
-        }
+        run.exec(batch.kind, batch.level, &batch.nodes);
     }
-    results
+    run.results
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! `Ntt3Plan` batch kernels (on every `TpuGeneration`), and the
 //! `BatchedCiphertext` evaluator operators — must be **bit-exact** with
 //! the corresponding loop over the single-item path, for random batches
-//! of random sizes.
+//! of random sizes. For `PolyBatch` and the evaluator the single-item
+//! path is the batch-of-one call of the same code, so what these pin is
+//! that batch entries never interact.
 
 use cross::ckks::{BatchedCiphertext, CkksContext, CkksParams, Evaluator};
 use cross::core::mat::ntt3::{Ntt3Config, Ntt3Plan};
@@ -55,6 +57,47 @@ fn limbs_eq(a: &cross::ckks::Ciphertext, b: &cross::ckks::Ciphertext) -> bool {
         && a.c1.limbs() == b.c1.limbs()
         && a.level == b.level
         && a.scale == b.scale
+}
+
+/// A fresh toy context, one encryption and one top-level plaintext —
+/// the fixtures of the batch-of-one boundary tests below.
+fn boundary_setup() -> (CkksContext, cross::ckks::Ciphertext, RnsPoly) {
+    let ctx = CkksContext::new(CkksParams::toy(), 0xB0DE);
+    let kp = ctx.generate_keys();
+    let msg = messages(ctx.slot_count(), 1, 5).remove(0);
+    let ct = ctx.encrypt(&msg, &kp.public);
+    let pt = ctx.encode(&msg);
+    (ctx, ct, pt)
+}
+
+/// The eager API takes exactly one polynomial per component: a
+/// `Ciphertext` built around two-entry batches is rejected on use.
+#[test]
+#[should_panic(expected = "batches of one")]
+fn ciphertext_with_batched_component_rejected() {
+    let (ctx, ct, _) = boundary_setup();
+    let wide = cross::ckks::Ciphertext {
+        c0: PolyBatch::from_polys([&ct.c0, &ct.c0]),
+        c1: PolyBatch::from_polys([&ct.c1, &ct.c1]),
+        ..ct
+    };
+    let _ = Evaluator::new(&ctx).add(&wide, &wide);
+}
+
+#[test]
+#[should_panic(expected = "batch of one")]
+fn mult_plain_rejects_multi_entry_plaintext() {
+    let (ctx, ct, pt) = boundary_setup();
+    let wide = PolyBatch::from_polys([&pt, &pt]);
+    let _ = Evaluator::new(&ctx).mult_plain(&ct, &wide, ctx.params().scale());
+}
+
+#[test]
+#[should_panic(expected = "batch of one")]
+fn add_plain_rejects_multi_entry_plaintext() {
+    let (ctx, ct, pt) = boundary_setup();
+    let wide = PolyBatch::from_polys([&pt, &pt]);
+    let _ = Evaluator::new(&ctx).add_plain(&ct, &wide, ct.scale);
 }
 
 proptest! {
@@ -195,6 +238,64 @@ proptest! {
             .to_ciphertexts();
         for (b, ct) in cts.iter().enumerate() {
             prop_assert!(limbs_eq(&got[b], &ev.rescale(ct)), "entry {b}");
+        }
+    }
+
+    #[test]
+    fn linear_plain_and_mod_drop_batch_equivalence(seed in any::<u64>(), batch in 1usize..=4) {
+        let ctx = CkksContext::new(CkksParams::toy(), seed ^ 0xADD5);
+        let kp = ctx.generate_keys();
+        let ev = Evaluator::new(&ctx);
+        let top = ctx.params().limbs;
+        let xs: Vec<_> = messages(ctx.slot_count(), batch, seed)
+            .iter()
+            .map(|m| ctx.encrypt(m, &kp.public))
+            .collect();
+        // The right operands sit one level lower, so add/sub must align
+        // the left ones down — in the batch exactly as in the loop.
+        let ys: Vec<_> = messages(ctx.slot_count(), batch, seed.wrapping_add(1))
+            .iter()
+            .map(|m| ev.mod_drop(&ctx.encrypt(m, &kp.public), top - 1))
+            .collect();
+        let bx = BatchedCiphertext::from_ciphertexts(&xs);
+        let by = BatchedCiphertext::from_ciphertexts(&ys);
+        let delta = ctx.params().scale();
+        let w = messages(ctx.slot_count(), 1, seed.wrapping_add(2)).remove(0);
+        let pt = ctx.encode_at(&w, top, delta);
+
+        let sum = ev.add_batch(&bx, &by).to_ciphertexts();
+        let sum_rev = ev.add_batch(&by, &bx).to_ciphertexts();
+        let diff = ev.sub_batch(&bx, &by).to_ciphertexts();
+        let scaled = ev.mult_plain_batch(&bx, &pt, delta).to_ciphertexts();
+        let shifted = ev.add_plain_batch(&bx, &pt, delta).to_ciphertexts();
+        let dropped = ev.mod_drop_batch(&bx, 2).to_ciphertexts();
+        let kept = ev.mod_drop_batch(&bx, top).to_ciphertexts();
+        for b in 0..batch {
+            prop_assert!(limbs_eq(&sum[b], &ev.add(&xs[b], &ys[b])), "add {b}");
+            prop_assert!(limbs_eq(&sum_rev[b], &ev.add(&ys[b], &xs[b])), "add reversed {b}");
+            prop_assert!(limbs_eq(&diff[b], &ev.sub(&xs[b], &ys[b])), "sub {b}");
+            prop_assert!(limbs_eq(&scaled[b], &ev.mult_plain(&xs[b], &pt, delta)), "mult_plain {b}");
+            prop_assert!(limbs_eq(&shifted[b], &ev.add_plain(&xs[b], &pt, delta)), "add_plain {b}");
+            prop_assert!(limbs_eq(&dropped[b], &ev.mod_drop(&xs[b], 2)), "mod_drop {b}");
+            prop_assert!(limbs_eq(&kept[b], &xs[b]), "mod_drop to own level {b}");
+        }
+    }
+
+    #[test]
+    fn conjugate_batch_equivalence(seed in any::<u64>(), batch in 1usize..=4) {
+        let ctx = CkksContext::new(CkksParams::toy(), seed ^ 0xC0213);
+        let kp = ctx.generate_keys();
+        let ck = ctx.generate_conjugation_key(&kp.secret);
+        let ev = Evaluator::new(&ctx);
+        let cts: Vec<_> = messages(ctx.slot_count(), batch, seed)
+            .iter()
+            .map(|m| ctx.encrypt(m, &kp.public))
+            .collect();
+        let got = ev
+            .conjugate_batch(&BatchedCiphertext::from_ciphertexts(&cts), &ck)
+            .to_ciphertexts();
+        for (b, ct) in cts.iter().enumerate() {
+            prop_assert!(limbs_eq(&got[b], &ev.conjugate(ct, &ck)), "entry {b}");
         }
     }
 }

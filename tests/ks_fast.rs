@@ -56,7 +56,7 @@ fn random_batch(ctx: &CkksContext, level: usize, batch: usize, seed: u64) -> Pol
         .enumerate()
         .map(|(i, &q)| residues(batch * n, q, seed.wrapping_add(i as u64 * 0x9E37)))
         .collect();
-    PolyBatch::from_limbs(level_ctx, batch, limbs, Domain::Evaluation)
+    PolyBatch::from_limbs(level_ctx, limbs, Domain::Evaluation)
 }
 
 fn assert_pair_eq(got: &(PolyBatch, PolyBatch), want: &(PolyBatch, PolyBatch), what: &str) {
