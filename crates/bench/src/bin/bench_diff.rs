@@ -27,7 +27,12 @@
 //!   deterministic cost-model numbers with a failing pair (the
 //!   recorded comparison heads, fused, must beat per-op dispatch),
 //!   while the per-tier `sgn/sign_latency` and `sgn/exec_*` keys are
-//!   wall-clock with the same refresh remedy as `batched_ntt`.
+//!   wall-clock with the same refresh remedy as `batched_ntt`. The
+//!   `sim_host/` keys guard the simulator's own host cost (ISSUE 14):
+//!   wall-clock, with one failing pair — `cost_graph` per op on MNIST
+//!   must stay within 2× of HELR's, i.e. costing a graph stays linear
+//!   in its size (a ratio of two timings from one run, so it does not
+//!   depend on the runner's speed).
 //! * **Warn-only** — every other wall-clock key: the stub's
 //!   fixed-window measurements on shared CI runners are indicative,
 //!   not statistically sound, so those regressions are surfaced for a
@@ -58,7 +63,7 @@ const WARN_RATIO: f64 = 1.5;
 const FAIL_RATIO: f64 = 1.25;
 
 /// Key prefixes held to the failing [`FAIL_RATIO`] gate.
-const GATED_PREFIXES: [&str; 9] = [
+const GATED_PREFIXES: [&str; 10] = [
     "batched_ntt/",
     "ntt_engines/six_step",
     "pod_table8/",
@@ -68,6 +73,7 @@ const GATED_PREFIXES: [&str; 9] = [
     "serve_tenants/",
     "ks_path/",
     "sgn/",
+    "sim_host/",
 ];
 
 fn gated(label: &str) -> bool {
@@ -148,38 +154,51 @@ fn main() {
     // The batching claim: fused beats sequential/naive for every pair
     // (failing). The serving claim — the multi-worker loop sustains
     // the single-thread drain's throughput — is warn-only wall-clock.
+    // Each pair is (key, counterpart, failing, slack): the key must
+    // read below `slack ×` its counterpart.
     let pairs = [
-        ("_fused/", "_sequential/", true),
-        ("/fused_per_op/", "/naive_per_op/", true),
-        ("/optimized_cost/", "/unoptimized_cost/", true),
-        ("/six_step/", "/radix2_ct/", true),
-        ("/six_step_fused/", "/mat3_fused/", true),
-        ("/serve_multi/", "/single_drain/", false),
+        ("_fused/", "_sequential/", true, 1.0),
+        ("/fused_per_op/", "/naive_per_op/", true, 1.0),
+        ("/optimized_cost/", "/unoptimized_cost/", true, 1.0),
+        ("/six_step/", "/radix2_ct/", true, 1.0),
+        ("/six_step_fused/", "/mat3_fused/", true, 1.0),
+        ("/serve_multi/", "/single_drain/", false, 1.0),
         // DRR fairness: the light tenant's measured completion tail
         // must beat (stay under) its pinned bound — both counts, not
         // wall-clock, so this pair fails hard.
-        ("/fairness_err/", "/fairness_bound/", true),
+        ("/fairness_err/", "/fairness_bound/", true, 1.0),
         // Key-switching fast path (ISSUE 9): the cached-plan path must
         // beat the pre-plan reference at every level, and one hoisted
         // decomposition feeding 8 rotations must beat 8 eager rotates.
         // Both sides are asserted bit-identical inside the bench
         // before timing, so a win can never come from divergence.
-        ("ks_path/fast/", "ks_path/reference/", true),
-        ("ks_path/hoisted_8rot", "ks_path/eager_8rot", true),
+        ("ks_path/fast/", "ks_path/reference/", true, 1.0),
+        ("ks_path/hoisted_8rot", "ks_path/eager_8rot", true, 1.0),
         // Comparison toolkit (ISSUE 10). Failing: the recorded
         // argmax/top-k/ReLU-MLP heads scheduled as fused batches must
         // beat naive per-op dispatch — deterministic cost-model
         // numbers, so any loss is a real scheduler/recording change.
-        ("sgn/recorded/", "sgn/naive/", true),
+        ("sgn/recorded/", "sgn/naive/", true, 1.0),
         // Warn-only: host wall-clock of the fused batched executor vs
         // the eager loop (bit-identity asserted inside the bench). On
         // the host the batched path's gather/scatter overhead can
         // outweigh the fused-kernel win the model attributes to the
         // accelerator, so a loss here is informative, not failing.
-        ("sgn/exec_fused/", "sgn/exec_eager/", false),
+        ("sgn/exec_fused/", "sgn/exec_eager/", false, 1.0),
+        // Simulator accounting (ISSUE 14): MNIST has 7.2x HELR's ops,
+        // so a per-op costing time within 2x of HELR's means
+        // `cost_graph` is linear in the graph (it reads 0.3x: HELR's
+        // ops are the larger kernels); re-summing the trace at kernel
+        // boundaries, the pre-ISSUE-14 accounting, read 2.3x.
+        (
+            "sim_host/cost_graph_per_op/mnist",
+            "sim_host/cost_graph_per_op/helr",
+            true,
+            2.0,
+        ),
     ];
     for (label, &ns) in &results {
-        for (fused_tag, other_tag, gating) in pairs {
+        for (fused_tag, other_tag, gating, slack) in pairs {
             let Some(i) = label.find(fused_tag) else {
                 continue;
             };
@@ -190,21 +209,18 @@ fn main() {
                 &label[i + fused_tag.len()..]
             );
             if let Some(&other_ns) = results.get(&other_label) {
-                if ns < other_ns {
+                let bar = format!("{slack}x {other_label} ({other_ns:.0} ns)");
+                if ns < slack * other_ns {
                     println!(
-                        "OK: {label} ({ns:.0} ns) beats {other_label} ({other_ns:.0} ns), {:.2}x",
-                        other_ns / ns
+                        "OK: {label} ({ns:.0} ns) beats {bar}, {:.2}x",
+                        slack * other_ns / ns
                     );
                 } else if gating {
                     failures += 1;
-                    println!(
-                        "FAIL: {label} ({ns:.0} ns) did NOT beat {other_label} ({other_ns:.0} ns)"
-                    );
+                    println!("FAIL: {label} ({ns:.0} ns) did NOT beat {bar}");
                 } else {
                     warnings += 1;
-                    println!(
-                        "WARN: {label} ({ns:.0} ns) did not beat {other_label} ({other_ns:.0} ns)"
-                    );
+                    println!("WARN: {label} ({ns:.0} ns) did not beat {bar}");
                 }
             }
         }

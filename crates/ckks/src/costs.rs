@@ -617,7 +617,7 @@ pub fn normalize_breakdown(acc: std::collections::BTreeMap<Category, f64>) -> Ve
         .into_iter()
         .map(|(c, s)| (c, if sum > 0.0 { s / sum } else { 0.0 }))
         .collect();
-    breakdown.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+    breakdown.sort_by(|a, b| b.1.total_cmp(&a.1));
     breakdown
 }
 

@@ -145,28 +145,28 @@ impl PodSim {
         }
     }
 
-    fn charge_comm(&mut self, cat: Category, seconds: f64, label: &str) -> f64 {
+    fn charge_comm(&mut self, cat: Category, seconds: f64, label: &'static str) -> f64 {
         self.comm.record(cat, seconds, label);
         seconds
     }
 
     /// Charges a point-to-point ICI transfer of `bytes` over `hops`
     /// neighbor links, returning the seconds charged.
-    pub fn ici_transfer(&mut self, bytes: f64, hops: u32, label: &str) -> f64 {
+    pub fn ici_transfer(&mut self, bytes: f64, hops: u32, label: &'static str) -> f64 {
         let s = self.topology.ici.transfer_seconds(bytes, hops);
         self.charge_comm(Category::IciTransfer, s, label)
     }
 
     /// Charges a cross-host DCN transfer of `bytes` (one hop),
     /// returning the seconds charged.
-    pub fn dcn_transfer(&mut self, bytes: f64, label: &str) -> f64 {
+    pub fn dcn_transfer(&mut self, bytes: f64, label: &'static str) -> f64 {
         let s = self.topology.dcn.transfer_seconds(bytes, 1);
         self.charge_comm(Category::DcnTransfer, s, label)
     }
 
     /// Pipelined ring broadcast of `bytes` from one core to all others.
     /// No-op on a single core.
-    pub fn broadcast(&mut self, bytes: f64, label: &str) -> f64 {
+    pub fn broadcast(&mut self, bytes: f64, label: &'static str) -> f64 {
         let p = self.num_cores() as u32;
         if p <= 1 {
             return 0.0;
@@ -179,7 +179,7 @@ impl PodSim {
     /// Scatter of `total_bytes` from a root core: each of the `P−1`
     /// remote cores receives its `total/P` shard through the root's
     /// link, serialized. No-op on a single core.
-    pub fn scatter(&mut self, total_bytes: f64, label: &str) -> f64 {
+    pub fn scatter(&mut self, total_bytes: f64, label: &'static str) -> f64 {
         let p = self.num_cores() as u32;
         if p <= 1 {
             return 0.0;
@@ -192,7 +192,7 @@ impl PodSim {
     /// Ring all-gather: every core contributes `shard_bytes` and ends
     /// with all `P` shards, in `P−1` pipelined steps. No-op on a
     /// single core.
-    pub fn all_gather(&mut self, shard_bytes: f64, label: &str) -> f64 {
+    pub fn all_gather(&mut self, shard_bytes: f64, label: &'static str) -> f64 {
         let p = self.num_cores() as u32;
         if p <= 1 {
             return 0.0;
@@ -204,7 +204,7 @@ impl PodSim {
 
     /// Ring all-reduce of `bytes` (reduce-scatter + all-gather over
     /// `bytes/P` shards). No-op on a single core.
-    pub fn all_reduce(&mut self, bytes: f64, label: &str) -> f64 {
+    pub fn all_reduce(&mut self, bytes: f64, label: &'static str) -> f64 {
         let p = self.num_cores() as u32;
         if p <= 1 {
             return 0.0;
@@ -239,7 +239,7 @@ impl PodSim {
         let critical = per_core
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.latency_s.partial_cmp(&b.1.latency_s).unwrap())
+            .max_by(|a, b| a.1.latency_s.total_cmp(&b.1.latency_s))
             .map(|(i, _)| i)
             .unwrap();
         let comm_entries = &self.comm.entries()[comm_mark..];
@@ -253,7 +253,7 @@ impl PodSim {
                 None => breakdown.push((e.category, e.seconds)),
             }
         }
-        breakdown.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
+        breakdown.sort_by(|a, b| b.1.total_cmp(&a.1));
         PodKernelReport {
             name: name.into(),
             latency_s: per_core[critical].latency_s + comm_s,

@@ -16,7 +16,7 @@
 //! per op — dependent ops serialize, DMA double-buffers behind compute.
 
 use crate::spec::{ChipSpec, TpuGeneration};
-use crate::trace::{Category, Trace};
+use crate::trace::{breakdown_of, Category, Trace};
 use crate::vreg;
 use cross_math::{BarrettReducer, Montgomery};
 
@@ -96,11 +96,12 @@ impl TpuSim {
         self.hbm_seconds
     }
 
-    /// Resets trace and counters.
+    /// Resets trace and counters, abandoning any open kernel.
     pub fn reset(&mut self) {
         self.trace.clear();
         self.hbm_seconds = 0.0;
         self.mark = None;
+        self.kernel_name.clear();
     }
 
     // ------------------------------------------------------------------
@@ -130,16 +131,12 @@ impl TpuSim {
         let compute = self.compute_seconds() - mark.compute_before;
         let hbm = self.hbm_seconds - mark.hbm_before;
         let latency = self.spec.dispatch_s + compute.max(hbm);
-        let mut sub = Trace::new();
-        for e in &self.trace.entries()[mark.entries_before..] {
-            sub.record(e.category, e.seconds, e.label.clone());
-        }
         KernelReport {
             name: std::mem::take(&mut self.kernel_name),
             latency_s: latency,
             compute_s: compute,
             hbm_s: hbm,
-            breakdown: sub.breakdown(),
+            breakdown: breakdown_of(&self.trace.entries()[mark.entries_before..]),
         }
     }
 
@@ -160,7 +157,7 @@ impl TpuSim {
     /// Charges MXU time for an `(m×k)@(k×n)` u8 matmul without computing.
     pub fn charge_matmul_u8(&mut self, m: usize, k: usize, n: usize, cat: Category) {
         let s = self.mxu_seconds(m, k, n);
-        self.trace.record(cat, s, format!("matmul {m}x{k}x{n}"));
+        self.trace.record(cat, s, "matmul");
     }
 
     /// Functional `(m×k)@(k×n)` u8 matmul with 32-bit accumulation,
@@ -221,7 +218,13 @@ impl TpuSim {
     }
 
     /// Charges VPU time for an elementwise op without computing.
-    pub fn charge_vpu(&mut self, elems: usize, ops_per_elem: u32, cat: Category, label: &str) {
+    pub fn charge_vpu(
+        &mut self,
+        elems: usize,
+        ops_per_elem: u32,
+        cat: Category,
+        label: &'static str,
+    ) {
         let s = self.vpu_seconds(elems, ops_per_elem, elems as f64 * 8.0, elems as f64 * 4.0);
         self.trace.record(cat, s, label);
     }
@@ -317,11 +320,7 @@ impl TpuSim {
     /// Functional transpose (u64-held 32-bit values), charging XLU time.
     pub fn transpose_u64(&mut self, data: &[u64], r: usize, c: usize, cat: Category) -> Vec<u64> {
         assert_eq!(data.len(), r * c);
-        self.trace.record(
-            cat,
-            self.transpose_seconds(r, c),
-            format!("transpose {r}x{c}"),
-        );
+        self.charge_transpose(r, c, cat);
         let mut out = vec![0u64; r * c];
         for i in 0..r {
             for j in 0..c {
@@ -333,11 +332,8 @@ impl TpuSim {
 
     /// Cost-only transpose charge.
     pub fn charge_transpose(&mut self, r: usize, c: usize, cat: Category) {
-        self.trace.record(
-            cat,
-            self.transpose_seconds(r, c),
-            format!("transpose {r}x{c}"),
-        );
+        self.trace
+            .record(cat, self.transpose_seconds(r, c), "transpose");
     }
 
     /// Seconds to shuffle `elems` 32-bit values in contiguous runs of
@@ -358,21 +354,14 @@ impl TpuSim {
         cat: Category,
     ) -> Vec<u64> {
         assert_eq!(data.len(), perm.len());
-        self.trace.record(
-            cat,
-            self.shuffle_seconds(data.len(), run_len),
-            format!("shuffle n={} run={run_len}", data.len()),
-        );
+        self.charge_shuffle(data.len(), run_len, cat);
         perm.iter().map(|&p| data[p]).collect()
     }
 
     /// Cost-only shuffle charge.
     pub fn charge_shuffle(&mut self, elems: usize, run_len: usize, cat: Category) {
-        self.trace.record(
-            cat,
-            self.shuffle_seconds(elems, run_len),
-            format!("shuffle n={elems} run={run_len}"),
-        );
+        self.trace
+            .record(cat, self.shuffle_seconds(elems, run_len), "shuffle");
     }
 
     // ------------------------------------------------------------------
@@ -434,14 +423,14 @@ impl TpuSim {
     // ------------------------------------------------------------------
 
     /// Charges an HBM parameter/operand load.
-    pub fn dma_in(&mut self, bytes: f64, label: &str) {
+    pub fn dma_in(&mut self, bytes: f64, label: &'static str) {
         let s = self.spec.hbm_seconds(bytes);
         self.hbm_seconds += s;
         self.trace.record(Category::DmaHbm, s, label);
     }
 
     /// Charges an HBM writeback.
-    pub fn dma_out(&mut self, bytes: f64, label: &str) {
+    pub fn dma_out(&mut self, bytes: f64, label: &'static str) {
         self.dma_in(bytes, label);
     }
 

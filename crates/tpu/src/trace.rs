@@ -2,8 +2,12 @@
 //!
 //! The paper reads its latency numbers and breakdowns (Fig. 12, Tab. IX)
 //! from the XLA trace viewer; this module is the simulator's equivalent.
-
-use std::collections::BTreeMap;
+//!
+//! Accounting is incremental: [`Trace::record`] adds each charge to a
+//! running total and to its category's running sum, so the roll-up
+//! reads are field loads however long the trace has grown. The sums add
+//! the recorded values left to right, exactly as a fold over
+//! [`Trace::entries`] would, so they hold the same floats bit for bit.
 
 /// Operation categories, matching the legend of paper Fig. 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,6 +37,22 @@ pub enum Category {
 }
 
 impl Category {
+    /// Every category, in declaration (and `Ord`) order, so that
+    /// `ALL[c as usize] == c`.
+    pub const ALL: [Category; 11] = [
+        Category::NttMatMul,
+        Category::InttMatMul,
+        Category::BconvMatMul,
+        Category::VecModOps,
+        Category::Permutation,
+        Category::TypeConversion,
+        Category::CopyReshape,
+        Category::DmaHbm,
+        Category::IciTransfer,
+        Category::DcnTransfer,
+        Category::Other,
+    ];
+
     /// Display label matching the paper's figure legends.
     pub fn label(self) -> &'static str {
         match self {
@@ -65,20 +85,40 @@ impl Category {
 }
 
 /// One recorded operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceEntry {
     /// Category charged.
     pub category: Category,
     /// Seconds of busy time.
     pub seconds: f64,
-    /// Free-form label (kernel/op name).
-    pub label: String,
+    /// Op name (static, so a charge allocates nothing).
+    pub label: &'static str,
 }
 
 /// An append-only execution trace with category roll-ups.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
+    total: f64,
+    by_category: [f64; Category::ALL.len()],
+}
+
+/// Per-category totals of `entries`, descending by time (ties keep
+/// category order): the roll-up behind [`Trace::breakdown`] and the
+/// per-kernel breakdown of `TpuSim::end_kernel`. A category appears
+/// once it has an entry, even a zero-second one.
+pub(crate) fn breakdown_of(entries: &[TraceEntry]) -> Vec<(Category, f64)> {
+    let mut sums = [None::<f64>; Category::ALL.len()];
+    for e in entries {
+        *sums[e.category as usize].get_or_insert(0.0) += e.seconds;
+    }
+    let mut v: Vec<(Category, f64)> = Category::ALL
+        .into_iter()
+        .zip(sums)
+        .filter_map(|(c, s)| s.map(|s| (c, s)))
+        .collect();
+    v.sort_by(|a, b| b.1.total_cmp(&a.1));
+    v
 }
 
 impl Trace {
@@ -88,13 +128,24 @@ impl Trace {
     }
 
     /// Records `seconds` of busy time under `category`.
-    pub fn record(&mut self, category: Category, seconds: f64, label: impl Into<String>) {
-        debug_assert!(seconds >= 0.0, "negative time");
+    ///
+    /// # Panics
+    /// Panics, in every build, unless `seconds` is finite and
+    /// non-negative: an `inf` or NaN from a degenerate spec (zero
+    /// bandwidth, say) would poison the running sums and every kernel
+    /// read off them afterwards, so it stops here, at its cause.
+    pub fn record(&mut self, category: Category, seconds: f64, label: &'static str) {
+        assert!(
+            seconds.is_finite() && seconds >= 0.0,
+            "charge must be finite and non-negative: {seconds} s of {category:?} ({label})"
+        );
         self.entries.push(TraceEntry {
             category,
             seconds,
-            label: label.into(),
+            label,
         });
+        self.total += seconds;
+        self.by_category[category as usize] += seconds;
     }
 
     /// All recorded entries.
@@ -104,27 +155,17 @@ impl Trace {
 
     /// Total busy seconds across all categories.
     pub fn total_seconds(&self) -> f64 {
-        self.entries.iter().map(|e| e.seconds).sum()
+        self.total
     }
 
     /// Busy seconds charged to one category.
     pub fn seconds_of(&self, category: Category) -> f64 {
-        self.entries
-            .iter()
-            .filter(|e| e.category == category)
-            .map(|e| e.seconds)
-            .sum()
+        self.by_category[category as usize]
     }
 
     /// Per-category totals, descending by time.
     pub fn breakdown(&self) -> Vec<(Category, f64)> {
-        let mut map: BTreeMap<Category, f64> = BTreeMap::new();
-        for e in &self.entries {
-            *map.entry(e.category).or_insert(0.0) += e.seconds;
-        }
-        let mut v: Vec<(Category, f64)> = map.into_iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        v
+        breakdown_of(&self.entries)
     }
 
     /// Per-category share of total time (fractions summing to 1).
@@ -139,9 +180,11 @@ impl Trace {
             .collect()
     }
 
-    /// Clears all entries.
+    /// Clears all entries and zeroes the running sums.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.total = 0.0;
+        self.by_category = Default::default();
     }
 
     /// Renders a Fig. 12-style percentage bar as text.
@@ -185,6 +228,15 @@ mod tests {
         assert_eq!(t.total_seconds(), 0.0);
         assert!(t.breakdown_fractions().is_empty());
         assert_eq!(t.render_percentages(), "");
+    }
+
+    #[test]
+    fn all_indexes_every_category() {
+        // `by_category` is indexed by discriminant.
+        for (i, c) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
+        assert_eq!(Category::Other as usize + 1, Category::ALL.len());
     }
 
     #[test]
