@@ -23,15 +23,16 @@ fn fill(queue: &mut RequestQueue, depth: usize, level: usize) {
     // same-step pairs exist at every depth), some mults and adds.
     for i in 0..depth {
         match i % 4 {
-            0 | 1 => queue.submit(
+            0 | 1 => queue.submit_default(
                 HeOpKind::Rotate {
                     steps: 1 << ((i % 8) / 4),
                 },
                 level,
             ),
-            2 => queue.submit(HeOpKind::Mult, level),
-            _ => queue.submit(HeOpKind::Add, level),
-        };
+            2 => queue.submit_default(HeOpKind::Mult, level),
+            _ => queue.submit_default(HeOpKind::Add, level),
+        }
+        .expect("unbounded queue");
     }
 }
 

@@ -86,7 +86,7 @@ fn single_drain_pass(
     let t0 = Instant::now();
     let mut queue = RequestQueue::new();
     for i in 0..DEPTH {
-        queue.submit(mix(i), ct.level);
+        queue.submit_default(mix(i), ct.level).unwrap();
     }
     let dispatch = queue.drain(scheduler, ctx.params(), DEPTH);
     let mut inputs = Vec::new();
@@ -117,22 +117,21 @@ fn serve_rounds(ctx: &CkksContext, serve_keys: &ServeKeys, ct: &Ciphertext) -> (
         .with_workers(WORKERS)
         .with_drain_max(DEPTH)
         .with_batch_window(std::time::Duration::from_millis(5));
-    serve::run(ctx, serve_keys, &config, |client| {
+    serve::run(ctx, serve_keys, &config, |session| {
         // Server warm-up: WORKERS concurrent depth-64 dispatches, so
         // every worker thread executes once (faulting in its stack
         // and allocator arena) before a round is measured.
         std::thread::scope(|s| {
             for _ in 0..WORKERS {
-                let client = &client;
                 s.spawn(move || {
-                    let x = client.insert(ct.clone());
+                    let x = session.insert(ct.clone());
                     let pending: Vec<_> = (0..DEPTH)
-                        .map(|i| client.submit(mix(i), &vec![x; mix(i).arity()]).unwrap())
+                        .map(|i| session.submit(mix(i), &vec![x; mix(i).arity()]).unwrap())
                         .collect();
                     for done in pending {
-                        client.take(done.wait().expect("completes").id);
+                        session.take(done.wait().expect("completes").id);
                     }
-                    client.take(x);
+                    session.take(x);
                 });
             }
         });
@@ -141,31 +140,30 @@ fn serve_rounds(ctx: &CkksContext, serve_keys: &ServeKeys, ct: &Ciphertext) -> (
             let t0 = Instant::now();
             std::thread::scope(|s| {
                 for _ in 0..CLIENTS {
-                    let client = &client;
                     s.spawn(move || {
                         // Throughput-style client: keep the whole depth
                         // in flight, then collect responses.
-                        let x = client.insert(ct.clone());
+                        let x = session.insert(ct.clone());
                         let pending: Vec<_> = (0..DEPTH / CLIENTS)
-                            .map(|i| client.submit(mix(i), &vec![x; mix(i).arity()]).unwrap())
+                            .map(|i| session.submit(mix(i), &vec![x; mix(i).arity()]).unwrap())
                             .collect();
                         for done in pending {
                             let completed = done.wait().expect("completes");
-                            client.take(completed.id).expect("result stored");
+                            session.take(completed.id).expect("result stored");
                         }
-                        client.take(x);
+                        session.take(x);
                     });
                 }
             });
             best = best.min(t0.elapsed().as_secs_f64());
         }
-        let stats = client.stats();
+        let stats = session.stats();
         assert_eq!(
             stats.ops as usize,
             DEPTH * (ITERS + WORKERS),
             "no ticket lost"
         );
-        assert_eq!(client.stored(), 0, "every response claimed");
+        assert_eq!(session.stored(), 0, "every response claimed");
         (best, stats.occupancy())
     })
 }

@@ -74,30 +74,30 @@ pub fn serve_smoke(
         .with_optimize(true);
 
     let start = std::time::Instant::now();
-    let stats = serve::run(&ctx, &keys, &config, |client| {
+    let stats = serve::run(&ctx, &keys, &config, |session| {
         std::thread::scope(|s| {
             for c in 0..clients {
-                let (client, ctx, kp) = (&client, &ctx, &kp);
+                let (ctx, kp) = (&ctx, &kp);
                 s.spawn(move || {
                     let msg: Vec<f64> = (0..ctx.slot_count())
                         .map(|i| 0.2 + ((i + c) as f64 * 0.13).sin() * 0.25)
                         .collect();
-                    let x = client.insert(ctx.encrypt(&msg, &kp.public));
+                    let x = session.insert(ctx.encrypt(&msg, &kp.public));
                     for i in 0..per_client {
                         let completion = match i % 3 {
-                            0 => client.rotate(x, 1),
-                            1 => client.mult(x, x),
-                            _ => client.add(x, x),
+                            0 => session.rotate(x, 1),
+                            1 => session.mult(x, x),
+                            _ => session.add(x, x),
                         }
                         .expect("loop accepts while clients live");
                         let done = completion.wait().expect("valid requests complete");
                         // Claim the response so the store stays bounded.
-                        let _ct = client.take(done.id).expect("result stored");
+                        let _ct = session.take(done.id).expect("result stored");
                     }
                 });
             }
         });
-        client.stats()
+        session.stats()
     });
     let elapsed = start.elapsed().as_secs_f64();
     let requests = clients * per_client;

@@ -14,27 +14,34 @@
 //! is dropped, receivers drain what is queued and then observe
 //! end-of-stream ([`recv`](Receiver::recv) returns `None`); when every
 //! [`Receiver`] is dropped, senders get their value back as an error.
-//! [`recv_batch`](Receiver::recv_batch) is the dispatcher's natural
-//! batching primitive: block until at least one item is available,
-//! then take everything already queued (up to a cap) without waiting
-//! for more.
+//! Three receive primitives cover the serving loop:
+//! [`recv`](Receiver::recv) feeds one worker one item,
+//! [`try_recv_batch`](Receiver::try_recv_batch) tops a backlogged
+//! dispatcher up without blocking, and
+//! [`recv_batch`](Receiver::recv_batch) is the dispatcher's gathering
+//! primitive: block until at least one item is available, then keep
+//! gathering until the batch is full or the most urgent queued item's
+//! deadline passes. A deadline of "now" takes what is already queued
+//! without waiting; `arrival + window` is a micro-batching window.
 //!
 //! # Examples
 //!
 //! ```
 //! use cross_sched::channel;
+//! use std::time::Instant;
 //!
 //! let (tx, rx) = channel::bounded(4);
 //! for i in 0..3 {
 //!     tx.send(i).unwrap();
 //! }
 //! drop(tx); // close: the receiver drains, then sees end-of-stream
-//! assert_eq!(rx.recv_batch(8), vec![0, 1, 2]);
+//! assert_eq!(rx.recv_batch(8, |_| Instant::now()), vec![0, 1, 2]);
 //! assert_eq!(rx.recv(), None);
 //! ```
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// The channel was closed (every receiver dropped); the unsent value
 /// is handed back.
@@ -64,7 +71,7 @@ struct Shared<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
-    // Parked gatherers (recv_batch_window phase 2). Senders never
+    // Parked gatherers (recv_batch's second phase). Senders never
     // signal this one: a gathering receiver polls on a fine timeout
     // instead, so producers filling a batch are not preempted by a
     // wake-per-item storm (one context switch per send costs more
@@ -188,82 +195,54 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Dequeues one value without blocking.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut st = self.shared.state.lock().unwrap();
-        let v = st.queue.pop_front();
-        if v.is_some() {
-            self.shared.not_full.notify_one();
-        }
-        v
-    }
-
-    /// Blocks until at least one value is queued, then takes up to
-    /// `max` already-queued values without waiting for more — the
-    /// dispatcher's batch-forming primitive. An empty vec means the
-    /// channel is closed and drained.
+    /// Blocks until at least one value is queued, then gathers until
+    /// `max` values are queued or the earliest `deadline_of(value)`
+    /// over the queued values passes, and takes up to `max` of them —
+    /// the dispatcher's batch-forming primitive. The deadline is
+    /// **per item**: `|_| Instant::now()` takes what is already queued
+    /// without waiting, `submitted_at + window` is micro-batching
+    /// under a latency budget — an old request dispatches the batch
+    /// at once while fresh traffic still fills it.
     ///
-    /// # Panics
-    /// Panics if `max == 0`.
-    pub fn recv_batch(&self, max: usize) -> Vec<T> {
-        assert!(max >= 1, "batch cap must be ≥ 1");
-        let mut st = self.shared.state.lock().unwrap();
-        loop {
-            if !st.queue.is_empty() {
-                let k = max.min(st.queue.len());
-                let out: Vec<T> = st.queue.drain(..k).collect();
-                self.shared.not_full.notify_all();
-                return out;
-            }
-            if st.senders == 0 {
-                return Vec::new();
-            }
-            st = self.shared.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Like [`recv_batch`](Self::recv_batch), plus a bounded
-    /// micro-batching window: after the first item arrives, keep
-    /// gathering until `max` items are queued or `window` expires —
-    /// the classic throughput/latency trade for a batch-forming
-    /// server. `window == Duration::ZERO` is exactly `recv_batch`.
-    ///
-    /// The window is bounded, so a partial batch is always dispatched
+    /// Every deadline is finite, so a partial batch always dispatches
     /// (no deadlock when producers go quiet while holding tickets).
+    /// An empty vec means the channel is closed and drained.
     ///
     /// # Panics
     /// Panics if `max == 0`.
-    pub fn recv_batch_window(&self, max: usize, window: std::time::Duration) -> Vec<T> {
+    pub fn recv_batch(&self, max: usize, deadline_of: impl Fn(&T) -> Instant) -> Vec<T> {
         assert!(max >= 1, "batch cap must be ≥ 1");
         // The queue can never hold more than the channel capacity (and
         // nothing drains mid-gather), so a larger target would always
-        // wait out the whole window with producers parked on not_full.
+        // wait out the deadline with producers parked on not_full.
         let max = max.min(self.shared.capacity);
         let mut st = self.shared.state.lock().unwrap();
         // Block for the first item (or the close).
-        loop {
-            if !st.queue.is_empty() {
-                break;
-            }
+        while st.queue.is_empty() {
             if st.senders == 0 {
                 return Vec::new();
             }
             st = self.shared.not_empty.wait(st).unwrap();
         }
-        // Gather until the batch fills or the window expires. Senders
-        // do not signal `gather`, so this polls at a fine interval —
-        // producers fill the batch without being preempted per item,
-        // and a full batch is still detected within one poll step.
-        let poll = std::time::Duration::from_micros(200);
-        let deadline = std::time::Instant::now() + window;
+        // Gather until the batch fills or the most urgent queued
+        // item's deadline passes. Senders do not signal `gather`, so
+        // this polls at a fine interval — producers fill the batch
+        // without being preempted per item, and a full batch is still
+        // detected within one poll step.
+        let poll = Duration::from_micros(200);
         while st.queue.len() < max && st.senders > 0 {
-            let now = std::time::Instant::now();
+            let deadline = st
+                .queue
+                .iter()
+                .map(&deadline_of)
+                .min()
+                .expect("non-empty queue");
+            let now = Instant::now();
             if now >= deadline {
                 break;
             }
             let step = (deadline - now).min(poll);
-            let (guard, _) = self.shared.gather.wait_timeout(st, step).unwrap();
-            st = guard;
+            st = self.shared.gather.wait_timeout(st, step).unwrap().0;
         }
         let k = max.min(st.queue.len());
         let out: Vec<T> = st.queue.drain(..k).collect();
@@ -283,63 +262,6 @@ impl<T> Receiver<T> {
         if !out.is_empty() {
             self.shared.not_full.notify_all();
         }
-        out
-    }
-
-    /// Like [`recv_batch_window`](Self::recv_batch_window), but the
-    /// gather window is **per-item**: after the first item arrives,
-    /// keep gathering until `max` items are queued or the earliest
-    /// `deadline_of(item)` over the queued items passes. With
-    /// deadlines set to `submitted_at + slo_window`, this is SLO-aware
-    /// micro-batching — an urgent request (short remaining budget)
-    /// dispatches the batch immediately instead of waiting out a fixed
-    /// window, while relaxed traffic still fills batches.
-    ///
-    /// A deadline already in the past dispatches whatever is queued at
-    /// once; the batch is always non-empty unless the channel closed
-    /// drained.
-    ///
-    /// # Panics
-    /// Panics if `max == 0`.
-    pub fn recv_batch_deadline<F>(&self, max: usize, deadline_of: F) -> Vec<T>
-    where
-        F: Fn(&T) -> std::time::Instant,
-    {
-        assert!(max >= 1, "batch cap must be ≥ 1");
-        let max = max.min(self.shared.capacity);
-        let mut st = self.shared.state.lock().unwrap();
-        // Block for the first item (or the close).
-        loop {
-            if !st.queue.is_empty() {
-                break;
-            }
-            if st.senders == 0 {
-                return Vec::new();
-            }
-            st = self.shared.not_empty.wait(st).unwrap();
-        }
-        // Gather until the batch fills or the most urgent queued
-        // item's deadline passes. Same fine-grained poll as
-        // `recv_batch_window` (senders never signal `gather`).
-        let poll = std::time::Duration::from_micros(200);
-        while st.queue.len() < max && st.senders > 0 {
-            let deadline = st
-                .queue
-                .iter()
-                .map(&deadline_of)
-                .min()
-                .expect("non-empty queue");
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let step = (deadline - now).min(poll);
-            let (guard, _) = self.shared.gather.wait_timeout(st, step).unwrap();
-            st = guard;
-        }
-        let k = max.min(st.queue.len());
-        let out: Vec<T> = st.queue.drain(..k).collect();
-        self.shared.not_full.notify_all();
         out
     }
 
@@ -388,7 +310,7 @@ mod tests {
         for i in 0..5 {
             assert_eq!(rx.recv(), Some(i));
         }
-        assert_eq!(rx.try_recv(), None);
+        assert!(rx.try_recv_batch(1).is_empty());
     }
 
     #[test]
@@ -426,7 +348,7 @@ mod tests {
         assert_eq!(rx.recv(), Some(7));
         assert_eq!(rx.recv(), Some(8));
         assert_eq!(rx.recv(), None);
-        assert!(rx.recv_batch(4).is_empty());
+        assert!(rx.recv_batch(4, |_| Instant::now()).is_empty());
     }
 
     #[test]
@@ -443,8 +365,8 @@ mod tests {
         for i in 0..6 {
             tx.send(i).unwrap();
         }
-        assert_eq!(rx.recv_batch(4), vec![0, 1, 2, 3]);
-        assert_eq!(rx.recv_batch(4), vec![4, 5]);
+        assert_eq!(rx.recv_batch(4, |_| Instant::now()), vec![0, 1, 2, 3]);
+        assert_eq!(rx.recv_batch(4, |_| Instant::now()), vec![4, 5]);
     }
 
     #[test]
@@ -488,38 +410,48 @@ mod tests {
         let _ = bounded::<u8>(0);
     }
 
+    /// Items stamped with their arrival, the way the dispatcher's
+    /// submissions carry `submitted_at`: a fixed window is the deadline
+    /// `arrival + window`.
+    fn stamped(v: u32) -> (u32, Instant) {
+        (v, Instant::now())
+    }
+
+    fn values(batch: Vec<(u32, Instant)>) -> Vec<u32> {
+        batch.into_iter().map(|(v, _)| v).collect()
+    }
+
     #[test]
     fn batch_window_fills_or_expires() {
-        use std::time::Duration;
         let (tx, rx) = bounded(16);
-        // Window zero behaves like recv_batch: take what is there.
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.recv_batch_window(8, Duration::ZERO), vec![1, 2]);
+        let window = |w: Duration| move |item: &(u32, Instant)| item.1 + w;
+        // Window zero: take what is there.
+        tx.send(stamped(1)).unwrap();
+        tx.send(stamped(2)).unwrap();
+        assert_eq!(values(rx.recv_batch(8, window(Duration::ZERO))), [1, 2]);
         // A full batch returns without waiting out the window.
         for i in 0..4 {
-            tx.send(i).unwrap();
+            tx.send(stamped(i)).unwrap();
         }
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            rx.recv_batch_window(4, Duration::from_secs(60)),
-            vec![0, 1, 2, 3]
-        );
+        let t0 = Instant::now();
+        let got = rx.recv_batch(4, window(Duration::from_secs(60)));
+        assert_eq!(values(got), [0, 1, 2, 3]);
         assert!(t0.elapsed() < Duration::from_secs(5), "did not wait");
         // A slow producer is gathered within the window.
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 10..13 {
                     std::thread::sleep(Duration::from_millis(5));
-                    tx.send(i).unwrap();
+                    tx.send(stamped(i)).unwrap();
                 }
             });
-            let got = rx.recv_batch_window(3, Duration::from_secs(60));
-            assert_eq!(got, vec![10, 11, 12]);
+            let got = rx.recv_batch(3, window(Duration::from_secs(60)));
+            assert_eq!(values(got), [10, 11, 12]);
         });
         // The window expires on a quiet channel with senders alive.
-        tx.send(99).unwrap();
-        assert_eq!(rx.recv_batch_window(8, Duration::from_millis(10)), vec![99]);
+        tx.send(stamped(99)).unwrap();
+        let got = rx.recv_batch(8, window(Duration::from_millis(10)));
+        assert_eq!(values(got), [99]);
     }
 
     #[test]
@@ -536,55 +468,59 @@ mod tests {
 
     #[test]
     fn batch_deadline_dispatches_urgent_items_immediately() {
-        use std::time::{Duration, Instant};
         let (tx, rx) = bounded(16);
-        // An already-expired deadline: take what is queued at once.
-        tx.send(1).unwrap();
+        // Per-item budgets: the item *is* its budget in milliseconds.
         let t0 = Instant::now();
-        assert_eq!(rx.recv_batch_deadline(8, |_| Instant::now()), vec![1]);
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        // A full batch returns without waiting out a far deadline.
-        for i in 0..4 {
-            tx.send(i).unwrap();
+        let budget = |ms: &u64| t0 + Duration::from_millis(*ms);
+        // One urgent item among relaxed ones sets the dispatch time:
+        // the partial batch goes out at the 10 ms deadline, not 60 s.
+        for ms in [60_000, 10, 60_000] {
+            tx.send(ms).unwrap();
         }
-        let t0 = Instant::now();
-        assert_eq!(
-            rx.recv_batch_deadline(4, |_| Instant::now() + Duration::from_secs(60)),
-            vec![0, 1, 2, 3]
-        );
-        assert!(t0.elapsed() < Duration::from_secs(5), "did not wait");
-        // A relaxed deadline gathers a slow producer.
+        assert_eq!(rx.recv_batch(8, budget), vec![60_000, 10, 60_000]);
+        assert!(t0.elapsed() >= Duration::from_millis(10), "gathered");
+        assert!(t0.elapsed() < Duration::from_secs(5), "urgent item won");
+        // Relaxed budgets everywhere: a slow producer fills the batch.
         std::thread::scope(|s| {
             s.spawn(|| {
-                for i in 10..13 {
+                for _ in 0..3 {
                     std::thread::sleep(Duration::from_millis(5));
-                    tx.send(i).unwrap();
+                    tx.send(60_000).unwrap();
                 }
             });
-            let got = rx.recv_batch_deadline(3, |_| Instant::now() + Duration::from_secs(60));
-            assert_eq!(got, vec![10, 11, 12]);
+            assert_eq!(rx.recv_batch(3, budget).len(), 3);
         });
-        // The most urgent item in the batch sets the dispatch time: a
-        // short per-item budget expires and the partial batch goes out.
-        tx.send(99u32).unwrap();
-        let t0 = Instant::now();
-        let got = rx.recv_batch_deadline(8, |_| t0 + Duration::from_millis(10));
-        assert_eq!(got, vec![99]);
+    }
+
+    #[test]
+    fn past_deadlines_take_what_is_queued_without_sleeping() {
+        let (tx, rx) = bounded(16);
+        for i in 0..5u32 {
+            tx.send(i).unwrap();
+        }
+        // Senders alive, batch not full, every deadline already past:
+        // exactly the queued items come back after ONE pass over the
+        // deadlines — a gather that slept would re-evaluate them.
+        let past = Instant::now();
+        let evaluated = std::cell::Cell::new(0);
+        let got = rx.recv_batch(8, |_| {
+            evaluated.set(evaluated.get() + 1);
+            past
+        });
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert_eq!(evaluated.get(), 5, "one deadline scan, no poll step");
     }
 
     #[test]
     fn batch_window_caps_at_channel_capacity() {
-        use std::time::Duration;
         // A gather target above the capacity can never be met (nothing
-        // drains mid-gather): it must clamp, not wait out the window.
+        // drains mid-gather): it must clamp, not wait out the deadline.
         let (tx, rx) = bounded(2);
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        let t0 = std::time::Instant::now();
-        assert_eq!(
-            rx.recv_batch_window(64, Duration::from_secs(60)),
-            vec![1, 2]
-        );
+        let t0 = Instant::now();
+        let far = t0 + Duration::from_secs(60);
+        assert_eq!(rx.recv_batch(64, |_| far), vec![1, 2]);
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "clamped, not stalled"

@@ -21,7 +21,8 @@
 //!   level, same wave) and the limb- vs batch-parallel choice per
 //!   fused group;
 //! * [`queue`] — [`RequestQueue`]: the serving front door — submit
-//!   ops (bounded, with per-ticket [`Completion`] slots), drain
+//!   ops (bounded, each carrying the submitter's payload — a serving
+//!   loop's whole ticket, [`Completion`] slot included), drain
 //!   scheduled batches;
 //! * [`exec`] — [`replay`]/[`execute_schedule`]: run graphs and
 //!   schedules through the (batched) evaluator, bit-exact with eager
@@ -32,7 +33,8 @@
 //!   cost-increasing;
 //! * [`channel`] — a registry-free bounded channel (block or reject
 //!   at capacity);
-//! * [`serve`] — [`serve::run`]: the multi-threaded serving loop —
+//! * [`serve`] / [`session`] — [`serve::run`] and [`serve_tenants`]:
+//!   the multi-threaded serving loop —
 //!   a dispatcher thread batches submissions through the scheduler,
 //!   scoped worker threads execute them, every ticket resolves to a
 //!   [`Completion`] carrying the result ciphertext id and the modeled
@@ -50,7 +52,7 @@
 //! let params = ParamSet::C.params();
 //! let mut queue = RequestQueue::new();
 //! for _ in 0..12 {
-//!     queue.submit(HeOpKind::Rotate { steps: 1 }, params.limbs);
+//!     queue.submit_default(HeOpKind::Rotate { steps: 1 }, params.limbs).unwrap();
 //! }
 //! let scheduler = Scheduler::new(TpuGeneration::V6e, 8);
 //! let dispatch = queue.drain(&scheduler, &params, 16);
@@ -87,6 +89,6 @@ pub use queue::{
 };
 pub use record::{Recorder, Vct};
 pub use sched::{FusedBatch, Schedule, Scheduler};
-pub use serve::{Client, ServeConfig, ServeKeys, ServeStats, SubmitError};
+pub use serve::{ServeConfig, ServeKeys, ServeStats, SubmitError};
 pub use session::{serve_tenants, Server, Session, TenantSpec};
 pub use sgn::{RecordingSgnBackend, SgnRecording, TrackedVct};

@@ -4,7 +4,7 @@
 //!
 //! [`RequestQueue`] is the entry point of the ROADMAP's serving story.
 //! Producers [`submit`](RequestQueue::submit) operations and get back
-//! a ticket; a serving loop periodically
+//! a ticket number; a serving loop periodically
 //! [`drain`](RequestQueue::drain)s up to `max_ops` pending operations
 //! (its explicit argument — the scheduler's `max_fuse` then bounds
 //! each fused group *within* that slice) into an [`OpGraph`], runs
@@ -17,7 +17,7 @@
 //!
 //! Since the multi-tenant PR the queue is **per-tenant** inside:
 //! every request belongs to a [`TenantId`] (the single-tenant entry
-//! points use [`DEFAULT_TENANT`]), each tenant has its own FIFO and a
+//! callers use [`DEFAULT_TENANT`]), each tenant has its own FIFO and a
 //! [`weight`](RequestQueue::set_weight), and
 //! [`pop_fair`](RequestQueue::pop_fair) interleaves tenants by
 //! **deficit round robin**: per round every backlogged tenant earns
@@ -30,21 +30,23 @@
 //!
 //! Three serving building blocks live here alongside the queue:
 //!
-//! * **Completion slots** — [`submit_tracked`] pairs a ticket with a
-//!   [`Completion`] handle; whoever executes the drained [`Dispatch`]
-//!   fulfills the slot exactly once and every clone of the handle can
+//! * **Payloads** — a request carries whatever the submitter attaches
+//!   (`RequestQueue<P>`; `()` for the model-only callers) from
+//!   [`submit`](RequestQueue::submit) through
+//!   [`pop_fair`](RequestQueue::pop_fair) into the drained
+//!   [`Dispatch`], so a serving loop keeps a ticket's whole state —
+//!   its [`Completion`] slot included — in the one queued value.
+//!   Whoever executes the dispatch fulfills the slot exactly once and
+//!   every clone of the handle can
 //!   [`wait`](Completion::wait)/[`try_wait`](Completion::try_wait) on
 //!   the outcome ([`Completed`]: the result ciphertext id plus the
 //!   modeled [`BatchStats`] of the fused batch the op rode in).
 //! * **Bounded depth** — [`RequestQueue::bounded`] caps pending
-//!   operations; [`try_submit`] surfaces [`QueueFull`] instead of
-//!   growing without limit.
+//!   operations; [`submit`](RequestQueue::submit) surfaces
+//!   [`QueueFull`] instead of growing without limit.
 //! * **[`Backpressure`]** — the policy enum the serving loop applies
 //!   when its intake is at capacity: block the producer or reject the
 //!   request.
-//!
-//! [`submit_tracked`]: RequestQueue::submit_tracked
-//! [`try_submit`]: RequestQueue::try_submit
 //!
 //! # Examples
 //!
@@ -61,10 +63,10 @@
 //! queue.set_weight(1, 1);
 //! queue.set_weight(2, 1);
 //! for _ in 0..12 {
-//!     queue.submit_for(1, HeOpKind::Add, params.limbs); // heavy tenant
+//!     queue.submit(1, HeOpKind::Add, params.limbs, ()).unwrap(); // heavy tenant
 //! }
 //! for _ in 0..2 {
-//!     queue.submit_for(2, HeOpKind::Add, params.limbs); // light tenant
+//!     queue.submit(2, HeOpKind::Add, params.limbs, ()).unwrap(); // light tenant
 //! }
 //! let scheduler = Scheduler::new(TpuGeneration::V6e, 4);
 //! let dispatches = queue.drain_fair(&scheduler, &params, 4);
@@ -81,7 +83,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Id of a ciphertext in a serving-loop store (see
-/// [`crate::serve::Client::insert`]).
+/// [`crate::session::Session::insert`]).
 pub type CtId = u64;
 
 /// Id of a serving tenant (a session owning its own key material,
@@ -89,7 +91,8 @@ pub type CtId = u64;
 pub type TenantId = u64;
 
 /// The tenant the single-tenant entry points
-/// ([`RequestQueue::submit`], [`crate::serve::run`]) operate as.
+/// ([`RequestQueue::submit_default`], [`crate::serve::run`]) operate
+/// as.
 pub const DEFAULT_TENANT: TenantId = 0;
 
 /// What happens when a bounded intake is at capacity.
@@ -104,7 +107,7 @@ pub enum Backpressure {
     Reject,
 }
 
-/// A bounded queue refused a submission ([`RequestQueue::try_submit`]).
+/// A bounded queue refused a submission ([`RequestQueue::submit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
@@ -133,9 +136,9 @@ pub struct BatchStats {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completed {
     /// Store id of the result ciphertext
-    /// ([`crate::serve::Client::fetch`]/[`take`] retrieves it).
+    /// ([`crate::session::Session::fetch`]/[`take`] retrieves it).
     ///
-    /// [`take`]: crate::serve::Client::take
+    /// [`take`]: crate::session::Session::take
     pub id: CtId,
     /// Cost of the batch the op was fused into.
     pub batch: BatchStats,
@@ -170,8 +173,21 @@ pub enum ServeError {
     /// The operands' level cannot host the op (`Mult`/`Rescale` need
     /// level ≥ 2; `ModDrop` targets must lie in `[1, level]`).
     InvalidLevel(&'static str),
-    /// `Add` operands whose scales diverge beyond the CKKS tolerance.
+    /// `Add`/`Sub` operands whose scales diverge beyond the CKKS
+    /// tolerance.
     ScaleMismatch,
+    /// The op kind cannot be served: it is cost-model-only (`Input`,
+    /// `PlainMult`, `KeySwitch`, `Bootstrap`, `HoistDecomp`) or needs
+    /// a plaintext-constant table a session does not carry
+    /// (`PlainMultConst`, `PlainAddConst`).
+    Unservable(&'static str),
+    /// The operand count does not match the op kind's arity.
+    WrongArity {
+        /// Operands the kind consumes.
+        expected: usize,
+        /// Operands the request named.
+        got: usize,
+    },
     /// The executing side failed (a worker panicked mid-dispatch, or
     /// the loop shut down with the dispatch unexecuted). The panic
     /// still propagates out of the serving loop — this outcome exists
@@ -189,7 +205,11 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::MissingKey(op) => write!(f, "no switching key for {op}"),
             ServeError::InvalidLevel(op) => write!(f, "operand level cannot host {op}"),
-            ServeError::ScaleMismatch => f.write_str("Add operand scales diverge"),
+            ServeError::ScaleMismatch => f.write_str("Add/Sub operand scales diverge"),
+            ServeError::Unservable(op) => write!(f, "{op} cannot be served"),
+            ServeError::WrongArity { expected, got } => {
+                write!(f, "op takes {expected} operand(s), request named {got}")
+            }
             ServeError::ExecutionFailed => f.write_str("execution failed before completion"),
         }
     }
@@ -207,9 +227,8 @@ struct Slot {
 /// exactly once by whoever executes the dispatch.
 ///
 /// The submitter keeps one clone and [`wait`](Completion::wait)s; the
-/// executing side receives another clone inside
-/// [`Dispatch::completions`] and fulfills it. Fulfilling twice is a
-/// bug and panics.
+/// executing side receives another clone inside the request's
+/// payload and fulfills it. Fulfilling twice is a bug and panics.
 #[derive(Debug, Clone, Default)]
 pub struct Completion {
     slot: Arc<Slot>,
@@ -262,43 +281,41 @@ impl Completion {
     }
 }
 
-/// One pending HE operation.
+/// One pending HE operation, carrying the submitter's payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeRequest {
-    /// Ticket handed back to the submitter.
+pub struct HeRequest<P = ()> {
+    /// Ticket number handed back to the submitter.
     pub ticket: u64,
-    /// The tenant the request belongs to ([`DEFAULT_TENANT`] for the
-    /// single-tenant entry points).
+    /// The tenant the request belongs to.
     pub tenant: TenantId,
     /// Requested operator.
     pub kind: HeOpKind,
     /// Level the operands sit at.
     pub level: usize,
+    /// Whatever the submitter attached — it comes back out with the
+    /// request, so per-ticket state needs no table beside the queue.
+    pub payload: P,
 }
 
 /// A drained, scheduled slice of the queue.
 #[derive(Debug, Clone)]
-pub struct Dispatch {
+pub struct Dispatch<P = ()> {
     /// The ops formed into a graph (each request becomes its input
     /// node(s) plus one op node).
     pub graph: OpGraph,
     /// The batch schedule over that graph.
     pub schedule: Schedule,
-    /// Ticket → op node mapping, in submission order.
-    pub tickets: Vec<(u64, NodeId)>,
-    /// Completion slot per ticket (same order as [`tickets`]; `None`
-    /// for untracked submissions). The executor fulfills these.
-    ///
-    /// [`tickets`]: Dispatch::tickets
-    pub completions: Vec<Option<Completion>>,
+    /// Each drained request (payload and all) with the op node that
+    /// computes it, in pop order.
+    pub tickets: Vec<(HeRequest<P>, NodeId)>,
 }
 
 /// Per-tenant FIFO queues of HE operations awaiting batch formation,
-/// optionally bounded (total across tenants), with per-ticket
-/// completion slots and deficit-round-robin fair draining.
+/// optionally bounded (total across tenants), with a per-request
+/// payload and deficit-round-robin fair draining.
 #[derive(Debug, Clone)]
-pub struct RequestQueue {
-    queues: BTreeMap<TenantId, VecDeque<HeRequest>>,
+pub struct RequestQueue<P = ()> {
+    queues: BTreeMap<TenantId, VecDeque<HeRequest<P>>>,
     weights: BTreeMap<TenantId, u64>,
     deficits: BTreeMap<TenantId, u64>,
     /// Where the round robin resumes: the tenant whose turn the last
@@ -306,20 +323,18 @@ pub struct RequestQueue {
     /// remaining credits first), or the first tenant after the last
     /// completed turn.
     cursor: Option<TenantId>,
-    completions: BTreeMap<u64, Completion>,
     next_ticket: u64,
     pending: usize,
     capacity: usize,
 }
 
-impl Default for RequestQueue {
+impl<P> Default for RequestQueue<P> {
     fn default() -> Self {
         Self {
             queues: BTreeMap::new(),
             weights: BTreeMap::new(),
             deficits: BTreeMap::new(),
             cursor: None,
-            completions: BTreeMap::new(),
             next_ticket: 0,
             pending: 0,
             capacity: usize::MAX,
@@ -328,16 +343,23 @@ impl Default for RequestQueue {
 }
 
 impl RequestQueue {
+    /// [`submit`](Self::submit) for the model-only callers: no
+    /// payload, [`DEFAULT_TENANT`].
+    pub fn submit_default(&mut self, kind: HeOpKind, level: usize) -> Result<u64, QueueFull> {
+        self.submit(DEFAULT_TENANT, kind, level, ())
+    }
+}
+
+impl<P> RequestQueue<P> {
     /// An unbounded queue.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// A queue holding at most `capacity` pending operations across
-    /// all tenants — submissions beyond that are refused
-    /// ([`try_submit`](Self::try_submit) errors, [`submit`](Self::submit)
-    /// panics). The serving loop pairs this bound with a
-    /// [`Backpressure`] policy at its intake.
+    /// all tenants — [`submit`](Self::submit) refuses beyond that. The
+    /// serving loop pairs this bound with a [`Backpressure`] policy at
+    /// its intake.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -372,46 +394,20 @@ impl RequestQueue {
         self.weights.get(&tenant).copied().unwrap_or(1)
     }
 
-    /// Enqueues one operation for [`DEFAULT_TENANT`], returning its
-    /// ticket.
-    ///
-    /// # Panics
-    /// Panics on [`HeOpKind::Input`] (inputs are implied by the
-    /// request's operands, not submitted), or when a
-    /// [`bounded`](Self::bounded) queue is at capacity — callers that
-    /// must handle a full queue use [`try_submit`](Self::try_submit).
-    pub fn submit(&mut self, kind: HeOpKind, level: usize) -> u64 {
-        self.submit_for(DEFAULT_TENANT, kind, level)
-    }
-
-    /// Enqueues one operation for `tenant`, returning its ticket.
-    ///
-    /// # Panics
-    /// Like [`submit`](Self::submit).
-    pub fn submit_for(&mut self, tenant: TenantId, kind: HeOpKind, level: usize) -> u64 {
-        self.try_submit_for(tenant, kind, level)
-            .expect("queue at capacity (use try_submit to handle backpressure)")
-    }
-
-    /// Enqueues one operation for [`DEFAULT_TENANT`] unless the queue
-    /// is at capacity.
-    ///
-    /// # Panics
-    /// Panics on [`HeOpKind::Input`], like [`submit`](Self::submit).
-    pub fn try_submit(&mut self, kind: HeOpKind, level: usize) -> Result<u64, QueueFull> {
-        self.try_submit_for(DEFAULT_TENANT, kind, level)
-    }
-
-    /// Enqueues one operation for `tenant` unless the queue is at
+    /// Enqueues one operation for `tenant` with its `payload`,
+    /// returning its ticket number — or [`QueueFull`] (dropping the
+    /// payload) when a [`bounded`](Self::bounded) queue is at
     /// capacity.
     ///
     /// # Panics
-    /// Panics on [`HeOpKind::Input`], like [`submit`](Self::submit).
-    pub fn try_submit_for(
+    /// Panics on [`HeOpKind::Input`] (inputs are implied by the
+    /// request's operands, not submitted).
+    pub fn submit(
         &mut self,
         tenant: TenantId,
         kind: HeOpKind,
         level: usize,
+        payload: P,
     ) -> Result<u64, QueueFull> {
         assert!(kind != HeOpKind::Input, "submit operations, not inputs");
         if self.pending >= self.capacity {
@@ -424,55 +420,9 @@ impl RequestQueue {
             tenant,
             kind,
             level,
+            payload,
         });
         self.pending += 1;
-        Ok(ticket)
-    }
-
-    /// Enqueues one operation with a fresh completion slot: the
-    /// returned [`Completion`] resolves when the executor of the
-    /// drained [`Dispatch`] fulfills it.
-    ///
-    /// # Panics
-    /// Like [`submit`](Self::submit) (on `Input` or a full bounded
-    /// queue).
-    pub fn submit_tracked(&mut self, kind: HeOpKind, level: usize) -> (u64, Completion) {
-        let completion = Completion::new();
-        let ticket = self
-            .submit_with_completion(kind, level, completion.clone())
-            .expect("queue at capacity (use try_submit to handle backpressure)");
-        (ticket, completion)
-    }
-
-    /// Enqueues one operation attached to an existing completion slot
-    /// (the serving loop's path: the client created the slot before
-    /// the request crossed the channel).
-    ///
-    /// # Panics
-    /// Panics on [`HeOpKind::Input`].
-    pub fn submit_with_completion(
-        &mut self,
-        kind: HeOpKind,
-        level: usize,
-        completion: Completion,
-    ) -> Result<u64, QueueFull> {
-        self.submit_with_completion_for(DEFAULT_TENANT, kind, level, completion)
-    }
-
-    /// Enqueues one operation for `tenant` attached to an existing
-    /// completion slot.
-    ///
-    /// # Panics
-    /// Panics on [`HeOpKind::Input`].
-    pub fn submit_with_completion_for(
-        &mut self,
-        tenant: TenantId,
-        kind: HeOpKind,
-        level: usize,
-        completion: Completion,
-    ) -> Result<u64, QueueFull> {
-        let ticket = self.try_submit_for(tenant, kind, level)?;
-        self.completions.insert(ticket, completion);
         Ok(ticket)
     }
 
@@ -491,14 +441,6 @@ impl RequestQueue {
         self.pending == 0
     }
 
-    /// Detaches the completion slot registered for `ticket`, if any.
-    /// [`drain`](Self::drain) does this for every popped ticket;
-    /// direct [`form_graph`](Self::form_graph) callers that track
-    /// completions collect them with this.
-    pub fn take_completion(&mut self, ticket: u64) -> Option<Completion> {
-        self.completions.remove(&ticket)
-    }
-
     /// Pops up to `max` requests by **deficit round robin** across the
     /// backlogged tenants: on its turn each tenant with pending
     /// requests earns [`weight`](Self::weight) credits and pops that
@@ -514,7 +456,7 @@ impl RequestQueue {
     /// With a single tenant this is plain FIFO. Deterministic: the
     /// pop sequence is a pure function of the submission/weight
     /// history.
-    pub fn pop_fair(&mut self, max: usize) -> Vec<HeRequest> {
+    pub fn pop_fair(&mut self, max: usize) -> Vec<HeRequest<P>> {
         let mut out = Vec::new();
         while out.len() < max && self.pending > 0 {
             // One round: backlogged tenants ascending, rotated so the
@@ -561,51 +503,49 @@ impl RequestQueue {
         out
     }
 
-    /// Builds the op graph for an already-popped request slice: each
-    /// request gets fresh input node(s) at its level plus one batch-1
-    /// op node (the scheduler does the merging). Input nodes are
-    /// created per ticket in slice order, operand-major — the order an
-    /// executor's `inputs` slice must follow.
-    pub fn graph_of(requests: &[HeRequest]) -> (OpGraph, Vec<(u64, NodeId)>) {
+    /// One [`pop_fair`](Self::pop_fair) window split by tenant
+    /// (ascending tenant id, pop order within each) — the unit a
+    /// dispatch is formed from, because a fused batch shares one
+    /// switching key and keys are tenant-owned.
+    pub fn pop_fair_by_tenant(&mut self, max: usize) -> BTreeMap<TenantId, Vec<HeRequest<P>>> {
+        let mut by_tenant: BTreeMap<TenantId, Vec<HeRequest<P>>> = BTreeMap::new();
+        for req in self.pop_fair(max) {
+            by_tenant.entry(req.tenant).or_default().push(req);
+        }
+        by_tenant
+    }
+
+    /// Schedules an already-popped request slice: each request gets
+    /// fresh input node(s) at its level plus one batch-1 op node (the
+    /// scheduler does the merging), input nodes created per request in
+    /// slice order, operand-major — the order an executor's `inputs`
+    /// slice must follow. Public so a serving loop that resolves
+    /// operands *between* popping and scheduling (to surface evictions
+    /// as per-ticket errors) can drive it directly.
+    ///
+    /// When the scheduler has [`Scheduler::optimize`] set, the graph
+    /// first runs through the standard optimizer pipeline
+    /// ([`crate::opt::PassManager::standard`] on the scheduler's pod
+    /// and mode) and tickets are remapped onto the rewritten graph —
+    /// ticket values are bit-exact either way, since every ticket node
+    /// is a sink of the formed graph.
+    pub fn dispatch_requests(
+        requests: Vec<HeRequest<P>>,
+        scheduler: &Scheduler,
+        params: &CkksParams,
+    ) -> Dispatch<P> {
         let mut graph = OpGraph::new();
-        let mut tickets = Vec::with_capacity(requests.len());
-        for req in requests {
+        let mut nodes = Vec::with_capacity(requests.len());
+        for req in &requests {
             let ins: Vec<NodeId> = (0..req.kind.arity())
                 .map(|_| graph.input(req.level))
                 .collect();
-            let node = graph.add_op(req.kind, req.level, 1, &ins);
-            tickets.push((req.ticket, node));
+            nodes.push(graph.add_op(req.kind, req.level, 1, &ins));
         }
-        (graph, tickets)
-    }
-
-    /// Pops up to `max_ops` requests ([`pop_fair`](Self::pop_fair))
-    /// and builds the op graph — see [`graph_of`](Self::graph_of) for
-    /// the wiring contract.
-    pub fn form_graph(&mut self, max_ops: usize) -> (OpGraph, Vec<(u64, NodeId)>) {
-        let requests = self.pop_fair(max_ops);
-        Self::graph_of(&requests)
-    }
-
-    /// Schedules an already-popped request slice with its detached
-    /// completion slots: graph formation, the optional optimizer
-    /// pipeline with ticket remapping, and batch formation — the
-    /// shared engine behind [`drain`](Self::drain) and
-    /// [`drain_fair`](Self::drain_fair), public so a serving loop that
-    /// resolves operands *between* popping and scheduling (to surface
-    /// evictions as per-ticket errors) can drive it directly.
-    pub fn dispatch_requests(
-        requests: &[HeRequest],
-        completions: Vec<Option<Completion>>,
-        scheduler: &Scheduler,
-        params: &CkksParams,
-    ) -> Dispatch {
-        assert_eq!(requests.len(), completions.len(), "one slot per ticket");
-        let (mut graph, mut tickets) = Self::graph_of(requests);
         if scheduler.optimize {
             let pm = PassManager::standard(scheduler.gen, scheduler.cores, scheduler.mode);
             let rw = pm.run(&graph, params);
-            for (_, node) in &mut tickets {
+            for node in &mut nodes {
                 *node = rw.remap[*node];
             }
             graph = rw.graph;
@@ -614,22 +554,13 @@ impl RequestQueue {
         Dispatch {
             graph,
             schedule,
-            tickets,
-            completions,
+            tickets: requests.into_iter().zip(nodes).collect(),
         }
     }
 
-    /// Drains up to `max_ops` pending operations and schedules them as
-    /// **one** dispatch. The [`Dispatch`] carries each popped ticket's
-    /// completion slot (detached from the queue) for the executor to
-    /// fulfill.
-    ///
-    /// When the scheduler has [`Scheduler::optimize`] set, the drained
-    /// graph first runs through the standard optimizer pipeline
-    /// ([`crate::opt::PassManager::standard`] on the scheduler's pod
-    /// and mode) and tickets are remapped onto the rewritten graph —
-    /// ticket values are bit-exact either way, since every ticket node
-    /// is a sink of the drained graph.
+    /// Drains up to `max_ops` pending operations
+    /// ([`pop_fair`](Self::pop_fair)) and schedules them as **one**
+    /// dispatch ([`dispatch_requests`](Self::dispatch_requests)).
     ///
     /// With multiple tenants queued, the merged graph can fuse ops
     /// *across* tenants — only correct when every tenant shares one
@@ -640,44 +571,25 @@ impl RequestQueue {
         scheduler: &Scheduler,
         params: &CkksParams,
         max_ops: usize,
-    ) -> Dispatch {
-        let requests = self.pop_fair(max_ops);
-        let completions = requests
-            .iter()
-            .map(|r| self.take_completion(r.ticket))
-            .collect();
-        Self::dispatch_requests(&requests, completions, scheduler, params)
+    ) -> Dispatch<P> {
+        Self::dispatch_requests(self.pop_fair(max_ops), scheduler, params)
     }
 
     /// Drains up to `max_ops` operations by deficit round robin and
-    /// schedules **one dispatch per tenant** (ascending tenant id,
-    /// requests in pop order within each): fused batches never mix
-    /// tenants, so each dispatch executes under its own tenant's
-    /// switching keys while the window's service split still follows
-    /// the tenants' weights.
+    /// schedules **one dispatch per tenant**
+    /// ([`pop_fair_by_tenant`](Self::pop_fair_by_tenant)): fused
+    /// batches never mix tenants, so each dispatch executes under its
+    /// own tenant's switching keys while the window's service split
+    /// still follows the tenants' weights.
     pub fn drain_fair(
         &mut self,
         scheduler: &Scheduler,
         params: &CkksParams,
         max_ops: usize,
-    ) -> Vec<(TenantId, Dispatch)> {
-        let popped = self.pop_fair(max_ops);
-        let mut by_tenant: BTreeMap<TenantId, Vec<HeRequest>> = BTreeMap::new();
-        for req in popped {
-            by_tenant.entry(req.tenant).or_default().push(req);
-        }
-        by_tenant
+    ) -> Vec<(TenantId, Dispatch<P>)> {
+        self.pop_fair_by_tenant(max_ops)
             .into_iter()
-            .map(|(tenant, requests)| {
-                let completions = requests
-                    .iter()
-                    .map(|r| self.take_completion(r.ticket))
-                    .collect();
-                (
-                    tenant,
-                    Self::dispatch_requests(&requests, completions, scheduler, params),
-                )
-            })
+            .map(|(t, requests)| (t, Self::dispatch_requests(requests, scheduler, params)))
             .collect()
     }
 }
@@ -691,17 +603,18 @@ mod tests {
     #[test]
     fn tickets_are_sequential_and_fifo() {
         let mut q = RequestQueue::new();
-        let t0 = q.submit(HeOpKind::Add, 4);
-        let t1 = q.submit(HeOpKind::Mult, 4);
+        let t0 = q.submit_default(HeOpKind::Add, 4).unwrap();
+        let t1 = q.submit_default(HeOpKind::Mult, 4).unwrap();
         assert_eq!((t0, t1), (0, 1));
         assert_eq!(q.len(), 2);
-        let (g, tickets) = q.form_graph(8);
+        let params = ParamSet::B.params();
+        let d = q.drain(&Scheduler::new(TpuGeneration::V6e, 4), &params, 8);
         assert!(q.is_empty());
-        assert_eq!(tickets.len(), 2);
-        assert_eq!(tickets[0].0, 0);
+        assert_eq!(d.tickets.len(), 2);
+        assert_eq!(d.tickets[0].0.ticket, 0);
         // Add: 2 inputs + op; Mult: 2 inputs + op.
-        assert_eq!(g.len(), 6);
-        assert_eq!(g.op_count(), 2);
+        assert_eq!(d.graph.len(), 6);
+        assert_eq!(d.graph.op_count(), 2);
     }
 
     #[test]
@@ -709,7 +622,8 @@ mod tests {
         let params = ParamSet::B.params();
         let mut q = RequestQueue::new();
         for _ in 0..5 {
-            q.submit(HeOpKind::Rotate { steps: 1 }, params.limbs);
+            q.submit_default(HeOpKind::Rotate { steps: 1 }, params.limbs)
+                .unwrap();
         }
         let s = Scheduler::new(TpuGeneration::V6e, 4);
         let d = q.drain(&s, &params, 3);
@@ -725,7 +639,7 @@ mod tests {
     #[should_panic(expected = "operations, not inputs")]
     fn input_submissions_rejected() {
         let mut q = RequestQueue::new();
-        q.submit(HeOpKind::Input, 4);
+        let _ = q.submit_default(HeOpKind::Input, 4);
     }
 
     #[test]
@@ -733,39 +647,40 @@ mod tests {
         let params = ParamSet::B.params();
         let mut q = RequestQueue::bounded(2);
         assert_eq!(q.capacity(), 2);
-        q.submit(HeOpKind::Add, params.limbs);
-        q.submit(HeOpKind::Add, params.limbs);
+        q.submit_default(HeOpKind::Add, params.limbs).unwrap();
+        q.submit_default(HeOpKind::Add, params.limbs).unwrap();
         assert_eq!(
-            q.try_submit(HeOpKind::Add, params.limbs),
+            q.submit_default(HeOpKind::Add, params.limbs),
             Err(QueueFull),
             "at capacity"
         );
         let s = Scheduler::new(TpuGeneration::V6e, 4);
         let _ = q.drain(&s, &params, 1);
         // One slot freed by the drain.
-        assert!(q.try_submit(HeOpKind::Add, params.limbs).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "use try_submit")]
-    fn bounded_queue_submit_panics_at_capacity() {
-        let mut q = RequestQueue::bounded(1);
-        q.submit(HeOpKind::Add, 4);
-        q.submit(HeOpKind::Add, 4);
+        assert!(q.submit_default(HeOpKind::Add, params.limbs).is_ok());
     }
 
     #[test]
     fn completion_slots_travel_with_the_dispatch() {
         let params = ParamSet::B.params();
         let mut q = RequestQueue::new();
-        let (t, c) = q.submit_tracked(HeOpKind::Add, params.limbs);
-        q.submit(HeOpKind::Add, params.limbs);
+        let c = Completion::new();
+        let t = q
+            .submit(DEFAULT_TENANT, HeOpKind::Add, params.limbs, c.clone())
+            .unwrap();
+        q.submit(
+            DEFAULT_TENANT,
+            HeOpKind::Add,
+            params.limbs,
+            Completion::new(),
+        )
+        .unwrap();
         assert!(c.try_wait().is_none());
         let s = Scheduler::new(TpuGeneration::V6e, 4);
         let d = q.drain(&s, &params, 8);
-        assert_eq!(d.tickets[0].0, t);
-        let slot = d.completions[0].as_ref().expect("tracked");
-        assert!(d.completions[1].is_none(), "untracked");
+        assert_eq!(d.tickets[0].0.ticket, t);
+        let slot = &d.tickets[0].0.payload;
+        assert!(d.tickets[1].0.payload.try_wait().is_none(), "its own slot");
         let done = Completed {
             id: 42,
             batch: BatchStats {
@@ -808,10 +723,10 @@ mod tests {
         q.set_weight(1, 3);
         q.set_weight(2, 1);
         for _ in 0..12 {
-            q.submit_for(1, HeOpKind::Add, 4);
+            q.submit(1, HeOpKind::Add, 4, ()).unwrap();
         }
         for _ in 0..12 {
-            q.submit_for(2, HeOpKind::Add, 4);
+            q.submit(2, HeOpKind::Add, 4, ()).unwrap();
         }
         // Both backlogged: an 8-op window splits 6/2 by the 3:1 weights.
         let popped = q.pop_fair(8);
@@ -824,9 +739,9 @@ mod tests {
     fn pop_fair_is_work_conserving_when_a_tenant_drains() {
         let mut q = RequestQueue::new();
         for _ in 0..10 {
-            q.submit_for(1, HeOpKind::Add, 4);
+            q.submit(1, HeOpKind::Add, 4, ()).unwrap();
         }
-        q.submit_for(2, HeOpKind::Add, 4);
+        q.submit(2, HeOpKind::Add, 4, ()).unwrap();
         // Tenant 2 has one request; tenant 1 absorbs the rest of the
         // window instead of slots going idle.
         let popped = q.pop_fair(8);
@@ -840,8 +755,8 @@ mod tests {
         q.set_weight(1, 4);
         q.set_weight(2, 4);
         for _ in 0..12 {
-            q.submit_for(1, HeOpKind::Add, 4);
-            q.submit_for(2, HeOpKind::Add, 4);
+            q.submit(1, HeOpKind::Add, 4, ()).unwrap();
+            q.submit(2, HeOpKind::Add, 4, ()).unwrap();
         }
         // Every window of 6 cuts one tenant's 4-credit turn short; the
         // cut turn resumes (with its remaining credits) at the next
@@ -866,8 +781,10 @@ mod tests {
         let params = ParamSet::B.params();
         let mut q = RequestQueue::new();
         for _ in 0..4 {
-            q.submit_for(7, HeOpKind::Rotate { steps: 1 }, params.limbs);
-            q.submit_for(9, HeOpKind::Rotate { steps: 1 }, params.limbs);
+            q.submit(7, HeOpKind::Rotate { steps: 1 }, params.limbs, ())
+                .unwrap();
+            q.submit(9, HeOpKind::Rotate { steps: 1 }, params.limbs, ())
+                .unwrap();
         }
         let s = Scheduler::new(TpuGeneration::V6e, 4);
         let dispatches = q.drain_fair(&s, &params, 8);

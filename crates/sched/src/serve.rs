@@ -1,24 +1,24 @@
 //! A registry-free multi-threaded serving loop over the scheduler —
 //! the CROSS stack's request/response pipeline.
 //!
-//! [`run`] is the single-tenant front door: it registers one
-//! [`crate::queue::DEFAULT_TENANT`] with the multi-tenant engine in
-//! [`crate::session`] and hands the closure a [`Client`]. The engine
-//! executes with scoped threads (no `tokio` exists in the offline
-//! image — DESIGN.md §5, §8 and §11):
+//! [`run`] is the single-tenant constructor: it registers one
+//! [`DEFAULT_TENANT`] with the multi-tenant engine in
+//! [`crate::session`] and hands the closure that tenant's
+//! [`Session`]. The engine executes with scoped threads (no `tokio`
+//! exists in the offline image — DESIGN.md §5, §8 and §11):
 //!
 //! * **clients** (any threads inside the closure passed to [`run`])
 //!   insert ciphertexts into a shared store and
-//!   [`submit`](Client::submit) operations over store ids, getting a
-//!   [`Completion`] handle per ticket;
+//!   [`submit`](Session::submit) operations over store ids, getting a
+//!   [`Completion`](crate::queue::Completion) handle per ticket;
 //! * a **dispatcher** thread pops submission bursts off a bounded
 //!   [`crate::channel`], validates them, forms batches with the
 //!   existing [`Scheduler`], and hands each dispatch to the workers;
 //! * **worker** threads execute dispatches through
 //!   [`crate::exec::execute_schedule`] against the batched evaluator
 //!   (whose kernels fan out over `cross_math::par`), store each result
-//!   ciphertext, and fulfill the ticket's [`Completion`] with the
-//!   result id plus the modeled cost of the fused batch it rode in.
+//!   ciphertext, and fulfill the ticket's completion with the result
+//!   id plus the modeled cost of the fused batch it rode in.
 //!
 //! Backpressure is explicit: the intake channel holds at most
 //! [`ServeConfig::capacity`] pending submissions, and
@@ -57,17 +57,17 @@
 //!     .with_rotation(1, ctx.generate_rotation_key(&kp.secret, 1));
 //! let config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(2);
 //!
-//! let occupancy = serve::run(&ctx, &keys, &config, |client| {
+//! let occupancy = serve::run(&ctx, &keys, &config, |session| {
 //!     let msg = vec![0.25; ctx.slot_count()];
-//!     let x = client.insert(ctx.encrypt(&msg, &kp.public));
+//!     let x = session.insert(ctx.encrypt(&msg, &kp.public));
 //!     let pending: Vec<_> = (0..4)
-//!         .map(|_| client.rotate(x, 1).expect("submit"))
+//!         .map(|_| session.rotate(x, 1).expect("submit"))
 //!         .collect();
 //!     let mut ops = 0;
 //!     for completion in pending {
 //!         let done = completion.wait().expect("ticket completes");
 //!         ops += done.batch.ops; // batch occupancy the op rode in
-//!         let _ct = client.take(done.id).expect("result stored");
+//!         let _ct = session.take(done.id).expect("result stored");
 //!     }
 //!     ops as f64 / 4.0
 //! });
@@ -75,20 +75,20 @@
 //! ```
 
 use crate::exec::ReplayKeys;
-use crate::ir::HeOpKind;
 use crate::keycache::KeyRef;
-use crate::queue::{Backpressure, Completion, CtId, ServeError, DEFAULT_TENANT};
+use crate::queue::{Backpressure, DEFAULT_TENANT};
 use crate::sched::Scheduler;
-use crate::session::{self, Session};
+use crate::session::{serve_tenants, Session, TenantSpec};
 use cross_ckks::costs::ExecMode;
-use cross_ckks::{Ciphertext, CkksContext, SwitchingKey};
+use cross_ckks::{CkksContext, SwitchingKey};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// The switching keys a tenant owns (the loop shares them by
 /// reference across the worker threads). The dispatcher validates
 /// every request against the submitting tenant's set before queueing,
 /// so workers never panic on a missing key: the ticket fails with
-/// [`ServeError::MissingKey`] instead.
+/// [`crate::queue::ServeError::MissingKey`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct ServeKeys {
     relin: Option<SwitchingKey>,
@@ -132,18 +132,6 @@ impl ServeKeys {
         }
         keys
     }
-
-    pub(crate) fn check(&self, kind: HeOpKind) -> Result<(), ServeError> {
-        match kind {
-            HeOpKind::Mult if self.relin.is_none() => Err(ServeError::MissingKey(kind.label())),
-            HeOpKind::Rotate { steps } | HeOpKind::HoistedRotate { steps }
-                if !self.rotation.contains_key(&steps) =>
-            {
-                Err(ServeError::MissingKey(kind.label()))
-            }
-            _ => Ok(()),
-        }
-    }
 }
 
 /// Serving-loop configuration: the pod the scheduler batches for plus
@@ -172,22 +160,21 @@ pub struct ServeConfig {
     /// formation (see [`Scheduler::optimize`]; tickets are remapped,
     /// so results are unchanged either way).
     pub optimize: bool,
-    /// Micro-batching window: once a dispatch has its first request,
-    /// the dispatcher keeps gathering until [`drain_max`] requests are
-    /// queued or this window expires. `ZERO` (the default) dispatches
+    /// Micro-batching window — the batching delay each request
+    /// tolerates: an idle dispatcher that has its first request keeps
+    /// gathering until the intake holds [`capacity`] requests or the
+    /// *oldest* queued request's deadline (`submitted_at +
+    /// batch_window`) arrives. `ZERO` (the default) dispatches
     /// whatever is queued immediately — latency-optimal; a window of a
     /// kernel-latency or two trades that latency for batch occupancy
-    /// (throughput). Bounded, so partial batches always dispatch.
+    /// (throughput). On an idle loop this is the classic fixed window
+    /// from the first arrival; a request that already waited behind a
+    /// backlog has spent its budget and dispatches at once, while late
+    /// arrivals still join the batch for free. Bounded, so partial
+    /// batches always dispatch.
     ///
-    /// [`drain_max`]: ServeConfig::drain_max
-    pub batch_window: std::time::Duration,
-    /// Per-request latency objective. When set it replaces
-    /// [`batch_window`](ServeConfig::batch_window) with deadline-driven
-    /// gathering: each batch dispatches the moment the *oldest* queued
-    /// request's deadline (`submitted_at + slo`) arrives, so early
-    /// requests never wait a full window on an idle loop while late
-    /// arrivals still join the batch for free.
-    pub slo: Option<std::time::Duration>,
+    /// [`capacity`]: ServeConfig::capacity
+    pub batch_window: Duration,
     /// Most ciphertexts the shared store holds before LRU-evicting
     /// unpinned entries (client inputs are pinned until
     /// [`Session::release`]d or taken; results arrive unpinned).
@@ -209,7 +196,7 @@ impl ServeConfig {
     /// Defaults for a pod of `cores` tensor cores of `gen`: workers =
     /// `min(4, available_parallelism)`, drain cap 16, intake capacity
     /// 64, blocking backpressure, fusion cap 16, fused-batch lowering,
-    /// store capacity 256, unbounded key cache, no SLO.
+    /// store capacity 256, unbounded key cache, no batching window.
     pub fn new(gen: cross_tpu::TpuGeneration, cores: u32) -> Self {
         Self {
             gen,
@@ -221,8 +208,7 @@ impl ServeConfig {
             max_fuse: 16,
             mode: ExecMode::FusedBatch,
             optimize: false,
-            batch_window: std::time::Duration::ZERO,
-            slo: None,
+            batch_window: Duration::ZERO,
             store_capacity: 256,
             key_cache_bytes: f64::INFINITY,
             inject_worker_panic: None,
@@ -277,15 +263,8 @@ impl ServeConfig {
 
     /// Same configuration with an explicit micro-batching window (see
     /// [`batch_window`](ServeConfig::batch_window)).
-    pub fn with_batch_window(mut self, window: std::time::Duration) -> Self {
+    pub fn with_batch_window(mut self, window: Duration) -> Self {
         self.batch_window = window;
-        self
-    }
-
-    /// Same configuration with a per-request latency objective (see
-    /// [`slo`](ServeConfig::slo)).
-    pub fn with_slo(mut self, slo: std::time::Duration) -> Self {
-        self.slo = Some(slo);
         self
     }
 
@@ -354,7 +333,7 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// Aggregate serving counters, readable any time via
-/// [`Client::stats`] / [`Session::stats`](crate::session::Session).
+/// [`Session::stats`] / [`Server::stats`](crate::session::Server::stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServeStats {
     /// Dispatches handed to the worker pool.
@@ -398,144 +377,35 @@ impl ServeStats {
     }
 }
 
-/// Client handle inside [`run`]'s closure: the single-tenant view of
-/// a [`Session`] (every call is namespaced to
-/// [`DEFAULT_TENANT`]). Shareable across client threads (`&Client` is
-/// `Send + Sync`).
-pub struct Client {
-    session: Session,
-}
-
-impl Client {
-    /// Stores an input ciphertext, returning the id operations can
-    /// reference. Inputs are pinned against store eviction until
-    /// [`release`](Self::release)d or [`take`](Self::take)n.
-    pub fn insert(&self, ct: Ciphertext) -> CtId {
-        self.session.insert(ct)
-    }
-
-    /// Clones a stored ciphertext (input or completed result) out of
-    /// the store. `None` if the id was never stored, already taken,
-    /// or evicted.
-    pub fn fetch(&self, id: CtId) -> Option<Ciphertext> {
-        self.session.fetch(id).ok()
-    }
-
-    /// Removes a stored ciphertext — the response side of the
-    /// pipeline (and how a client bounds store growth).
-    pub fn take(&self, id: CtId) -> Option<Ciphertext> {
-        self.session.take(id)
-    }
-
-    /// Pins a stored ciphertext against LRU eviction (results arrive
-    /// unpinned).
-    pub fn retain(&self, id: CtId) -> Result<(), ServeError> {
-        self.session.retain(id)
-    }
-
-    /// Unpins a stored ciphertext, making it evictable under store
-    /// pressure.
-    pub fn release(&self, id: CtId) -> Result<(), ServeError> {
-        self.session.release(id)
-    }
-
-    /// Ciphertexts currently stored (inputs plus unclaimed results).
-    pub fn stored(&self) -> usize {
-        self.session.stored()
-    }
-
-    /// Submits one operation over stored ciphertext ids. Under
-    /// [`Backpressure::Block`] this waits for intake room; under
-    /// [`Backpressure::Reject`] a full intake returns
-    /// [`SubmitError::QueueFull`]. The ticket resolves through the
-    /// returned [`Completion`] — operands are validated loop-side, so
-    /// a bad request fails its own ticket instead of the server.
-    ///
-    /// To consume a result in a follow-up op, [`wait`] on its
-    /// completion first: ids are resolved when the request is
-    /// dispatched, and an id the store has not seen yet fails with
-    /// [`ServeError::UnresolvedOperand`].
-    ///
-    /// [`wait`]: Completion::wait
-    ///
-    /// # Panics
-    /// Panics on kinds the executor cannot replay (`Input`,
-    /// `PlainMult`, `KeySwitch`, `Bootstrap` are cost-model-only) and
-    /// on an operand count that does not match the kind's arity.
-    pub fn submit(&self, kind: HeOpKind, operands: &[CtId]) -> Result<Completion, SubmitError> {
-        self.session.submit(kind, operands)
-    }
-
-    /// HE-Add of two stored ciphertexts.
-    pub fn add(&self, a: CtId, b: CtId) -> Result<Completion, SubmitError> {
-        self.session.add(a, b)
-    }
-
-    /// HE-Mult (tensor + relinearize + rescale) of two stored
-    /// ciphertexts.
-    pub fn mult(&self, a: CtId, b: CtId) -> Result<Completion, SubmitError> {
-        self.session.mult(a, b)
-    }
-
-    /// HE-Rotate a stored ciphertext by `steps` slots.
-    pub fn rotate(&self, a: CtId, steps: usize) -> Result<Completion, SubmitError> {
-        self.session.rotate(a, steps)
-    }
-
-    /// Rescale a stored ciphertext (drops one limb).
-    pub fn rescale(&self, a: CtId) -> Result<Completion, SubmitError> {
-        self.session.rescale(a)
-    }
-
-    /// Modulus-drop a stored ciphertext straight to `to_level`.
-    pub fn mod_drop(&self, a: CtId, to_level: usize) -> Result<Completion, SubmitError> {
-        self.session.mod_drop(a, to_level)
-    }
-
-    /// Snapshot of the aggregate serving counters.
-    pub fn stats(&self) -> ServeStats {
-        self.session.stats()
-    }
-}
-
-/// Runs a serving loop for the closure's lifetime: spawns the
-/// dispatcher and [`ServeConfig::workers`] workers on scoped threads,
-/// calls `f` with the [`Client`], and after `f` returns drains every
-/// pending submission before joining — every accepted ticket is
-/// fulfilled by the time `run` returns.
+/// Runs a single-tenant serving loop for the closure's lifetime:
+/// [`serve_tenants`] with all traffic as [`DEFAULT_TENANT`] (weight
+/// 1, no quota), `f` receiving that tenant's [`Session`]. After `f`
+/// returns every pending submission drains before the threads join —
+/// every accepted ticket is fulfilled by the time `run` returns.
 ///
-/// This is the single-tenant special case of
-/// [`crate::session::serve_tenants`]: all traffic runs as
-/// [`DEFAULT_TENANT`] with weight 1 and no quota.
-///
-/// The client handle is `Sync`: fan out N client threads inside `f`
-/// with [`std::thread::scope`] and share `&Client` across them.
-/// Results are bit-exact with eager [`cross_ckks::Evaluator`] calls
-/// for any worker count; execution order (and therefore result-id
+/// The session is `Sync`: fan out N client threads inside `f` with
+/// [`std::thread::scope`] and share `&Session` across them. Results
+/// are bit-exact with eager [`cross_ckks::Evaluator`] calls for any
+/// worker count; execution order (and therefore result-id
 /// interleaving) is deterministic with a single worker and a single
 /// client thread.
 pub fn run<R>(
     ctx: &CkksContext,
     keys: &ServeKeys,
     config: &ServeConfig,
-    f: impl FnOnce(&Client) -> R,
+    f: impl FnOnce(&Session) -> R,
 ) -> R {
-    session::serve_tenants(
-        ctx,
-        vec![session::default_tenant_spec(keys)],
-        config,
-        |server| {
-            let client = Client {
-                session: server.session(DEFAULT_TENANT),
-            };
-            f(&client)
-        },
-    )
+    let tenant = TenantSpec::new(DEFAULT_TENANT, keys.clone());
+    serve_tenants(ctx, vec![tenant], config, |server| {
+        f(&server.session(DEFAULT_TENANT))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::HeOpKind;
+    use crate::queue::ServeError;
     use cross_ckks::{CkksParams, Evaluator};
     use cross_tpu::TpuGeneration;
 
@@ -564,11 +434,11 @@ mod tests {
         let ct = ctx.encrypt(msg, &kp.public);
         let ev = Evaluator::new(ctx);
         let want = ev.add(&ct, &ct);
-        let got = run(ctx, keys, config, |client| {
-            let x = client.insert(ct.clone());
-            let done = client.add(x, x).unwrap().wait().unwrap();
+        let got = run(ctx, keys, config, |session| {
+            let x = session.insert(ct.clone());
+            let done = session.add(x, x).unwrap().wait().unwrap();
             assert_eq!(done.batch.ops, 1);
-            client.take(done.id).unwrap()
+            session.take(done.id).unwrap()
         });
         assert_eq!(got.c0.limbs(), want.c0.limbs());
         assert_eq!(got.c1.limbs(), want.c1.limbs());
@@ -581,23 +451,46 @@ mod tests {
         let config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(1);
         let msg = vec![0.25; ctx.slot_count()];
         let ct = ctx.encrypt(&msg, &kp.public);
-        run(&ctx, &keys, &config, |client| {
-            let x = client.insert(ct.clone());
+        run(&ctx, &keys, &config, |session| {
+            let x = session.insert(ct.clone());
             // Unknown operand id.
-            let bad = client.add(x, 999).unwrap().wait();
+            let bad = session.add(x, 999).unwrap().wait();
             assert_eq!(bad, Err(ServeError::UnresolvedOperand(999)));
             // Missing keys.
-            let rot = client.rotate(x, 1).unwrap().wait();
+            let rot = session.rotate(x, 1).unwrap().wait();
             assert_eq!(rot, Err(ServeError::MissingKey("Rotate")));
-            let mult = client.mult(x, x).unwrap().wait();
+            let mult = session.mult(x, x).unwrap().wait();
             assert_eq!(mult, Err(ServeError::MissingKey("HE-Mult")));
             // Level too low for a rescale after dropping to level 1.
-            let low = client.mod_drop(x, 1).unwrap().wait().unwrap();
-            let rs = client.rescale(low.id).unwrap().wait();
+            let low = session.mod_drop(x, 1).unwrap().wait().unwrap();
+            let rs = session.rescale(low.id).unwrap().wait();
             assert_eq!(rs, Err(ServeError::InvalidLevel("Rescale")));
+            // Const kinds need a scalar table a session has none of.
+            for kind in [
+                HeOpKind::PlainMultConst { cid: 0 },
+                HeOpKind::PlainAddConst { cid: 0 },
+            ] {
+                let konst = session.submit(kind, &[x]).unwrap().wait();
+                assert_eq!(konst, Err(ServeError::Unservable(kind.label())));
+            }
+            // Wrong operand counts, both ways — including a binary op
+            // with one operand, whose second shape is never indexed.
+            for (kind, operands, expected) in [
+                (HeOpKind::Add, &[x][..], 2),
+                (HeOpKind::Sub, &[][..], 2),
+                (HeOpKind::Rescale, &[x, x][..], 1),
+            ] {
+                let got = operands.len();
+                let arity = session.submit(kind, operands).unwrap().wait();
+                assert_eq!(arity, Err(ServeError::WrongArity { expected, got }));
+            }
+            // A mod-drop to level 0 is no level at all.
+            let zero = session.mod_drop(x, 0).unwrap().wait();
+            assert_eq!(zero, Err(ServeError::InvalidLevel("ModDrop")));
             // The loop is still healthy after all those failures.
-            assert!(client.add(x, x).unwrap().wait().is_ok());
-            assert_eq!(client.stats().failed, 4);
+            assert!(session.add(x, x).unwrap().wait().is_ok());
+            assert_eq!(session.stats().failed, 10);
+            assert_eq!(session.in_flight(), 0);
         });
     }
 
@@ -614,34 +507,48 @@ mod tests {
             .with_store_capacity(8);
         let msg = vec![0.25; ctx.slot_count()];
         let ct = ctx.encrypt(&msg, &kp.public);
-        run(&ctx, &keys, &config, |client| {
-            let x = client.insert(ct.clone());
+        run(&ctx, &keys, &config, |session| {
+            let x = session.insert(ct.clone());
             let mut first_result = None;
             for _ in 0..32 {
-                let done = client.add(x, x).unwrap().wait().unwrap();
+                let done = session.add(x, x).unwrap().wait().unwrap();
                 first_result.get_or_insert(done.id);
             }
             // 32 unclaimed results against capacity 8: the store is
             // bounded and the earliest result is long gone.
-            assert!(client.stored() <= 8);
-            assert!(client.stats().ct_evictions >= 24);
+            assert!(session.stored() <= 8);
+            assert!(session.stats().ct_evictions >= 24);
             let first = first_result.unwrap();
-            assert!(client.fetch(first).is_none());
-            let stale = client.add(first, first).unwrap().wait();
+            assert!(session.fetch(first).is_err());
+            let stale = session.add(first, first).unwrap().wait();
             assert_eq!(stale, Err(ServeError::Evicted(first)));
             // The pinned input survived all that pressure.
-            assert!(client.fetch(x).is_some());
+            assert!(session.fetch(x).is_ok());
         });
     }
 
     #[test]
-    #[should_panic(expected = "cost-only")]
     fn cost_only_kinds_cannot_be_served() {
-        let (ctx, _) = toy_ctx();
-        let keys = ServeKeys::new();
+        let (ctx, kp) = toy_ctx();
+        // Fully keyed: the refusal is about the kind, not a key.
+        let keys = ServeKeys::new().with_relin(kp.relin.clone());
         let config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(1);
-        run(&ctx, &keys, &config, |client| {
-            let _ = client.submit(HeOpKind::Bootstrap, &[0]);
+        let ct = ctx.encrypt(&vec![0.25; ctx.slot_count()], &kp.public);
+        run(&ctx, &keys, &config, |session| {
+            let x = session.insert(ct.clone());
+            for kind in [
+                HeOpKind::Input,
+                HeOpKind::PlainMult,
+                HeOpKind::KeySwitch,
+                HeOpKind::Bootstrap,
+                HeOpKind::HoistDecomp,
+            ] {
+                let operands = vec![x; kind.arity()];
+                let refused = session.submit(kind, &operands).unwrap().wait();
+                assert_eq!(refused, Err(ServeError::Unservable(kind.label())));
+            }
+            assert_eq!(session.stats().failed, 5);
+            assert!(session.add(x, x).unwrap().wait().is_ok());
         });
     }
 }

@@ -5,8 +5,8 @@
 //! control, and deficit-round-robin fair scheduling.
 //!
 //! [`serve_tenants`] is the multi-tenant generalization of
-//! [`crate::serve::run`] (which now delegates here with a single
-//! [`DEFAULT_TENANT`]): register a [`TenantSpec`] per tenant — its
+//! [`crate::serve::run`] (which delegates here with a single
+//! [`crate::queue::DEFAULT_TENANT`]): register a [`TenantSpec`] per tenant — its
 //! [`ServeKeys`], fair-share weight, and in-flight quota — and the
 //! closure receives a [`Server`] from which each client thread opens
 //! its tenant's [`Session`]. The engine is the same
@@ -18,7 +18,8 @@
 //!   fails its own ticket with [`ServeError::CrossTenant`], and fused
 //!   batches never mix tenants (a fused batch shares one switching
 //!   key, and keys are tenant-owned), enforced structurally by
-//!   [`RequestQueue::drain_fair`]-style per-tenant dispatch formation.
+//!   forming one dispatch per tenant
+//!   ([`RequestQueue::pop_fair_by_tenant`]).
 //! * **Fairness** — the dispatcher pops each scheduling window by
 //!   deficit round robin over the per-tenant queues
 //!   ([`RequestQueue::pop_fair`]), so a flooding tenant gets its
@@ -37,11 +38,15 @@
 //!   [`SubmitError::TenantOverQuota`] without touching the shared
 //!   intake.
 //!
-//! SLO-aware micro-batching rides the same pipeline: with
-//! [`crate::serve::ServeConfig::with_slo`] set, the dispatcher
-//! gathers each batch until the *oldest queued request's* deadline
-//! (`submitted_at + slo`) instead of a fixed window
-//! ([`crate::channel::Receiver::recv_batch_deadline`]).
+//! A served request is **one value** end to end: [`Session::submit`]
+//! builds a ticket (operand ids, completion slot, submit time, quota
+//! counter), the dispatcher validates it in one place and queues it as
+//! the [`RequestQueue`] payload, and whoever ends its life — a
+//! validation failure, an evicted operand, a worker — resolves that
+//! same value. Micro-batching rides the ticket too: an idle dispatcher
+//! gathers until the oldest queued ticket's `submitted_at +`
+//! [`batch_window`](crate::serve::ServeConfig::batch_window) passes
+//! ([`crate::channel::Receiver::recv_batch`]).
 //!
 //! Functional results remain **bit-exact** with eager per-tenant
 //! [`Evaluator`] calls under any tenant interleaving, worker count,
@@ -87,10 +92,10 @@
 use crate::channel::{self, Receiver, Sender, TrySendError};
 use crate::exec::execute_schedule;
 use crate::ir::{HeOpKind, NodeId};
-use crate::keycache::KeyCache;
+use crate::keycache::{KeyCache, KeyRef};
 use crate::queue::{
-    Backpressure, BatchStats, Completed, Completion, CtId, HeRequest, RequestQueue, ServeError,
-    TenantId, DEFAULT_TENANT,
+    Backpressure, BatchStats, Completed, Completion, CtId, Dispatch, HeRequest, RequestQueue,
+    ServeError, TenantId,
 };
 use crate::sched::{Schedule, Scheduler};
 use crate::serve::{ServeConfig, ServeKeys, ServeStats, SubmitError};
@@ -98,7 +103,7 @@ use cross_ckks::{Ciphertext, CkksContext, Evaluator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One tenant's registration with [`serve_tenants`]: its key
 /// material, fair-share weight, and admission quota.
@@ -305,16 +310,47 @@ impl CtStore {
 // Pipeline messages
 // ---------------------------------------------------------------------
 
-/// One submission crossing the intake channel.
-struct Submission {
-    tenant: TenantId,
-    kind: HeOpKind,
+/// One served request's whole state, travelling as one value from
+/// [`Session::submit`] through the intake channel, the fair queue (as
+/// its payload) and the work item to whoever resolves it.
+struct Ticket {
+    /// Resolved to ciphertexts at dispatch time, so an eviction after
+    /// admission surfaces per-ticket.
     operands: Vec<CtId>,
     completion: Completion,
     submitted_at: Instant,
     /// The submitting tenant's in-flight counter, decremented exactly
     /// once when the ticket resolves (any path).
     in_flight: Arc<AtomicUsize>,
+}
+
+impl Ticket {
+    /// Resolves the ticket: frees its quota slot *before* waking the
+    /// waiter, so a client that observes completion can immediately
+    /// submit against the freed slot.
+    fn resolve(&self, outcome: Result<Completed, ServeError>) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.completion.fulfill(outcome);
+    }
+
+    /// The executing side died: fails the ticket unless it already
+    /// resolved (the recovery path cannot know which tickets a dying
+    /// worker got to).
+    fn fail_if_unresolved(&self) {
+        if self
+            .completion
+            .fulfill_if_empty(Err(ServeError::ExecutionFailed))
+        {
+            self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One not-yet-validated ticket crossing the intake channel.
+struct Submission {
+    tenant: TenantId,
+    kind: HeOpKind,
+    ticket: Ticket,
 }
 
 /// One scheduled per-tenant dispatch crossing the work channel.
@@ -327,24 +363,12 @@ struct WorkItem {
     jobs: Vec<Job>,
 }
 
-/// One ticket inside a work item.
+/// One ticket inside a work item: the node computing it and the cost
+/// of the fused batch that node rides in.
 struct Job {
+    ticket: Ticket,
     node: NodeId,
-    completion: Completion,
     stats: BatchStats,
-    in_flight: Arc<AtomicUsize>,
-}
-
-/// Resolves one ticket: frees its quota slot *before* waking the
-/// waiter, so a client that observes completion can immediately
-/// submit against the freed slot.
-fn resolve(
-    completion: &Completion,
-    outcome: Result<Completed, ServeError>,
-    in_flight: &AtomicUsize,
-) {
-    in_flight.fetch_sub(1, Ordering::Relaxed);
-    completion.fulfill(outcome);
 }
 
 // ---------------------------------------------------------------------
@@ -357,14 +381,28 @@ struct TenantGate {
     quota: usize,
 }
 
-/// The serving handle inside [`serve_tenants`]'s closure: opens
-/// per-tenant [`Session`]s and reads aggregate stats. `&Server` is
-/// `Send + Sync` — share it across client threads.
-pub struct Server {
+/// What every handle on one serving loop shares.
+#[derive(Clone)]
+struct Intake {
     tx: Sender<Submission>,
     store: Arc<CtStore>,
     stats: Arc<Mutex<ServeStats>>,
     policy: Backpressure,
+}
+
+impl Intake {
+    fn stats(&self) -> ServeStats {
+        let mut s = *self.stats.lock().unwrap();
+        s.ct_evictions = self.store.evictions();
+        s
+    }
+}
+
+/// The serving handle inside [`serve_tenants`]'s closure: opens
+/// per-tenant [`Session`]s and reads aggregate stats. `&Server` is
+/// `Send + Sync` — share it across client threads.
+pub struct Server {
+    intake: Intake,
     gates: BTreeMap<TenantId, TenantGate>,
 }
 
@@ -384,19 +422,14 @@ impl Server {
             .clone();
         Session {
             tenant,
-            tx: self.tx.clone(),
-            store: self.store.clone(),
-            stats: self.stats.clone(),
-            policy: self.policy,
             gate,
+            intake: self.intake.clone(),
         }
     }
 
     /// Snapshot of the aggregate serving counters.
     pub fn stats(&self) -> ServeStats {
-        let mut s = *self.stats.lock().unwrap();
-        s.ct_evictions = self.store.evictions();
-        s
+        self.intake.stats()
     }
 }
 
@@ -404,11 +437,8 @@ impl Server {
 /// shared store plus the submission API. `&Session` is `Send + Sync`.
 pub struct Session {
     tenant: TenantId,
-    tx: Sender<Submission>,
-    store: Arc<CtStore>,
-    stats: Arc<Mutex<ServeStats>>,
-    policy: Backpressure,
     gate: TenantGate,
+    intake: Intake,
 }
 
 impl Session {
@@ -423,40 +453,40 @@ impl Session {
     /// [`take`](Self::take) removes it), so an input is never yanked
     /// from under a client still submitting against it.
     pub fn insert(&self, ct: Ciphertext) -> CtId {
-        self.store.insert(self.tenant, ct, true)
+        self.intake.store.insert(self.tenant, ct, true)
     }
 
     /// Clones a stored ciphertext out, failing with the precise
     /// reason ([`ServeError::Evicted`] / [`ServeError::CrossTenant`] /
     /// [`ServeError::UnresolvedOperand`]).
     pub fn fetch(&self, id: CtId) -> Result<Ciphertext, ServeError> {
-        self.store.get(self.tenant, id)
+        self.intake.store.get(self.tenant, id)
     }
 
     /// Removes a stored ciphertext this tenant owns — the response
     /// side of the pipeline, and how results stop occupying the
     /// bounded store.
     pub fn take(&self, id: CtId) -> Option<Ciphertext> {
-        self.store.take(self.tenant, id)
+        self.intake.store.take(self.tenant, id)
     }
 
     /// Pins `id` against LRU eviction (results arrive unpinned — a
     /// client keeping one around across later submissions pins it).
     pub fn retain(&self, id: CtId) -> Result<(), ServeError> {
-        self.store.set_pinned(self.tenant, id, true)
+        self.intake.store.set_pinned(self.tenant, id, true)
     }
 
     /// Unpins `id`, making it evictable under store pressure. A later
     /// request referencing it after eviction fails its own ticket
     /// with [`ServeError::Evicted`].
     pub fn release(&self, id: CtId) -> Result<(), ServeError> {
-        self.store.set_pinned(self.tenant, id, false)
+        self.intake.store.set_pinned(self.tenant, id, false)
     }
 
     /// Ciphertexts currently stored, across all tenants (the bounded
     /// population [`crate::serve::ServeConfig::store_capacity`] caps).
     pub fn stored(&self) -> usize {
-        self.store.len()
+        self.intake.store.len()
     }
 
     /// This tenant's in-flight (submitted, unresolved) request count.
@@ -464,29 +494,27 @@ impl Session {
         self.gate.in_flight.load(Ordering::Relaxed)
     }
 
-    /// Submits one operation over stored ciphertext ids; semantics of
-    /// [`crate::serve::Client::submit`], namespaced to this tenant:
-    /// operands must be owned by this tenant (a ticket naming another
-    /// tenant's id fails with [`ServeError::CrossTenant`]), and
-    /// submission is refused with [`SubmitError::TenantOverQuota`]
-    /// once the tenant's in-flight quota is reached.
+    /// Submits one operation over stored ciphertext ids. Under
+    /// [`Backpressure::Block`] this waits for intake room; under
+    /// [`Backpressure::Reject`] a full intake returns
+    /// [`SubmitError::QueueFull`]; once the tenant's in-flight quota
+    /// is reached it returns [`SubmitError::TenantOverQuota`] without
+    /// touching the shared intake.
     ///
-    /// # Panics
-    /// Panics on kinds the executor cannot replay and on an operand
-    /// count that does not match the kind's arity.
+    /// The ticket resolves through the returned [`Completion`]. Every
+    /// request rule is checked loop-side, so a bad request — an op
+    /// kind that cannot be served, a wrong operand count, another
+    /// tenant's or an evicted operand, a missing key, a level or scale
+    /// the op cannot take — fails its own ticket with a typed
+    /// [`ServeError`], never the caller or the server.
+    ///
+    /// To consume a result in a follow-up op, [`wait`] on its
+    /// completion first: ids are resolved when the request is
+    /// dispatched, and an id the store has not seen yet fails with
+    /// [`ServeError::UnresolvedOperand`].
+    ///
+    /// [`wait`]: Completion::wait
     pub fn submit(&self, kind: HeOpKind, operands: &[CtId]) -> Result<Completion, SubmitError> {
-        assert!(
-            kind.replayable() && kind != HeOpKind::Input,
-            "{} is cost-only and cannot be served",
-            kind.label()
-        );
-        assert_eq!(
-            operands.len(),
-            kind.arity(),
-            "{} expects {} operand(s)",
-            kind.label(),
-            kind.arity()
-        );
         // Admission control: reserve an in-flight slot or refuse.
         if self.gate.in_flight.fetch_add(1, Ordering::Relaxed) >= self.gate.quota {
             self.gate.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -496,14 +524,17 @@ impl Session {
         let submission = Submission {
             tenant: self.tenant,
             kind,
-            operands: operands.to_vec(),
-            completion: completion.clone(),
-            submitted_at: Instant::now(),
-            in_flight: self.gate.in_flight.clone(),
+            ticket: Ticket {
+                operands: operands.to_vec(),
+                completion: completion.clone(),
+                submitted_at: Instant::now(),
+                in_flight: self.gate.in_flight.clone(),
+            },
         };
-        let sent = match self.policy {
-            Backpressure::Block => self.tx.send(submission).map_err(|_| SubmitError::Closed),
-            Backpressure::Reject => self.tx.try_send(submission).map_err(|e| match e {
+        let tx = &self.intake.tx;
+        let sent = match self.intake.policy {
+            Backpressure::Block => tx.send(submission).map_err(|_| SubmitError::Closed),
+            Backpressure::Reject => tx.try_send(submission).map_err(|e| match e {
                 TrySendError::Full(_) => SubmitError::QueueFull,
                 TrySendError::Closed(_) => SubmitError::Closed,
             }),
@@ -520,8 +551,8 @@ impl Session {
         self.submit(HeOpKind::Add, &[a, b])
     }
 
-    /// HE-Mult of two stored ciphertexts (needs this tenant's relin
-    /// key).
+    /// HE-Mult (tensor + relinearize + rescale) of two stored
+    /// ciphertexts (needs this tenant's relin key).
     pub fn mult(&self, a: CtId, b: CtId) -> Result<Completion, SubmitError> {
         self.submit(HeOpKind::Mult, &[a, b])
     }
@@ -544,9 +575,7 @@ impl Session {
 
     /// Snapshot of the aggregate serving counters.
     pub fn stats(&self) -> ServeStats {
-        let mut s = *self.stats.lock().unwrap();
-        s.ct_evictions = self.store.evictions();
-        s
+        self.intake.stats()
     }
 }
 
@@ -563,49 +592,81 @@ struct Dispatcher<'a> {
     store: Arc<CtStore>,
     stats: Arc<Mutex<ServeStats>>,
     cache: KeyCache,
-    queue: RequestQueue,
-    /// Per accepted ticket: operand ids (resolved to ciphertexts at
-    /// dispatch time, so eviction in between surfaces per-ticket) and
-    /// the tenant's in-flight counter.
-    meta: BTreeMap<u64, (Vec<CtId>, Arc<AtomicUsize>)>,
+    queue: RequestQueue<Ticket>,
     drain_max: usize,
     gather_max: usize,
-    batch_window: std::time::Duration,
-    slo: Option<std::time::Duration>,
+    batch_window: Duration,
     dispatch_seq: u64,
 }
 
 impl Dispatcher<'_> {
-    /// Validates one submission at intake: key availability, operand
+    /// The one place a request is judged, at intake: whether the kind
+    /// can be served at all, operand count, key availability, operand
     /// existence/ownership, level and scale rules. Returns the
     /// execution level (the operands' aligned minimum — exactly what
-    /// the eager evaluator would use).
+    /// the eager evaluator would use). Nothing past this point —
+    /// graph formation, the executor, the evaluator — may reject an
+    /// admitted request, so a bad one fails its ticket here instead of
+    /// panicking a thread there.
     fn admit(&self, sub: &Submission) -> Result<usize, ServeError> {
-        let keys = self
-            .tenants
-            .get(&sub.tenant)
-            .expect("sessions only exist for registered tenants");
-        keys.check(sub.kind)?;
-        let mut shapes = Vec::with_capacity(sub.operands.len());
-        for &id in &sub.operands {
-            shapes.push(self.store.inspect(sub.tenant, id)?);
+        let (kind, operands) = (sub.kind, &sub.ticket.operands);
+        // Exhaustive on purpose: a new kind must decide here whether a
+        // session can serve it, and the lowest level that hosts it.
+        let min_level = match kind {
+            HeOpKind::Add
+            | HeOpKind::Sub
+            | HeOpKind::Rotate { .. }
+            | HeOpKind::HoistedRotate { .. } => 1,
+            // One limb is consumed.
+            HeOpKind::Mult | HeOpKind::Rescale => 2,
+            HeOpKind::ModDrop { to_level: 0 } => {
+                return Err(ServeError::InvalidLevel(kind.label()))
+            }
+            HeOpKind::ModDrop { to_level } => to_level,
+            // Cost-model-only kinds, and the const kinds whose scalar
+            // table a session does not carry.
+            HeOpKind::Input
+            | HeOpKind::PlainMult
+            | HeOpKind::PlainMultConst { .. }
+            | HeOpKind::PlainAddConst { .. }
+            | HeOpKind::KeySwitch
+            | HeOpKind::Bootstrap
+            | HeOpKind::HoistDecomp => return Err(ServeError::Unservable(kind.label())),
+        };
+        if operands.len() != kind.arity() {
+            return Err(ServeError::WrongArity {
+                expected: kind.arity(),
+                got: operands.len(),
+            });
         }
+        let keys = &self.tenants[&sub.tenant];
+        if KeyRef::of(kind).is_some_and(|key| keys.key_bytes(key).is_none()) {
+            return Err(ServeError::MissingKey(kind.label()));
+        }
+        let shapes = operands
+            .iter()
+            .map(|&id| self.store.inspect(sub.tenant, id))
+            .collect::<Result<Vec<_>, _>>()?;
         let level = shapes.iter().map(|&(l, _)| l).min().expect("arity ≥ 1");
-        match sub.kind {
-            HeOpKind::Mult | HeOpKind::Rescale if level < 2 => {
-                return Err(ServeError::InvalidLevel(sub.kind.label()))
-            }
-            HeOpKind::ModDrop { to_level } if !(1..=level).contains(&to_level) => {
-                return Err(ServeError::InvalidLevel(sub.kind.label()))
-            }
-            // The evaluator's own Add tolerance: sub-percent scale
-            // drift is fine, more corrupts the message.
-            HeOpKind::Add if (shapes[0].1 / shapes[1].1 - 1.0).abs() >= 1e-2 => {
-                return Err(ServeError::ScaleMismatch)
-            }
-            _ => {}
+        if level < min_level {
+            return Err(ServeError::InvalidLevel(kind.label()));
+        }
+        // The evaluator's own Add/Sub tolerance: sub-percent scale
+        // drift is fine, more corrupts the message.
+        if matches!(kind, HeOpKind::Add | HeOpKind::Sub)
+            && (shapes[0].1 / shapes[1].1 - 1.0).abs() >= 1e-2
+        {
+            return Err(ServeError::ScaleMismatch);
         }
         Ok(level)
+    }
+
+    /// Fails one ticket the loop will not execute — counted before its
+    /// waiter wakes, so a client that sees the error sees it in
+    /// [`ServeStats::failed`].
+    fn fail(&self, ticket: &Ticket, e: ServeError) {
+        self.stats.lock().unwrap().failed += 1;
+        ticket.resolve(Err(e));
     }
 
     /// Forms and sends one per-tenant dispatch from an
@@ -614,63 +675,46 @@ impl Dispatcher<'_> {
     fn dispatch_tenant(
         &mut self,
         tenant: TenantId,
-        requests: &[HeRequest],
-        completions: Vec<Option<Completion>>,
-        in_flights: Vec<Arc<AtomicUsize>>,
+        requests: Vec<HeRequest<Ticket>>,
         inputs: Vec<Ciphertext>,
     ) -> bool {
-        let dispatch =
-            RequestQueue::dispatch_requests(requests, completions, &self.scheduler, &self.params);
+        let Dispatch {
+            graph,
+            schedule,
+            tickets,
+        } = RequestQueue::dispatch_requests(requests, &self.scheduler, &self.params);
 
         // Key residency: touch every key the schedule loads under
         // this tenant. Misses bill modeled re-admission seconds.
         let keys = &self.tenants[&tenant];
         let mut admit_s = 0.0;
-        for batch in &dispatch.schedule.batches {
+        // Per-node batch stats from the formed schedule.
+        let mut stat_of: BTreeMap<NodeId, BatchStats> = BTreeMap::new();
+        for batch in &schedule.batches {
             if let Some(kr) = batch.key_ref() {
                 let bytes = keys.key_bytes(kr).expect("key presence validated at admit");
                 admit_s += self.cache.touch(tenant, kr, bytes);
             }
-        }
-
-        // Per-node batch stats from the formed schedule.
-        let mut stat_of: BTreeMap<NodeId, BatchStats> = BTreeMap::new();
-        for batch in &dispatch.schedule.batches {
             let stats = BatchStats {
                 ops: batch.ops,
                 wall_s: batch.wall_s,
                 per_op_s: batch.per_op_s,
             };
-            for &node in &batch.nodes {
-                stat_of.insert(node, stats);
-            }
-        }
-
-        let mut jobs = Vec::with_capacity(dispatch.tickets.len());
-        for (i, &(_, node)) in dispatch.tickets.iter().enumerate() {
-            jobs.push(Job {
-                node,
-                completion: dispatch.completions[i]
-                    .clone()
-                    .expect("serving submissions carry completions"),
-                stats: stat_of[&node],
-                in_flight: in_flights[i].clone(),
-            });
+            stat_of.extend(batch.nodes.iter().map(|&node| (node, stats)));
         }
 
         {
             let mut s = self.stats.lock().unwrap();
             s.dispatches += 1;
-            s.batches += dispatch.schedule.batches.len() as u64;
-            s.ops += dispatch.schedule.op_count() as u64;
-            s.fused_ops += dispatch
-                .schedule
+            s.batches += schedule.batches.len() as u64;
+            s.ops += schedule.op_count() as u64;
+            s.fused_ops += schedule
                 .batches
                 .iter()
                 .filter(|b| b.ops > 1)
                 .map(|b| b.ops as u64)
                 .sum::<u64>();
-            s.modeled_wall_s += dispatch.schedule.wall_s() + admit_s;
+            s.modeled_wall_s += schedule.wall_s() + admit_s;
             let ks = self.cache.stats();
             s.key_hits = ks.hits;
             s.key_misses = ks.misses;
@@ -682,10 +726,17 @@ impl Dispatcher<'_> {
         let item = WorkItem {
             tenant,
             seq: self.dispatch_seq,
-            graph: dispatch.graph,
-            schedule: dispatch.schedule,
+            graph,
+            schedule,
             inputs,
-            jobs,
+            jobs: tickets
+                .into_iter()
+                .map(|(req, node)| Job {
+                    ticket: req.payload,
+                    node,
+                    stats: stat_of[&node],
+                })
+                .collect(),
         };
         self.dispatch_seq += 1;
         if let Err(channel::SendError(item)) = self.work_tx.send(item) {
@@ -693,148 +744,78 @@ impl Dispatcher<'_> {
             // waiters — the panic itself still propagates when the
             // scope joins.
             for job in &item.jobs {
-                if job
-                    .completion
-                    .fulfill_if_empty(Err(ServeError::ExecutionFailed))
-                {
-                    job.in_flight.fetch_sub(1, Ordering::Relaxed);
-                }
+                job.ticket.fail_if_unresolved();
             }
             return false;
         }
         true
     }
 
-    /// Fails everything still queued or en route — the dead-worker
-    /// shutdown path, so no accepted ticket is left hanging.
-    fn fail_all_remaining(&mut self) {
-        loop {
-            let leftover = self.queue.pop_fair(self.drain_max.max(1));
-            if leftover.is_empty() {
-                break;
-            }
-            for req in leftover {
-                let completion = self
-                    .queue
-                    .take_completion(req.ticket)
-                    .expect("serving submissions carry completions");
-                let (_, in_flight) = self.meta.remove(&req.ticket).expect("admitted");
-                resolve(&completion, Err(ServeError::ExecutionFailed), &in_flight);
-            }
-        }
-        for sub in self.rx.try_recv_batch(usize::MAX) {
-            resolve(
-                &sub.completion,
-                Err(ServeError::ExecutionFailed),
-                &sub.in_flight,
-            );
-        }
-    }
-
     fn run(mut self) {
         loop {
-            // Intake: block when idle; when a backlog is pending, only
-            // top up without blocking (and without exceeding the
-            // queue's bound), so the DRR windows keep draining.
+            // Intake: gather when idle — until the oldest queued
+            // ticket's `submitted_at + batch_window` (a zero window
+            // takes what is queued); with a backlog pending, only top
+            // up without blocking (and without exceeding the queue's
+            // bound), so the DRR windows keep draining.
             let submissions = if self.queue.is_empty() {
-                match self.slo {
-                    Some(slo) => self
-                        .rx
-                        .recv_batch_deadline(self.gather_max, |s: &Submission| {
-                            s.submitted_at + slo
-                        }),
-                    None => self
-                        .rx
-                        .recv_batch_window(self.gather_max, self.batch_window),
-                }
+                let window = self.batch_window;
+                self.rx
+                    .recv_batch(self.gather_max, |s| s.ticket.submitted_at + window)
             } else {
-                let room = self.gather_max.saturating_sub(self.queue.len());
-                if room > 0 {
-                    self.rx.try_recv_batch(room)
-                } else {
-                    Vec::new()
-                }
+                self.rx
+                    .try_recv_batch(self.gather_max.saturating_sub(self.queue.len()))
             };
             if submissions.is_empty() && self.queue.is_empty() {
                 break; // intake closed and drained — shut down
             }
 
-            let mut failed = 0u64;
             for sub in submissions {
                 match self.admit(&sub) {
-                    Err(e) => {
-                        failed += 1;
-                        resolve(&sub.completion, Err(e), &sub.in_flight);
-                    }
+                    Err(e) => self.fail(&sub.ticket, e),
                     Ok(level) => {
-                        let ticket = self
-                            .queue
-                            .submit_with_completion_for(sub.tenant, sub.kind, level, sub.completion)
+                        self.queue
+                            .submit(sub.tenant, sub.kind, level, sub.ticket)
                             .expect("queue bounded to the gather budget");
-                        self.meta.insert(ticket, (sub.operands, sub.in_flight));
                     }
                 }
             }
 
             // One deficit-round-robin window, formed into one dispatch
             // per tenant (fused batches never mix tenants).
-            let popped = self.queue.pop_fair(self.drain_max);
-            let mut by_tenant: BTreeMap<TenantId, Vec<HeRequest>> = BTreeMap::new();
-            for req in popped {
-                by_tenant.entry(req.tenant).or_default().push(req);
-            }
             let mut workers_alive = true;
-            for (tenant, requests) in by_tenant {
+            for (tenant, requests) in self.queue.pop_fair_by_tenant(self.drain_max) {
                 let mut ok = Vec::with_capacity(requests.len());
-                let mut completions = Vec::new();
-                let mut in_flights = Vec::new();
                 let mut inputs = Vec::new();
                 for req in requests {
-                    let completion = self
-                        .queue
-                        .take_completion(req.ticket)
-                        .expect("serving submissions carry completions");
-                    let (ids, in_flight) = self.meta.remove(&req.ticket).expect("admitted");
                     // Deferred operand resolution: an eviction between
                     // admission and dispatch surfaces here, failing
                     // only this ticket.
-                    let mut cts = Vec::with_capacity(ids.len());
-                    let mut err = None;
-                    for id in ids {
-                        match self.store.get(tenant, id) {
-                            Ok(ct) => cts.push(ct),
-                            Err(e) => {
-                                err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    match err {
-                        Some(e) => {
-                            failed += 1;
-                            resolve(&completion, Err(e), &in_flight);
-                        }
-                        None => {
-                            ok.push(req);
-                            completions.push(Some(completion));
-                            in_flights.push(in_flight);
+                    let operands = req.payload.operands.iter();
+                    let cts: Result<Vec<_>, _> =
+                        operands.map(|&id| self.store.get(tenant, id)).collect();
+                    match cts {
+                        Ok(cts) => {
                             inputs.extend(cts);
+                            ok.push(req);
                         }
+                        Err(e) => self.fail(&req.payload, e),
                     }
                 }
-                if ok.is_empty() {
-                    continue;
+                // With the pool gone the send fails its own tickets;
+                // keep going so every popped ticket still resolves.
+                if !ok.is_empty() {
+                    workers_alive &= self.dispatch_tenant(tenant, ok, inputs);
                 }
-                if !self.dispatch_tenant(tenant, &ok, completions, in_flights, inputs) {
-                    workers_alive = false;
-                    break;
-                }
-            }
-            if failed > 0 {
-                self.stats.lock().unwrap().failed += failed;
             }
             if !workers_alive {
-                self.fail_all_remaining();
+                // Dead-worker shutdown: fail everything still queued
+                // or en route, so no accepted ticket is left hanging.
+                let queued = self.queue.pop_fair(usize::MAX).into_iter();
+                let en_route = self.rx.try_recv_batch(usize::MAX).into_iter();
+                for ticket in queued.map(|r| r.payload).chain(en_route.map(|s| s.ticket)) {
+                    ticket.resolve(Err(ServeError::ExecutionFailed));
+                }
                 break;
             }
         }
@@ -872,26 +853,14 @@ fn worker(
                     .take()
                     .expect("admitted ops are replayable");
                 let id = store.insert(item.tenant, ct, false);
-                let s = seq.fetch_add(1, Ordering::Relaxed);
-                resolve(
-                    &job.completion,
-                    Ok(Completed {
-                        id,
-                        batch: job.stats,
-                        seq: s,
-                    }),
-                    &job.in_flight,
-                );
+                let seq = seq.fetch_add(1, Ordering::Relaxed);
+                let batch = job.stats;
+                job.ticket.resolve(Ok(Completed { id, batch, seq }));
             }
         }));
         if let Err(panic) = outcome {
             for job in &item.jobs {
-                if job
-                    .completion
-                    .fulfill_if_empty(Err(ServeError::ExecutionFailed))
-                {
-                    job.in_flight.fetch_sub(1, Ordering::Relaxed);
-                }
+                job.ticket.fail_if_unresolved();
             }
             std::panic::resume_unwind(panic);
         }
@@ -906,8 +875,8 @@ fn worker(
 ///
 /// Results are bit-exact with eager per-tenant [`Evaluator`] calls
 /// for any worker count, tenant interleaving, or store/key-cache
-/// pressure. [`crate::serve::run`] is the single-tenant special case
-/// (one [`DEFAULT_TENANT`] spec) and delegates here.
+/// pressure. [`crate::serve::run`] is the single-tenant constructor
+/// (one [`crate::queue::DEFAULT_TENANT`] spec) and delegates here.
 ///
 /// # Panics
 /// Panics if `tenants` is empty or contains duplicate ids.
@@ -958,11 +927,9 @@ pub fn serve_tenants<R>(
         stats: stats.clone(),
         cache: KeyCache::new(config.gen, config.cores, config.key_cache_bytes),
         queue,
-        meta: BTreeMap::new(),
         drain_max: config.drain_max,
         gather_max: config.capacity,
         batch_window: config.batch_window,
-        slo: config.slo,
         dispatch_seq: 0,
     };
     let seq = &seq;
@@ -976,10 +943,12 @@ pub fn serve_tenants<R>(
         }
         drop(work_rx); // workers hold the only receive clones now
         let server = Server {
-            tx,
-            store,
-            stats,
-            policy: config.policy,
+            intake: Intake {
+                tx,
+                store,
+                stats,
+                policy: config.policy,
+            },
             gates,
         };
         let result = f(&server);
@@ -991,12 +960,6 @@ pub fn serve_tenants<R>(
         drop(server);
         result
     })
-}
-
-/// The single-tenant spec [`crate::serve::run`] registers: all
-/// traffic as [`DEFAULT_TENANT`], weight 1, no quota.
-pub(crate) fn default_tenant_spec(keys: &ServeKeys) -> TenantSpec {
-    TenantSpec::new(DEFAULT_TENANT, keys.clone())
 }
 
 #[cfg(test)]
@@ -1094,6 +1057,58 @@ mod tests {
             assert_eq!(s.in_flight(), 0);
             assert!(s.add(x, x).is_ok());
         });
+    }
+
+    #[test]
+    fn shutdown_resolves_every_ticket_in_flight() {
+        // The closure submits and returns without waiting on anything:
+        // the drain on the way out must still resolve every ticket —
+        // the valid ones with results, the bad ones with their error —
+        // exactly once, and hand every quota slot back.
+        const PER_TENANT: usize = 12;
+        let (ctx, kp) = toy_ctx();
+        let tenants = vec![
+            TenantSpec::new(1, ServeKeys::new()),
+            TenantSpec::new(2, ServeKeys::new()),
+        ];
+        let config = ServeConfig::new(TpuGeneration::V6e, 4)
+            .with_workers(2)
+            .with_drain_max(2);
+        let ct = ctx.encrypt(&vec![0.5; ctx.slot_count()], &kp.public);
+        let (pending, counters) = serve_tenants(&ctx, tenants, &config, |server| {
+            let mut pending = Vec::new();
+            for tenant in [1, 2] {
+                let s = server.session(tenant);
+                let x = s.insert(ct.clone());
+                for i in 0..PER_TENANT {
+                    // Every fourth request names an operand nobody stored.
+                    let y = if i % 4 == 3 { 999 } else { x };
+                    pending.push(s.add(x, y).expect("submit"));
+                }
+            }
+            let counters: Vec<Arc<AtomicUsize>> =
+                server.gates.values().map(|g| g.in_flight.clone()).collect();
+            (pending, counters)
+        });
+        assert_eq!(pending.len(), 2 * PER_TENANT);
+        let outcomes: Vec<_> = pending
+            .iter()
+            .map(|c| c.try_wait().expect("resolved before serve_tenants returns"))
+            .collect();
+        let seqs: BTreeSet<u64> = outcomes.iter().flatten().map(|done| done.seq).collect();
+        assert_eq!(
+            seqs.len(),
+            2 * PER_TENANT * 3 / 4,
+            "each result exactly once"
+        );
+        let errors = outcomes.iter().filter_map(|o| o.err());
+        assert_eq!(
+            errors.collect::<Vec<_>>(),
+            vec![ServeError::UnresolvedOperand(999); 2 * PER_TENANT / 4]
+        );
+        for counter in counters {
+            assert_eq!(counter.load(Ordering::Relaxed), 0, "quota slot leaked");
+        }
     }
 
     #[test]

@@ -91,7 +91,7 @@
 //! let params = ParamSet::C.params();
 //! let mut queue = RequestQueue::new();
 //! for _ in 0..8 {
-//!     queue.submit(HeOpKind::Mult, params.limbs);
+//!     queue.submit_default(HeOpKind::Mult, params.limbs).unwrap();
 //! }
 //! let scheduler = Scheduler::new(TpuGeneration::V6e, 8);
 //! let dispatch = queue.drain(&scheduler, &params, 8);
@@ -160,12 +160,12 @@
 //!     .with_rotation(1, ctx.generate_rotation_key(&kp.secret, 1));
 //! let config = ServeConfig::new(TpuGeneration::V6e, 8).with_workers(2);
 //!
-//! serve::run(&ctx, &keys, &config, |client| {
+//! serve::run(&ctx, &keys, &config, |session| {
 //!     let msg = vec![0.2; ctx.slot_count()];
-//!     let x = client.insert(ctx.encrypt(&msg, &kp.public));
+//!     let x = session.insert(ctx.encrypt(&msg, &kp.public));
 //!     // A burst of mults and rotates; completions resolve per ticket.
 //!     let pending: Vec<_> = (0..6)
-//!         .map(|i| if i % 2 == 0 { client.mult(x, x) } else { client.rotate(x, 1) })
+//!         .map(|i| if i % 2 == 0 { session.mult(x, x) } else { session.rotate(x, 1) })
 //!         .map(|c| c.expect("accepted"))
 //!         .collect();
 //!     for completion in pending {
@@ -174,9 +174,9 @@
 //!             "result ct {} rode a batch of {} ops ({:.1} us/op modeled)",
 //!             done.id, done.batch.ops, done.batch.per_op_s * 1e6,
 //!         );
-//!         let _response = client.take(done.id).expect("result stored");
+//!         let _response = session.take(done.id).expect("result stored");
 //!     }
-//!     assert!(client.stats().occupancy() >= 1.0);
+//!     assert!(session.stats().occupancy() >= 1.0);
 //! });
 //! ```
 

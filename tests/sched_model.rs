@@ -209,9 +209,11 @@ fn scheduling_is_deterministic_across_runs() {
         let mut q = RequestQueue::new();
         for i in 0..24 {
             match i % 3 {
-                0 => q.submit(HeOpKind::Rotate { steps: 1 + i % 2 }, params.limbs),
-                1 => q.submit(HeOpKind::Mult, params.limbs),
-                _ => q.submit(HeOpKind::Add, params.limbs),
+                0 => q
+                    .submit_default(HeOpKind::Rotate { steps: 1 + i % 2 }, params.limbs)
+                    .unwrap(),
+                1 => q.submit_default(HeOpKind::Mult, params.limbs).unwrap(),
+                _ => q.submit_default(HeOpKind::Add, params.limbs).unwrap(),
             };
         }
         q
@@ -261,9 +263,11 @@ fn optimized_drain_is_deterministic_and_a_noop_on_flat_queues() {
         let mut q = RequestQueue::new();
         for i in 0..24 {
             match i % 3 {
-                0 => q.submit(HeOpKind::Rotate { steps: 1 + i % 2 }, params.limbs),
-                1 => q.submit(HeOpKind::Mult, params.limbs),
-                _ => q.submit(HeOpKind::Add, params.limbs),
+                0 => q
+                    .submit_default(HeOpKind::Rotate { steps: 1 + i % 2 }, params.limbs)
+                    .unwrap(),
+                1 => q.submit_default(HeOpKind::Mult, params.limbs).unwrap(),
+                _ => q.submit_default(HeOpKind::Add, params.limbs).unwrap(),
             };
         }
         q
@@ -293,7 +297,8 @@ fn fused_batches_beat_naive_per_op_scheduling() {
     let params = ParamSet::C.params();
     let mut q = RequestQueue::new();
     for _ in 0..16 {
-        q.submit(HeOpKind::Rotate { steps: 1 }, params.limbs);
+        q.submit_default(HeOpKind::Rotate { steps: 1 }, params.limbs)
+            .unwrap();
     }
     for mode in [ExecMode::Unfused, ExecMode::FusedBatch] {
         let scheduler = Scheduler::new(TpuGeneration::V6e, 8).with_mode(mode);
@@ -347,5 +352,47 @@ proptest! {
             }
         }
         prop_assert_eq!(seen.len(), ops.len(), "ops lost by the scheduler");
+    }
+
+    /// The payload queue only routes: whatever the tenants, weights
+    /// and window sizes, every payload comes out of `pop_fair` exactly
+    /// once, on the ticket it went in with, FIFO within its tenant —
+    /// which is what lets a serving loop keep a ticket's whole state in
+    /// the queued request instead of in tables beside the queue.
+    #[test]
+    fn prop_payloads_ride_their_tickets_through_pop_fair(
+        tenants in proptest::collection::vec(0u64..4, 1..60),
+        weights in proptest::collection::vec(1u64..5, 4),
+        windows in proptest::collection::vec(1usize..9, 1..8),
+    ) {
+        let mut q: RequestQueue<usize> = RequestQueue::new();
+        for (tenant, &weight) in weights.iter().enumerate() {
+            q.set_weight(tenant as u64, weight);
+        }
+        // The payload is the submission's index.
+        let tickets: Vec<u64> = tenants
+            .iter()
+            .enumerate()
+            .map(|(i, &tenant)| q.submit(tenant, HeOpKind::Add, 4, i).unwrap())
+            .collect();
+
+        let mut popped = Vec::new();
+        for &max in windows.iter().cycle() {
+            if q.is_empty() {
+                break;
+            }
+            let window = q.pop_fair(max);
+            prop_assert!(!window.is_empty() && window.len() <= max, "work-conserving, capped");
+            popped.extend(window);
+        }
+        prop_assert_eq!(popped.len(), tenants.len(), "payload lost or duplicated");
+        let mut last_of = std::collections::BTreeMap::new();
+        for req in &popped {
+            prop_assert_eq!(req.ticket, tickets[req.payload], "payload left its ticket");
+            prop_assert_eq!(req.tenant, tenants[req.payload]);
+            if let Some(prev) = last_of.insert(req.tenant, req.payload) {
+                prop_assert!(prev < req.payload, "tenant {} popped out of order", req.tenant);
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //!    bit-identical results.
 //! 4. **Backpressure** — the bounded intake blocks
 //!    ([`Backpressure::Block`]: lossless, everything completes) or
-//!    rejects ([`Backpressure::Reject`] / [`RequestQueue::try_submit`]:
+//!    rejects ([`Backpressure::Reject`] / [`RequestQueue::submit`]:
 //!    the producer observes queue-full) at capacity.
 
 use cross::ckks::{CkksContext, CkksParams, Evaluator, KeyPair};
@@ -68,12 +68,15 @@ fn every_ticket_completes_once_bit_exact_with_eager_calls() {
     let msgs = messages(&ctx, 3);
     let cts: Vec<_> = msgs.iter().map(|m| ctx.encrypt(m, &kp.public)).collect();
 
-    // Eager reference: one of every replayable op.
+    // Eager reference: one of every servable op kind.
     let want = [
         ev.add(&cts[0], &cts[1]),
+        ev.sub(&cts[0], &cts[1]),
         ev.mult(&cts[0], &cts[2], &kp.relin),
         ev.rotate(&cts[1], 1, &rk1),
         ev.rotate(&cts[2], 3, &rk3),
+        // A hoisted rotation outside a fan-out is a plain rotation.
+        ev.rotate(&cts[0], 3, &rk3),
         ev.rescale(&cts[0]),
         ev.mod_drop(&cts[1], cts[1].level - 1),
     ];
@@ -82,15 +85,19 @@ fn every_ticket_completes_once_bit_exact_with_eager_calls() {
         let config = ServeConfig::new(TpuGeneration::V6e, 8)
             .with_workers(workers)
             .with_drain_max(8);
-        let got = serve::run(&ctx, &keys, &config, |client| {
-            let xs: Vec<_> = cts.iter().map(|ct| client.insert(ct.clone())).collect();
+        let got = serve::run(&ctx, &keys, &config, |session| {
+            let xs: Vec<_> = cts.iter().map(|ct| session.insert(ct.clone())).collect();
             let pending = [
-                client.add(xs[0], xs[1]).unwrap(),
-                client.mult(xs[0], xs[2]).unwrap(),
-                client.rotate(xs[1], 1).unwrap(),
-                client.rotate(xs[2], 3).unwrap(),
-                client.rescale(xs[0]).unwrap(),
-                client.mod_drop(xs[1], cts[1].level - 1).unwrap(),
+                session.add(xs[0], xs[1]).unwrap(),
+                session.submit(HeOpKind::Sub, &[xs[0], xs[1]]).unwrap(),
+                session.mult(xs[0], xs[2]).unwrap(),
+                session.rotate(xs[1], 1).unwrap(),
+                session.rotate(xs[2], 3).unwrap(),
+                session
+                    .submit(HeOpKind::HoistedRotate { steps: 3 }, &[xs[0]])
+                    .unwrap(),
+                session.rescale(xs[0]).unwrap(),
+                session.mod_drop(xs[1], cts[1].level - 1).unwrap(),
             ];
             let results: Vec<_> = pending
                 .iter()
@@ -101,10 +108,10 @@ fn every_ticket_completes_once_bit_exact_with_eager_calls() {
                     // the client side).
                     assert_eq!(c.try_wait(), Some(Ok(done)));
                     assert!(done.batch.ops >= 1);
-                    client.take(done.id).expect("result stored once")
+                    session.take(done.id).expect("result stored once")
                 })
                 .collect();
-            assert!(client.stats().ops >= pending.len() as u64);
+            assert!(session.stats().ops >= pending.len() as u64);
             results
         });
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -128,12 +135,12 @@ fn chained_requests_match_the_eager_chain() {
     let want = ev.mult(&erot, &erot, &kp.relin);
 
     let config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(2);
-    let got = serve::run(&ctx, &keys, &config, |client| {
-        let x = client.insert(ct.clone());
+    let got = serve::run(&ctx, &keys, &config, |session| {
+        let x = session.insert(ct.clone());
         // Chain: wait on the rotation before consuming its result id.
-        let rot = client.rotate(x, 2).unwrap().wait().unwrap();
-        let sq = client.mult(rot.id, rot.id).unwrap().wait().unwrap();
-        client.take(sq.id).unwrap()
+        let rot = session.rotate(x, 2).unwrap().wait().unwrap();
+        let sq = session.mult(rot.id, rot.id).unwrap().wait().unwrap();
+        session.take(sq.id).unwrap()
     });
     assert_bits_eq(&got, &want, "rotate→square chain");
 }
@@ -154,21 +161,21 @@ fn multi_client_fanout_matches_eager_and_fuses() {
         .with_workers(2)
         .with_drain_max(16);
     let relin = &kp.relin;
-    let stats = serve::run(&ctx, &keys, &config, |client| {
+    let stats = serve::run(&ctx, &keys, &config, |session| {
         std::thread::scope(|s| {
             for ct in &cts {
                 s.spawn(move || {
-                    let x = client.insert(ct.clone());
+                    let x = session.insert(ct.clone());
                     for _ in 0..per_client {
-                        let done = client.mult(x, x).unwrap().wait().unwrap();
-                        let got = client.take(done.id).unwrap();
+                        let done = session.mult(x, x).unwrap().wait().unwrap();
+                        let got = session.take(done.id).unwrap();
                         let want = ev.mult(ct, ct, relin);
                         assert_bits_eq(&got, &want, "fanned-out square");
                     }
                 });
             }
         });
-        client.stats()
+        session.stats()
     });
     assert_eq!(stats.ops, (4 * per_client) as u64, "no ticket lost");
     assert_eq!(stats.failed, 0);
@@ -186,18 +193,18 @@ fn deterministic_under_a_single_worker() {
         let config = ServeConfig::new(TpuGeneration::V6e, 4)
             .with_workers(1)
             .with_drain_max(4);
-        serve::run(&ctx, &keys, &config, |client| {
-            let xs: Vec<_> = cts.iter().map(|ct| client.insert(ct.clone())).collect();
+        serve::run(&ctx, &keys, &config, |session| {
+            let xs: Vec<_> = cts.iter().map(|ct| session.insert(ct.clone())).collect();
             let pending = vec![
-                client.rotate(xs[0], 1).unwrap(),
-                client.mult(xs[0], xs[1]).unwrap(),
-                client.add(xs[0], xs[1]).unwrap(),
+                session.rotate(xs[0], 1).unwrap(),
+                session.mult(xs[0], xs[1]).unwrap(),
+                session.add(xs[0], xs[1]).unwrap(),
             ];
             pending
                 .into_iter()
                 .map(|c| {
                     let done = c.wait().unwrap();
-                    (done.id, client.take(done.id).unwrap())
+                    (done.id, session.take(done.id).unwrap())
                 })
                 .collect::<Vec<_>>()
         })
@@ -224,13 +231,13 @@ fn blocking_backpressure_loses_nothing_at_capacity_one() {
         .with_workers(2)
         .with_capacity(1)
         .with_policy(Backpressure::Block);
-    let stats = serve::run(&ctx, &keys, &config, |client| {
-        let x = client.insert(ct.clone());
-        let pending: Vec<Completion> = (0..total).map(|_| client.add(x, x).unwrap()).collect();
+    let stats = serve::run(&ctx, &keys, &config, |session| {
+        let x = session.insert(ct.clone());
+        let pending: Vec<Completion> = (0..total).map(|_| session.add(x, x).unwrap()).collect();
         for c in &pending {
             assert!(c.wait().is_ok());
         }
-        client.stats()
+        session.stats()
     });
     assert_eq!(stats.ops, total as u64);
     assert_eq!(stats.failed, 0);
@@ -244,15 +251,21 @@ fn bounded_queue_rejects_at_capacity() {
     let params = cross::ckks::params::ParamSet::B.params();
     let mut q = RequestQueue::bounded(3);
     for _ in 0..3 {
-        assert!(q.try_submit(HeOpKind::Add, params.limbs).is_ok());
+        assert!(q.submit_default(HeOpKind::Add, params.limbs).is_ok());
     }
-    assert_eq!(q.try_submit(HeOpKind::Add, params.limbs), Err(QueueFull));
+    assert_eq!(
+        q.submit_default(HeOpKind::Add, params.limbs),
+        Err(QueueFull)
+    );
     let scheduler = Scheduler::new(TpuGeneration::V6e, 4);
     let d = q.drain(&scheduler, &params, 2);
     assert_eq!(d.tickets.len(), 2);
-    assert!(q.try_submit(HeOpKind::Add, params.limbs).is_ok());
-    assert!(q.try_submit(HeOpKind::Add, params.limbs).is_ok());
-    assert_eq!(q.try_submit(HeOpKind::Add, params.limbs), Err(QueueFull));
+    assert!(q.submit_default(HeOpKind::Add, params.limbs).is_ok());
+    assert!(q.submit_default(HeOpKind::Add, params.limbs).is_ok());
+    assert_eq!(
+        q.submit_default(HeOpKind::Add, params.limbs),
+        Err(QueueFull)
+    );
 }
 
 #[test]
@@ -271,12 +284,12 @@ fn reject_policy_surfaces_queue_full_or_completes() {
         .with_workers(1)
         .with_capacity(1)
         .with_policy(Backpressure::Reject);
-    let (accepted, rejected) = serve::run(&ctx, &keys, &config, |client| {
-        let x = client.insert(ct.clone());
+    let (accepted, rejected) = serve::run(&ctx, &keys, &config, |session| {
+        let x = session.insert(ct.clone());
         let mut accepted = Vec::new();
         let mut rejected = 0usize;
         for _ in 0..64 {
-            match client.add(x, x) {
+            match session.add(x, x) {
                 Ok(completion) => accepted.push(completion),
                 Err(serve::SubmitError::QueueFull) => rejected += 1,
                 Err(e) => panic!("unexpected submit error: {e}"),

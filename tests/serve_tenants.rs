@@ -36,7 +36,7 @@ use cross::ckks::{Ciphertext, CkksContext, CkksParams, Evaluator, KeyPair, Switc
 use cross::sched::serve::{ServeConfig, ServeKeys};
 use cross::sched::session::{serve_tenants, TenantSpec};
 use cross::sched::testutil::{tenant_trace, zipf_shares, ChainOp, TrafficConfig};
-use cross::sched::{ServeError, Session, TenantId};
+use cross::sched::{HeOpKind, ServeError, Session, TenantId};
 use cross::tpu::TpuGeneration;
 
 /// Trace rotations draw steps from `0..=MAX_STEPS`; every tenant gets
@@ -231,6 +231,51 @@ fn tenants_are_isolated_from_each_other() {
         let want = ev.rotate(&tenants[0].base, 1, &tenants[0].rotation[1]);
         assert_bit_exact(&got, &want, "tenant 1 beside a hostile tenant 2");
         assert_eq!(a.stats().failed, 3, "exactly the three hostile tickets");
+    });
+}
+
+/// Property 2b: a request the evaluator would assert on fails its own
+/// ticket at validation — never a worker, whose panic would take every
+/// tenant's loop down. `Sub` obeys the same scale rule as `Add`.
+#[test]
+fn scale_mismatched_sub_fails_the_ticket_not_the_loop() {
+    let ctx = CkksContext::new(CkksParams::toy(), 0x5CA1E);
+    let tenants = setup(&ctx, &[1, 2]);
+    let ev = Evaluator::new(&ctx);
+    let specs: Vec<TenantSpec> = tenants
+        .iter()
+        .map(|t| TenantSpec::new(t.id, t.serve_keys()))
+        .collect();
+    let config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(2);
+    serve_tenants(&ctx, specs, &config, |server| {
+        let a = server.session(1);
+        let b = server.session(2);
+        let xa = a.insert(tenants[0].base.clone());
+        let xb = b.insert(tenants[1].base.clone());
+        // The rescaled copy sits at scale Δ/q: far outside the 1e-2
+        // tolerance against the fresh ciphertext.
+        let rescaled = a.rescale(xa).unwrap().wait().expect("rescale serves");
+        a.retain(rescaled.id).unwrap();
+
+        // Tenant 2 has tickets in flight while tenant 1's bad requests
+        // arrive.
+        let pending_b: Vec<_> = (0..8).map(|_| b.add(xb, xb).expect("submit")).collect();
+        for kind in [HeOpKind::Sub, HeOpKind::Add] {
+            let bad = a.submit(kind, &[xa, rescaled.id]).unwrap().wait();
+            assert_eq!(bad, Err(ServeError::ScaleMismatch), "{kind:?}");
+        }
+        let want_b = ev.add(&tenants[1].base, &tenants[1].base);
+        for c in pending_b {
+            let done = c.wait().expect("tenant 2 is unaffected");
+            assert_bit_exact(&b.take(done.id).unwrap(), &want_b, "tenant 2 add");
+        }
+
+        // The loop keeps serving, and a well-scaled Sub is bit-exact.
+        let done = a.submit(HeOpKind::Sub, &[xa, xa]).unwrap().wait();
+        let got = a.take(done.expect("sub serves").id).unwrap();
+        let want = ev.sub(&tenants[0].base, &tenants[0].base);
+        assert_bit_exact(&got, &want, "tenant 1 sub after the refusals");
+        assert_eq!(a.stats().failed, 2, "exactly the two mismatched tickets");
     });
 }
 
