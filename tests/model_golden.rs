@@ -22,7 +22,8 @@ use cross_tpu::{PodSim, TpuGeneration};
 const GEN: TpuGeneration = TpuGeneration::V6e;
 const CORES: u32 = 8;
 
-/// Recorded on the parent of PR 14 (commit 5eb67e8).
+/// Recorded on the parent of PR 14 (commit 5eb67e8), except where a
+/// comment inside the table says otherwise.
 const GOLDEN: &[(&str, u64)] = &[
     ("backbone/HE-Add/latency_s", 0x3edfa3a5aee6a03b), // 7.54338428380496e-6
     ("backbone/HE-Add/amortized_s", 0x3edc28c8da5e9f51), // 6.71370381680871e-6
@@ -49,6 +50,104 @@ const GOLDEN: &[(&str, u64)] = &[
     ("mnist/after/amortized_s", 0x3f6ca377500338f1),   // 3.495915443728064e-3
     ("mnist/after/comm_s", 0x3f86040a9e0b0fc4),        // 1.0749895999999988e-2
     ("mnist/scheduled/wall_s", 0x3f85e6b85429e13b),    // 1.069396979185965e-2
+    // Single-op rows, recorded at 0e05a5b (the parent of PR 16, before
+    // the operator table replaced the `he_*_counts` builders).
+    ("op/HE-Sub/l51/u/critical_s", 0x3edfa3a5aee6a03b), // 7.54338428380496e-6
+    ("op/HE-Sub/l51/u/amortized_s", 0x3edc28c8da5e9f51), // 6.71370381680871e-6
+    ("op/HE-Sub/l51/u/comm_s", 0x0000000000000000),     // 0e0
+    ("op/HE-Sub/l51/f/critical_s", 0x3edfa3a5aee6a03b), // 7.54338428380496e-6
+    ("op/HE-Sub/l51/f/amortized_s", 0x3edc28c8da5e9f51), // 6.71370381680871e-6
+    ("op/HE-Sub/l51/f/comm_s", 0x0000000000000000),     // 0e0
+    ("op/HE-Sub/l2/u/critical_s", 0x3eb61fde0714336e),  // 1.3187218679849968e-6
+    ("op/HE-Sub/l2/u/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-Sub/l2/u/comm_s", 0x0000000000000000),      // 0e0
+    ("op/HE-Sub/l2/f/critical_s", 0x3eb61fde0714336e),  // 1.3187218679849968e-6
+    ("op/HE-Sub/l2/f/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-Sub/l2/f/comm_s", 0x0000000000000000),      // 0e0
+    ("op/HE-PMult/l51/u/critical_s", 0x3ee7bb4214dd6e00), // 1.1316050087798422e-5
+    ("op/HE-PMult/l51/u/amortized_s", 0x3ee5d6e04be13bbd), // 1.041381835534076e-5
+    ("op/HE-PMult/l51/u/comm_s", 0x0000000000000000),   // 0e0
+    ("op/HE-PMult/l51/f/critical_s", 0x3ee7bb4214dd6e00), // 1.1316050087798422e-5
+    ("op/HE-PMult/l51/f/amortized_s", 0x3ee5d6e04be13bbd), // 1.041381835534076e-5
+    ("op/HE-PMult/l51/f/comm_s", 0x0000000000000000),   // 0e0
+    ("op/HE-PMult/l2/u/critical_s", 0x3ebafe49de1a6d34), // 1.6089269298306476e-6
+    ("op/HE-PMult/l2/u/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-PMult/l2/u/comm_s", 0x0000000000000000),    // 0e0
+    ("op/HE-PMult/l2/f/critical_s", 0x3ebafe49de1a6d34), // 1.6089269298306476e-6
+    ("op/HE-PMult/l2/f/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-PMult/l2/f/comm_s", 0x0000000000000000),    // 0e0
+    ("op/HE-PMultConst/l51/u/critical_s", 0x3ee7bb4214dd6e00), // 1.1316050087798422e-5
+    ("op/HE-PMultConst/l51/u/amortized_s", 0x3ee5d6e04be13bbd), // 1.041381835534076e-5
+    ("op/HE-PMultConst/l51/u/comm_s", 0x0000000000000000), // 0e0
+    ("op/HE-PMultConst/l51/f/critical_s", 0x3ee7bb4214dd6e00), // 1.1316050087798422e-5
+    ("op/HE-PMultConst/l51/f/amortized_s", 0x3ee5d6e04be13bbd), // 1.041381835534076e-5
+    ("op/HE-PMultConst/l51/f/comm_s", 0x0000000000000000), // 0e0
+    ("op/HE-PMultConst/l2/u/critical_s", 0x3ebafe49de1a6d34), // 1.6089269298306476e-6
+    ("op/HE-PMultConst/l2/u/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-PMultConst/l2/u/comm_s", 0x0000000000000000), // 0e0
+    ("op/HE-PMultConst/l2/f/critical_s", 0x3ebafe49de1a6d34), // 1.6089269298306476e-6
+    ("op/HE-PMultConst/l2/f/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-PMultConst/l2/f/comm_s", 0x0000000000000000), // 0e0
+    ("op/HE-PAddConst/l51/u/critical_s", 0x3edfa3a5aee6a03b), // 7.54338428380496e-6
+    ("op/HE-PAddConst/l51/u/amortized_s", 0x3edc28c8da5e9f51), // 6.71370381680871e-6
+    ("op/HE-PAddConst/l51/u/comm_s", 0x0000000000000000), // 0e0
+    ("op/HE-PAddConst/l51/f/critical_s", 0x3edfa3a5aee6a03b), // 7.54338428380496e-6
+    ("op/HE-PAddConst/l51/f/amortized_s", 0x3edc28c8da5e9f51), // 6.71370381680871e-6
+    ("op/HE-PAddConst/l51/f/comm_s", 0x0000000000000000), // 0e0
+    ("op/HE-PAddConst/l2/u/critical_s", 0x3eb61fde0714336e), // 1.3187218679849968e-6
+    ("op/HE-PAddConst/l2/u/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-PAddConst/l2/u/comm_s", 0x0000000000000000), // 0e0
+    ("op/HE-PAddConst/l2/f/critical_s", 0x3eb61fde0714336e), // 1.3187218679849968e-6
+    ("op/HE-PAddConst/l2/f/amortized_s", 0x3ed208bb63140c93), // 4.299666714449541e-6
+    ("op/HE-PAddConst/l2/f/comm_s", 0x0000000000000000), // 0e0
+    ("op/KeySwitch/l51/u/critical_s", 0x3f45a022f6cd20c7), // 6.599589083658091e-4
+    ("op/KeySwitch/l51/u/amortized_s", 0x3f33134891530627), // 2.910663764162679e-4
+    ("op/KeySwitch/l51/u/comm_s", 0x3f38c946fdb7c8a6),  // 3.78208e-4
+    ("op/KeySwitch/l51/f/critical_s", 0x3f43ca696c3b836c), // 6.039633521731486e-4
+    ("op/KeySwitch/l51/f/amortized_s", 0x3f2f0559c6619a4c), // 2.366706932576838e-4
+    ("op/KeySwitch/l51/f/comm_s", 0x3f38c946fdb7c8a6),  // 3.78208e-4
+    ("op/KeySwitch/l2/u/critical_s", 0x3f33691201286bab), // 2.9617967189359923e-4
+    ("op/KeySwitch/l2/u/amortized_s", 0x3f1461f68d44b270), // 7.775370915359139e-5
+    ("op/KeySwitch/l2/u/comm_s", 0x3f2a9f0a134baea1),   // 2.0310399999999999e-4
+    ("op/KeySwitch/l2/f/critical_s", 0x3f325ca7fb1e5ae4), // 2.8018094155283905e-4
+    ("op/KeySwitch/l2/f/amortized_s", 0x3f109bac1120760b), // 6.335485184690724e-5
+    ("op/KeySwitch/l2/f/comm_s", 0x3f2a9f0a134baea1),   // 2.0310399999999999e-4
+    ("op/HoistDecomp/l51/u/critical_s", 0x3f298cbe62d36350), // 1.9492935226741526e-4
+    ("op/HoistDecomp/l51/u/amortized_s", 0x3f2155e9e045a5b7), // 1.3226013119131488e-4
+    ("op/HoistDecomp/l51/u/comm_s", 0x3f02b3d09649c7b9), // 3.5672e-5
+    ("op/HoistDecomp/l51/f/critical_s", 0x3f23e34ea89d08bb), // 1.517327803473629e-4
+    ("op/HoistDecomp/l51/f/amortized_s", 0x3f17fa00b624a045), // 9.146336882237631e-5
+    ("op/HoistDecomp/l51/f/comm_s", 0x3f02b3d09649c7b9), // 3.5672e-5
+    ("op/HoistDecomp/l2/u/critical_s", 0x3f13059954372661), // 7.25626787733357e-5
+    ("op/HoistDecomp/l2/u/amortized_s", 0x3f0296da1f8afbf6), // 3.5456210701216505e-5
+    ("op/HoistDecomp/l2/u/comm_s", 0x3ee7451ea0b29b25), // 1.1095999999999998e-5
+    ("op/HoistDecomp/l2/f/critical_s", 0x3f0f5558e82de162), // 5.976369450072756e-5
+    ("op/HoistDecomp/l2/f/amortized_s", 0x3efa108398ab4622), // 2.485705185046293e-5
+    ("op/HoistDecomp/l2/f/comm_s", 0x3ee7451ea0b29b25), // 1.1095999999999998e-5
+    ("op/HoistedRotate/l51/u/critical_s", 0x3f41a390de65a101), // 5.382974020849142e-4
+    ("op/HoistedRotate/l51/u/amortized_s", 0x3f2883c983a51955), // 1.8703303232765292e-4
+    ("op/HoistedRotate/l51/u/comm_s", 0x3f372cf5dff42488), // 3.53632e-4
+    ("op/HoistedRotate/l51/f/critical_s", 0x3f411d5bdb60989e), // 5.22298671744154e-4
+    ("op/HoistedRotate/l51/f/amortized_s", 0x3f26bb7bac93fcd0), // 1.7343411153800678e-4
+    ("op/HoistedRotate/l51/f/comm_s", 0x3f372cf5dff42488), // 3.53632e-4
+    ("op/HoistedRotate/l2/u/critical_s", 0x3f31a9c38bb156e2), // 2.6951812805485313e-4
+    ("op/HoistedRotate/l2/u/amortized_s", 0x3f0834c3e146ab81), // 4.6169498236401346e-5
+    ("op/HoistedRotate/l2/u/comm_s", 0x3f2a9f0a134baea1), // 2.0310399999999999e-4
+    ("op/HoistedRotate/l2/f/critical_s", 0x3f313e65efad502c), // 2.6311863591854906e-4
+    ("op/HoistedRotate/l2/f/amortized_s", 0x3f0636c73c338ba4), // 4.236979978047083e-5
+    ("op/HoistedRotate/l2/f/comm_s", 0x3f2a9f0a134baea1), // 2.0310399999999999e-4
+    ("op/Rotate/l51/u/critical_s", 0x3f4698d5fe049f4e), // 6.896061786720671e-4
+    ("op/Rotate/l51/u/amortized_s", 0x3f34fb1de467435d), // 3.201435069089454e-4
+    ("op/Rotate/l51/u/comm_s", 0x3f38c946fdb7c8a6),     // 3.78208e-4
+    ("op/Rotate/l51/f/critical_s", 0x3f44c31c737301f4), // 6.336106224794067e-4
+    ("op/Rotate/l51/f/amortized_s", 0x3f316a8236450a5c), // 2.657478237503613e-4
+    ("op/Rotate/l51/f/comm_s", 0x3f38c946fdb7c8a6),     // 3.78208e-4
+    ("op/Rotate/l2/u/critical_s", 0x3f338f54ee936b72),  // 2.984602311479268e-4
+    ("op/Rotate/l2/u/amortized_s", 0x3f14ae7c681ab1fc), // 7.889398878075515e-5
+    ("op/Rotate/l2/u/comm_s", 0x3f2a9f0a134baea1),      // 2.0310399999999999e-4
+    ("op/Rotate/l2/f/critical_s", 0x3f3282eae8895aab),  // 2.8246150080716664e-4
+    ("op/Rotate/l2/f/amortized_s", 0x3f10e831ebf67597), // 6.449513147407101e-5
+    ("op/Rotate/l2/f/comm_s", 0x3f2a9f0a134baea1),      // 2.0310399999999999e-4
 ];
 
 /// Before/after-optimizer graph cost plus the scheduled wall clock of
@@ -90,6 +189,32 @@ fn modeled() -> Vec<(String, f64)> {
     program(&mut out, "helr", &params, &helr_iteration(params.limbs));
     let params = mnist_params();
     program(&mut out, "mnist", &params, &mnist_network(params.limbs));
+
+    // One single-op graph per kind the rows above never reach alone,
+    // at Set D top level and at level 2 (where a digit is wider than
+    // the ciphertext: the `α.min(l)` edge), in both lowerings.
+    for kind in [
+        HeOpKind::Sub,
+        HeOpKind::PlainMult,
+        HeOpKind::PlainMultConst { cid: 0 },
+        HeOpKind::PlainAddConst { cid: 0 },
+        HeOpKind::KeySwitch,
+        HeOpKind::HoistDecomp,
+        HeOpKind::HoistedRotate { steps: 1 },
+        HeOpKind::Rotate { steps: 1 },
+    ] {
+        for level in [set_d.limbs, 2] {
+            for (tag, mode) in [("u", ExecMode::Unfused), ("f", ExecMode::FusedBatch)] {
+                let graph = OpGraph::single_op(kind, level);
+                let mut pod = PodSim::new(GEN, CORES);
+                let rep = cost_graph(&mut pod, &set_d, &graph, mode);
+                let key = format!("op/{}/l{level}/{tag}", kind.label());
+                out.push((format!("{key}/critical_s"), rep.critical_s));
+                out.push((format!("{key}/amortized_s"), rep.amortized_s));
+                out.push((format!("{key}/comm_s"), rep.comm_s));
+            }
+        }
+    }
     out
 }
 
