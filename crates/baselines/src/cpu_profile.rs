@@ -73,7 +73,7 @@ pub fn profile_mult_relin(n: usize, limbs: usize, dnum: usize) -> CpuProfile {
         .map(|&q| (0..n as u64).map(|i| (i * 2654435761 + 7) % q).collect())
         .collect();
 
-    // Kernel invocation counts of Mult&Relin (mirrors costs::he_mult_counts).
+    // Kernel invocation counts of Mult&Relin (mirrors `costs::HE_MULT`).
     let alpha = limbs.div_ceil(dnum);
     let ext = limbs + alpha;
     let n_ntt = dnum * (ext - alpha) + 2 * (limbs - 1);

@@ -57,22 +57,13 @@ fn sim_host(c: &mut Criterion) {
     }
 
     let params = ParamSet::D.params();
-    let l = params.limbs;
-    let counts = costs::he_mult_counts(&params, l);
-    let key = costs::switching_key_bytes(&params, l);
+    let bundle = costs::HE_MULT.bundle("HE-Mult", &params, params.limbs, 1);
     let mut pod = PodSim::new(TpuGeneration::V6e, 8);
     let mut g = c.benchmark_group("sim_host/charge_op_pod");
     g.bench_function("v6e8_setD_mult", |b| {
         b.iter(|| {
             pod.reset();
-            costs::charge_op_pod(
-                &mut pod,
-                &params,
-                &counts,
-                key,
-                "HE-Mult",
-                ExecMode::Unfused,
-            )
+            costs::charge_op_pod(&mut pod, &params, &bundle, ExecMode::Unfused)
         })
     });
     g.finish();

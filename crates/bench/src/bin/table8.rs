@@ -82,25 +82,13 @@ fn main() {
         };
         let params = CkksParams::new(n, row.cross_limbs, row.cross_dnum, 28);
         let cores = row.tpu_cores_matched;
-        let l = params.limbs;
-        let key = costs::switching_key_bytes(&params, l);
         let mut pod = pod_for(TpuGeneration::V6e, cores);
-        let mult_s = costs::amortized_op_pod(
-            &mut pod,
-            &params,
-            &costs::he_mult_counts(&params, l),
-            key,
-            "mult",
-            ExecMode::Unfused,
-        );
-        let rot_s = costs::amortized_op_pod(
-            &mut pod,
-            &params,
-            &costs::he_rotate_counts(&params, l),
-            key,
-            "rot",
-            ExecMode::Unfused,
-        );
+        let mut amortized_s = |spec: &costs::OpSpec, name| {
+            let bundle = spec.bundle(name, &params, params.limbs, 1);
+            costs::amortized_op_pod(&mut pod, &params, &bundle, ExecMode::Unfused)
+        };
+        let mult_s = amortized_s(&costs::HE_MULT, "mult");
+        let rot_s = amortized_s(&costs::ROTATE, "rot");
         // Energy efficiency: kernels/s/W on each side (ours = the
         // pod's amortized throughput at its matched power envelope).
         let our_watts = cores as f64 * TpuGeneration::V6e.spec().tc_watts;

@@ -86,39 +86,19 @@ impl BootstrapEstimate {
 /// on.
 pub fn op_bundles(params: &CkksParams, counts: &BootstrapCounts) -> Vec<OpBundle> {
     let l = (params.limbs / 2).max(2);
-    let key_bytes = costs::switching_key_bytes(params, l);
-    vec![
-        OpBundle {
-            name: "bootstrap-rotate",
-            counts: costs::he_rotate_counts(params, l),
-            key_bytes,
-            times: counts.rotations,
-        },
-        OpBundle {
-            name: "bootstrap-mult",
-            counts: costs::he_mult_counts(params, l),
-            key_bytes,
-            times: counts.ct_mults,
-        },
-        OpBundle {
-            name: "bootstrap-pmult",
-            counts: costs::he_plain_mult_counts(params, l),
-            key_bytes: 0.0,
-            times: counts.plain_mults,
-        },
-        OpBundle {
-            name: "bootstrap-add",
-            counts: costs::he_add_counts(params, l),
-            key_bytes: 0.0,
-            times: counts.additions,
-        },
-        OpBundle {
-            name: "bootstrap-rescale",
-            counts: costs::he_rescale_counts(params, l),
-            key_bytes: 0.0,
-            times: counts.rescales,
-        },
+    [
+        ("bootstrap-rotate", &costs::ROTATE, counts.rotations),
+        ("bootstrap-mult", &costs::HE_MULT, counts.ct_mults),
+        ("bootstrap-pmult", &costs::PLAIN_MULT, counts.plain_mults),
+        ("bootstrap-add", &costs::HE_ADD, counts.additions),
+        ("bootstrap-rescale", &costs::RESCALE, counts.rescales),
     ]
+    .into_iter()
+    .map(|(name, spec, times)| OpBundle {
+        times,
+        ..spec.bundle(name, params, l, 1)
+    })
+    .collect()
 }
 
 /// Estimates packed bootstrapping on one tensor core of `sim`'s
@@ -133,7 +113,7 @@ pub fn estimate(sim: &mut TpuSim, params: &CkksParams) -> BootstrapEstimate {
         if b.times == 0 {
             continue;
         }
-        let rep = costs::charge_op(sim, params, &b.counts, b.key_bytes, b.name);
+        let rep = costs::charge_op_mode(sim, params, &b, ExecMode::Unfused);
         for (cat, s) in &rep.breakdown {
             *acc.entry(*cat).or_insert(0.0) += s * b.times as f64;
         }
@@ -182,8 +162,13 @@ pub fn estimate_pod(pod: &mut PodSim, params: &CkksParams) -> PodBootstrapEstima
     // stay undisturbed (bit-identity with `estimate`).
     let mut amortized_pod = pod.clone();
     let bundles = op_bundles(params, &counts);
-    let br =
-        costs::charge_bundles_pod(pod, &mut amortized_pod, params, &bundles, ExecMode::Unfused);
+    let br = costs::charge_bundles_pod(
+        Some(pod),
+        Some(&mut amortized_pod),
+        params,
+        &bundles,
+        ExecMode::Unfused,
+    );
 
     PodBootstrapEstimate {
         critical: BootstrapEstimate {

@@ -6,8 +6,23 @@
 //! exact op shapes the lowered implementation executes (BAT matmuls,
 //! VecModOps, type conversions, relayouts, permutations, HBM parameter
 //! traffic), and the roofline in [`TpuSim`] turns them into latency.
-//! The same shapes drive the functional path at small degrees, where
-//! the two are asserted to agree.
+//!
+//! Each HE operator is described once, as an [`OpSpec`]: a short list
+//! of named *phases* (tensor, digit decomposition, key inner product,
+//! mod-down, rescale, automorphism), each a kernel-count formula over
+//! one `(params, level)` shape. [`OpSpec::counts`] is the sum of the
+//! phases and [`OpSpec::bundle`] the one place counts are paired with
+//! switching-key traffic; the `cross_sched` IR, the bootstrapping
+//! estimator and the backbone tables all charge those bundles.
+//!
+//! What is pinned: the modeled seconds, bit for bit, by
+//! `tests/model_golden.rs`; the path identities (1-core pod ≡ lone
+//! core, `cost_graph` ≡ [`charge_op_pod`]) by `tests/pod_model.rs` and
+//! `tests/sched_model.rs`; the simulator's conservation laws by
+//! `crates/tpu/tests/accounting.rs`. What is **not** yet pinned is
+//! agreement between these counts and the kernels the functional
+//! evaluator executes at small degrees — that comparison is ROADMAP
+//! item (1c), which also records the two deviations already known.
 
 use crate::params::CkksParams;
 use cross_core::modred::ModRed;
@@ -242,127 +257,292 @@ impl OpCounts {
     }
 }
 
-/// HE-Mult kernel counts at level `l` (tensor, hybrid KS, rescale).
-pub fn he_mult_counts(params: &CkksParams, l: usize) -> OpCounts {
-    let dnum = params.limbs.div_ceil(params.digit_limbs()).min(params.dnum);
-    let alpha = params.digit_limbs();
-    let k = params.special_limbs();
-    let ext = l + k;
-    OpCounts {
-        // KS: INTT of d2 (l) ; rescale: 1 INTT per poly (2).
-        intt: l + 2 + k,
-        // KS: NTT of extended digits; rescale: (l-1) NTTs per poly.
-        ntt: dnum * (ext - alpha.min(l)) + 2 * (l - 1),
-        bconv: dnum * alpha.min(l) + k,
-        // tensor (4l) + KS inner products (2·dnum·ext) + moddown (2l) + rescale (2l)
-        vec_mod_mul: 4 * l + 2 * dnum * ext + 2 * l + 2 * l,
-        vec_mod_add: l + 2 * dnum * ext + 2 * l + 2 * l,
-        automorphism: 0,
+/// One HE-operator invocation bundle: the kernel counts, its key
+/// traffic, and how many times the workload invokes it. This is the
+/// unit both the bootstrapping estimator
+/// ([`crate::bootstrap::op_bundles`]) and the `cross_sched` op-graph
+/// interpreter charge, so their sequences cannot diverge.
+#[derive(Debug, Clone, Copy)]
+pub struct OpBundle {
+    /// Kernel label (reporting only; never affects the estimate).
+    pub name: &'static str,
+    /// Kernel counts of one invocation.
+    pub counts: OpCounts,
+    /// Switching-key HBM bytes per invocation (0 for un-keyed ops).
+    pub key_bytes: f64,
+    /// Invocation count.
+    pub times: usize,
+}
+
+impl std::ops::Add for OpCounts {
+    type Output = OpCounts;
+
+    fn add(self, o: OpCounts) -> OpCounts {
+        OpCounts {
+            ntt: self.ntt + o.ntt,
+            intt: self.intt + o.intt,
+            bconv: self.bconv + o.bconv,
+            vec_mod_mul: self.vec_mod_mul + o.vec_mod_mul,
+            vec_mod_add: self.vec_mod_add + o.vec_mod_add,
+            automorphism: self.automorphism + o.automorphism,
+        }
     }
 }
 
-/// Hybrid key-switch kernel counts at level `l` — the shared core of
-/// [`he_rotate_counts`] (which adds the automorphism permutations) and
-/// the standalone `KeySwitch` IR node of `cross_sched`.
-pub fn he_key_switch_counts(params: &CkksParams, l: usize) -> OpCounts {
-    let dnum = params.limbs.div_ceil(params.digit_limbs()).min(params.dnum);
-    let alpha = params.digit_limbs();
-    let k = params.special_limbs();
-    let ext = l + k;
-    OpCounts {
-        intt: l + k,
-        ntt: dnum * (ext - alpha.min(l)) + l,
-        bconv: dnum * alpha.min(l) + k,
-        vec_mod_mul: 2 * dnum * ext + 2 * l,
-        vec_mod_add: 2 * dnum * ext + l,
-        automorphism: 0,
+/// Result level of an operator that consumes `limbs_consumed` limbs at
+/// level `l`, or `None` when `l` cannot host it (level 0, or no limb
+/// left to drop). The one level rule: [`OpSpec::counts`] asserts it,
+/// and `cross_sched`'s `OpGraph::add_op` and serving `admit` apply the
+/// same function.
+pub fn result_level(limbs_consumed: usize, l: usize) -> Option<usize> {
+    l.checked_sub(limbs_consumed).filter(|&r| r >= 1)
+}
+
+/// Hybrid key-switching digits the model charges. Level-independent —
+/// the host evaluator's `ctx.digit_count(l)` shrinks with the level
+/// (ROADMAP 1c records the deviation).
+fn model_digits(params: &CkksParams) -> usize {
+    params.limbs.div_ceil(params.digit_limbs()).min(params.dnum)
+}
+
+/// The dimensions every phase formula reads, built once per
+/// `(params, level)`.
+struct Shape {
+    /// Ciphertext limbs at this level.
+    l: usize,
+    /// Special (key-switching) limbs.
+    k: usize,
+    /// Source limbs of one digit's base extension (`α`, capped at `l`).
+    alpha: usize,
+    /// Key-switching digits.
+    dnum: usize,
+    /// Limbs of the extended basis (`l + k`).
+    ext: usize,
+}
+
+/// One named step of an operator. An operator *is* its list of
+/// phases: its kernel counts are their sum, it loads a switching key
+/// exactly when it takes an inner product with one, and it consumes a
+/// limb per rescale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Tensor product of two ciphertexts (`d0, d1, d2`).
+    Tensor,
+    /// Digit decomposition of the key-switched polynomial: its INTT,
+    /// the per-digit base extensions, and the NTTs of the extended
+    /// digit limbs. What a hoisted rotation fan-out pays once.
+    DigitDecomposition,
+    /// Inner product of the extended digits with both key polynomials.
+    KeyInnerProduct,
+    /// Mod-down of the key-switch result from the extended basis: INTT
+    /// and base conversion of the special limbs, NTT back, scale, add.
+    ModDown,
+    /// HE-Mult's mod-down. **Not** [`Phase::ModDown`]: the model
+    /// charges `l` fewer NTTs and `l` more adds than tensor + key
+    /// switch + rescale would, as if the mod-down's return to the
+    /// evaluation domain were folded into the rescale that follows.
+    /// Kept as recorded — the golden bits depend on it (ROADMAP 1c
+    /// lists it as a finding).
+    ModDownBeforeRescale,
+    /// Rescale of both polynomials: one INTT of the dropped limb and
+    /// `l − 1` NTTs per polynomial, plus the limb-wise scale and
+    /// subtract.
+    Rescale,
+    /// Worst-case slot permutation of both output polynomials.
+    Automorphism,
+    /// Limb-wise add of both polynomials.
+    LimbwiseAdd,
+    /// Limb-wise multiply of both polynomials by one plaintext.
+    LimbwiseMul,
+}
+
+impl Phase {
+    /// The phase's kernel counts at shape `s`.
+    fn counts(self, s: &Shape) -> OpCounts {
+        let zero = OpCounts::default();
+        match self {
+            Phase::Tensor => OpCounts {
+                vec_mod_mul: 4 * s.l,
+                vec_mod_add: s.l,
+                ..zero
+            },
+            Phase::DigitDecomposition => OpCounts {
+                intt: s.l,
+                ntt: s.dnum * (s.ext - s.alpha),
+                bconv: s.dnum * s.alpha,
+                ..zero
+            },
+            Phase::KeyInnerProduct => OpCounts {
+                vec_mod_mul: 2 * s.dnum * s.ext,
+                vec_mod_add: 2 * s.dnum * s.ext,
+                ..zero
+            },
+            Phase::ModDown => OpCounts {
+                intt: s.k,
+                ntt: s.l,
+                bconv: s.k,
+                vec_mod_mul: 2 * s.l,
+                vec_mod_add: s.l,
+                ..zero
+            },
+            Phase::ModDownBeforeRescale => OpCounts {
+                intt: s.k,
+                bconv: s.k,
+                vec_mod_mul: 2 * s.l,
+                vec_mod_add: 2 * s.l,
+                ..zero
+            },
+            Phase::Rescale => OpCounts {
+                intt: 2,
+                ntt: 2 * (s.l - 1),
+                vec_mod_mul: 2 * s.l,
+                vec_mod_add: 2 * s.l,
+                ..zero
+            },
+            Phase::Automorphism => OpCounts {
+                automorphism: 2 * s.l,
+                ..zero
+            },
+            Phase::LimbwiseAdd => OpCounts {
+                vec_mod_add: 2 * s.l,
+                ..zero
+            },
+            Phase::LimbwiseMul => OpCounts {
+                vec_mod_mul: 2 * s.l,
+                ..zero
+            },
+        }
     }
 }
 
-/// HE-Rotate kernel counts at level `l`: one key switch plus the
-/// worst-case slot permutation on both output polynomials.
-pub fn he_rotate_counts(params: &CkksParams, l: usize) -> OpCounts {
-    OpCounts {
-        automorphism: 2 * l,
-        ..he_key_switch_counts(params, l)
-    }
+/// One HE operator, described once, as the phases it runs. The
+/// `static`s below are the whole operator table.
+#[derive(Debug)]
+pub struct OpSpec {
+    op: &'static str,
+    phases: &'static [Phase],
 }
 
-/// Kernel counts of the **shared digit decomposition** a hoisted
-/// rotation fan-out pays once: INTT of the key-switched polynomial's
-/// limbs, the per-digit base extensions, and the NTTs of the extended
-/// digit limbs. Splitting [`he_rotate_counts`] here is exact —
-/// [`he_hoist_decomp_counts`]` + `[`he_hoisted_rotate_counts`]
-/// reproduces the rotate counts component-wise (pinned in this
-/// module's tests), so hoisting `k` rotations of one ciphertext trades
-/// `k` full decompositions for one.
-pub fn he_hoist_decomp_counts(params: &CkksParams, l: usize) -> OpCounts {
-    let dnum = params.limbs.div_ceil(params.digit_limbs()).min(params.dnum);
-    let alpha = params.digit_limbs();
-    let k = params.special_limbs();
-    let ext = l + k;
-    OpCounts {
-        intt: l,
-        ntt: dnum * (ext - alpha.min(l)),
-        bconv: dnum * alpha.min(l),
-        vec_mod_mul: 0,
-        vec_mod_add: 0,
-        automorphism: 0,
-    }
-}
+/// HE-Add (and HE-Sub, and adding a plaintext): one limb-wise add.
+pub static HE_ADD: OpSpec = OpSpec::new("HE-Add", &[Phase::LimbwiseAdd]);
 
-/// Kernel counts of one rotation riding a shared decomposition
-/// ([`he_hoist_decomp_counts`]): the automorphism permutations, the
-/// key inner products, and the mod-down — everything in
-/// [`he_rotate_counts`] except the decomposition itself.
-pub fn he_hoisted_rotate_counts(params: &CkksParams, l: usize) -> OpCounts {
-    let dnum = params.limbs.div_ceil(params.digit_limbs()).min(params.dnum);
-    let k = params.special_limbs();
-    let ext = l + k;
-    OpCounts {
-        intt: k,
-        ntt: l,
-        bconv: k,
-        vec_mod_mul: 2 * dnum * ext + 2 * l,
-        vec_mod_add: 2 * dnum * ext + l,
-        automorphism: 2 * l,
-    }
-}
+/// Ciphertext × plaintext multiply (rescaling is counted separately).
+pub static PLAIN_MULT: OpSpec = OpSpec::new("HE-PMult", &[Phase::LimbwiseMul]);
 
-/// Plaintext-multiply kernel counts at level `l` (2 polys × `l` limb
-/// VecModMuls; rescaling is counted separately). Shared by the
-/// bootstrapping estimator and the HELR/MNIST workload bins.
-pub fn he_plain_mult_counts(_params: &CkksParams, l: usize) -> OpCounts {
-    OpCounts {
-        vec_mod_mul: 2 * l,
-        ..OpCounts::default()
-    }
-}
+/// HE-Mult: tensor, relinearizing key switch, rescale.
+pub static HE_MULT: OpSpec = OpSpec::new(
+    "HE-Mult",
+    &[
+        Phase::Tensor,
+        Phase::DigitDecomposition,
+        Phase::KeyInnerProduct,
+        Phase::ModDownBeforeRescale,
+        Phase::Rescale,
+    ],
+);
 
-/// HE-Rescale kernel counts at level `l`.
-pub fn he_rescale_counts(_params: &CkksParams, l: usize) -> OpCounts {
-    OpCounts {
-        intt: 2,
-        ntt: 2 * (l - 1),
-        bconv: 0,
-        vec_mod_mul: 2 * l,
-        vec_mod_add: 2 * l,
-        automorphism: 0,
-    }
-}
+/// HE-Rescale.
+pub static RESCALE: OpSpec = OpSpec::new("Rescale", &[Phase::Rescale]);
 
-/// HE-Add kernel counts at level `l`.
-pub fn he_add_counts(_params: &CkksParams, l: usize) -> OpCounts {
-    OpCounts {
-        vec_mod_add: 2 * l,
-        ..OpCounts::default()
+/// Standalone hybrid key switch — [`ROTATE`] without the permutation.
+pub static KEY_SWITCH: OpSpec = OpSpec::new(
+    "KeySwitch",
+    &[
+        Phase::DigitDecomposition,
+        Phase::KeyInnerProduct,
+        Phase::ModDown,
+    ],
+);
+
+/// HE-Rotate: [`HOIST_DECOMP`]'s phases followed by
+/// [`HOISTED_ROTATE`]'s, so the hoisting split is an exact
+/// repartition, not an approximation.
+pub static ROTATE: OpSpec = OpSpec::new(
+    "Rotate",
+    &[
+        Phase::DigitDecomposition,
+        Phase::Automorphism,
+        Phase::KeyInnerProduct,
+        Phase::ModDown,
+    ],
+);
+
+/// The shared digit decomposition a hoisted rotation fan-out pays
+/// once: hoisting `k` rotations of one ciphertext trades `k` full
+/// decompositions for one.
+pub static HOIST_DECOMP: OpSpec = OpSpec::new("HoistDecomp", &[Phase::DigitDecomposition]);
+
+/// One rotation riding a shared [`HOIST_DECOMP`]: everything in
+/// [`ROTATE`] except the decomposition itself.
+pub static HOISTED_ROTATE: OpSpec = OpSpec::new(
+    "HoistedRotate",
+    &[Phase::Automorphism, Phase::KeyInnerProduct, Phase::ModDown],
+);
+
+impl OpSpec {
+    const fn new(op: &'static str, phases: &'static [Phase]) -> Self {
+        Self { op, phases }
+    }
+
+    /// Limbs one invocation consumes — one per rescale (the argument
+    /// of [`result_level`]).
+    pub fn limbs_consumed(&self) -> usize {
+        let rescales = self.phases.iter().filter(|&&p| p == Phase::Rescale);
+        rescales.count()
+    }
+
+    /// Kernel counts of one invocation at level `l`: the sum of the
+    /// phases.
+    ///
+    /// # Panics
+    /// Panics, naming the operator, when level `l` cannot host it
+    /// ([`result_level`] is `None`).
+    pub fn counts(&self, params: &CkksParams, l: usize) -> OpCounts {
+        assert!(
+            result_level(self.limbs_consumed(), l).is_some(),
+            "{} cannot run at level {l}",
+            self.op
+        );
+        let k = params.special_limbs();
+        let shape = Shape {
+            l,
+            k,
+            alpha: params.digit_limbs().min(l),
+            dnum: model_digits(params),
+            ext: l + k,
+        };
+        let sum = |acc, phase: &Phase| acc + phase.counts(&shape);
+        self.phases.iter().fold(OpCounts::default(), sum)
+    }
+
+    /// The bundle of `batch` fused invocations at level `l`, reported
+    /// as `name`: counts scaled by `batch`, and — when the operator
+    /// takes a key inner product — its switching key, charged **once**
+    /// whatever the batch: exactly the fusion win batch formation buys.
+    pub fn bundle(
+        &self,
+        name: &'static str,
+        params: &CkksParams,
+        l: usize,
+        batch: usize,
+    ) -> OpBundle {
+        let keyed = self.phases.contains(&Phase::KeyInnerProduct);
+        OpBundle {
+            name,
+            counts: self.counts(params, l).scaled(batch),
+            key_bytes: if keyed {
+                switching_key_bytes(params, l)
+            } else {
+                0.0
+            },
+            times: 1,
+        }
     }
 }
 
 /// Charges an [`OpCounts`] bundle onto one core as one kernel with an
 /// explicit NTT lowering mode and resident working set — the shared
-/// engine behind [`charge_op`], [`charge_op_mode`] and
-/// [`charge_op_pod`].
+/// engine behind [`charge_op_mode`] and [`charge_op_pod`].
 fn charge_op_inner(
     sim: &mut TpuSim,
     params: &CkksParams,
@@ -402,37 +582,26 @@ fn charge_op_inner(
     sim.end_kernel()
 }
 
-/// Charges an [`OpCounts`] bundle onto the simulator as one kernel and
-/// returns its report. `key_bytes` models the switching-key HBM
-/// traffic. Uses the paper's XLA-unfused lowering
-/// ([`ExecMode::Unfused`]); see [`charge_op_mode`] for the fused
-/// batch-major estimate and [`charge_op_pod`] for multi-core sharding.
-pub fn charge_op(
-    sim: &mut TpuSim,
-    params: &CkksParams,
-    counts: &OpCounts,
-    key_bytes: f64,
-    name: &str,
-) -> KernelReport {
-    charge_op_mode(sim, params, counts, key_bytes, name, ExecMode::Unfused)
-}
-
-/// [`charge_op`] with an explicit NTT lowering mode.
+/// Charges one invocation of `bundle` onto the simulator as one kernel
+/// and returns its report ([`OpBundle::times`] is the caller's to
+/// apply). `mode` picks the paper's XLA-unfused lowering or the fused
+/// batch-major estimate. See [`charge_op_pod`] for multi-core sharding.
 pub fn charge_op_mode(
     sim: &mut TpuSim,
     params: &CkksParams,
-    counts: &OpCounts,
-    key_bytes: f64,
-    name: &str,
+    bundle: &OpBundle,
     mode: ExecMode,
 ) -> KernelReport {
+    let OpBundle {
+        counts, key_bytes, ..
+    } = *bundle;
     // working set: ciphertext + key digits resident
     let ws = (params.ciphertext_bytes() * 3) as f64 + key_bytes;
-    charge_op_inner(sim, params, counts, key_bytes, name, mode, ws)
+    charge_op_inner(sim, params, &counts, key_bytes, bundle.name, mode, ws)
 }
 
-/// Charges an [`OpCounts`] bundle sharded **limb-parallel** across the
-/// cores of a pod and returns the pod-level report: per-core compute
+/// Charges one invocation of `bundle` sharded **limb-parallel** across
+/// the cores of a pod and returns the pod-level report: per-core compute
 /// shrinks by the ceil split, while the communication the sharding
 /// actually requires is charged on the critical path —
 ///
@@ -444,16 +613,17 @@ pub fn charge_op_mode(
 ///   core holds partial sums over its digit shard).
 ///
 /// With one core and [`cross_tpu::topology::LinkSpec::ZERO_COST`]
-/// links this is bit-identical to [`charge_op`] on a lone [`TpuSim`]
-/// (pinned by `tests/pod_model.rs`).
+/// links this is bit-identical to [`charge_op_mode`] on a lone
+/// [`TpuSim`] (pinned by `tests/pod_model.rs`).
 pub fn charge_op_pod(
     pod: &mut PodSim,
     params: &CkksParams,
-    counts: &OpCounts,
-    key_bytes: f64,
-    name: &str,
+    bundle: &OpBundle,
     mode: ExecMode,
 ) -> PodKernelReport {
+    let OpBundle {
+        counts, key_bytes, ..
+    } = *bundle;
     let cores = pod.num_cores();
     let plan = ShardPlan::new(ShardStrategy::LimbParallel, cores);
     let comm_mark = pod.comm_trace().entries().len();
@@ -469,7 +639,7 @@ pub fn charge_op_pod(
     // once actually sharded — the full source basis the BConv
     // all-gather below lands on every core. (At one core the full
     // ciphertext term already covers those limbs, keeping the
-    // bit-identity contract with `charge_op`.)
+    // bit-identity contract with `charge_op_mode`.)
     let gathered = if cores > 1 && counts.bconv > 0 {
         (counts.bconv * params.n * 4) as f64
     } else {
@@ -489,7 +659,13 @@ pub fn charge_op_pod(
         };
         let sim = pod.core_mut(core_idx);
         reports.push(charge_op_inner(
-            sim, params, &shard, key_shard, name, mode, ws,
+            sim,
+            params,
+            &shard,
+            key_shard,
+            bundle.name,
+            mode,
+            ws,
         ));
     }
 
@@ -507,7 +683,7 @@ pub fn charge_op_pod(
         );
     }
 
-    pod.assemble_report(name, &reports, comm_mark)
+    pod.assemble_report(bundle.name, &reports, comm_mark)
 }
 
 /// Amortized per-op seconds under **batch-parallel** sharding: every
@@ -520,9 +696,7 @@ pub fn charge_op_pod(
 pub fn amortized_op_pod(
     pod: &mut PodSim,
     params: &CkksParams,
-    counts: &OpCounts,
-    key_bytes: f64,
-    name: &str,
+    bundle: &OpBundle,
     mode: ExecMode,
 ) -> f64 {
     let cores = pod.num_cores();
@@ -530,31 +704,14 @@ pub fn amortized_op_pod(
     let mut max_latency = 0.0f64;
     for core_idx in 0..cores {
         let sim = pod.core_mut(core_idx);
-        let rep = charge_op_mode(sim, params, counts, key_bytes, name, mode);
+        let rep = charge_op_mode(sim, params, bundle, mode);
         max_latency = max_latency.max(rep.latency_s);
     }
-    if key_bytes > 0.0 {
-        pod.broadcast(key_bytes, "switching-key broadcast");
+    if bundle.key_bytes > 0.0 {
+        pod.broadcast(bundle.key_bytes, "switching-key broadcast");
     }
     let comm = pod.comm_seconds() - comm_before;
     (max_latency + comm) / cores as f64
-}
-
-/// One HE-operator invocation bundle: the kernel counts, its key
-/// traffic, and how many times the workload invokes it. This is the
-/// unit both the bootstrapping estimator
-/// ([`crate::bootstrap::op_bundles`]) and the `cross_sched` op-graph
-/// interpreter charge, so their sequences cannot diverge.
-#[derive(Debug, Clone, Copy)]
-pub struct OpBundle {
-    /// Kernel label (reporting only; never affects the estimate).
-    pub name: &'static str,
-    /// Kernel counts of one invocation.
-    pub counts: OpCounts,
-    /// Switching-key HBM bytes per invocation (0 for un-keyed ops).
-    pub key_bytes: f64,
-    /// Invocation count.
-    pub times: usize,
 }
 
 /// Totals of charging a bundle list onto a pod — the shared engine
@@ -574,8 +731,11 @@ pub struct BundlesReport {
     pub reports: Vec<PodKernelReport>,
 }
 
-/// Charges every bundle limb-parallel onto `pod` (critical path) and
-/// batch-parallel onto `amortized_pod`, interleaved per bundle.
+/// The one bundle walk: charges every bundle limb-parallel onto
+/// `critical` (critical path) and batch-parallel onto `amortized`,
+/// interleaved per bundle. A probe that needs only one of the two
+/// figures passes `None` for the other pod, which then opens no
+/// kernel and leaves its totals zero.
 ///
 /// The two pods must be distinct: the amortized estimates charge full
 /// (unsharded) ops, which would otherwise perturb the critical-path
@@ -584,27 +744,27 @@ pub struct BundlesReport {
 /// contract (`tests/pod_model.rs`) requires the critical sequence to
 /// stay exact.
 pub fn charge_bundles_pod(
-    pod: &mut PodSim,
-    amortized_pod: &mut PodSim,
+    mut critical: Option<&mut PodSim>,
+    mut amortized: Option<&mut PodSim>,
     params: &CkksParams,
     bundles: &[OpBundle],
     mode: ExecMode,
 ) -> BundlesReport {
     let mut out = BundlesReport::default();
-    for b in bundles {
-        if b.times == 0 {
-            continue;
+    for b in bundles.iter().filter(|b| b.times > 0) {
+        let times = b.times as f64;
+        if let Some(pod) = critical.as_deref_mut() {
+            let rep = charge_op_pod(pod, params, b, mode);
+            for (cat, s) in &rep.breakdown {
+                *out.acc.entry(*cat).or_insert(0.0) += s * times;
+            }
+            out.critical_s += rep.latency_s * times;
+            out.comm_s += rep.comm_s * times;
+            out.reports.push(rep);
         }
-        let rep = charge_op_pod(pod, params, &b.counts, b.key_bytes, b.name, mode);
-        for (cat, s) in &rep.breakdown {
-            *out.acc.entry(*cat).or_insert(0.0) += s * b.times as f64;
+        if let Some(pod) = amortized.as_deref_mut() {
+            out.amortized_s += amortized_op_pod(pod, params, b, mode) * times;
         }
-        out.critical_s += rep.latency_s * b.times as f64;
-        out.comm_s += rep.comm_s * b.times as f64;
-        out.amortized_s +=
-            amortized_op_pod(amortized_pod, params, &b.counts, b.key_bytes, b.name, mode)
-                * b.times as f64;
-        out.reports.push(rep);
     }
     out
 }
@@ -623,8 +783,7 @@ pub fn normalize_breakdown(acc: std::collections::BTreeMap<Category, f64>) -> Ve
 
 /// Switching-key bytes at level `l` (dnum digits × 2 polys × (l+k) limbs).
 pub fn switching_key_bytes(params: &CkksParams, l: usize) -> f64 {
-    let dnum = params.limbs.div_ceil(params.digit_limbs()).min(params.dnum);
-    (dnum * 2 * (l + params.special_limbs()) * params.n * 4) as f64
+    (model_digits(params) * 2 * (l + params.special_limbs()) * params.n * 4) as f64
 }
 
 /// Modeled seconds to (re-)admit one switching key into pod residency
@@ -648,60 +807,31 @@ pub fn key_admit_s(gen: TpuGeneration, cores: u32, bytes: f64) -> f64 {
     hbm + scatter
 }
 
-/// Convenience: simulated latency (seconds) of the four backbone HE
-/// operators at top level on one tensor core.
-pub fn backbone_latencies(sim: &mut TpuSim, params: &CkksParams) -> [(String, KernelReport); 4] {
-    let l = params.limbs;
-    let add = charge_op(sim, params, &he_add_counts(params, l), 0.0, "HE-Add");
-    let mult = charge_op(
-        sim,
-        params,
-        &he_mult_counts(params, l),
-        switching_key_bytes(params, l),
-        "HE-Mult",
-    );
-    let rescale = charge_op(sim, params, &he_rescale_counts(params, l), 0.0, "Rescale");
-    let rotate = charge_op(
-        sim,
-        params,
-        &he_rotate_counts(params, l),
-        switching_key_bytes(params, l),
-        "Rotate",
-    );
-    [
-        ("HE-Add".into(), add),
-        ("HE-Mult".into(), mult),
-        ("Rescale".into(), rescale),
-        ("Rotate".into(), rotate),
-    ]
-}
-
-/// Pod-level backbone estimate: for each of the four operators, the
-/// limb-parallel critical-path report ([`charge_op_pod`]) and the
-/// batch-parallel amortized per-op seconds ([`amortized_op_pod`]).
+/// Pod-level backbone estimate at top level: for each of the four
+/// operators, the limb-parallel critical-path report
+/// ([`charge_op_pod`]) and the batch-parallel amortized per-op seconds
+/// ([`amortized_op_pod`]).
 pub fn backbone_latencies_pod(
     pod: &mut PodSim,
     params: &CkksParams,
     mode: ExecMode,
 ) -> [(String, PodKernelReport, f64); 4] {
-    let l = params.limbs;
-    let key = switching_key_bytes(params, l);
     // Amortized estimates charge full (unsharded) ops on a cloned pod
     // so they cannot perturb the critical-path cores' charge sequence
-    // (kernel deltas are floating-point sums over the accumulated
-    // trace; same hazard `bootstrap::estimate_pod` documents).
+    // (see `charge_bundles_pod`).
     let mut amortized_pod = pod.clone();
-    let mut one = |counts: &OpCounts, key_bytes: f64, name: &str| {
-        let rep = charge_op_pod(pod, params, counts, key_bytes, name, mode);
-        let amortized = amortized_op_pod(&mut amortized_pod, params, counts, key_bytes, name, mode);
-        (name.to_string(), rep, amortized)
-    };
     [
-        one(&he_add_counts(params, l), 0.0, "HE-Add"),
-        one(&he_mult_counts(params, l), key, "HE-Mult"),
-        one(&he_rescale_counts(params, l), 0.0, "Rescale"),
-        one(&he_rotate_counts(params, l), key, "Rotate"),
+        ("HE-Add", &HE_ADD),
+        ("HE-Mult", &HE_MULT),
+        ("Rescale", &RESCALE),
+        ("Rotate", &ROTATE),
     ]
+    .map(|(name, spec)| {
+        let b = spec.bundle(name, params, params.limbs, 1);
+        let rep = charge_op_pod(pod, params, &b, mode);
+        let amortized = amortized_op_pod(&mut amortized_pod, params, &b, mode);
+        (name.to_string(), rep, amortized)
+    })
 }
 
 #[cfg(test)]
@@ -710,13 +840,23 @@ mod tests {
     use crate::params::ParamSet;
     use cross_tpu::TpuGeneration;
 
+    /// `spec` at the top level of `p`, charged unfused on one core.
+    fn charge_top(sim: &mut TpuSim, p: &CkksParams, spec: &OpSpec, mode: ExecMode) -> KernelReport {
+        charge_op_mode(sim, p, &spec.bundle("op", p, p.limbs, 1), mode)
+    }
+
+    /// Busy seconds of the categories `pred` keeps.
+    fn busy(rep: &KernelReport, pred: impl Fn(Category) -> bool) -> f64 {
+        let kept = rep.breakdown.iter().filter(|(c, _)| pred(*c));
+        kept.map(|(_, s)| *s).sum()
+    }
+
     #[test]
     fn mult_dominates_add() {
         let p = ParamSet::D.params();
         let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let lat = backbone_latencies(&mut sim, &p);
-        let add = lat[0].1.latency_s;
-        let mult = lat[1].1.latency_s;
+        let add = charge_top(&mut sim, &p, &HE_ADD, ExecMode::Unfused).latency_s;
+        let mult = charge_top(&mut sim, &p, &HE_MULT, ExecMode::Unfused).latency_s;
         assert!(mult > 20.0 * add, "mult {mult} vs add {add}");
     }
 
@@ -724,21 +864,8 @@ mod tests {
     fn rotate_has_permutation_cost() {
         let p = ParamSet::D.params();
         let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let counts = he_rotate_counts(&p, p.limbs);
-        let rep = charge_op(
-            &mut sim,
-            &p,
-            &counts,
-            switching_key_bytes(&p, p.limbs),
-            "rot",
-        );
-        let perm: f64 = rep
-            .breakdown
-            .iter()
-            .filter(|(c, _)| *c == Category::Permutation)
-            .map(|(_, s)| *s)
-            .sum();
-        assert!(perm > 0.0);
+        let rep = charge_top(&mut sim, &p, &ROTATE, ExecMode::Unfused);
+        assert!(busy(&rep, |c| c == Category::Permutation) > 0.0);
     }
 
     #[test]
@@ -746,21 +873,10 @@ mod tests {
         // Fig. 12: HE-Mult is VPU-bound (~51 % VecModOps, matmuls ~25 %).
         let p = ParamSet::D.params();
         let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let counts = he_mult_counts(&p, p.limbs);
-        let rep = charge_op(&mut sim, &p, &counts, switching_key_bytes(&p, p.limbs), "m");
-        let total: f64 = rep.breakdown.iter().map(|(_, s)| s).sum();
-        let vec: f64 = rep
-            .breakdown
-            .iter()
-            .filter(|(c, _)| *c == Category::VecModOps)
-            .map(|(_, s)| *s)
-            .sum();
-        let mxu: f64 = rep
-            .breakdown
-            .iter()
-            .filter(|(c, _)| c.is_mxu())
-            .map(|(_, s)| *s)
-            .sum();
+        let rep = charge_top(&mut sim, &p, &HE_MULT, ExecMode::Unfused);
+        let total = busy(&rep, |_| true);
+        let vec = busy(&rep, |c| c == Category::VecModOps);
+        let mxu = busy(&rep, |c| c.is_mxu());
         assert!(vec / total > 0.3, "VecModOps share {}", vec / total);
         assert!(vec > mxu, "VPU-bound: vec {vec} vs mxu {mxu}");
     }
@@ -771,8 +887,7 @@ mod tests {
         for set in [ParamSet::A, ParamSet::B, ParamSet::C, ParamSet::D] {
             let p = set.params();
             let mut sim = TpuSim::new(TpuGeneration::V6e);
-            let counts = he_mult_counts(&p, p.limbs);
-            let rep = charge_op(&mut sim, &p, &counts, switching_key_bytes(&p, p.limbs), "m");
+            let rep = charge_top(&mut sim, &p, &HE_MULT, ExecMode::Unfused);
             assert!(rep.latency_s > last, "{}", set.name());
             last = rep.latency_s;
         }
@@ -785,21 +900,11 @@ mod tests {
         // backbone op that transforms (ROADMAP "batched HE-op cost
         // model").
         let p = ParamSet::D.params();
-        for (counts, key) in [
-            (
-                he_mult_counts(&p, p.limbs),
-                switching_key_bytes(&p, p.limbs),
-            ),
-            (
-                he_rotate_counts(&p, p.limbs),
-                switching_key_bytes(&p, p.limbs),
-            ),
-            (he_rescale_counts(&p, p.limbs), 0.0),
-        ] {
+        for spec in [&HE_MULT, &ROTATE, &RESCALE] {
             let mut s_u = TpuSim::new(TpuGeneration::V6e);
             let mut s_f = TpuSim::new(TpuGeneration::V6e);
-            let unfused = charge_op_mode(&mut s_u, &p, &counts, key, "u", ExecMode::Unfused);
-            let fused = charge_op_mode(&mut s_f, &p, &counts, key, "f", ExecMode::FusedBatch);
+            let unfused = charge_top(&mut s_u, &p, spec, ExecMode::Unfused);
+            let fused = charge_top(&mut s_f, &p, spec, ExecMode::FusedBatch);
             assert!(
                 fused.latency_s < unfused.latency_s,
                 "fused {} vs unfused {}",
@@ -817,9 +922,9 @@ mod tests {
         for set in ParamSet::ALL {
             let p = set.params();
             for l in 1..=p.limbs {
-                let rot = he_rotate_counts(&p, l);
-                let dec = he_hoist_decomp_counts(&p, l);
-                let hoist = he_hoisted_rotate_counts(&p, l);
+                let rot = ROTATE.counts(&p, l);
+                let dec = HOIST_DECOMP.counts(&p, l);
+                let hoist = HOISTED_ROTATE.counts(&p, l);
                 assert_eq!(dec.intt + hoist.intt, rot.intt, "{} l={l}", set.name());
                 assert_eq!(dec.ntt + hoist.ntt, rot.ntt, "{} l={l}", set.name());
                 assert_eq!(dec.bconv + hoist.bconv, rot.bconv, "{} l={l}", set.name());
@@ -844,19 +949,93 @@ mod tests {
                 // The decomposition is real work — hoisting k rotations
                 // must actually remove k-1 copies of something.
                 assert!(dec.intt + dec.ntt + dec.bconv > 0, "{} l={l}", set.name());
+                // And a rotate is a key switch plus the permutation.
+                let ks = KEY_SWITCH.counts(&p, l);
+                assert_eq!(
+                    OpCounts {
+                        automorphism: 0,
+                        ..rot
+                    },
+                    ks,
+                    "{} l={l}",
+                    set.name()
+                );
             }
         }
     }
 
     #[test]
+    fn counts_are_the_recorded_closed_forms() {
+        // The phase sums against the formulas the per-operator builders
+        // spelled out before the table replaced them — including
+        // HE-Mult's, which is *not* tensor + key switch + rescale.
+        for set in ParamSet::ALL {
+            let p = set.params();
+            let (k, alpha) = (p.special_limbs(), p.digit_limbs());
+            let dnum = p.limbs.div_ceil(alpha).min(p.dnum);
+            for l in 2..=p.limbs {
+                let ext = l + k;
+                let mult = OpCounts {
+                    intt: l + 2 + k,
+                    ntt: dnum * (ext - alpha.min(l)) + 2 * (l - 1),
+                    bconv: dnum * alpha.min(l) + k,
+                    vec_mod_mul: 4 * l + 2 * dnum * ext + 2 * l + 2 * l,
+                    vec_mod_add: l + 2 * dnum * ext + 2 * l + 2 * l,
+                    automorphism: 0,
+                };
+                assert_eq!(HE_MULT.counts(&p, l), mult, "{} l={l}", set.name());
+                let composed = tensor_ks_rescale(&p, l);
+                assert_eq!(mult.ntt + l, composed.ntt, "{} l={l}", set.name());
+                assert_eq!(mult.vec_mod_add, composed.vec_mod_add + l);
+                let rotate = OpCounts {
+                    intt: l + k,
+                    ntt: dnum * (ext - alpha.min(l)) + l,
+                    bconv: dnum * alpha.min(l) + k,
+                    vec_mod_mul: 2 * dnum * ext + 2 * l,
+                    vec_mod_add: 2 * dnum * ext + l,
+                    automorphism: 2 * l,
+                };
+                assert_eq!(ROTATE.counts(&p, l), rotate, "{} l={l}", set.name());
+            }
+        }
+    }
+
+    /// What HE-Mult would count were it tensor + key switch + rescale.
+    fn tensor_ks_rescale(p: &CkksParams, l: usize) -> OpCounts {
+        let tensor_only = OpSpec::new("tensor", &[Phase::Tensor]);
+        tensor_only.counts(p, l) + KEY_SWITCH.counts(p, l) + RESCALE.counts(p, l)
+    }
+
+    #[test]
+    fn bad_levels_are_rejected_by_name_not_wrapped() {
+        // `2 * (l - 1)` used to underflow on these: a debug panic
+        // without the operator's name, ~2^64 transforms in release.
+        let p = ParamSet::B.params();
+        for (spec, name) in [(&RESCALE, "Rescale"), (&HE_MULT, "HE-Mult")] {
+            for l in [0, 1] {
+                let err = std::panic::catch_unwind(|| spec.counts(&p, l)).expect_err("too low");
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert!(
+                    msg.contains(name) && msg.contains(&format!("level {l}")),
+                    "{msg}"
+                );
+            }
+            assert_eq!(result_level(spec.limbs_consumed(), 2), Some(1));
+        }
+        // Limb-preserving operators run at level 1, nothing at level 0.
+        assert_eq!(ROTATE.counts(&p, 1).automorphism, 2);
+        assert_eq!(result_level(ROTATE.limbs_consumed(), 1), Some(1));
+        assert!(std::panic::catch_unwind(|| HE_ADD.counts(&p, 0)).is_err());
+    }
+
+    #[test]
     fn pod_speedup_is_sublinear() {
         let p = ParamSet::C.params();
-        let counts = he_mult_counts(&p, p.limbs);
-        let key = switching_key_bytes(&p, p.limbs);
+        let b = HE_MULT.bundle("m", &p, p.limbs, 1);
         let mut single = TpuSim::new(TpuGeneration::V6e);
-        let one = charge_op(&mut single, &p, &counts, key, "m").latency_s;
+        let one = charge_top(&mut single, &p, &HE_MULT, ExecMode::Unfused).latency_s;
         let mut pod = PodSim::new(TpuGeneration::V6e, 8);
-        let rep = charge_op_pod(&mut pod, &p, &counts, key, "m", ExecMode::Unfused);
+        let rep = charge_op_pod(&mut pod, &p, &b, ExecMode::Unfused);
         assert!(rep.latency_s < one, "8 cores must beat 1");
         assert!(
             rep.latency_s > one / 8.0,
@@ -874,10 +1053,7 @@ mod tests {
         let mut lat = Vec::new();
         for gen in [TpuGeneration::V4, TpuGeneration::V5p, TpuGeneration::V6e] {
             let mut sim = TpuSim::new(gen);
-            let counts = he_mult_counts(&p, p.limbs);
-            lat.push(
-                charge_op(&mut sim, &p, &counts, switching_key_bytes(&p, p.limbs), "m").latency_s,
-            );
+            lat.push(charge_top(&mut sim, &p, &HE_MULT, ExecMode::Unfused).latency_s);
         }
         assert!(lat[0] > lat[2], "v4 {} vs v6e {}", lat[0], lat[2]);
     }

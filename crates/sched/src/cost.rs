@@ -1,94 +1,65 @@
 //! Graph cost interpreter: one walk over an [`OpGraph`] replaces the
 //! per-workload hand-written charge loops.
 //!
-//! Every node lowers to the same [`OpBundle`]s the `cross_ckks` cost
-//! layer charges (`he_*_counts` + switching-key bytes; `Bootstrap`
-//! expands to [`cross_ckks::bootstrap::op_bundles`]), and the bundles
-//! are charged through the one shared engine
-//! [`cross_ckks::costs::charge_bundles_pod`]. On the equivalent
+//! Every node lowers to the [`OpBundle`]s its kind's row names
+//! ([`crate::ir::KindRow::cost`]: nothing, one
+//! [`cross_ckks::costs::OpSpec`] bundle, or the
+//! [`cross_ckks::bootstrap::op_bundles`] list), and the bundles are
+//! charged through the one walk [`charge_kind`] — the same walk the
+//! scheduler's and the optimizer's probes use. On the equivalent
 //! single-op graph the result is **bit-identical** to
 //! [`cross_ckks::costs::charge_op_pod`], and on a bootstrap graph to
 //! [`cross_ckks::bootstrap::estimate_pod`] — pinned by
 //! `tests/sched_model.rs`.
 
-use crate::ir::{HeOp, HeOpKind, NodeId, OpGraph};
+use crate::ir::{Cost, HeOpKind, NodeId, OpGraph};
 use cross_ckks::bootstrap::{self, BootstrapCounts};
-use cross_ckks::costs::{self, ExecMode, OpBundle};
+use cross_ckks::costs::{self, BundlesReport, ExecMode, OpBundle};
 use cross_ckks::params::CkksParams;
 use cross_tpu::{Category, PodKernelReport, PodSim};
 
-/// The kernel bundles one IR node charges. `Input` and `ModDrop` are
-/// free (metadata only); a batch-`B` node charges one fused kernel
+/// The kernel bundles `batch` fused ops of `kind` at `level` charge.
+/// Free kinds charge none; a batch-`B` node charges one fused kernel
 /// with counts scaled by `B` and its switching key loaded **once** —
 /// which is exactly the fusion win batch formation buys.
-pub fn node_bundles(params: &CkksParams, op: &HeOp) -> Vec<OpBundle> {
-    let l = op.level;
-    let b = op.batch;
-    let key = || costs::switching_key_bytes(params, l);
-    let one = |name, counts, key_bytes| {
-        vec![OpBundle {
-            name,
-            counts,
-            key_bytes,
-            times: 1,
-        }]
-    };
-    match op.kind {
-        HeOpKind::Input | HeOpKind::ModDrop { .. } => Vec::new(),
-        HeOpKind::Add => one("HE-Add", costs::he_add_counts(params, l).scaled(b), 0.0),
-        HeOpKind::Sub => one("HE-Sub", costs::he_add_counts(params, l).scaled(b), 0.0),
-        HeOpKind::PlainMult => one(
-            "HE-PMult",
-            costs::he_plain_mult_counts(params, l).scaled(b),
-            0.0,
-        ),
-        HeOpKind::PlainMultConst { .. } => one(
-            "HE-PMultConst",
-            costs::he_plain_mult_counts(params, l).scaled(b),
-            0.0,
-        ),
-        HeOpKind::PlainAddConst { .. } => one(
-            "HE-PAddConst",
-            costs::he_add_counts(params, l).scaled(b),
-            0.0,
-        ),
-        HeOpKind::Mult => one("HE-Mult", costs::he_mult_counts(params, l).scaled(b), key()),
-        HeOpKind::Rotate { .. } => one(
-            "Rotate",
-            costs::he_rotate_counts(params, l).scaled(b),
-            key(),
-        ),
-        HeOpKind::Rescale => one(
-            "Rescale",
-            costs::he_rescale_counts(params, l).scaled(b),
-            0.0,
-        ),
-        HeOpKind::KeySwitch => one(
-            "KeySwitch",
-            costs::he_key_switch_counts(params, l).scaled(b),
-            key(),
-        ),
-        HeOpKind::HoistDecomp => one(
-            "HoistDecomp",
-            costs::he_hoist_decomp_counts(params, l).scaled(b),
-            0.0,
-        ),
-        HeOpKind::HoistedRotate { .. } => one(
-            "HoistedRotate",
-            costs::he_hoisted_rotate_counts(params, l).scaled(b),
-            key(),
-        ),
-        HeOpKind::Bootstrap => {
-            let counts = BootstrapCounts::packed(params);
-            bootstrap::op_bundles(params, &counts)
-                .into_iter()
-                .map(|mut bundle| {
-                    bundle.times *= b;
-                    bundle
-                })
-                .collect()
+pub fn node_bundles(
+    params: &CkksParams,
+    kind: HeOpKind,
+    level: usize,
+    batch: usize,
+) -> Vec<OpBundle> {
+    let row = kind.row();
+    match row.cost {
+        Cost::Free => Vec::new(),
+        Cost::Spec(spec) => vec![spec.bundle(row.label, params, level, batch)],
+        Cost::Bootstrap => {
+            let mut bundles = bootstrap::op_bundles(params, &BootstrapCounts::packed(params));
+            for bundle in &mut bundles {
+                bundle.times *= batch;
+            }
+            bundles
         }
     }
+}
+
+/// The one `(kind, level, batch)` bundle walk: charges the kernels of
+/// `batch` fused `kind` ops at `level` limb-parallel onto `critical`
+/// and batch-parallel onto `amortized`, skipping whichever pod is
+/// `None` ([`costs::charge_bundles_pod`]). [`cost_graph`] walks every
+/// node through it; the scheduler's and the hoisting pass's probes are
+/// the same call on fresh pods, so a probe's figure *is* what the
+/// interpreter charges for that node.
+pub fn charge_kind(
+    critical: Option<&mut PodSim>,
+    amortized: Option<&mut PodSim>,
+    params: &CkksParams,
+    kind: HeOpKind,
+    level: usize,
+    batch: usize,
+    mode: ExecMode,
+) -> BundlesReport {
+    let bundles = node_bundles(params, kind, level, batch);
+    costs::charge_bundles_pod(critical, amortized, params, &bundles, mode)
 }
 
 /// Cost of one interpreted node.
@@ -157,8 +128,10 @@ pub fn cost_graph(
     };
     let mut acc: std::collections::BTreeMap<Category, f64> = Default::default();
     for node in graph.nodes() {
-        let bundles = node_bundles(params, node);
-        let br = costs::charge_bundles_pod(pod, &mut amortized_pod, params, &bundles, mode);
+        let (critical, amortized) = (Some(&mut *pod), Some(&mut amortized_pod));
+        let br = charge_kind(
+            critical, amortized, params, node.kind, node.level, node.batch, mode,
+        );
         out.critical_s += br.critical_s;
         out.amortized_s += br.amortized_s;
         out.comm_s += br.comm_s;

@@ -8,7 +8,7 @@
 //! entries never interact (`tests/batched_equivalence.rs`).
 //! `tests/sched_model.rs` pins both.
 
-use crate::ir::{HeOpKind, NodeId, OpGraph};
+use crate::ir::{BatchedOp, ExecOp, HeOpKind, HoistOp, NodeId, OpGraph};
 use crate::sched::Schedule;
 use cross_ckks::{BatchedCiphertext, Ciphertext, Evaluator, HoistedDecomposition, SwitchingKey};
 use std::borrow::Cow;
@@ -102,32 +102,27 @@ fn at_level<'c>(ev: &Evaluator, ct: &'c Ciphertext, level: usize) -> Cow<'c, Cip
 fn exec_group(
     ev: &Evaluator,
     keys: &ReplayKeys,
-    kind: HeOpKind,
+    op: BatchedOp,
     level: usize,
     lhs: &[&Ciphertext],
     rhs: &[&Ciphertext],
 ) -> Vec<Ciphertext> {
-    assert!(
-        kind.replayable() && kind != HeOpKind::Input,
-        "{} is cost-only and cannot be executed",
-        kind.label()
-    );
     let pack = |cts: &[&Ciphertext]| -> BatchedCiphertext {
         let aligned: Vec<_> = cts.iter().map(|c| at_level(ev, c, level)).collect();
         BatchedCiphertext::from_ciphertexts(aligned.iter().map(|c| &**c))
     };
-    let out = match kind {
-        HeOpKind::Add => ev.add_batch(&pack(lhs), &pack(rhs)),
-        HeOpKind::Sub => ev.sub_batch(&pack(lhs), &pack(rhs)),
-        HeOpKind::Mult => ev.mult_batch(&pack(lhs), &pack(rhs), keys.relin()),
-        HeOpKind::PlainMultConst { cid } => {
+    let out = match op {
+        BatchedOp::Add => ev.add_batch(&pack(lhs), &pack(rhs)),
+        BatchedOp::Sub => ev.sub_batch(&pack(lhs), &pack(rhs)),
+        BatchedOp::Mult => ev.mult_batch(&pack(lhs), &pack(rhs), keys.relin()),
+        BatchedOp::PlainMultConst { cid } => {
             // One encode, broadcast across the whole group.
             let (value, pt_scale) = keys.mult_const(cid);
             let ctx = ev.context();
             let pt = ctx.encode_at(&vec![value; ctx.slot_count()], level, pt_scale);
             ev.mult_plain_batch(&pack(lhs), &pt, pt_scale)
         }
-        HeOpKind::PlainAddConst { cid } => {
+        BatchedOp::PlainAddConst { cid } => {
             // Each member encodes its constant at its *own* (level,
             // scale) so the add is drift-free — a per-entry plaintext,
             // so there is no shared broadcast kernel to pack for.
@@ -142,12 +137,9 @@ fn exec_group(
                 })
                 .collect();
         }
-        HeOpKind::Rotate { steps } => ev.rotate_batch(&pack(lhs), steps, keys.rotation(steps)),
-        HeOpKind::Rescale => ev.rescale_batch(&pack(lhs)),
-        HeOpKind::ModDrop { to_level } => ev.mod_drop_batch(&pack(lhs), to_level),
-        // Hoist kinds run through the hoisted-decomposition side map
-        // in `replay`/`execute_schedule`, never through here.
-        _ => unreachable!(),
+        BatchedOp::Rotate { steps } => ev.rotate_batch(&pack(lhs), steps, keys.rotation(steps)),
+        BatchedOp::Rescale => ev.rescale_batch(&pack(lhs)),
+        BatchedOp::ModDrop { to_level } => ev.mod_drop_batch(&pack(lhs), to_level),
     };
     out.to_ciphertexts()
 }
@@ -195,34 +187,36 @@ impl<'a> Run<'a> {
     }
 
     /// Executes the same-kind ops `nodes` at `level` and stores their
-    /// values; cost-only kinds produce none.
+    /// values; cost-only kinds produce none. The one place a graph
+    /// kind is converted to its executable form
+    /// ([`crate::ir::KindRow::exec`]).
     fn exec(&mut self, kind: HeOpKind, level: usize, nodes: &[NodeId]) {
         let graph = self.graph;
         for &id in nodes {
             assert_eq!(graph.node(id).batch, 1, "pre-fused nodes are cost-only");
         }
-        if !kind.replayable() {
-            return;
-        }
-        if matches!(kind, HeOpKind::HoistDecomp | HeOpKind::HoistedRotate { .. }) {
+        let row = kind.row();
+        let out = match row.exec {
+            None => return,
             // Hoist-pipeline groups run node by node off the shared
             // decomposition map — each rotation is already just the
             // cheap tail, so there is no batched variant to prefer.
-            for &id in nodes {
-                let out = self.exec_hoist_node(kind, level, id);
-                self.results[id] = Some(out);
-            }
-            return;
-        }
-        // operand `k` of every member (none for a unary kind's rhs)
-        let side = |k: usize| -> Vec<&Ciphertext> {
-            let members = if k < kind.arity() { nodes } else { &[] };
-            members
+            Some(ExecOp::Hoist(op)) => nodes
                 .iter()
-                .map(|&id| self.operand(graph.node(id).inputs[k]))
-                .collect()
+                .map(|&id| self.exec_hoist_node(op, level, id))
+                .collect(),
+            Some(ExecOp::Batched(op)) => {
+                // operand `k` of every member (none for a unary kind's rhs)
+                let side = |k: usize| -> Vec<&Ciphertext> {
+                    let members = if k < row.arity { nodes } else { &[] };
+                    members
+                        .iter()
+                        .map(|&id| self.operand(graph.node(id).inputs[k]))
+                        .collect()
+                };
+                exec_group(self.ev, self.keys, op, level, &side(0), &side(1))
+            }
         };
-        let out = exec_group(self.ev, self.keys, kind, level, &side(0), &side(1));
         for (&id, ct) in nodes.iter().zip(out) {
             self.results[id] = Some(ct);
         }
@@ -239,23 +233,22 @@ impl<'a> Run<'a> {
     /// one Galois tail — falling back to the eager rotate if its input
     /// was not decomposed (a hand-built graph wiring HoistedRotate to
     /// an ordinary producer) or sits at another level.
-    fn exec_hoist_node(&mut self, kind: HeOpKind, level: usize, id: NodeId) -> Ciphertext {
+    fn exec_hoist_node(&mut self, op: HoistOp, level: usize, id: NodeId) -> Ciphertext {
         let (ev, keys) = (self.ev, self.keys);
         let input = self.graph.node(id).inputs[0];
-        match kind {
-            HeOpKind::HoistDecomp => {
+        match op {
+            HoistOp::Decomp => {
                 let a = ev.mod_drop(self.operand(input), level);
                 self.decomps.insert(id, ev.hoist_decompose(&a));
                 a
             }
-            HeOpKind::HoistedRotate { steps } => match self.decomps.get(&input) {
+            HoistOp::Rotate { steps } => match self.decomps.get(&input) {
                 Some(h) if h.level == level => ev.hoisted_rotate(h, steps, keys.rotation(steps)),
                 _ => {
                     let a = at_level(ev, self.operand(input), level);
                     ev.rotate(&a, steps, keys.rotation(steps))
                 }
             },
-            _ => unreachable!("not a hoist kind"),
         }
     }
 }

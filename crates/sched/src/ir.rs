@@ -9,6 +9,9 @@
 //! already-added node — so every graph's node order *is* a topological
 //! order and interpreters never need a sort.
 
+use crate::keycache::KeyRef;
+use cross_ckks::costs::{self, OpSpec};
+
 /// Index of a node inside its [`OpGraph`].
 pub type NodeId = usize;
 
@@ -72,7 +75,7 @@ pub enum HeOpKind {
     /// bundles).
     Bootstrap,
     /// The shared digit decomposition a hoisted rotation fan-out pays
-    /// once ([`cross_ckks::costs::he_hoist_decomp_counts`]). Replay
+    /// once ([`cross_ckks::costs::HOIST_DECOMP`]). Replay
     /// treats it as an identity — the decomposed digits are an
     /// implementation detail the sibling
     /// [`HoistedRotate`](HeOpKind::HoistedRotate)s consume —
@@ -81,7 +84,7 @@ pub enum HeOpKind {
     /// One rotation riding a [`HoistDecomp`](HeOpKind::HoistDecomp):
     /// automorphism + key inner
     /// product + mod-down, the decomposition already paid
-    /// ([`cross_ckks::costs::he_hoisted_rotate_counts`]). Replays as a
+    /// ([`cross_ckks::costs::HOISTED_ROTATE`]). Replays as a
     /// full rotate of the passed-through operand.
     HoistedRotate {
         /// Slot rotation amount; selects the switching key, exactly
@@ -90,67 +93,202 @@ pub enum HeOpKind {
     },
 }
 
+/// What the cost model charges for a kind.
+#[derive(Debug, Clone, Copy)]
+pub enum Cost {
+    /// Metadata only: no kernel.
+    Free,
+    /// One kernel described by an operator spec.
+    Spec(&'static OpSpec),
+    /// The Tab. IX kernel bundles of
+    /// [`cross_ckks::bootstrap::op_bundles`].
+    Bootstrap,
+}
+
+/// How a kind's result level follows from its execution level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LevelRule {
+    /// The result sits this many limbs below the execution level.
+    Consumes(usize),
+    /// The result jumps to this level, which must lie in
+    /// `[1, execution level]`.
+    DropTo(usize),
+}
+
+impl LevelRule {
+    /// The result level of an op executing at `level`, or `None` when
+    /// `level` cannot host the op. The one rule
+    /// [`OpGraph::add_op`] asserts, serving admission checks, and the
+    /// cost model's [`OpSpec::counts`] shares through
+    /// [`costs::result_level`].
+    pub fn result_level(self, level: usize) -> Option<usize> {
+        match self {
+            LevelRule::Consumes(limbs) => costs::result_level(limbs, level),
+            LevelRule::DropTo(to) => (1..=level).contains(&to).then_some(to),
+        }
+    }
+}
+
+/// A kind the functional executor can run as one batched evaluator
+/// call over a group of same-kind ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchedOp {
+    /// [`HeOpKind::Add`].
+    Add,
+    /// [`HeOpKind::Sub`].
+    Sub,
+    /// [`HeOpKind::Mult`].
+    Mult,
+    /// [`HeOpKind::PlainMultConst`].
+    PlainMultConst {
+        /// Const-table id.
+        cid: u32,
+    },
+    /// [`HeOpKind::PlainAddConst`].
+    PlainAddConst {
+        /// Const-table id.
+        cid: u32,
+    },
+    /// [`HeOpKind::Rotate`].
+    Rotate {
+        /// Slot rotation amount.
+        steps: usize,
+    },
+    /// [`HeOpKind::Rescale`].
+    Rescale,
+    /// [`HeOpKind::ModDrop`].
+    ModDrop {
+        /// Target level.
+        to_level: usize,
+    },
+}
+
+/// A kind the executor runs node by node against the shared
+/// hoisted-decomposition map.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HoistOp {
+    /// [`HeOpKind::HoistDecomp`].
+    Decomp,
+    /// [`HeOpKind::HoistedRotate`].
+    Rotate {
+        /// Slot rotation amount.
+        steps: usize,
+    },
+}
+
+/// An operator the functional executor can run. [`HeOpKind`] is the
+/// graph vocabulary and also names cost-only kinds (`PlainMult`
+/// without its plaintext, standalone `KeySwitch`, `Bootstrap`); this
+/// type cannot hold one, so code that matches it needs no run-time
+/// "is this executable" check. [`KindRow::exec`] is the one conversion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExecOp {
+    /// Runs as a batched evaluator call.
+    Batched(BatchedOp),
+    /// Runs through the hoisting pipeline.
+    Hoist(HoistOp),
+}
+
+/// The static facts of one [`HeOpKind`]: the single per-kind table the
+/// IR, the cost interpreter, the scheduler, the key cache, the
+/// executor and serving admission all read.
+#[derive(Debug, Clone, Copy)]
+pub struct KindRow {
+    /// Display label (the kernel name cost reports carry).
+    pub label: &'static str,
+    /// How many ciphertext operands the op consumes.
+    pub arity: usize,
+    /// The switching key the op loads, if any.
+    pub key: Option<KeyRef>,
+    /// Result-level rule.
+    pub level: LevelRule,
+    /// What the cost model charges.
+    pub cost: Cost,
+    /// The executable form; `None` for `Input` (a value, not an
+    /// operation) and the cost-only kinds.
+    pub exec: Option<ExecOp>,
+}
+
 impl HeOpKind {
+    /// This kind's row of static facts.
+    pub fn row(self) -> KindRow {
+        use {
+            BatchedOp as B,
+            Cost::{Free, Spec},
+            ExecOp::*,
+            HoistOp as H,
+            KeyRef::*,
+        };
+        let row = |label, arity, key, cost, exec| KindRow {
+            label,
+            arity,
+            key,
+            level: match cost {
+                Spec(spec) => LevelRule::Consumes(spec.limbs_consumed()),
+                Free | Cost::Bootstrap => LevelRule::Consumes(0),
+            },
+            cost,
+            exec,
+        };
+        let add = Spec(&costs::HE_ADD);
+        let pmult = Spec(&costs::PLAIN_MULT);
+        match self {
+            HeOpKind::Input => row("Input", 0, None, Free, None),
+            HeOpKind::Add => row("HE-Add", 2, None, add, Some(Batched(B::Add))),
+            HeOpKind::Sub => row("HE-Sub", 2, None, add, Some(Batched(B::Sub))),
+            HeOpKind::PlainMult => row("HE-PMult", 1, None, pmult, None),
+            HeOpKind::PlainMultConst { cid } => {
+                let exec = Batched(B::PlainMultConst { cid });
+                row("HE-PMultConst", 1, None, pmult, Some(exec))
+            }
+            HeOpKind::PlainAddConst { cid } => {
+                let exec = Batched(B::PlainAddConst { cid });
+                row("HE-PAddConst", 1, None, add, Some(exec))
+            }
+            HeOpKind::Mult => {
+                let cost = Spec(&costs::HE_MULT);
+                row("HE-Mult", 2, Some(Relin), cost, Some(Batched(B::Mult)))
+            }
+            HeOpKind::Rotate { steps } => {
+                let (key, exec) = (Rotation(steps), Batched(B::Rotate { steps }));
+                row("Rotate", 1, Some(key), Spec(&costs::ROTATE), Some(exec))
+            }
+            HeOpKind::Rescale => {
+                let cost = Spec(&costs::RESCALE);
+                row("Rescale", 1, None, cost, Some(Batched(B::Rescale)))
+            }
+            HeOpKind::ModDrop { to_level } => KindRow {
+                level: LevelRule::DropTo(to_level),
+                ..row(
+                    "ModDrop",
+                    1,
+                    None,
+                    Free,
+                    Some(Batched(B::ModDrop { to_level })),
+                )
+            },
+            HeOpKind::KeySwitch => row("KeySwitch", 1, Some(Relin), Spec(&costs::KEY_SWITCH), None),
+            HeOpKind::Bootstrap => row("Bootstrap", 1, Some(Relin), Cost::Bootstrap, None),
+            HeOpKind::HoistDecomp => {
+                let cost = Spec(&costs::HOIST_DECOMP);
+                row("HoistDecomp", 1, None, cost, Some(Hoist(H::Decomp)))
+            }
+            HeOpKind::HoistedRotate { steps } => {
+                let (key, exec) = (Rotation(steps), Hoist(H::Rotate { steps }));
+                let cost = Spec(&costs::HOISTED_ROTATE);
+                row("HoistedRotate", 1, Some(key), cost, Some(exec))
+            }
+        }
+    }
+
     /// Display label (the kernel name cost reports carry).
     pub fn label(self) -> &'static str {
-        match self {
-            HeOpKind::Input => "Input",
-            HeOpKind::Add => "HE-Add",
-            HeOpKind::Sub => "HE-Sub",
-            HeOpKind::PlainMult => "HE-PMult",
-            HeOpKind::PlainMultConst { .. } => "HE-PMultConst",
-            HeOpKind::PlainAddConst { .. } => "HE-PAddConst",
-            HeOpKind::Mult => "HE-Mult",
-            HeOpKind::Rotate { .. } => "Rotate",
-            HeOpKind::Rescale => "Rescale",
-            HeOpKind::ModDrop { .. } => "ModDrop",
-            HeOpKind::KeySwitch => "KeySwitch",
-            HeOpKind::Bootstrap => "Bootstrap",
-            HeOpKind::HoistDecomp => "HoistDecomp",
-            HeOpKind::HoistedRotate { .. } => "HoistedRotate",
-        }
+        self.row().label
     }
 
     /// How many ciphertext operands the op consumes.
     pub fn arity(self) -> usize {
-        match self {
-            HeOpKind::Input => 0,
-            HeOpKind::Add | HeOpKind::Sub | HeOpKind::Mult => 2,
-            _ => 1,
-        }
-    }
-
-    /// Whether the op loads a switching key.
-    pub fn keyed(self) -> bool {
-        matches!(
-            self,
-            HeOpKind::Mult
-                | HeOpKind::Rotate { .. }
-                | HeOpKind::KeySwitch
-                | HeOpKind::Bootstrap
-                | HeOpKind::HoistedRotate { .. }
-        )
-    }
-
-    /// Whether the functional executor can replay the op (the cost-only
-    /// kinds — `PlainMult` without its plaintext, standalone
-    /// `KeySwitch`, `Bootstrap` — can be costed and scheduled but not
-    /// replayed).
-    pub fn replayable(self) -> bool {
-        matches!(
-            self,
-            HeOpKind::Input
-                | HeOpKind::Add
-                | HeOpKind::Sub
-                | HeOpKind::Mult
-                | HeOpKind::PlainMultConst { .. }
-                | HeOpKind::PlainAddConst { .. }
-                | HeOpKind::Rotate { .. }
-                | HeOpKind::Rescale
-                | HeOpKind::ModDrop { .. }
-                | HeOpKind::HoistDecomp
-                | HeOpKind::HoistedRotate { .. }
-        )
+        self.row().arity
     }
 }
 
@@ -176,13 +314,11 @@ pub struct HeOp {
 impl HeOp {
     /// Level of the node's *result*: `Mult` and `Rescale` consume one
     /// limb, `ModDrop` jumps to its target, everything else preserves
-    /// the execution level.
+    /// the execution level ([`KindRow::level`]).
     pub fn result_level(&self) -> usize {
-        match self.kind {
-            HeOpKind::Mult | HeOpKind::Rescale => self.level - 1,
-            HeOpKind::ModDrop { to_level } => to_level,
-            _ => self.level,
-        }
+        let rule = self.kind.row().level;
+        rule.result_level(self.level)
+            .expect("add_op checked the level")
     }
 }
 
@@ -221,8 +357,10 @@ impl OpGraph {
     /// Panics if an input id is out of range (forward edges are
     /// impossible — that is the acyclicity guarantee), if the operand
     /// count does not match the kind's arity (scaled by `batch` for
-    /// fused nodes), on `batch == 0`, or on a level too low for the op
-    /// (`Mult`/`Rescale` need level ≥ 2).
+    /// fused nodes), on `batch == 0`, or on a level that cannot host
+    /// the op ([`LevelRule::result_level`] is `None`: level 0, no limb
+    /// left for `Mult`/`Rescale` to drop, a `ModDrop` target outside
+    /// `[1, level]`).
     pub fn add_op(
         &mut self,
         kind: HeOpKind,
@@ -230,23 +368,19 @@ impl OpGraph {
         batch: usize,
         inputs: &[NodeId],
     ) -> NodeId {
+        let row = kind.row();
         assert!(batch >= 1, "batch must be ≥ 1");
-        assert!(level >= 1, "level must be ≥ 1");
-        if matches!(kind, HeOpKind::Mult | HeOpKind::Rescale) {
-            assert!(level >= 2, "{} needs a limb to drop", kind.label());
-        }
-        if let HeOpKind::ModDrop { to_level } = kind {
-            assert!(
-                (1..=level).contains(&to_level),
-                "ModDrop target must be in [1, level]"
-            );
-        }
+        assert!(
+            row.level.result_level(level).is_some(),
+            "{} cannot run at level {level}",
+            row.label
+        );
         assert_eq!(
             inputs.len(),
-            kind.arity() * batch,
+            row.arity * batch,
             "{} × batch {batch} expects {} operand(s)",
-            kind.label(),
-            kind.arity() * batch
+            row.label,
+            row.arity * batch
         );
         self.push(kind, level, batch, inputs)
     }
@@ -371,7 +505,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "limb to drop")]
+    #[should_panic(expected = "Rescale cannot run at level 1")]
     fn rescale_needs_level_two() {
         let mut g = OpGraph::new();
         let a = g.input(1);
@@ -379,64 +513,40 @@ mod tests {
     }
 
     #[test]
-    fn kind_metadata() {
-        assert!(HeOpKind::Mult.keyed());
-        assert!(!HeOpKind::Add.keyed());
-        assert_eq!(HeOpKind::Rotate { steps: 3 }.arity(), 1);
-        assert!(HeOpKind::Rotate { steps: 3 }.replayable());
-        assert!(!HeOpKind::Bootstrap.replayable());
-        // Distinct steps are distinct kinds — they must not merge.
+    fn parameterised_kinds_are_distinct_per_parameter() {
+        // Distinct steps / cids are distinct kinds — they select
+        // different keys or constants and must never batch-merge. The
+        // per-kind facts themselves are checked against behaviour by
+        // `kind_rows_agree_with_behaviour` (tests/serve_model.rs).
         assert_ne!(HeOpKind::Rotate { steps: 1 }, HeOpKind::Rotate { steps: 2 });
-    }
-
-    #[test]
-    fn sgn_kind_metadata() {
-        // Sub is a two-operand un-keyed replayable op like Add; the
-        // plaintext-constant ops are unary, un-keyed and replayable
-        // (the const table captures their hidden operand), and distinct
-        // cids are distinct kinds so they never batch-merge.
-        assert_eq!(HeOpKind::Sub.arity(), 2);
-        assert!(!HeOpKind::Sub.keyed());
-        assert!(HeOpKind::Sub.replayable());
-        assert_eq!(HeOpKind::PlainMultConst { cid: 0 }.arity(), 1);
-        assert!(!HeOpKind::PlainMultConst { cid: 0 }.keyed());
-        assert!(HeOpKind::PlainMultConst { cid: 0 }.replayable());
-        assert!(HeOpKind::PlainAddConst { cid: 0 }.replayable());
-        assert_ne!(
-            HeOpKind::PlainMultConst { cid: 0 },
-            HeOpKind::PlainMultConst { cid: 1 }
-        );
-        // But the cost-only PlainMult stays non-replayable.
-        assert!(!HeOpKind::PlainMult.replayable());
-        let mut g = OpGraph::new();
-        let a = g.input(4);
-        let b = g.input(4);
-        let s = g.add_op(HeOpKind::Sub, 4, 1, &[a, b]);
-        let p = g.add_op(HeOpKind::PlainMultConst { cid: 7 }, 4, 1, &[s]);
-        assert_eq!(g.node(p).result_level(), 4);
-        let q = g.add_op(HeOpKind::PlainAddConst { cid: 8 }, 4, 1, &[p]);
-        assert_eq!(g.node(q).result_level(), 4);
-    }
-
-    #[test]
-    fn hoist_kind_metadata() {
-        // HoistDecomp is an un-keyed replayable identity; HoistedRotate
-        // is keyed per step like Rotate and preserves the level.
-        assert!(!HeOpKind::HoistDecomp.keyed());
-        assert!(HeOpKind::HoistDecomp.replayable());
-        assert_eq!(HeOpKind::HoistDecomp.arity(), 1);
-        assert!(HeOpKind::HoistedRotate { steps: 2 }.keyed());
-        assert!(HeOpKind::HoistedRotate { steps: 2 }.replayable());
-        assert_eq!(HeOpKind::HoistedRotate { steps: 2 }.arity(), 1);
         assert_ne!(
             HeOpKind::HoistedRotate { steps: 1 },
             HeOpKind::HoistedRotate { steps: 2 }
         );
-        let mut g = OpGraph::new();
-        let a = g.input(4);
-        let d = g.add_op(HeOpKind::HoistDecomp, 4, 1, &[a]);
-        let r = g.add_op(HeOpKind::HoistedRotate { steps: 3 }, 4, 1, &[d]);
-        assert_eq!(g.node(d).result_level(), 4);
-        assert_eq!(g.node(r).result_level(), 4);
+        assert_ne!(
+            HeOpKind::PlainMultConst { cid: 0 },
+            HeOpKind::PlainMultConst { cid: 1 }
+        );
+    }
+
+    #[test]
+    fn level_rule_is_shared_with_the_cost_model() {
+        for kind in [HeOpKind::Mult, HeOpKind::Rescale] {
+            let rule = kind.row().level;
+            assert_eq!(rule.result_level(2), Some(1), "{kind:?}");
+            assert_eq!(rule.result_level(1), None, "{kind:?}");
+        }
+        let drop = HeOpKind::ModDrop { to_level: 3 }.row().level;
+        assert_eq!(drop.result_level(4), Some(3));
+        assert_eq!(drop.result_level(3), Some(3));
+        assert_eq!(drop.result_level(2), None);
+        assert_eq!(
+            HeOpKind::ModDrop { to_level: 0 }
+                .row()
+                .level
+                .result_level(4),
+            None
+        );
+        assert_eq!(HeOpKind::Add.row().level.result_level(0), None);
     }
 }

@@ -48,15 +48,10 @@ pub enum KeyRef {
 }
 
 impl KeyRef {
-    /// The key `kind` loads, or `None` for un-keyed ops.
+    /// The key `kind` loads, or `None` for un-keyed ops
+    /// ([`crate::ir::KindRow::key`]).
     pub fn of(kind: HeOpKind) -> Option<KeyRef> {
-        match kind {
-            HeOpKind::Mult | HeOpKind::KeySwitch | HeOpKind::Bootstrap => Some(KeyRef::Relin),
-            HeOpKind::Rotate { steps } | HeOpKind::HoistedRotate { steps } => {
-                Some(KeyRef::Rotation(steps))
-            }
-            _ => None,
-        }
+        kind.row().key
     }
 }
 

@@ -74,9 +74,9 @@
 //! assert_eq!(rw.remap.len(), g.len());
 //! ```
 
-use crate::cost::node_bundles;
-use crate::ir::{HeOp, HeOpKind, NodeId, OpGraph};
-use cross_ckks::costs::{self, ExecMode};
+use crate::cost::charge_kind;
+use crate::ir::{HeOpKind, NodeId, OpGraph};
+use cross_ckks::costs::ExecMode;
 use cross_ckks::params::CkksParams;
 use cross_tpu::{PodSim, TpuGeneration};
 use std::collections::{BTreeMap, BTreeSet};
@@ -168,10 +168,10 @@ impl Pass for Cse {
     }
 
     fn run(&self, graph: &OpGraph, _params: &CkksParams) -> Rewrite {
-        // Replayable ⇒ the IR records every operand the op reads, so
+        // Executable ⇒ the IR records every operand the op reads, so
         // equal keys really are the same computation. Cost-only kinds
         // fail that premise and must survive untouched.
-        dedup(graph, |k| k.replayable() && k != HeOpKind::Input)
+        dedup(graph, |k| k.row().exec.is_some())
     }
 }
 
@@ -284,10 +284,11 @@ impl Pass for Waterline {
 /// the same level share their digit decomposition — one
 /// [`HeOpKind::HoistDecomp`] feeding `k`
 /// [`HeOpKind::HoistedRotate`]s. The counts split is exact
-/// ([`cross_ckks::costs::he_hoist_decomp_counts`] +
-/// [`cross_ckks::costs::he_hoisted_rotate_counts`] =
-/// [`cross_ckks::costs::he_rotate_counts`] per rotation, minus the
-/// `k − 1` re-decompositions), but splitting one kernel into `k + 1`
+/// ([`cross_ckks::costs::ROTATE`]'s phases are
+/// [`cross_ckks::costs::HOIST_DECOMP`]'s followed by
+/// [`cross_ckks::costs::HOISTED_ROTATE`]'s, so hoisting removes the
+/// `k − 1` re-decompositions and nothing else), but splitting one
+/// kernel into `k + 1`
 /// re-pays fixed overheads (twiddle DMA per NTT-bearing kernel), so
 /// each group is accepted only when fresh-pod probes show
 /// `decomp + k·hoisted ≤ k·rotate` on **both** the critical-path and
@@ -319,17 +320,10 @@ impl HoistRotations {
     /// history-independent, pinned by `tests/sched_model.rs`), so the
     /// guard's delta is the true delta.
     fn probe(&self, params: &CkksParams, kind: HeOpKind, level: usize) -> (f64, f64) {
-        let op = HeOp {
-            id: 0,
-            kind,
-            level,
-            batch: 1,
-            inputs: Vec::new(),
-        };
         let mut pod = PodSim::new(self.gen, self.cores);
         let mut amortized = pod.clone();
-        let bundles = node_bundles(params, &op);
-        let br = costs::charge_bundles_pod(&mut pod, &mut amortized, params, &bundles, self.mode);
+        let (critical, amortized) = (Some(&mut pod), Some(&mut amortized));
+        let br = charge_kind(critical, amortized, params, kind, level, 1, self.mode);
         (br.critical_s, br.amortized_s)
     }
 }

@@ -45,9 +45,9 @@
 //! assert!(schedule.wall_s() < scheduler.naive_wall_s(&graph, &params));
 //! ```
 
-use crate::cost::node_bundles;
-use crate::ir::{HeOp, HeOpKind, NodeId, OpGraph};
-use cross_ckks::costs::{self, ExecMode};
+use crate::cost::charge_kind;
+use crate::ir::{HeOpKind, NodeId, OpGraph};
+use cross_ckks::costs::ExecMode;
 use cross_ckks::params::CkksParams;
 use cross_core::shard::ShardStrategy;
 use cross_tpu::{PodSim, TpuGeneration};
@@ -123,22 +123,8 @@ impl Scheduler {
     /// invocations of `kind` at `level`. Charges only the critical
     /// path — no amortized clone.
     fn fused_kernel_s(&self, params: &CkksParams, kind: HeOpKind, level: usize, ops: usize) -> f64 {
-        let probe = HeOp {
-            id: 0,
-            kind,
-            level,
-            batch: ops,
-            inputs: Vec::new(),
-        };
         let mut pod = self.pod();
-        node_bundles(params, &probe)
-            .iter()
-            .map(|b| {
-                costs::charge_op_pod(&mut pod, params, &b.counts, b.key_bytes, b.name, self.mode)
-                    .latency_s
-                    * b.times as f64
-            })
-            .sum()
+        charge_kind(Some(&mut pod), None, params, kind, level, ops, self.mode).critical_s
     }
 
     /// Batch-parallel amortized seconds per op of `kind` at `level`,
@@ -151,21 +137,9 @@ impl Scheduler {
         level: usize,
         ops: usize,
     ) -> f64 {
-        let probe = HeOp {
-            id: 0,
-            kind,
-            level,
-            batch: 1,
-            inputs: Vec::new(),
-        };
         let mut pod = self.pod();
-        let amortized: f64 = node_bundles(params, &probe)
-            .iter()
-            .map(|b| {
-                costs::amortized_op_pod(&mut pod, params, &b.counts, b.key_bytes, b.name, self.mode)
-                    * b.times as f64
-            })
-            .sum();
+        let amortized =
+            charge_kind(None, Some(&mut pod), params, kind, level, 1, self.mode).amortized_s;
         let occupied = ops.min(self.cores as usize).max(1);
         amortized * self.cores as f64 / occupied as f64
     }
@@ -239,19 +213,8 @@ impl Scheduler {
         ops: usize,
         cache: &mut ProbeCache,
     ) -> FusedBatch {
-        if matches!(kind, HeOpKind::ModDrop { .. }) {
-            // Free metadata ops: nothing to trade off.
-            return FusedBatch {
-                kind,
-                level,
-                wave,
-                nodes,
-                ops,
-                strategy: ShardStrategy::LimbParallel,
-                per_op_s: 0.0,
-                wall_s: 0.0,
-            };
-        }
+        // Free kinds (`ModDrop`) need no special case: they charge no
+        // kernel, both probes read 0.0, and the tie goes limb-parallel.
         let (limb_wall, batch_per_op) = *cache.entry((kind, level, ops)).or_insert_with(|| {
             (
                 self.fused_kernel_s(params, kind, level, ops),
@@ -284,14 +247,12 @@ impl Scheduler {
     /// ciphertext operation dispatched as its own limb-parallel kernel
     /// (key and twiddles re-loaded per op, nothing fused). Probes are
     /// memoized per `(kind, level)` — the charge is pure, and workload
-    /// graphs repeat a handful of pairs across hundreds of nodes.
+    /// graphs repeat a handful of pairs across hundreds of nodes. Free
+    /// kinds (inputs, `ModDrop`) charge no kernel and add 0.0.
     pub fn naive_wall_s(&self, graph: &OpGraph, params: &CkksParams) -> f64 {
         let mut cache: std::collections::BTreeMap<(HeOpKind, usize), f64> = Default::default();
         let mut total = 0.0;
         for n in graph.nodes() {
-            if n.kind == HeOpKind::Input || matches!(n.kind, HeOpKind::ModDrop { .. }) {
-                continue;
-            }
             let per_op = *cache
                 .entry((n.kind, n.level))
                 .or_insert_with(|| self.fused_kernel_s(params, n.kind, n.level, 1));

@@ -91,8 +91,8 @@
 
 use crate::channel::{self, Receiver, Sender, TrySendError};
 use crate::exec::execute_schedule;
-use crate::ir::{HeOpKind, NodeId};
-use crate::keycache::{KeyCache, KeyRef};
+use crate::ir::{ExecOp, HeOpKind, NodeId};
+use crate::keycache::KeyCache;
 use crate::queue::{
     Backpressure, BatchStats, Completed, Completion, CtId, Dispatch, HeRequest, RequestQueue,
     ServeError, TenantId,
@@ -609,53 +609,45 @@ impl Dispatcher<'_> {
     /// admitted request, so a bad one fails its ticket here instead of
     /// panicking a thread there.
     fn admit(&self, sub: &Submission) -> Result<usize, ServeError> {
-        let (kind, operands) = (sub.kind, &sub.ticket.operands);
-        // Exhaustive on purpose: a new kind must decide here whether a
-        // session can serve it, and the lowest level that hosts it.
-        let min_level = match kind {
-            HeOpKind::Add
-            | HeOpKind::Sub
-            | HeOpKind::Rotate { .. }
-            | HeOpKind::HoistedRotate { .. } => 1,
-            // One limb is consumed.
-            HeOpKind::Mult | HeOpKind::Rescale => 2,
-            HeOpKind::ModDrop { to_level: 0 } => {
-                return Err(ServeError::InvalidLevel(kind.label()))
-            }
-            HeOpKind::ModDrop { to_level } => to_level,
-            // Cost-model-only kinds, and the const kinds whose scalar
-            // table a session does not carry.
-            HeOpKind::Input
-            | HeOpKind::PlainMult
-            | HeOpKind::PlainMultConst { .. }
-            | HeOpKind::PlainAddConst { .. }
-            | HeOpKind::KeySwitch
-            | HeOpKind::Bootstrap
-            | HeOpKind::HoistDecomp => return Err(ServeError::Unservable(kind.label())),
-        };
-        if operands.len() != kind.arity() {
+        use crate::ir::{BatchedOp as B, HoistOp as H};
+        let (row, operands) = (sub.kind.row(), &sub.ticket.operands);
+        // Exhaustive on purpose: a new executable op must decide here
+        // whether a session can serve it. Cost-only kinds have no
+        // executable form to decide about.
+        let scale_checked = match row.exec {
+            Some(ExecOp::Batched(B::Add | B::Sub)) => Some(true),
+            Some(ExecOp::Batched(B::Mult | B::Rotate { .. } | B::Rescale | B::ModDrop { .. }))
+            | Some(ExecOp::Hoist(H::Rotate { .. })) => Some(false),
+            // The const kinds' scalar table is not something a session
+            // carries, and a decomposition alone is no result.
+            Some(ExecOp::Batched(B::PlainMultConst { .. } | B::PlainAddConst { .. }))
+            | Some(ExecOp::Hoist(H::Decomp))
+            | None => None,
+        }
+        .ok_or(ServeError::Unservable(row.label))?;
+        if operands.len() != row.arity {
             return Err(ServeError::WrongArity {
-                expected: kind.arity(),
+                expected: row.arity,
                 got: operands.len(),
             });
         }
         let keys = &self.tenants[&sub.tenant];
-        if KeyRef::of(kind).is_some_and(|key| keys.key_bytes(key).is_none()) {
-            return Err(ServeError::MissingKey(kind.label()));
+        if row.key.is_some_and(|key| keys.key_bytes(key).is_none()) {
+            return Err(ServeError::MissingKey(row.label));
         }
         let shapes = operands
             .iter()
             .map(|&id| self.store.inspect(sub.tenant, id))
             .collect::<Result<Vec<_>, _>>()?;
         let level = shapes.iter().map(|&(l, _)| l).min().expect("arity ≥ 1");
-        if level < min_level {
-            return Err(ServeError::InvalidLevel(kind.label()));
+        // The level rule `OpGraph::add_op` asserts when the dispatch
+        // graph is formed.
+        if row.level.result_level(level).is_none() {
+            return Err(ServeError::InvalidLevel(row.label));
         }
         // The evaluator's own Add/Sub tolerance: sub-percent scale
         // drift is fine, more corrupts the message.
-        if matches!(kind, HeOpKind::Add | HeOpKind::Sub)
-            && (shapes[0].1 / shapes[1].1 - 1.0).abs() >= 1e-2
-        {
+        if scale_checked && (shapes[0].1 / shapes[1].1 - 1.0).abs() >= 1e-2 {
             return Err(ServeError::ScaleMismatch);
         }
         Ok(level)
@@ -851,7 +843,7 @@ fn worker(
                 // is exactly what LRU pressure should reclaim.
                 let ct = results[job.node]
                     .take()
-                    .expect("admitted ops are replayable");
+                    .expect("admitted ops are executable");
                 let id = store.insert(item.tenant, ct, false);
                 let seq = seq.fetch_add(1, Ordering::Relaxed);
                 let batch = job.stats;

@@ -65,10 +65,10 @@
 //! use cross::tpu::{PodSim, TpuGeneration};
 //!
 //! let params = ParamSet::D.params();
-//! let counts = costs::he_mult_counts(&params, params.limbs);
-//! let key = costs::switching_key_bytes(&params, params.limbs);
+//! // One operator, described once: phases → counts → bundle (+ key).
+//! let mult = costs::HE_MULT.bundle("HE-Mult", &params, params.limbs, 1);
 //! let mut pod = PodSim::new(TpuGeneration::V6e, 8); // v6e-8, real ICI
-//! let rep = costs::charge_op_pod(&mut pod, &params, &counts, key, "HE-Mult", ExecMode::Unfused);
+//! let rep = costs::charge_op_pod(&mut pod, &params, &mult, ExecMode::Unfused);
 //! assert!(rep.comm_s > 0.0);                        // sharding is not free
 //! assert_eq!(rep.per_core_latency_s.len(), 8);      // load-balance picture
 //! println!("{:.0} us, {:.0}% comm", rep.latency_us(), rep.comm_fraction() * 100.0);

@@ -177,14 +177,8 @@ fn he_mult_trace_covers_units() {
     use cross::ckks::costs;
     let params = CkksParams::new(1 << 13, 12, 3, 28);
     let mut sim = TpuSim::new(TpuGeneration::V6e);
-    let counts = costs::he_mult_counts(&params, params.limbs);
-    let rep = costs::charge_op(
-        &mut sim,
-        &params,
-        &counts,
-        costs::switching_key_bytes(&params, params.limbs),
-        "he-mult",
-    );
+    let bundle = costs::HE_MULT.bundle("he-mult", &params, params.limbs, 1);
+    let rep = costs::charge_op_mode(&mut sim, &params, &bundle, costs::ExecMode::Unfused);
     let has = |c: Category| rep.breakdown.iter().any(|(cat, s)| *cat == c && *s > 0.0);
     assert!(has(Category::VecModOps));
     assert!(has(Category::NttMatMul));

@@ -2,7 +2,7 @@
 //! "shape" results this reproduction must preserve (see DESIGN.md).
 
 use cross::baselines::gpu_style::{self, SparseMatMul};
-use cross::ckks::costs;
+use cross::ckks::costs::{self, ExecMode};
 use cross::ckks::params::{CkksParams, ParamSet};
 use cross::core::bat::matmul::BatMatMul;
 use cross::core::bat::scalar;
@@ -72,18 +72,10 @@ fn claim_mat_ntt_crushes_radix2_on_tpu() {
 #[test]
 fn claim_he_ops_are_vpu_bound() {
     let params = ParamSet::D.params();
-    for (counts, name) in [
-        (costs::he_mult_counts(&params, params.limbs), "mult"),
-        (costs::he_rotate_counts(&params, params.limbs), "rotate"),
-    ] {
+    for (spec, name) in [(&costs::HE_MULT, "mult"), (&costs::ROTATE, "rotate")] {
         let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let rep = costs::charge_op(
-            &mut sim,
-            &params,
-            &counts,
-            costs::switching_key_bytes(&params, params.limbs),
-            name,
-        );
+        let bundle = spec.bundle(name, &params, params.limbs, 1);
+        let rep = costs::charge_op_mode(&mut sim, &params, &bundle, ExecMode::Unfused);
         let vec: f64 = rep
             .breakdown
             .iter()
@@ -117,14 +109,8 @@ fn claim_efficiency_ordering() {
         };
         let params = CkksParams::new(n, row.cross_limbs, row.cross_dnum, 28);
         let mut sim = TpuSim::new(v6e);
-        let counts = costs::he_mult_counts(&params, params.limbs);
-        let rep = costs::charge_op(
-            &mut sim,
-            &params,
-            &counts,
-            costs::switching_key_bytes(&params, params.limbs),
-            "m",
-        );
+        let bundle = costs::HE_MULT.bundle("m", &params, params.limbs, 1);
+        let rep = costs::charge_op_mode(&mut sim, &params, &bundle, ExecMode::Unfused);
         let cores = row.tpu_cores_matched as f64;
         let ours = cores / rep.latency_s / (cores * v6e.spec().tc_watts);
         let theirs = 1.0 / (row.mult_us * 1e-6) / row.tdp_watts;

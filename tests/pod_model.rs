@@ -12,21 +12,30 @@
 //!    critical path, so speedup < P for every keyed operator).
 
 use cross::ckks::bootstrap;
-use cross::ckks::costs::{self, ExecMode, OpCounts};
+use cross::ckks::costs::{self, ExecMode, OpBundle};
 use cross::ckks::params::{CkksParams, ParamSet};
 use cross::tpu::topology::Topology;
 use cross::tpu::{PodSim, TpuGeneration, TpuSim};
 use proptest::prelude::*;
 
 /// The four backbone operators at level `l`, with their key traffic.
-fn backbone_ops(params: &CkksParams, l: usize) -> Vec<(&'static str, OpCounts, f64)> {
-    let key = costs::switching_key_bytes(params, l);
-    vec![
-        ("add", costs::he_add_counts(params, l), 0.0),
-        ("mult", costs::he_mult_counts(params, l), key),
-        ("rescale", costs::he_rescale_counts(params, l), 0.0),
-        ("rotate", costs::he_rotate_counts(params, l), key),
+fn backbone_ops(params: &CkksParams, l: usize) -> [OpBundle; 4] {
+    [
+        ("add", &costs::HE_ADD),
+        ("mult", &costs::HE_MULT),
+        ("rescale", &costs::RESCALE),
+        ("rotate", &costs::ROTATE),
     ]
+    .map(|(name, spec)| spec.bundle(name, params, l, 1))
+}
+
+/// HE-Mult at level `l`, optionally with its key traffic zeroed.
+fn mult_bundle(params: &CkksParams, l: usize, keyed: bool) -> OpBundle {
+    let bundle = costs::HE_MULT.bundle("m", params, l, 1);
+    OpBundle {
+        key_bytes: if keyed { bundle.key_bytes } else { 0.0 },
+        ..bundle
+    }
 }
 
 #[test]
@@ -34,12 +43,12 @@ fn one_core_zero_link_pod_is_bit_identical_to_tpusim() {
     for gen in TpuGeneration::ALL {
         for set in [ParamSet::A, ParamSet::B, ParamSet::C, ParamSet::D] {
             let params = set.params();
-            for (name, counts, key) in backbone_ops(&params, params.limbs) {
+            for op in backbone_ops(&params, params.limbs) {
+                let name = op.name;
                 let mut sim = TpuSim::new(gen);
-                let single = costs::charge_op(&mut sim, &params, &counts, key, name);
+                let single = costs::charge_op_mode(&mut sim, &params, &op, ExecMode::Unfused);
                 let mut pod = PodSim::with_topology(gen, Topology::zero_cost(1));
-                let sharded =
-                    costs::charge_op_pod(&mut pod, &params, &counts, key, name, ExecMode::Unfused);
+                let sharded = costs::charge_op_pod(&mut pod, &params, &op, ExecMode::Unfused);
                 assert_eq!(
                     single.latency_s.to_bits(),
                     sharded.latency_s.to_bits(),
@@ -85,12 +94,11 @@ proptest! {
         let limbs = limbs.max(2);
         let l = level.clamp(2, limbs);
         let params = CkksParams::new(1usize << logn, limbs, limbs.min(3), 28);
-        let counts = costs::he_mult_counts(&params, l);
-        let key = if keyed { costs::switching_key_bytes(&params, l) } else { 0.0 };
+        let op = mult_bundle(&params, l, keyed);
         let mut sim = TpuSim::new(TpuGeneration::V5p);
-        let single = costs::charge_op(&mut sim, &params, &counts, key, "m");
+        let single = costs::charge_op_mode(&mut sim, &params, &op, ExecMode::Unfused);
         let mut pod = PodSim::with_topology(TpuGeneration::V5p, Topology::zero_cost(1));
-        let sharded = costs::charge_op_pod(&mut pod, &params, &counts, key, "m", ExecMode::Unfused);
+        let sharded = costs::charge_op_pod(&mut pod, &params, &op, ExecMode::Unfused);
         prop_assert_eq!(single.latency_s.to_bits(), sharded.latency_s.to_bits());
         prop_assert_eq!(single.compute_s.to_bits(), sharded.compute_s.to_bits());
     }
@@ -104,14 +112,13 @@ proptest! {
         keyed in any::<bool>(),
     ) {
         let params = CkksParams::new(1 << 13, limbs, 3, 28);
-        let counts = costs::he_mult_counts(&params, limbs);
-        let key = if keyed { costs::switching_key_bytes(&params, limbs) } else { 0.0 };
+        let op = mult_bundle(&params, limbs, keyed);
         let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let single = costs::charge_op(&mut sim, &params, &counts, key, "m");
+        let single = costs::charge_op_mode(&mut sim, &params, &op, ExecMode::Unfused);
         let mut prev_compute = f64::INFINITY;
         for cores in [1u32, 2, 4, 8, 16] {
             let mut pod = PodSim::new(TpuGeneration::V6e, cores);
-            let rep = costs::charge_op_pod(&mut pod, &params, &counts, key, "m", ExecMode::Unfused);
+            let rep = costs::charge_op_pod(&mut pod, &params, &op, ExecMode::Unfused);
             prop_assert!(rep.compute_s <= prev_compute + 1e-15,
                 "compute grew at {cores} cores: {} > {prev_compute}", rep.compute_s);
             prev_compute = rep.compute_s;
@@ -136,15 +143,13 @@ proptest! {
         limbs in 4usize..24,
     ) {
         let params = CkksParams::new(1 << 13, limbs, 3, 28);
-        let counts = costs::he_rotate_counts(&params, limbs);
-        let key = costs::switching_key_bytes(&params, limbs);
+        let op = costs::ROTATE.bundle("r", &params, limbs, 1);
         let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let single = costs::charge_op(&mut sim, &params, &counts, key, "r").latency_s;
+        let single = costs::charge_op_mode(&mut sim, &params, &op, ExecMode::Unfused).latency_s;
         let mut prev = f64::INFINITY;
         for cores in [1u32, 2, 4, 8] {
             let mut pod = PodSim::new(TpuGeneration::V6e, cores);
-            let amortized = costs::amortized_op_pod(
-                &mut pod, &params, &counts, key, "r", ExecMode::Unfused);
+            let amortized = costs::amortized_op_pod(&mut pod, &params, &op, ExecMode::Unfused);
             prop_assert!(amortized <= prev * (1.0 + 1e-12), "amortized cost grew with cores");
             prev = amortized;
             // Never better than the communication-free ideal.
@@ -163,14 +168,13 @@ fn wide_pods_cross_hosts_and_slow_down_per_step() {
     // collectives bottleneck on DCN, so communication per op exceeds
     // the single-host 8-core slice's.
     let params = ParamSet::D.params();
-    let counts = costs::he_mult_counts(&params, params.limbs);
-    let key = costs::switching_key_bytes(&params, params.limbs);
+    let op = mult_bundle(&params, params.limbs, true);
     let mut host = PodSim::new(TpuGeneration::V6e, 8);
     let mut pod32 = PodSim::new(TpuGeneration::V6e, 32);
     assert!(!host.topology().crosses_hosts());
     assert!(pod32.topology().crosses_hosts());
-    let r8 = costs::charge_op_pod(&mut host, &params, &counts, key, "m", ExecMode::Unfused);
-    let r32 = costs::charge_op_pod(&mut pod32, &params, &counts, key, "m", ExecMode::Unfused);
+    let r8 = costs::charge_op_pod(&mut host, &params, &op, ExecMode::Unfused);
+    let r32 = costs::charge_op_pod(&mut pod32, &params, &op, ExecMode::Unfused);
     assert!(
         r32.comm_s > r8.comm_s,
         "DCN-bound communication must dominate: {} vs {}",
@@ -186,12 +190,11 @@ fn wide_pods_cross_hosts_and_slow_down_per_step() {
 #[test]
 fn fused_mode_helps_on_pods_too() {
     let params = ParamSet::D.params();
-    let counts = costs::he_mult_counts(&params, params.limbs);
-    let key = costs::switching_key_bytes(&params, params.limbs);
+    let op = mult_bundle(&params, params.limbs, true);
     let mut p1 = PodSim::new(TpuGeneration::V6e, 8);
     let mut p2 = PodSim::new(TpuGeneration::V6e, 8);
-    let unfused = costs::charge_op_pod(&mut p1, &params, &counts, key, "m", ExecMode::Unfused);
-    let fused = costs::charge_op_pod(&mut p2, &params, &counts, key, "m", ExecMode::FusedBatch);
+    let unfused = costs::charge_op_pod(&mut p1, &params, &op, ExecMode::Unfused);
+    let fused = costs::charge_op_pod(&mut p2, &params, &op, ExecMode::FusedBatch);
     assert!(fused.latency_s < unfused.latency_s);
     // Communication is lowering-independent.
     assert!((fused.comm_s - unfused.comm_s).abs() < 1e-15);

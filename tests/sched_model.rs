@@ -33,27 +33,18 @@ use proptest::prelude::*;
 fn cost_graph_reproduces_charge_op_pod_bit_for_bit() {
     let params = ParamSet::D.params();
     let l = params.limbs;
-    let key = costs::switching_key_bytes(&params, l);
-    let cases: [(HeOpKind, costs::OpCounts, f64); 5] = [
-        (HeOpKind::Add, costs::he_add_counts(&params, l), 0.0),
-        (HeOpKind::Mult, costs::he_mult_counts(&params, l), key),
-        (
-            HeOpKind::Rotate { steps: 1 },
-            costs::he_rotate_counts(&params, l),
-            key,
-        ),
-        (HeOpKind::Rescale, costs::he_rescale_counts(&params, l), 0.0),
-        (
-            HeOpKind::KeySwitch,
-            costs::he_key_switch_counts(&params, l),
-            key,
-        ),
+    let cases = [
+        (HeOpKind::Add, &costs::HE_ADD),
+        (HeOpKind::Mult, &costs::HE_MULT),
+        (HeOpKind::Rotate { steps: 1 }, &costs::ROTATE),
+        (HeOpKind::Rescale, &costs::RESCALE),
+        (HeOpKind::KeySwitch, &costs::KEY_SWITCH),
     ];
     for mode in [ExecMode::Unfused, ExecMode::FusedBatch] {
-        for (kind, counts, key_bytes) in &cases {
+        for (kind, spec) in &cases {
             let mut direct_pod = PodSim::new(TpuGeneration::V6e, 8);
-            let direct =
-                costs::charge_op_pod(&mut direct_pod, &params, counts, *key_bytes, "direct", mode);
+            let bundle = spec.bundle("direct", &params, l, 1);
+            let direct = costs::charge_op_pod(&mut direct_pod, &params, &bundle, mode);
             let graph = OpGraph::single_op(*kind, l);
             let mut graph_pod = PodSim::new(TpuGeneration::V6e, 8);
             let rep = cost_graph(&mut graph_pod, &params, &graph, mode);

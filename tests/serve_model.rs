@@ -18,8 +18,12 @@
 //!    the producer observes queue-full) at capacity.
 
 use cross::ckks::{CkksContext, CkksParams, Evaluator, KeyPair};
+use cross::sched::cost::node_bundles;
 use cross::sched::serve::{self, ServeConfig, ServeKeys};
-use cross::sched::{Backpressure, Completion, HeOpKind, QueueFull, RequestQueue, Scheduler};
+use cross::sched::{
+    replay, Backpressure, Completion, HeOpKind, KeyRef, OpGraph, QueueFull, ReplayKeys,
+    RequestQueue, Scheduler, ServeError,
+};
 use cross::tpu::TpuGeneration;
 
 fn setup(seed: u64) -> (CkksContext, KeyPair) {
@@ -302,4 +306,120 @@ fn reject_policy_surfaces_queue_full_or_completes() {
     });
     assert_eq!(accepted + rejected, 64, "every submission got an answer");
     assert!(accepted >= 1, "an empty intake accepts");
+}
+
+/// Position of a kind's variant in the enum. Written without a
+/// wildcard so a new variant fails to compile here until
+/// [`kind_rows_agree_with_behaviour`] has a row for it.
+fn variant_index(kind: HeOpKind) -> usize {
+    match kind {
+        HeOpKind::Input => 0,
+        HeOpKind::Add => 1,
+        HeOpKind::Sub => 2,
+        HeOpKind::PlainMult => 3,
+        HeOpKind::PlainMultConst { .. } => 4,
+        HeOpKind::PlainAddConst { .. } => 5,
+        HeOpKind::Mult => 6,
+        HeOpKind::Rotate { .. } => 7,
+        HeOpKind::Rescale => 8,
+        HeOpKind::ModDrop { .. } => 9,
+        HeOpKind::KeySwitch => 10,
+        HeOpKind::Bootstrap => 11,
+        HeOpKind::HoistDecomp => 12,
+        HeOpKind::HoistedRotate { .. } => 13,
+    }
+}
+
+#[test]
+fn kind_rows_agree_with_behaviour() {
+    // The one per-kind table (`HeOpKind::row`) against what the IR,
+    // the key cache, the cost interpreter, the executor and a serving
+    // session actually do — every variant, parameterised kinds at two
+    // parameter values.
+    let (ctx, kp) = setup(131);
+    let params = *ctx.params();
+    let top = params.limbs;
+    let relin = Some(KeyRef::Relin);
+    let rot = |steps| Some(KeyRef::Rotation(steps));
+    let pmult_const = |cid| HeOpKind::PlainMultConst { cid };
+    let padd_const = |cid| HeOpKind::PlainAddConst { cid };
+    let rotate = |steps| HeOpKind::Rotate { steps };
+    let mod_drop = |to_level| HeOpKind::ModDrop { to_level };
+    let hoisted = |steps| HeOpKind::HoistedRotate { steps };
+    // (kind, arity, result level at `top`, key, free, executable, served)
+    let table = [
+        (HeOpKind::Input, 0, top, None, true, false, false),
+        (HeOpKind::Add, 2, top, None, false, true, true),
+        (HeOpKind::Sub, 2, top, None, false, true, true),
+        (HeOpKind::PlainMult, 1, top, None, false, false, false),
+        (pmult_const(0), 1, top, None, false, true, false),
+        (pmult_const(3), 1, top, None, false, true, false),
+        (padd_const(0), 1, top, None, false, true, false),
+        (padd_const(3), 1, top, None, false, true, false),
+        (HeOpKind::Mult, 2, top - 1, relin, false, true, true),
+        (rotate(1), 1, top, rot(1), false, true, true),
+        (rotate(5), 1, top, rot(5), false, true, true),
+        (HeOpKind::Rescale, 1, top - 1, None, false, true, true),
+        (mod_drop(1), 1, 1, None, true, true, true),
+        (mod_drop(2), 1, 2, None, true, true, true),
+        (HeOpKind::KeySwitch, 1, top, relin, false, false, false),
+        (HeOpKind::Bootstrap, 1, top, relin, false, false, false),
+        (HeOpKind::HoistDecomp, 1, top, None, false, true, false),
+        (hoisted(1), 1, top, rot(1), false, true, true),
+        (hoisted(5), 1, top, rot(5), false, true, true),
+    ];
+    let mut covered: Vec<usize> = table.iter().map(|row| variant_index(row.0)).collect();
+    covered.dedup();
+    assert_eq!(covered, (0..14).collect::<Vec<_>>(), "a variant has no row");
+
+    let ev = Evaluator::new(&ctx);
+    let rk1 = ctx.generate_rotation_key(&kp.secret, 1);
+    let rk5 = ctx.generate_rotation_key(&kp.secret, 5);
+    let replay_keys = ReplayKeys::new()
+        .with_relin(&kp.relin)
+        .with_rotation(1, &rk1)
+        .with_rotation(5, &rk5)
+        .with_mult_const(0, 0.5, params.scale())
+        .with_mult_const(3, 0.25, params.scale())
+        .with_add_const(0, 0.5)
+        .with_add_const(3, 0.25);
+    let ct = ctx.encrypt(&messages(&ctx, 1)[0], &kp.public);
+
+    let config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(1);
+    let served: Vec<usize> = serve::run(&ctx, &keys_for(&ctx, &kp, &[1, 5]), &config, |session| {
+        let x = session.insert(ct.clone());
+        let mut served = Vec::new();
+        for (kind, arity, result_level, key, free, executable, servable) in table {
+            let row = kind.row();
+            let graph = OpGraph::single_op(kind, top);
+            let node = graph.nodes().last().unwrap();
+            assert_eq!(graph.len(), arity + 1, "{kind:?} arity");
+            assert_eq!((row.arity, kind.arity()), (arity, arity), "{kind:?}");
+            assert_eq!(node.result_level(), result_level, "{kind:?} level");
+            assert_eq!(row.level.result_level(top), Some(result_level), "{kind:?}");
+            assert_eq!((KeyRef::of(kind), row.key), (key, key), "{kind:?} key");
+            assert_eq!(row.label, kind.label());
+            let bundles = node_bundles(&params, kind, top, 1);
+            assert_eq!(bundles.is_empty(), free, "{kind:?} bundles");
+            assert_eq!(bundles.iter().any(|b| b.key_bytes > 0.0), key.is_some());
+
+            assert_eq!(row.exec.is_some(), executable, "{kind:?} exec");
+            if kind != HeOpKind::Input {
+                let inputs = vec![ct.clone(); arity];
+                let value = replay(&graph, &ev, &replay_keys, &inputs).pop().unwrap();
+                assert_eq!(value.is_some(), executable, "{kind:?} replay");
+            }
+
+            let outcome = session.submit(kind, &vec![x; arity]).unwrap().wait();
+            match outcome {
+                Ok(_) => served.push(variant_index(kind)),
+                Err(e) => assert_eq!(e, ServeError::Unservable(row.label), "{kind:?}"),
+            }
+            assert_eq!(outcome.is_ok(), servable, "{kind:?} served");
+        }
+        served.dedup();
+        served
+    });
+    // Add, Sub, Mult, Rotate, Rescale, ModDrop, HoistedRotate.
+    assert_eq!(served, [1, 2, 6, 7, 8, 9, 13]);
 }

@@ -57,17 +57,19 @@ fn he_op_costs_scale_with_limbs() {
     use cross::ckks::params::CkksParams;
     let small = CkksParams::new(1 << 13, 8, 2, 28);
     let large = CkksParams::new(1 << 13, 16, 2, 28);
-    for f in [
-        costs::he_add_counts,
-        costs::he_mult_counts,
-        costs::he_rescale_counts,
-        costs::he_rotate_counts,
+    for spec in [
+        &costs::HE_ADD,
+        &costs::HE_MULT,
+        &costs::RESCALE,
+        &costs::ROTATE,
     ] {
+        let top = |sim: &mut TpuSim, p: &CkksParams| {
+            let bundle = spec.bundle("op", p, p.limbs, 1);
+            costs::charge_op_mode(sim, p, &bundle, costs::ExecMode::Unfused).latency_s
+        };
         let mut s1 = TpuSim::new(TpuGeneration::V6e);
         let mut s2 = TpuSim::new(TpuGeneration::V6e);
-        let r1 = costs::charge_op(&mut s1, &small, &f(&small, small.limbs), 0.0, "a");
-        let r2 = costs::charge_op(&mut s2, &large, &f(&large, large.limbs), 0.0, "b");
-        assert!(r2.latency_s > r1.latency_s);
+        assert!(top(&mut s2, &large) > top(&mut s1, &small));
     }
 }
 
