@@ -356,61 +356,31 @@ enum Phase {
     LimbwiseMul,
 }
 
+use Phase::*;
+
 impl Phase {
-    /// The phase's kernel counts at shape `s`.
+    /// The phase's kernel counts at shape `s`: one row of the table
+    /// below, whose columns the destructuring `let` names.
     fn counts(self, s: &Shape) -> OpCounts {
-        let zero = OpCounts::default();
-        match self {
-            Phase::Tensor => OpCounts {
-                vec_mod_mul: 4 * s.l,
-                vec_mod_add: s.l,
-                ..zero
-            },
-            Phase::DigitDecomposition => OpCounts {
-                intt: s.l,
-                ntt: s.dnum * (s.ext - s.alpha),
-                bconv: s.dnum * s.alpha,
-                ..zero
-            },
-            Phase::KeyInnerProduct => OpCounts {
-                vec_mod_mul: 2 * s.dnum * s.ext,
-                vec_mod_add: 2 * s.dnum * s.ext,
-                ..zero
-            },
-            Phase::ModDown => OpCounts {
-                intt: s.k,
-                ntt: s.l,
-                bconv: s.k,
-                vec_mod_mul: 2 * s.l,
-                vec_mod_add: s.l,
-                ..zero
-            },
-            Phase::ModDownBeforeRescale => OpCounts {
-                intt: s.k,
-                bconv: s.k,
-                vec_mod_mul: 2 * s.l,
-                vec_mod_add: 2 * s.l,
-                ..zero
-            },
-            Phase::Rescale => OpCounts {
-                intt: 2,
-                ntt: 2 * (s.l - 1),
-                vec_mod_mul: 2 * s.l,
-                vec_mod_add: 2 * s.l,
-                ..zero
-            },
-            Phase::Automorphism => OpCounts {
-                automorphism: 2 * s.l,
-                ..zero
-            },
-            Phase::LimbwiseAdd => OpCounts {
-                vec_mod_add: 2 * s.l,
-                ..zero
-            },
-            Phase::LimbwiseMul => OpCounts {
-                vec_mod_mul: 2 * s.l,
-                ..zero
-            },
+        let (l, k, alpha, dnum, ext) = (s.l, s.k, s.alpha, s.dnum, s.ext);
+        let [ntt, intt, bconv, vec_mod_mul, vec_mod_add, automorphism] = match self {
+            Tensor => [0, 0, 0, 4 * l, l, 0],
+            DigitDecomposition => [dnum * (ext - alpha), l, dnum * alpha, 0, 0, 0],
+            KeyInnerProduct => [0, 0, 0, 2 * dnum * ext, 2 * dnum * ext, 0],
+            ModDown => [l, k, k, 2 * l, l, 0],
+            ModDownBeforeRescale => [0, k, k, 2 * l, 2 * l, 0],
+            Rescale => [2 * (l - 1), 2, 0, 2 * l, 2 * l, 0],
+            Automorphism => [0, 0, 0, 0, 0, 2 * l],
+            LimbwiseAdd => [0, 0, 0, 0, 2 * l, 0],
+            LimbwiseMul => [0, 0, 0, 2 * l, 0, 0],
+        };
+        OpCounts {
+            ntt,
+            intt,
+            bconv,
+            vec_mod_mul,
+            vec_mod_add,
+            automorphism,
         }
     }
 }
@@ -424,60 +394,47 @@ pub struct OpSpec {
 }
 
 /// HE-Add (and HE-Sub, and adding a plaintext): one limb-wise add.
-pub static HE_ADD: OpSpec = OpSpec::new("HE-Add", &[Phase::LimbwiseAdd]);
+pub static HE_ADD: OpSpec = OpSpec::new("HE-Add", &[LimbwiseAdd]);
 
 /// Ciphertext × plaintext multiply (rescaling is counted separately).
-pub static PLAIN_MULT: OpSpec = OpSpec::new("HE-PMult", &[Phase::LimbwiseMul]);
+pub static PLAIN_MULT: OpSpec = OpSpec::new("HE-PMult", &[LimbwiseMul]);
 
 /// HE-Mult: tensor, relinearizing key switch, rescale.
 pub static HE_MULT: OpSpec = OpSpec::new(
     "HE-Mult",
     &[
-        Phase::Tensor,
-        Phase::DigitDecomposition,
-        Phase::KeyInnerProduct,
-        Phase::ModDownBeforeRescale,
-        Phase::Rescale,
+        Tensor,
+        DigitDecomposition,
+        KeyInnerProduct,
+        ModDownBeforeRescale,
+        Rescale,
     ],
 );
 
 /// HE-Rescale.
-pub static RESCALE: OpSpec = OpSpec::new("Rescale", &[Phase::Rescale]);
+pub static RESCALE: OpSpec = OpSpec::new("Rescale", &[Rescale]);
 
 /// Standalone hybrid key switch — [`ROTATE`] without the permutation.
-pub static KEY_SWITCH: OpSpec = OpSpec::new(
-    "KeySwitch",
-    &[
-        Phase::DigitDecomposition,
-        Phase::KeyInnerProduct,
-        Phase::ModDown,
-    ],
-);
+pub static KEY_SWITCH: OpSpec =
+    OpSpec::new("KeySwitch", &[DigitDecomposition, KeyInnerProduct, ModDown]);
 
 /// HE-Rotate: [`HOIST_DECOMP`]'s phases followed by
 /// [`HOISTED_ROTATE`]'s, so the hoisting split is an exact
 /// repartition, not an approximation.
 pub static ROTATE: OpSpec = OpSpec::new(
     "Rotate",
-    &[
-        Phase::DigitDecomposition,
-        Phase::Automorphism,
-        Phase::KeyInnerProduct,
-        Phase::ModDown,
-    ],
+    &[DigitDecomposition, Automorphism, KeyInnerProduct, ModDown],
 );
 
 /// The shared digit decomposition a hoisted rotation fan-out pays
 /// once: hoisting `k` rotations of one ciphertext trades `k` full
 /// decompositions for one.
-pub static HOIST_DECOMP: OpSpec = OpSpec::new("HoistDecomp", &[Phase::DigitDecomposition]);
+pub static HOIST_DECOMP: OpSpec = OpSpec::new("HoistDecomp", &[DigitDecomposition]);
 
 /// One rotation riding a shared [`HOIST_DECOMP`]: everything in
 /// [`ROTATE`] except the decomposition itself.
-pub static HOISTED_ROTATE: OpSpec = OpSpec::new(
-    "HoistedRotate",
-    &[Phase::Automorphism, Phase::KeyInnerProduct, Phase::ModDown],
-);
+pub static HOISTED_ROTATE: OpSpec =
+    OpSpec::new("HoistedRotate", &[Automorphism, KeyInnerProduct, ModDown]);
 
 impl OpSpec {
     const fn new(op: &'static str, phases: &'static [Phase]) -> Self {
@@ -487,8 +444,7 @@ impl OpSpec {
     /// Limbs one invocation consumes — one per rescale (the argument
     /// of [`result_level`]).
     pub fn limbs_consumed(&self) -> usize {
-        let rescales = self.phases.iter().filter(|&&p| p == Phase::Rescale);
-        rescales.count()
+        self.phases.iter().filter(|&&p| p == Rescale).count()
     }
 
     /// Kernel counts of one invocation at level `l`: the sum of the
@@ -592,12 +548,10 @@ pub fn charge_op_mode(
     bundle: &OpBundle,
     mode: ExecMode,
 ) -> KernelReport {
-    let OpBundle {
-        counts, key_bytes, ..
-    } = *bundle;
+    let (counts, key_bytes) = (&bundle.counts, bundle.key_bytes);
     // working set: ciphertext + key digits resident
     let ws = (params.ciphertext_bytes() * 3) as f64 + key_bytes;
-    charge_op_inner(sim, params, &counts, key_bytes, bundle.name, mode, ws)
+    charge_op_inner(sim, params, counts, key_bytes, bundle.name, mode, ws)
 }
 
 /// Charges one invocation of `bundle` sharded **limb-parallel** across
@@ -621,9 +575,7 @@ pub fn charge_op_pod(
     bundle: &OpBundle,
     mode: ExecMode,
 ) -> PodKernelReport {
-    let OpBundle {
-        counts, key_bytes, ..
-    } = *bundle;
+    let (name, counts, key_bytes) = (bundle.name, bundle.counts, bundle.key_bytes);
     let cores = pod.num_cores();
     let plan = ShardPlan::new(ShardStrategy::LimbParallel, cores);
     let comm_mark = pod.comm_trace().entries().len();
@@ -659,13 +611,7 @@ pub fn charge_op_pod(
         };
         let sim = pod.core_mut(core_idx);
         reports.push(charge_op_inner(
-            sim,
-            params,
-            &shard,
-            key_shard,
-            bundle.name,
-            mode,
-            ws,
+            sim, params, &shard, key_shard, name, mode, ws,
         ));
     }
 
@@ -683,7 +629,7 @@ pub fn charge_op_pod(
         );
     }
 
-    pod.assemble_report(bundle.name, &reports, comm_mark)
+    pod.assemble_report(name, &reports, comm_mark)
 }
 
 /// Amortized per-op seconds under **batch-parallel** sharding: every
@@ -753,21 +699,24 @@ pub fn charge_bundles_pod(
     let mut out = BundlesReport::default();
     for b in bundles.iter().filter(|b| b.times > 0) {
         let times = b.times as f64;
-        let rep = critical.as_deref_mut().map(|pod| {
-            let rep = charge_op_pod(pod, params, b, mode);
+        let rep = critical
+            .as_deref_mut()
+            .map(|pod| charge_op_pod(pod, params, b, mode));
+        if let Some(pod) = amortized.as_deref_mut() {
+            out.amortized_s += amortized_op_pod(pod, params, b, mode) * times;
+        }
+        // Accounted after both charges: allocating (`reports`) between
+        // them was measured to cost `cost_graph` ~10 % of its host time
+        // — the pods' trace buffers regrow as they are charged, and
+        // that regrowth is sensitive to heap state.
+        if let Some(rep) = rep {
             for (cat, s) in &rep.breakdown {
                 *out.acc.entry(*cat).or_insert(0.0) += s * times;
             }
             out.critical_s += rep.latency_s * times;
             out.comm_s += rep.comm_s * times;
-            rep
-        });
-        if let Some(pod) = amortized.as_deref_mut() {
-            out.amortized_s += amortized_op_pod(pod, params, b, mode) * times;
+            out.reports.push(rep);
         }
-        // Kept after the amortized charge: growing `reports` between
-        // the two charges costs `cost_graph` 10 % of its host time.
-        out.reports.extend(rep);
     }
     out
 }

@@ -212,71 +212,54 @@ pub struct KindRow {
 impl HeOpKind {
     /// This kind's row of static facts.
     pub fn row(self) -> KindRow {
-        use {
-            BatchedOp as B,
-            Cost::{Free, Spec},
-            ExecOp::*,
-            HoistOp as H,
-            KeyRef::*,
-        };
+        use {BatchedOp as B, Cost::*, HoistOp as H, KeyRef::*};
         let row = |label, arity, key, cost, exec| KindRow {
             label,
             arity,
             key,
             level: match cost {
                 Spec(spec) => LevelRule::Consumes(spec.limbs_consumed()),
-                Free | Cost::Bootstrap => LevelRule::Consumes(0),
+                Free | Bootstrap => LevelRule::Consumes(0),
             },
             cost,
             exec,
         };
-        let add = Spec(&costs::HE_ADD);
-        let pmult = Spec(&costs::PLAIN_MULT);
+        let batched = |op| Some(ExecOp::Batched(op));
+        let hoist = |op| Some(ExecOp::Hoist(op));
+        let (add, pmult) = (Spec(&costs::HE_ADD), Spec(&costs::PLAIN_MULT));
+        let (mult, rescale) = (Spec(&costs::HE_MULT), Spec(&costs::RESCALE));
         match self {
-            HeOpKind::Input => row("Input", 0, None, Free, None),
-            HeOpKind::Add => row("HE-Add", 2, None, add, Some(Batched(B::Add))),
-            HeOpKind::Sub => row("HE-Sub", 2, None, add, Some(Batched(B::Sub))),
-            HeOpKind::PlainMult => row("HE-PMult", 1, None, pmult, None),
-            HeOpKind::PlainMultConst { cid } => {
-                let exec = Batched(B::PlainMultConst { cid });
-                row("HE-PMultConst", 1, None, pmult, Some(exec))
+            Self::Input => row("Input", 0, None, Free, None),
+            Self::Add => row("HE-Add", 2, None, add, batched(B::Add)),
+            Self::Sub => row("HE-Sub", 2, None, add, batched(B::Sub)),
+            Self::PlainMult => row("HE-PMult", 1, None, pmult, None),
+            Self::PlainMultConst { cid } => {
+                let exec = batched(B::PlainMultConst { cid });
+                row("HE-PMultConst", 1, None, pmult, exec)
             }
-            HeOpKind::PlainAddConst { cid } => {
-                let exec = Batched(B::PlainAddConst { cid });
-                row("HE-PAddConst", 1, None, add, Some(exec))
+            Self::PlainAddConst { cid } => {
+                let exec = batched(B::PlainAddConst { cid });
+                row("HE-PAddConst", 1, None, add, exec)
             }
-            HeOpKind::Mult => {
-                let cost = Spec(&costs::HE_MULT);
-                row("HE-Mult", 2, Some(Relin), cost, Some(Batched(B::Mult)))
+            Self::Mult => row("HE-Mult", 2, Some(Relin), mult, batched(B::Mult)),
+            Self::Rotate { steps } => {
+                let (key, exec) = (Some(Rotation(steps)), batched(B::Rotate { steps }));
+                row("Rotate", 1, key, Spec(&costs::ROTATE), exec)
             }
-            HeOpKind::Rotate { steps } => {
-                let (key, exec) = (Rotation(steps), Batched(B::Rotate { steps }));
-                row("Rotate", 1, Some(key), Spec(&costs::ROTATE), Some(exec))
-            }
-            HeOpKind::Rescale => {
-                let cost = Spec(&costs::RESCALE);
-                row("Rescale", 1, None, cost, Some(Batched(B::Rescale)))
-            }
-            HeOpKind::ModDrop { to_level } => KindRow {
+            Self::Rescale => row("Rescale", 1, None, rescale, batched(B::Rescale)),
+            Self::ModDrop { to_level } => KindRow {
                 level: LevelRule::DropTo(to_level),
-                ..row(
-                    "ModDrop",
-                    1,
-                    None,
-                    Free,
-                    Some(Batched(B::ModDrop { to_level })),
-                )
+                ..row("ModDrop", 1, None, Free, batched(B::ModDrop { to_level }))
             },
-            HeOpKind::KeySwitch => row("KeySwitch", 1, Some(Relin), Spec(&costs::KEY_SWITCH), None),
-            HeOpKind::Bootstrap => row("Bootstrap", 1, Some(Relin), Cost::Bootstrap, None),
-            HeOpKind::HoistDecomp => {
+            Self::KeySwitch => row("KeySwitch", 1, Some(Relin), Spec(&costs::KEY_SWITCH), None),
+            Self::Bootstrap => row("Bootstrap", 1, Some(Relin), Bootstrap, None),
+            Self::HoistDecomp => {
                 let cost = Spec(&costs::HOIST_DECOMP);
-                row("HoistDecomp", 1, None, cost, Some(Hoist(H::Decomp)))
+                row("HoistDecomp", 1, None, cost, hoist(H::Decomp))
             }
-            HeOpKind::HoistedRotate { steps } => {
-                let (key, exec) = (Rotation(steps), Hoist(H::Rotate { steps }));
-                let cost = Spec(&costs::HOISTED_ROTATE);
-                row("HoistedRotate", 1, Some(key), cost, Some(exec))
+            Self::HoistedRotate { steps } => {
+                let (key, exec) = (Some(Rotation(steps)), hoist(H::Rotate { steps }));
+                row("HoistedRotate", 1, key, Spec(&costs::HOISTED_ROTATE), exec)
             }
         }
     }

@@ -46,7 +46,7 @@
 //! ```
 
 use crate::cost::charge_kind;
-use crate::ir::{HeOpKind, NodeId, OpGraph};
+use crate::ir::{Cost, HeOpKind, NodeId, OpGraph};
 use cross_ckks::costs::ExecMode;
 use cross_ckks::params::CkksParams;
 use cross_core::shard::ShardStrategy;
@@ -213,14 +213,18 @@ impl Scheduler {
         ops: usize,
         cache: &mut ProbeCache,
     ) -> FusedBatch {
-        // Free kinds (`ModDrop`) need no special case: they charge no
-        // kernel, both probes read 0.0, and the tie goes limb-parallel.
-        let (limb_wall, batch_per_op) = *cache.entry((kind, level, ops)).or_insert_with(|| {
-            (
-                self.fused_kernel_s(params, kind, level, ops),
-                self.batch_parallel_per_op_s(params, kind, level, ops),
-            )
-        });
+        let (limb_wall, batch_per_op) = if matches!(kind.row().cost, Cost::Free) {
+            // Free metadata ops (`ModDrop`): no kernel to probe, nothing
+            // to trade off — the 0.0 tie goes limb-parallel.
+            (0.0, 0.0)
+        } else {
+            *cache.entry((kind, level, ops)).or_insert_with(|| {
+                (
+                    self.fused_kernel_s(params, kind, level, ops),
+                    self.batch_parallel_per_op_s(params, kind, level, ops),
+                )
+            })
+        };
         let limb_per_op = limb_wall / ops as f64;
         let (strategy, per_op_s, wall_s) = if limb_per_op <= batch_per_op {
             (ShardStrategy::LimbParallel, limb_per_op, limb_wall)
@@ -248,11 +252,14 @@ impl Scheduler {
     /// (key and twiddles re-loaded per op, nothing fused). Probes are
     /// memoized per `(kind, level)` — the charge is pure, and workload
     /// graphs repeat a handful of pairs across hundreds of nodes. Free
-    /// kinds (inputs, `ModDrop`) charge no kernel and add 0.0.
+    /// kinds (inputs, `ModDrop`) charge no kernel and are skipped.
     pub fn naive_wall_s(&self, graph: &OpGraph, params: &CkksParams) -> f64 {
         let mut cache: std::collections::BTreeMap<(HeOpKind, usize), f64> = Default::default();
         let mut total = 0.0;
         for n in graph.nodes() {
+            if matches!(n.kind.row().cost, Cost::Free) {
+                continue;
+            }
             let per_op = *cache
                 .entry((n.kind, n.level))
                 .or_insert_with(|| self.fused_kernel_s(params, n.kind, n.level, 1));

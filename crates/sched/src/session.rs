@@ -615,16 +615,15 @@ impl Dispatcher<'_> {
         // whether a session can serve it. Cost-only kinds have no
         // executable form to decide about.
         let scale_checked = match row.exec {
-            Some(ExecOp::Batched(B::Add | B::Sub)) => Some(true),
+            Some(ExecOp::Batched(B::Add | B::Sub)) => true,
             Some(ExecOp::Batched(B::Mult | B::Rotate { .. } | B::Rescale | B::ModDrop { .. }))
-            | Some(ExecOp::Hoist(H::Rotate { .. })) => Some(false),
+            | Some(ExecOp::Hoist(H::Rotate { .. })) => false,
             // The const kinds' scalar table is not something a session
             // carries, and a decomposition alone is no result.
             Some(ExecOp::Batched(B::PlainMultConst { .. } | B::PlainAddConst { .. }))
             | Some(ExecOp::Hoist(H::Decomp))
-            | None => None,
-        }
-        .ok_or(ServeError::Unservable(row.label))?;
+            | None => return Err(ServeError::Unservable(row.label)),
+        };
         if operands.len() != row.arity {
             return Err(ServeError::WrongArity {
                 expected: row.arity,
