@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use cross_core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross_core::modred::ModRed;
 use cross_math::primes;
-use cross_poly::{FourStepNtt, NttEngine, NttTables, SixStepNtt};
+use cross_poly::{FourStepNtt, HostNtt, NttEngine, NttTables};
 use std::sync::Arc;
 
 fn bench_batched_ntt(c: &mut Criterion) {
@@ -63,14 +63,14 @@ fn bench_batched_ntt(c: &mut Criterion) {
         b.iter(|| plan.forward_batch_reference(&a, batch))
     });
 
-    // The six-step host engine at the same shape — the default
-    // functional executor. Gated in bench_diff: `six_step_fused` must
-    // beat `mat3_fused` (the fastest matmul-decomposed path).
-    let ss = SixStepNtt::new(tables.clone());
-    let looped: Vec<u64> = a.chunks(n).flat_map(|p| ss.forward(p)).collect();
-    assert_eq!(ss.forward_batch(&a, batch), looped, "fused == sequential");
-    g.bench_function(format!("six_step_fused/{n}x{batch}"), |b| {
-        b.iter(|| ss.forward_batch(&a, batch))
+    // The host engine at the same shape — the default functional
+    // executor. Gated in bench_diff: `host_fused` must beat
+    // `mat3_fused` (the fastest matmul-decomposed path).
+    let host = HostNtt::new(tables.clone());
+    let looped: Vec<u64> = a.chunks(n).flat_map(|p| host.forward(p)).collect();
+    assert_eq!(host.forward_batch(&a, batch), looped, "fused == sequential");
+    g.bench_function(format!("host_fused/{n}x{batch}"), |b| {
+        b.iter(|| host.forward_batch(&a, batch))
     });
     g.finish();
 }

@@ -25,8 +25,30 @@ use cross_math::modops;
 use cross_math::rns::RnsBasis;
 use cross_poly::ring::Domain;
 use cross_poly::rns_poly::{RnsContext, RnsPoly};
-use cross_poly::{six_step, small_ntt, PolyBatch};
+use cross_poly::{host_ntt, small_ntt, PolyBatch};
 use std::sync::Arc;
+
+/// The key-independent half of a hybrid key switch
+/// ([`Evaluator::ks_decompose`]): per digit, the base-extended limbs
+/// in evaluation form, batch-major, in the digit plan's kernel output
+/// order. `dnum·(l+k) − l` limbs of `N·batch` words at level `l`.
+#[derive(Debug, Clone)]
+pub(crate) struct KsDigits {
+    converted: Vec<Vec<Vec<u64>>>,
+}
+
+impl KsDigits {
+    /// Converted (base-extended, forward-transformed) limbs held.
+    pub(crate) fn converted_limbs(&self) -> usize {
+        self.converted.iter().map(Vec::len).sum()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Decompositions built on this thread (count-conformance tests).
+    pub(crate) static DECOMPOSITIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// A batch of same-level CKKS ciphertexts in batch-major layout.
 #[derive(Debug, Clone)]
@@ -151,7 +173,7 @@ impl<'a> Evaluator<'a> {
             // The dropped limb is the only one that needs coefficients.
             let mut last = pe.limbs()[l - 1].clone();
             for seg in last.chunks_mut(n) {
-                six_step::inverse_inplace(seg, &old_ctx.tables()[l - 1]);
+                host_ntt::inverse_inplace(seg, &old_ctx.tables()[l - 1]);
             }
             let mut new_limbs = Vec::with_capacity(l - 1);
             for i in 0..l - 1 {
@@ -164,7 +186,7 @@ impl<'a> Evaluator<'a> {
                     .map(|&c| modops::from_signed(modops::to_signed(c, q_last), qi))
                     .collect();
                 for seg in cl.chunks_mut(n) {
-                    six_step::forward_inplace(seg, &new_ctx.tables()[i]);
+                    host_ntt::forward_inplace(seg, &new_ctx.tables()[i]);
                 }
                 let limb: Vec<u64> = pe.limbs()[i]
                     .iter()
@@ -235,91 +257,141 @@ impl<'a> Evaluator<'a> {
     /// call. Returns `(out0, out1)` with `out0 + out1·s ≈ d·s'`.
     /// Bit-exact with [`Evaluator::key_switch_batch_reference`]
     /// (`tests/ks_fast.rs`).
-    pub fn key_switch_batch(&self, d: &PolyBatch, key: &SwitchingKey) -> (PolyBatch, PolyBatch) {
-        // The core wants both domain forms; the missing one is derived.
-        let d_eval = d.in_domain(Domain::Evaluation);
-        let d_coeff = d.in_domain(Domain::Coefficient);
-        self.key_switch_core(&d_eval, &d_coeff, key)
-    }
-
-    /// The key-switching fast path (DESIGN.md §12). Three wins over the
-    /// reference dataflow, each exact:
+    ///
+    /// The two halves of the fast path (DESIGN.md §12) back to back:
+    /// [`Evaluator::ks_decompose`], then [`Evaluator::ks_apply`] with
+    /// no permutation. Three wins over the reference dataflow, each
+    /// exact:
     ///
     /// 1. **No per-op compilation** — BConv kernels, slot layouts and
     ///    scaling constants come off the per-level [`KsPlan`] cached on
     ///    the context.
     /// 2. **Digit limbs sliced, not round-tripped** — a digit's own
-    ///    limbs are already held in evaluation form by `d_eval`, so
+    ///    limbs are already held in evaluation form by the input, so
     ///    only the base-extended limbs pay a forward NTT
     ///    (`NTT(INTT(x)) = x` bit-for-bit: the transforms are exact
     ///    mutually-inverse bijections on canonical residue vectors).
     /// 3. **Lazy accumulation** — key inner products accumulate across
-    ///    digits in `< 2q` Shoup form into reused scratch
+    ///    digits in `< 2q` Shoup form
     ///    ([`small_ntt::ShoupPairs::mul_acc_lazy_slice`]) with one
     ///    strict reduction at the end; congruence mod `q` plus a
     ///    canonical final fold make the result bit-identical to the
     ///    strict add-per-digit chain.
-    pub(crate) fn key_switch_core(
+    pub fn key_switch_batch(&self, d: &PolyBatch, key: &SwitchingKey) -> (PolyBatch, PolyBatch) {
+        let digits = self.ks_decompose(d);
+        self.ks_apply(&d.in_domain(Domain::Evaluation), &digits, key, None)
+    }
+
+    /// The decompose half of a key switch — `costs::Phase::
+    /// DigitDecomposition`, everything that does not depend on the
+    /// key: the inverse transform of `d` (skipped for a
+    /// coefficient-form input), then per digit the fast base extension
+    /// of its coefficient-form limbs to the rest of the `Q_l·P` chain
+    /// and the forward NTT of those converted limbs.
+    pub(crate) fn ks_decompose(&self, d: &PolyBatch) -> KsDigits {
+        #[cfg(test)]
+        DECOMPOSITIONS.with(|c| c.set(c.get() + 1));
+        let ctx = self.context();
+        let l = d.level_count();
+        let n = ctx.params().n;
+        let ks_ctx = ctx.ks_ctx(l);
+        let d_coeff = d.in_domain(Domain::Coefficient);
+        let converted = ctx
+            .ks_plan(l)
+            .digits
+            .iter()
+            .map(|dp| {
+                // fast base extension of the digit, all batch rows fused
+                let src: Vec<&[u64]> = dp
+                    .range
+                    .clone()
+                    .map(|i| d_coeff.limbs()[i].as_slice())
+                    .collect();
+                let mut converted = dp.kernel.convert_slices(&src);
+                for (limb, &slot) in converted.iter_mut().zip(&dp.other_idx) {
+                    let tables = &ks_ctx.tables()[slot];
+                    for seg in limb.chunks_mut(n) {
+                        host_ntt::forward_inplace(seg, tables);
+                    }
+                }
+                converted
+            })
+            .collect();
+        KsDigits { converted }
+    }
+
+    /// The apply half of a key switch — `KeyInnerProduct` then
+    /// `ModDown`: every extended digit of `d_eval` (its own limbs
+    /// sliced from `d_eval`, the rest from `digits`) times the key's
+    /// digit, accumulated lazily per chain limb with one strict fold,
+    /// then divided by `P`.
+    ///
+    /// With `perms` (one evaluation-domain index table per global
+    /// chain limb, [`CkksContext::galois_eval_perm`]) the extended
+    /// digits are read through the gather — `σ_g` applied to them on
+    /// their way into the inner product, at no extra pass — so the
+    /// result switches `σ_g(d)` (see [`Evaluator::hoist_decompose`]).
+    ///
+    /// [`CkksContext::galois_eval_perm`]: crate::CkksContext::galois_eval_perm
+    pub(crate) fn ks_apply(
         &self,
         d_eval: &PolyBatch,
-        d_coeff: &PolyBatch,
+        digits: &KsDigits,
         key: &SwitchingKey,
+        perms: Option<&[Vec<u32>]>,
     ) -> (PolyBatch, PolyBatch) {
         debug_assert_eq!(d_eval.domain(), Domain::Evaluation);
-        debug_assert_eq!(d_coeff.domain(), Domain::Coefficient);
         let ctx = self.context();
         let l = d_eval.level_count();
-        let batch = d_eval.batch();
         let n = ctx.params().n;
         let ks_ctx = ctx.ks_ctx(l).clone();
         let plan = ctx.ks_plan(l).clone();
         let big_l = ctx.params().limbs;
-        let k = ctx.p_moduli().len();
-        let total = l + k;
-        let rows = batch * n;
+        let rows = d_eval.batch() * n;
+        let shoup: Vec<_> = (0..plan.digits.len())
+            .map(|j| key.digits[j].shoup(ctx.chain()).clone())
+            .collect();
 
-        // Lazy (< 2q) accumulators over the extended chain.
-        let mut acc0: Vec<Vec<u64>> = (0..total).map(|_| vec![0u64; rows]).collect();
-        let mut acc1 = acc0.clone();
-
-        for (j, dp) in plan.digits.iter().enumerate() {
-            // fast base extension of the digit, all batch rows fused
-            let src: Vec<&[u64]> = dp
-                .range
-                .clone()
-                .map(|i| d_coeff.limbs()[i].as_slice())
-                .collect();
-            let mut converted = dp.kernel.convert_slices(&src);
-            // only the extended limbs need a forward transform
-            for (ci, limb) in converted.iter_mut().enumerate() {
-                let tables = &ks_ctx.tables()[dp.other_idx[ci]];
-                for seg in limb.chunks_mut(n) {
-                    six_step::forward_inplace(seg, tables);
-                }
-            }
-            let shoup = key.digits[j].shoup(ctx.chain()).clone();
-            for t in 0..total {
-                let qt = ks_ctx.moduli()[t];
+        // One chain limb at a time, so its two accumulators stay
+        // cache-resident across the digits. Per element the digits
+        // still arrive in order: the lazy chain, hence every bit, is
+        // that of the digit-major loop.
+        let (mut acc0, mut acc1) = (Vec::new(), Vec::new());
+        for (t, &qt) in ks_ctx.moduli().iter().enumerate() {
+            // key (and permutation) limbs for this level: q indices
+            // 0..l, then the extension indices big_l.. of the global
+            // chain
+            let g = if t < l { t } else { big_l + (t - l) };
+            let (mut a0, mut a1) = (vec![0u64; rows], vec![0u64; rows]);
+            for ((dp, converted), shoup) in plan.digits.iter().zip(&digits.converted).zip(&shoup) {
                 let src_limb: &[u64] = match dp.conv_pos[t] {
                     Some(ci) => &converted[ci],
                     // the digit's own limbs, straight out of the
                     // evaluation-domain input
                     None => &d_eval.limbs()[t],
                 };
-                // key limbs for this level: q indices 0..l, then the
-                // extension indices big_l.. of the global chain
-                let g = if t < l { t } else { big_l + (t - l) };
                 let (kb, ka) = (&shoup.b[g], &shoup.a[g]);
-                for (b, seg) in src_limb.chunks(n).enumerate() {
-                    kb.mul_acc_lazy_slice(0, seg, &mut acc0[t][b * n..(b + 1) * n], qt);
-                    ka.mul_acc_lazy_slice(0, seg, &mut acc1[t][b * n..(b + 1) * n], qt);
+                let segs = src_limb
+                    .chunks(n)
+                    .zip(a0.chunks_mut(n).zip(a1.chunks_mut(n)));
+                for (seg, (a0, a1)) in segs {
+                    match perms {
+                        None => {
+                            kb.mul_acc_lazy_slice(0, seg, a0, qt);
+                            ka.mul_acc_lazy_slice(0, seg, a1, qt);
+                        }
+                        Some(perms) => {
+                            kb.mul_acc_lazy_gather(&perms[g], seg, a0, qt);
+                            ka.mul_acc_lazy_gather(&perms[g], seg, a1, qt);
+                        }
+                    }
                 }
             }
-        }
-        // one strict pass closes the whole lazy accumulation chain
-        for (t, &qt) in ks_ctx.moduli().iter().enumerate() {
-            small_ntt::reduce_strict_slice(&mut acc0[t], qt);
-            small_ntt::reduce_strict_slice(&mut acc1[t], qt);
+            // one strict pass closes the whole lazy accumulation chain
+            small_ntt::reduce_strict_slice(&mut a0, qt);
+            small_ntt::reduce_strict_slice(&mut a1, qt);
+            acc0.push(a0);
+            acc1.push(a1);
         }
         (
             self.mod_down_fast(&plan, &ks_ctx, acc0, l),
@@ -348,7 +420,7 @@ impl<'a> Evaluator<'a> {
         for (t, limb) in limbs.iter_mut().enumerate().take(total).skip(l) {
             let tables = &ks_ctx.tables()[t];
             for seg in limb.chunks_mut(n) {
-                six_step::inverse_inplace(seg, tables);
+                host_ntt::inverse_inplace(seg, tables);
             }
         }
         let p_slices: Vec<&[u64]> = limbs[l..].iter().map(|v| v.as_slice()).collect();
@@ -356,7 +428,7 @@ impl<'a> Evaluator<'a> {
         for (i, limb) in cp.iter_mut().enumerate() {
             let tables = &level_ctx.tables()[i];
             for seg in limb.chunks_mut(n) {
-                six_step::forward_inplace(seg, tables);
+                host_ntt::forward_inplace(seg, tables);
             }
         }
         let mut new_limbs = Vec::with_capacity(l);

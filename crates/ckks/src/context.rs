@@ -11,7 +11,7 @@ use cross_math::{modops, primes};
 use cross_poly::ring::Domain;
 use cross_poly::rns_poly::{RnsContext, RnsPoly};
 use cross_poly::sampling;
-use cross_poly::{six_step, NttTables};
+use cross_poly::{host_ntt, NttTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -55,7 +55,7 @@ impl CkksContext {
         let total = params.limbs + params.special_limbs();
         let chain = primes::ntt_prime_chain(params.log2_q, params.n as u64, total)
             .expect("not enough NTT primes below 2^log2_q for this degree");
-        // One NttTables (and one cached six-step plan) per modulus,
+        // One NttTables (and one cached host-engine table set) per modulus,
         // shared by every level/extension context instead of rebuilding
         // O(N) twiddle material per level — the chain has `limbs`
         // levels each holding up to `total` tables.
@@ -135,7 +135,7 @@ impl CkksContext {
 
     /// The key-switching plan for level `l`, compiled on first use and
     /// cached for the context's lifetime (same `OnceLock<Arc<_>>`
-    /// pattern as the six-step NTT plan) — repeated calls return the
+    /// pattern as the per-modulus NTT tables) — repeated calls return the
     /// same `Arc`, so `BconvKernel::compile` never sits on a per-op
     /// path after warmup.
     pub fn ks_plan(&self, l: usize) -> &Arc<KsPlan> {
@@ -176,7 +176,7 @@ impl CkksContext {
                 // evaluation points in output order
                 let mut v = vec![0u64; n];
                 v[1] = 1;
-                six_step::forward_inplace(&mut v, t);
+                host_ntt::forward_inplace(&mut v, t);
                 let mut exp_of = HashMap::with_capacity(n);
                 for e in (1..two_n).step_by(2) {
                     exp_of.insert(t.psi_power(e), e);

@@ -10,11 +10,10 @@
 //! (`tests/batched_equivalence.rs` still pins it per operator). The
 //! key-switch and rescale kernels live in [`crate::batched`].
 
-use crate::batched::BatchedCiphertext;
+use crate::batched::{BatchedCiphertext, KsDigits};
 use crate::ciphertext::{Ciphertext, CtView};
 use crate::context::CkksContext;
 use crate::keys::SwitchingKey;
-use cross_poly::ring::Domain;
 use cross_poly::rns_poly::RnsPoly;
 use cross_poly::PolyBatch;
 
@@ -24,20 +23,33 @@ pub struct Evaluator<'a> {
     ctx: &'a CkksContext,
 }
 
-/// The hoisted (rotation-independent) prefix of a Galois fan-out:
-/// both components in evaluation form (rotated by a transform-free
-/// index gather per rotation) plus `c1` in coefficient form (the
-/// digit source every per-rotation key switch decomposes), ready for
-/// [`Evaluator::hoisted_rotate`].
+/// The hoisted (rotation-independent) prefix of a Galois fan-out,
+/// ready for [`Evaluator::hoisted_rotate`]: both components in
+/// evaluation form plus the digit decomposition of `c1` — every
+/// digit base-extended over the `Q_l·P` chain and forward-transformed
+/// ([`Evaluator::hoist_decompose`]). Per rotation only index gathers,
+/// the key inner product and the mod-down remain.
+///
+/// Holds `dnum·(l+k) − l` converted limbs of `N` words beside the
+/// ciphertext: 23 limbs (1.5 MB) for Set B at level 7, 104 MB for
+/// Set D at top level.
 #[derive(Debug, Clone)]
 pub struct HoistedDecomposition {
-    pub(crate) c0_eval: PolyBatch,
-    pub(crate) c1_eval: PolyBatch,
-    pub(crate) c1_coeff: PolyBatch,
+    c0: PolyBatch,
+    c1: PolyBatch,
+    digits: KsDigits,
     /// Level of the source ciphertext.
     pub level: usize,
     /// Scale of the source ciphertext.
     pub scale: f64,
+}
+
+impl HoistedDecomposition {
+    /// Evaluation-form converted limbs held — the forward NTTs the
+    /// decomposition paid, `costs::HOIST_DECOMP`'s `ntt` count.
+    pub fn converted_limbs(&self) -> usize {
+        self.digits.converted_limbs()
+    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -299,16 +311,17 @@ impl<'a> Evaluator<'a> {
     }
 
     /// HE-Rotate by `steps` slots (Galois automorphism + key switch):
-    /// one INTT of `c1` for the digit source, then the Galois tail a
-    /// hoisted fan-out also runs — so a lone rotate and a hoisted one
-    /// stay bit-identical by construction.
+    /// the digit decomposition of `c1`, then the Galois tail a hoisted
+    /// fan-out also runs — a lone rotate *is* [`Evaluator::
+    /// hoist_decompose`] followed by [`Evaluator::hoisted_rotate`], so
+    /// the two stay bit-identical by construction.
     pub fn rotate(&self, ct: &Ciphertext, steps: usize, rot_key: &SwitchingKey) -> Ciphertext {
         self.galois(ct.view(), self.ctx.galois_element(steps), rot_key)
             .into_single()
     }
 
-    /// Batched HE-Rotate by `steps` slots: one fused automorphism pass
-    /// and one batched key switch.
+    /// Batched HE-Rotate by `steps` slots: one batched decomposition
+    /// and one batched Galois tail.
     pub fn rotate_batch(
         &self,
         ct: &BatchedCiphertext,
@@ -338,39 +351,44 @@ impl<'a> Evaluator<'a> {
         2 * self.ctx.params().n as u64 - 1
     }
 
-    /// A whole Galois operation: the INTT of `c1` (the only transform
-    /// before the key switch), then the shared tail.
+    /// A whole Galois operation: decompose, then the shared tail.
     fn galois(&self, ct: CtView, g: u64, key: &SwitchingKey) -> BatchedCiphertext {
-        self.galois_tail(ct, &ct.c1.in_domain(Domain::Coefficient), g, key)
+        self.galois_tail(ct, &self.ks_decompose(ct.c1), g, key)
     }
 
-    /// Hoists the rotation-independent prefix of a Galois operation:
-    /// the inverse transform of `c1` (the digit source of every
-    /// per-rotation key switch). Every rotation sharing the source
-    /// ciphertext reuses this instead of re-INTT'ing — `l` inverse
-    /// transforms saved per additional rotation in a fan-out. `c0`
-    /// needs no transform at all: the automorphism runs as an
-    /// evaluation-domain gather ([`CkksContext::galois_eval_perm`]).
+    /// Hoists the rotation-independent prefix of a Galois operation —
+    /// the whole digit decomposition of `c1`, what
+    /// `costs::HOIST_DECOMP` charges: its inverse transform, the
+    /// per-digit base extensions, and the forward NTTs of the extended
+    /// digit limbs. Every rotation sharing the source ciphertext reuses
+    /// it; per additional rotation no BConv of a ciphertext digit and
+    /// no forward NTT outside the mod-down runs.
     ///
-    /// The base extension is **not** hoisted: fast BConv does not
-    /// commute bit-exactly with the signed negacyclic automorphism
-    /// (the permutation's sign flips shift the approximate
-    /// base-extension error by `L·Q mod p` — DESIGN.md §12), and the
-    /// hoisted path is pinned bit-identical to independent rotates.
+    /// The decomposition is of the **un-rotated** `c1`: each rotation
+    /// then permutes the extended digits (raise, then permute — the
+    /// textbook hoisting order). That is a valid key switch of
+    /// `σ_g(c1)`: `σ_g` is a ring automorphism of `Z[x]/(x^N+1)` that
+    /// only moves and negates coefficients, so `σ_g` of a digit's
+    /// small lift `d̃_j = d_j + u·Q_j` (`|u| ≤ α`) is the equally small
+    /// lift `σ_g(d_j) + σ_g(u)·Q_j` of the rotated digit, and in
+    /// evaluation form `σ_g` is the exact index gather of
+    /// [`CkksContext::galois_eval_perm`]. It is not the *same bits* as
+    /// extending the rotated digit (fast BConv's overshoot `u` does not
+    /// commute with the sign flips), which is why every Galois path of
+    /// this crate runs this one order (DESIGN.md §12).
     pub fn hoist_decompose(&self, ct: &Ciphertext) -> HoistedDecomposition {
         let ct = ct.view();
         HoistedDecomposition {
-            c0_eval: ct.c0.clone(),
-            c1_eval: ct.c1.clone(),
-            c1_coeff: ct.c1.in_domain(Domain::Coefficient).into_owned(),
+            c0: ct.c0.clone(),
+            c1: ct.c1.clone(),
+            digits: self.ks_decompose(ct.c1),
             level: ct.level,
             scale: ct.scales[0],
         }
     }
 
-    /// One rotation off a hoisted decomposition: the Galois tail alone
-    /// (no redundant INTT round trip). Bit-identical to
-    /// [`Evaluator::rotate`] on the source ciphertext.
+    /// One rotation off a hoisted decomposition: the Galois tail alone.
+    /// Bit-identical to [`Evaluator::rotate`] on the source ciphertext.
     pub fn hoisted_rotate(
         &self,
         h: &HoistedDecomposition,
@@ -378,17 +396,17 @@ impl<'a> Evaluator<'a> {
         rot_key: &SwitchingKey,
     ) -> Ciphertext {
         let source = CtView {
-            c0: &h.c0_eval,
-            c1: &h.c1_eval,
+            c0: &h.c0,
+            c1: &h.c1,
             level: h.level,
             scales: std::slice::from_ref(&h.scale),
         };
-        self.galois_tail(source, &h.c1_coeff, self.ctx.galois_element(steps), rot_key)
+        self.galois_tail(source, &h.digits, self.ctx.galois_element(steps), rot_key)
             .into_single()
     }
 
-    /// A rotation fan-out over one ciphertext: inverts `c1` once, then
-    /// applies each `(steps, key)` rotation's Galois tail off the
+    /// A rotation fan-out over one ciphertext: decomposes `c1` once,
+    /// then applies each `(steps, key)` rotation's Galois tail off the
     /// borrowed source. Bit-identical to `k` independent
     /// [`Evaluator::rotate`] calls.
     pub fn hoisted_rotations(
@@ -397,35 +415,32 @@ impl<'a> Evaluator<'a> {
         rotations: &[(usize, &SwitchingKey)],
     ) -> Vec<Ciphertext> {
         let ct = ct.view();
-        let c1_coeff = ct.c1.in_domain(Domain::Coefficient);
+        let digits = self.ks_decompose(ct.c1);
         rotations
             .iter()
             .map(|&(steps, key)| {
-                self.galois_tail(ct, &c1_coeff, self.ctx.galois_element(steps), key)
+                self.galois_tail(ct, &digits, self.ctx.galois_element(steps), key)
                     .into_single()
             })
             .collect()
     }
 
-    /// The one Galois tail: gather both evaluation forms through the
-    /// cached index permutation (`NTT(σ_g(c)) = π_g(NTT(c))`, exact —
-    /// zero transforms), permute the coefficient-form `c1` for the
-    /// digit decomposition, and key-switch with both domain forms
-    /// prepared.
+    /// The one Galois tail (`Automorphism`, `KeyInnerProduct`,
+    /// `ModDown`): `σ_g` as the cached evaluation-domain index gather
+    /// (`NTT(σ_g(c)) = π_g(NTT(c))`, exact — zero transforms), read
+    /// into the key inner product for the extended digits of `c1` and
+    /// applied to `c0` directly.
     fn galois_tail(
         &self,
         ct: CtView,
-        c1_coeff: &PolyBatch,
+        digits: &KsDigits,
         g: u64,
         key: &SwitchingKey,
     ) -> BatchedCiphertext {
         let perms = self.ctx.galois_eval_perm(g);
-        let c0r = ct.c0.gather_eval(&perms);
-        let c1r_eval = ct.c1.gather_eval(&perms);
-        let c1r_coeff = c1_coeff.automorphism(g);
-        let (k0, k1) = self.key_switch_core(&c1r_eval, &c1r_coeff, key);
+        let (k0, k1) = self.ks_apply(ct.c1, digits, key, Some(&perms));
         BatchedCiphertext {
-            c0: c0r.add(&k0),
+            c0: ct.c0.gather_eval(&perms).add(&k0),
             c1: k1,
             level: ct.level,
             scales: ct.scales.to_vec(),
@@ -619,6 +634,113 @@ mod tests {
         for i in 0..ctx.slot_count() {
             assert!((g1[i] - g2[i]).abs() < 1e-1, "slot {i}");
         }
+    }
+
+    /// A ciphertext of zeros at `level` — decomposition counts do not
+    /// depend on the residues, and no key is needed to build one.
+    fn zero_ct(ctx: &CkksContext, level: usize) -> Ciphertext {
+        let zero = PolyBatch::zero_evaluation(ctx.level_ctx(level).clone(), 1);
+        Ciphertext {
+            c0: zero.clone(),
+            c1: zero,
+            level,
+            scale: ctx.params().scale(),
+        }
+    }
+
+    /// ROADMAP 1(c), count conformance: the forward NTTs a hoisted
+    /// decomposition pays — one per converted limb it holds — against
+    /// `HOIST_DECOMP`'s `ntt` count, `dnum·(ext − α)`.
+    #[test]
+    fn hoisted_decomposition_holds_the_modeled_ntt_count_at_top_level() {
+        use crate::costs::HOIST_DECOMP;
+        use crate::params::ParamSet;
+        for (name, p) in [
+            ("toy", CkksParams::toy()),
+            ("Set A", ParamSet::A.params()),
+            ("Set B", ParamSet::B.params()),
+        ] {
+            let ctx = CkksContext::new(p, 5);
+            let ev = Evaluator::new(&ctx);
+            let l = p.limbs;
+            let held = ev.hoist_decompose(&zero_ct(&ctx, l)).converted_limbs();
+            let modeled = HOIST_DECOMP.counts(&p, l).ntt;
+            // The model gives every digit α limbs; the host's last
+            // digit is ragged when α does not divide L, and a digit
+            // short by r limbs extends to r more.
+            let ragged = ctx.digit_count(l) * p.digit_limbs() - l;
+            assert_eq!(
+                held,
+                modeled + ragged,
+                "{name}: host holds {held} converted limbs, HOIST_DECOMP charges {modeled} \
+                 NTTs and the last digit is {ragged} limb(s) short of α"
+            );
+            if p.limbs.is_multiple_of(p.digit_limbs()) {
+                assert_eq!(held, modeled, "{name}: even digits agree exactly");
+            }
+        }
+        // Set B's 8 limbs in digits of 3 leave a last digit of 2.
+        let p = ParamSet::B.params();
+        assert_eq!(HOIST_DECOMP.counts(&p, 8).ntt, 24);
+    }
+
+    #[test]
+    fn hoisted_decomposition_follows_the_host_digit_count_below_top_level() {
+        use crate::costs::HOIST_DECOMP;
+        let p = CkksParams::new(1 << 6, 8, 4, 28);
+        let ctx = CkksContext::new(p, 6);
+        let ev = Evaluator::new(&ctx);
+        let k = p.special_limbs();
+        for l in 1..p.limbs {
+            let held = ev.hoist_decompose(&zero_ct(&ctx, l)).converted_limbs();
+            assert_eq!(
+                held,
+                ctx.digit_count(l) * (l + k) - l,
+                "level {l}: every host digit extends to the rest of the chain"
+            );
+            if ctx.digit_count(l) < p.dnum {
+                assert_ne!(
+                    held,
+                    HOIST_DECOMP.counts(&p, l).ntt,
+                    "level {l}: ROADMAP deviation 1(c)(ii) — the model charges a \
+                     level-independent {} digits, the host runs ctx.digit_count(l) = {}; \
+                     if these now agree, the deviation is closed: update ROADMAP 1(c)",
+                    p.dnum,
+                    ctx.digit_count(l)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_fan_out_builds_exactly_one_decomposition() {
+        use crate::batched::DECOMPOSITIONS;
+        let (ctx, kp) = setup();
+        let ev = Evaluator::new(&ctx);
+        let ct = ctx.encrypt(&msg_a(ctx.slot_count()), &kp.public);
+        let keys: Vec<SwitchingKey> = (1..=5)
+            .map(|s| ctx.generate_rotation_key(&kp.secret, s))
+            .collect();
+        let rotations: Vec<(usize, &SwitchingKey)> = (1..=5).zip(&keys).collect();
+        let built = |f: &dyn Fn()| {
+            let before = DECOMPOSITIONS.with(|c| c.get());
+            f();
+            DECOMPOSITIONS.with(|c| c.get()) - before
+        };
+        assert_eq!(built(&|| drop(ev.hoisted_rotations(&ct, &rotations))), 1);
+        let eager = || {
+            rotations
+                .iter()
+                .for_each(|&(s, k)| drop(ev.rotate(&ct, s, k)))
+        };
+        assert_eq!(built(&eager), 5);
+        let h = ev.hoist_decompose(&ct);
+        let tails = || {
+            rotations
+                .iter()
+                .for_each(|&(s, k)| drop(ev.hoisted_rotate(&h, s, k)))
+        };
+        assert_eq!(built(&tails), 0, "a tail decomposes nothing");
     }
 
     #[test]

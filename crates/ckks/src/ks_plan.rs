@@ -10,7 +10,7 @@
 //! `q_last⁻¹` scaling constants. A [`KsPlan`] precomputes all of it
 //! once per level and is cached on
 //! [`CkksContext`] behind the same
-//! `OnceLock<Arc<_>>` pattern the six-step NTT plan uses, so no per-op
+//! `OnceLock` pattern the host NTT tables use, so no per-op
 //! path ever compiles a kernel or inverts a modulus again (DESIGN.md
 //! §12).
 

@@ -7,7 +7,7 @@
 //! and a transform of an `L`-limb batch of `B` polynomials runs `L`
 //! fused matmul pipelines whose streamed dimension is `C·B` — the shape
 //! the simulator charges and the paper's Fig. 11b sweeps. The CPU
-//! *functional* paths run the six-step host engine (the fastest
+//! *functional* paths run the host engine (the fastest
 //! bit-identical executor); the compiled matmul reference remains the
 //! per-limb `*_reference` methods on [`Ntt3Plan`].
 //!
@@ -90,7 +90,7 @@ impl RnsNttPlans {
 
     /// Forward-transforms a coefficient-domain batch to the evaluation
     /// domain, pure CPU. Since the `embed_bitrev` plan layout **is** the
-    /// butterfly layout, the functional executor runs the six-step host
+    /// butterfly layout, the functional executor runs the host
     /// engine (`limb × batch` segments fanned over the scoped pool by
     /// [`PolyBatch::to_evaluation`]) — bit-identical to the compiled
     /// matmul reference, which stays available per limb as
@@ -102,7 +102,7 @@ impl RnsNttPlans {
     }
 
     /// Inverse-transforms an evaluation-domain batch back to
-    /// coefficients, pure CPU (six-step host engine, like
+    /// coefficients, pure CPU (host engine, like
     /// [`RnsNttPlans::forward_batch`]). Bit-identical to
     /// [`Ntt3Plan::inverse_batch_reference`] per limb.
     pub fn inverse_batch(&self, pb: &PolyBatch) -> PolyBatch {
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn executor_matches_compiled_matmul_reference() {
-        // The six-step functional executor and the per-limb compiled
+        // The host-engine functional executor and the per-limb compiled
         // matmul reference must stay bit-identical limb by limb.
         let (ctx, pb) = setup(7, 3, 4);
         let plans = RnsNttPlans::standalone(&ctx, ModRed::Montgomery);

@@ -10,6 +10,12 @@
 //! Step 2's modulus varies **per output column** (`p_j`), which Alg. 2
 //! handles naturally: each `K×K` block of the dense matrix is compiled
 //! with its own column modulus.
+//!
+//! The host kernel ([`BconvKernel::convert_slices`]) has BAT step 2's
+//! shape too: per output it sums raw `b_i·[q̂_i]_{p_j}` products in a
+//! `u64` and reduces **once**, where the oracle
+//! ([`BconvKernel::convert_reference`]) folds after every
+//! multiply-accumulate — same residue, canonical form, same bits.
 
 use crate::bat::{chunk, scalar};
 use crate::modred::{ModRed, PreparedParams, VecModMul};
@@ -41,17 +47,30 @@ pub struct BconvKernel {
     k: usize,
     source: Vec<u64>,
     target: Vec<u64>,
-    /// Step-1 multipliers prepared per source limb (degree-`N` shape).
+    /// Step-1 multipliers per source limb, each one constant prepared
+    /// at width 1 (widened to the row count on use).
     step1: Vec<(VecModMul, PreparedParams)>,
     /// Step-1 multipliers as Shoup pairs, one per source limb `i`
     /// (`[q̂_i^{-1}]_{q_i}` wrt `q_i`) — the host fast path.
     qhat_inv_shoup: ShoupPairs,
     /// BAT-dense step-2 matrix, `(K·L) × (K·L')` bytes, row-major.
     m_dense: Vec<u8>,
-    /// Step-2 matrix for the reference/baseline path, one Shoup table
-    /// per *output* column `j` (`[q̂_i]_{p_j}` over `i`, wrt `p_j`).
+    /// Step-2 matrix for the host paths, one Shoup table per *output*
+    /// column `j` (`[q̂_i]_{p_j}` over `i`, wrt `p_j`).
     m_cols: Vec<ShoupPairs>,
+    /// Barrett constants `⌊2⁶⁴/p_j⌋` per output column.
+    target_mu: Vec<u64>,
+    /// How many raw `b_i·[q̂_i]_{p_j}` products (plus a carried-in
+    /// residue) provably fit one `u64` accumulator:
+    /// `⌊(2⁶⁴−1)/(max q_i · max p_j)⌋` — 256 for 28-bit chains, ≥ 4
+    /// below 2³¹, ≥ 1 for anything `compile` accepts.
+    acc_terms: usize,
 }
+
+/// Rows per block of [`BconvKernel::convert_slices`]: the step-1
+/// products of one block (`L × 256` words) stay L1-resident while
+/// every output column reads them.
+const BLOCK_ROWS: usize = 256;
 
 impl BconvKernel {
     /// Compiles the kernel from a precomputed [`BconvTable`].
@@ -75,7 +94,7 @@ impl BconvKernel {
             .enumerate()
             .map(|(i, &qi)| {
                 let vm = VecModMul::new(qi, modred);
-                let params = vm.prepare_params(&vec![qhat_inv[i]; n]);
+                let params = vm.prepare_params(&[qhat_inv[i]]);
                 (vm, params)
             })
             .collect();
@@ -102,17 +121,21 @@ impl BconvKernel {
                 }
             }
         }
+        let max_of = |ms: &[u64]| ms.iter().copied().max().unwrap_or(1);
+        let acc_terms = (u64::MAX / (max_of(&source) * max_of(&target))) as usize;
         Self {
             n,
             l,
             l_out,
             k,
+            target_mu: target.iter().map(|&p| modops::barrett_mu(p)).collect(),
             source,
             target,
             step1,
             qhat_inv_shoup,
             m_dense,
             m_cols,
+            acc_terms,
         }
     }
 
@@ -138,15 +161,15 @@ impl BconvKernel {
 
     /// Row count of a limb set (`N` for a single polynomial, `N·batch`
     /// for a batch-major limb), validated against the compiled degree.
-    fn rows_of(&self, limbs: &[Vec<u64>]) -> usize {
+    fn rows_of<L: AsRef<[u64]>>(&self, limbs: &[L]) -> usize {
         assert_eq!(limbs.len(), self.l, "limb count must match source basis");
-        let rows = limbs.first().map_or(self.n, |l| l.len());
+        let rows = limbs.first().map_or(self.n, |l| l.as_ref().len());
         assert!(
             rows >= self.n && rows.is_multiple_of(self.n),
             "limb length must be a multiple of the compiled degree"
         );
         for l in limbs {
-            assert_eq!(l.len(), rows, "ragged limb lengths");
+            assert_eq!(l.as_ref().len(), rows, "ragged limb lengths");
         }
         rows
     }
@@ -160,16 +183,12 @@ impl BconvKernel {
             .iter()
             .zip(&self.step1)
             .map(|(limb, (vm, params))| {
-                if rows == self.n {
-                    vm.mul_vec(sim, limb, params, Category::VecModOps)
-                } else {
-                    // Batched shape: the step-1 multiplier is one
-                    // constant, so widen the already-prepared value to
-                    // the fused width (one VecModMul over N·batch)
-                    // without redoing the preparation.
-                    let wide = widen_constant_params(params, rows);
-                    vm.mul_vec(sim, limb, &wide, Category::VecModOps)
-                }
+                // The step-1 multiplier is one constant: widen the
+                // prepared value to the row count (one VecModMul over
+                // `N` or the fused `N·batch`) without redoing the
+                // preparation.
+                let wide = widen_constant_params(params, rows);
+                vm.mul_vec(sim, limb, &wide, Category::VecModOps)
             })
             .collect()
     }
@@ -346,32 +365,75 @@ impl BconvKernel {
 
     /// Scalar-path oracle via [`BconvTable::convert_scalar`] semantics:
     /// full reference conversion of all coefficients (single-polynomial
-    /// or batch-major limbs).
+    /// or batch-major limbs) — strict step 1 into whole limbs, then
+    /// [`BconvKernel::step2_reference`]'s fold-per-term accumulation.
+    /// What [`BconvKernel::convert_slices`] is pinned against.
     pub fn convert_reference(&self, limbs: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        let views: Vec<&[u64]> = limbs.iter().map(|l| l.as_slice()).collect();
-        self.convert_slices(&views)
-    }
-
-    /// [`BconvKernel::convert_reference`] over borrowed limb views —
-    /// lets callers feed limbs sliced out of a larger structure (e.g.
-    /// the coefficient-domain digit limbs of a key switch) without
-    /// cloning them first. Output limbs are reduced `< p_j`.
-    pub fn convert_slices(&self, limbs: &[&[u64]]) -> Vec<Vec<u64>> {
         assert_eq!(limbs.len(), self.l, "limb count must match source basis");
         let b: Vec<Vec<u64>> = limbs
             .iter()
             .enumerate()
             .map(|(i, limb)| {
-                let qi = self.source[i];
-                // strict Shoup multiply by the precomputed step-1 pair
-                // — canonical, so bit-identical to `mul_mod`
                 let (w, ws) = self.qhat_inv_shoup.get(i);
                 limb.iter()
-                    .map(|&x| small_ntt::shoup_mul(x, w, ws, qi))
+                    .map(|&x| small_ntt::shoup_mul(x, w, ws, self.source[i]))
                     .collect()
             })
             .collect();
         self.step2_reference(&b)
+    }
+
+    /// The host conversion kernel, over borrowed limb views — callers
+    /// feed limbs sliced out of a larger structure (e.g. the
+    /// coefficient-domain digit limbs of a key switch) without cloning
+    /// them first. Output limbs are canonical `< p_j`, bit-identical
+    /// to [`BconvKernel::convert_reference`].
+    ///
+    /// Row-blocked: step 1 (strict Shoup by `[q̂_i⁻¹]_{q_i}`) fills an
+    /// L1-resident `L ×` [`BLOCK_ROWS`] block, then every output column
+    /// sums raw `b_i·[q̂_i]_{p_j}` products in a `u64` — as many terms
+    /// as provably fit, which is all of them for every shipped chain —
+    /// and folds once with `⌊2⁶⁴/p_j⌋` to the canonical residue: the
+    /// residue the per-term lazy chain reaches, in the same canonical
+    /// form.
+    ///
+    /// # Panics
+    /// Panics on a limb count other than the source basis', ragged
+    /// limbs, or a limb length that is not a multiple of the degree.
+    pub fn convert_slices(&self, limbs: &[&[u64]]) -> Vec<Vec<u64>> {
+        let rows = self.rows_of(limbs);
+        let mut out = vec![vec![0u64; rows]; self.l_out];
+        // Step-1 products and matrix entries are canonical residues of
+        // moduli `compile` checked to be below 2³², so they are held
+        // and multiplied as 32-bit words (a widening 32×32 multiply
+        // vectorizes; a 64×64 one does not).
+        let mut block = vec![0u32; self.l * BLOCK_ROWS];
+        for start in (0..rows).step_by(BLOCK_ROWS) {
+            let len = BLOCK_ROWS.min(rows - start);
+            for (i, (limb, b)) in limbs.iter().zip(block.chunks_mut(BLOCK_ROWS)).enumerate() {
+                let (w, ws) = self.qhat_inv_shoup.get(i);
+                let qi = self.source[i];
+                for (b, &x) in b.iter_mut().zip(&limb[start..start + len]) {
+                    *b = small_ntt::shoup_mul(x, w, ws, qi) as u32;
+                }
+            }
+            for (j, out) in out.iter_mut().enumerate() {
+                let (pj, mu) = (self.target[j], self.target_mu[j]);
+                let acc = &mut out[start..start + len];
+                for first in (0..self.l).step_by(self.acc_terms) {
+                    for i in first..(first + self.acc_terms).min(self.l) {
+                        let w = self.m_cols[j].get(i).0 as u32;
+                        for (a, &b) in acc.iter_mut().zip(&block[i * BLOCK_ROWS..]) {
+                            *a += b as u64 * w as u64;
+                        }
+                    }
+                    for a in acc.iter_mut() {
+                        *a = modops::reduce_barrett(*a, pj, mu);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -486,6 +548,36 @@ mod tests {
         }
         // And the reference path agrees at the batched width.
         assert_eq!(fused, kernel.convert_reference(pb.limbs()));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged limb lengths")]
+    fn host_kernel_rejects_ragged_limbs() {
+        let (_, _, kernel) = setup(3, 2, 16);
+        let (full, short) = (vec![1u64; 32], vec![1u64; 16]);
+        let _ = kernel.convert_slices(&[&full, &full, &short]);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of the compiled degree")]
+    fn host_kernel_rejects_short_limbs() {
+        let (_, _, kernel) = setup(2, 2, 16);
+        let short = vec![1u64; 8];
+        let _ = kernel.convert_slices(&[&short, &short]);
+    }
+
+    #[test]
+    fn step1_constants_are_stored_once() {
+        // One prepared value per source limb, whatever the degree; the
+        // simulator path widens it to the row count on use.
+        let (_, _, kernel) = setup(3, 2, 1 << 10);
+        for (_, params) in &kernel.step1 {
+            let len = match params {
+                PreparedParams::Plain(v) | PreparedParams::Montgomery(v) => v.len(),
+                PreparedParams::Shoup(w, _) => w.len(),
+            };
+            assert_eq!(len, 1);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use crate::modred::ModRed;
-use cross_poly::{CooleyTukeyNtt, NttEngine, NttTables, SixStepNtt};
+use cross_poly::{HostNtt, NttEngine, NttTables};
 use cross_tpu::{TpuGeneration, TpuSim};
 use std::sync::Arc;
 
@@ -83,19 +83,12 @@ pub fn best_plan(
     best.expect("at least one candidate").1
 }
 
-/// The default **functional** (host CPU) engine for `tables`: the
-/// six-step engine at degrees where its split amortizes
-/// ([`cross_poly::six_step::SIX_STEP_MIN_N`]), the radix-2 butterfly
-/// engine below. Both produce bit-reversed output, so the choice is
-/// invisible to callers — this mirrors the size dispatch inside
-/// [`cross_poly::six_step::forward_inplace`], as an explicit
-/// [`NttEngine`] for code that works over the trait.
+/// The default **functional** (host CPU) engine for `tables` — what
+/// [`cross_poly::host_ntt::forward_inplace`] runs, as an explicit
+/// [`NttEngine`] for code that works over the trait. One engine at
+/// every degree: there is no size switch to mirror.
 pub fn default_host_engine(tables: Arc<NttTables>) -> Box<dyn NttEngine> {
-    if tables.n() >= cross_poly::six_step::SIX_STEP_MIN_N {
-        Box::new(SixStepNtt::new(tables))
-    } else {
-        Box::new(CooleyTukeyNtt::new(tables))
-    }
+    Box::new(HostNtt::new(tables))
 }
 
 #[cfg(test)]
@@ -134,16 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn default_host_engine_dispatches_by_size() {
-        for (logn, want) in [(4u32, "radix2-cooley-tukey"), (8, "six-step")] {
+    fn default_host_engine_is_the_host_dispatch_at_every_size() {
+        for logn in [4u32, 8] {
             let n = 1usize << logn;
             let t = Arc::new(NttTables::new(
                 n,
                 primes::ntt_prime(28, n as u64, 0).unwrap(),
             ));
             let e = default_host_engine(t.clone());
-            assert_eq!(e.name(), want, "logn={logn}");
-            // Either engine matches the butterfly loop bit-for-bit.
+            assert_eq!(e.name(), "lazy-radix2", "logn={logn}");
+            // The engine matches the butterfly loop bit-for-bit.
             let a: Vec<u64> = (0..n as u64).map(|i| (i * 13 + 5) % t.q()).collect();
             let mut r2 = a.clone();
             cross_poly::ntt::forward_inplace(&mut r2, &t);

@@ -1,8 +1,10 @@
 //! Property-based tests for BAT and MAT invariants.
 
 use cross_core::bat::{chunk, conv, lazy::LazyReducer, matmul::BatMatMul, scalar};
+use cross_core::bconv::BconvKernel;
 use cross_core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross_core::modred::ModRed;
+use cross_math::rns::RnsBasis;
 use cross_math::{modops, primes};
 use cross_poly::{NaiveNtt, NttEngine, NttTables};
 use proptest::prelude::*;
@@ -107,5 +109,93 @@ proptest! {
         for k in 0..n {
             prop_assert_eq!(modops::add_mod(fa[k], fb[k], q), fsum[k]);
         }
+    }
+}
+
+/// The host BConv kernel (row-blocked, accumulate-then-reduce) against
+/// both oracles on one shape: `step2_reference` fed an independently
+/// computed step 1, and `convert_reference`.
+fn bconv_kernel_matches_oracles(bits: u32, l: usize, l_out: usize, batch: usize, seed: u64) {
+    // 1.5 and 2.5 row blocks at batch 3 and 5, half a block at 1.
+    let n = 128usize;
+    let chain = primes::ntt_prime_chain(bits, n as u64, l + l_out).unwrap();
+    let table = RnsBasis::new(chain[..l].to_vec()).bconv_table(&chain[l..]);
+    let kernel = BconvKernel::compile(&table, n, ModRed::Montgomery);
+    let mut state = seed | 1;
+    let limbs: Vec<Vec<u64>> = chain[..l]
+        .iter()
+        .map(|&q| {
+            (0..n * batch)
+                .map(|r| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    // the extremes too: they are what can overflow
+                    match r % 61 {
+                        0 => q - 1,
+                        1 => 0,
+                        _ => (state >> 16) % q,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let views: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+    let got = kernel.convert_slices(&views);
+    let step1: Vec<Vec<u64>> = limbs
+        .iter()
+        .zip(&chain)
+        .zip(table.qhat_inv())
+        .map(|((limb, &q), &w)| limb.iter().map(|&x| modops::mul_mod(x, w, q)).collect())
+        .collect();
+    let what = format!("bits {bits} l {l} l_out {l_out} batch {batch}");
+    assert_eq!(
+        got,
+        kernel.step2_reference(&step1),
+        "{what}: step2_reference"
+    );
+    assert_eq!(
+        got,
+        kernel.convert_reference(&limbs),
+        "{what}: convert_reference"
+    );
+    for (limb, &p) in got.iter().zip(&chain[l..]) {
+        assert!(limb.iter().all(|&x| x < p), "{what}: canonical output");
+    }
+}
+
+/// The corners of the shape space at every width: one source limb
+/// (nothing to accumulate), Set D's 17-limb digits and 23-limb
+/// complements — at 31 bits four products fit the accumulator, so 17
+/// source limbs take five accumulate-reduce rounds.
+#[test]
+fn bconv_kernel_matches_oracles_at_the_corners() {
+    for bits in [20u32, 28, 31] {
+        for (l, l_out) in [(1usize, 1usize), (1, 23), (17, 1), (17, 23), (4, 5), (5, 4)] {
+            for batch in [1usize, 3] {
+                bconv_kernel_matches_oracles(bits, l, l_out, batch, 0xB0C0 + l as u64);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn bconv_kernel_matches_oracles_random(
+        seed in any::<u64>(),
+        bits_idx in 0usize..3,
+        l in 1usize..=17,
+        l_out in 1usize..=23,
+        batch_idx in 0usize..3,
+    ) {
+        bconv_kernel_matches_oracles(
+            [20u32, 28, 31][bits_idx],
+            l,
+            l_out,
+            [1usize, 3, 5][batch_idx],
+            seed,
+        );
     }
 }

@@ -63,29 +63,36 @@ pub fn mul_add_mod(a: u64, b: u64, c: u64, q: u64) -> u64 {
     ((a as u128 * b as u128 + c as u128) % q as u128) as u64
 }
 
-/// Barrett constant `⌊2⁶⁴/q⌋` for [`mul_mod_barrett32`] — computed
-/// once per limb, amortized over a pointwise loop.
+/// Barrett constant `⌊2⁶⁴/q⌋` for [`reduce_barrett`] and
+/// [`mul_mod_barrett32`] — computed once per limb, amortized over a
+/// pointwise loop.
 #[inline]
 pub fn barrett_mu(q: u64) -> u64 {
     ((1u128 << 64) / q as u128) as u64
 }
 
-/// Division-free Barrett product `a·b mod q` for 32-bit operands
-/// against a precomputed `mu = ⌊2⁶⁴/q⌋`: the estimate
-/// `⌊x·mu/2⁶⁴⌋` undershoots `⌊x/q⌋` by at most 2, so two
-/// conditional subtracts restore the canonical residue — bit-identical
-/// to [`mul_mod`] and much faster than a division in variable-times-
-/// variable inner loops (where Shoup precomputation cannot apply).
+/// Division-free Barrett reduction of any `x < 2⁶⁴` against a
+/// precomputed `mu = ⌊2⁶⁴/q⌋`: the estimate `⌊x·mu/2⁶⁴⌋` undershoots
+/// `⌊x/q⌋` by at most 2, so two conditional subtracts restore the
+/// canonical residue.
 #[inline(always)]
-pub fn mul_mod_barrett32(a: u64, b: u64, q: u64, mu: u64) -> u64 {
-    debug_assert!((a | b) >> 32 == 0, "operands must fit 32 bits");
-    let x = a * b;
+pub fn reduce_barrett(x: u64, q: u64, mu: u64) -> u64 {
     let approx = ((x as u128 * mu as u128) >> 64) as u64;
     let mut t = x.wrapping_sub(approx.wrapping_mul(q));
     while t >= q {
         t -= q;
     }
     t
+}
+
+/// Division-free Barrett product `a·b mod q` for 32-bit operands
+/// ([`reduce_barrett`] of the exact product) — bit-identical to
+/// [`mul_mod`] and much faster than a division in variable-times-
+/// variable inner loops (where Shoup precomputation cannot apply).
+#[inline(always)]
+pub fn mul_mod_barrett32(a: u64, b: u64, q: u64, mu: u64) -> u64 {
+    debug_assert!((a | b) >> 32 == 0, "operands must fit 32 bits");
+    reduce_barrett(a * b, q, mu)
 }
 
 /// Modular exponentiation `base^exp mod q` by square-and-multiply.
@@ -248,6 +255,10 @@ mod tests {
                 mul_mod(q - 1, q - 1, q)
             );
             assert_eq!(mul_mod_barrett32(0, q - 1, q, mu), 0);
+            // full-width inputs reduce too (accumulated BConv sums)
+            for x in [u64::MAX, u64::MAX - q, 1 << 63, q, q - 1] {
+                assert_eq!(reduce_barrett(x, q, mu), x % q, "q={q} x={x}");
+            }
         }
     }
 

@@ -21,9 +21,9 @@
 //! the `B` batch-of-one results laid side by side — the property the
 //! batched-vs-sequential tests pin down.
 
+use crate::host_ntt;
 use crate::ring::Domain;
 use crate::rns_poly::{RnsContext, RnsPoly};
-use crate::six_step;
 use cross_math::modops::{
     add_mod, barrett_mu, from_signed, mul_mod, mul_mod_barrett32, neg_mod, sub_mod,
 };
@@ -236,13 +236,12 @@ impl PolyBatch {
     }
 
     /// Converts all polynomials to the evaluation domain —
-    /// `level_count · batch` independent NTTs (six-step host engine
-    /// above its size threshold; bit-identical to the radix-2 loop
-    /// either way).
+    /// `level_count · batch` independent NTTs through the host engine
+    /// (bit-identical to the radix-2 loop).
     pub fn to_evaluation(&mut self) {
         if self.domain == Domain::Coefficient {
             let ctx = self.ctx.clone();
-            self.for_each_segment_mut(|i, seg| six_step::forward_inplace(seg, &ctx.tables()[i]));
+            self.for_each_segment_mut(|i, seg| host_ntt::forward_inplace(seg, &ctx.tables()[i]));
             self.domain = Domain::Evaluation;
         }
     }
@@ -251,7 +250,7 @@ impl PolyBatch {
     pub fn to_coefficient(&mut self) {
         if self.domain == Domain::Evaluation {
             let ctx = self.ctx.clone();
-            self.for_each_segment_mut(|i, seg| six_step::inverse_inplace(seg, &ctx.tables()[i]));
+            self.for_each_segment_mut(|i, seg| host_ntt::inverse_inplace(seg, &ctx.tables()[i]));
             self.domain = Domain::Coefficient;
         }
     }

@@ -8,11 +8,10 @@
 //!   the algorithm GPUs favour and TPUs suffer under,
 //! * the 4-step matrix NTT (paper Fig. 10 row 1) — the decomposition
 //!   MAT later rewrites into the layout-invariant 3-step form,
-//! * the Bailey six-step NTT ([`six_step`]) with Shoup/lazy-reduced
-//!   base cases ([`small_ntt`]) and in-place cache-aware transposes
-//!   ([`transpose`]) — the default *functional* engine on the host,
-//!   bit-identical to the radix-2 loop and several times faster at
-//!   bench sizes.
+//! * the host engine ([`host_ntt`]): the same radix-2 dataflow on
+//!   Shoup/lazy-reduced arithmetic with a cache-blocked stage
+//!   schedule ([`small_ntt`]) — the default *functional* engine,
+//!   bit-identical to the radix-2 loop and several times faster.
 //!
 //! All engines agree bit-for-bit (modulo output ordering, which is part
 //! of each engine's contract) and are property-tested against the
@@ -33,18 +32,17 @@
 
 pub mod batch;
 pub mod engines;
+pub mod host_ntt;
 pub mod ntt;
 pub mod ring;
 pub mod rns_poly;
 pub mod sampling;
-pub mod six_step;
 pub mod small_ntt;
 pub mod tables;
-pub mod transpose;
 
 pub use batch::PolyBatch;
 pub use engines::{CooleyTukeyNtt, FourStepNtt, NaiveNtt, NttEngine, OutputOrder};
+pub use host_ntt::HostNtt;
 pub use ring::Poly;
 pub use rns_poly::{RnsContext, RnsPoly};
-pub use six_step::{SixStepNtt, SixStepPlan};
 pub use tables::NttTables;

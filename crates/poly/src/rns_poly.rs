@@ -34,7 +34,7 @@ impl RnsContext {
 
     /// Builds a context over pre-built per-modulus tables, so several
     /// contexts (CKKS levels, key-switching extensions) share one table
-    /// — and one cached six-step plan — per modulus instead of
+    /// — and one cached set of host-engine twiddles — per modulus instead of
     /// rebuilding `O(N)` twiddle material per context.
     ///
     /// # Panics

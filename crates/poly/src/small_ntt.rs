@@ -1,24 +1,28 @@
-//! Shoup/lazy-reduced base-case transforms for the six-step engine.
+//! Shoup/lazy-reduced negacyclic transforms — the arithmetic of the
+//! host NTT engine ([`crate::host_ntt`]) — and the Shoup
+//! multiply-accumulate helpers key switching and BConv share.
 //!
 //! The radix-2 loops in [`crate::ntt`] pay a `u128` division per
-//! butterfly (`mul_mod`). The six-step decomposition runs thousands of
-//! *small* transforms whose twiddles are all known ahead of time, so
+//! butterfly (`mul_mod`). Every twiddle is known ahead of time, so
 //! every multiply here is a Shoup multiply (one `u64×u64→hi` product,
 //! one wrapping multiply, no division) and reductions are **lazy** in
 //! the Harvey style: forward Cooley–Tukey butterflies keep values in
-//! `[0, 4q)`, Gentleman–Sande and the cyclic DIF keep `[0, 2q)`, and a
-//! single conditional-subtract pass restores canonical `[0, q)` at the
-//! end. Sizes 4–64 dispatch to monomorphized bodies (the compiler fully
-//! unrolls the fixed trip counts); larger sizes share the generic loop.
+//! `[0, 4q)`, Gentleman–Sande keeps `[0, 2q)`, and one conditional
+//! subtract pair restores canonical `[0, q)` at the end. The dataflow
+//! is the reference's own — same stages, same butterfly order — with
+//! one change of schedule: the six stages that never leave a
+//! 64-element block (the last six forward, the first six inverse) run
+//! block by block through monomorphized 64-point bodies (the compiler
+//! fully unrolls the fixed trip counts) instead of as six more passes
+//! over the whole polynomial. Sizes up to 64 are one such body.
 //!
 //! Twiddle **layouts are bit-for-bit those of [`crate::ntt`]** — the
-//! negacyclic forward reads `fwd[m + i]` exactly like `psi_rev`, the
-//! inverse reads `inv[h + i]` like `psi_inv_rev` — so the six-step
-//! engine built on these base cases reproduces the butterfly reference
-//! exactly, value for value.
+//! forward reads `fwd[m + i]` exactly like `psi_rev`, the inverse
+//! reads `inv[h + i]` like `psi_inv_rev` — and every value is the same
+//! residue class as the reference's at every stage, so the canonical
+//! outputs are bit-identical to the butterfly reference.
 
-use cross_math::bitrev::bit_reverse;
-use cross_math::modops::{inv_mod, mul_mod, pow_mod};
+use crate::tables::NttTables;
 
 /// Parallel `(w, w·2⁶⁴/q)` arrays for Shoup multiplication by
 /// precomputed constants.
@@ -69,19 +73,6 @@ impl ShoupPairs {
         self.w.is_empty()
     }
 
-    /// `xs[j] ← xs[j]·w[off+j] mod q + εq` (lazy, `< 2q`) — the fused
-    /// element-wise twiddle pass. Accepts any `u64` inputs, so it
-    /// doubles as the `[0,4q) → [0,2q)` normalizer after a lazy CT
-    /// stage.
-    #[inline]
-    pub fn mul_lazy_slice(&self, off: usize, xs: &mut [u64], q: u64) {
-        let w = &self.w[off..off + xs.len()];
-        let ws = &self.w_shoup[off..off + xs.len()];
-        for ((x, &wj), &wsj) in xs.iter_mut().zip(w).zip(ws) {
-            *x = shoup_lazy(*x, wj, wsj, q);
-        }
-    }
-
     /// `acc[j] ← acc[j] + xs[j]·w[off+j] mod q + εq`, folded to `< 2q`
     /// — the lazy multiply-accumulate for key-switching inner products.
     /// Accepts **any** `u64` inputs in `xs` and keeps the accumulator
@@ -99,6 +90,25 @@ impl ShoupPairs {
             // a < 2q and the lazy product < 2q, so the sum < 4q folds
             // back under 2q with one conditional subtract.
             let s = *a + shoup_lazy(x, wj, wsj, q);
+            *a = if s >= two_q { s - two_q } else { s };
+        }
+    }
+
+    /// [`ShoupPairs::mul_acc_lazy_slice`] with `xs` read through an
+    /// index table: `acc[j] ← acc[j] + xs[perm[j]]·w[j]` — an
+    /// evaluation-domain Galois gather fused into the inner product's
+    /// read, so the permuted operand is never materialized.
+    ///
+    /// # Panics
+    /// Panics if an index of `perm` is outside `xs`.
+    #[inline]
+    pub fn mul_acc_lazy_gather(&self, perm: &[u32], xs: &[u64], acc: &mut [u64], q: u64) {
+        debug_assert!(q < 1 << 62, "need 4q < 2^64 for the lazy fold");
+        let two_q = 2 * q;
+        let w = &self.w[..acc.len()];
+        let ws = &self.w_shoup[..acc.len()];
+        for (((a, &p), &wj), &wsj) in acc.iter_mut().zip(perm).zip(w).zip(ws) {
+            let s = *a + shoup_lazy(xs[p as usize], wj, wsj, q);
             *a = if s >= two_q { s - two_q } else { s };
         }
     }
@@ -166,13 +176,14 @@ pub fn reduce_strict_slice(xs: &mut [u64], q: u64) {
     }
 }
 
-/// Twiddle tables for one **negacyclic** base-case size.
+/// Shoup twiddle tables of the lazy negacyclic transform for one
+/// `(N, q)` pair.
 #[derive(Debug, Clone)]
 pub struct SmallNttTables {
     n: usize,
     q: u64,
-    /// Forward CT twiddles, `fwd[m+i] = ψ^{bitrev(m+i)}` — same layout
-    /// as [`crate::tables::NttTables::psi_rev`].
+    /// Forward CT twiddles, `fwd[m+i] = ψ^{bitrev(m+i)}` —
+    /// [`NttTables::psi_rev`] with Shoup companions.
     fwd: ShoupPairs,
     /// Inverse GS twiddles, `inv[h+i] = ψ^{-bitrev(h+i)}`.
     inv: ShoupPairs,
@@ -181,42 +192,22 @@ pub struct SmallNttTables {
 }
 
 impl SmallNttTables {
-    /// Tables for size `n` over `q` with `2n`-th root `psi`
-    /// (`psi^n ≡ -1 mod q`).
+    /// Shoup companions for `tables`' bit-reversed twiddles.
     ///
     /// # Panics
-    /// Panics if `n` is not a power of two, `q ≥ 2³²` (Shoup bound
-    /// `2q < 2⁶⁴` held with margin; every CROSS prime is < 2³²), or
-    /// `psi` is not a valid negacyclic root.
-    pub fn new(n: usize, q: u64, psi: u64) -> Self {
-        assert!(n.is_power_of_two(), "size must be a power of two");
-        assert!(q < 1 << 32, "Shoup base cases require q < 2^32");
-        assert_eq!(pow_mod(psi, n as u64, q), q - 1, "psi^n must equal -1");
-        let psi_inv = inv_mod(psi, q).expect("psi invertible mod prime q");
-        let mut pow = Vec::with_capacity(n);
-        let mut inv_pow = Vec::with_capacity(n);
-        let (mut p, mut pi) = (1u64, 1u64);
-        for _ in 0..n {
-            pow.push(p);
-            inv_pow.push(pi);
-            p = mul_mod(p, psi, q);
-            pi = mul_mod(pi, psi_inv, q);
-        }
-        let bits = n.trailing_zeros();
-        let mut fwd = ShoupPairs::with_capacity(n);
-        let mut inv = ShoupPairs::with_capacity(n);
-        for i in 0..n {
-            fwd.push(pow[bit_reverse(i, bits)], q);
-            inv.push(inv_pow[bit_reverse(i, bits)], q);
-        }
-        let n_inv_val = inv_mod(n as u64, q).expect("n invertible mod prime q");
-        let n_inv_shoup = (((n_inv_val as u128) << 64) / q as u128) as u64;
+    /// Panics if `q ≥ 2³²` (Shoup bound `4q < 2⁶⁴` held with margin;
+    /// every CROSS prime is < 2³²).
+    pub fn new(tables: &NttTables) -> Self {
+        let q = tables.q();
+        assert!(q < 1 << 32, "Shoup transforms require q < 2^32");
+        let mut n_inv = ShoupPairs::with_capacity(1);
+        n_inv.push(tables.n_inv(), q);
         Self {
-            n,
+            n: tables.n(),
             q,
-            fwd,
-            inv,
-            n_inv: (n_inv_val, n_inv_shoup),
+            fwd: ShoupPairs::from_values(tables.psi_rev(), q),
+            inv: ShoupPairs::from_values(tables.psi_inv_rev(), q),
+            n_inv: n_inv.get(0),
         }
     }
 
@@ -231,92 +222,30 @@ impl SmallNttTables {
     }
 }
 
-/// Twiddle tables for one **cyclic** base-case size (the second six-step
-/// stage: plain DFTs with an `n`-th root `ω`).
-///
-/// Stage tables are flattened: the forward DIF walks half-lengths
-/// `h = n/2, n/4, …, 1` and stage `h` stores `ω^{j·(n/2h)}` for
-/// `j < h` — `n − 1` pairs total. The inverse DIT mirrors with `ω^{-1}`
-/// **and folds the `1/n` normalization away entirely**: the six-step
-/// caller absorbs `C⁻¹` into its fused untwiddle table instead.
-#[derive(Debug, Clone)]
-pub struct CyclicNttTables {
-    n: usize,
-    q: u64,
-    fwd: ShoupPairs,
-    inv: ShoupPairs,
-}
+/// Points per block of the blocked tail: the last six forward stages
+/// (first six inverse stages) never leave a 64-element block, so they
+/// run block by block through the monomorphized 64-point bodies while
+/// the block is cache-hot.
+const BLOCK: usize = 64;
 
-impl CyclicNttTables {
-    /// Tables for size `n` over `q` with primitive `n`-th root `omega`.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two, `q ≥ 2³²`, or `omega` does
-    /// not have order `n`.
-    pub fn new(n: usize, q: u64, omega: u64) -> Self {
-        assert!(n.is_power_of_two(), "size must be a power of two");
-        assert!(q < 1 << 32, "Shoup base cases require q < 2^32");
-        assert_eq!(pow_mod(omega, n as u64, q), 1, "omega^n must equal 1");
-        if n > 1 {
-            assert_ne!(pow_mod(omega, n as u64 / 2, q), 1, "omega order too low");
-        }
-        let omega_inv = inv_mod(omega, q).expect("omega invertible mod prime q");
-        let half = (n / 2).max(1);
-        let mut pow = Vec::with_capacity(half);
-        let mut inv_pow = Vec::with_capacity(half);
-        let (mut p, mut pi) = (1u64, 1u64);
-        for _ in 0..half {
-            pow.push(p);
-            inv_pow.push(pi);
-            p = mul_mod(p, omega, q);
-            pi = mul_mod(pi, omega_inv, q);
-        }
-        let mut fwd = ShoupPairs::with_capacity(n.saturating_sub(1));
-        let mut h = n / 2;
-        while h >= 1 {
-            let stride = n / (2 * h);
-            for j in 0..h {
-                fwd.push(pow[j * stride], q);
-            }
-            h /= 2;
-        }
-        let mut inv = ShoupPairs::with_capacity(n.saturating_sub(1));
-        let mut h = 1usize;
-        while h < n {
-            let stride = n / (2 * h);
-            for j in 0..h {
-                inv.push(inv_pow[j * stride], q);
-            }
-            h *= 2;
-        }
-        Self { n, q, fwd, inv }
-    }
-
-    /// Transform size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Modulus.
-    pub fn q(&self) -> u64 {
-        self.q
-    }
-}
-
-/// Shared body of the lazy forward CT negacyclic NTT. Mirrors
-/// [`crate::ntt::forward_inplace`] exactly (same twiddle indexing, same
-/// butterfly order); values enter `< q` (any `< 2⁶⁴` works) and leave
-/// **lazy** in `[0, 4q)`, natural → bit-reversed order.
+/// The `log₂ len` forward CT stages of one aligned block of a lazy
+/// negacyclic NTT. Mirrors [`crate::ntt::forward_inplace`] exactly
+/// (same twiddle indexing, same butterfly order): the block is the
+/// whole transform when `base = 1`, and block `b` of the `len`-point
+/// tail of an `n`-point transform when `base = n/len + b` — local
+/// stage `m`, group `i` is global stage `m·n/len`, group `b·m + i`,
+/// i.e. twiddle `m·base + i`. Values enter `< 4q` (any `u64` in the
+/// upper half) and leave **lazy** in `[0, 4q)`.
 #[inline(always)]
-fn neg_forward_body(a: &mut [u64], n: usize, tb: &SmallNttTables) {
+fn neg_forward_stages(a: &mut [u64], len: usize, tb: &SmallNttTables, base: usize) {
     let q = tb.q;
     let two_q = 2 * q;
-    let mut t = n;
+    let mut t = len;
     let mut m = 1usize;
-    while m < n {
+    while m < len {
         t /= 2;
         for i in 0..m {
-            let (w, ws) = tb.fwd.get(m + i);
+            let (w, ws) = tb.fwd.get(m * base + i);
             let j1 = 2 * i * t;
             for j in j1..j1 + t {
                 // Harvey CT: u folded to [0,2q), v = lazy product
@@ -331,44 +260,86 @@ fn neg_forward_body(a: &mut [u64], n: usize, tb: &SmallNttTables) {
     }
 }
 
-#[inline(never)]
-fn neg_forward_fixed<const N: usize>(a: &mut [u64], tb: &SmallNttTables) {
-    neg_forward_body(a, N, tb);
-}
-
-/// In-place lazy forward negacyclic NTT (natural → bit-reversed,
-/// output `[0, 4q)`). Sizes 4–64 run monomorphized unrolled bodies.
-///
-/// # Panics
-/// Panics (debug) if `a.len() != tb.n()`.
-pub fn negacyclic_forward_lazy(a: &mut [u64], tb: &SmallNttTables) {
-    debug_assert_eq!(a.len(), tb.n);
-    match a.len() {
-        0 | 1 => {}
-        2 => neg_forward_fixed::<2>(a, tb),
-        4 => neg_forward_fixed::<4>(a, tb),
-        8 => neg_forward_fixed::<8>(a, tb),
-        16 => neg_forward_fixed::<16>(a, tb),
-        32 => neg_forward_fixed::<32>(a, tb),
-        64 => neg_forward_fixed::<64>(a, tb),
-        n => neg_forward_body(a, n, tb),
+/// Folds one block of `[0, 4q)` lazy values to canonical `[0, q)`.
+#[inline(always)]
+fn fold_4q(block: &mut [u64], q: u64) {
+    let two_q = 2 * q;
+    for x in block.iter_mut() {
+        let y = reduce_2q(*x, two_q);
+        *x = if y >= q { y - q } else { y };
     }
 }
 
-/// Shared body of the inverse GS negacyclic NTT with final `n⁻¹`
-/// scaling. Mirrors [`crate::ntt::inverse_inplace`]; values enter
-/// `< 2q` and leave **canonical** `[0, q)`, bit-reversed → natural.
+/// One monomorphized block of the forward transform, folded to
+/// canonical form while it is cache-hot.
+#[inline(never)]
+fn neg_forward_block<const N: usize>(a: &mut [u64], tb: &SmallNttTables, base: usize) {
+    neg_forward_stages(&mut a[..N], N, tb, base);
+    fold_4q(&mut a[..N], tb.q);
+}
+
+/// In-place forward negacyclic NTT, natural → bit-reversed, canonical
+/// `[0, q)` output — bit-identical to [`crate::ntt::forward_inplace`].
+/// Sizes up to 64 run one monomorphized unrolled body; larger sizes
+/// run their leading stages as full-width lazy passes and the last six
+/// block by block.
+///
+/// # Panics
+/// Panics if `a.len() != tb.n()`.
+pub fn negacyclic_forward(a: &mut [u64], tb: &SmallNttTables) {
+    assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
+    let n = a.len();
+    match n {
+        0 | 1 => {}
+        2 => neg_forward_block::<2>(a, tb, 1),
+        4 => neg_forward_block::<4>(a, tb, 1),
+        8 => neg_forward_block::<8>(a, tb, 1),
+        16 => neg_forward_block::<16>(a, tb, 1),
+        32 => neg_forward_block::<32>(a, tb, 1),
+        BLOCK => neg_forward_block::<BLOCK>(a, tb, 1),
+        _ => {
+            let blocks = n / BLOCK;
+            let q = tb.q;
+            let two_q = 2 * q;
+            let mut t = n;
+            let mut m = 1usize;
+            while m < blocks {
+                t /= 2;
+                for i in 0..m {
+                    let (w, ws) = tb.fwd.get(m + i);
+                    let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
+                    for (x, y) in lo.iter_mut().zip(hi) {
+                        let u = reduce_2q(*x, two_q);
+                        let v = shoup_lazy(*y, w, ws, q);
+                        *x = u + v;
+                        *y = u + two_q - v;
+                    }
+                }
+                m *= 2;
+            }
+            for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
+                neg_forward_block::<BLOCK>(block, tb, blocks + b);
+            }
+        }
+    }
+}
+
+/// The `log₂ len` inverse GS stages of one aligned block (see
+/// [`neg_forward_stages`] for `base`; the inverse reads twiddle
+/// `h·base + i` at local half-count `h`). Mirrors
+/// [`crate::ntt::inverse_inplace`] without its final `n⁻¹` pass;
+/// values enter and leave `< 2q`.
 #[inline(always)]
-fn neg_inverse_body(a: &mut [u64], n: usize, tb: &SmallNttTables) {
+fn neg_inverse_stages(a: &mut [u64], len: usize, tb: &SmallNttTables, base: usize) {
     let q = tb.q;
     let two_q = 2 * q;
     let mut t = 1usize;
-    let mut m = n;
+    let mut m = len;
     while m > 1 {
         let h = m / 2;
         let mut j1 = 0usize;
         for i in 0..h {
-            let (w, ws) = tb.inv.get(h + i);
+            let (w, ws) = tb.inv.get(h * base + i);
             for j in j1..j1 + t {
                 // Harvey GS: inputs < 2q ⇒ u+v < 4q folds back to
                 // 2q, and u+2q−v < 4q feeds the lazy product.
@@ -382,141 +353,59 @@ fn neg_inverse_body(a: &mut [u64], n: usize, tb: &SmallNttTables) {
         t *= 2;
         m = h;
     }
-    let (ni, nis) = tb.n_inv;
-    for x in a.iter_mut() {
-        let y = shoup_lazy(*x, ni, nis, q);
-        *x = if y >= q { y - q } else { y };
-    }
 }
 
 #[inline(never)]
-fn neg_inverse_fixed<const N: usize>(a: &mut [u64], tb: &SmallNttTables) {
-    neg_inverse_body(a, N, tb);
+fn neg_inverse_fixed<const N: usize>(a: &mut [u64], tb: &SmallNttTables, base: usize) {
+    neg_inverse_stages(&mut a[..N], N, tb, base);
 }
 
 /// In-place inverse negacyclic NTT (bit-reversed → natural, includes
-/// the `n⁻¹` factor). Input may be lazy up to `[0, 2q)`; output is
-/// canonical.
+/// the `n⁻¹` factor) — bit-identical to
+/// [`crate::ntt::inverse_inplace`]. Input may be lazy up to `[0, 2q)`;
+/// output is canonical. Sizes above 64 run their first six stages
+/// block by block, then the trailing stages as full-width passes.
 ///
 /// # Panics
-/// Panics (debug) if `a.len() != tb.n()`.
+/// Panics if `a.len() != tb.n()`.
 pub fn negacyclic_inverse(a: &mut [u64], tb: &SmallNttTables) {
-    debug_assert_eq!(a.len(), tb.n);
-    match a.len() {
-        0 => {}
-        1 => {
-            let (ni, nis) = tb.n_inv;
-            let y = shoup_lazy(a[0], ni, nis, tb.q);
-            a[0] = if y >= tb.q { y - tb.q } else { y };
-        }
-        2 => neg_inverse_fixed::<2>(a, tb),
-        4 => neg_inverse_fixed::<4>(a, tb),
-        8 => neg_inverse_fixed::<8>(a, tb),
-        16 => neg_inverse_fixed::<16>(a, tb),
-        32 => neg_inverse_fixed::<32>(a, tb),
-        64 => neg_inverse_fixed::<64>(a, tb),
-        n => neg_inverse_body(a, n, tb),
-    }
-}
-
-/// Shared body of the lazy forward cyclic DFT, decimation-in-frequency
-/// (Gentleman–Sande dataflow): natural → bit-reversed order. Values
-/// enter and leave in `[0, 2q)`.
-#[inline(always)]
-fn cyc_forward_body(a: &mut [u64], n: usize, tb: &CyclicNttTables) {
-    let q = tb.q;
-    let two_q = 2 * q;
-    let mut h = n / 2;
-    let mut off = 0usize;
-    while h >= 1 {
-        let mut j1 = 0usize;
-        while j1 < n {
-            for j in 0..h {
-                let (w, ws) = tb.fwd.get(off + j);
-                let u = a[j1 + j];
-                let v = a[j1 + j + h];
-                a[j1 + j] = reduce_2q(u + v, two_q);
-                a[j1 + j + h] = shoup_lazy(u + two_q - v, w, ws, q);
-            }
-            j1 += 2 * h;
-        }
-        off += h;
-        h /= 2;
-    }
-}
-
-#[inline(never)]
-fn cyc_forward_fixed<const N: usize>(a: &mut [u64], tb: &CyclicNttTables) {
-    cyc_forward_body(a, N, tb);
-}
-
-/// In-place lazy forward cyclic DFT (natural → bit-reversed; input and
-/// output in `[0, 2q)`).
-///
-/// # Panics
-/// Panics (debug) if `a.len() != tb.n()`.
-pub fn cyclic_forward_lazy(a: &mut [u64], tb: &CyclicNttTables) {
-    debug_assert_eq!(a.len(), tb.n);
-    match a.len() {
+    assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
+    let n = a.len();
+    match n {
         0 | 1 => {}
-        2 => cyc_forward_fixed::<2>(a, tb),
-        4 => cyc_forward_fixed::<4>(a, tb),
-        8 => cyc_forward_fixed::<8>(a, tb),
-        16 => cyc_forward_fixed::<16>(a, tb),
-        32 => cyc_forward_fixed::<32>(a, tb),
-        64 => cyc_forward_fixed::<64>(a, tb),
-        n => cyc_forward_body(a, n, tb),
-    }
-}
-
-/// Shared body of the lazy inverse cyclic DFT, decimation-in-time
-/// (Cooley–Tukey dataflow with `ω^{-1}`): bit-reversed → natural.
-/// Values enter `< 4q` and leave `< 4q`; the **`1/n` factor is NOT
-/// applied** — callers fold it into their own scaling pass.
-#[inline(always)]
-fn cyc_inverse_body(a: &mut [u64], n: usize, tb: &CyclicNttTables) {
-    let q = tb.q;
-    let two_q = 2 * q;
-    let mut h = 1usize;
-    let mut off = 0usize;
-    while h < n {
-        let mut j1 = 0usize;
-        while j1 < n {
-            for j in 0..h {
-                let (w, ws) = tb.inv.get(off + j);
-                let u = reduce_2q(a[j1 + j], two_q);
-                let v = shoup_lazy(a[j1 + j + h], w, ws, q);
-                a[j1 + j] = u + v;
-                a[j1 + j + h] = u + two_q - v;
+        2 => neg_inverse_fixed::<2>(a, tb, 1),
+        4 => neg_inverse_fixed::<4>(a, tb, 1),
+        8 => neg_inverse_fixed::<8>(a, tb, 1),
+        16 => neg_inverse_fixed::<16>(a, tb, 1),
+        32 => neg_inverse_fixed::<32>(a, tb, 1),
+        BLOCK => neg_inverse_fixed::<BLOCK>(a, tb, 1),
+        _ => {
+            let blocks = n / BLOCK;
+            for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
+                neg_inverse_fixed::<BLOCK>(block, tb, blocks + b);
             }
-            j1 += 2 * h;
+            let q = tb.q;
+            let two_q = 2 * q;
+            let mut t = BLOCK;
+            let mut h = blocks / 2;
+            while h >= 1 {
+                for i in 0..h {
+                    let (w, ws) = tb.inv.get(h + i);
+                    let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
+                    for (x, y) in lo.iter_mut().zip(hi) {
+                        let (u, v) = (*x, *y);
+                        *x = reduce_2q(u + v, two_q);
+                        *y = shoup_lazy(u + two_q - v, w, ws, q);
+                    }
+                }
+                t *= 2;
+                h /= 2;
+            }
         }
-        off += h;
-        h *= 2;
     }
-}
-
-#[inline(never)]
-fn cyc_inverse_fixed<const N: usize>(a: &mut [u64], tb: &CyclicNttTables) {
-    cyc_inverse_body(a, N, tb);
-}
-
-/// In-place lazy **unnormalized** inverse cyclic DFT (bit-reversed →
-/// natural; input `< 4q`, output `< 4q`, no `1/n`).
-///
-/// # Panics
-/// Panics (debug) if `a.len() != tb.n()`.
-pub fn cyclic_inverse_lazy(a: &mut [u64], tb: &CyclicNttTables) {
-    debug_assert_eq!(a.len(), tb.n);
-    match a.len() {
-        0 | 1 => {}
-        2 => cyc_inverse_fixed::<2>(a, tb),
-        4 => cyc_inverse_fixed::<4>(a, tb),
-        8 => cyc_inverse_fixed::<8>(a, tb),
-        16 => cyc_inverse_fixed::<16>(a, tb),
-        32 => cyc_inverse_fixed::<32>(a, tb),
-        64 => cyc_inverse_fixed::<64>(a, tb),
-        n => cyc_inverse_body(a, n, tb),
+    let (ni, nis) = tb.n_inv;
+    for x in a.iter_mut() {
+        *x = shoup_mul(*x, ni, nis, tb.q);
     }
 }
 
@@ -524,8 +413,7 @@ pub fn cyclic_inverse_lazy(a: &mut [u64], tb: &CyclicNttTables) {
 mod tests {
     use super::*;
     use crate::ntt;
-    use crate::tables::NttTables;
-    use cross_math::modops::add_mod;
+    use cross_math::modops::mul_mod;
     use cross_math::primes;
 
     fn residues(len: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -554,8 +442,8 @@ mod tests {
     #[test]
     fn negacyclic_matches_butterfly_reference() {
         // Same twiddle layout as ntt::forward_inplace ⇒ identical
-        // outputs after the strict fold, for every base-case size and
-        // the generic fallback (128/256).
+        // canonical outputs, for every single-body size (≤ 64) and the
+        // first blocked sizes (128, 256: one and two leading passes).
         for bits in [20u32, 28, 30] {
             for logn in 0..=8u32 {
                 let n = 1usize << logn;
@@ -563,15 +451,12 @@ mod tests {
                     continue;
                 };
                 let t = NttTables::new(n, q);
-                let tb = SmallNttTables::new(n, q, t.psi());
+                let tb = SmallNttTables::new(&t);
                 let a = residues(n, q, 7 + logn as u64);
                 let mut want = a.clone();
                 ntt::forward_inplace(&mut want, &t);
                 let mut got = a.clone();
-                negacyclic_forward_lazy(&mut got, &tb);
-                for x in got.iter_mut() {
-                    *x %= q;
-                }
+                negacyclic_forward(&mut got, &tb);
                 assert_eq!(got, want, "forward bits={bits} n={n}");
                 let mut back = want.clone();
                 let mut back_ref = want.clone();
@@ -584,98 +469,32 @@ mod tests {
     }
 
     #[test]
-    fn forward_stays_lazy() {
+    fn forward_stages_stay_lazy() {
         let n = 64usize;
         let q = primes::ntt_prime(30, (2 * n) as u64, 0).unwrap();
-        let t = NttTables::new(n, q);
-        let tb = SmallNttTables::new(n, q, t.psi());
+        let tb = SmallNttTables::new(&NttTables::new(n, q));
         let mut a = residues(n, q, 3);
-        negacyclic_forward_lazy(&mut a, &tb);
+        neg_forward_stages(&mut a, n, &tb, 1);
         assert!(a.iter().all(|&x| x < 4 * q), "lazy bound violated");
     }
 
-    /// Naive cyclic DFT: `â_k = Σ_j a_j ω^{kj}`, natural order.
-    fn naive_cyclic(a: &[u64], omega: u64, q: u64) -> Vec<u64> {
-        let n = a.len();
-        (0..n)
-            .map(|k| {
-                let mut acc = 0u64;
-                for (j, &aj) in a.iter().enumerate() {
-                    let w = pow_mod(omega, (k * j % n) as u64, q);
-                    acc = add_mod(acc, mul_mod(aj, w, q), q);
-                }
-                acc
-            })
-            .collect()
-    }
-
     #[test]
-    fn cyclic_size_one_is_identity() {
-        let q = primes::ntt_prime(28, 4, 0).unwrap();
-        let tb = CyclicNttTables::new(1, q, 1);
-        let mut a = [q - 2];
-        cyclic_forward_lazy(&mut a, &tb);
-        cyclic_inverse_lazy(&mut a, &tb);
-        assert_eq!(a, [q - 2]);
-    }
-
-    #[test]
-    fn cyclic_forward_matches_naive_bit_reversed() {
-        for logn in 1..=7u32 {
-            let n = 1usize << logn;
-            let q = primes::ntt_prime(28, n as u64, 0).unwrap();
-            let omega = primes::root_of_unity(n as u64, q);
-            let tb = CyclicNttTables::new(n, q, omega);
-            let a = residues(n, q, 11 + logn as u64);
-            let mut got = a.clone();
-            cyclic_forward_lazy(&mut got, &tb);
-            for x in got.iter_mut() {
-                *x %= q;
-            }
-            let naive = naive_cyclic(&a, omega, q);
-            let bits = n.trailing_zeros();
-            for k in 0..n {
-                assert_eq!(got[bit_reverse(k, bits)], naive[k], "n={n} slot {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn cyclic_roundtrip_with_explicit_scale() {
-        for logn in 1..=7u32 {
-            let n = 1usize << logn;
-            let q = primes::ntt_prime(28, n as u64, 0).unwrap();
-            let omega = primes::root_of_unity(n as u64, q);
-            let tb = CyclicNttTables::new(n, q, omega);
-            let a = residues(n, q, 5);
-            let mut x = a.clone();
-            cyclic_forward_lazy(&mut x, &tb);
-            cyclic_inverse_lazy(&mut x, &tb);
-            // inverse is unnormalized: scale by n⁻¹ and reduce strictly.
-            let n_inv = inv_mod(n as u64, q).unwrap();
-            for (got, want) in x.iter().zip(&a) {
-                assert_eq!(mul_mod(*got % q, n_inv, q), *want, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_lazy_slice_applies_offset_table() {
-        let q = primes::ntt_prime(28, 1 << 6, 0).unwrap();
-        let mut tw = ShoupPairs::with_capacity(8);
-        for i in 0..8u64 {
-            tw.push((i * i + 3) % q, q);
-        }
-        let mut xs = residues(4, q, 9);
-        let want: Vec<u64> = xs
+    fn inverse_accepts_lazy_input() {
+        // Values in [q, 2q) are the same residues: the output is the
+        // canonical inverse either way.
+        let n = 256usize;
+        let q = primes::ntt_prime(28, n as u64, 0).unwrap();
+        let tb = SmallNttTables::new(&NttTables::new(n, q));
+        let a = residues(n, q, 17);
+        let mut strict = a.clone();
+        negacyclic_inverse(&mut strict, &tb);
+        let mut lazy: Vec<u64> = a
             .iter()
             .enumerate()
-            .map(|(j, &x)| mul_mod(x, tw.get(2 + j).0, q))
+            .map(|(i, &x)| x + q * (i as u64 % 2))
             .collect();
-        tw.mul_lazy_slice(2, &mut xs, q);
-        assert!(xs.iter().all(|&x| x < 2 * q));
-        reduce_strict_slice(&mut xs, q);
-        assert_eq!(xs, want);
+        negacyclic_inverse(&mut lazy, &tb);
+        assert_eq!(lazy, strict);
     }
 
     #[test]

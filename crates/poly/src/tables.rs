@@ -1,10 +1,10 @@
 //! Precomputed twiddle tables for the negacyclic NTT over one modulus.
 
-use crate::six_step::SixStepPlan;
+use crate::small_ntt::SmallNttTables;
 use cross_math::bitrev::bit_reverse;
 use cross_math::modops::{inv_mod, mul_mod, pow_mod};
 use cross_math::primes::negacyclic_psi;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// All twiddle material for degree `N` over prime `q ≡ 1 (mod 2N)`.
 ///
@@ -27,9 +27,10 @@ pub struct NttTables {
     psi_rev: Vec<u64>,
     /// `ψ^{-bitrev(i)}` — butterfly twiddles for the inverse GS NTT.
     psi_inv_rev: Vec<u64>,
-    /// Lazily built six-step plan (base-case + fused twiddle tables),
-    /// shared by every holder of these tables.
-    six_step: OnceLock<Arc<SixStepPlan>>,
+    /// Lazily built Shoup companions of the bit-reversed twiddles —
+    /// what the host engine reads — shared by every holder of these
+    /// tables.
+    lazy: OnceLock<SmallNttTables>,
 }
 
 impl NttTables {
@@ -76,17 +77,15 @@ impl NttTables {
             psi_inv_pow,
             psi_rev,
             psi_inv_rev,
-            six_step: OnceLock::new(),
+            lazy: OnceLock::new(),
         }
     }
 
-    /// The six-step plan for this `(N, q)` pair, built on first use and
-    /// cached — so every context sharing these tables (CKKS levels,
-    /// key-switching extensions) shares one set of Shoup twiddle
-    /// matrices.
-    pub fn six_step_plan(&self) -> &Arc<SixStepPlan> {
-        self.six_step
-            .get_or_init(|| Arc::new(SixStepPlan::new(self)))
+    /// The host engine's Shoup twiddle tables for this `(N, q)` pair,
+    /// built on first use and cached — so every context sharing these
+    /// tables (CKKS levels, key-switching extensions) shares one set.
+    pub fn lazy_tables(&self) -> &SmallNttTables {
+        self.lazy.get_or_init(|| SmallNttTables::new(self))
     }
 
     /// Ring degree `N`.

@@ -224,15 +224,17 @@ impl<'a> Run<'a> {
 
     /// Executes one hoist-pipeline node against the decomposition side
     /// map. `HoistDecomp` mod-drops its operand to the node level (the
-    /// same alignment every other kind gets), stores the real hoisted
-    /// decomposition under its node id, and passes the aligned
-    /// ciphertext through as its value. `HoistedRotate` runs off the
-    /// producer's stored decomposition — the functional hoisted path,
-    /// bit-identical to a full rotate of the pass-through value because
-    /// [`Evaluator::hoisted_rotate`] and [`Evaluator::rotate`] share
-    /// one Galois tail — falling back to the eager rotate if its input
-    /// was not decomposed (a hand-built graph wiring HoistedRotate to
-    /// an ordinary producer) or sits at another level.
+    /// same alignment every other kind gets), runs the whole digit
+    /// decomposition of `c1` — INTT, per-digit base extension, NTTs of
+    /// the extended limbs: what `costs::HOIST_DECOMP` charges — stores
+    /// it under its node id, and passes the aligned ciphertext through
+    /// as its value. `HoistedRotate` runs the Galois tail alone off the
+    /// producer's stored decomposition, bit-identical to a full rotate
+    /// of the pass-through value because [`Evaluator::rotate`] *is*
+    /// [`Evaluator::hoist_decompose`] then [`Evaluator::hoisted_rotate`]
+    /// — falling back to the eager rotate if its input was not
+    /// decomposed (a hand-built graph wiring HoistedRotate to an
+    /// ordinary producer) or sits at another level.
     fn exec_hoist_node(&mut self, op: HoistOp, level: usize, id: NodeId) -> Ciphertext {
         let (ev, keys) = (self.ev, self.keys);
         let input = self.graph.node(id).inputs[0];

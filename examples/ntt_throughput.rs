@@ -48,7 +48,7 @@ fn main() {
     println!("N=2^10: compiled TPU NTT is bit-identical to the radix-2 reference;");
     println!("the fused batch-{batch} kernel is bit-identical to the sequential loop\n");
 
-    // Host engines: the default six-step engine (what every functional
+    // Host engines: the default lazy radix-2 engine (what every functional
     // transform in the repo now runs through) vs the radix-2 butterfly,
     // bit-identical and timed head-to-head.
     println!("host engines (functional CPU path):");

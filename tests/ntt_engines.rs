@@ -1,12 +1,12 @@
-//! Engine-equivalence properties for the six-step host NTT.
+//! Engine-equivalence properties for the host NTT.
 //!
-//! The contract that lets `SixStepNtt` be the default functional
+//! The contract that lets `HostNtt` be the default functional
 //! engine: its forward/inverse transforms are **bit-identical** to the
 //! radix-2 butterfly (`CooleyTukeyNtt`, same bit-reversed output) and
 //! to the `O(N²)` `NaiveNtt` oracle (natural output, compared through
-//! the bit-reversal permutation) — across sizes (including the odd
-//! log-degrees whose GW18 transposes are non-square), prime widths,
-//! and batch shapes on both sides of the parallel threshold. The RNS
+//! the bit-reversal permutation) — across sizes (one 64-point body,
+//! and one to five leading passes ahead of the blocked tail), prime
+//! widths, and batch shapes on both sides of the parallel threshold. The RNS
 //! executor built on it must in turn match the compiled TPU path on
 //! every generation.
 
@@ -15,7 +15,7 @@ use cross::core::RnsNttPlans;
 use cross::math::bitrev::bit_reverse_in_place;
 use cross::math::primes;
 use cross::poly::rns_poly::{RnsContext, RnsPoly};
-use cross::poly::{CooleyTukeyNtt, NaiveNtt, NttEngine, NttTables, PolyBatch, SixStepNtt};
+use cross::poly::{CooleyTukeyNtt, HostNtt, NaiveNtt, NttEngine, NttTables, PolyBatch};
 use cross::tpu::{TpuGeneration, TpuSim};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -40,20 +40,20 @@ fn residues(len: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Deterministic sweep: every supported size (square and non-square
-/// six-step splits) at every prime width matches the butterfly engine
-/// bit for bit, forward and roundtrip.
+/// Deterministic sweep: every size from the single 64-point body up
+/// at every prime width matches the butterfly engine bit for bit,
+/// forward and roundtrip.
 #[test]
-fn six_step_matches_radix2_all_sizes_and_primes() {
+fn host_matches_radix2_all_sizes_and_primes() {
     for bits in [20u32, 26, 28, 30] {
         for logn in 6..=11u32 {
             let t = tables(logn, bits);
-            let ss = SixStepNtt::new(t.clone());
+            let host = HostNtt::new(t.clone());
             let ct = CooleyTukeyNtt::new(t.clone());
             let a = residues(t.n(), t.q(), (u64::from(bits) << 32) | u64::from(logn));
-            let fwd = ss.forward(&a);
+            let fwd = host.forward(&a);
             assert_eq!(fwd, ct.forward(&a), "forward bits={bits} logn={logn}");
-            assert_eq!(ss.inverse(&fwd), a, "roundtrip bits={bits} logn={logn}");
+            assert_eq!(host.inverse(&fwd), a, "roundtrip bits={bits} logn={logn}");
             assert_eq!(
                 ct.inverse(&fwd),
                 a,
@@ -64,18 +64,18 @@ fn six_step_matches_radix2_all_sizes_and_primes() {
 }
 
 /// The naive `O(N²)` oracle in natural order, bit-reversed, equals the
-/// six-step output (kept to small degrees: the oracle is quadratic and
+/// host engine's output (kept to small degrees: the oracle is quadratic and
 /// this runs in debug).
 #[test]
-fn six_step_matches_naive_oracle() {
+fn host_matches_naive_oracle() {
     for logn in 6..=8u32 {
         let t = tables(logn, 28);
-        let ss = SixStepNtt::new(t.clone());
+        let host = HostNtt::new(t.clone());
         let naive = NaiveNtt::new(t.clone());
         let a = residues(t.n(), t.q(), 0x5EED ^ u64::from(logn));
         let mut want = naive.forward(&a);
         bit_reverse_in_place(&mut want);
-        assert_eq!(ss.forward(&a), want, "logn={logn}");
+        assert_eq!(host.forward(&a), want, "logn={logn}");
     }
 }
 
@@ -83,17 +83,17 @@ fn six_step_matches_naive_oracle() {
 /// (`batch ≥ 2` and `batch·n ≥ 2^14`) without changing a single bit:
 /// the fused path must equal the sequential loop on both sides.
 #[test]
-fn six_step_batch_crosses_parallel_threshold() {
+fn host_batch_crosses_parallel_threshold() {
     for (logn, batch) in [(6u32, 3usize), (8, 8), (11, 8)] {
         let t = tables(logn, 28);
         let n = t.n();
-        let ss = SixStepNtt::new(t.clone());
+        let host = HostNtt::new(t.clone());
         let a = residues(batch * n, t.q(), u64::from(logn) * 131 + batch as u64);
-        let fused = ss.forward_batch(&a, batch);
-        let looped: Vec<u64> = a.chunks(n).flat_map(|p| ss.forward(p)).collect();
+        let fused = host.forward_batch(&a, batch);
+        let looped: Vec<u64> = a.chunks(n).flat_map(|p| host.forward(p)).collect();
         assert_eq!(fused, looped, "forward logn={logn} batch={batch}");
         assert_eq!(
-            ss.inverse_batch(&fused, batch),
+            host.inverse_batch(&fused, batch),
             a,
             "roundtrip logn={logn} batch={batch}"
         );
@@ -104,23 +104,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn six_step_equivalence_random(
+    fn host_equivalence_random(
         seed in any::<u64>(),
         logn in 6u32..=10,
         bits_idx in 0usize..4,
     ) {
         let bits = [20u32, 26, 28, 30][bits_idx];
         let t = tables(logn, bits);
-        let ss = SixStepNtt::new(t.clone());
+        let host = HostNtt::new(t.clone());
         let ct = CooleyTukeyNtt::new(t.clone());
         let a = residues(t.n(), t.q(), seed);
-        let fwd = ss.forward(&a);
+        let fwd = host.forward(&a);
         prop_assert_eq!(&fwd, &ct.forward(&a));
-        prop_assert_eq!(&ss.inverse(&fwd), &a);
+        prop_assert_eq!(&host.inverse(&fwd), &a);
     }
 
     #[test]
-    fn six_step_batch_equivalence_random(
+    fn host_batch_equivalence_random(
         seed in any::<u64>(),
         logn in 6u32..=9,
         batch_idx in 0usize..3,
@@ -128,15 +128,15 @@ proptest! {
         let batch = [1usize, 3, 8][batch_idx];
         let t = tables(logn, 28);
         let n = t.n();
-        let ss = SixStepNtt::new(t.clone());
+        let host = HostNtt::new(t.clone());
         let a = residues(batch * n, t.q(), seed);
-        let fused = ss.forward_batch(&a, batch);
-        let looped: Vec<u64> = a.chunks(n).flat_map(|p| ss.forward(p)).collect();
+        let fused = host.forward_batch(&a, batch);
+        let looped: Vec<u64> = a.chunks(n).flat_map(|p| host.forward(p)).collect();
         prop_assert_eq!(&fused, &looped);
-        prop_assert_eq!(&ss.inverse_batch(&fused, batch), &a);
+        prop_assert_eq!(&host.inverse_batch(&fused, batch), &a);
     }
 
-    /// The six-step executor behind `RnsNttPlans::forward_batch`
+    /// The host executor behind `RnsNttPlans::forward_batch`
     /// matches the compiled matmul kernels on the simulator, for every
     /// TPU generation and its own prime chain.
     #[test]
