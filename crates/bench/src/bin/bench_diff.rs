@@ -9,7 +9,7 @@
 //!   than [`FAIL_RATIO`]. The
 //!   `pod_table8`/`pod_table9`/`sched_model`/`opt_model` entries are
 //!   pure cost-model output — deterministic, so any regression is a
-//!   real model change. The `batched_ntt` and `ntt_engines/six_step`
+//!   real model change. The `batched_ntt` and `ntt_engines/host`
 //!   entries are wall-clock: gated because they guard the headline
 //!   fusion claim and the default host engine's speed, at the
 //!   acknowledged cost that a much slower runner than the baseline
@@ -21,8 +21,10 @@
 //!   same refresh remedy as `batched_ntt`. The `ks_path` keys guard
 //!   the key-switching fast path (ISSUE 9): wall-clock, with two
 //!   failing pairs — `ks_path/fast/*` must beat `ks_path/reference/*`
-//!   at every level, and `ks_path/hoisted_8rot` must beat
-//!   `ks_path/eager_8rot`. The `sgn/` keys guard the encrypted
+//!   at every level, and `ks_path/hoisted_8rot` must read below
+//!   0.75 × `ks_path/eager_8rot` (one decomposition shared by eight
+//!   rotations; it read 0.61 when the pair was tightened). The `sgn/`
+//!   keys guard the encrypted
 //!   comparison toolkit (ISSUE 10): `sgn/recorded` / `sgn/naive` are
 //!   deterministic cost-model numbers with a failing pair (the
 //!   recorded comparison heads, fused, must beat per-op dispatch),
@@ -43,11 +45,13 @@
 //! `sched_model/fused_per_op/*` entry must beat its `naive_per_op`
 //! counterpart (failing), and every `opt_model/optimized_cost/*`
 //! entry must beat its `unoptimized_cost` counterpart (failing —
-//! the optimizer-pass win on the workload graphs). Two pinned pairs
-//! guard the six-step host engine (failing): `ntt_engines/six_step/*`
-//! must beat `ntt_engines/radix2_ct/*`, and
-//! `batched_ntt/six_step_fused/*` must beat `batched_ntt/mat3_fused/*`
-//! — the "default engine is the fastest engine" claim. The serving-loop claim —
+//! the optimizer-pass win on the workload graphs). Pinned pairs guard
+//! the host NTT engine (failing): `ntt_engines/host/*` — what the
+//! functional dispatch runs — must read within 1.05 × each
+//! alternative timed beside it (`radix2_ct`, `four_step`,
+//! `mat_3step_ref`), and `batched_ntt/host_fused/*` must beat
+//! `batched_ntt/mat3_fused/*` — the "default engine is the fastest
+//! engine" claim. The serving-loop claim —
 //! `serve_throughput/serve_multi/*` sustaining at least
 //! `single_drain/*`'s throughput — is checked **warn-only**: both
 //! sides are wall-clock, and on a single-core runner the loop can at
@@ -65,7 +69,7 @@ const FAIL_RATIO: f64 = 1.25;
 /// Key prefixes held to the failing [`FAIL_RATIO`] gate.
 const GATED_PREFIXES: [&str; 10] = [
     "batched_ntt/",
-    "ntt_engines/six_step",
+    "ntt_engines/host",
     "pod_table8/",
     "pod_table9/",
     "sched_model/",
@@ -160,8 +164,12 @@ fn main() {
         ("_fused/", "_sequential/", true, 1.0),
         ("/fused_per_op/", "/naive_per_op/", true, 1.0),
         ("/optimized_cost/", "/unoptimized_cost/", true, 1.0),
-        ("/six_step/", "/radix2_ct/", true, 1.0),
-        ("/six_step_fused/", "/mat3_fused/", true, 1.0),
+        // The host dispatch runs the fastest engine at every degree
+        // timed: within 5 % of each alternative (it reads 2–7x ahead).
+        ("/host/", "/radix2_ct/", true, 1.05),
+        ("/host/", "/four_step/", true, 1.05),
+        ("/host/", "/mat_3step_ref/", true, 1.05),
+        ("/host_fused/", "/mat3_fused/", true, 1.0),
         ("/serve_multi/", "/single_drain/", false, 1.0),
         // DRR fairness: the light tenant's measured completion tail
         // must beat (stay under) its pinned bound — both counts, not
@@ -169,11 +177,12 @@ fn main() {
         ("/fairness_err/", "/fairness_bound/", true, 1.0),
         // Key-switching fast path (ISSUE 9): the cached-plan path must
         // beat the pre-plan reference at every level, and one hoisted
-        // decomposition feeding 8 rotations must beat 8 eager rotates.
+        // decomposition feeding 8 rotations must read below 0.75x of
+        // 8 eager rotates, each of which decomposes again.
         // Both sides are asserted bit-identical inside the bench
         // before timing, so a win can never come from divergence.
         ("ks_path/fast/", "ks_path/reference/", true, 1.0),
-        ("ks_path/hoisted_8rot", "ks_path/eager_8rot", true, 1.0),
+        ("ks_path/hoisted_8rot", "ks_path/eager_8rot", true, 0.75),
         // Comparison toolkit (ISSUE 10). Failing: the recorded
         // argmax/top-k/ReLU-MLP heads scheduled as fused batches must
         // beat naive per-op dispatch — deterministic cost-model

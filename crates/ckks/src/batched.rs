@@ -44,6 +44,24 @@ impl KsDigits {
     }
 }
 
+/// `acc[i] += xs[i]·ks[i]`, or `xs[perm[i]]·ks[i]` through an index
+/// table — raw `u64` products, reduced by the caller.
+#[inline]
+fn mul_acc(xs: &[u64], perm: Option<&[u32]>, ks: &[u64], acc: &mut [u64]) {
+    match perm {
+        None => {
+            for ((a, &x), &k) in acc.iter_mut().zip(xs).zip(ks) {
+                *a += x * k;
+            }
+        }
+        Some(perm) => {
+            for ((a, &p), &k) in acc.iter_mut().zip(perm).zip(ks) {
+                *a += xs[p as usize] * k;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// Decompositions built on this thread (count-conformance tests).
@@ -271,12 +289,12 @@ impl<'a> Evaluator<'a> {
     ///    only the base-extended limbs pay a forward NTT
     ///    (`NTT(INTT(x)) = x` bit-for-bit: the transforms are exact
     ///    mutually-inverse bijections on canonical residue vectors).
-    /// 3. **Lazy accumulation** — key inner products accumulate across
-    ///    digits in `< 2q` Shoup form
-    ///    ([`small_ntt::ShoupPairs::mul_acc_lazy_slice`]) with one
-    ///    strict reduction at the end; congruence mod `q` plus a
-    ///    canonical final fold make the result bit-identical to the
-    ///    strict add-per-digit chain.
+    /// 3. **Accumulate, then reduce** — the key inner product sums raw
+    ///    `u64` products of canonical residues across the digits and
+    ///    folds once per element (Barrett, `⌊2⁶⁴/q⌋`); the canonical
+    ///    residue of the same sum, so bit-identical to the strict
+    ///    add-per-digit chain — and the key is read as stored, with no
+    ///    Shoup companion to build, hold or stream.
     pub fn key_switch_batch(&self, d: &PolyBatch, key: &SwitchingKey) -> (PolyBatch, PolyBatch) {
         let digits = self.ks_decompose(d);
         self.ks_apply(&d.in_domain(Domain::Evaluation), &digits, key, None)
@@ -323,8 +341,8 @@ impl<'a> Evaluator<'a> {
     /// The apply half of a key switch — `KeyInnerProduct` then
     /// `ModDown`: every extended digit of `d_eval` (its own limbs
     /// sliced from `d_eval`, the rest from `digits`) times the key's
-    /// digit, accumulated lazily per chain limb with one strict fold,
-    /// then divided by `P`.
+    /// digit, summed per chain limb and reduced once, then divided by
+    /// `P`.
     ///
     /// With `perms` (one evaluation-domain index table per global
     /// chain limb, [`CkksContext::galois_eval_perm`]) the extended
@@ -348,48 +366,47 @@ impl<'a> Evaluator<'a> {
         let plan = ctx.ks_plan(l).clone();
         let big_l = ctx.params().limbs;
         let rows = d_eval.batch() * n;
-        let shoup: Vec<_> = (0..plan.digits.len())
-            .map(|j| key.digits[j].shoup(ctx.chain()).clone())
+        let terms: Vec<_> = plan
+            .digits
+            .iter()
+            .zip(&digits.converted)
+            .zip(&key.digits)
             .collect();
-
         // One chain limb at a time, so its two accumulators stay
-        // cache-resident across the digits. Per element the digits
-        // still arrive in order: the lazy chain, hence every bit, is
-        // that of the digit-major loop.
+        // cache-resident across the digits.
         let (mut acc0, mut acc1) = (Vec::new(), Vec::new());
         for (t, &qt) in ks_ctx.moduli().iter().enumerate() {
             // key (and permutation) limbs for this level: q indices
             // 0..l, then the extension indices big_l.. of the global
             // chain
             let g = if t < l { t } else { big_l + (t - l) };
+            let perm = perms.map(|p| p[g].as_slice());
+            let mu = modops::barrett_mu(qt);
+            // Raw products of canonical residues are below q² (and
+            // q < 2³², `CkksParams`' bound), so this many of them,
+            // plus a carried-in residue, fit a `u64`: 256 at 28 bits.
+            let fit = (u64::MAX / (qt * qt)) as usize;
             let (mut a0, mut a1) = (vec![0u64; rows], vec![0u64; rows]);
-            for ((dp, converted), shoup) in plan.digits.iter().zip(&digits.converted).zip(&shoup) {
-                let src_limb: &[u64] = match dp.conv_pos[t] {
-                    Some(ci) => &converted[ci],
-                    // the digit's own limbs, straight out of the
-                    // evaluation-domain input
-                    None => &d_eval.limbs()[t],
-                };
-                let (kb, ka) = (&shoup.b[g], &shoup.a[g]);
-                let segs = src_limb
-                    .chunks(n)
-                    .zip(a0.chunks_mut(n).zip(a1.chunks_mut(n)));
-                for (seg, (a0, a1)) in segs {
-                    match perms {
-                        None => {
-                            kb.mul_acc_lazy_slice(0, seg, a0, qt);
-                            ka.mul_acc_lazy_slice(0, seg, a1, qt);
-                        }
-                        Some(perms) => {
-                            kb.mul_acc_lazy_gather(&perms[g], seg, a0, qt);
-                            ka.mul_acc_lazy_gather(&perms[g], seg, a1, qt);
-                        }
+            for chunk in terms.chunks(fit) {
+                for &((dp, converted), kd) in chunk {
+                    let src_limb: &[u64] = match dp.conv_pos[t] {
+                        Some(ci) => &converted[ci],
+                        // the digit's own limbs, straight out of the
+                        // evaluation-domain input
+                        None => &d_eval.limbs()[t],
+                    };
+                    let segs = src_limb
+                        .chunks(n)
+                        .zip(a0.chunks_mut(n).zip(a1.chunks_mut(n)));
+                    for (seg, (a0, a1)) in segs {
+                        mul_acc(seg, perm, &kd.b[g], a0);
+                        mul_acc(seg, perm, &kd.a[g], a1);
                     }
                 }
+                for a in a0.iter_mut().chain(a1.iter_mut()) {
+                    *a = modops::reduce_barrett(*a, qt, mu);
+                }
             }
-            // one strict pass closes the whole lazy accumulation chain
-            small_ntt::reduce_strict_slice(&mut a0, qt);
-            small_ntt::reduce_strict_slice(&mut a1, qt);
             acc0.push(a0);
             acc1.push(a1);
         }
@@ -629,6 +646,29 @@ mod tests {
             let want = ev.mult(&xs[b], &ys[b], &kp.relin);
             assert!(limbs_eq(&got[b], &want), "entry {b}");
             assert_eq!(got[b].scale, want.scale, "entry {b} scale");
+        }
+    }
+
+    #[test]
+    fn inner_product_reduces_in_rounds_when_the_digits_outnumber_the_accumulator() {
+        // Eight one-limb digits of 31-bit primes: four raw products fit
+        // a u64, so the inner product takes two accumulate-reduce
+        // rounds — and must still match the strict per-digit oracle.
+        let ctx = CkksContext::new(CkksParams::new(1 << 6, 8, 8, 31), 31);
+        let q = ctx.q_moduli()[0];
+        assert!(
+            (u64::MAX / (q * q)) < 8,
+            "the shape must force a second round"
+        );
+        let kp = ctx.generate_keys();
+        let ev = Evaluator::new(&ctx);
+        let ct = ctx.encrypt(&messages(&ctx, 1, 0.29)[0], &kp.public);
+        for level in [8usize, 5] {
+            let d = ev.mod_drop(&ct, level).c1;
+            let fast = ev.key_switch_batch(&d, &kp.relin);
+            let reference = ev.key_switch_batch_reference(&d, &kp.relin);
+            assert_eq!(fast.0.limbs(), reference.0.limbs(), "level {level} out0");
+            assert_eq!(fast.1.limbs(), reference.1.limbs(), "level {level} out1");
         }
     }
 

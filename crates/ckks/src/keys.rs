@@ -1,8 +1,6 @@
 //! RLWE key material: secret, public, and hybrid switching keys.
 
 use cross_poly::rns_poly::RnsPoly;
-use cross_poly::small_ntt::ShoupPairs;
-use std::sync::{Arc, OnceLock};
 
 /// Ternary secret key, kept as signed coefficients so it can be lifted
 /// into any RNS basis (including the key-switching extension basis).
@@ -22,19 +20,6 @@ pub struct PublicKey {
     pub a: RnsPoly,
 }
 
-/// Shoup companions for one key digit's limbs (per global chain limb),
-/// built lazily on first key switch and reused across every call and
-/// batch entry touching the key — each element of a key limb is a
-/// known constant, so paying the one-off `⌊w·2⁶⁴/q⌋` division buys a
-/// division-free lazy multiply on every later inner product.
-#[derive(Debug)]
-pub(crate) struct KeyShoup {
-    /// Pairs for the `b_j` limbs, indexed by global chain limb.
-    pub(crate) b: Vec<ShoupPairs>,
-    /// Pairs for the `a_j` limbs, indexed by global chain limb.
-    pub(crate) a: Vec<ShoupPairs>,
-}
-
 /// One digit of a hybrid switching key: `(b_j, a_j)` over the extended
 /// `Q·P` chain, stored as raw per-modulus limbs in the evaluation
 /// domain (limb `i` corresponds to global chain modulus `i`).
@@ -44,36 +29,12 @@ pub struct SwitchingKeyDigit {
     pub b: Vec<Vec<u64>>,
     /// `a_j` limbs over the full chain.
     pub a: Vec<Vec<u64>>,
-    /// Lazily built Shoup companions for the limb constants above.
-    shoup: OnceLock<Arc<KeyShoup>>,
 }
 
 impl SwitchingKeyDigit {
     /// Wraps raw full-chain limbs (evaluation domain) as a key digit.
     pub fn new(b: Vec<Vec<u64>>, a: Vec<Vec<u64>>) -> Self {
-        Self {
-            b,
-            a,
-            shoup: OnceLock::new(),
-        }
-    }
-
-    /// The digit's Shoup companions against the global `chain` moduli,
-    /// built on first use.
-    pub(crate) fn shoup(&self, chain: &[u64]) -> &Arc<KeyShoup> {
-        self.shoup.get_or_init(|| {
-            let pairs = |limbs: &[Vec<u64>]| -> Vec<ShoupPairs> {
-                limbs
-                    .iter()
-                    .zip(chain)
-                    .map(|(limb, &q)| ShoupPairs::from_values(limb, q))
-                    .collect()
-            };
-            Arc::new(KeyShoup {
-                b: pairs(&self.b),
-                a: pairs(&self.a),
-            })
-        })
+        Self { b, a }
     }
 }
 

@@ -72,46 +72,6 @@ impl ShoupPairs {
     pub fn is_empty(&self) -> bool {
         self.w.is_empty()
     }
-
-    /// `acc[j] ← acc[j] + xs[j]·w[off+j] mod q + εq`, folded to `< 2q`
-    /// — the lazy multiply-accumulate for key-switching inner products.
-    /// Accepts **any** `u64` inputs in `xs` and keeps the accumulator
-    /// `< 2q` invariantly (one strict pass at the end of the sum chain
-    /// restores canonical form), so a whole digit loop runs with a
-    /// single conditional subtract per term instead of a full
-    /// reduce-and-reallocate pass per digit.
-    #[inline]
-    pub fn mul_acc_lazy_slice(&self, off: usize, xs: &[u64], acc: &mut [u64], q: u64) {
-        debug_assert!(q < 1 << 62, "need 4q < 2^64 for the lazy fold");
-        let two_q = 2 * q;
-        let w = &self.w[off..off + xs.len()];
-        let ws = &self.w_shoup[off..off + xs.len()];
-        for (((a, &x), &wj), &wsj) in acc.iter_mut().zip(xs).zip(w).zip(ws) {
-            // a < 2q and the lazy product < 2q, so the sum < 4q folds
-            // back under 2q with one conditional subtract.
-            let s = *a + shoup_lazy(x, wj, wsj, q);
-            *a = if s >= two_q { s - two_q } else { s };
-        }
-    }
-
-    /// [`ShoupPairs::mul_acc_lazy_slice`] with `xs` read through an
-    /// index table: `acc[j] ← acc[j] + xs[perm[j]]·w[j]` — an
-    /// evaluation-domain Galois gather fused into the inner product's
-    /// read, so the permuted operand is never materialized.
-    ///
-    /// # Panics
-    /// Panics if an index of `perm` is outside `xs`.
-    #[inline]
-    pub fn mul_acc_lazy_gather(&self, perm: &[u32], xs: &[u64], acc: &mut [u64], q: u64) {
-        debug_assert!(q < 1 << 62, "need 4q < 2^64 for the lazy fold");
-        let two_q = 2 * q;
-        let w = &self.w[..acc.len()];
-        let ws = &self.w_shoup[..acc.len()];
-        for (((a, &p), &wj), &wsj) in acc.iter_mut().zip(perm).zip(w).zip(ws) {
-            let s = *a + shoup_lazy(xs[p as usize], wj, wsj, q);
-            *a = if s >= two_q { s - two_q } else { s };
-        }
-    }
 }
 
 /// Lazy Shoup product `a·w mod q + εq ∈ [0, 2q)` with `ε ∈ {0, 1}`,
@@ -124,11 +84,11 @@ pub(crate) fn shoup_lazy(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     a.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q))
 }
 
-/// `acc[j] ← acc[j] + xs[j]·w mod q + εq`, folded to `< 2q` — the
-/// single-constant sibling of [`ShoupPairs::mul_acc_lazy_slice`] for
+/// `acc[j] ← acc[j] + xs[j]·w mod q + εq`, folded to `< 2q` — lazy
 /// multiply-accumulate against one precomputed `(w, ⌊w·2⁶⁴/q⌋)` pair
-/// (e.g. a BConv matrix column entry). Accepts **any** `u64` inputs
-/// and keeps the accumulator `< 2q` invariantly; close the chain with
+/// (a BConv matrix column entry). Accepts **any** `u64` inputs and
+/// keeps the accumulator `< 2q` invariantly, so a whole sum runs with
+/// a single conditional subtract per term; close the chain with
 /// [`reduce_strict_slice`].
 #[inline]
 pub fn mul_acc_lazy_const(xs: &[u64], w: u64, w_shoup: u64, acc: &mut [u64], q: u64) {
@@ -166,7 +126,7 @@ fn reduce_2q(x: u64, two_q: u64) -> u64 {
 
 /// Final conditional subtract `[0, 2q) → [0, q)` over a slice — the
 /// strict pass that closes a chain of lazy accumulations
-/// ([`ShoupPairs::mul_acc_lazy_slice`]).
+/// ([`mul_acc_lazy_const`]).
 #[inline]
 pub fn reduce_strict_slice(xs: &mut [u64], q: u64) {
     for x in xs.iter_mut() {
@@ -498,14 +458,12 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_lazy_slice_matches_strict_inner_product() {
+    fn mul_acc_lazy_const_matches_strict_inner_product() {
         let q = primes::ntt_prime(28, 1 << 6, 0).unwrap();
         let terms = 7usize;
         let len = 16usize;
-        // per-term constant tables and unreduced inputs (any u64 < 2q)
-        let tables: Vec<ShoupPairs> = (0..terms)
-            .map(|t| ShoupPairs::from_values(&residues(len, q, 11 + t as u64), q))
-            .collect();
+        // per-term constants and unreduced inputs (any u64 < 2q)
+        let consts = ShoupPairs::from_values(&residues(terms, q, 11), q);
         let inputs: Vec<Vec<u64>> = (0..terms)
             .map(|t| {
                 residues(len, q, 31 + t as u64)
@@ -515,16 +473,16 @@ mod tests {
             })
             .collect();
         let mut acc = vec![0u64; len];
-        for (tw, xs) in tables.iter().zip(&inputs) {
-            tw.mul_acc_lazy_slice(0, xs, &mut acc, q);
+        for (t, xs) in inputs.iter().enumerate() {
+            let (w, ws) = consts.get(t);
+            mul_acc_lazy_const(xs, w, ws, &mut acc, q);
             assert!(acc.iter().all(|&a| a < 2 * q), "accumulator left 2q");
         }
         reduce_strict_slice(&mut acc, q);
         for j in 0..len {
             let mut want = 0u64;
-            for (tw, xs) in tables.iter().zip(&inputs) {
-                let p = mul_mod(xs[j] % q, tw.get(j).0, q);
-                want = (want + p) % q;
+            for (t, xs) in inputs.iter().enumerate() {
+                want = (want + mul_mod(xs[j] % q, consts.get(t).0, q)) % q;
             }
             assert_eq!(acc[j], want, "element {j}");
         }

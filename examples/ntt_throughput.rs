@@ -1,9 +1,10 @@
 //! NTT-throughput explorer: sweeps degrees, factorizations and TPU
 //! generations through the compiled batched pipeline and verifies the
 //! fused batch kernels bit-for-bit against the butterfly reference and
-//! the sequential loop at small degrees. Also races the default
-//! six-step host engine against the radix-2 butterfly (bit-identical,
-//! timed head-to-head) — the functional path every transform runs.
+//! the sequential loop at small degrees. Also races the default host
+//! engine (lazy radix-2) against the `u128 %` radix-2 butterfly
+//! (bit-identical, timed head-to-head) — the functional path every
+//! transform runs.
 //!
 //! Run with: `cargo run --release --example ntt_throughput`
 
