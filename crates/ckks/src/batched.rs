@@ -277,7 +277,7 @@ impl<'a> Evaluator<'a> {
     /// (`tests/ks_fast.rs`).
     ///
     /// The two halves of the fast path (DESIGN.md §12) back to back:
-    /// [`Evaluator::ks_decompose`], then [`Evaluator::ks_apply`] with
+    /// `ks_decompose`, then `ks_apply` with
     /// no permutation. Three wins over the reference dataflow, each
     /// exact:
     ///

@@ -390,7 +390,7 @@ impl BconvKernel {
     /// to [`BconvKernel::convert_reference`].
     ///
     /// Row-blocked: step 1 (strict Shoup by `[q̂_i⁻¹]_{q_i}`) fills an
-    /// L1-resident `L ×` [`BLOCK_ROWS`] block, then every output column
+    /// L1-resident `L × 256` block, then every output column
     /// sums raw `b_i·[q̂_i]_{p_j}` products in a `u64` — as many terms
     /// as provably fit, which is all of them for every shipped chain —
     /// and folds once with `⌊2⁶⁴/p_j⌋` to the canonical residue: the
