@@ -12,9 +12,9 @@
 //! is the reference's own — same stages, same butterfly order — with
 //! one change of schedule: the six stages that never leave a
 //! 64-element block (the last six forward, the first six inverse) run
-//! block by block through monomorphized 64-point bodies (the compiler
+//! block by block through a monomorphized 64-point body (the compiler
 //! fully unrolls the fixed trip counts) instead of as six more passes
-//! over the whole polynomial. Sizes up to 64 are one such body.
+//! over the whole polynomial. Sizes below 64 are one block.
 //!
 //! Twiddle **layouts are bit-for-bit those of [`crate::ntt`]** — the
 //! forward reads `fwd[m + i]` exactly like `psi_rev`, the inverse
@@ -184,25 +184,25 @@ impl SmallNttTables {
 
 /// Points per block of the blocked tail: the last six forward stages
 /// (first six inverse stages) never leave a 64-element block, so they
-/// run block by block through the monomorphized 64-point bodies while
+/// run block by block through one monomorphized 64-point body while
 /// the block is cache-hot.
 const BLOCK: usize = 64;
 
-/// The `log₂ len` forward CT stages of one aligned block of a lazy
-/// negacyclic NTT. Mirrors [`crate::ntt::forward_inplace`] exactly
-/// (same twiddle indexing, same butterfly order): the block is the
-/// whole transform when `base = 1`, and block `b` of the `len`-point
-/// tail of an `n`-point transform when `base = n/len + b` — local
-/// stage `m`, group `i` is global stage `m·n/len`, group `b·m + i`,
-/// i.e. twiddle `m·base + i`. Values enter `< 4q` (any `u64` in the
-/// upper half) and leave **lazy** in `[0, 4q)`.
+/// Forward CT stages `m = 1, 2, 4, … < stop` of one aligned block of
+/// a lazy negacyclic NTT. Mirrors [`crate::ntt::forward_inplace`]
+/// exactly (same twiddle indexing, same butterfly order): the block is
+/// the whole transform when `base = 1`, and block `b` of the
+/// `len`-point tail of an `n`-point transform when `base = n/len + b`
+/// — local stage `m`, group `i` is global stage `m·n/len`, group
+/// `b·m + i`, i.e. twiddle `m·base + i`. Values enter `< 4q` (any
+/// `u64` in the upper half) and leave **lazy** in `[0, 4q)`.
 #[inline(always)]
-fn neg_forward_stages(a: &mut [u64], len: usize, tb: &SmallNttTables, base: usize) {
+fn neg_forward_stages(a: &mut [u64], tb: &SmallNttTables, base: usize, stop: usize) {
     let q = tb.q;
     let two_q = 2 * q;
-    let mut t = len;
+    let mut t = a.len();
     let mut m = 1usize;
-    while m < len {
+    while m < stop {
         t /= 2;
         for i in 0..m {
             let (w, ws) = tb.fwd.get(m * base + i);
@@ -220,148 +220,96 @@ fn neg_forward_stages(a: &mut [u64], len: usize, tb: &SmallNttTables, base: usiz
     }
 }
 
-/// Folds one block of `[0, 4q)` lazy values to canonical `[0, q)`.
+/// All stages of one block, then its fold from `[0, 4q)` to canonical
+/// `[0, q)` while it is cache-hot.
 #[inline(always)]
-fn fold_4q(block: &mut [u64], q: u64) {
-    let two_q = 2 * q;
-    for x in block.iter_mut() {
+fn neg_forward_block(a: &mut [u64], tb: &SmallNttTables, base: usize) {
+    neg_forward_stages(a, tb, base, a.len());
+    let (q, two_q) = (tb.q, 2 * tb.q);
+    for x in a.iter_mut() {
         let y = reduce_2q(*x, two_q);
         *x = if y >= q { y - q } else { y };
     }
 }
 
-/// One monomorphized block of the forward transform, folded to
-/// canonical form while it is cache-hot.
+/// [`neg_forward_block`] at the one size worth monomorphizing: the
+/// fixed trip counts let the compiler unroll all six stages.
 #[inline(never)]
-fn neg_forward_block<const N: usize>(a: &mut [u64], tb: &SmallNttTables, base: usize) {
-    neg_forward_stages(&mut a[..N], N, tb, base);
-    fold_4q(&mut a[..N], tb.q);
+fn neg_forward_block64(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
+    neg_forward_block(a, tb, base);
 }
 
 /// In-place forward negacyclic NTT, natural → bit-reversed, canonical
 /// `[0, q)` output — bit-identical to [`crate::ntt::forward_inplace`].
-/// Sizes up to 64 run one monomorphized unrolled body; larger sizes
-/// run their leading stages as full-width lazy passes and the last six
-/// block by block.
+/// From 64 points up, the leading stages run as full-width lazy
+/// passes and the last six block by block.
 ///
 /// # Panics
 /// Panics if `a.len() != tb.n()`.
 pub fn negacyclic_forward(a: &mut [u64], tb: &SmallNttTables) {
     assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
-    let n = a.len();
-    match n {
-        0 | 1 => {}
-        2 => neg_forward_block::<2>(a, tb, 1),
-        4 => neg_forward_block::<4>(a, tb, 1),
-        8 => neg_forward_block::<8>(a, tb, 1),
-        16 => neg_forward_block::<16>(a, tb, 1),
-        32 => neg_forward_block::<32>(a, tb, 1),
-        BLOCK => neg_forward_block::<BLOCK>(a, tb, 1),
-        _ => {
-            let blocks = n / BLOCK;
-            let q = tb.q;
-            let two_q = 2 * q;
-            let mut t = n;
-            let mut m = 1usize;
-            while m < blocks {
-                t /= 2;
-                for i in 0..m {
-                    let (w, ws) = tb.fwd.get(m + i);
-                    let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-                    for (x, y) in lo.iter_mut().zip(hi) {
-                        let u = reduce_2q(*x, two_q);
-                        let v = shoup_lazy(*y, w, ws, q);
-                        *x = u + v;
-                        *y = u + two_q - v;
-                    }
-                }
-                m *= 2;
-            }
-            for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
-                neg_forward_block::<BLOCK>(block, tb, blocks + b);
-            }
-        }
+    let blocks = a.len() / BLOCK;
+    if blocks == 0 {
+        return neg_forward_block(a, tb, 1);
+    }
+    neg_forward_stages(a, tb, 1, blocks);
+    for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
+        let block = block.try_into().expect("chunks are BLOCK long");
+        neg_forward_block64(block, tb, blocks + b);
     }
 }
 
-/// The `log₂ len` inverse GS stages of one aligned block (see
-/// [`neg_forward_stages`] for `base`; the inverse reads twiddle
-/// `h·base + i` at local half-count `h`). Mirrors
-/// [`crate::ntt::inverse_inplace`] without its final `n⁻¹` pass;
-/// values enter and leave `< 2q`.
+/// Inverse GS stages of one aligned block from butterfly span `t` up
+/// to the block's length (see [`neg_forward_stages`] for `base`; the
+/// inverse reads twiddle `h·base + i` at local half-count `h`).
+/// Mirrors [`crate::ntt::inverse_inplace`] without its final `n⁻¹`
+/// pass; values enter and leave `< 2q`.
 #[inline(always)]
-fn neg_inverse_stages(a: &mut [u64], len: usize, tb: &SmallNttTables, base: usize) {
+fn neg_inverse_stages(a: &mut [u64], tb: &SmallNttTables, base: usize, mut t: usize) {
     let q = tb.q;
     let two_q = 2 * q;
-    let mut t = 1usize;
-    let mut m = len;
-    while m > 1 {
-        let h = m / 2;
-        let mut j1 = 0usize;
-        for i in 0..h {
+    while t < a.len() {
+        let h = a.len() / (2 * t);
+        for (i, group) in a.chunks_exact_mut(2 * t).enumerate() {
             let (w, ws) = tb.inv.get(h * base + i);
-            for j in j1..j1 + t {
+            let (lo, hi) = group.split_at_mut(t);
+            for (x, y) in lo.iter_mut().zip(hi) {
                 // Harvey GS: inputs < 2q ⇒ u+v < 4q folds back to
                 // 2q, and u+2q−v < 4q feeds the lazy product.
-                let u = a[j];
-                let v = a[j + t];
-                a[j] = reduce_2q(u + v, two_q);
-                a[j + t] = shoup_lazy(u + two_q - v, w, ws, q);
+                let (u, v) = (*x, *y);
+                *x = reduce_2q(u + v, two_q);
+                *y = shoup_lazy(u + two_q - v, w, ws, q);
             }
-            j1 += 2 * t;
         }
         t *= 2;
-        m = h;
     }
 }
 
+/// All six stages of one 64-point block, monomorphized and unrolled.
 #[inline(never)]
-fn neg_inverse_fixed<const N: usize>(a: &mut [u64], tb: &SmallNttTables, base: usize) {
-    neg_inverse_stages(&mut a[..N], N, tb, base);
+fn neg_inverse_block64(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
+    neg_inverse_stages(a, tb, base, 1);
 }
 
 /// In-place inverse negacyclic NTT (bit-reversed → natural, includes
 /// the `n⁻¹` factor) — bit-identical to
 /// [`crate::ntt::inverse_inplace`]. Input may be lazy up to `[0, 2q)`;
-/// output is canonical. Sizes above 64 run their first six stages
+/// output is canonical. From 64 points up, the first six stages run
 /// block by block, then the trailing stages as full-width passes.
 ///
 /// # Panics
 /// Panics if `a.len() != tb.n()`.
 pub fn negacyclic_inverse(a: &mut [u64], tb: &SmallNttTables) {
     assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
-    let n = a.len();
-    match n {
-        0 | 1 => {}
-        2 => neg_inverse_fixed::<2>(a, tb, 1),
-        4 => neg_inverse_fixed::<4>(a, tb, 1),
-        8 => neg_inverse_fixed::<8>(a, tb, 1),
-        16 => neg_inverse_fixed::<16>(a, tb, 1),
-        32 => neg_inverse_fixed::<32>(a, tb, 1),
-        BLOCK => neg_inverse_fixed::<BLOCK>(a, tb, 1),
-        _ => {
-            let blocks = n / BLOCK;
-            for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
-                neg_inverse_fixed::<BLOCK>(block, tb, blocks + b);
-            }
-            let q = tb.q;
-            let two_q = 2 * q;
-            let mut t = BLOCK;
-            let mut h = blocks / 2;
-            while h >= 1 {
-                for i in 0..h {
-                    let (w, ws) = tb.inv.get(h + i);
-                    let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-                    for (x, y) in lo.iter_mut().zip(hi) {
-                        let (u, v) = (*x, *y);
-                        *x = reduce_2q(u + v, two_q);
-                        *y = shoup_lazy(u + two_q - v, w, ws, q);
-                    }
-                }
-                t *= 2;
-                h /= 2;
-            }
+    let blocks = a.len() / BLOCK;
+    if blocks == 0 {
+        neg_inverse_stages(a, tb, 1, 1);
+    } else {
+        for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
+            let block = block.try_into().expect("chunks are BLOCK long");
+            neg_inverse_block64(block, tb, blocks + b);
         }
+        neg_inverse_stages(a, tb, 1, BLOCK);
     }
     let (ni, nis) = tb.n_inv;
     for x in a.iter_mut() {
@@ -434,7 +382,7 @@ mod tests {
         let q = primes::ntt_prime(30, (2 * n) as u64, 0).unwrap();
         let tb = SmallNttTables::new(&NttTables::new(n, q));
         let mut a = residues(n, q, 3);
-        neg_forward_stages(&mut a, n, &tb, 1);
+        neg_forward_stages(&mut a, &tb, 1, n);
         assert!(a.iter().all(|&x| x < 4 * q), "lazy bound violated");
     }
 
