@@ -37,8 +37,10 @@ pub(crate) struct KsDigits {
     converted: Vec<Vec<Vec<u64>>>,
 }
 
+#[cfg(test)]
 impl KsDigits {
-    /// Converted (base-extended, forward-transformed) limbs held.
+    /// Converted (base-extended, forward-transformed) limbs held — the
+    /// forward NTTs the decomposition paid.
     pub(crate) fn converted_limbs(&self) -> usize {
         self.converted.iter().map(Vec::len).sum()
     }

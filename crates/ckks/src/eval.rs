@@ -44,14 +44,6 @@ pub struct HoistedDecomposition {
     pub scale: f64,
 }
 
-impl HoistedDecomposition {
-    /// Evaluation-form converted limbs held — the forward NTTs the
-    /// decomposition paid, `costs::HOIST_DECOMP`'s `ntt` count.
-    pub fn converted_limbs(&self) -> usize {
-        self.digits.converted_limbs()
-    }
-}
-
 impl<'a> Evaluator<'a> {
     /// Binds an evaluator to a context.
     pub fn new(ctx: &'a CkksContext) -> Self {
@@ -663,7 +655,10 @@ mod tests {
             let ctx = CkksContext::new(p, 5);
             let ev = Evaluator::new(&ctx);
             let l = p.limbs;
-            let held = ev.hoist_decompose(&zero_ct(&ctx, l)).converted_limbs();
+            let held = ev
+                .hoist_decompose(&zero_ct(&ctx, l))
+                .digits
+                .converted_limbs();
             let modeled = HOIST_DECOMP.counts(&p, l).ntt;
             // The model gives every digit α limbs; the host's last
             // digit is ragged when α does not divide L, and a digit
@@ -692,7 +687,10 @@ mod tests {
         let ev = Evaluator::new(&ctx);
         let k = p.special_limbs();
         for l in 1..p.limbs {
-            let held = ev.hoist_decompose(&zero_ct(&ctx, l)).converted_limbs();
+            let held = ev
+                .hoist_decompose(&zero_ct(&ctx, l))
+                .digits
+                .converted_limbs();
             assert_eq!(
                 held,
                 ctx.digit_count(l) * (l + k) - l,

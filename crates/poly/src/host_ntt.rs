@@ -9,13 +9,12 @@
 //! [`crate::ntt::inverse_inplace`], so the engine is a transparent
 //! drop-in for every evaluation-domain consumer. Its tables are the
 //! Shoup companions of [`NttTables`]' own bit-reversed twiddles, built
-//! once per modulus on first use ([`NttTables::lazy_tables`]).
+//! once per modulus on first use ([`NttTables::shoup_tables`]).
 //!
-//! This engine replaced a Bailey six-step decomposition (two in-place
-//! transposes and a fused twiddle pass around these same lazy loops):
-//! every degree the parameter sets use fits the host's L2, where the
-//! transposes cost more than the strided passes they avoid
-//! (DESIGN.md §10 has the measurements).
+//! There is deliberately no cache decomposition (six-step, four-step)
+//! around these loops: every degree the parameter sets use fits the
+//! host's L2, where transposes cost more than the strided passes they
+//! avoid (DESIGN.md §10 has the measurements).
 
 use crate::engines::{NttEngine, OutputOrder};
 use crate::small_ntt;
@@ -30,7 +29,7 @@ use std::sync::Arc;
 /// # Panics
 /// Panics if `a.len() != tables.n()`.
 pub fn forward_inplace(a: &mut [u64], tables: &NttTables) {
-    small_ntt::negacyclic_forward(a, tables.lazy_tables());
+    small_ntt::negacyclic_forward(a, tables.shoup_tables());
 }
 
 /// Inverse negacyclic NTT through the host engine (bit-reversed input
@@ -40,7 +39,7 @@ pub fn forward_inplace(a: &mut [u64], tables: &NttTables) {
 /// # Panics
 /// Panics if `a.len() != tables.n()`.
 pub fn inverse_inplace(a: &mut [u64], tables: &NttTables) {
-    small_ntt::negacyclic_inverse(a, tables.lazy_tables());
+    small_ntt::negacyclic_inverse(a, tables.shoup_tables());
 }
 
 /// Runs `f` on each of the `batch` polynomials stored back-to-back in

@@ -160,14 +160,12 @@ impl SmallNttTables {
     pub fn new(tables: &NttTables) -> Self {
         let q = tables.q();
         assert!(q < 1 << 32, "Shoup transforms require q < 2^32");
-        let mut n_inv = ShoupPairs::with_capacity(1);
-        n_inv.push(tables.n_inv(), q);
         Self {
             n: tables.n(),
             q,
             fwd: ShoupPairs::from_values(tables.psi_rev(), q),
             inv: ShoupPairs::from_values(tables.psi_inv_rev(), q),
-            n_inv: n_inv.get(0),
+            n_inv: ShoupPairs::from_values(&[tables.n_inv()], q).get(0),
         }
     }
 

@@ -30,7 +30,7 @@ pub struct NttTables {
     /// Lazily built Shoup companions of the bit-reversed twiddles —
     /// what the host engine reads — shared by every holder of these
     /// tables.
-    lazy: OnceLock<SmallNttTables>,
+    shoup: OnceLock<SmallNttTables>,
 }
 
 impl NttTables {
@@ -77,15 +77,15 @@ impl NttTables {
             psi_inv_pow,
             psi_rev,
             psi_inv_rev,
-            lazy: OnceLock::new(),
+            shoup: OnceLock::new(),
         }
     }
 
     /// The host engine's Shoup twiddle tables for this `(N, q)` pair,
     /// built on first use and cached — so every context sharing these
     /// tables (CKKS levels, key-switching extensions) shares one set.
-    pub fn lazy_tables(&self) -> &SmallNttTables {
-        self.lazy.get_or_init(|| SmallNttTables::new(self))
+    pub fn shoup_tables(&self) -> &SmallNttTables {
+        self.shoup.get_or_init(|| SmallNttTables::new(self))
     }
 
     /// Ring degree `N`.
