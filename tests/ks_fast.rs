@@ -15,7 +15,8 @@
 //!   execute through the hoisted engine) vs eager evaluation.
 
 use cross::ckks::{
-    BatchedCiphertext, Ciphertext, CkksContext, CkksParams, Evaluator, KeyPair, SwitchingKey,
+    BatchedCiphertext, Ciphertext, CkksContext, CkksParams, Evaluator, KeyPair, ParamSet,
+    SwitchingKey,
 };
 use cross::poly::ring::Domain;
 use cross::poly::PolyBatch;
@@ -182,6 +183,61 @@ fn hoisted_fanout_matches_independent_rotates() {
         &ev.rotate(&ct, steps[0], &keys[0]),
         "single hoisted rotate",
     );
+}
+
+/// Set B (`N = 2^13`, 8 limbs, `dnum = 3`) — the eager benchmark
+/// chain's shape, and the size at which the key-switch kernels are
+/// large enough to fan out across cores (the toy shapes above stay
+/// serial): fast ≡ reference for the key switch and the rescale, and
+/// `rotate` ≡ the hoisted fan-out, at the top level and one below.
+#[test]
+fn set_b_fast_paths_match_reference_at_two_levels() {
+    let ctx = CkksContext::new(ParamSet::B.params(), 0x5E7B);
+    let kp = ctx.generate_keys();
+    let ev = Evaluator::new(&ctx);
+    let steps = [1usize, 3];
+    let keys: Vec<SwitchingKey> = steps
+        .iter()
+        .map(|&s| ctx.generate_rotation_key(&kp.secret, s))
+        .collect();
+    let rotations: Vec<(usize, &SwitchingKey)> = steps.iter().copied().zip(keys.iter()).collect();
+    let msg: Vec<f64> = (0..ctx.slot_count())
+        .map(|i| 0.2 + (i as f64 * 0.07).sin() * 0.3)
+        .collect();
+    let fresh = ctx.encrypt(&msg, &kp.public);
+    let top = ctx.params().limbs;
+    for level in [top, top - 1] {
+        for batch in [1usize, 2] {
+            let d = random_batch(&ctx, level, batch, 0xB0 + (level * 7 + batch) as u64);
+            assert_pair_eq(
+                &ev.key_switch_batch(&d, &kp.relin),
+                &ev.key_switch_batch_reference(&d, &kp.relin),
+                &format!("Set B key switch level {level} batch {batch}"),
+            );
+        }
+        let ct = BatchedCiphertext {
+            c0: random_batch(&ctx, level, 1, 0xBC0 + level as u64),
+            c1: random_batch(&ctx, level, 1, 0xBC1 + level as u64),
+            level,
+            scales: vec![1e9],
+        };
+        let fast = ev.rescale_batch(&ct);
+        let reference = ev.rescale_batch_reference(&ct);
+        assert_pair_eq(
+            &(fast.c0, fast.c1),
+            &(reference.c0, reference.c1),
+            &format!("Set B rescale level {level}"),
+        );
+        let src = ev.mod_drop(&fresh, level);
+        let hoisted = ev.hoisted_rotations(&src, &rotations);
+        for ((got, &s), key) in hoisted.iter().zip(&steps).zip(&keys) {
+            assert_ct_eq(
+                &ev.rotate(&src, s, key),
+                got,
+                &format!("Set B rotate by {s} at level {level}"),
+            );
+        }
+    }
 }
 
 /// The serving path with the optimizer ON (so `HoistDecomp` /
