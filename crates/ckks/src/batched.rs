@@ -21,8 +21,8 @@ use crate::keys::SwitchingKey;
 use crate::ks_plan::KsPlan;
 use cross_core::bconv::BconvKernel;
 use cross_core::modred::ModRed;
-use cross_math::modops;
 use cross_math::rns::RnsBasis;
+use cross_math::{modops, par};
 use cross_poly::ring::Domain;
 use cross_poly::rns_poly::{RnsContext, RnsPoly};
 use cross_poly::{host_ntt, small_ntt, PolyBatch};
@@ -219,9 +219,13 @@ impl<'a> Evaluator<'a> {
             }
             PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Evaluation)
         };
+        // per component: one INTT and l − 1 NTTs, then the pointwise pass
+        let rows = ct.c0.batch() * n;
+        let work = 2 * l * rows * (n.trailing_zeros() as usize + 1);
+        let (c0, c1) = par::join(work, || rescale_pb(ct.c0), || rescale_pb(ct.c1));
         BatchedCiphertext {
-            c0: rescale_pb(ct.c0),
-            c1: rescale_pb(ct.c1),
+            c0,
+            c1,
             level: l - 1,
             scales: ct.scales.iter().map(|s| s / q_last as f64).collect(),
         }
@@ -316,27 +320,35 @@ impl<'a> Evaluator<'a> {
         let n = ctx.params().n;
         let ks_ctx = ctx.ks_ctx(l);
         let d_coeff = d.in_domain(Domain::Coefficient);
-        let converted = ctx
-            .ks_plan(l)
-            .digits
+        let digits = &ctx.ks_plan(l).digits;
+        let rows = d.batch() * n;
+        // fast base extension of each digit, all batch rows fused: one
+        // BConv term per digit limb and converted limb
+        let bconv_work = digits
             .iter()
-            .map(|dp| {
-                // fast base extension of the digit, all batch rows fused
-                let src: Vec<&[u64]> = dp
-                    .range
-                    .clone()
-                    .map(|i| d_coeff.limbs()[i].as_slice())
-                    .collect();
-                let mut converted = dp.kernel.convert_slices(&src);
-                for (limb, &slot) in converted.iter_mut().zip(&dp.other_idx) {
-                    let tables = &ks_ctx.tables()[slot];
-                    for seg in limb.chunks_mut(n) {
-                        host_ntt::forward_inplace(seg, tables);
-                    }
-                }
-                converted
-            })
+            .map(|dp| dp.range.len() * dp.other_idx.len() * rows)
+            .sum();
+        let mut converted = vec![Vec::new(); digits.len()];
+        par::par_for_each_sized(&mut converted, bconv_work, |j, out| {
+            let src: Vec<&[u64]> = digits[j]
+                .range
+                .clone()
+                .map(|i| d_coeff.limbs()[i].as_slice())
+                .collect();
+            *out = digits[j].kernel.convert_slices(&src);
+        });
+        // then every converted limb's forward NTT, across the digits
+        let mut limbs: Vec<(&mut Vec<u64>, usize)> = converted
+            .iter_mut()
+            .zip(digits)
+            .flat_map(|(out, dp)| out.iter_mut().zip(dp.other_idx.iter().copied()))
             .collect();
+        let ntt_work = limbs.len() * rows * n.trailing_zeros() as usize;
+        par::par_for_each_sized(&mut limbs, ntt_work, |_, (limb, slot)| {
+            for seg in limb.chunks_mut(n) {
+                host_ntt::forward_inplace(seg, &ks_ctx.tables()[*slot]);
+            }
+        });
         KsDigits { converted }
     }
 
@@ -374,10 +386,12 @@ impl<'a> Evaluator<'a> {
             .zip(&digits.converted)
             .zip(&key.digits)
             .collect();
-        // One chain limb at a time, so its two accumulators stay
-        // cache-resident across the digits.
-        let (mut acc0, mut acc1) = (Vec::new(), Vec::new());
-        for (t, &qt) in ks_ctx.moduli().iter().enumerate() {
+        // One closure per chain limb, so its two accumulators stay
+        // cache-resident across the digits; two MACs per digit and row.
+        let ext = ks_ctx.moduli().len();
+        let mut accs = vec![(Vec::new(), Vec::new()); ext];
+        par::par_for_each_sized(&mut accs, 2 * ext * terms.len() * rows, |t, (a0, a1)| {
+            let qt = ks_ctx.moduli()[t];
             // key (and permutation) limbs for this level: q indices
             // 0..l, then the extension indices big_l.. of the global
             // chain
@@ -388,7 +402,7 @@ impl<'a> Evaluator<'a> {
             // q < 2³², `CkksParams`' bound), so this many of them,
             // plus a carried-in residue, fit a `u64`: 256 at 28 bits.
             let fit = (u64::MAX / (qt * qt)) as usize;
-            let (mut a0, mut a1) = (vec![0u64; rows], vec![0u64; rows]);
+            (*a0, *a1) = (vec![0u64; rows], vec![0u64; rows]);
             for chunk in terms.chunks(fit) {
                 for &((dp, converted), kd) in chunk {
                     let src_limb: &[u64] = match dp.conv_pos[t] {
@@ -409,12 +423,15 @@ impl<'a> Evaluator<'a> {
                     *a = modops::reduce_barrett(*a, qt, mu);
                 }
             }
-            acc0.push(a0);
-            acc1.push(a1);
-        }
-        (
-            self.mod_down_fast(&plan, &ks_ctx, acc0, l),
-            self.mod_down_fast(&plan, &ks_ctx, acc1, l),
+        });
+        let (acc0, acc1) = accs.into_iter().unzip();
+        // per half: k INTTs, the k → l BConv, l NTTs and the pointwise pass
+        let k = ext - l;
+        let work = 2 * rows * ((k + l) * n.trailing_zeros() as usize + k * l + l);
+        par::join(
+            work,
+            || self.mod_down_fast(&plan, &ks_ctx, acc0, l),
+            || self.mod_down_fast(&plan, &ks_ctx, acc1, l),
         )
     }
 

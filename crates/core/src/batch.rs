@@ -91,7 +91,7 @@ impl RnsNttPlans {
     /// Forward-transforms a coefficient-domain batch to the evaluation
     /// domain, pure CPU. Since the `embed_bitrev` plan layout **is** the
     /// butterfly layout, the functional executor runs the host
-    /// engine (`limb × batch` segments fanned over the scoped pool by
+    /// engine (`limb × batch` segments fanned over the `par` pool by
     /// [`PolyBatch::to_evaluation`]) — bit-identical to the compiled
     /// matmul reference, which stays available per limb as
     /// [`Ntt3Plan::forward_batch_reference`] for the cost model and the

@@ -5,8 +5,8 @@
 //! (Barrett, optimized Montgomery, Shoup), NTT-friendly prime generation,
 //! a minimal arbitrary-precision integer for CRT/`Q`-level computations,
 //! RNS basis tooling (including the precomputed tables that Basis
-//! Conversion consumes), and a registry-free scoped-thread pool
-//! ([`par`]) for the batched limb loops.
+//! Conversion consumes), and a registry-free parked worker pool
+//! ([`par`]) for the batched limb and key-switch loops.
 //!
 //! Everything in this crate is implemented from scratch; no external
 //! number-theory dependencies are used.

@@ -14,8 +14,8 @@
 //!   over the whole limb instead of `batch` times — the layout the MXU
 //!   batching of `cross-core` streams directly;
 //! * the limb × batch loop nest is embarrassingly parallel, so kernels
-//!   fan out over [`cross_math::par`]'s scoped workers once the work
-//!   pays for the spawn.
+//!   fan out over [`cross_math::par`]'s pool once the work pays for
+//!   the dispatch.
 //!
 //! Batch entries never interact: a batch-`B` result is bit-identical to
 //! the `B` batch-of-one results laid side by side — the property the
@@ -216,7 +216,7 @@ impl PolyBatch {
     }
 
     /// Runs `f(limb_index, segment)` over every degree-`N` segment of
-    /// every limb, fanned out over as many scoped workers as the
+    /// every limb, fanned out over as many pool workers as the
     /// transforms pay for.
     fn for_each_segment_mut<F>(&mut self, f: F)
     where
@@ -270,7 +270,7 @@ impl PolyBatch {
     }
 
     /// A same-shape result whose limb `i` is `f(i)`, limbs fanned out
-    /// over as many scoped workers as the pass pays for.
+    /// over as many pool workers as the pass pays for.
     fn map_limbs(&self, f: impl Fn(usize) -> Vec<u64> + Sync) -> Self {
         let mut limbs = vec![Vec::new(); self.limbs.len()];
         par::par_for_each_sized(&mut limbs, self.total_elems(), |i, limb| *limb = f(i));

@@ -145,8 +145,8 @@ fn matmul_mod_rows(a: &[u64], b: &[u64], k: usize, n: usize, q: u64, row0: usize
 }
 
 /// [`matmul_mod`] with the blocked row kernel, parallelized over
-/// output-row blocks on the scoped-thread pool when cores are
-/// available. Bit-identical to the serial oracle (each output element
+/// output-row blocks on the [`par`] pool when the product pays for
+/// it. Bit-identical to the serial oracle (each output element
 /// is the same exact integer dot product reduced mod `q`); the win is
 /// contiguous `u64` streaming instead of strided `u128` dot products —
 /// the layout the batch-major pipeline feeds.
@@ -181,15 +181,15 @@ pub fn matmul_mod_par_into(
         out.copy_from_slice(&matmul_mod(a, b, m, k, n, q));
         return;
     }
-    // Below this many multiply-accumulates thread spawning dominates.
-    const PAR_THRESHOLD: usize = 1 << 18;
-    let workers = par::parallelism();
-    if workers == 1 || m < 2 || m.saturating_mul(k).saturating_mul(n) < PAR_THRESHOLD {
-        matmul_mod_rows(a, b, k, n, q, 0, out);
+    if out.is_empty() {
         return;
     }
-    let rows_per_block = m.div_ceil(workers);
-    par::par_chunks_mut(out, rows_per_block * n, |blk, chunk| {
+    // Row blocks of about one worker's minimum share each, so a small
+    // product is one block and runs as one serial call.
+    let row_work = k.max(1) * n;
+    let rows_per_block = (par::MIN_PAR_WORK / row_work).clamp(1, m);
+    let mut blocks: Vec<&mut [u64]> = out.chunks_mut(rows_per_block * n).collect();
+    par::par_for_each_sized(&mut blocks, m * row_work, |blk, chunk| {
         matmul_mod_rows(a, b, k, n, q, blk * rows_per_block, chunk);
     });
 }

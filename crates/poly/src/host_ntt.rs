@@ -43,7 +43,7 @@ pub fn inverse_inplace(a: &mut [u64], tables: &NttTables) {
 }
 
 /// Runs `f` on each of the `batch` polynomials stored back-to-back in
-/// `a`, fanned out across the batch on as many scoped workers as
+/// `a`, fanned out across the batch on as many pool workers as
 /// `log₂N` butterfly layers over `batch · N` residues pay for.
 fn for_each_poly(a: &mut [u64], batch: usize, n: usize, f: impl Fn(&mut [u64]) + Sync) {
     assert_eq!(a.len(), batch * n, "batch shape mismatch");

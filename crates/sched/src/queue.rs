@@ -188,10 +188,10 @@ pub enum ServeError {
         /// Operands the request named.
         got: usize,
     },
-    /// The executing side failed (a worker panicked mid-dispatch, or
-    /// the loop shut down with the dispatch unexecuted). The panic
-    /// still propagates out of the serving loop — this outcome exists
-    /// so waiting clients unblock instead of hanging.
+    /// The executing side failed: a worker panicked mid-dispatch. The
+    /// worker serves on and the panic propagates out of the serving
+    /// loop at join — this outcome exists so waiting clients unblock
+    /// instead of hanging.
     ExecutionFailed,
 }
 

@@ -100,9 +100,10 @@ use crate::queue::{
 use crate::sched::{Schedule, Scheduler};
 use crate::serve::{ServeConfig, ServeKeys, ServeStats, SubmitError};
 use cross_ckks::{Ciphertext, CkksContext, Evaluator};
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One tenant's registration with [`serve_tenants`]: its key
@@ -661,14 +662,13 @@ impl Dispatcher<'_> {
     }
 
     /// Forms and sends one per-tenant dispatch from an
-    /// already-popped, operand-resolved request slice. Returns false
-    /// when the worker pool is gone.
+    /// already-popped, operand-resolved request slice.
     fn dispatch_tenant(
         &mut self,
         tenant: TenantId,
         requests: Vec<HeRequest<Ticket>>,
         inputs: Vec<Ciphertext>,
-    ) -> bool {
+    ) {
         let Dispatch {
             graph,
             schedule,
@@ -730,16 +730,11 @@ impl Dispatcher<'_> {
                 .collect(),
         };
         self.dispatch_seq += 1;
-        if let Err(channel::SendError(item)) = self.work_tx.send(item) {
-            // Every worker died (panicked). Unblock this dispatch's
-            // waiters — the panic itself still propagates when the
-            // scope joins.
-            for job in &item.jobs {
-                job.ticket.fail_if_unresolved();
-            }
-            return false;
+        // Workers hold the receive side until the dispatcher has gone:
+        // a dispatch's panic is caught inside its worker's loop.
+        if self.work_tx.send(item).is_err() {
+            unreachable!("workers outlive the dispatcher");
         }
-        true
     }
 
     fn run(mut self) {
@@ -774,7 +769,6 @@ impl Dispatcher<'_> {
 
             // One deficit-round-robin window, formed into one dispatch
             // per tenant (fused batches never mix tenants).
-            let mut workers_alive = true;
             for (tenant, requests) in self.queue.pop_fair_by_tenant(self.drain_max) {
                 let mut ok = Vec::with_capacity(requests.len());
                 let mut inputs = Vec::new();
@@ -793,21 +787,9 @@ impl Dispatcher<'_> {
                         Err(e) => self.fail(&req.payload, e),
                     }
                 }
-                // With the pool gone the send fails its own tickets;
-                // keep going so every popped ticket still resolves.
                 if !ok.is_empty() {
-                    workers_alive &= self.dispatch_tenant(tenant, ok, inputs);
+                    self.dispatch_tenant(tenant, ok, inputs);
                 }
-            }
-            if !workers_alive {
-                // Dead-worker shutdown: fail everything still queued
-                // or en route, so no accepted ticket is left hanging.
-                let queued = self.queue.pop_fair(usize::MAX).into_iter();
-                let en_route = self.rx.try_recv_batch(usize::MAX).into_iter();
-                for ticket in queued.map(|r| r.payload).chain(en_route.map(|s| s.ticket)) {
-                    ticket.resolve(Err(ServeError::ExecutionFailed));
-                }
-                break;
             }
         }
     }
@@ -820,14 +802,16 @@ fn worker(
     store: &CtStore,
     seq: &AtomicU64,
     panic_at: Option<u64>,
+    fault: &Mutex<Option<Box<dyn Any + Send>>>,
 ) {
     let ev = Evaluator::new(ctx);
     while let Some(item) = rx.recv() {
         // A panic mid-dispatch (a latent evaluator bug, or the
         // injected fault below) must not strand waiters: fail the
-        // item's unfulfilled tickets, then let the panic propagate out
-        // of the scope. Only this item's tickets are affected — other
-        // tenants' dispatches ride other work items.
+        // item's unfulfilled tickets, keep the first panic for the
+        // scope to re-raise, and serve on. Only this item's tickets
+        // are affected — other dispatches complete, even on a single
+        // worker.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if panic_at == Some(item.seq) {
                 panic!("injected worker fault at dispatch {}", item.seq);
@@ -853,7 +837,10 @@ fn worker(
             for job in &item.jobs {
                 job.ticket.fail_if_unresolved();
             }
-            std::panic::resume_unwind(panic);
+            fault
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(panic);
         }
     }
 }
@@ -862,7 +849,9 @@ fn worker(
 /// spawns the dispatcher and [`ServeConfig::workers`] workers on
 /// scoped threads, calls `f` with the [`Server`], and after `f`
 /// returns drains every pending submission before joining — every
-/// accepted ticket is fulfilled by the time this returns.
+/// accepted ticket is fulfilled by the time this returns. A panic in a
+/// dispatch fails that dispatch's tickets and is re-raised here after
+/// the join.
 ///
 /// Results are bit-exact with eager per-tenant [`Evaluator`] calls
 /// for any worker count, tenant interleaving, or store/key-cache
@@ -924,13 +913,22 @@ pub fn serve_tenants<R>(
         dispatch_seq: 0,
     };
     let seq = &seq;
-    std::thread::scope(|s| {
+    let fault = Mutex::new(None);
+    let fault_ref = &fault;
+    let result = std::thread::scope(|s| {
         s.spawn(move || dispatcher.run());
         for _ in 0..config.workers {
             let rx = work_rx.clone();
             let store = store.clone();
             let panic_at = config.inject_worker_panic;
-            s.spawn(move || worker(rx, ctx, keys_map, &store, seq, panic_at));
+            s.spawn(move || {
+                // Several workers already share the cores: each runs
+                // its dispatch's kernels inline instead of fanning out.
+                if config.workers > 1 {
+                    cross_math::par::mark_worker();
+                }
+                worker(rx, ctx, keys_map, &store, seq, panic_at, fault_ref)
+            });
         }
         drop(work_rx); // workers hold the only receive clones now
         let server = Server {
@@ -950,7 +948,11 @@ pub fn serve_tenants<R>(
         // the scope joins.
         drop(server);
         result
-    })
+    });
+    if let Some(panic) = fault.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        std::panic::resume_unwind(panic);
+    }
+    result
 }
 
 #[cfg(test)]

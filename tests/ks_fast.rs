@@ -11,6 +11,8 @@
 //! * fast vs reference rescale across levels and batch widths;
 //! * a hoisted k-rotation fan-out vs k independent `rotate` calls
 //!   through the eager evaluator;
+//! * at Set B, where the kernels fan out over the worker pool, the
+//!   same operators on a pool-using and an inline (marked) thread;
 //! * the serving path (optimizer on, so `HoistDecomp`/`HoistedRotate`
 //!   execute through the hoisted engine) vs eager evaluation.
 
@@ -238,6 +240,43 @@ fn set_b_fast_paths_match_reference_at_two_levels() {
             );
         }
     }
+}
+
+/// The key-switch kernels give the same limbs whether they fan out
+/// over the worker pool (a free thread at Set B) or run inline (a
+/// thread marked with `par::mark_worker`, as a serving worker among
+/// several is): `rotate`, `mult`, `rescale` and `decrypt`.
+#[test]
+fn set_b_ops_match_on_a_marked_worker_and_a_free_thread() {
+    let ctx = CkksContext::new(ParamSet::B.params(), 0x9A7);
+    let kp = ctx.generate_keys();
+    let rk = ctx.generate_rotation_key(&kp.secret, 5);
+    let msg: Vec<f64> = (0..ctx.slot_count())
+        .map(|i| 0.3 + (i as f64 * 0.05).cos() * 0.2)
+        .collect();
+    let ct = ctx.encrypt(&msg, &kp.public);
+    let run = |marked: bool| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                if marked {
+                    cross::math::par::mark_worker();
+                }
+                let ev = Evaluator::new(&ctx);
+                let rotated = ev.rotate(&ct, 5, &rk);
+                let product = ev.mult(&ct, &rotated, &kp.relin);
+                let rescaled = ev.rescale(&product);
+                let plain = ctx.decrypt_to_poly(&rescaled, &kp.secret);
+                (rotated, product, rescaled, plain)
+            })
+            .join()
+            .unwrap()
+        })
+    };
+    let (inline, fanned) = (run(true), run(false));
+    assert_ct_eq(&inline.0, &fanned.0, "rotate");
+    assert_ct_eq(&inline.1, &fanned.1, "mult");
+    assert_ct_eq(&inline.2, &fanned.2, "rescale");
+    assert_eq!(inline.3.limbs(), fanned.3.limbs(), "decrypt");
 }
 
 /// The serving path with the optimizer ON (so `HoistDecomp` /

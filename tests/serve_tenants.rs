@@ -389,54 +389,58 @@ fn worker_panic_fails_only_the_affected_dispatch() {
     let ctx = CkksContext::new(CkksParams::toy(), 0xFA17);
     let tenants = setup(&ctx, &[1, 2]);
     let ev = Evaluator::new(&ctx);
-    let specs: Vec<TenantSpec> = tenants
-        .iter()
-        .map(|t| TenantSpec::new(t.id, t.serve_keys()))
-        .collect();
-    let mut config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(2);
-    // Dispatch 0 (tenant 1's first wave — its submissions enter the
-    // intake first, and dispatches form in ascending tenant order)
-    // panics mid-execution.
-    config.inject_worker_panic = Some(0);
+    // One worker fans its kernels out over the pool; two run them
+    // inline. Either way the fault stays inside its dispatch.
+    for workers in [1, 2] {
+        let specs: Vec<TenantSpec> = tenants
+            .iter()
+            .map(|t| TenantSpec::new(t.id, t.serve_keys()))
+            .collect();
+        let mut config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(workers);
+        // Dispatch 0 (tenant 1's first wave — its submissions enter the
+        // intake first, and dispatches form in ascending tenant order)
+        // panics mid-execution.
+        config.inject_worker_panic = Some(0);
 
-    type Outcome = (TenantId, Result<Option<Ciphertext>, ServeError>);
-    let outcomes: Mutex<Vec<Outcome>> = Mutex::new(Vec::new());
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        serve_tenants(&ctx, specs, &config, |server| {
-            let a = server.session(1);
-            let b = server.session(2);
-            let xa = a.insert(tenants[0].base.clone());
-            let xb = b.insert(tenants[1].base.clone());
-            let pending_a: Vec<_> = (0..8).map(|_| a.add(xa, xa).expect("submit")).collect();
-            let pending_b: Vec<_> = (0..8).map(|_| b.add(xb, xb).expect("submit")).collect();
-            let mut out = outcomes.lock().unwrap();
-            for c in pending_a {
-                out.push((1, c.wait().map(|done| a.take(done.id))));
-            }
-            for c in pending_b {
-                out.push((2, c.wait().map(|done| b.take(done.id))));
-            }
-        });
-    }));
-    assert!(run.is_err(), "the injected panic propagates at scope join");
+        type Outcome = (TenantId, Result<Option<Ciphertext>, ServeError>);
+        let outcomes: Mutex<Vec<Outcome>> = Mutex::new(Vec::new());
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            serve_tenants(&ctx, specs, &config, |server| {
+                let a = server.session(1);
+                let b = server.session(2);
+                let xa = a.insert(tenants[0].base.clone());
+                let xb = b.insert(tenants[1].base.clone());
+                let pending_a: Vec<_> = (0..8).map(|_| a.add(xa, xa).expect("submit")).collect();
+                let pending_b: Vec<_> = (0..8).map(|_| b.add(xb, xb).expect("submit")).collect();
+                let mut out = outcomes.lock().unwrap();
+                for c in pending_a {
+                    out.push((1, c.wait().map(|done| a.take(done.id))));
+                }
+                for c in pending_b {
+                    out.push((2, c.wait().map(|done| b.take(done.id))));
+                }
+            });
+        }));
+        assert!(run.is_err(), "the injected panic propagates at scope join");
 
-    let outcomes = outcomes.into_inner().unwrap();
-    assert_eq!(outcomes.len(), 16, "every ticket resolved — no hangs");
-    let failed_a = outcomes
-        .iter()
-        .filter(|(t, r)| *t == 1 && matches!(r, Err(ServeError::ExecutionFailed)))
-        .count();
-    assert!(failed_a >= 1, "the poisoned dispatch carried tenant 1 work");
-    // Tenant 2 rode other dispatches: all its tickets succeeded, with
-    // bit-exact results.
-    let want_b = ev.add(&tenants[1].base, &tenants[1].base);
-    for (tenant, outcome) in &outcomes {
-        match (tenant, outcome) {
-            (2, Ok(Some(ct))) => assert_bit_exact(ct, &want_b, "tenant 2 beside the fault"),
-            (2, other) => panic!("tenant 2 ticket must succeed, got {other:?}"),
-            (1, Ok(_) | Err(ServeError::ExecutionFailed)) => {}
-            (1, other) => panic!("tenant 1 fails only with ExecutionFailed, got {other:?}"),
-            _ => unreachable!(),
+        let outcomes = outcomes.into_inner().unwrap();
+        assert_eq!(outcomes.len(), 16, "every ticket resolved — no hangs");
+        let failed_a = outcomes
+            .iter()
+            .filter(|(t, r)| *t == 1 && matches!(r, Err(ServeError::ExecutionFailed)))
+            .count();
+        assert!(failed_a >= 1, "the poisoned dispatch carried tenant 1 work");
+        // Tenant 2 rode other dispatches: all its tickets succeeded, with
+        // bit-exact results.
+        let want_b = ev.add(&tenants[1].base, &tenants[1].base);
+        for (tenant, outcome) in &outcomes {
+            match (tenant, outcome) {
+                (2, Ok(Some(ct))) => assert_bit_exact(ct, &want_b, "tenant 2 beside the fault"),
+                (2, other) => panic!("tenant 2 ticket must succeed, got {other:?}"),
+                (1, Ok(_) | Err(ServeError::ExecutionFailed)) => {}
+                (1, other) => panic!("tenant 1 fails only with ExecutionFailed, got {other:?}"),
+                _ => unreachable!(),
+            }
         }
     }
 }
