@@ -2,7 +2,7 @@
 //! per-polynomial loop at `N = 4096, batch = 8` — the Fig. 11b
 //! mechanism measured on the host. The fused path runs each matmul
 //! once over the `C·batch` streamed dimension and fans row blocks out
-//! over the scoped-thread pool; results are bit-identical to the loop
+//! over the `par` worker pool; results are bit-identical to the loop
 //! (asserted here before timing).
 
 use criterion::{criterion_group, criterion_main, Criterion};

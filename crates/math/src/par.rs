@@ -39,9 +39,9 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 /// residue operations: one per residue an element-wise kernel touches
 /// or per multiply-accumulate, `log₂ N` per residue of a transform
 /// (≈ 1 ns each on the host either way) — about 130 µs of arithmetic
-/// per worker, against ≈ 10 µs to wake a parked helper and hand it
-/// blocks (`math.par_dispatch_us`). Measured on the 2-vCPU benchmark
-/// host (DESIGN.md §4): at this size one Set B rotation's key inner
+/// per worker, against ≈ 15 µs for a parked helper to wake and join
+/// the job. Measured on the 2-vCPU benchmark host (DESIGN.md §4): at
+/// this size one Set B rotation's key inner
 /// product (≈ 0.5 M MACs) and a lone Set B polynomial's 8 NTTs fan
 /// out and read faster, while a 65 536-residue element-wise pass and
 /// every toy-parameter operator stay serial. Results are bit-identical

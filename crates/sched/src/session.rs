@@ -103,7 +103,7 @@ use cross_ckks::{Ciphertext, CkksContext, Evaluator};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One tenant's registration with [`serve_tenants`]: its key
@@ -802,16 +802,16 @@ fn worker(
     store: &CtStore,
     seq: &AtomicU64,
     panic_at: Option<u64>,
-    fault: &Mutex<Option<Box<dyn Any + Send>>>,
-) {
+) -> Option<Box<dyn Any + Send>> {
     let ev = Evaluator::new(ctx);
+    let mut fault = None;
     while let Some(item) = rx.recv() {
         // A panic mid-dispatch (a latent evaluator bug, or the
         // injected fault below) must not strand waiters: fail the
-        // item's unfulfilled tickets, keep the first panic for the
-        // scope to re-raise, and serve on. Only this item's tickets
-        // are affected — other dispatches complete, even on a single
-        // worker.
+        // item's unfulfilled tickets, keep the first panic for
+        // `serve_tenants` to re-raise, and serve on. Only this item's
+        // tickets are affected — other dispatches complete, even on a
+        // single worker.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if panic_at == Some(item.seq) {
                 panic!("injected worker fault at dispatch {}", item.seq);
@@ -837,12 +837,10 @@ fn worker(
             for job in &item.jobs {
                 job.ticket.fail_if_unresolved();
             }
-            fault
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get_or_insert(panic);
+            fault.get_or_insert(panic);
         }
     }
+    fault
 }
 
 /// Runs a multi-tenant serving loop for the closure's lifetime:
@@ -913,23 +911,23 @@ pub fn serve_tenants<R>(
         dispatch_seq: 0,
     };
     let seq = &seq;
-    let fault = Mutex::new(None);
-    let fault_ref = &fault;
-    let result = std::thread::scope(|s| {
+    let (result, fault) = std::thread::scope(|s| {
         s.spawn(move || dispatcher.run());
-        for _ in 0..config.workers {
-            let rx = work_rx.clone();
-            let store = store.clone();
-            let panic_at = config.inject_worker_panic;
-            s.spawn(move || {
-                // Several workers already share the cores: each runs
-                // its dispatch's kernels inline instead of fanning out.
-                if config.workers > 1 {
-                    cross_math::par::mark_worker();
-                }
-                worker(rx, ctx, keys_map, &store, seq, panic_at, fault_ref)
-            });
-        }
+        let workers: Vec<_> = (0..config.workers)
+            .map(|_| {
+                let rx = work_rx.clone();
+                let store = store.clone();
+                let panic_at = config.inject_worker_panic;
+                s.spawn(move || {
+                    // Several workers already share the cores: each runs
+                    // its dispatch's kernels inline instead of fanning out.
+                    if config.workers > 1 {
+                        cross_math::par::mark_worker();
+                    }
+                    worker(rx, ctx, keys_map, &store, seq, panic_at)
+                })
+            })
+            .collect();
         drop(work_rx); // workers hold the only receive clones now
         let server = Server {
             intake: Intake {
@@ -945,11 +943,16 @@ pub fn serve_tenants<R>(
         // assuming sessions stayed inside `f`) closes the intake: the
         // dispatcher drains what is queued, drops the work channel,
         // the workers finish and fulfill every remaining ticket, and
-        // the scope joins.
+        // joining them collects the first dispatch panic.
         drop(server);
-        result
+        let mut fault = None;
+        for w in workers {
+            let panic = w.join().expect("a worker catches its dispatches' panics");
+            fault = fault.or(panic);
+        }
+        (result, fault)
     });
-    if let Some(panic) = fault.into_inner().unwrap_or_else(PoisonError::into_inner) {
+    if let Some(panic) = fault {
         std::panic::resume_unwind(panic);
     }
     result
