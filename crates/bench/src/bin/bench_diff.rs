@@ -48,8 +48,7 @@
 //! the optimizer-pass win on the workload graphs). Pinned pairs guard
 //! the host NTT engine (failing): `ntt_engines/host/*` — what the
 //! functional dispatch runs — must read within 1.05 × each
-//! alternative timed beside it (`radix2_ct`, `four_step`,
-//! `mat_3step_ref`), and `batched_ntt/host_fused/*` must beat
+//! alternative timed beside it (`radix2_ct`, `mat_3step_ref`), and `batched_ntt/host_fused/*` must beat
 //! `batched_ntt/mat3_fused/*` — the "default engine is the fastest
 //! engine" claim. The serving-loop claim —
 //! `serve_throughput/serve_multi/*` sustaining at least
@@ -167,7 +166,6 @@ fn main() {
         // The host dispatch runs the fastest engine at every degree
         // timed: within 5 % of each alternative (it reads 2–7x ahead).
         ("/host/", "/radix2_ct/", true, 1.05),
-        ("/host/", "/four_step/", true, 1.05),
         ("/host/", "/mat_3step_ref/", true, 1.05),
         ("/host_fused/", "/mat3_fused/", true, 1.0),
         ("/serve_multi/", "/single_drain/", false, 1.0),

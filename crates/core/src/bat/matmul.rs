@@ -210,7 +210,7 @@ pub fn mod_matmul_reference(
     w: usize,
     q: u64,
 ) -> Vec<u64> {
-    cross_poly::engines::matmul_mod(a, b, h, v, w, q)
+    crate::mat::matmul_mod(a, b, h, v, w, q)
 }
 
 /// BAT with the *right* operand preknown: `Z = X @ W` where `W (v×w)` is

@@ -25,11 +25,10 @@
 //! §V-F2) the matmuls fall back to VPU mat-vec chains.
 
 use crate::bat::matmul::{BatMatMul, BatMatMulRight};
-use crate::mat::perm;
+use crate::mat::{matmul_mod, matmul_mod_par, perm};
 use crate::modred::{ModRed, PreparedParams, VecModMul};
 use cross_math::bitrev::bit_reverse_permutation;
 use cross_math::modops::{inv_mod, mul_mod};
-use cross_poly::engines::{matmul_mod, matmul_mod_par};
 use cross_poly::NttTables;
 use cross_tpu::{Category, TpuSim};
 use std::sync::Arc;
@@ -546,7 +545,7 @@ impl Ntt3Plan {
 mod tests {
     use super::*;
     use cross_math::primes;
-    use cross_poly::{CooleyTukeyNtt, NaiveNtt, NttEngine};
+    use cross_poly::ntt;
     use cross_tpu::TpuGeneration;
 
     fn tables(logn: u32) -> Arc<NttTables> {
@@ -577,7 +576,7 @@ mod tests {
         let plan = Ntt3Plan::new(t.clone(), cfg(8, 8, ModRed::Montgomery, false));
         let a = sample(t.n(), t.q());
         let got = plan.forward_reference(&a);
-        let naive = NaiveNtt::new(t.clone()).forward(&a);
+        let naive = ntt::naive_forward(&a, &t);
         for k1 in 0..8 {
             for k2 in 0..8 {
                 assert_eq!(got[k1 * 8 + k2], naive[k1 + k2 * 8], "k1={k1} k2={k2}");
@@ -594,7 +593,8 @@ mod tests {
             let plan = Ntt3Plan::new(t.clone(), cfg(r, c, ModRed::Montgomery, true));
             let a = sample(t.n(), t.q());
             let got = plan.forward_reference(&a);
-            let ct = CooleyTukeyNtt::new(t.clone()).forward(&a);
+            let mut ct = a.clone();
+            ntt::forward_inplace(&mut ct, &t);
             assert_eq!(got, ct, "logn={logn} r={r}");
         }
     }
@@ -644,15 +644,17 @@ mod tests {
             .map(|(&x, &y)| mul_mod(x, y, q))
             .collect();
         let got = plan.inverse_reference(&prod);
-        // Oracle through the butterfly engine.
-        let eng = CooleyTukeyNtt::new(t.clone());
-        let (fa2, fb2) = (eng.forward(&a), eng.forward(&b));
-        let prod2: Vec<u64> = fa2
+        // Oracle through the radix-2 butterflies.
+        let (mut fa2, mut fb2) = (a.clone(), b.clone());
+        ntt::forward_inplace(&mut fa2, &t);
+        ntt::forward_inplace(&mut fb2, &t);
+        let mut prod2: Vec<u64> = fa2
             .iter()
             .zip(&fb2)
             .map(|(&x, &y)| mul_mod(x, y, q))
             .collect();
-        assert_eq!(got, eng.inverse(&prod2));
+        ntt::inverse_inplace(&mut prod2, &t);
+        assert_eq!(got, prod2);
     }
 
     #[test]

@@ -107,7 +107,7 @@ mod tests {
         for (i, &pi) in perm.iter().enumerate() {
             p[i * 3 + pi] = 1;
         }
-        let want = cross_poly::engines::matmul_mod(&p, &m, 3, 3, 2, q);
+        let want = crate::mat::matmul_mod(&p, &m, 3, 3, 2, q);
         assert_eq!(got, want);
     }
 

@@ -7,7 +7,7 @@
 
 use crate::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use crate::modred::ModRed;
-use cross_poly::{HostNtt, NttEngine, NttTables};
+use cross_poly::NttTables;
 use cross_tpu::{TpuGeneration, TpuSim};
 use std::sync::Arc;
 
@@ -83,14 +83,6 @@ pub fn best_plan(
     best.expect("at least one candidate").1
 }
 
-/// The default **functional** (host CPU) engine for `tables` — what
-/// [`cross_poly::host_ntt::forward_inplace`] runs, as an explicit
-/// [`NttEngine`] for code that works over the trait. One engine at
-/// every degree: there is no size switch to mirror.
-pub fn default_host_engine(tables: Arc<NttTables>) -> Box<dyn NttEngine> {
-    Box::new(HostNtt::new(tables))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,25 +116,6 @@ mod tests {
         // The small-degree fallback of both entry points is the same split.
         assert_eq!(rc_candidates(1 << 6), vec![balanced_rc(1 << 6)]);
         assert_eq!(standalone_ntt_rc(1 << 6), balanced_rc(1 << 6));
-    }
-
-    #[test]
-    fn default_host_engine_is_the_host_dispatch_at_every_size() {
-        for logn in [4u32, 8] {
-            let n = 1usize << logn;
-            let t = Arc::new(NttTables::new(
-                n,
-                primes::ntt_prime(28, n as u64, 0).unwrap(),
-            ));
-            let e = default_host_engine(t.clone());
-            assert_eq!(e.name(), "lazy-radix2", "logn={logn}");
-            // The engine matches the butterfly loop bit-for-bit.
-            let a: Vec<u64> = (0..n as u64).map(|i| (i * 13 + 5) % t.q()).collect();
-            let mut r2 = a.clone();
-            cross_poly::ntt::forward_inplace(&mut r2, &t);
-            assert_eq!(e.forward(&a), r2);
-            assert_eq!(e.inverse(&r2), a);
-        }
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! # cross-poly
 //!
-//! Negacyclic polynomial rings `R_q = Z_q[x]/(x^N + 1)` and the reference
-//! NTT engines the CROSS paper builds on:
+//! RNS polynomials over negacyclic rings `R_q = Z_q[x]/(x^N + 1)` —
+//! one container, [`PolyBatch`] ([`RnsPoly`] is its batch-of-one
+//! alias) — and one NTT per role:
 //!
-//! * a naive `O(N²)` negacyclic transform (test oracle),
-//! * the radix-2 Cooley–Tukey butterfly NTT (paper Alg. 3 / §F1) —
-//!   the algorithm GPUs favour and TPUs suffer under,
-//! * the 4-step matrix NTT (paper Fig. 10 row 1) — the decomposition
-//!   MAT later rewrites into the layout-invariant 3-step form,
-//! * the host engine ([`host_ntt`]): the same radix-2 dataflow on
-//!   Shoup/lazy-reduced arithmetic with a cache-blocked stage
-//!   schedule ([`small_ntt`]) — the default *functional* engine,
-//!   bit-identical to the radix-2 loop and several times faster.
+//! * the product: [`host_ntt::forward_inplace`] /
+//!   [`host_ntt::inverse_inplace`], the radix-2 dataflow on
+//!   Shoup/lazy-reduced arithmetic with a cache-blocked stage schedule
+//!   ([`small_ntt`]) — what every domain conversion runs;
+//! * the butterfly oracle: [`ntt::forward_inplace`] /
+//!   [`ntt::inverse_inplace`], the radix-2 Cooley–Tukey NTT (paper
+//!   Alg. 3 / §F1), the algorithm GPUs favour and TPUs suffer under;
+//! * the `O(N²)` oracle: [`ntt::naive_forward`] /
+//!   [`ntt::naive_inverse`], natural order.
 //!
-//! All engines agree bit-for-bit (modulo output ordering, which is part
-//! of each engine's contract) and are property-tested against the
-//! convolution theorem.
+//! The host engine is bit-identical to the butterflies, which equal the
+//! naive transform up to bit-reversed output order; the MAT 3-step NTT
+//! that rewrites the paper's 4-step matrix form (Fig. 10) lives in
+//! `cross-core`.
 //!
 //! ## Example
 //!
@@ -31,7 +33,6 @@
 //! ```
 
 pub mod batch;
-pub mod engines;
 pub mod host_ntt;
 pub mod ntt;
 pub mod ring;
@@ -41,8 +42,5 @@ pub mod small_ntt;
 pub mod tables;
 
 pub use batch::PolyBatch;
-pub use engines::{CooleyTukeyNtt, FourStepNtt, NaiveNtt, NttEngine, OutputOrder};
-pub use host_ntt::HostNtt;
-pub use ring::Poly;
 pub use rns_poly::{RnsContext, RnsPoly};
 pub use tables::NttTables;

@@ -1,13 +1,62 @@
-//! In-place radix-2 negacyclic NTT butterflies (paper Alg. 3).
+//! The two oracle NTTs: in-place radix-2 negacyclic butterflies (paper
+//! Alg. 3) and the `O(N²)` naive transform.
 //!
-//! The forward transform uses Cooley–Tukey (decimation-in-time)
-//! butterflies: natural-order input, **bit-reversed** output. The inverse
-//! uses Gentleman–Sande butterflies: bit-reversed input, natural-order
-//! output. This is the classic GPU-optimized formulation whose per-stage
-//! bit-complement shuffling is exactly what MAT eliminates on TPUs.
+//! The forward butterfly transform uses Cooley–Tukey
+//! (decimation-in-time) butterflies: natural-order input,
+//! **bit-reversed** output. The inverse uses Gentleman–Sande
+//! butterflies: bit-reversed input, natural-order output. This is the
+//! classic GPU-optimized formulation whose per-stage bit-complement
+//! shuffling is exactly what MAT eliminates on TPUs.
+//!
+//! [`naive_forward`] / [`naive_inverse`] evaluate the defining sums
+//! directly, in natural order — the oracle the butterflies, the host
+//! engine and every compiled TPU kernel are checked against.
 
 use crate::tables::NttTables;
 use cross_math::modops::{add_mod, mul_mod, sub_mod};
+
+/// `O(N²)` negacyclic transform, natural order:
+/// `out[k] = Σ_j a[j]·ψ^{(2k+1)j} mod q`.
+///
+/// # Panics
+/// Panics if `a.len() != tables.n()`.
+pub fn naive_forward(a: &[u64], tables: &NttTables) -> Vec<u64> {
+    let n = tables.n();
+    assert_eq!(a.len(), n, "input length must equal the ring degree");
+    let q = tables.q();
+    (0..n as u64)
+        .map(|k| {
+            let mut acc = 0u64;
+            for (j, &aj) in a.iter().enumerate() {
+                let e = ((2 * k + 1) * j as u64) % (2 * n as u64);
+                acc = add_mod(acc, mul_mod(aj % q, tables.psi_power(e), q), q);
+            }
+            acc
+        })
+        .collect()
+}
+
+/// Inverse of [`naive_forward`] (natural-order input):
+/// `out[j] = N⁻¹·ψ^{-j}·Σ_k a[k]·ψ^{-2kj} mod q`.
+///
+/// # Panics
+/// Panics if `a.len() != tables.n()`.
+pub fn naive_inverse(a: &[u64], tables: &NttTables) -> Vec<u64> {
+    let n = tables.n();
+    assert_eq!(a.len(), n, "input length must equal the ring degree");
+    let q = tables.q();
+    (0..n as u64)
+        .map(|j| {
+            let mut acc = 0u64;
+            for (k, &ak) in a.iter().enumerate() {
+                let w = tables.psi_inv_power((2 * k as u64 * j) % (2 * n as u64));
+                acc = add_mod(acc, mul_mod(ak, w, q), q);
+            }
+            let scaled = mul_mod(acc, tables.psi_inv_power(j), q);
+            mul_mod(scaled, tables.n_inv(), q)
+        })
+        .collect()
+}
 
 /// Forward negacyclic NTT, natural input → bit-reversed output.
 ///
@@ -117,22 +166,6 @@ mod tests {
         NttTables::new(n, primes::ntt_prime(28, n as u64, 0).unwrap())
     }
 
-    /// Naive negacyclic DFT, natural order: â_k = Σ a_j ψ^{(2k+1)j}.
-    fn naive(a: &[u64], t: &NttTables) -> Vec<u64> {
-        let n = a.len();
-        let q = t.q();
-        (0..n)
-            .map(|k| {
-                let mut acc = 0u64;
-                for (j, &aj) in a.iter().enumerate() {
-                    let e = ((2 * k as u64 + 1) * j as u64) % (2 * n as u64);
-                    acc = add_mod(acc, mul_mod(aj, t.psi_power(e), q), q);
-                }
-                acc
-            })
-            .collect()
-    }
-
     #[test]
     fn forward_matches_naive_bit_reversed() {
         for logn in [2u32, 3, 4, 6, 8] {
@@ -141,10 +174,17 @@ mod tests {
             let a: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % t.q()).collect();
             let mut f = a.clone();
             forward_inplace(&mut f, &t);
-            let mut want = naive(&a, &t);
+            let mut want = naive_forward(&a, &t);
             bit_reverse_in_place(&mut want);
             assert_eq!(f, want, "logn={logn}");
         }
+    }
+
+    #[test]
+    fn naive_roundtrip() {
+        let t = tables(4);
+        let a: Vec<u64> = (0..16u64).map(|i| (i * 2654435761 + 17) % t.q()).collect();
+        assert_eq!(naive_inverse(&naive_forward(&a, &t), &t), a);
     }
 
     #[test]

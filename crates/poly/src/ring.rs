@@ -1,362 +1,11 @@
-//! Single-modulus negacyclic ring elements `R_q = Z_q[x]/(x^N+1)`.
+//! The representation domain of a negacyclic ring element
+//! `R_q = Z_q[x]/(x^N+1)`; [`crate::PolyBatch`] carries one per batch.
 
-use crate::ntt;
-use crate::tables::NttTables;
-use cross_math::modops::{add_mod, mul_mod, neg_mod, sub_mod};
-use std::sync::Arc;
-
-/// Representation domain of a [`Poly`].
+/// Representation domain of a [`crate::PolyBatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Coefficient (power-basis) representation.
     Coefficient,
     /// Evaluation (NTT) representation, in the radix-2 bit-reversed layout.
     Evaluation,
-}
-
-/// A polynomial in `R_q` bound to shared NTT tables.
-///
-/// # Example
-/// ```
-/// use cross_poly::{NttTables, Poly};
-/// use std::sync::Arc;
-/// let t = Arc::new(NttTables::new(16, cross_math::primes::ntt_prime(28, 16, 0).unwrap()));
-/// let a = Poly::from_coeffs(t.clone(), (0..16).collect());
-/// let b = Poly::from_coeffs(t.clone(), (16..32).collect());
-/// let prod = a.mul(&b);             // NTT-based negacyclic product
-/// let want = a.schoolbook_mul(&b);  // O(N²) oracle
-/// assert_eq!(prod.coeffs(), want.coeffs());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Poly {
-    tables: Arc<NttTables>,
-    values: Vec<u64>,
-    domain: Domain,
-}
-
-impl Poly {
-    /// Wraps coefficient data (must be reduced mod `q`).
-    ///
-    /// # Panics
-    /// Panics if the length differs from the ring degree.
-    pub fn from_coeffs(tables: Arc<NttTables>, values: Vec<u64>) -> Self {
-        assert_eq!(values.len(), tables.n(), "length must equal the degree");
-        debug_assert!(values.iter().all(|&v| v < tables.q()));
-        Self {
-            tables,
-            values,
-            domain: Domain::Coefficient,
-        }
-    }
-
-    /// Wraps evaluation-domain data (bit-reversed NTT layout).
-    pub fn from_evals(tables: Arc<NttTables>, values: Vec<u64>) -> Self {
-        assert_eq!(values.len(), tables.n(), "length must equal the degree");
-        Self {
-            tables,
-            values,
-            domain: Domain::Evaluation,
-        }
-    }
-
-    /// The zero polynomial.
-    pub fn zero(tables: Arc<NttTables>) -> Self {
-        let n = tables.n();
-        Self::from_coeffs(tables, vec![0; n])
-    }
-
-    /// Current representation domain.
-    pub fn domain(&self) -> Domain {
-        self.domain
-    }
-
-    /// The bound tables.
-    pub fn tables(&self) -> &Arc<NttTables> {
-        &self.tables
-    }
-
-    /// Raw values in the current domain.
-    pub fn values(&self) -> &[u64] {
-        &self.values
-    }
-
-    /// Coefficients (converting out of the evaluation domain if needed).
-    pub fn coeffs(&self) -> Vec<u64> {
-        match self.domain {
-            Domain::Coefficient => self.values.clone(),
-            Domain::Evaluation => {
-                let mut v = self.values.clone();
-                ntt::inverse_inplace(&mut v, &self.tables);
-                v
-            }
-        }
-    }
-
-    /// Converts to the evaluation domain in place (no-op if already there).
-    pub fn to_evaluation(&mut self) {
-        if self.domain == Domain::Coefficient {
-            ntt::forward_inplace(&mut self.values, &self.tables);
-            self.domain = Domain::Evaluation;
-        }
-    }
-
-    /// Converts to the coefficient domain in place (no-op if already there).
-    pub fn to_coefficient(&mut self) {
-        if self.domain == Domain::Evaluation {
-            ntt::inverse_inplace(&mut self.values, &self.tables);
-            self.domain = Domain::Coefficient;
-        }
-    }
-
-    fn check_compat(&self, other: &Self) {
-        assert_eq!(self.tables.n(), other.tables.n(), "degree mismatch");
-        assert_eq!(self.tables.q(), other.tables.q(), "modulus mismatch");
-        assert_eq!(self.domain, other.domain, "domain mismatch");
-    }
-
-    /// Pointwise/coefficient-wise sum (domains must match).
-    pub fn add(&self, other: &Self) -> Self {
-        self.check_compat(other);
-        let q = self.tables.q();
-        let values = self
-            .values
-            .iter()
-            .zip(&other.values)
-            .map(|(&a, &b)| add_mod(a, b, q))
-            .collect();
-        Self {
-            tables: self.tables.clone(),
-            values,
-            domain: self.domain,
-        }
-    }
-
-    /// Pointwise/coefficient-wise difference (domains must match).
-    pub fn sub(&self, other: &Self) -> Self {
-        self.check_compat(other);
-        let q = self.tables.q();
-        let values = self
-            .values
-            .iter()
-            .zip(&other.values)
-            .map(|(&a, &b)| sub_mod(a, b, q))
-            .collect();
-        Self {
-            tables: self.tables.clone(),
-            values,
-            domain: self.domain,
-        }
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> Self {
-        let q = self.tables.q();
-        Self {
-            tables: self.tables.clone(),
-            values: self.values.iter().map(|&a| neg_mod(a, q)).collect(),
-            domain: self.domain,
-        }
-    }
-
-    /// Scalar product.
-    pub fn scalar_mul(&self, s: u64) -> Self {
-        let q = self.tables.q();
-        let s = s % q;
-        Self {
-            tables: self.tables.clone(),
-            values: self.values.iter().map(|&a| mul_mod(a, s, q)).collect(),
-            domain: self.domain,
-        }
-    }
-
-    /// Negacyclic product via NTT (`O(N log N)`), domain-preserving:
-    /// the result is returned in the coefficient domain.
-    pub fn mul(&self, other: &Self) -> Self {
-        assert_eq!(self.tables.q(), other.tables.q(), "modulus mismatch");
-        let q = self.tables.q();
-        let mut a = self.clone();
-        let mut b = other.clone();
-        a.to_evaluation();
-        b.to_evaluation();
-        let values: Vec<u64> = a
-            .values
-            .iter()
-            .zip(&b.values)
-            .map(|(&x, &y)| mul_mod(x, y, q))
-            .collect();
-        let mut out = Self {
-            tables: self.tables.clone(),
-            values,
-            domain: Domain::Evaluation,
-        };
-        out.to_coefficient();
-        out
-    }
-
-    /// `O(N²)` schoolbook negacyclic product — test oracle.
-    pub fn schoolbook_mul(&self, other: &Self) -> Self {
-        let n = self.tables.n();
-        let q = self.tables.q();
-        let a = self.coeffs();
-        let b = other.coeffs();
-        let mut c = vec![0u64; n];
-        for i in 0..n {
-            if a[i] == 0 {
-                continue;
-            }
-            for j in 0..n {
-                let p = mul_mod(a[i], b[j], q);
-                if i + j < n {
-                    c[i + j] = add_mod(c[i + j], p, q);
-                } else {
-                    c[i + j - n] = sub_mod(c[i + j - n], p, q);
-                }
-            }
-        }
-        Self::from_coeffs(self.tables.clone(), c)
-    }
-
-    /// Galois automorphism `σ_g: a(x) → a(x^g)` for odd `g`, computed in
-    /// the coefficient domain (paper's Automorphism kernel).
-    ///
-    /// # Panics
-    /// Panics if `g` is even (not a valid Galois element for `R_q`).
-    pub fn automorphism(&self, g: u64) -> Self {
-        assert!(g % 2 == 1, "Galois elements must be odd");
-        let n = self.tables.n();
-        let q = self.tables.q();
-        let a = self.coeffs();
-        let mut out = vec![0u64; n];
-        let two_n = 2 * n as u64;
-        for (j, &aj) in a.iter().enumerate() {
-            if aj == 0 {
-                continue;
-            }
-            let e = (j as u64 * (g % two_n)) % two_n;
-            if e < n as u64 {
-                out[e as usize] = add_mod(out[e as usize], aj, q);
-            } else {
-                let idx = (e - n as u64) as usize;
-                out[idx] = sub_mod(out[idx], aj, q);
-            }
-        }
-        Self::from_coeffs(self.tables.clone(), out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cross_math::primes;
-
-    fn tables(logn: u32) -> Arc<NttTables> {
-        let n = 1usize << logn;
-        Arc::new(NttTables::new(
-            n,
-            primes::ntt_prime(28, n as u64, 0).unwrap(),
-        ))
-    }
-
-    fn sample(t: &NttTables, seed: u64) -> Vec<u64> {
-        (0..t.n() as u64)
-            .map(|i| (i * 2654435761 + seed) % t.q())
-            .collect()
-    }
-
-    #[test]
-    fn ntt_mul_matches_schoolbook() {
-        for logn in [3u32, 5, 7] {
-            let t = tables(logn);
-            let a = Poly::from_coeffs(t.clone(), sample(&t, 1));
-            let b = Poly::from_coeffs(t.clone(), sample(&t, 99));
-            assert_eq!(a.mul(&b).coeffs(), a.schoolbook_mul(&b).coeffs());
-        }
-    }
-
-    #[test]
-    fn add_sub_inverse() {
-        let t = tables(5);
-        let a = Poly::from_coeffs(t.clone(), sample(&t, 1));
-        let b = Poly::from_coeffs(t.clone(), sample(&t, 2));
-        assert_eq!(a.add(&b).sub(&b).coeffs(), a.coeffs());
-    }
-
-    #[test]
-    fn neg_is_sub_from_zero() {
-        let t = tables(4);
-        let a = Poly::from_coeffs(t.clone(), sample(&t, 3));
-        let z = Poly::zero(t.clone());
-        assert_eq!(a.neg().coeffs(), z.sub(&a).coeffs());
-    }
-
-    #[test]
-    fn domain_roundtrip_preserves() {
-        let t = tables(6);
-        let a = Poly::from_coeffs(t.clone(), sample(&t, 5));
-        let mut b = a.clone();
-        b.to_evaluation();
-        assert_eq!(b.domain(), Domain::Evaluation);
-        b.to_coefficient();
-        assert_eq!(b.coeffs(), a.coeffs());
-    }
-
-    #[test]
-    fn add_commutes_across_domains() {
-        // NTT is linear: INTT(NTT(a)+NTT(b)) == a+b.
-        let t = tables(5);
-        let a = Poly::from_coeffs(t.clone(), sample(&t, 1));
-        let b = Poly::from_coeffs(t.clone(), sample(&t, 2));
-        let coeff_sum = a.add(&b);
-        let (mut ae, mut be) = (a.clone(), b.clone());
-        ae.to_evaluation();
-        be.to_evaluation();
-        let eval_sum = ae.add(&be);
-        assert_eq!(eval_sum.coeffs(), coeff_sum.coeffs());
-    }
-
-    #[test]
-    fn automorphism_identity() {
-        let t = tables(5);
-        let a = Poly::from_coeffs(t.clone(), sample(&t, 7));
-        assert_eq!(a.automorphism(1).coeffs(), a.coeffs());
-    }
-
-    #[test]
-    fn automorphism_composes() {
-        // σ_g ∘ σ_h == σ_{gh mod 2N}
-        let t = tables(5);
-        let n = t.n() as u64;
-        let a = Poly::from_coeffs(t.clone(), sample(&t, 11));
-        let (g, h) = (5u64, 9u64);
-        let lhs = a.automorphism(h).automorphism(g);
-        let rhs = a.automorphism(g * h % (2 * n));
-        assert_eq!(lhs.coeffs(), rhs.coeffs());
-    }
-
-    #[test]
-    fn automorphism_is_ring_homomorphism() {
-        // σ_g(a·b) == σ_g(a)·σ_g(b)
-        let t = tables(4);
-        let a = Poly::from_coeffs(t.clone(), sample(&t, 1));
-        let b = Poly::from_coeffs(t.clone(), sample(&t, 2));
-        let g = 3u64;
-        let lhs = a.mul(&b).automorphism(g);
-        let rhs = a.automorphism(g).mul(&b.automorphism(g));
-        assert_eq!(lhs.coeffs(), rhs.coeffs());
-    }
-
-    #[test]
-    fn x_to_the_g() {
-        // σ_g(x) == x^g: single coefficient moves (with negacyclic sign).
-        let t = tables(3);
-        let n = t.n();
-        let mut coeffs = vec![0u64; n];
-        coeffs[1] = 1; // a(x) = x
-        let a = Poly::from_coeffs(t.clone(), coeffs);
-        let g = 2 * n as u64 - 1; // x -> x^{2N-1} = x^{-1} = -x^{N-1}
-        let got = a.automorphism(g);
-        let mut want = vec![0u64; n];
-        want[n - 1] = t.q() - 1;
-        assert_eq!(got.coeffs(), want);
-    }
 }

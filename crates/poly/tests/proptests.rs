@@ -1,19 +1,16 @@
-//! Property-based tests for rings and NTT engines.
+//! Property-based tests for the radix-2 NTT and the ring operations of
+//! `PolyBatch`.
 
 use cross_math::modops::{add_mod, mul_mod, sub_mod};
 use cross_math::primes;
 use cross_poly::ring::Domain;
-use cross_poly::{CooleyTukeyNtt, FourStepNtt, NaiveNtt, NttEngine, NttTables, Poly};
-use cross_poly::{PolyBatch, RnsContext};
+use cross_poly::{ntt, NttTables, PolyBatch, RnsContext};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn tables(logn: u32) -> Arc<NttTables> {
+fn tables(logn: u32) -> NttTables {
     let n = 1usize << logn;
-    Arc::new(NttTables::new(
-        n,
-        primes::ntt_prime(28, n as u64, 0).unwrap(),
-    ))
+    NttTables::new(n, primes::ntt_prime(28, n as u64, 0).unwrap())
 }
 
 fn coeff_vec(logn: u32) -> impl Strategy<Value = Vec<u64>> {
@@ -81,75 +78,26 @@ proptest! {
     #[test]
     fn ct_roundtrip(a in coeff_vec(6)) {
         let t = tables(6);
-        let e = CooleyTukeyNtt::new(t);
-        prop_assert_eq!(e.inverse(&e.forward(&a)), a);
-    }
-
-    #[test]
-    fn four_step_roundtrip(a in coeff_vec(6)) {
-        let t = tables(6);
-        let e = FourStepNtt::new(t, 8, 8);
-        prop_assert_eq!(e.inverse(&e.forward(&a)), a);
-    }
-
-    #[test]
-    fn four_step_equals_naive(a in coeff_vec(5)) {
-        let t = tables(5);
-        let naive = NaiveNtt::new(t.clone());
-        let fs = FourStepNtt::new(t, 8, 4);
-        prop_assert_eq!(fs.forward(&a), naive.forward(&a));
+        let mut x = a.clone();
+        ntt::forward_inplace(&mut x, &t);
+        ntt::inverse_inplace(&mut x, &t);
+        prop_assert_eq!(x, a);
     }
 
     #[test]
     fn ntt_is_linear(a in coeff_vec(5), b in coeff_vec(5)) {
         let t = tables(5);
         let q = t.q();
-        let e = CooleyTukeyNtt::new(t.clone());
+        let fwd = |v: &[u64]| {
+            let mut x = v.to_vec();
+            ntt::forward_inplace(&mut x, &t);
+            x
+        };
         let sum: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| (x + y) % q).collect();
-        let fa = e.forward(&a);
-        let fb = e.forward(&b);
-        let fsum = e.forward(&sum);
+        let (fa, fb, fsum) = (fwd(&a), fwd(&b), fwd(&sum));
         for k in 0..a.len() {
             prop_assert_eq!((fa[k] + fb[k]) % q, fsum[k]);
         }
-    }
-
-    #[test]
-    fn poly_mul_commutative(a in coeff_vec(5), b in coeff_vec(5)) {
-        let t = tables(5);
-        let pa = Poly::from_coeffs(t.clone(), a);
-        let pb = Poly::from_coeffs(t.clone(), b);
-        prop_assert_eq!(pa.mul(&pb).coeffs(), pb.mul(&pa).coeffs());
-    }
-
-    #[test]
-    fn poly_mul_matches_schoolbook(a in coeff_vec(4), b in coeff_vec(4)) {
-        let t = tables(4);
-        let pa = Poly::from_coeffs(t.clone(), a);
-        let pb = Poly::from_coeffs(t.clone(), b);
-        prop_assert_eq!(pa.mul(&pb).coeffs(), pa.schoolbook_mul(&pb).coeffs());
-    }
-
-    #[test]
-    fn poly_distributive(a in coeff_vec(4), b in coeff_vec(4), c in coeff_vec(4)) {
-        let t = tables(4);
-        let pa = Poly::from_coeffs(t.clone(), a);
-        let pb = Poly::from_coeffs(t.clone(), b);
-        let pc = Poly::from_coeffs(t.clone(), c);
-        let lhs = pa.add(&pb).mul(&pc);
-        let rhs = pa.mul(&pc).add(&pb.mul(&pc));
-        prop_assert_eq!(lhs.coeffs(), rhs.coeffs());
-    }
-
-    #[test]
-    fn automorphism_preserves_addition(a in coeff_vec(4), b in coeff_vec(4), gsel in 0usize..8) {
-        let t = tables(4);
-        let g = 2 * gsel as u64 + 1; // odd Galois element
-        let pa = Poly::from_coeffs(t.clone(), a);
-        let pb = Poly::from_coeffs(t.clone(), b);
-        let lhs = pa.add(&pb).automorphism(g);
-        let rhs = pa.automorphism(g).add(&pb.automorphism(g));
-        prop_assert_eq!(lhs.coeffs(), rhs.coeffs());
     }
 }
 

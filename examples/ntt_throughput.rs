@@ -1,10 +1,9 @@
 //! NTT-throughput explorer: sweeps degrees, factorizations and TPU
 //! generations through the compiled batched pipeline and verifies the
 //! fused batch kernels bit-for-bit against the butterfly reference and
-//! the sequential loop at small degrees. Also races the default host
-//! engine (lazy radix-2) against the `u128 %` radix-2 butterfly
-//! (bit-identical, timed head-to-head) — the functional path every
-//! transform runs.
+//! the sequential loop at small degrees. Also races the host NTT
+//! (lazy radix-2, the functional path every transform runs) against
+//! the `u128 %` radix-2 butterfly (bit-identical, timed head-to-head).
 //!
 //! Run with: `cargo run --release --example ntt_throughput`
 
@@ -12,7 +11,7 @@ use cross::core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross::core::modred::ModRed;
 use cross::core::plan;
 use cross::math::primes;
-use cross::poly::{CooleyTukeyNtt, NttEngine, NttTables};
+use cross::poly::{host_ntt, ntt, NttTables};
 use cross::tpu::{TpuGeneration, TpuSim};
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,7 +34,8 @@ fn main() {
     let a: Vec<u64> = (0..n as u64).map(|i| (i * 37 + 5) % q).collect();
     let mut sim = TpuSim::new(TpuGeneration::V6e);
     let got = plan.forward_on_tpu(&mut sim, &a);
-    let want = CooleyTukeyNtt::new(tables).forward(&a);
+    let mut want = a.clone();
+    ntt::forward_inplace(&mut want, &tables);
     assert_eq!(got, want, "compiled kernel == butterfly reference");
     let batch = 4usize;
     let ab: Vec<u64> = (0..(batch * n) as u64).map(|i| (i * 41 + 7) % q).collect();
@@ -49,30 +49,37 @@ fn main() {
     println!("N=2^10: compiled TPU NTT is bit-identical to the radix-2 reference;");
     println!("the fused batch-{batch} kernel is bit-identical to the sequential loop\n");
 
-    // Host engines: the default lazy radix-2 engine (what every functional
-    // transform in the repo now runs through) vs the radix-2 butterfly,
-    // bit-identical and timed head-to-head.
-    println!("host engines (functional CPU path):");
+    // The host NTT (lazy radix-2, what every functional transform runs
+    // through) vs the radix-2 butterfly, bit-identical and timed
+    // head-to-head.
+    println!("host NTT vs radix-2 butterflies (functional CPU path):");
     for logn in [10u32, 12, 14] {
         let n = 1usize << logn;
         let q = primes::ntt_prime(28, n as u64, 0).unwrap();
-        let tables = Arc::new(NttTables::new(n, q));
-        let host = plan::default_host_engine(tables.clone());
-        let ct = CooleyTukeyNtt::new(tables);
+        let tables = NttTables::new(n, q);
         let a: Vec<u64> = (0..n as u64).map(|i| (i * 37 + 5) % q).collect();
-        assert_eq!(host.forward(&a), ct.forward(&a), "engines bit-identical");
+        let forward = |f: fn(&mut [u64], &NttTables)| {
+            let mut x = a.clone();
+            f(&mut x, &tables);
+            x
+        };
+        assert_eq!(
+            forward(host_ntt::forward_inplace),
+            forward(ntt::forward_inplace),
+            "transforms bit-identical"
+        );
         let reps = (1 << 22) / n;
-        let time = |f: &dyn Fn() -> Vec<u64>| {
+        let time = |f: fn(&mut [u64], &NttTables)| {
             let t0 = Instant::now();
             for _ in 0..reps {
-                std::hint::black_box(f());
+                std::hint::black_box(forward(f));
             }
             t0.elapsed().as_secs_f64() / reps as f64 * 1e6
         };
-        let (ct_us, host_us) = (time(&|| ct.forward(&a)), time(&|| host.forward(&a)));
+        let ct_us = time(ntt::forward_inplace);
+        let host_us = time(host_ntt::forward_inplace);
         println!(
-            "  N=2^{logn}: {} {host_us:.1} us vs radix2 {ct_us:.1} us ({:.2}x)",
-            host.name(),
+            "  N=2^{logn}: host {host_us:.1} us vs radix2 {ct_us:.1} us ({:.2}x)",
             ct_us / host_us
         );
     }

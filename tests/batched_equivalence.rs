@@ -1,11 +1,10 @@
 //! Batched-vs-sequential equivalence properties.
 //!
 //! The batching contract of the whole stack: every batched path —
-//! `PolyBatch` domain conversions, the fused `FourStepNtt` /
-//! `Ntt3Plan` batch kernels (on every `TpuGeneration`), and the
-//! `BatchedCiphertext` evaluator operators — must be **bit-exact** with
-//! the corresponding loop over the single-item path, for random batches
-//! of random sizes. For `PolyBatch` and the evaluator the single-item
+//! `PolyBatch` domain conversions, the fused `Ntt3Plan` batch kernels
+//! (on every `TpuGeneration`), and the `BatchedCiphertext` evaluator
+//! operators — must be **bit-exact** with the corresponding loop over
+//! the single-item path, for random batches of random sizes. For `PolyBatch` and the evaluator the single-item
 //! path is the batch-of-one call of the same code, so what these pin is
 //! that batch entries never interact.
 
@@ -14,7 +13,7 @@ use cross::core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross::core::modred::ModRed;
 use cross::math::primes;
 use cross::poly::rns_poly::{RnsContext, RnsPoly};
-use cross::poly::{FourStepNtt, NttEngine, NttTables, PolyBatch};
+use cross::poly::{NttTables, PolyBatch};
 use cross::tpu::{TpuGeneration, TpuSim};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -128,21 +127,6 @@ proptest! {
             let back = plan.inverse_batch_on_tpu(&mut s_inv, &fused, batch);
             prop_assert_eq!(&back, &a, "roundtrip {gen:?}");
         }
-    }
-
-    #[test]
-    fn four_step_batched_equivalence(
-        seed in any::<u64>(),
-        batch in 1usize..6,
-    ) {
-        let t = tables(6);
-        let n = t.n();
-        let fs = FourStepNtt::new(t.clone(), 8, 8);
-        let a = residues(batch * n, t.q(), seed);
-        let fused = fs.forward_batch(&a, batch);
-        let looped: Vec<u64> = a.chunks(n).flat_map(|p| fs.forward(p)).collect();
-        prop_assert_eq!(&fused, &looped);
-        prop_assert_eq!(&fs.inverse_batch(&fused, batch), &a);
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Engine-equivalence properties for the host NTT.
+//! Equivalence properties for the host NTT.
 //!
-//! The contract that lets `HostNtt` be the default functional
-//! engine: its forward/inverse transforms are **bit-identical** to the
-//! radix-2 butterfly (`CooleyTukeyNtt`, same bit-reversed output) and
-//! to the `O(N²)` `NaiveNtt` oracle (natural output, compared through
-//! the bit-reversal permutation) — across sizes (one 64-point body,
-//! and one to five leading passes ahead of the blocked tail), prime
-//! widths, and batch shapes on both sides of the parallel threshold. The RNS
-//! executor built on it must in turn match the compiled TPU path on
-//! every generation.
+//! The contract that lets `host_ntt::{forward,inverse}_inplace` be the
+//! functional transform: they are **bit-identical** to the radix-2
+//! butterflies (`ntt::{forward,inverse}_inplace`, same bit-reversed
+//! output) and to the `O(N²)` oracle `ntt::naive_forward` (natural
+//! output, compared through the bit-reversal permutation) — across
+//! sizes (one 64-point body, and one to five leading passes ahead of
+//! the blocked tail), prime widths, and `PolyBatch` batch shapes on
+//! both sides of the parallel threshold. The RNS executor built on it
+//! must in turn match the compiled TPU path on every generation.
 
 use cross::core::modred::ModRed;
 use cross::core::RnsNttPlans;
 use cross::math::bitrev::bit_reverse_in_place;
 use cross::math::primes;
+use cross::poly::ring::Domain;
 use cross::poly::rns_poly::{RnsContext, RnsPoly};
-use cross::poly::{CooleyTukeyNtt, HostNtt, NaiveNtt, NttEngine, NttTables, PolyBatch};
+use cross::poly::{host_ntt, ntt, NttTables, PolyBatch};
 use cross::tpu::{TpuGeneration, TpuSim};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -40,22 +41,42 @@ fn residues(len: usize, q: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// `transform` applied to a copy of `a`.
+fn run(transform: fn(&mut [u64], &NttTables), a: &[u64], t: &NttTables) -> Vec<u64> {
+    let mut x = a.to_vec();
+    transform(&mut x, t);
+    x
+}
+
+/// The polynomials stored back to back in `a` as a one-limb batch over
+/// `t` — the shape whose domain conversions fan out per polynomial.
+fn one_limb_batch(t: &Arc<NttTables>, a: &[u64]) -> PolyBatch {
+    let ctx = Arc::new(RnsContext::with_tables(t.n(), vec![t.clone()]));
+    PolyBatch::from_limbs(ctx, vec![a.to_vec()], Domain::Coefficient)
+}
+
 /// Deterministic sweep: every size from the single 64-point body up
-/// at every prime width matches the butterfly engine bit for bit,
+/// at every prime width matches the radix-2 butterflies bit for bit,
 /// forward and roundtrip.
 #[test]
 fn host_matches_radix2_all_sizes_and_primes() {
     for bits in [20u32, 26, 28, 30] {
         for logn in 6..=11u32 {
             let t = tables(logn, bits);
-            let host = HostNtt::new(t.clone());
-            let ct = CooleyTukeyNtt::new(t.clone());
             let a = residues(t.n(), t.q(), (u64::from(bits) << 32) | u64::from(logn));
-            let fwd = host.forward(&a);
-            assert_eq!(fwd, ct.forward(&a), "forward bits={bits} logn={logn}");
-            assert_eq!(host.inverse(&fwd), a, "roundtrip bits={bits} logn={logn}");
+            let fwd = run(host_ntt::forward_inplace, &a, &t);
             assert_eq!(
-                ct.inverse(&fwd),
+                fwd,
+                run(ntt::forward_inplace, &a, &t),
+                "forward bits={bits} logn={logn}"
+            );
+            assert_eq!(
+                run(host_ntt::inverse_inplace, &fwd, &t),
+                a,
+                "roundtrip bits={bits} logn={logn}"
+            );
+            assert_eq!(
+                run(ntt::inverse_inplace, &fwd, &t),
                 a,
                 "cross-engine roundtrip bits={bits} logn={logn}"
             );
@@ -70,33 +91,33 @@ fn host_matches_radix2_all_sizes_and_primes() {
 fn host_matches_naive_oracle() {
     for logn in 6..=8u32 {
         let t = tables(logn, 28);
-        let host = HostNtt::new(t.clone());
-        let naive = NaiveNtt::new(t.clone());
         let a = residues(t.n(), t.q(), 0x5EED ^ u64::from(logn));
-        let mut want = naive.forward(&a);
+        let mut want = ntt::naive_forward(&a, &t);
         bit_reverse_in_place(&mut want);
-        assert_eq!(host.forward(&a), want, "logn={logn}");
+        assert_eq!(run(host_ntt::forward_inplace, &a, &t), want, "logn={logn}");
     }
 }
 
-/// Batched transforms cross the parallel-dispatch threshold
-/// (`batch ≥ 2` and `batch·n ≥ 2^14`) without changing a single bit:
-/// the fused path must equal the sequential loop on both sides.
+/// Batched transforms cross the parallel-dispatch threshold without
+/// changing a single bit: the `PolyBatch` fan-out must equal the
+/// sequential loop on both sides. It fans out at two workers' worth of
+/// `par::MIN_PAR_WORK` in `log₂N · batch·N` butterfly work, which only
+/// the last shape reaches.
 #[test]
 fn host_batch_crosses_parallel_threshold() {
-    for (logn, batch) in [(6u32, 3usize), (8, 8), (11, 8)] {
+    for (logn, batch) in [(6u32, 3usize), (8, 8), (11, 8), (12, 8)] {
         let t = tables(logn, 28);
         let n = t.n();
-        let host = HostNtt::new(t.clone());
         let a = residues(batch * n, t.q(), u64::from(logn) * 131 + batch as u64);
-        let fused = host.forward_batch(&a, batch);
-        let looped: Vec<u64> = a.chunks(n).flat_map(|p| host.forward(p)).collect();
-        assert_eq!(fused, looped, "forward logn={logn} batch={batch}");
-        assert_eq!(
-            host.inverse_batch(&fused, batch),
-            a,
-            "roundtrip logn={logn} batch={batch}"
-        );
+        let mut pb = one_limb_batch(&t, &a);
+        pb.to_evaluation();
+        let looped: Vec<u64> = a
+            .chunks(n)
+            .flat_map(|p| run(host_ntt::forward_inplace, p, &t))
+            .collect();
+        assert_eq!(pb.limbs()[0], looped, "forward logn={logn} batch={batch}");
+        pb.to_coefficient();
+        assert_eq!(pb.limbs()[0], a, "roundtrip logn={logn} batch={batch}");
     }
 }
 
@@ -111,12 +132,10 @@ proptest! {
     ) {
         let bits = [20u32, 26, 28, 30][bits_idx];
         let t = tables(logn, bits);
-        let host = HostNtt::new(t.clone());
-        let ct = CooleyTukeyNtt::new(t.clone());
         let a = residues(t.n(), t.q(), seed);
-        let fwd = host.forward(&a);
-        prop_assert_eq!(&fwd, &ct.forward(&a));
-        prop_assert_eq!(&host.inverse(&fwd), &a);
+        let fwd = run(host_ntt::forward_inplace, &a, &t);
+        prop_assert_eq!(&fwd, &run(ntt::forward_inplace, &a, &t));
+        prop_assert_eq!(&run(host_ntt::inverse_inplace, &fwd, &t), &a);
     }
 
     #[test]
@@ -128,12 +147,16 @@ proptest! {
         let batch = [1usize, 3, 8][batch_idx];
         let t = tables(logn, 28);
         let n = t.n();
-        let host = HostNtt::new(t.clone());
         let a = residues(batch * n, t.q(), seed);
-        let fused = host.forward_batch(&a, batch);
-        let looped: Vec<u64> = a.chunks(n).flat_map(|p| host.forward(p)).collect();
-        prop_assert_eq!(&fused, &looped);
-        prop_assert_eq!(&host.inverse_batch(&fused, batch), &a);
+        let mut pb = one_limb_batch(&t, &a);
+        pb.to_evaluation();
+        let looped: Vec<u64> = a
+            .chunks(n)
+            .flat_map(|p| run(host_ntt::forward_inplace, p, &t))
+            .collect();
+        prop_assert_eq!(&pb.limbs()[0], &looped);
+        pb.to_coefficient();
+        prop_assert_eq!(&pb.limbs()[0], &a);
     }
 
     /// The host executor behind `RnsNttPlans::forward_batch`
@@ -154,7 +177,7 @@ proptest! {
                     .iter()
                     .map(|&q| residues(n, q, seed.wrapping_add(b as u64 * 31)))
                     .collect();
-                RnsPoly::from_limbs(ctx.clone(), limbs, cross::poly::ring::Domain::Coefficient)
+                RnsPoly::from_limbs(ctx.clone(), limbs, Domain::Coefficient)
             })
             .collect();
         let pb = PolyBatch::from_polys(&polys);
