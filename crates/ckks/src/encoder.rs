@@ -32,11 +32,6 @@ impl Complex64 {
         Self::new(self.re, -self.im)
     }
 
-    /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Scales by a real factor.
     pub fn scale(self, s: f64) -> Self {
         Self::new(self.re * s, self.im * s)

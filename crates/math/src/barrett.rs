@@ -94,11 +94,6 @@ impl BarrettReducer {
     pub const PRIMITIVE_OPS: u32 = 5;
 }
 
-/// Convenience free function: one-shot Barrett `a*b mod q`.
-pub fn barrett_mul(a: u64, b: u64, q: u64) -> u64 {
-    BarrettReducer::new(q).mul_mod(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,13 +50,6 @@ pub fn ceil_log2(x: u64) -> u32 {
     64 - (x - 1).leading_zeros()
 }
 
-/// `log2 x` for a power of two `x`.
-#[inline]
-pub fn exact_log2(x: usize) -> u32 {
-    assert!(x.is_power_of_two(), "{x} is not a power of two");
-    x.trailing_zeros()
-}
-
 /// Rounds `x` up to the next multiple of `m`.
 #[inline]
 pub fn round_up(x: usize, m: usize) -> usize {

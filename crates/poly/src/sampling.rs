@@ -40,14 +40,6 @@ pub fn gaussian_signed<R: Rng>(rng: &mut R, n: usize, sigma: f64) -> Vec<i64> {
         .collect()
 }
 
-/// Gaussian error mapped into `[0, q)`.
-pub fn gaussian_poly<R: Rng>(rng: &mut R, n: usize, q: u64, sigma: f64) -> Vec<u64> {
-    gaussian_signed(rng, n, sigma)
-        .into_iter()
-        .map(|v| from_signed(v, q))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

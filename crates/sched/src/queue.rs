@@ -431,11 +431,6 @@ impl<P> RequestQueue<P> {
         self.pending
     }
 
-    /// Pending operations queued for `tenant`.
-    pub fn len_for(&self, tenant: TenantId) -> usize {
-        self.queues.get(&tenant).map_or(0, |q| q.len())
-    }
-
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.pending == 0

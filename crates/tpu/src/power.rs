@@ -47,11 +47,6 @@ pub fn cores_matching_power(gen: TpuGeneration, target_watts: f64) -> u32 {
     ideal.clamp(1, spec.tensor_cores as i64) as u32
 }
 
-/// Aggregate watts of `cores` tensor cores of `gen`.
-pub fn watts_of(gen: TpuGeneration, cores: u32) -> f64 {
-    gen.spec().tc_watts * cores as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

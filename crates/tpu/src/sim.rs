@@ -344,20 +344,6 @@ impl TpuSim {
         eff_bytes / (self.spec.vmem_write_gibs * GIB) + XLU_FIXED_S
     }
 
-    /// Functional permutation `out[i] = data[perm[i]]`, charging XLU time
-    /// at the given run granularity.
-    pub fn permute_u64(
-        &mut self,
-        data: &[u64],
-        perm: &[usize],
-        run_len: usize,
-        cat: Category,
-    ) -> Vec<u64> {
-        assert_eq!(data.len(), perm.len());
-        self.charge_shuffle(data.len(), run_len, cat);
-        perm.iter().map(|&p| data[p]).collect()
-    }
-
     /// Cost-only shuffle charge.
     pub fn charge_shuffle(&mut self, elems: usize, run_len: usize, cat: Category) {
         self.trace
