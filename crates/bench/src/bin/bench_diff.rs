@@ -48,9 +48,9 @@
 //! the optimizer-pass win on the workload graphs). Pinned pairs guard
 //! the host NTT engine (failing): `ntt_engines/host/*` — what the
 //! functional dispatch runs — must read within 1.05 × each
-//! alternative timed beside it (`radix2_ct`, `mat_3step_ref`), and `batched_ntt/host_fused/*` must beat
-//! `batched_ntt/mat3_fused/*` — the "default engine is the fastest
-//! engine" claim. The serving-loop claim —
+//! alternative timed beside it (`radix2_ct`, `mat_3step_ref`), and
+//! `batched_ntt/host_fused/*` must beat `batched_ntt/mat3_fused/*` —
+//! the "default engine is the fastest engine" claim. The serving-loop claim —
 //! `serve_throughput/serve_multi/*` sustaining at least
 //! `single_drain/*`'s throughput — is checked **warn-only**: both
 //! sides are wall-clock, and on a single-core runner the loop can at
