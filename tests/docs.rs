@@ -7,6 +7,12 @@
 //! matches any run of characters and `{a,b}` is an alternation, every
 //! branch of which must match. Deleting or renaming a bench fails here
 //! until the prose that cites it is fixed.
+//!
+//! The docs also name only Rust items that exist: every segment of every
+//! inline-code path shaped like `a::b[::c]` must be declared in the
+//! repo's Rust sources — as a crate, module, file, item, `use … as` name,
+//! struct field or enum variant. Paths rooted at `std`, `core` or a primitive type are
+//! not checked.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -126,6 +132,157 @@ fn bench_keys_named_in_docs_exist() {
     assert!(
         stale.is_empty(),
         "docs name bench keys BENCH_results.json does not have:\n{}",
+        stale.join("\n")
+    );
+}
+
+/// Roots whose paths the docs test does not resolve.
+const EXTERNAL_ROOTS: &[&str] = &[
+    "std", "core", "alloc", "f32", "f64", "u32", "u64", "usize", "Duration",
+];
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn is_ident(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// Every name the repo's Rust declares: crates, modules (inline, file or
+/// directory), items, `use` renames, struct fields and enum variants.
+fn declared_names() -> BTreeSet<String> {
+    // `as` for a `use … as name` rename (a cast only adds a primitive).
+    const ITEM_KEYWORDS: &[&str] = &[
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union", "as",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut names = BTreeSet::from(["cross".to_string()]);
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let krate = krate.unwrap().file_name();
+        names.insert(format!("cross_{}", krate.to_string_lossy()));
+    }
+    for vendored in std::fs::read_dir(root.join("vendor")).unwrap() {
+        names.insert(vendored.unwrap().file_name().to_string_lossy().into_owned());
+    }
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "vendor"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    for file in files {
+        for module in [file.file_stem(), file.parent().and_then(Path::file_name)] {
+            names.extend(module.map(|m| m.to_string_lossy().into_owned()));
+        }
+        for line in std::fs::read_to_string(&file).unwrap().lines() {
+            let words: Vec<&str> = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .filter(|w| !w.is_empty())
+                .collect();
+            for pair in words.windows(2) {
+                if ITEM_KEYWORDS.contains(&pair[0]) {
+                    names.insert(pair[1].to_string());
+                }
+            }
+            // A field (`name: T`) or a variant (`Name`, `Name(..)`, `Name { .. }`).
+            let mut decl = line.trim_start();
+            if let Some(rest) = decl.strip_prefix("pub") {
+                decl = match rest.strip_prefix('(') {
+                    Some(scoped) => scoped.split_once(')').map_or("", |(_, r)| r),
+                    None => rest,
+                }
+                .trim_start();
+            }
+            let end = decl
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(decl.len());
+            let (name, rest) = decl.split_at(end);
+            let rest = rest.trim_start();
+            let field = rest.starts_with(':') && !rest.starts_with("::");
+            let variant = name.starts_with(|c: char| c.is_ascii_uppercase())
+                && (rest.is_empty() || rest.starts_with([',', '(', '{', '=']));
+            if is_ident(name) && (field || variant) {
+                names.insert(name.to_string());
+            }
+        }
+    }
+    names
+}
+
+/// The segments of a path mention, or `None` if the span is not a path.
+/// A call's arguments and anything after them are dropped, and a
+/// `dir/file.rs` segment names module `file`.
+fn path_segments(path: &str) -> Option<Vec<String>> {
+    let path = path.split('(').next().unwrap();
+    let mut segments = Vec::new();
+    for segment in path.split("::").map(str::trim) {
+        let segment = match segment.strip_suffix(".rs") {
+            Some(file) => file.rsplit('/').next().unwrap(),
+            None => segment,
+        };
+        match segment {
+            "" => {}
+            s if is_ident(s) => segments.push(s.to_string()),
+            _ => return None,
+        }
+    }
+    Some(segments)
+}
+
+#[test]
+fn path_semantics() {
+    let segs = |p: &str| path_segments(p).map(|s| s.join(" "));
+    assert_eq!(segs("par::workers_for(work)").unwrap(), "par workers_for");
+    assert_eq!(segs("Topology::hosts() > 1").unwrap(), "Topology hosts");
+    assert_eq!(segs("tests/ks_fast.rs::case").unwrap(), "ks_fast case");
+    assert_eq!(segs("costs::").unwrap(), "costs");
+    assert_eq!(segs("::Reject").unwrap(), "Reject");
+    assert_eq!(segs("a = b::c"), None);
+    assert_eq!(alternatives("E::{add, sub}_batch")[1], "E:: sub_batch");
+}
+
+#[test]
+fn rust_paths_named_in_docs_exist() {
+    let names = declared_names();
+    let mut checked = BTreeSet::new();
+    let mut stale = Vec::new();
+    for doc in ["README.md", "DESIGN.md"] {
+        for span in code_spans(&read(doc)) {
+            if !span.contains("::") {
+                continue;
+            }
+            for alt in alternatives(&span) {
+                let Some(segments) = path_segments(&alt) else {
+                    continue;
+                };
+                if segments.is_empty() || EXTERNAL_ROOTS.contains(&segments[0].as_str()) {
+                    continue;
+                }
+                checked.insert(span.clone());
+                let missing: Vec<&String> =
+                    segments.iter().filter(|s| !names.contains(*s)).collect();
+                if !missing.is_empty() {
+                    stale.push(format!("{doc}: `{span}` ({alt}): no {missing:?}"));
+                }
+            }
+        }
+    }
+    // A parser that finds nothing would pass vacuously.
+    assert!(
+        checked.len() >= 80,
+        "only {} path mentions found",
+        checked.len()
+    );
+    assert!(
+        stale.is_empty(),
+        "docs name Rust items the sources do not declare:\n{}",
         stale.join("\n")
     );
 }
