@@ -56,13 +56,13 @@ impl SparseMatMul {
     }
 
     /// Fraction of zero entries in the sparse matrix.
-    pub fn zero_fraction(&self) -> f64 {
+    pub(crate) fn zero_fraction(&self) -> f64 {
         let zeros = self.a_sparse.iter().filter(|&&x| x == 0).count();
         zeros as f64 / self.a_sparse.len() as f64
     }
 
     /// Parameter bytes (the memory-waste side of Fig. 7 ❶).
-    pub fn param_bytes(&self) -> usize {
+    pub(crate) fn param_bytes(&self) -> usize {
         self.a_sparse.len()
     }
 
@@ -127,7 +127,7 @@ impl SparseMatMul {
     }
 
     /// Cost-only charge.
-    pub fn charge(&self, sim: &mut TpuSim, w: usize, cat: Category) {
+    pub(crate) fn charge(&self, sim: &mut TpuSim, w: usize, cat: Category) {
         Self::charge_shape(sim, self.h, self.v, w, self.k, cat);
     }
 
@@ -162,7 +162,7 @@ impl SparseMatMul {
 /// per stage, `N/2` vectorized modular ops **plus** a bit-complement
 /// shuffle whose contiguous-run length shrinks geometrically — the
 /// fine-grained reordering the XLU pays for dearly.
-pub fn ct_ntt_on_tpu(
+pub(crate) fn ct_ntt_on_tpu(
     sim: &mut TpuSim,
     tables: &Arc<NttTables>,
     a: &[u64],
@@ -206,7 +206,7 @@ pub fn charge_ct_ntt(sim: &mut TpuSim, n: usize, batch: usize) {
 /// The 4-step NTT with an EXPLICIT runtime transpose and bit-reverse
 /// shuffle (the decomposition-layer baseline MAT rewrites): identical
 /// matmul work to the 3-step plan plus the reordering cost.
-pub fn charge_four_step_ntt(sim: &mut TpuSim, r: usize, c: usize, batch: usize) {
+pub(crate) fn charge_four_step_ntt(sim: &mut TpuSim, r: usize, c: usize, batch: usize) {
     let n = r * c;
     let k = 4usize;
     sim.charge_vpu(n * batch, 2 * k as u32, Category::TypeConversion, "chunks");

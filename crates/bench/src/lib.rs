@@ -279,7 +279,7 @@ pub fn serve_tenants_smoke(
 }
 
 /// Percentile of an ascending-sorted sample (nearest-rank).
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty());
     let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
@@ -463,7 +463,7 @@ pub fn ntt_setups() -> Vec<(TpuGeneration, u32, &'static str)> {
 
 /// Relative agreement check used in harness self-tests: `got` within a
 /// multiplicative `factor` band of `want`.
-pub fn within_factor(got: f64, want: f64, factor: f64) -> bool {
+pub(crate) fn within_factor(got: f64, want: f64, factor: f64) -> bool {
     got > 0.0 && want > 0.0 && got / want <= factor && want / got <= factor
 }
 

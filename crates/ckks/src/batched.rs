@@ -152,17 +152,17 @@ impl BatchedCiphertext {
     }
 
     /// Number of ciphertexts in the batch.
-    pub fn batch(&self) -> usize {
+    pub(crate) fn batch(&self) -> usize {
         self.scales.len()
     }
 
     /// Ring degree.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.c0.context().n()
     }
 
     /// Total ciphertext bytes (2 polys × batch × level × N × 4).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         2 * self.batch() * self.level * self.n() * 4
     }
 }

@@ -24,12 +24,12 @@ pub struct Ciphertext {
 
 impl Ciphertext {
     /// Ring degree.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.c0.context().n()
     }
 
     /// Ciphertext bytes at the current level (2 polys × level × N × 4).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         2 * self.level * self.n() * 4
     }
 

@@ -114,12 +114,12 @@ impl CkksContext {
     }
 
     /// Full chain (Q then P).
-    pub fn chain(&self) -> &[u64] {
+    pub(crate) fn chain(&self) -> &[u64] {
         &self.chain
     }
 
     /// `P = Π p_i`.
-    pub fn big_p(&self) -> &BigUint {
+    pub(crate) fn big_p(&self) -> &BigUint {
         &self.big_p
     }
 
@@ -129,7 +129,7 @@ impl CkksContext {
     }
 
     /// RNS context for level `l` plus the extension basis.
-    pub fn ks_ctx(&self, l: usize) -> &Arc<RnsContext> {
+    pub(crate) fn ks_ctx(&self, l: usize) -> &Arc<RnsContext> {
         &self.ks_ctxs[l - 1]
     }
 
@@ -237,7 +237,7 @@ impl CkksContext {
     }
 
     /// Samples a ternary secret.
-    pub fn generate_secret(&self) -> SecretKey {
+    pub(crate) fn generate_secret(&self) -> SecretKey {
         let mut rng = self.rng.lock().unwrap();
         SecretKey {
             coeffs: sampling::ternary_signed(&mut *rng, self.params.n),
@@ -245,7 +245,7 @@ impl CkksContext {
     }
 
     /// Public key `(b, a) = (-a·s + e, a)` over the top-level `Q` basis.
-    pub fn generate_public(&self, sk: &SecretKey) -> PublicKey {
+    pub(crate) fn generate_public(&self, sk: &SecretKey) -> PublicKey {
         let ctx = self.level_ctx(self.params.limbs).clone();
         let mut rng = self.rng.lock().unwrap();
         let n = self.params.n;
@@ -268,7 +268,7 @@ impl CkksContext {
 
     /// Switching key from `s' = target` (signed integer coefficients,
     /// possibly of magnitude up to `N`) to the context secret `s`.
-    pub fn generate_switching_key(&self, sk: &SecretKey, target: &[i64]) -> SwitchingKey {
+    pub(crate) fn generate_switching_key(&self, sk: &SecretKey, target: &[i64]) -> SwitchingKey {
         let params = &self.params;
         let l = params.limbs;
         let alpha = params.digit_limbs();
@@ -310,7 +310,7 @@ impl CkksContext {
     }
 
     /// Relinearization key: switching key for `s²`.
-    pub fn generate_relin_key(&self, sk: &SecretKey) -> SwitchingKey {
+    pub(crate) fn generate_relin_key(&self, sk: &SecretKey) -> SwitchingKey {
         let s2 = negacyclic_square(&sk.coeffs);
         self.generate_switching_key(sk, &s2)
     }
@@ -437,7 +437,7 @@ impl CkksContext {
 }
 
 /// Negacyclic square of signed coefficients over the integers.
-pub fn negacyclic_square(s: &[i64]) -> Vec<i64> {
+pub(crate) fn negacyclic_square(s: &[i64]) -> Vec<i64> {
     let n = s.len();
     let mut out = vec![0i64; n];
     for i in 0..n {
@@ -457,7 +457,7 @@ pub fn negacyclic_square(s: &[i64]) -> Vec<i64> {
 }
 
 /// Galois automorphism `σ_g` on signed coefficients.
-pub fn automorphism_signed(s: &[i64], g: u64) -> Vec<i64> {
+pub(crate) fn automorphism_signed(s: &[i64], g: u64) -> Vec<i64> {
     let n = s.len();
     let two_n = 2 * n as u64;
     let mut out = vec![0i64; n];

@@ -139,7 +139,13 @@ pub fn charge_ntt_batch(sim: &mut TpuSim, r: usize, c: usize, batch: usize, cat:
 /// the whole batch) and intermediates never leave VMEM, so the only
 /// HBM traffic on the compute path is the operator's own input/output
 /// stream.
-pub fn charge_ntt_batch_fused(sim: &mut TpuSim, r: usize, c: usize, batch: usize, cat: Category) {
+pub(crate) fn charge_ntt_batch_fused(
+    sim: &mut TpuSim,
+    r: usize,
+    c: usize,
+    batch: usize,
+    cat: Category,
+) {
     let n = r * c;
     charge_ntt_through_step3_chunks(sim, r, c, batch, cat);
     // step 3: ONE row-stacked matmul for the whole batch.
@@ -185,7 +191,7 @@ pub fn charge_bconv(sim: &mut TpuSim, n: usize, l_in: usize, l_out: usize, batch
 
 /// Charges `count` limb-wise vectorized modular multiplies of degree `n`
 /// (operands + result round-trip HBM between unfused XLA ops).
-pub fn charge_vec_mod_mul(sim: &mut TpuSim, n: usize, count: usize) {
+pub(crate) fn charge_vec_mod_mul(sim: &mut TpuSim, n: usize, count: usize) {
     sim.charge_vpu(
         n * count,
         ModRed::Montgomery.vpu_ops(),
@@ -196,7 +202,7 @@ pub fn charge_vec_mod_mul(sim: &mut TpuSim, n: usize, count: usize) {
 }
 
 /// Charges `count` limb-wise vectorized modular additions of degree `n`.
-pub fn charge_vec_mod_add(sim: &mut TpuSim, n: usize, count: usize) {
+pub(crate) fn charge_vec_mod_add(sim: &mut TpuSim, n: usize, count: usize) {
     sim.charge_vpu(n * count, 2, Category::VecModOps, "vecmodadd");
     sim.charge_materialize((n * count * 12) as f64, Category::VecModOps);
 }
@@ -204,7 +210,7 @@ pub fn charge_vec_mod_add(sim: &mut TpuSim, n: usize, count: usize) {
 /// Charges the slot permutation of an automorphism over `limbs` limbs —
 /// the worst-case random gather/scatter of paper §V-C (Permutation
 /// category, run length 1).
-pub fn charge_automorphism_permutation(sim: &mut TpuSim, n: usize, limbs: usize) {
+pub(crate) fn charge_automorphism_permutation(sim: &mut TpuSim, n: usize, limbs: usize) {
     for _ in 0..limbs {
         sim.charge_shuffle(n, 8, Category::Permutation);
     }
@@ -212,7 +218,7 @@ pub fn charge_automorphism_permutation(sim: &mut TpuSim, n: usize, limbs: usize)
 
 /// `(R, C)` used for HE-operator kernels at degree `n` (sweep winner;
 /// §V-A sweeps {(128,512),(256,256),(512,128)} for Set D).
-pub fn he_rc(n: usize) -> (usize, usize) {
+pub(crate) fn he_rc(n: usize) -> (usize, usize) {
     // Balanced-to-wide factorization: prefer R=256 when possible.
     for r in [256usize, 128, 512, 64, 32, 16, 8] {
         if r <= n && n.is_multiple_of(r) && n / r >= 2 {
@@ -245,7 +251,7 @@ impl OpCounts {
     /// kernel dimension scales linearly (the NTT transform count *is*
     /// the `batch` argument of [`charge_ntt_batch_fused`], so a scaled
     /// bundle charged in one kernel models the batch-major fusion).
-    pub fn scaled(&self, batch: usize) -> OpCounts {
+    pub(crate) fn scaled(&self, batch: usize) -> OpCounts {
         OpCounts {
             ntt: self.ntt * batch,
             intt: self.intt * batch,
@@ -453,7 +459,7 @@ impl OpSpec {
     /// # Panics
     /// Panics, naming the operator, when level `l` cannot host it
     /// ([`result_level`] is `None`).
-    pub fn counts(&self, params: &CkksParams, l: usize) -> OpCounts {
+    pub(crate) fn counts(&self, params: &CkksParams, l: usize) -> OpCounts {
         assert!(
             result_level(self.limbs_consumed(), l).is_some(),
             "{} cannot run at level {l}",
@@ -734,7 +740,7 @@ pub fn normalize_breakdown(acc: std::collections::BTreeMap<Category, f64>) -> Ve
 }
 
 /// Switching-key bytes at level `l` (dnum digits × 2 polys × (l+k) limbs).
-pub fn switching_key_bytes(params: &CkksParams, l: usize) -> f64 {
+pub(crate) fn switching_key_bytes(params: &CkksParams, l: usize) -> f64 {
     (model_digits(params) * 2 * (l + params.special_limbs()) * params.n * 4) as f64
 }
 

@@ -28,7 +28,7 @@ impl Complex64 {
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Self::new(self.re, -self.im)
     }
 
@@ -81,7 +81,7 @@ pub struct CkksEncoder {
 
 impl CkksEncoder {
     /// Builds the codec for ring degree `n`.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n.is_power_of_two() && n >= 4);
         let m = 2 * n;
         let ksi_pows = (0..=m)
@@ -101,7 +101,7 @@ impl CkksEncoder {
     }
 
     /// Slot count `N/2`.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.n / 2
     }
 
@@ -110,7 +110,7 @@ impl CkksEncoder {
     }
 
     /// Forward special FFT (decode direction): coefficients → slots.
-    pub fn special_fft(&self, vals: &mut [Complex64]) {
+    pub(crate) fn special_fft(&self, vals: &mut [Complex64]) {
         let size = vals.len();
         assert!(size.is_power_of_two());
         let m = 2 * self.n;
@@ -136,7 +136,7 @@ impl CkksEncoder {
     }
 
     /// Inverse special FFT (encode direction): slots → coefficients.
-    pub fn special_ifft(&self, vals: &mut [Complex64]) {
+    pub(crate) fn special_ifft(&self, vals: &mut [Complex64]) {
         let size = vals.len();
         assert!(size.is_power_of_two());
         let m = 2 * self.n;
@@ -186,7 +186,7 @@ impl CkksEncoder {
     }
 
     /// Encodes a real vector.
-    pub fn encode_real(&self, values: &[f64], scale: f64) -> Vec<i64> {
+    pub(crate) fn encode_real(&self, values: &[f64], scale: f64) -> Vec<i64> {
         let slots: Vec<Complex64> = values.iter().map(|&v| Complex64::new(v, 0.0)).collect();
         self.encode(&slots, scale)
     }
@@ -203,7 +203,7 @@ impl CkksEncoder {
     }
 
     /// Decodes to the real parts only.
-    pub fn decode_real(&self, coeffs: &[f64], scale: f64) -> Vec<f64> {
+    pub(crate) fn decode_real(&self, coeffs: &[f64], scale: f64) -> Vec<f64> {
         self.decode(coeffs, scale).iter().map(|c| c.re).collect()
     }
 }

@@ -27,7 +27,7 @@ use crate::keys::SwitchingKey;
 
 /// A degree-7 odd polynomial `c1·x + c3·x³ + c5·x⁵ + c7·x⁷`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OddPoly7 {
+pub(crate) struct OddPoly7 {
     /// Coefficient of `x`.
     pub c1: f64,
     /// Coefficient of `x³`.
@@ -41,7 +41,7 @@ pub struct OddPoly7 {
 impl OddPoly7 {
     /// Plain-arithmetic evaluation (the reference the encrypted chain
     /// is tested against).
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         let x2 = x * x;
         let x3 = x2 * x;
         ((self.c7 * x2 + self.c5) * x2 + self.c3) * x3 + self.c1 * x
@@ -52,7 +52,7 @@ impl OddPoly7 {
 /// `f3(x) = (35x − 35x³ + 21x⁵ − 5x⁷)/16`: fixes ±1, flattens their
 /// neighbourhoods (`f3'(±1) = 0` to third order), so each application
 /// roughly cubes the distance to ±1.
-pub const F3: OddPoly7 = OddPoly7 {
+pub(crate) const F3: OddPoly7 = OddPoly7 {
     c1: 35.0 / 16.0,
     c3: -35.0 / 16.0,
     c5: 21.0 / 16.0,
@@ -64,7 +64,7 @@ pub const F3: OddPoly7 = OddPoly7 {
 /// inputs toward ±1 while mapping `[−1, 1]` into `[−0.9998, 0.9998]`
 /// (so a following `f3`, safe on `[−1.03, 1.03]`, never sees an
 /// out-of-domain value).
-pub const G3: OddPoly7 = OddPoly7 {
+pub(crate) const G3: OddPoly7 = OddPoly7 {
     c1: 4589.0 / 1024.0,
     c3: -16577.0 / 1024.0,
     c5: 25614.0 / 1024.0,
@@ -98,7 +98,7 @@ impl SgnTier {
     pub const ALL: [SgnTier; 3] = [SgnTier::Low, SgnTier::Mid, SgnTier::High];
 
     /// The composed polynomial steps, applied left to right.
-    pub fn composition(self) -> &'static [OddPoly7] {
+    pub(crate) fn composition(self) -> &'static [OddPoly7] {
         match self {
             SgnTier::Low => &[G3, G3, F3],
             SgnTier::Mid => &[G3, G3, F3, F3],
@@ -113,7 +113,7 @@ impl SgnTier {
 
     /// Guaranteed `α`: `|sgn(x) − sign(x)| ≤ 2⁻ᵅ` for
     /// `2⁻⁵ ≤ |x| ≤ 1` in plain arithmetic.
-    pub fn alpha(self) -> f64 {
+    pub(crate) fn alpha(self) -> f64 {
         match self {
             SgnTier::Low => 3.5,
             SgnTier::Mid => 12.0,
@@ -247,7 +247,7 @@ fn dropped<B: SgnBackend>(bk: &B, level: usize) -> f64 {
 /// # Panics
 /// Panics if `x` sits below level 6 (4 consumed + the plaintext
 /// multiplies need ≥ 3 live limbs of scale budget).
-pub fn eval_odd7<B: SgnBackend>(bk: &mut B, x: &B::Ct, p: &OddPoly7, target: f64) -> B::Ct {
+pub(crate) fn eval_odd7<B: SgnBackend>(bk: &mut B, x: &B::Ct, p: &OddPoly7, target: f64) -> B::Ct {
     let l = bk.level(x);
     assert!(
         l >= 6,
@@ -362,7 +362,7 @@ pub fn max_chain<B: SgnBackend>(bk: &mut B, a: &B::Ct, b: &B::Ct, tier: SgnTier)
 }
 
 /// `min(a, b)` — see [`max_chain`].
-pub fn min_chain<B: SgnBackend>(bk: &mut B, a: &B::Ct, b: &B::Ct, tier: SgnTier) -> B::Ct {
+pub(crate) fn min_chain<B: SgnBackend>(bk: &mut B, a: &B::Ct, b: &B::Ct, tier: SgnTier) -> B::Ct {
     min_max_chain(bk, a, b, tier, true)
 }
 
@@ -500,7 +500,7 @@ impl<'a> SignEvaluator<'a> {
     }
 
     /// The configured tier.
-    pub fn tier(&self) -> SgnTier {
+    pub(crate) fn tier(&self) -> SgnTier {
         self.tier
     }
 

@@ -33,7 +33,7 @@ pub struct SwitchingKeyDigit {
 
 impl SwitchingKeyDigit {
     /// Wraps raw full-chain limbs (evaluation domain) as a key digit.
-    pub fn new(b: Vec<Vec<u64>>, a: Vec<Vec<u64>>) -> Self {
+    pub(crate) fn new(b: Vec<Vec<u64>>, a: Vec<Vec<u64>>) -> Self {
         Self { b, a }
     }
 }
@@ -47,7 +47,7 @@ pub struct SwitchingKey {
 
 impl SwitchingKey {
     /// Number of digits (`dnum` effective).
-    pub fn dnum(&self) -> usize {
+    pub(crate) fn dnum(&self) -> usize {
         self.digits.len()
     }
 

@@ -26,7 +26,7 @@ use std::ops::Range;
 /// digit, where its base-extended limbs land in the `Q_l·P` chain, and
 /// the compiled BConv kernel that produces them.
 #[derive(Debug)]
-pub struct KsDigitPlan {
+pub(crate) struct KsDigitPlan {
     /// Level-limb indices belonging to this digit.
     pub(crate) range: Range<usize>,
     /// Extended-chain slot of each converted limb, in kernel output

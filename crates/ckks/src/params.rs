@@ -81,24 +81,24 @@ impl CkksParams {
     }
 
     /// Slot count `N/2`.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.n / 2
     }
 
     /// Limbs per key-switching digit: `α = ⌈L/dnum⌉`.
-    pub fn digit_limbs(&self) -> usize {
+    pub(crate) fn digit_limbs(&self) -> usize {
         self.limbs.div_ceil(self.dnum)
     }
 
     /// Number of special (extension) limbs `k = α` — the standard
     /// hybrid-KS choice `P ⪆ Q_j` for every digit.
-    pub fn special_limbs(&self) -> usize {
+    pub(crate) fn special_limbs(&self) -> usize {
         self.digit_limbs()
     }
 
     /// Total limbs including the extension basis (`L + k`), the
     /// paper's `L'`.
-    pub fn total_limbs(&self) -> usize {
+    pub(crate) fn total_limbs(&self) -> usize {
         self.limbs + self.special_limbs()
     }
 
@@ -108,12 +108,12 @@ impl CkksParams {
     }
 
     /// Approximate `log2 Q` of the full ciphertext modulus.
-    pub fn log2_big_q(&self) -> u32 {
+    pub(crate) fn log2_big_q(&self) -> u32 {
         self.log2_q * self.limbs as u32
     }
 
     /// Bytes of one ciphertext (2 polys × limbs × N × 4 B).
-    pub fn ciphertext_bytes(&self) -> usize {
+    pub(crate) fn ciphertext_bytes(&self) -> usize {
         2 * self.limbs * self.n * 4
     }
 }

@@ -24,7 +24,7 @@ pub fn merge(chunks: &[u64], bp: u32) -> u64 {
 }
 
 /// Merge into `u128` for wide post-matmul partial sums.
-pub fn merge_u128(chunks: &[u64], bp: u32) -> u128 {
+pub(crate) fn merge_u128(chunks: &[u64], bp: u32) -> u128 {
     chunks
         .iter()
         .enumerate()

@@ -9,7 +9,7 @@ use cross_tpu::{sim::ops, Category, TpuSim};
 
 /// Chunk-wise product of two words as a 1-D convolution:
 /// `psum[t] = Σ_{i+j=t} a_i·b_j` for `t ∈ [0, 2K-1)` (Fig. 16 ❷).
-pub fn conv_psums(a: u64, b: u64, k: usize, bp: u32) -> Vec<u64> {
+pub(crate) fn conv_psums(a: u64, b: u64, k: usize, bp: u32) -> Vec<u64> {
     let ac = chunk::decompose(a, k, bp);
     let bc = chunk::decompose(b, k, bp);
     let mut psums = vec![0u64; 2 * k - 1];
@@ -23,7 +23,7 @@ pub fn conv_psums(a: u64, b: u64, k: usize, bp: u32) -> Vec<u64> {
 
 /// Temporal shift-and-add of the psums into the full 64-bit product
 /// (Fig. 16 ❸).
-pub fn accumulate_psums(psums: &[u64], bp: u32) -> u64 {
+pub(crate) fn accumulate_psums(psums: &[u64], bp: u32) -> u64 {
     psums
         .iter()
         .enumerate()
@@ -41,7 +41,7 @@ pub fn fallback_mod_mul(a: u64, b: u64, q: u64, bp: u32) -> u64 {
 /// Vectorized fallback multiply on the simulator: charges the 1-D
 /// convolution (2K-1 taps of K-chunk MACs), the temporal shift-add
 /// chain, and the final Barrett reduction on the VPU.
-pub fn fallback_mod_mul_vec(
+pub(crate) fn fallback_mod_mul_vec(
     sim: &mut TpuSim,
     a: &[u64],
     b: &[u64],

@@ -38,12 +38,12 @@ impl LazyReducer {
     }
 
     /// Chunks per word.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// The `K×K` byte matrix (row `j` = chunks of `2^{bp(j+K)} mod q`).
-    pub fn matrix(&self) -> &[Vec<u64>] {
+    pub(crate) fn matrix(&self) -> &[Vec<u64>] {
         &self.lc
     }
 

@@ -67,27 +67,27 @@ impl BatMatMul {
     }
 
     /// Output rows `H`.
-    pub fn h(&self) -> usize {
+    pub(crate) fn h(&self) -> usize {
         self.h
     }
 
     /// Contraction length `V` (pre-expansion).
-    pub fn v(&self) -> usize {
+    pub(crate) fn v(&self) -> usize {
         self.v
     }
 
     /// Chunks per element `K`.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// The modulus.
-    pub fn q(&self) -> u64 {
+    pub(crate) fn q(&self) -> u64 {
         self.q
     }
 
     /// The compiled dense byte matrix (`KH × KV`, row-major).
-    pub fn dense(&self) -> &[u8] {
+    pub(crate) fn dense(&self) -> &[u8] {
         &self.a_dense
     }
 
@@ -98,7 +98,7 @@ impl BatMatMul {
 
     /// `RUNTIMECOMPILERIGHT`: chunks a runtime `v×w` matrix into the
     /// `KV×W` byte layout (chunk rows stacked per source row).
-    pub fn compile_right(&self, b: &[u64], w: usize) -> Vec<u8> {
+    pub(crate) fn compile_right(&self, b: &[u64], w: usize) -> Vec<u8> {
         assert_eq!(b.len(), self.v * w, "rhs shape mismatch");
         let kv = self.k * self.v;
         let mut out = vec![0u8; kv * w];
@@ -223,7 +223,7 @@ pub fn mod_matmul_reference(
 /// `W_dense[(v·K+k), (j·K+t)] = chunk_t((w[v][j] << k·bp) mod q)` and the
 /// runtime left matrix is byte-chunked column-interleaved.
 #[derive(Debug, Clone)]
-pub struct BatMatMulRight {
+pub(crate) struct BatMatMulRight {
     v: usize,
     w: usize,
     k: usize,
@@ -235,7 +235,7 @@ pub struct BatMatMulRight {
 
 impl BatMatMulRight {
     /// Compiles the preknown `v×w` right matrix.
-    pub fn compile(wmat: &[u64], v: usize, w: usize, q: u64, bp: u32) -> Self {
+    pub(crate) fn compile(wmat: &[u64], v: usize, w: usize, q: u64, bp: u32) -> Self {
         assert_eq!(wmat.len(), v * w, "matrix shape mismatch");
         let k = chunk::chunk_count(q, bp);
         let (kv, kw) = (k * v, k * w);
@@ -262,17 +262,17 @@ impl BatMatMulRight {
     }
 
     /// Chunks per element `K`.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.k
     }
 
     /// Bytes of the compiled parameter.
-    pub fn param_bytes(&self) -> usize {
+    pub(crate) fn param_bytes(&self) -> usize {
         self.w_dense.len()
     }
 
     /// Chunks a runtime `h×v` left matrix into `h × KV` (column-interleaved).
-    pub fn compile_left(&self, x: &[u64], h: usize) -> Vec<u8> {
+    pub(crate) fn compile_left(&self, x: &[u64], h: usize) -> Vec<u8> {
         assert_eq!(x.len(), h * self.v, "lhs shape mismatch");
         let kv = self.k * self.v;
         let mut out = vec![0u8; h * kv];
@@ -303,7 +303,7 @@ impl BatMatMulRight {
     }
 
     /// Full execution on the simulator (`Z = X @ W mod q`, `X` is `h×v`).
-    pub fn execute(&self, sim: &mut TpuSim, x: &[u64], h: usize, cat: Category) -> Vec<u64> {
+    pub(crate) fn execute(&self, sim: &mut TpuSim, x: &[u64], h: usize, cat: Category) -> Vec<u64> {
         let (kv, kw) = (self.k * self.v, self.k * self.w);
         sim.charge_vpu(
             h * self.v,
@@ -329,7 +329,7 @@ impl BatMatMulRight {
     }
 
     /// Cost-only charge with `h` runtime rows.
-    pub fn charge(&self, sim: &mut TpuSim, h: usize, cat: Category) {
+    pub(crate) fn charge(&self, sim: &mut TpuSim, h: usize, cat: Category) {
         let (kv, kw) = (self.k * self.v, self.k * self.w);
         sim.charge_vpu(
             h * self.v,
@@ -353,7 +353,7 @@ impl BatMatMulRight {
     }
 
     /// Pure-Rust reference execution.
-    pub fn execute_reference(&self, x: &[u64], h: usize) -> Vec<u64> {
+    pub(crate) fn execute_reference(&self, x: &[u64], h: usize) -> Vec<u64> {
         let x_dense = self.compile_left(x, h);
         let (kv, kw) = (self.k * self.v, self.k * self.w);
         let mut z_chunk = vec![0u32; h * kw];

@@ -43,7 +43,7 @@ pub fn toeplitz_zero_fraction(k: usize) -> f64 {
 /// pushing carries to the next row (next output basis).
 ///
 /// The matrix gains a row if the top row carries out.
-pub fn carry_propagation(x: &mut Vec<Vec<u64>>, k: usize, bp: u32) {
+pub(crate) fn carry_propagation(x: &mut Vec<Vec<u64>>, k: usize, bp: u32) {
     let mask = (1u64 << bp) - 1;
     let mut row = 0;
     while row < x.len() {
@@ -70,7 +70,7 @@ pub fn carry_propagation(x: &mut Vec<Vec<u64>>, k: usize, bp: u32) {
 // same matrix are written, so iterator forms would fight the borrow
 // checker for no clarity gain.
 #[allow(clippy::needless_range_loop)]
-pub fn fold_high_basis(x: &mut [Vec<u64>], k: usize, bp: u32, q: u64) {
+pub(crate) fn fold_high_basis(x: &mut [Vec<u64>], k: usize, bp: u32, q: u64) {
     for r in k..x.len() {
         for j in 0..k {
             let v = x[r][j];

@@ -35,7 +35,7 @@ impl RnsNttPlans {
     ///
     /// # Panics
     /// Panics if `r·c != ctx.n()` (propagated from [`Ntt3Plan::new`]).
-    pub fn for_context(
+    pub(crate) fn for_context(
         ctx: &RnsContext,
         r: usize,
         c: usize,
@@ -68,12 +68,12 @@ impl RnsNttPlans {
     }
 
     /// The per-limb plans.
-    pub fn plans(&self) -> &[Ntt3Plan] {
+    pub(crate) fn plans(&self) -> &[Ntt3Plan] {
         &self.plans
     }
 
     /// Total offline parameter bytes across all limbs.
-    pub fn param_bytes(&self) -> usize {
+    pub(crate) fn param_bytes(&self) -> usize {
         self.plans.iter().map(|p| p.param_bytes()).sum()
     }
 
@@ -139,7 +139,7 @@ impl RnsNttPlans {
 
     /// Charges the cost of forward-transforming a batch of `batch`
     /// polynomials across all limbs (one fused kernel per limb).
-    pub fn charge_forward_batch(&self, sim: &mut TpuSim, batch: usize) {
+    pub(crate) fn charge_forward_batch(&self, sim: &mut TpuSim, batch: usize) {
         for plan in &self.plans {
             plan.charge_forward_batch(sim, batch);
         }
@@ -151,7 +151,11 @@ impl RnsNttPlans {
     /// kernels and no data crosses the interconnect (the honest
     /// multi-core NTT of the ROADMAP's sharding story — speedup is
     /// bounded by the ceil split, not assumed linear).
-    pub fn charge_forward_batch_pod(&self, pod: &mut cross_tpu::PodSim, batch: usize) -> f64 {
+    pub(crate) fn charge_forward_batch_pod(
+        &self,
+        pod: &mut cross_tpu::PodSim,
+        batch: usize,
+    ) -> f64 {
         let shard = crate::shard::ShardPlan::new(
             crate::shard::ShardStrategy::LimbParallel,
             pod.num_cores(),

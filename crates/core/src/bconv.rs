@@ -140,7 +140,7 @@ impl BconvKernel {
     }
 
     /// Degree `N`.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
@@ -176,7 +176,7 @@ impl BconvKernel {
 
     /// Step 1 on the simulator: `b_i = a_i · q̂_i^{-1} mod q_i` per limb.
     /// Accepts degree-`N` limbs or batch-major `N·batch` limbs.
-    pub fn step1_on_tpu(&self, sim: &mut TpuSim, limbs: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    pub(crate) fn step1_on_tpu(&self, sim: &mut TpuSim, limbs: &[Vec<u64>]) -> Vec<Vec<u64>> {
         assert_eq!(limbs.len(), self.l, "limb count mismatch");
         let rows = self.rows_of(limbs);
         limbs
@@ -197,7 +197,7 @@ impl BconvKernel {
     /// matmul, merged and reduced per column modulus. `rows` is `N` for
     /// one polynomial and `N·batch` for a batch — the inner products
     /// execute once per batch with the row dimension fused.
-    pub fn step2_bat_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    pub(crate) fn step2_bat_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
         let rows = self.rows_of(b);
         let (kl, klo) = (self.k * self.l, self.k * self.l_out);
         // Runtime chunking of the rows×L data into rows×KL (type conversion).
@@ -246,7 +246,7 @@ impl BconvKernel {
 
     /// Step 2 on the VPU only (the TPU *baseline* of Tab. VI): `L`
     /// high-precision multiply-accumulates per output element.
-    pub fn step2_baseline_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    pub(crate) fn step2_baseline_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
         let rows = self.rows_of(b);
         sim.charge_vpu(
             rows * self.l_out,
@@ -287,7 +287,7 @@ impl BconvKernel {
 
     /// Full conversion on the simulator with BAT (`use_bat = true`) or
     /// the VPU baseline. Returns target-basis limbs.
-    pub fn convert_on_tpu(
+    pub(crate) fn convert_on_tpu(
         &self,
         sim: &mut TpuSim,
         limbs: &[Vec<u64>],
@@ -303,7 +303,7 @@ impl BconvKernel {
 
     /// Cost-only charge of a full conversion (optionally batched over
     /// several polynomials).
-    pub fn charge(&self, sim: &mut TpuSim, use_bat: bool, batch: usize) {
+    pub(crate) fn charge(&self, sim: &mut TpuSim, use_bat: bool, batch: usize) {
         let n = self.n * batch;
         sim.charge_vpu(
             n * self.l,
@@ -347,7 +347,7 @@ impl BconvKernel {
     /// # Panics
     /// Panics if the batch's basis does not match the compiled source
     /// basis or the batch is not in the coefficient domain.
-    pub fn convert_batch_on_tpu(
+    pub(crate) fn convert_batch_on_tpu(
         &self,
         sim: &mut TpuSim,
         batch: &PolyBatch,

@@ -183,7 +183,7 @@ impl Ntt3Plan {
     }
 
     /// The configuration.
-    pub fn config(&self) -> Ntt3Config {
+    pub(crate) fn config(&self) -> Ntt3Config {
         self.cfg
     }
 
@@ -193,7 +193,7 @@ impl Ntt3Plan {
     }
 
     /// Total bytes of offline-compiled parameters (for DMA accounting).
-    pub fn param_bytes(&self) -> usize {
+    pub(crate) fn param_bytes(&self) -> usize {
         let bat = self.bat_w_r.as_ref().map_or(0, |b| b.param_bytes())
             + self.bat_w_c.as_ref().map_or(0, |b| b.param_bytes());
         bat + self.step2.len() * 4
@@ -351,7 +351,7 @@ impl Ntt3Plan {
 
     /// Inverse transform of a batch, pure CPU; accepts the plan layout,
     /// returns natural-order coefficients per polynomial.
-    pub fn inverse_batch_reference(&self, y: &[u64], batch: usize) -> Vec<u64> {
+    pub(crate) fn inverse_batch_reference(&self, y: &[u64], batch: usize) -> Vec<u64> {
         let (r, c, q) = (self.cfg.r, self.cfg.c, self.tables.q());
         let n = r * c;
         assert_eq!(y.len(), batch * n, "batch shape mismatch");

@@ -6,13 +6,13 @@
 //! offline.
 
 /// Applies `out[i] = v[perm[i]]` (gather form).
-pub fn apply(v: &[u64], perm: &[usize]) -> Vec<u64> {
+pub(crate) fn apply(v: &[u64], perm: &[usize]) -> Vec<u64> {
     assert_eq!(v.len(), perm.len());
     perm.iter().map(|&p| v[p]).collect()
 }
 
 /// Inverse permutation: `inv[perm[i]] = i`.
-pub fn invert(perm: &[usize]) -> Vec<usize> {
+pub(crate) fn invert(perm: &[usize]) -> Vec<usize> {
     let mut inv = vec![0usize; perm.len()];
     for (i, &p) in perm.iter().enumerate() {
         inv[p] = i;
@@ -23,14 +23,14 @@ pub fn invert(perm: &[usize]) -> Vec<usize> {
 /// Composition `(a ∘ b)[i] = b[a[i]]`: applying the result is the same
 /// as applying `a` first, then... careful: with the gather convention,
 /// `apply(apply(v, b), a) == apply(v, compose(a, b))`.
-pub fn compose(a: &[usize], b: &[usize]) -> Vec<usize> {
+pub(crate) fn compose(a: &[usize], b: &[usize]) -> Vec<usize> {
     assert_eq!(a.len(), b.len());
     a.iter().map(|&i| b[i]).collect()
 }
 
 /// Row-permutes an `r×c` row-major matrix: `out_row[i] = m_row[perm[i]]`
 /// (left-multiplication by the permutation matrix).
-pub fn permute_rows(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec<u64> {
+pub(crate) fn permute_rows(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec<u64> {
     assert_eq!(m.len(), r * c);
     assert_eq!(perm.len(), r);
     let mut out = vec![0u64; r * c];
@@ -43,7 +43,7 @@ pub fn permute_rows(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec<u64> {
 /// Column-permutes an `r×c` row-major matrix: `out[:, j] = m[:, perm[j]]`
 /// (right-multiplication by the permutation matrix transpose — for the
 /// involutive bit-reversal permutations MAT uses, direction coincides).
-pub fn permute_cols(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec<u64> {
+pub(crate) fn permute_cols(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec<u64> {
     assert_eq!(m.len(), r * c);
     assert_eq!(perm.len(), c);
     let mut out = vec![0u64; r * c];
@@ -58,7 +58,7 @@ pub fn permute_cols(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec<u64> {
 /// Whether a permutation is an involution (`π∘π = id`) — true for the
 /// bit-reversal permutations MAT embeds, which is what lets forward and
 /// inverse plans share tables.
-pub fn is_involution(perm: &[usize]) -> bool {
+pub(crate) fn is_involution(perm: &[usize]) -> bool {
     perm.iter().enumerate().all(|(i, &p)| perm[p] == i)
 }
 

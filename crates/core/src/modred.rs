@@ -23,7 +23,7 @@ pub enum ModRed {
 
 impl ModRed {
     /// All strategies, in Fig. 13 legend order.
-    pub const ALL: [ModRed; 4] = [
+    pub(crate) const ALL: [ModRed; 4] = [
         ModRed::Barrett,
         ModRed::Montgomery,
         ModRed::Shoup,
@@ -31,7 +31,7 @@ impl ModRed {
     ];
 
     /// Display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ModRed::Barrett => "Barrett",
             ModRed::Montgomery => "Montgomery",
@@ -53,7 +53,7 @@ impl ModRed {
     }
 
     /// Whether BAT matmul lowering is available under this strategy.
-    pub fn supports_bat(self) -> bool {
+    pub(crate) fn supports_bat(self) -> bool {
         !matches!(self, ModRed::Shoup)
     }
 }
@@ -62,7 +62,7 @@ impl ModRed {
 /// computes real values on the simulator while charging strategy-
 /// specific costs.
 #[derive(Debug, Clone)]
-pub struct VecModMul {
+pub(crate) struct VecModMul {
     q: u64,
     strategy: ModRed,
     mont: Montgomery,
@@ -71,7 +71,7 @@ pub struct VecModMul {
 
 impl VecModMul {
     /// Builds the multiplier for `q` under `strategy`.
-    pub fn new(q: u64, strategy: ModRed) -> Self {
+    pub(crate) fn new(q: u64, strategy: ModRed) -> Self {
         Self {
             q,
             strategy,
@@ -81,23 +81,23 @@ impl VecModMul {
     }
 
     /// The modulus.
-    pub fn q(&self) -> u64 {
+    pub(crate) fn q(&self) -> u64 {
         self.q
     }
 
     /// The strategy.
-    pub fn strategy(&self) -> ModRed {
+    pub(crate) fn strategy(&self) -> ModRed {
         self.strategy
     }
 
     /// The Montgomery context (for offline parameter lifting).
-    pub fn montgomery(&self) -> &Montgomery {
+    pub(crate) fn montgomery(&self) -> &Montgomery {
         &self.mont
     }
 
     /// Prepares a *preknown* parameter vector for runtime multiplication
     /// (lifting to the Montgomery domain / precomputing Shoup pairs).
-    pub fn prepare_params(&self, w: &[u64]) -> PreparedParams {
+    pub(crate) fn prepare_params(&self, w: &[u64]) -> PreparedParams {
         match self.strategy {
             ModRed::Montgomery => PreparedParams::Montgomery(
                 w.iter().map(|&x| self.mont.to_mont(x % self.q)).collect(),
@@ -118,7 +118,7 @@ impl VecModMul {
 
     /// Vectorized `a[i]·w[i] mod q` against prepared parameters,
     /// computing on the simulator with strategy-specific cost.
-    pub fn mul_vec(
+    pub(crate) fn mul_vec(
         &self,
         sim: &mut TpuSim,
         a: &[u64],
@@ -154,7 +154,7 @@ impl VecModMul {
 
 /// Offline-prepared parameter vectors, strategy-specific.
 #[derive(Debug, Clone)]
-pub enum PreparedParams {
+pub(crate) enum PreparedParams {
     /// Plain reduced values (Barrett / BAT-lazy).
     Plain(Vec<u64>),
     /// Montgomery-domain values.

@@ -16,7 +16,7 @@ use std::sync::Arc;
 ///
 /// # Panics
 /// Panics if `n` is not a power of two.
-pub fn balanced_rc(n: usize) -> (usize, usize) {
+pub(crate) fn balanced_rc(n: usize) -> (usize, usize) {
     assert!(n.is_power_of_two());
     let logn = n.trailing_zeros();
     let r = 1usize << (logn / 2);
@@ -24,7 +24,7 @@ pub fn balanced_rc(n: usize) -> (usize, usize) {
 }
 
 /// Candidate `(R, C)` factorizations for degree `n`, per §V-A.
-pub fn rc_candidates(n: usize) -> Vec<(usize, usize)> {
+pub(crate) fn rc_candidates(n: usize) -> Vec<(usize, usize)> {
     assert!(n.is_power_of_two());
     let mut out = Vec::new();
     for r in [128usize, 256, 512] {
@@ -53,7 +53,7 @@ pub fn standalone_ntt_rc(n: usize) -> (usize, usize) {
 
 /// Sweeps the candidates and returns the plan with the lowest charged
 /// batched-forward latency on `gen` (the paper's per-operator sweep).
-pub fn best_plan(
+pub(crate) fn best_plan(
     tables: Arc<NttTables>,
     gen: TpuGeneration,
     modred: ModRed,

@@ -47,13 +47,13 @@ impl BarrettReducer {
 
     /// The modulus this reducer was built for.
     #[inline]
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         self.q
     }
 
     /// Reduces a double-width product `z < q^2` into `[0, q)`.
     #[inline]
-    pub fn reduce(&self, z: u128) -> u64 {
+    pub(crate) fn reduce(&self, z: u128) -> u64 {
         debug_assert!(z < self.q as u128 * self.q as u128, "z must be < q^2");
         let t = ((z * self.m) >> self.s) as u64;
         let mut r = (z - t as u128 * self.q as u128) as u64;
@@ -91,7 +91,7 @@ impl BarrettReducer {
     ///
     /// Per Alg. 4: one full product, one high product with shift, one
     /// low product, up to two subtractions.
-    pub const PRIMITIVE_OPS: u32 = 5;
+    pub(crate) const PRIMITIVE_OPS: u32 = 5;
 }
 
 #[cfg(test)]

@@ -27,17 +27,17 @@ pub struct BigUint {
 
 impl BigUint {
     /// The value zero.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self { limbs: Vec::new() }
     }
 
     /// The value one.
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         Self { limbs: vec![1] }
     }
 
     /// Builds from little-endian limbs (normalizing trailing zeros).
-    pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
+    pub(crate) fn from_limbs(mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
@@ -45,12 +45,12 @@ impl BigUint {
     }
 
     /// Borrows the little-endian limbs (no trailing zeros).
-    pub fn limbs(&self) -> &[u64] {
+    pub(crate) fn limbs(&self) -> &[u64] {
         &self.limbs
     }
 
     /// True iff the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
@@ -175,7 +175,7 @@ impl BigUint {
     }
 
     /// `self >> 1` (halving, floor).
-    pub fn shr1(&self) -> Self {
+    pub(crate) fn shr1(&self) -> Self {
         let mut out = vec![0u64; self.limbs.len()];
         let mut carry = 0u64;
         for i in (0..self.limbs.len()).rev() {
@@ -187,7 +187,7 @@ impl BigUint {
 
     /// Approximate conversion to `f64` (loses precision beyond 53 bits,
     /// which is exactly what CKKS decoding tolerates).
-    pub fn to_f64(&self) -> f64 {
+    pub(crate) fn to_f64(&self) -> f64 {
         let mut acc = 0.0f64;
         for &l in self.limbs.iter().rev() {
             acc = acc * 18_446_744_073_709_551_616.0 + l as f64;
@@ -205,7 +205,7 @@ impl BigUint {
     }
 
     /// Lower `u64` value (truncating).
-    pub fn low_u64(&self) -> u64 {
+    pub(crate) fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
     }
 }

@@ -52,7 +52,7 @@ pub fn ceil_log2(x: u64) -> u32 {
 
 /// Rounds `x` up to the next multiple of `m`.
 #[inline]
-pub fn round_up(x: usize, m: usize) -> usize {
+pub(crate) fn round_up(x: usize, m: usize) -> usize {
     assert!(m > 0);
     x.div_ceil(m) * m
 }

@@ -59,7 +59,7 @@ pub fn mul_mod(a: u64, b: u64, q: u64) -> u64 {
 
 /// Fused multiply-add `(a*b + c) mod q`.
 #[inline]
-pub fn mul_add_mod(a: u64, b: u64, c: u64, q: u64) -> u64 {
+pub(crate) fn mul_add_mod(a: u64, b: u64, c: u64, q: u64) -> u64 {
     ((a as u128 * b as u128 + c as u128) % q as u128) as u64
 }
 
@@ -139,7 +139,7 @@ pub fn inv_mod(a: u64, q: u64) -> Option<u64> {
 
 /// Reduces an arbitrary `u64` into `[0, q)`.
 #[inline]
-pub fn reduce(a: u64, q: u64) -> u64 {
+pub(crate) fn reduce(a: u64, q: u64) -> u64 {
     a % q
 }
 

@@ -37,7 +37,7 @@ pub struct Montgomery {
 }
 
 /// `R = 2^32`, the Montgomery radix matching the TPU's 32-bit registers.
-pub const MONT_R_BITS: u32 = 32;
+pub(crate) const MONT_R_BITS: u32 = 32;
 
 impl Montgomery {
     /// Builds the context for an odd modulus `q < 2^32`.
@@ -61,7 +61,7 @@ impl Montgomery {
 
     /// The modulus this context was built for.
     #[inline]
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         self.q
     }
 
@@ -78,7 +78,7 @@ impl Montgomery {
 
     /// Lowers a Montgomery-domain value back: `a·R^{-1} mod q`.
     #[inline]
-    pub fn from_mont(&self, a: u64) -> u64 {
+    pub(crate) fn from_mont(&self, a: u64) -> u64 {
         self.reduce_strict(a as u128)
     }
 
@@ -132,7 +132,7 @@ impl Montgomery {
 
     /// Strict Montgomery reduction into `[0, q)`.
     #[inline]
-    pub fn reduce_strict(&self, z: u128) -> u64 {
+    pub(crate) fn reduce_strict(&self, z: u128) -> u64 {
         let b = self.reduce(z);
         if b >= self.q {
             b - self.q
@@ -159,7 +159,7 @@ impl Montgomery {
 
     /// Count of scalar primitive VPU operations of one Alg. 1 reduction:
     /// 1 low 32-bit product + 4 16-bit products + 6 adds/shifts + 1 sub.
-    pub const PRIMITIVE_OPS: u32 = 12;
+    pub(crate) const PRIMITIVE_OPS: u32 = 12;
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ pub fn parallelism() -> usize {
 /// [`MIN_PAR_WORK`] of it, at most [`parallelism`] — so a wider host
 /// never uses fewer workers than a narrower one would — and at least
 /// the calling thread.
-pub fn workers_for(work: usize) -> usize {
+pub(crate) fn workers_for(work: usize) -> usize {
     (work / MIN_PAR_WORK).clamp(1, parallelism())
 }
 
@@ -158,7 +158,7 @@ where
 ///
 /// # Panics
 /// Panics if `chunk_len == 0`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
+pub(crate) fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,

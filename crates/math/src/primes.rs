@@ -85,7 +85,7 @@ pub fn ntt_prime_chain(bits: u32, n: u64, count: usize) -> Option<Vec<u64>> {
 }
 
 /// Factors `m` by trial division (sufficient for `q - 1 < 2^32`).
-pub fn factorize(mut m: u64) -> Vec<u64> {
+pub(crate) fn factorize(mut m: u64) -> Vec<u64> {
     let mut factors = Vec::new();
     let mut d = 2u64;
     while d * d <= m {
@@ -104,7 +104,7 @@ pub fn factorize(mut m: u64) -> Vec<u64> {
 }
 
 /// Finds a generator of the multiplicative group `Z_q^*` for prime `q`.
-pub fn primitive_root(q: u64) -> u64 {
+pub(crate) fn primitive_root(q: u64) -> u64 {
     let phi = q - 1;
     let factors = factorize(phi);
     'candidate: for g in 2..q {
@@ -122,7 +122,7 @@ pub fn primitive_root(q: u64) -> u64 {
 ///
 /// # Panics
 /// Panics if `order` does not divide `q - 1` (no such root exists).
-pub fn root_of_unity(order: u64, q: u64) -> u64 {
+pub(crate) fn root_of_unity(order: u64, q: u64) -> u64 {
     assert!(
         (q - 1).is_multiple_of(order),
         "order {order} must divide q-1 = {}",

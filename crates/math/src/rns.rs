@@ -84,17 +84,17 @@ impl RnsBasis {
     }
 
     /// True iff the basis is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.moduli.is_empty()
     }
 
     /// Per-limb Barrett reducers.
-    pub fn barrett(&self) -> &[BarrettReducer] {
+    pub(crate) fn barrett(&self) -> &[BarrettReducer] {
         &self.barrett
     }
 
     /// Per-limb Montgomery contexts.
-    pub fn montgomery(&self) -> &[Montgomery] {
+    pub(crate) fn montgomery(&self) -> &[Montgomery] {
         &self.montgomery
     }
 
@@ -231,12 +231,12 @@ impl BconvTable {
     }
 
     /// Step-2 matrix in row-major `L × L'` layout.
-    pub fn matrix(&self) -> Vec<Vec<u64>> {
+    pub(crate) fn matrix(&self) -> Vec<Vec<u64>> {
         self.qhat_mod_p.clone()
     }
 
     /// `[Q]_{p_j}` values.
-    pub fn q_mod_p(&self) -> &[u64] {
+    pub(crate) fn q_mod_p(&self) -> &[u64] {
         &self.q_mod_p
     }
 
@@ -244,7 +244,7 @@ impl BconvTable {
     /// given residues of `x` in the source basis, returns the approximate
     /// residues `[x + e·Q]_{p_j}` produced by the fast base conversion
     /// (the standard HPS-style conversion with `e ∈ [0, L)` overshoot).
-    pub fn convert_scalar(&self, residues: &[u64]) -> Vec<u64> {
+    pub(crate) fn convert_scalar(&self, residues: &[u64]) -> Vec<u64> {
         assert_eq!(residues.len(), self.source.len());
         // step 1: b_i = r_i * qhat_inv_i mod q_i
         let b: Vec<u64> = residues

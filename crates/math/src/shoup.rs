@@ -45,13 +45,13 @@ impl ShoupMul {
 
     /// The prepared constant `w`.
     #[inline]
-    pub fn constant(&self) -> u64 {
+    pub(crate) fn constant(&self) -> u64 {
         self.w
     }
 
     /// The modulus.
     #[inline]
-    pub fn modulus(&self) -> u64 {
+    pub(crate) fn modulus(&self) -> u64 {
         self.q
     }
 
@@ -84,7 +84,7 @@ impl ShoupMul {
     /// 32-bit VPU registers: the 64-bit products decompose into 16/32-bit
     /// pieces (the paper maps Shoup to the SoTA GPU scalar-mult flow of
     /// Fig. 7, costing it like a 64-bit capable pipeline it does not have).
-    pub const PRIMITIVE_OPS: u32 = 18;
+    pub(crate) const PRIMITIVE_OPS: u32 = 18;
 }
 
 #[cfg(test)]

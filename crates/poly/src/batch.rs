@@ -62,7 +62,7 @@ pub struct PolyBatch {
 
 impl PolyBatch {
     /// A batch of `batch` zero polynomials in the coefficient domain.
-    pub fn zero(ctx: Arc<RnsContext>, batch: usize) -> Self {
+    pub(crate) fn zero(ctx: Arc<RnsContext>, batch: usize) -> Self {
         assert!(batch >= 1, "batch must be non-empty");
         let limbs = vec![vec![0u64; batch * ctx.n()]; ctx.level_count()];
         Self {
@@ -205,7 +205,7 @@ impl PolyBatch {
     }
 
     /// Mutable limb views (caller must preserve reduction invariants).
-    pub fn limbs_mut(&mut self) -> &mut [Vec<u64>] {
+    pub(crate) fn limbs_mut(&mut self) -> &mut [Vec<u64>] {
         &mut self.limbs
     }
 

@@ -41,7 +41,7 @@ pub fn naive_forward(a: &[u64], tables: &NttTables) -> Vec<u64> {
 ///
 /// # Panics
 /// Panics if `a.len() != tables.n()`.
-pub fn naive_inverse(a: &[u64], tables: &NttTables) -> Vec<u64> {
+pub(crate) fn naive_inverse(a: &[u64], tables: &NttTables) -> Vec<u64> {
     let n = tables.n();
     assert_eq!(a.len(), n, "input length must equal the ring degree");
     let q = tables.q();
@@ -134,7 +134,7 @@ pub fn stages(n: usize) -> u32 {
 /// paper §F1: each stage is `N/2`-VecModMul + `N/2`-VecModAdd +
 /// `N/2`-VecModSub plus a bit-complement shuffle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageOps {
+pub(crate) struct StageOps {
     /// Modular multiplications in the stage.
     pub mults: usize,
     /// Modular additions in the stage.
@@ -146,7 +146,7 @@ pub struct StageOps {
 }
 
 /// Per-stage op counts for degree `n`.
-pub fn stage_ops(n: usize) -> StageOps {
+pub(crate) fn stage_ops(n: usize) -> StageOps {
     StageOps {
         mults: n / 2,
         adds: n / 2,

@@ -54,12 +54,12 @@ impl RnsContext {
     }
 
     /// Number of limbs `L`.
-    pub fn level_count(&self) -> usize {
+    pub(crate) fn level_count(&self) -> usize {
         self.basis.len()
     }
 
     /// The RNS basis.
-    pub fn basis(&self) -> &RnsBasis {
+    pub(crate) fn basis(&self) -> &RnsBasis {
         &self.basis
     }
 
@@ -74,7 +74,7 @@ impl RnsContext {
     }
 
     /// A context truncated to the first `l` limbs (sharing degree).
-    pub fn truncated(&self, l: usize) -> RnsContext {
+    pub(crate) fn truncated(&self, l: usize) -> RnsContext {
         assert!(l >= 1 && l <= self.level_count());
         RnsContext {
             n: self.n,

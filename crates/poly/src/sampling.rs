@@ -12,7 +12,7 @@ pub fn uniform_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Vec<u64> {
 }
 
 /// Ternary secret coefficients in `{-1, 0, 1}` mapped into `[0, q)`.
-pub fn ternary_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Vec<u64> {
+pub(crate) fn ternary_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Vec<u64> {
     (0..n)
         .map(|_| {
             let v: i64 = rng.gen_range(-1..=1);

@@ -49,7 +49,7 @@ impl ShoupPairs {
     }
 
     /// Builds a table from a slice of reduced constants (all `< q`).
-    pub fn from_values(ws: &[u64], q: u64) -> Self {
+    pub(crate) fn from_values(ws: &[u64], q: u64) -> Self {
         let mut pairs = Self::with_capacity(ws.len());
         for &w in ws {
             pairs.push(w, q);
@@ -64,12 +64,12 @@ impl ShoupPairs {
     }
 
     /// Number of stored constants.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.w.len()
     }
 
     /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.w.is_empty()
     }
 }
@@ -139,7 +139,7 @@ pub fn reduce_strict_slice(xs: &mut [u64], q: u64) {
 /// Shoup twiddle tables of the lazy negacyclic transform for one
 /// `(N, q)` pair.
 #[derive(Debug, Clone)]
-pub struct SmallNttTables {
+pub(crate) struct SmallNttTables {
     n: usize,
     q: u64,
     /// Forward CT twiddles, `fwd[m+i] = ψ^{bitrev(m+i)}` —
@@ -157,7 +157,7 @@ impl SmallNttTables {
     /// # Panics
     /// Panics if `q ≥ 2³²` (Shoup bound `4q < 2⁶⁴` held with margin;
     /// every CROSS prime is < 2³²).
-    pub fn new(tables: &NttTables) -> Self {
+    pub(crate) fn new(tables: &NttTables) -> Self {
         let q = tables.q();
         assert!(q < 1 << 32, "Shoup transforms require q < 2^32");
         Self {
@@ -170,12 +170,12 @@ impl SmallNttTables {
     }
 
     /// Transform size.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// Modulus.
-    pub fn q(&self) -> u64 {
+    pub(crate) fn q(&self) -> u64 {
         self.q
     }
 }
@@ -244,7 +244,7 @@ fn neg_forward_block64(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
 ///
 /// # Panics
 /// Panics if `a.len() != tb.n()`.
-pub fn negacyclic_forward(a: &mut [u64], tb: &SmallNttTables) {
+pub(crate) fn negacyclic_forward(a: &mut [u64], tb: &SmallNttTables) {
     assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
     let blocks = a.len() / BLOCK;
     if blocks == 0 {
@@ -297,7 +297,7 @@ fn neg_inverse_block64(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
 ///
 /// # Panics
 /// Panics if `a.len() != tb.n()`.
-pub fn negacyclic_inverse(a: &mut [u64], tb: &SmallNttTables) {
+pub(crate) fn negacyclic_inverse(a: &mut [u64], tb: &SmallNttTables) {
     assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
     let blocks = a.len() / BLOCK;
     if blocks == 0 {

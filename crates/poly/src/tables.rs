@@ -51,7 +51,7 @@ impl NttTables {
     /// Builds tables with an explicitly chosen `ψ` (must be a primitive
     /// `2N`-th root of unity mod `q`). Useful for cross-checking against
     /// implementations that fix a specific root.
-    pub fn with_psi(n: usize, q: u64, psi: u64) -> Self {
+    pub(crate) fn with_psi(n: usize, q: u64, psi: u64) -> Self {
         assert_eq!(pow_mod(psi, n as u64, q), q - 1, "psi^N must equal -1");
         let psi_inv = inv_mod(psi, q).expect("psi invertible mod prime q");
         let n_inv = inv_mod(n as u64, q).expect("N invertible mod prime q");
@@ -84,7 +84,7 @@ impl NttTables {
     /// The host engine's Shoup twiddle tables for this `(N, q)` pair,
     /// built on first use and cached — so every context sharing these
     /// tables (CKKS levels, key-switching extensions) shares one set.
-    pub fn shoup_tables(&self) -> &SmallNttTables {
+    pub(crate) fn shoup_tables(&self) -> &SmallNttTables {
         self.shoup.get_or_init(|| SmallNttTables::new(self))
     }
 
@@ -102,19 +102,19 @@ impl NttTables {
 
     /// The `2N`-th root `ψ`.
     #[inline]
-    pub fn psi(&self) -> u64 {
+    pub(crate) fn psi(&self) -> u64 {
         self.psi
     }
 
     /// `ψ^{-1} mod q`.
     #[inline]
-    pub fn psi_inv(&self) -> u64 {
+    pub(crate) fn psi_inv(&self) -> u64 {
         self.psi_inv
     }
 
     /// `N^{-1} mod q`.
     #[inline]
-    pub fn n_inv(&self) -> u64 {
+    pub(crate) fn n_inv(&self) -> u64 {
         self.n_inv
     }
 
@@ -142,27 +142,27 @@ impl NttTables {
     }
 
     /// Natural-order powers `ψ^i`.
-    pub fn psi_pow(&self) -> &[u64] {
+    pub(crate) fn psi_pow(&self) -> &[u64] {
         &self.psi_pow
     }
 
     /// Natural-order inverse powers `ψ^{-i}`.
-    pub fn psi_inv_pow(&self) -> &[u64] {
+    pub(crate) fn psi_inv_pow(&self) -> &[u64] {
         &self.psi_inv_pow
     }
 
     /// Bit-reversed forward twiddles (CT butterflies).
-    pub fn psi_rev(&self) -> &[u64] {
+    pub(crate) fn psi_rev(&self) -> &[u64] {
         &self.psi_rev
     }
 
     /// Bit-reversed inverse twiddles (GS butterflies).
-    pub fn psi_inv_rev(&self) -> &[u64] {
+    pub(crate) fn psi_inv_rev(&self) -> &[u64] {
         &self.psi_inv_rev
     }
 
     /// `ω = ψ²`, the primitive `N`-th root of unity.
-    pub fn omega(&self) -> u64 {
+    pub(crate) fn omega(&self) -> u64 {
         mul_mod(self.psi, self.psi, self.q)
     }
 }

@@ -51,7 +51,7 @@ pub struct SendError<T>(pub T);
 /// Why [`Sender::try_send`] could not enqueue; the value is handed
 /// back in either case.
 #[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError<T> {
+pub(crate) enum TrySendError<T> {
     /// The queue is at capacity (the [`Backpressure::Reject`] signal).
     ///
     /// [`Backpressure::Reject`]: crate::queue::Backpressure::Reject
@@ -137,7 +137,7 @@ impl<T> Sender<T> {
     /// policy).
     ///
     /// [`Backpressure::Reject`]: crate::queue::Backpressure::Reject
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+    pub(crate) fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         let mut st = self.shared.state.lock().unwrap();
         if st.receivers == 0 {
             return Err(TrySendError::Closed(value));
@@ -255,7 +255,7 @@ impl<T> Receiver<T> {
     /// requests polls its intake with this instead of parking on
     /// [`recv_batch`](Self::recv_batch), so the backlog keeps flowing
     /// even when no new submission arrives to wake it.
-    pub fn try_recv_batch(&self, max: usize) -> Vec<T> {
+    pub(crate) fn try_recv_batch(&self, max: usize) -> Vec<T> {
         let mut st = self.shared.state.lock().unwrap();
         let k = max.min(st.queue.len());
         let out: Vec<T> = st.queue.drain(..k).collect();
@@ -266,12 +266,12 @@ impl<T> Receiver<T> {
     }
 
     /// Values currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shared.state.lock().unwrap().queue.len()
     }
 
     /// Whether nothing is currently queued.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -49,7 +49,7 @@ pub fn node_bundles(
 /// node through it; the scheduler's and the hoisting pass's probes are
 /// the same call on fresh pods, so a probe's figure *is* what the
 /// interpreter charges for that node.
-pub fn charge_kind(
+pub(crate) fn charge_kind(
     critical: Option<&mut PodSim>,
     amortized: Option<&mut PodSim>,
     params: &CkksParams,

@@ -70,7 +70,7 @@ pub struct KeyCacheStats {
 
 impl KeyCacheStats {
     /// Hit fraction over all touches (1.0 before any touch).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             1.0
@@ -109,7 +109,7 @@ impl KeyCache {
     ///
     /// # Panics
     /// Panics if `capacity_bytes` is not strictly positive.
-    pub fn new(gen: TpuGeneration, cores: u32, capacity_bytes: f64) -> Self {
+    pub(crate) fn new(gen: TpuGeneration, cores: u32, capacity_bytes: f64) -> Self {
         assert!(capacity_bytes > 0.0, "key cache capacity must be positive");
         Self {
             gen,
@@ -131,7 +131,7 @@ impl KeyCache {
     /// capacity holds. A key larger than the whole capacity still
     /// admits (alone) — the server never refuses to serve, it just
     /// pays the miss on every touch.
-    pub fn touch(&mut self, tenant: TenantId, key: KeyRef, bytes: f64) -> f64 {
+    pub(crate) fn touch(&mut self, tenant: TenantId, key: KeyRef, bytes: f64) -> f64 {
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&(tenant, key)) {
             e.last_used = self.clock;
@@ -168,45 +168,45 @@ impl KeyCache {
     }
 
     /// Whether `(tenant, key)` is currently resident.
-    pub fn contains(&self, tenant: TenantId, key: KeyRef) -> bool {
+    pub(crate) fn contains(&self, tenant: TenantId, key: KeyRef) -> bool {
         self.entries.contains_key(&(tenant, key))
     }
 
     /// Resident keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether nothing is resident.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Resident key bytes.
-    pub fn resident_bytes(&self) -> f64 {
+    pub(crate) fn resident_bytes(&self) -> f64 {
         self.resident_bytes
     }
 
     /// Configured capacity in bytes.
-    pub fn capacity_bytes(&self) -> f64 {
+    pub(crate) fn capacity_bytes(&self) -> f64 {
         self.capacity_bytes
     }
 
     /// Resident fraction of capacity, in `[0, 1]` except for the
     /// single-oversized-key case [`touch`](Self::touch) documents.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         self.resident_bytes / self.capacity_bytes
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> KeyCacheStats {
+    pub(crate) fn stats(&self) -> KeyCacheStats {
         self.stats
     }
 
     /// Drops every key `tenant` has resident (session teardown);
     /// returns how many were dropped. Not counted as evictions — the
     /// tenant left, nothing was displaced.
-    pub fn evict_tenant(&mut self, tenant: TenantId) -> usize {
+    pub(crate) fn evict_tenant(&mut self, tenant: TenantId) -> usize {
         let doomed: Vec<(TenantId, KeyRef)> = self
             .entries
             .range((tenant, KeyRef::Relin)..=(tenant, KeyRef::Rotation(usize::MAX)))

@@ -97,7 +97,7 @@ pub struct Rewrite {
 
 impl Rewrite {
     /// The do-nothing rewrite of `graph`.
-    pub fn identity(graph: &OpGraph) -> Self {
+    pub(crate) fn identity(graph: &OpGraph) -> Self {
         Self {
             graph: graph.clone(),
             remap: (0..graph.len()).collect(),
@@ -106,7 +106,7 @@ impl Rewrite {
 
     /// Composes `self` with a rewrite of `self.graph`: the result maps
     /// original ids through both remaps into `next.graph`.
-    pub fn then(self, next: Rewrite) -> Rewrite {
+    pub(crate) fn then(self, next: Rewrite) -> Rewrite {
         Rewrite {
             remap: self.remap.iter().map(|&m| next.remap[m]).collect(),
             graph: next.graph,
@@ -413,12 +413,12 @@ pub struct PassManager {
 impl PassManager {
     /// An empty pipeline (its [`run`](PassManager::run) is the
     /// identity rewrite).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a pass.
-    pub fn with_pass(mut self, pass: Box<dyn Pass>) -> Self {
+    pub(crate) fn with_pass(mut self, pass: Box<dyn Pass>) -> Self {
         self.passes.push(pass);
         self
     }

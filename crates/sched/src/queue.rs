@@ -236,7 +236,7 @@ pub struct Completion {
 
 impl Completion {
     /// A fresh, unfulfilled slot.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -372,7 +372,7 @@ impl<P> RequestQueue<P> {
     }
 
     /// Maximum pending operations (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -390,7 +390,7 @@ impl<P> RequestQueue<P> {
 
     /// `tenant`'s fair-share weight (1 unless
     /// [`set_weight`](Self::set_weight) changed it).
-    pub fn weight(&self, tenant: TenantId) -> u64 {
+    pub(crate) fn weight(&self, tenant: TenantId) -> u64 {
         self.weights.get(&tenant).copied().unwrap_or(1)
     }
 
@@ -427,7 +427,7 @@ impl<P> RequestQueue<P> {
     }
 
     /// Pending operations across all tenants.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pending
     }
 
@@ -502,7 +502,10 @@ impl<P> RequestQueue<P> {
     /// (ascending tenant id, pop order within each) — the unit a
     /// dispatch is formed from, because a fused batch shares one
     /// switching key and keys are tenant-owned.
-    pub fn pop_fair_by_tenant(&mut self, max: usize) -> BTreeMap<TenantId, Vec<HeRequest<P>>> {
+    pub(crate) fn pop_fair_by_tenant(
+        &mut self,
+        max: usize,
+    ) -> BTreeMap<TenantId, Vec<HeRequest<P>>> {
         let mut by_tenant: BTreeMap<TenantId, Vec<HeRequest<P>>> = BTreeMap::new();
         for req in self.pop_fair(max) {
             by_tenant.entry(req.tenant).or_default().push(req);
@@ -524,7 +527,7 @@ impl<P> RequestQueue<P> {
     /// and mode) and tickets are remapped onto the rewritten graph —
     /// ticket values are bit-exact either way, since every ticket node
     /// is a sink of the formed graph.
-    pub fn dispatch_requests(
+    pub(crate) fn dispatch_requests(
         requests: Vec<HeRequest<P>>,
         scheduler: &Scheduler,
         params: &CkksParams,

@@ -75,7 +75,7 @@ impl Recorder {
 
     /// HE-Sub (operands align to the lower level, like
     /// [`cross_ckks::Evaluator::sub`]).
-    pub fn sub(&mut self, a: Vct, b: Vct) -> Vct {
+    pub(crate) fn sub(&mut self, a: Vct, b: Vct) -> Vct {
         let level = a.level.min(b.level);
         let node = self
             .graph
@@ -93,14 +93,14 @@ impl Recorder {
     /// scalar lives in the const table under `cid`
     /// ([`crate::exec::ReplayKeys::with_mult_const`]). Level is
     /// preserved; rescale separately like the eager evaluator.
-    pub fn plain_mult_const(&mut self, a: Vct, cid: u32) -> Vct {
+    pub(crate) fn plain_mult_const(&mut self, a: Vct, cid: u32) -> Vct {
         self.unary(HeOpKind::PlainMultConst { cid }, a, a.level, a.level)
     }
 
     /// Ciphertext + plaintext-constant add: replayable, the scalar
     /// lives in the const table under `cid` and is encoded at the
     /// operand's actual scale at replay time.
-    pub fn plain_add_const(&mut self, a: Vct, cid: u32) -> Vct {
+    pub(crate) fn plain_add_const(&mut self, a: Vct, cid: u32) -> Vct {
         self.unary(HeOpKind::PlainAddConst { cid }, a, a.level, a.level)
     }
 
@@ -120,13 +120,13 @@ impl Recorder {
     }
 
     /// Standalone hybrid key switch (cost-only in replay).
-    pub fn key_switch(&mut self, a: Vct) -> Vct {
+    pub(crate) fn key_switch(&mut self, a: Vct) -> Vct {
         self.unary(HeOpKind::KeySwitch, a, a.level, a.level)
     }
 
     /// Packed bootstrapping, refreshing the ciphertext to `to_level`
     /// (cost-only in replay).
-    pub fn bootstrap(&mut self, a: Vct, to_level: usize) -> Vct {
+    pub(crate) fn bootstrap(&mut self, a: Vct, to_level: usize) -> Vct {
         self.unary(HeOpKind::Bootstrap, a, a.level, to_level)
     }
 
@@ -136,7 +136,7 @@ impl Recorder {
     }
 
     /// Peek at the graph without consuming the recorder.
-    pub fn graph(&self) -> &OpGraph {
+    pub(crate) fn graph(&self) -> &OpGraph {
         &self.graph
     }
 }

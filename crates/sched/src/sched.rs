@@ -298,7 +298,7 @@ impl FusedBatch {
     /// the batch's key is only well-defined within one tenant. The
     /// loop [`touch`](crate::keycache::KeyCache::touch)es this ref
     /// (tenant-qualified) before executing the batch.
-    pub fn key_ref(&self) -> Option<crate::keycache::KeyRef> {
+    pub(crate) fn key_ref(&self) -> Option<crate::keycache::KeyRef> {
         crate::keycache::KeyRef::of(self.kind)
     }
 }

@@ -122,7 +122,7 @@ impl ServeKeys {
         }
     }
 
-    pub(crate) fn replay(&self) -> ReplayKeys<'_> {
+    pub fn replay(&self) -> ReplayKeys<'_> {
         let mut keys = ReplayKeys::new();
         if let Some(k) = &self.relin {
             keys = keys.with_relin(k);
@@ -255,7 +255,7 @@ impl ServeConfig {
     ///
     /// # Panics
     /// Panics if `max_fuse == 0`.
-    pub fn with_max_fuse(mut self, max_fuse: usize) -> Self {
+    pub(crate) fn with_max_fuse(mut self, max_fuse: usize) -> Self {
         assert!(max_fuse >= 1, "fusion cap must be ≥ 1");
         self.max_fuse = max_fuse;
         self

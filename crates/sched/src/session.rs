@@ -444,7 +444,7 @@ pub struct Session {
 
 impl Session {
     /// This session's tenant id.
-    pub fn tenant(&self) -> TenantId {
+    pub(crate) fn tenant(&self) -> TenantId {
         self.tenant
     }
 

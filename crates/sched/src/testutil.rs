@@ -24,10 +24,10 @@ use rand::{Rng, SeedableRng};
 
 /// The single `PlainMultConst` scalar every generated minimax motif
 /// references (`cid` 0): multiply by ½ at the graph's base scale.
-pub const MOTIF_MULT_VALUE: f64 = 0.5;
+pub(crate) const MOTIF_MULT_VALUE: f64 = 0.5;
 /// The single `PlainAddConst` scalar every generated minimax motif
 /// references (`cid` 0).
-pub const MOTIF_ADD_VALUE: f64 = 0.25;
+pub(crate) const MOTIF_ADD_VALUE: f64 = 0.25;
 
 /// Registers the canonical motif const tables on a [`ReplayKeys`]
 /// builder. `base_scale` must be the [`GraphGenConfig::base_scale`]

@@ -90,7 +90,7 @@ impl PodSim {
     /// The exact single-core reference configuration: one core, free
     /// links. Estimates through this pod are bit-identical to charging
     /// a lone [`TpuSim`].
-    pub fn single_core_reference(gen: TpuGeneration) -> Self {
+    pub(crate) fn single_core_reference(gen: TpuGeneration) -> Self {
         Self::with_topology(gen, Topology::zero_cost(1))
     }
 

@@ -29,7 +29,7 @@ impl EfficiencyPoint {
     }
 
     /// Kernels per second per watt — the paper's energy-efficiency metric.
-    pub fn throughput_per_watt(&self) -> f64 {
+    pub(crate) fn throughput_per_watt(&self) -> f64 {
         self.kernels_per_s / self.watts
     }
 }

@@ -230,7 +230,7 @@ impl TpuSim {
     }
 
     /// Vectorized modular addition (2 scalar ops/elem: add + csub).
-    pub fn vec_mod_add(&mut self, a: &[u64], b: &[u64], q: u64, cat: Category) -> Vec<u64> {
+    pub(crate) fn vec_mod_add(&mut self, a: &[u64], b: &[u64], q: u64, cat: Category) -> Vec<u64> {
         assert_eq!(a.len(), b.len());
         self.charge_vpu(a.len(), ops::MOD_ADD, cat, "vec_mod_add");
         a.iter()
@@ -240,7 +240,7 @@ impl TpuSim {
     }
 
     /// Vectorized modular subtraction.
-    pub fn vec_mod_sub(&mut self, a: &[u64], b: &[u64], q: u64, cat: Category) -> Vec<u64> {
+    pub(crate) fn vec_mod_sub(&mut self, a: &[u64], b: &[u64], q: u64, cat: Category) -> Vec<u64> {
         assert_eq!(a.len(), b.len());
         self.charge_vpu(a.len(), ops::MOD_SUB, cat, "vec_mod_sub");
         a.iter()
@@ -311,14 +311,20 @@ impl TpuSim {
     // ------------------------------------------------------------------
 
     /// Seconds to transpose an `r×c` 32-bit matrix through the XLU.
-    pub fn transpose_seconds(&self, r: usize, c: usize) -> f64 {
+    pub(crate) fn transpose_seconds(&self, r: usize, c: usize) -> f64 {
         // Non-hidden: data crosses lanes twice (read + reordered write).
         let bytes = (r * c * 4) as f64;
         2.0 * bytes / (self.spec.vmem_write_gibs * GIB) + XLU_FIXED_S
     }
 
     /// Functional transpose (u64-held 32-bit values), charging XLU time.
-    pub fn transpose_u64(&mut self, data: &[u64], r: usize, c: usize, cat: Category) -> Vec<u64> {
+    pub(crate) fn transpose_u64(
+        &mut self,
+        data: &[u64],
+        r: usize,
+        c: usize,
+        cat: Category,
+    ) -> Vec<u64> {
         assert_eq!(data.len(), r * c);
         self.charge_transpose(r, c, cat);
         let mut out = vec![0u64; r * c];
@@ -357,7 +363,7 @@ impl TpuSim {
     /// Functional decomposition of 32-bit values into `k` byte chunks,
     /// column-stacked per Alg. 2 `RUNTIMECOMPILERIGHT` (charging VPU +
     /// relayout time).
-    pub fn convert_u32_to_chunks(&mut self, a: &[u64], k: usize, cat: Category) -> Vec<u8> {
+    pub(crate) fn convert_u32_to_chunks(&mut self, a: &[u64], k: usize, cat: Category) -> Vec<u8> {
         let s = self.vpu_seconds(a.len() * k, 2, a.len() as f64 * 4.0, (a.len() * k) as f64);
         self.trace.record(cat, s, "u32->u8 chunks");
         let mut out = vec![0u8; a.len() * k];
@@ -371,7 +377,7 @@ impl TpuSim {
 
     /// Functional merge of `k` chunk-rows back to 32-bit (+charge):
     /// `CHUNKMERGE` with carries.
-    pub fn convert_chunks_to_u32(&mut self, rows: &[Vec<u32>], cat: Category) -> Vec<u64> {
+    pub(crate) fn convert_chunks_to_u32(&mut self, rows: &[Vec<u32>], cat: Category) -> Vec<u64> {
         let k = rows.len();
         assert!(k > 0);
         let n = rows[0].len();
@@ -440,9 +446,9 @@ const XLU_FIXED_S: f64 = 0.2e-6;
 /// from the algorithm structure (Alg. 1/4 and the Shoup flow of Fig. 7).
 pub mod ops {
     /// add + conditional subtract.
-    pub const MOD_ADD: u32 = 2;
+    pub(crate) const MOD_ADD: u32 = 2;
     /// compare + subtract + select.
-    pub const MOD_SUB: u32 = 2;
+    pub(crate) const MOD_SUB: u32 = 2;
     /// 32×32→64 product via 16-bit primitives (~6) + Alg. 1 reduction (12).
     pub const MONTGOMERY_MUL: u32 = 18;
     /// product (~6) + Alg. 4 reduction with wide products (~20).

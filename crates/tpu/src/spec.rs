@@ -183,12 +183,12 @@ pub struct ChipSpec {
 impl ChipSpec {
     /// Effective clock implied by the Tab. IV int8 throughput:
     /// `ops = 2 · mxu_dim² · mxu_count · clock`.
-    pub fn clock_ghz(&self) -> f64 {
+    pub(crate) fn clock_ghz(&self) -> f64 {
         self.int8_gops / (2.0 * self.mxu_dim as f64 * self.mxu_dim as f64 * self.mxu_count as f64)
     }
 
     /// VPU elementwise-op throughput (ops/s): `alus · clock`.
-    pub fn vpu_ops_per_s(&self) -> f64 {
+    pub(crate) fn vpu_ops_per_s(&self) -> f64 {
         self.vpu_alus as f64 * self.clock_ghz() * 1e9
     }
 
@@ -198,12 +198,12 @@ impl ChipSpec {
     }
 
     /// Seconds to read `bytes` from VMEM.
-    pub fn vmem_read_seconds(&self, bytes: f64) -> f64 {
+    pub(crate) fn vmem_read_seconds(&self, bytes: f64) -> f64 {
         bytes / (self.vmem_read_gibs * GIB)
     }
 
     /// Seconds to write `bytes` to VMEM.
-    pub fn vmem_write_seconds(&self, bytes: f64) -> f64 {
+    pub(crate) fn vmem_write_seconds(&self, bytes: f64) -> f64 {
         bytes / (self.vmem_write_gibs * GIB)
     }
 }

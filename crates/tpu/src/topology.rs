@@ -25,14 +25,14 @@ impl LinkSpec {
     /// A link with infinite bandwidth and zero latency — the
     /// degenerate configuration under which a multi-core estimate must
     /// collapse to the single-core one (pinned by `tests/pod_model.rs`).
-    pub const ZERO_COST: LinkSpec = LinkSpec {
+    pub(crate) const ZERO_COST: LinkSpec = LinkSpec {
         gbs: f64::INFINITY,
         hop_s: 0.0,
     };
 
     /// Seconds for one point-to-point transfer of `bytes` over this
     /// link (`hops` serialized hop latencies + bandwidth term).
-    pub fn transfer_seconds(&self, bytes: f64, hops: u32) -> f64 {
+    pub(crate) fn transfer_seconds(&self, bytes: f64, hops: u32) -> f64 {
         hops as f64 * self.hop_s + bytes / (self.gbs * 1e9)
     }
 }
@@ -59,7 +59,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if `cores == 0`.
-    pub fn for_generation(gen: TpuGeneration, cores: u32) -> Self {
+    pub(crate) fn for_generation(gen: TpuGeneration, cores: u32) -> Self {
         assert!(cores >= 1, "need at least one core");
         let s = gen.spec();
         Self {
@@ -100,7 +100,7 @@ impl Topology {
     /// The slowest link class a ring over all cores traverses: ICI
     /// within one host, DCN as soon as the ring spans hosts. Ring
     /// collectives serialize on this bottleneck.
-    pub fn bottleneck(&self) -> LinkSpec {
+    pub(crate) fn bottleneck(&self) -> LinkSpec {
         if self.hosts() > 1 {
             self.dcn
         } else {

@@ -169,7 +169,7 @@ impl Trace {
     }
 
     /// Per-category share of total time (fractions summing to 1).
-    pub fn breakdown_fractions(&self) -> Vec<(Category, f64)> {
+    pub(crate) fn breakdown_fractions(&self) -> Vec<(Category, f64)> {
         let total = self.total_seconds();
         if total == 0.0 {
             return Vec::new();
@@ -181,14 +181,14 @@ impl Trace {
     }
 
     /// Clears all entries and zeroes the running sums.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.total = 0.0;
         self.by_category = Default::default();
     }
 
     /// Renders a Fig. 12-style percentage bar as text.
-    pub fn render_percentages(&self) -> String {
+    pub(crate) fn render_percentages(&self) -> String {
         self.breakdown_fractions()
             .iter()
             .map(|(c, f)| format!("{}: {:.1}%", c.label(), f * 100.0))

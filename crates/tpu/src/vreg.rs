@@ -2,17 +2,17 @@
 //! group (4 KB) that all VPU/XLU operations are locked to (paper Fig. 4).
 
 /// Sublanes per VReg.
-pub const SUBLANES: usize = 8;
+pub(crate) const SUBLANES: usize = 8;
 /// Lanes per VReg.
-pub const LANES: usize = 128;
+pub(crate) const LANES: usize = 128;
 /// 32-bit elements per VReg.
-pub const ELEMS_PER_VREG: usize = SUBLANES * LANES;
+pub(crate) const ELEMS_PER_VREG: usize = SUBLANES * LANES;
 /// Bytes per VReg (32-bit elements).
-pub const BYTES_PER_VREG: usize = ELEMS_PER_VREG * 4;
+pub(crate) const BYTES_PER_VREG: usize = ELEMS_PER_VREG * 4;
 
 /// Number of VRegs needed to hold `elems` 32-bit values.
 #[inline]
-pub fn vregs_for(elems: usize) -> usize {
+pub(crate) fn vregs_for(elems: usize) -> usize {
     elems.div_ceil(ELEMS_PER_VREG)
 }
 
@@ -22,7 +22,7 @@ pub fn vregs_for(elems: usize) -> usize {
 ///
 /// Returns a fraction in `(0, 1]`.
 #[inline]
-pub fn run_utilization(run_len: usize) -> f64 {
+pub(crate) fn run_utilization(run_len: usize) -> f64 {
     if run_len == 0 {
         return 1.0;
     }
@@ -33,7 +33,7 @@ pub fn run_utilization(run_len: usize) -> f64 {
 /// `run_len`: `elems / utilization` (each partially-filled VReg still
 /// costs a full tile through the XLU).
 #[inline]
-pub fn effective_shuffle_elems(elems: usize, run_len: usize) -> f64 {
+pub(crate) fn effective_shuffle_elems(elems: usize, run_len: usize) -> f64 {
     elems as f64 / run_utilization(run_len)
 }
 
