@@ -461,12 +461,6 @@ pub fn ntt_setups() -> Vec<(TpuGeneration, u32, &'static str)> {
     ]
 }
 
-/// Relative agreement check used in harness self-tests: `got` within a
-/// multiplicative `factor` band of `want`.
-pub(crate) fn within_factor(got: f64, want: f64, factor: f64) -> bool {
-    got > 0.0 && want > 0.0 && got / want <= factor && want / got <= factor
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,13 +483,6 @@ mod tests {
         let m = PodTable::ms_cols(&["critical", "amortized"]);
         m.header("system", "");
         m.row("v6e-8", "simulated", &[112.0, 21.5], None);
-    }
-
-    #[test]
-    fn factor_band() {
-        assert!(within_factor(2.0, 3.0, 2.0));
-        assert!(!within_factor(1.0, 3.0, 2.0));
-        assert!(!within_factor(0.0, 3.0, 2.0));
     }
 
     #[test]

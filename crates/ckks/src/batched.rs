@@ -155,16 +155,6 @@ impl BatchedCiphertext {
     pub(crate) fn batch(&self) -> usize {
         self.scales.len()
     }
-
-    /// Ring degree.
-    pub(crate) fn n(&self) -> usize {
-        self.c0.context().n()
-    }
-
-    /// Total ciphertext bytes (2 polys × batch × level × N × 4).
-    pub(crate) fn bytes(&self) -> usize {
-        2 * self.batch() * self.level * self.n() * 4
-    }
 }
 
 impl<'a> Evaluator<'a> {
@@ -635,7 +625,6 @@ mod tests {
             .collect();
         let bc = BatchedCiphertext::from_ciphertexts(&cts);
         assert_eq!(bc.batch(), 3);
-        assert_eq!(bc.bytes(), cts.iter().map(|c| c.bytes()).sum::<usize>());
         for (orig, back) in cts.iter().zip(bc.to_ciphertexts()) {
             assert!(limbs_eq(orig, &back));
             assert_eq!(orig.scale, back.scale);

@@ -23,16 +23,6 @@ pub struct Ciphertext {
 }
 
 impl Ciphertext {
-    /// Ring degree.
-    pub(crate) fn n(&self) -> usize {
-        self.c0.context().n()
-    }
-
-    /// Ciphertext bytes at the current level (2 polys × level × N × 4).
-    pub(crate) fn bytes(&self) -> usize {
-        2 * self.level * self.n() * 4
-    }
-
     /// This ciphertext as a one-entry operand.
     ///
     /// # Panics

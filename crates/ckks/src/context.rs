@@ -113,11 +113,6 @@ impl CkksContext {
         &self.chain[self.params.limbs..]
     }
 
-    /// Full chain (Q then P).
-    pub(crate) fn chain(&self) -> &[u64] {
-        &self.chain
-    }
-
     /// `P = Π p_i`.
     pub(crate) fn big_p(&self) -> &BigUint {
         &self.big_p

@@ -27,11 +27,6 @@ impl Complex64 {
         Self::new(theta.cos(), theta.sin())
     }
 
-    /// Complex conjugate.
-    pub(crate) fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
     /// Scales by a real factor.
     pub fn scale(self, s: f64) -> Self {
         Self::new(self.re * s, self.im * s)

@@ -499,11 +499,6 @@ impl<'a> SignEvaluator<'a> {
         Self { ev, relin, tier }
     }
 
-    /// The configured tier.
-    pub(crate) fn tier(&self) -> SgnTier {
-        self.tier
-    }
-
     fn backend(&self) -> EagerSgnBackend<'a> {
         EagerSgnBackend::new(self.ev, self.relin)
     }

@@ -46,11 +46,6 @@ pub struct SwitchingKey {
 }
 
 impl SwitchingKey {
-    /// Number of digits (`dnum` effective).
-    pub(crate) fn dnum(&self) -> usize {
-        self.digits.len()
-    }
-
     /// Bytes of key material (for memory accounting, paper §V-C).
     pub fn bytes(&self) -> usize {
         self.digits

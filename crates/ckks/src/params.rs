@@ -96,20 +96,9 @@ impl CkksParams {
         self.digit_limbs()
     }
 
-    /// Total limbs including the extension basis (`L + k`), the
-    /// paper's `L'`.
-    pub(crate) fn total_limbs(&self) -> usize {
-        self.limbs + self.special_limbs()
-    }
-
     /// Default encoding scale `Δ = 2^{log2 q}`.
     pub fn scale(&self) -> f64 {
         2f64.powi(self.log2_q as i32)
-    }
-
-    /// Approximate `log2 Q` of the full ciphertext modulus.
-    pub(crate) fn log2_big_q(&self) -> u32 {
-        self.log2_q * self.limbs as u32
     }
 
     /// Bytes of one ciphertext (2 polys × limbs × N × 4 B).
@@ -126,10 +115,8 @@ mod tests {
     fn paper_sets_match_table_iv() {
         let a = ParamSet::A.params();
         assert_eq!((a.n, a.limbs), (1 << 12, 4));
-        assert_eq!(a.log2_big_q(), 112); // ⌈109/28⌉·28
         let d = ParamSet::D.params();
         assert_eq!((d.n, d.limbs), (1 << 16, 51));
-        assert_eq!(d.log2_big_q(), 1428); // 51 × 28 (Tab. IV rounds 1904/28 → 51 with wider q0 in practice)
     }
 
     #[test]
@@ -137,7 +124,7 @@ mod tests {
         let d = ParamSet::D.params();
         assert_eq!(d.dnum, 3);
         assert_eq!(d.digit_limbs(), 17);
-        assert_eq!(d.total_limbs(), 68);
+        assert_eq!(d.special_limbs(), 17);
         let toy = CkksParams::toy();
         assert_eq!(toy.digit_limbs(), 2);
     }

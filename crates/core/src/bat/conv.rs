@@ -5,7 +5,6 @@
 
 use super::chunk;
 use cross_math::BarrettReducer;
-use cross_tpu::{sim::ops, Category, TpuSim};
 
 /// Chunk-wise product of two words as a 1-D convolution:
 /// `psum[t] = Σ_{i+j=t} a_i·b_j` for `t ∈ [0, 2K-1)` (Fig. 16 ❷).
@@ -38,36 +37,10 @@ pub fn fallback_mod_mul(a: u64, b: u64, q: u64, bp: u32) -> u64 {
     BarrettReducer::new(q).reduce_u64(z)
 }
 
-/// Vectorized fallback multiply on the simulator: charges the 1-D
-/// convolution (2K-1 taps of K-chunk MACs), the temporal shift-add
-/// chain, and the final Barrett reduction on the VPU.
-pub(crate) fn fallback_mod_mul_vec(
-    sim: &mut TpuSim,
-    a: &[u64],
-    b: &[u64],
-    q: u64,
-    bp: u32,
-    cat: Category,
-) -> Vec<u64> {
-    assert_eq!(a.len(), b.len());
-    let k = chunk::chunk_count(q, bp);
-    let taps = 2 * k - 1;
-    // conv: taps · K MACs per element; shift-add: taps; Barrett final.
-    sim.charge_vpu(a.len(), (taps * k) as u32, cat, "1d conv psums");
-    sim.charge_vpu(a.len(), taps as u32 + 2, cat, "temporal shift-add");
-    sim.charge_vpu(a.len(), ops::BARRETT_MUL, cat, "final barrett");
-    let br = BarrettReducer::new(q);
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| br.reduce_u64(accumulate_psums(&conv_psums(x, y, k, bp), bp)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cross_math::modops;
-    use cross_tpu::TpuGeneration;
 
     const Q: u64 = 268_369_921;
 
@@ -102,33 +75,5 @@ mod tests {
         for (a, b) in [(Q - 1, Q - 1), (12345, 67890), (0, 5), (1, Q - 1)] {
             assert_eq!(fallback_mod_mul(a, b, Q, 8), modops::mul_mod(a, b, Q));
         }
-    }
-
-    #[test]
-    fn vectorized_fallback_on_sim() {
-        let a: Vec<u64> = (0..64u64).map(|i| (i * 999_983) % Q).collect();
-        let b: Vec<u64> = (0..64u64).map(|i| (i * 1234 + 1) % Q).collect();
-        let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let got = fallback_mod_mul_vec(&mut sim, &a, &b, Q, 8, Category::VecModOps);
-        for i in 0..a.len() {
-            assert_eq!(got[i], modops::mul_mod(a[i], b[i], Q));
-        }
-        assert!(sim.compute_seconds() > 0.0);
-    }
-
-    #[test]
-    fn fallback_slower_than_bat_on_sim() {
-        // The conv fallback must cost more VPU time than a prepared
-        // Montgomery multiply (that is why CROSS precompiles parameters).
-        let n = 1 << 12;
-        let a = vec![3u64; n];
-        let b = vec![5u64; n];
-        let mut s_conv = TpuSim::new(TpuGeneration::V6e);
-        let _ = fallback_mod_mul_vec(&mut s_conv, &a, &b, Q, 8, Category::VecModOps);
-        let mut s_mont = TpuSim::new(TpuGeneration::V6e);
-        let vm = crate::modred::VecModMul::new(Q, crate::modred::ModRed::Montgomery);
-        let params = vm.prepare_params(&b);
-        let _ = vm.mul_vec(&mut s_mont, &a, &params, Category::VecModOps);
-        assert!(s_conv.compute_seconds() > s_mont.compute_seconds());
     }
 }

@@ -37,16 +37,6 @@ impl LazyReducer {
         Self { q, k, bp, lc }
     }
 
-    /// Chunks per word.
-    pub(crate) fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The `K×K` byte matrix (row `j` = chunks of `2^{bp(j+K)} mod q`).
-    pub(crate) fn matrix(&self) -> &[Vec<u64>] {
-        &self.lc
-    }
-
     /// Lazily reduces a `2K`-chunk partial sum (`psum < 2^{2K·bp}`, the
     /// width a `K×K` chunk product can produce) into `K` chunks
     /// (`z ≡ psum mod q`, possibly `> q`).
@@ -92,10 +82,10 @@ mod tests {
     #[test]
     fn matrix_shape() {
         let r = LazyReducer::new(Q, 8);
-        assert_eq!(r.k(), 4);
-        assert_eq!(r.matrix().len(), 4);
-        assert!(r.matrix().iter().all(|row| row.len() == 4));
-        assert!(r.matrix().iter().all(|row| row.iter().all(|&v| v < 256)));
+        assert_eq!(r.k, 4);
+        assert_eq!(r.lc.len(), 4);
+        assert!(r.lc.iter().all(|row| row.len() == 4));
+        assert!(r.lc.iter().all(|row| row.iter().all(|&v| v < 256)));
     }
 
     #[test]
@@ -131,7 +121,7 @@ mod tests {
         // (the width a K×K chunk-product chain can actually produce).
         for q in [65_537u64, 1_073_479_681, 2_147_473_409] {
             let r = LazyReducer::new(q, 8);
-            let width = 2 * r.k() as u32 * 8;
+            let width = 2 * r.k as u32 * 8;
             let cap = if width >= 64 {
                 u64::MAX
             } else {

@@ -66,31 +66,6 @@ impl BatMatMul {
         }
     }
 
-    /// Output rows `H`.
-    pub(crate) fn h(&self) -> usize {
-        self.h
-    }
-
-    /// Contraction length `V` (pre-expansion).
-    pub(crate) fn v(&self) -> usize {
-        self.v
-    }
-
-    /// Chunks per element `K`.
-    pub(crate) fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The modulus.
-    pub(crate) fn q(&self) -> u64 {
-        self.q
-    }
-
-    /// The compiled dense byte matrix (`KH × KV`, row-major).
-    pub(crate) fn dense(&self) -> &[u8] {
-        &self.a_dense
-    }
-
     /// Bytes of the compiled parameter (for DMA/batching accounting).
     pub fn param_bytes(&self) -> usize {
         self.a_dense.len()
@@ -261,11 +236,6 @@ impl BatMatMulRight {
         }
     }
 
-    /// Chunks per element `K`.
-    pub(crate) fn k(&self) -> usize {
-        self.k
-    }
-
     /// Bytes of the compiled parameter.
     pub(crate) fn param_bytes(&self) -> usize {
         self.w_dense.len()
@@ -353,6 +323,7 @@ impl BatMatMulRight {
     }
 
     /// Pure-Rust reference execution.
+    #[cfg(test)]
     pub(crate) fn execute_reference(&self, x: &[u64], h: usize) -> Vec<u64> {
         let x_dense = self.compile_left(x, h);
         let (kv, kw) = (self.k * self.v, self.k * self.w);
@@ -416,8 +387,8 @@ mod tests {
         let (h, v) = (2usize, 3usize);
         let a = sample(h * v, 1);
         let bm = BatMatMul::compile(&a, h, v, Q, 8);
-        assert_eq!(bm.k(), 4);
-        assert_eq!(bm.dense().len(), (4 * h) * (4 * v));
+        assert_eq!(bm.k, 4);
+        assert_eq!(bm.a_dense.len(), (4 * h) * (4 * v));
     }
 
     #[test]
@@ -500,8 +471,8 @@ mod tests {
     fn bat_beats_sparse_in_theory() {
         // The dense matrix is K/(2K-1) the size of the sparse one.
         let bm = BatMatMul::compile(&sample(4, 1), 2, 2, Q, 8);
-        let dense_rows = bm.k() * bm.h();
-        let sparse_rows = (2 * bm.k() - 1) * bm.h();
+        let dense_rows = bm.k * bm.h;
+        let sparse_rows = (2 * bm.k - 1) * bm.h;
         assert!(dense_rows * 2 > sparse_rows, "~2x saving");
         assert!(dense_rows < sparse_rows);
     }

@@ -67,16 +67,6 @@ impl RnsNttPlans {
         Self::for_context(ctx, r, c, modred, true)
     }
 
-    /// The per-limb plans.
-    pub(crate) fn plans(&self) -> &[Ntt3Plan] {
-        &self.plans
-    }
-
-    /// Total offline parameter bytes across all limbs.
-    pub(crate) fn param_bytes(&self) -> usize {
-        self.plans.iter().map(|p| p.param_bytes()).sum()
-    }
-
     fn check(&self, pb: &PolyBatch, want: Domain) {
         assert_eq!(pb.level_count(), self.plans.len(), "limb count mismatch");
         assert_eq!(pb.domain(), want, "domain mismatch");
@@ -104,7 +94,7 @@ impl RnsNttPlans {
     /// Inverse-transforms an evaluation-domain batch back to
     /// coefficients, pure CPU (host engine, like
     /// [`RnsNttPlans::forward_batch`]). Bit-identical to
-    /// [`Ntt3Plan::inverse_batch_reference`] per limb.
+    /// `Ntt3Plan::inverse_batch_reference` per limb.
     pub fn inverse_batch(&self, pb: &PolyBatch) -> PolyBatch {
         self.check(pb, Domain::Evaluation);
         pb.in_domain(Domain::Coefficient).into_owned()
@@ -135,44 +125,6 @@ impl RnsNttPlans {
             .map(|(plan, limb)| plan.inverse_batch_on_tpu(sim, limb, batch))
             .collect();
         PolyBatch::from_limbs(pb.context().clone(), out, Domain::Coefficient)
-    }
-
-    /// Charges the cost of forward-transforming a batch of `batch`
-    /// polynomials across all limbs (one fused kernel per limb).
-    pub(crate) fn charge_forward_batch(&self, sim: &mut TpuSim, batch: usize) {
-        for plan in &self.plans {
-            plan.charge_forward_batch(sim, batch);
-        }
-    }
-
-    /// Charges the same transform sharded *limb-parallel* across the
-    /// cores of a pod and returns the critical-path latency in seconds:
-    /// limbs are independent, so each core runs `⌈L/P⌉` fused batch
-    /// kernels and no data crosses the interconnect (the honest
-    /// multi-core NTT of the ROADMAP's sharding story — speedup is
-    /// bounded by the ceil split, not assumed linear).
-    pub(crate) fn charge_forward_batch_pod(
-        &self,
-        pod: &mut cross_tpu::PodSim,
-        batch: usize,
-    ) -> f64 {
-        let shard = crate::shard::ShardPlan::new(
-            crate::shard::ShardStrategy::LimbParallel,
-            pod.num_cores(),
-        );
-        let split = shard.split(self.plans.len());
-        let mut offset = 0usize;
-        let mut reports = Vec::with_capacity(split.len());
-        for (core_idx, &limbs) in split.iter().enumerate() {
-            let sim = pod.core_mut(core_idx);
-            sim.begin_kernel("ntt-batch-shard");
-            for plan in &self.plans[offset..offset + limbs] {
-                plan.charge_forward_batch(sim, batch);
-            }
-            reports.push(sim.end_kernel());
-            offset += limbs;
-        }
-        reports.iter().map(|r| r.latency_s).fold(0.0f64, f64::max)
     }
 }
 
@@ -217,12 +169,12 @@ mod tests {
         let (ctx, pb) = setup(7, 3, 4);
         let plans = RnsNttPlans::standalone(&ctx, ModRed::Montgomery);
         let fwd = plans.forward_batch(&pb);
-        for (i, plan) in plans.plans().iter().enumerate() {
+        for (i, plan) in plans.plans.iter().enumerate() {
             let want = plan.forward_batch_reference(&pb.limbs()[i], pb.batch());
             assert_eq!(fwd.limbs()[i], want, "limb {i}");
         }
         let back = plans.inverse_batch(&fwd);
-        for (i, plan) in plans.plans().iter().enumerate() {
+        for (i, plan) in plans.plans.iter().enumerate() {
             let want = plan.inverse_batch_reference(&fwd.limbs()[i], pb.batch());
             assert_eq!(back.limbs()[i], want, "limb {i}");
         }
@@ -241,30 +193,15 @@ mod tests {
     }
 
     #[test]
-    fn pod_sharded_charge_is_sublinear_but_faster() {
-        let (ctx, _pb) = setup(6, 8, 4);
-        let plans = RnsNttPlans::for_context(&ctx, 8, 8, ModRed::Montgomery, true);
-        let mut single = TpuSim::new(TpuGeneration::V6e);
-        single.begin_kernel("ntt");
-        plans.charge_forward_batch(&mut single, 4);
-        let one = single.end_kernel().latency_s;
-        let mut pod = cross_tpu::PodSim::new(TpuGeneration::V6e, 4);
-        let sharded = plans.charge_forward_batch_pod(&mut pod, 4);
-        assert!(sharded < one, "limb-parallel must help");
-        assert!(
-            sharded >= one / 4.0,
-            "speedup cannot exceed the core count: {one} vs {sharded}"
-        );
-    }
-
-    #[test]
     fn charge_matches_functional_compute() {
         let (ctx, pb) = setup(6, 2, 4);
         let plans = RnsNttPlans::for_context(&ctx, 8, 8, ModRed::Montgomery, true);
         let mut s_fn = TpuSim::new(TpuGeneration::V6e);
         let _ = plans.forward_batch_on_tpu(&mut s_fn, &pb);
         let mut s_ch = TpuSim::new(TpuGeneration::V6e);
-        plans.charge_forward_batch(&mut s_ch, pb.batch());
+        for plan in &plans.plans {
+            plan.charge_forward_batch(&mut s_ch, pb.batch());
+        }
         // The charge model adds DMA/spill accounting on top of the same
         // compute shapes; compute seconds must agree exactly.
         let d = (s_fn.compute_seconds() - s_ch.compute_seconds()).abs();

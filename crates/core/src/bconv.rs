@@ -18,24 +18,19 @@
 //! multiply-accumulate — same residue, canonical form, same bits.
 
 use crate::bat::{chunk, scalar};
-use crate::modred::{ModRed, PreparedParams, VecModMul};
+use crate::modred::ModRed;
 use cross_math::modops;
 use cross_math::rns::BconvTable;
-use cross_poly::ring::Domain;
 use cross_poly::small_ntt::{self, ShoupPairs};
-use cross_poly::PolyBatch;
-use cross_tpu::{Category, TpuSim};
+#[cfg(test)]
+use {
+    crate::modred::VecModMul,
+    cross_poly::{ring::Domain, PolyBatch},
+    cross_tpu::{Category, TpuSim},
+};
 
-/// Widens prepared parameters of a *constant* vector to `rows`
-/// entries by replicating the first prepared value (preparation is
-/// element-wise, so this equals preparing `vec![c; rows]`).
-fn widen_constant_params(params: &PreparedParams, rows: usize) -> PreparedParams {
-    match params {
-        PreparedParams::Plain(v) => PreparedParams::Plain(vec![v[0]; rows]),
-        PreparedParams::Montgomery(v) => PreparedParams::Montgomery(vec![v[0]; rows]),
-        PreparedParams::Shoup(w, s) => PreparedParams::Shoup(vec![w[0]; rows], vec![s[0]; rows]),
-    }
-}
+/// Byte chunks per word of the BAT-dense step-2 matrix.
+const K: usize = 4;
 
 /// A BConv kernel compiled for one `(source, target)` basis pair at a
 /// fixed degree.
@@ -44,12 +39,8 @@ pub struct BconvKernel {
     n: usize,
     l: usize,
     l_out: usize,
-    k: usize,
     source: Vec<u64>,
     target: Vec<u64>,
-    /// Step-1 multipliers per source limb, each one constant prepared
-    /// at width 1 (widened to the row count on use).
-    step1: Vec<(VecModMul, PreparedParams)>,
     /// Step-1 multipliers as Shoup pairs, one per source limb `i`
     /// (`[q̂_i^{-1}]_{q_i}` wrt `q_i`) — the host fast path.
     qhat_inv_shoup: ShoupPairs,
@@ -73,36 +64,29 @@ pub struct BconvKernel {
 const BLOCK_ROWS: usize = 256;
 
 impl BconvKernel {
-    /// Compiles the kernel from a precomputed [`BconvTable`].
+    /// Compiles the kernel from a precomputed [`BconvTable`]. The
+    /// compiled kernel is the same under every [`ModRed`]: the host
+    /// kernel is Shoup throughout, and the modeled cost is
+    /// `cross_ckks::costs::charge_bconv`'s.
     ///
     /// # Panics
     /// Panics if any modulus needs more than `K = 4` byte chunks.
-    pub fn compile(table: &BconvTable, n: usize, modred: ModRed) -> Self {
+    pub fn compile(table: &BconvTable, n: usize, _modred: ModRed) -> Self {
         let source = table.source().to_vec();
         let target = table.target().to_vec();
         let (l, l_out) = (source.len(), target.len());
-        let k = 4usize;
         for &m in source.iter().chain(&target) {
             assert!(
-                chunk::chunk_count(m, 8) <= k,
+                chunk::chunk_count(m, 8) <= K,
                 "moduli must fit K=4 byte chunks"
             );
         }
         let qhat_inv = table.qhat_inv().to_vec();
-        let step1 = source
-            .iter()
-            .enumerate()
-            .map(|(i, &qi)| {
-                let vm = VecModMul::new(qi, modred);
-                let params = vm.prepare_params(&[qhat_inv[i]]);
-                (vm, params)
-            })
-            .collect();
         let mut qhat_inv_shoup = ShoupPairs::with_capacity(l);
         for (i, &qi) in source.iter().enumerate() {
             qhat_inv_shoup.push(qhat_inv[i], qi);
         }
-        let (kl, klo) = (k * l, k * l_out);
+        let (kl, klo) = (K * l, K * l_out);
         let mut m_dense = vec![0u8; kl * klo];
         let mut m_cols: Vec<ShoupPairs> =
             (0..l_out).map(|_| ShoupPairs::with_capacity(l)).collect();
@@ -113,10 +97,10 @@ impl BconvKernel {
                 m_cols[j].push(w % pj, pj);
                 // K×K block for entry (i, j) under column modulus p_j:
                 // dense[(i·K+kk), (j·K+t)] = chunk_t((w << kk·8) mod p_j).
-                let m = scalar::direct_scalar_bat(w % pj, k, 8, pj);
-                for kk in 0..k {
-                    for t in 0..k {
-                        m_dense[(i * k + kk) * klo + (j * k + t)] = m[t][kk] as u8;
+                let m = scalar::direct_scalar_bat(w % pj, K, 8, pj);
+                for kk in 0..K {
+                    for t in 0..K {
+                        m_dense[(i * K + kk) * klo + (j * K + t)] = m[t][kk] as u8;
                     }
                 }
             }
@@ -127,21 +111,14 @@ impl BconvKernel {
             n,
             l,
             l_out,
-            k,
             target_mu: target.iter().map(|&p| modops::barrett_mu(p)).collect(),
             source,
             target,
-            step1,
             qhat_inv_shoup,
             m_dense,
             m_cols,
             acc_terms,
         }
-    }
-
-    /// Degree `N`.
-    pub(crate) fn n(&self) -> usize {
-        self.n
     }
 
     /// Source limb count `L`.
@@ -174,21 +151,19 @@ impl BconvKernel {
         rows
     }
 
-    /// Step 1 on the simulator: `b_i = a_i · q̂_i^{-1} mod q_i` per limb.
-    /// Accepts degree-`N` limbs or batch-major `N·batch` limbs.
-    pub(crate) fn step1_on_tpu(&self, sim: &mut TpuSim, limbs: &[Vec<u64>]) -> Vec<Vec<u64>> {
-        assert_eq!(limbs.len(), self.l, "limb count mismatch");
+    /// Step 1 on the simulator: `b_i = a_i · q̂_i^{-1} mod q_i` per limb,
+    /// one Montgomery VecModMul each. Accepts degree-`N` limbs or
+    /// batch-major `N·batch` limbs.
+    #[cfg(test)]
+    fn step1_on_tpu(&self, sim: &mut TpuSim, limbs: &[Vec<u64>]) -> Vec<Vec<u64>> {
         let rows = self.rows_of(limbs);
         limbs
             .iter()
-            .zip(&self.step1)
-            .map(|(limb, (vm, params))| {
-                // The step-1 multiplier is one constant: widen the
-                // prepared value to the row count (one VecModMul over
-                // `N` or the fused `N·batch`) without redoing the
-                // preparation.
-                let wide = widen_constant_params(params, rows);
-                vm.mul_vec(sim, limb, &wide, Category::VecModOps)
+            .enumerate()
+            .map(|(i, limb)| {
+                let vm = VecModMul::new(self.source[i], ModRed::Montgomery);
+                let params = vm.prepare_params(&vec![self.qhat_inv_shoup.get(i).0; rows]);
+                vm.mul_vec(sim, limb, &params, Category::VecModOps)
             })
             .collect()
     }
@@ -197,28 +172,29 @@ impl BconvKernel {
     /// matmul, merged and reduced per column modulus. `rows` is `N` for
     /// one polynomial and `N·batch` for a batch — the inner products
     /// execute once per batch with the row dimension fused.
-    pub(crate) fn step2_bat_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    #[cfg(test)]
+    fn step2_bat_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
         let rows = self.rows_of(b);
-        let (kl, klo) = (self.k * self.l, self.k * self.l_out);
+        let (kl, klo) = (K * self.l, K * self.l_out);
         // Runtime chunking of the rows×L data into rows×KL (type conversion).
         sim.charge_vpu(
             rows * self.l,
-            2 * self.k as u32,
+            2 * K as u32,
             Category::TypeConversion,
             "u32->chunks",
         );
         let mut d = vec![0u8; rows * kl];
         for (i, limb) in b.iter().enumerate() {
             for (nn, &v) in limb.iter().enumerate() {
-                for (kk, &c) in chunk::decompose(v, self.k, 8).iter().enumerate() {
-                    d[nn * kl + i * self.k + kk] = c as u8;
+                for (kk, &c) in chunk::decompose(v, K, 8).iter().enumerate() {
+                    d[nn * kl + i * K + kk] = c as u8;
                 }
             }
         }
         let z = sim.matmul_u8(&d, &self.m_dense, rows, kl, klo, Category::BconvMatMul);
         sim.charge_vpu(
             rows * self.l_out,
-            self.k as u32,
+            K as u32,
             Category::VecModOps,
             "chunk merge",
         );
@@ -234,8 +210,8 @@ impl BconvKernel {
                 (0..rows)
                     .map(|nn| {
                         let mut acc = 0u128;
-                        for t in 0..self.k {
-                            acc += (z[nn * klo + j * self.k + t] as u128) << (8 * t as u32);
+                        for t in 0..K {
+                            acc += (z[nn * klo + j * K + t] as u128) << (8 * t as u32);
                         }
                         modops::reduce_u128(acc, pj)
                     })
@@ -246,7 +222,8 @@ impl BconvKernel {
 
     /// Step 2 on the VPU only (the TPU *baseline* of Tab. VI): `L`
     /// high-precision multiply-accumulates per output element.
-    pub(crate) fn step2_baseline_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    #[cfg(test)]
+    fn step2_baseline_on_tpu(&self, sim: &mut TpuSim, b: &[Vec<u64>]) -> Vec<Vec<u64>> {
         let rows = self.rows_of(b);
         sim.charge_vpu(
             rows * self.l_out,
@@ -287,12 +264,8 @@ impl BconvKernel {
 
     /// Full conversion on the simulator with BAT (`use_bat = true`) or
     /// the VPU baseline. Returns target-basis limbs.
-    pub(crate) fn convert_on_tpu(
-        &self,
-        sim: &mut TpuSim,
-        limbs: &[Vec<u64>],
-        use_bat: bool,
-    ) -> Vec<Vec<u64>> {
+    #[cfg(test)]
+    fn convert_on_tpu(&self, sim: &mut TpuSim, limbs: &[Vec<u64>], use_bat: bool) -> Vec<Vec<u64>> {
         let b = self.step1_on_tpu(sim, limbs);
         if use_bat {
             self.step2_bat_on_tpu(sim, &b)
@@ -301,53 +274,17 @@ impl BconvKernel {
         }
     }
 
-    /// Cost-only charge of a full conversion (optionally batched over
-    /// several polynomials).
-    pub(crate) fn charge(&self, sim: &mut TpuSim, use_bat: bool, batch: usize) {
-        let n = self.n * batch;
-        sim.charge_vpu(
-            n * self.l,
-            ModRed::Montgomery.vpu_ops(),
-            Category::VecModOps,
-            "bconv step1",
-        );
-        if use_bat {
-            let (kl, klo) = (self.k * self.l, self.k * self.l_out);
-            sim.dma_in(self.param_bytes() as f64, "bconv primes");
-            sim.charge_vpu(
-                n * self.l,
-                2 * self.k as u32,
-                Category::TypeConversion,
-                "chunks",
-            );
-            sim.charge_matmul_u8(n, kl, klo, Category::BconvMatMul);
-            sim.charge_vpu(n * self.l_out, self.k as u32, Category::VecModOps, "merge");
-            sim.charge_vpu(
-                n * self.l_out,
-                ModRed::Montgomery.vpu_ops(),
-                Category::VecModOps,
-                "reduce",
-            );
-        } else {
-            sim.charge_vpu(
-                n * self.l_out,
-                self.l as u32 * (ModRed::Montgomery.vpu_ops() + 2),
-                Category::VecModOps,
-                "hp modmatmul on vpu",
-            );
-        }
-    }
-
     /// Full conversion of a batch-major [`PolyBatch`] on the simulator:
     /// one fused `(N·batch × KL) @ (KL × KL')` matmul for step 2 — the
-    /// batched shape [`BconvKernel::charge`] accounts for.
+    /// batched shape `cross_ckks::costs::charge_bconv` accounts for.
     ///
     /// Returns target-basis limbs in the same batch-major layout.
     ///
     /// # Panics
     /// Panics if the batch's basis does not match the compiled source
     /// basis or the batch is not in the coefficient domain.
-    pub(crate) fn convert_batch_on_tpu(
+    #[cfg(test)]
+    fn convert_batch_on_tpu(
         &self,
         sim: &mut TpuSim,
         batch: &PolyBatch,
@@ -564,28 +501,5 @@ mod tests {
         let (_, _, kernel) = setup(2, 2, 16);
         let short = vec![1u64; 8];
         let _ = kernel.convert_slices(&[&short, &short]);
-    }
-
-    #[test]
-    fn step1_constants_are_stored_once() {
-        // One prepared value per source limb, whatever the degree; the
-        // simulator path widens it to the row count on use.
-        let (_, _, kernel) = setup(3, 2, 1 << 10);
-        for (_, params) in &kernel.step1 {
-            let len = match params {
-                PreparedParams::Plain(v) | PreparedParams::Montgomery(v) => v.len(),
-                PreparedParams::Shoup(w, _) => w.len(),
-            };
-            assert_eq!(len, 1);
-        }
-    }
-
-    #[test]
-    fn charge_matches_shapes() {
-        let (_, _, kernel) = setup(4, 4, 32);
-        let mut sim = TpuSim::new(TpuGeneration::V6e);
-        kernel.charge(&mut sim, true, 2);
-        assert!(sim.trace().seconds_of(Category::BconvMatMul) > 0.0);
-        assert!(sim.hbm_seconds() > 0.0);
     }
 }

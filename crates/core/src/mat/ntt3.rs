@@ -351,6 +351,7 @@ impl Ntt3Plan {
 
     /// Inverse transform of a batch, pure CPU; accepts the plan layout,
     /// returns natural-order coefficients per polynomial.
+    #[cfg(test)]
     pub(crate) fn inverse_batch_reference(&self, y: &[u64], batch: usize) -> Vec<u64> {
         let (r, c, q) = (self.cfg.r, self.cfg.c, self.tables.q());
         let n = r * c;
@@ -621,9 +622,9 @@ mod tests {
             let a = sample(t.n(), t.q());
             let mut sim = TpuSim::new(TpuGeneration::V6e);
             let got = plan.forward_on_tpu(&mut sim, &a);
-            assert_eq!(got, plan.forward_reference(&a), "{}", modred.name());
+            assert_eq!(got, plan.forward_reference(&a), "{modred:?}");
             let back = plan.inverse_on_tpu(&mut sim, &got);
-            assert_eq!(back, a, "{}", modred.name());
+            assert_eq!(back, a, "{modred:?}");
         }
     }
 
@@ -726,13 +727,12 @@ mod tests {
                 .chunks(t.n())
                 .flat_map(|p| plan.forward_on_tpu(&mut s_loop, p))
                 .collect();
-            assert_eq!(fused, looped, "{}", modred.name());
+            assert_eq!(fused, looped, "{modred:?}");
             let mut s_inv = TpuSim::new(TpuGeneration::V6e);
             assert_eq!(
                 plan.inverse_batch_on_tpu(&mut s_inv, &fused, batch),
                 a,
-                "{} roundtrip",
-                modred.name()
+                "{modred:?} roundtrip"
             );
         }
     }

@@ -5,29 +5,6 @@
 //! materializes `P` at runtime — these helpers apply it to *parameters*
 //! offline.
 
-/// Applies `out[i] = v[perm[i]]` (gather form).
-pub(crate) fn apply(v: &[u64], perm: &[usize]) -> Vec<u64> {
-    assert_eq!(v.len(), perm.len());
-    perm.iter().map(|&p| v[p]).collect()
-}
-
-/// Inverse permutation: `inv[perm[i]] = i`.
-pub(crate) fn invert(perm: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; perm.len()];
-    for (i, &p) in perm.iter().enumerate() {
-        inv[p] = i;
-    }
-    inv
-}
-
-/// Composition `(a ∘ b)[i] = b[a[i]]`: applying the result is the same
-/// as applying `a` first, then... careful: with the gather convention,
-/// `apply(apply(v, b), a) == apply(v, compose(a, b))`.
-pub(crate) fn compose(a: &[usize], b: &[usize]) -> Vec<usize> {
-    assert_eq!(a.len(), b.len());
-    a.iter().map(|&i| b[i]).collect()
-}
-
 /// Row-permutes an `r×c` row-major matrix: `out_row[i] = m_row[perm[i]]`
 /// (left-multiplication by the permutation matrix).
 pub(crate) fn permute_rows(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec<u64> {
@@ -55,43 +32,19 @@ pub(crate) fn permute_cols(m: &[u64], r: usize, c: usize, perm: &[usize]) -> Vec
     out
 }
 
-/// Whether a permutation is an involution (`π∘π = id`) — true for the
-/// bit-reversal permutations MAT embeds, which is what lets forward and
-/// inverse plans share tables.
-pub(crate) fn is_involution(perm: &[usize]) -> bool {
-    perm.iter().enumerate().all(|(i, &p)| perm[p] == i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cross_math::bitrev::bit_reverse_permutation;
 
     #[test]
-    fn apply_invert_roundtrip() {
-        let perm = vec![2usize, 0, 3, 1];
-        let v = vec![10u64, 20, 30, 40];
-        let permuted = apply(&v, &perm);
-        assert_eq!(permuted, vec![30, 10, 40, 20]);
-        assert_eq!(apply(&permuted, &invert(&perm)), v);
-    }
-
-    #[test]
-    fn compose_matches_sequential_application() {
-        let a = vec![1usize, 2, 3, 0];
-        let b = vec![3usize, 2, 1, 0];
-        let v = vec![5u64, 6, 7, 8];
-        let seq = apply(&apply(&v, &b), &a);
-        let comp = apply(&v, &compose(&a, &b));
-        assert_eq!(seq, comp);
-    }
-
-    #[test]
     fn bitrev_is_involution() {
+        // What lets `permute_cols` ignore the direction of the
+        // permutations MAT embeds.
         for n in [2usize, 8, 64, 1024] {
-            assert!(is_involution(&bit_reverse_permutation(n)));
+            let perm = bit_reverse_permutation(n);
+            assert!(perm.iter().enumerate().all(|(i, &p)| perm[p] == i));
         }
-        assert!(!is_involution(&[1usize, 2, 0]));
     }
 
     #[test]

@@ -22,24 +22,6 @@ pub enum ModRed {
 }
 
 impl ModRed {
-    /// All strategies, in Fig. 13 legend order.
-    pub(crate) const ALL: [ModRed; 4] = [
-        ModRed::Barrett,
-        ModRed::Montgomery,
-        ModRed::Shoup,
-        ModRed::BatLazy,
-    ];
-
-    /// Display name.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            ModRed::Barrett => "Barrett",
-            ModRed::Montgomery => "Montgomery",
-            ModRed::Shoup => "Shoup",
-            ModRed::BatLazy => "BAT Lazy",
-        }
-    }
-
     /// Scalar VPU ops per modular multiply under this strategy.
     pub fn vpu_ops(self) -> u32 {
         match self {
@@ -78,21 +60,6 @@ impl VecModMul {
             mont: Montgomery::new(q),
             barrett: BarrettReducer::new(q),
         }
-    }
-
-    /// The modulus.
-    pub(crate) fn q(&self) -> u64 {
-        self.q
-    }
-
-    /// The strategy.
-    pub(crate) fn strategy(&self) -> ModRed {
-        self.strategy
-    }
-
-    /// The Montgomery context (for offline parameter lifting).
-    pub(crate) fn montgomery(&self) -> &Montgomery {
-        &self.mont
     }
 
     /// Prepares a *preknown* parameter vector for runtime multiplication
@@ -179,12 +146,17 @@ mod tests {
             .zip(&w)
             .map(|(&x, &y)| cross_math::modops::mul_mod(x, y, Q))
             .collect();
-        for strat in ModRed::ALL {
+        for strat in [
+            ModRed::Barrett,
+            ModRed::Montgomery,
+            ModRed::Shoup,
+            ModRed::BatLazy,
+        ] {
             let vm = VecModMul::new(Q, strat);
             let params = vm.prepare_params(&w);
             let mut sim = TpuSim::new(TpuGeneration::V6e);
             let got = vm.mul_vec(&mut sim, &a, &params, Category::VecModOps);
-            assert_eq!(got, want, "strategy {}", strat.name());
+            assert_eq!(got, want, "strategy {strat:?}");
         }
     }
 

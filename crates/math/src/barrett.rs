@@ -45,12 +45,6 @@ impl BarrettReducer {
         Self { q, m, s }
     }
 
-    /// The modulus this reducer was built for.
-    #[inline]
-    pub(crate) fn modulus(&self) -> u64 {
-        self.q
-    }
-
     /// Reduces a double-width product `z < q^2` into `[0, q)`.
     #[inline]
     pub(crate) fn reduce(&self, z: u128) -> u64 {
@@ -85,13 +79,6 @@ impl BarrettReducer {
             z % self.q
         }
     }
-
-    /// Count of scalar multiply/shift/add primitive operations of a single
-    /// Barrett reduction, used by the TPU cost model (Fig. 13 ablation).
-    ///
-    /// Per Alg. 4: one full product, one high product with shift, one
-    /// low product, up to two subtractions.
-    pub(crate) const PRIMITIVE_OPS: u32 = 5;
 }
 
 #[cfg(test)]

@@ -44,11 +44,6 @@ impl BigUint {
         Self { limbs }
     }
 
-    /// Borrows the little-endian limbs (no trailing zeros).
-    pub(crate) fn limbs(&self) -> &[u64] {
-        &self.limbs
-    }
-
     /// True iff the value is zero.
     pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()

@@ -50,13 +50,6 @@ pub fn ceil_log2(x: u64) -> u32 {
     64 - (x - 1).leading_zeros()
 }
 
-/// Rounds `x` up to the next multiple of `m`.
-#[inline]
-pub(crate) fn round_up(x: usize, m: usize) -> usize {
-    assert!(m > 0);
-    x.div_ceil(m) * m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,13 +89,5 @@ mod tests {
         assert_eq!(ceil_log2(3), 2);
         assert_eq!(ceil_log2(268_369_921), 28);
         assert_eq!(ceil_log2(1 << 32), 32);
-    }
-
-    #[test]
-    fn round_up_values() {
-        assert_eq!(round_up(0, 128), 0);
-        assert_eq!(round_up(1, 128), 128);
-        assert_eq!(round_up(128, 128), 128);
-        assert_eq!(round_up(129, 128), 256);
     }
 }

@@ -57,12 +57,6 @@ pub fn mul_mod(a: u64, b: u64, q: u64) -> u64 {
     }
 }
 
-/// Fused multiply-add `(a*b + c) mod q`.
-#[inline]
-pub(crate) fn mul_add_mod(a: u64, b: u64, c: u64, q: u64) -> u64 {
-    ((a as u128 * b as u128 + c as u128) % q as u128) as u64
-}
-
 /// Barrett constant `⌊2⁶⁴/q⌋` for [`reduce_barrett`] and
 /// [`mul_mod_barrett32`] — computed once per limb, amortized over a
 /// pointwise loop.
@@ -135,12 +129,6 @@ pub fn inv_mod(a: u64, q: u64) -> Option<u64> {
         inv += q as i128;
     }
     Some(inv as u64)
-}
-
-/// Reduces an arbitrary `u64` into `[0, q)`.
-#[inline]
-pub(crate) fn reduce(a: u64, q: u64) -> u64 {
-    a % q
 }
 
 /// Reduces a `u128` into `[0, q)`.
@@ -260,13 +248,5 @@ mod tests {
                 assert_eq!(reduce_barrett(x, q, mu), x % q, "q={q} x={x}");
             }
         }
-    }
-
-    #[test]
-    fn mul_add_matches_composition() {
-        assert_eq!(
-            mul_add_mod(Q - 1, Q - 1, Q - 1, Q),
-            add_mod(mul_mod(Q - 1, Q - 1, Q), Q - 1, Q)
-        );
     }
 }

@@ -59,12 +59,6 @@ impl Montgomery {
         Self { q, q_inv, r2 }
     }
 
-    /// The modulus this context was built for.
-    #[inline]
-    pub(crate) fn modulus(&self) -> u64 {
-        self.q
-    }
-
     /// Lifts a residue into the Montgomery domain: `a·R mod q`.
     #[inline]
     pub fn to_mont(&self, a: u64) -> u64 {
@@ -74,12 +68,6 @@ impl Montgomery {
         } else {
             t
         }
-    }
-
-    /// Lowers a Montgomery-domain value back: `a·R^{-1} mod q`.
-    #[inline]
-    pub(crate) fn from_mont(&self, a: u64) -> u64 {
-        self.reduce_strict(a as u128)
     }
 
     /// Lazy Montgomery reduction (Alg. 1): `z·R^{-1} mod q` in `[0, 2q)`.
@@ -156,10 +144,6 @@ impl Montgomery {
     pub fn mul_strict(&self, a: u64, b_mont: u64) -> u64 {
         self.reduce_strict(a as u128 * b_mont as u128)
     }
-
-    /// Count of scalar primitive VPU operations of one Alg. 1 reduction:
-    /// 1 low 32-bit product + 4 16-bit products + 6 adds/shifts + 1 sub.
-    pub(crate) const PRIMITIVE_OPS: u32 = 12;
 }
 
 #[cfg(test)]
@@ -206,7 +190,7 @@ mod tests {
     fn mont_domain_roundtrip() {
         let m = Montgomery::new(Q);
         for a in [0u64, 1, 2, 12345, Q / 2, Q - 1] {
-            assert_eq!(m.from_mont(m.to_mont(a)), a);
+            assert_eq!(m.reduce_strict(m.to_mont(a) as u128), a);
         }
     }
 

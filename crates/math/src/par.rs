@@ -10,8 +10,6 @@
 //! * [`par_for_each_sized`] — run a closure over every element of a
 //!   mutable slice, on as many workers as `work` pays for
 //!   ([`par_for_each_mut`]: on every worker);
-//! * [`par_chunks_mut`] — the `rayon`-style `par_chunks_mut`: run a
-//!   closure over fixed-size chunks of one backing slice;
 //! * [`join`] — run two closures, one on a helper, when `work` pays
 //!   for it.
 //!
@@ -150,22 +148,6 @@ where
         ra.expect("join ran its first task"),
         rb.expect("join ran its second task"),
     )
-}
-
-/// Runs `f(c, chunk)` over consecutive `chunk_len`-sized chunks of
-/// `data` (the last chunk may be shorter), chunks distributed over
-/// every worker.
-///
-/// # Panics
-/// Panics if `chunk_len == 0`.
-pub(crate) fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk length must be positive");
-    let mut chunks: Vec<&mut [T]> = data.chunks_mut(chunk_len).collect();
-    par_for_each_mut(&mut chunks, |i, chunk| f(i, chunk));
 }
 
 /// Blocks per worker a fan-out is cut into: enough that a late or
@@ -367,42 +349,16 @@ mod tests {
         let mut one = vec![7u64];
         par_for_each_mut(&mut one, |i, x| *x += i as u64 + 1);
         assert_eq!(one, vec![8]);
-        let mut empty: Vec<u64> = Vec::new();
-        par_chunks_mut(&mut empty, 3, |_, _| unreachable!());
-    }
-
-    #[test]
-    fn chunks_match_serial_chunking() {
-        let n = 64usize;
-        let mut data: Vec<u64> = (0..(5 * n + 13) as u64).collect();
-        let want: Vec<u64> = data
-            .chunks(n)
-            .enumerate()
-            .flat_map(|(c, chunk)| chunk.iter().map(move |&x| x * 3 + c as u64))
-            .collect();
-        par_chunks_mut(&mut data, n, |c, chunk| {
-            for x in chunk.iter_mut() {
-                *x = *x * 3 + c as u64;
-            }
-        });
-        assert_eq!(data, want);
     }
 
     #[test]
     fn all_invocations_run() {
         let counter = AtomicUsize::new(0);
         let mut data = vec![0u8; 997];
-        par_chunks_mut(&mut data, 10, |_, chunk| {
-            counter.fetch_add(chunk.len(), Ordering::Relaxed);
+        par_for_each_mut(&mut data, |_, _| {
+            counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 997);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_chunk_rejected() {
-        let mut data = vec![0u8; 4];
-        par_chunks_mut(&mut data, 0, |_, _| {});
     }
 
     #[test]

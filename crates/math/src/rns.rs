@@ -2,14 +2,12 @@
 //!
 //! An [`RnsBasis`] packages a chain of pairwise-coprime word moduli
 //! `{q_0, …, q_{L-1}}` together with everything the HE stack precomputes
-//! offline: per-limb Barrett/Montgomery contexts, `Q = Π q_i`, Garner
+//! offline: `Q = Π q_i`, Garner
 //! mixed-radix tables for reconstruction, and the Basis-Conversion tables
 //! `[q̂_i^{-1}]_{q_i}` / `[q̂_i]_{p_j}` of paper §F2.
 
-use crate::barrett::BarrettReducer;
 use crate::bigint::BigUint;
 use crate::modops;
-use crate::montgomery::Montgomery;
 
 /// A chain of pairwise-coprime word moduli with precomputed contexts.
 ///
@@ -25,8 +23,6 @@ use crate::montgomery::Montgomery;
 #[derive(Debug, Clone)]
 pub struct RnsBasis {
     moduli: Vec<u64>,
-    barrett: Vec<BarrettReducer>,
-    montgomery: Vec<Montgomery>,
     /// `Q = Π q_i`
     big_q: BigUint,
     /// `Q / 2` (for signed centering)
@@ -51,8 +47,6 @@ impl RnsBasis {
                 assert!(gcd(qi, qj) == 1, "moduli must be pairwise coprime");
             }
         }
-        let barrett = moduli.iter().map(|&q| BarrettReducer::new(q)).collect();
-        let montgomery = moduli.iter().map(|&q| Montgomery::new(q)).collect();
         let big_q = BigUint::product_of(&moduli);
         let half_q = big_q.shr1();
         let mut garner_inv = Vec::with_capacity(moduli.len());
@@ -65,8 +59,6 @@ impl RnsBasis {
         }
         Self {
             moduli,
-            barrett,
-            montgomery,
             big_q,
             half_q,
             garner_inv,
@@ -84,29 +76,13 @@ impl RnsBasis {
     }
 
     /// True iff the basis is empty (never, by construction).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.moduli.is_empty()
-    }
-
-    /// Per-limb Barrett reducers.
-    pub(crate) fn barrett(&self) -> &[BarrettReducer] {
-        &self.barrett
-    }
-
-    /// Per-limb Montgomery contexts.
-    pub(crate) fn montgomery(&self) -> &[Montgomery] {
-        &self.montgomery
     }
 
     /// The big modulus `Q = Π q_i`.
     pub fn big_q(&self) -> &BigUint {
         &self.big_q
-    }
-
-    /// A sub-basis made of the first `l` moduli.
-    pub fn truncated(&self, l: usize) -> RnsBasis {
-        assert!(l >= 1 && l <= self.len());
-        RnsBasis::new(self.moduli[..l].to_vec())
     }
 
     /// Reduces a big integer to its residue vector.
@@ -191,7 +167,6 @@ impl RnsBasis {
             target: target.to_vec(),
             qhat_inv,
             qhat_mod_p,
-            q_mod_p: target.iter().map(|&p| self.big_q.mod_u64(p)).collect(),
         }
     }
 }
@@ -205,8 +180,6 @@ pub struct BconvTable {
     qhat_inv: Vec<u64>,
     /// `qhat_mod_p[i][j] = [q̂_i]_{p_j}` — step-2 matrix (L×L').
     qhat_mod_p: Vec<Vec<u64>>,
-    /// `[Q]_{p_j}` — for the optional `e·Q` overshoot correction.
-    q_mod_p: Vec<u64>,
 }
 
 impl BconvTable {
@@ -230,20 +203,11 @@ impl BconvTable {
         self.qhat_mod_p[i][j]
     }
 
-    /// Step-2 matrix in row-major `L × L'` layout.
-    pub(crate) fn matrix(&self) -> Vec<Vec<u64>> {
-        self.qhat_mod_p.clone()
-    }
-
-    /// `[Q]_{p_j}` values.
-    pub(crate) fn q_mod_p(&self) -> &[u64] {
-        &self.q_mod_p
-    }
-
     /// Reference (scalar) basis conversion of a single coefficient:
     /// given residues of `x` in the source basis, returns the approximate
     /// residues `[x + e·Q]_{p_j}` produced by the fast base conversion
     /// (the standard HPS-style conversion with `e ∈ [0, L)` overshoot).
+    #[cfg(test)]
     pub(crate) fn convert_scalar(&self, residues: &[u64]) -> Vec<u64> {
         assert_eq!(residues.len(), self.source.len());
         // step 1: b_i = r_i * qhat_inv_i mod q_i
@@ -323,13 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_shares_prefix() {
-        let b = basis(4);
-        let t = b.truncated(2);
-        assert_eq!(t.moduli(), &b.moduli()[..2]);
-    }
-
-    #[test]
     fn bconv_exact_for_small_values() {
         // For x < Q with no overshoot ambiguity, exact conversion holds
         // whenever the sum Σ b_i·q̂_i stays below... in general the fast
@@ -371,7 +328,7 @@ mod tests {
         assert_eq!(t.source().len(), 4);
         assert_eq!(t.target().len(), 3);
         assert_eq!(t.qhat_inv().len(), 4);
-        assert_eq!(t.matrix().len(), 4);
-        assert_eq!(t.matrix()[0].len(), 3);
+        assert_eq!(t.qhat_mod_p.len(), 4);
+        assert_eq!(t.qhat_mod_p[0].len(), 3);
     }
 }

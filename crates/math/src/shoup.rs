@@ -43,18 +43,6 @@ impl ShoupMul {
         Self { w, w_shoup, q }
     }
 
-    /// The prepared constant `w`.
-    #[inline]
-    pub(crate) fn constant(&self) -> u64 {
-        self.w
-    }
-
-    /// The modulus.
-    #[inline]
-    pub(crate) fn modulus(&self) -> u64 {
-        self.q
-    }
-
     /// Lazy Shoup product `a·w mod q` in `[0, 2q)`.
     ///
     /// Requires `a < 2^32` (guaranteed for reduced residues of CROSS
@@ -79,12 +67,6 @@ impl ShoupMul {
             r
         }
     }
-
-    /// Scalar primitive-op count of one Shoup multiply when emulated with
-    /// 32-bit VPU registers: the 64-bit products decompose into 16/32-bit
-    /// pieces (the paper maps Shoup to the SoTA GPU scalar-mult flow of
-    /// Fig. 7, costing it like a 64-bit capable pipeline it does not have).
-    pub(crate) const PRIMITIVE_OPS: u32 = 18;
 }
 
 #[cfg(test)]

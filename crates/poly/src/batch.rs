@@ -204,11 +204,6 @@ impl PolyBatch {
         &self.limbs
     }
 
-    /// Mutable limb views (caller must preserve reduction invariants).
-    pub(crate) fn limbs_mut(&mut self) -> &mut [Vec<u64>] {
-        &mut self.limbs
-    }
-
     /// Total residues across all limbs — the work of one element-wise
     /// pass, for [`par::par_for_each_sized`].
     fn total_elems(&self) -> usize {
@@ -627,7 +622,7 @@ mod tests {
         let c = ctx(4, 3);
         let xs = sample_polys(&c, 2, 21);
         let pb = PolyBatch::from_polys(&xs);
-        let c2 = Arc::new(c.truncated(2));
+        let c2 = Arc::new(RnsContext::with_tables(16, c.tables()[..2].to_vec()));
         let t = pb.truncate_to(c2.clone());
         assert_eq!(t.level_count(), 2);
         for (b, x) in xs.iter().enumerate() {

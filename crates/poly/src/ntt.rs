@@ -41,6 +41,7 @@ pub fn naive_forward(a: &[u64], tables: &NttTables) -> Vec<u64> {
 ///
 /// # Panics
 /// Panics if `a.len() != tables.n()`.
+#[cfg(test)]
 pub(crate) fn naive_inverse(a: &[u64], tables: &NttTables) -> Vec<u64> {
     let n = tables.n();
     assert_eq!(a.len(), n, "input length must equal the ring degree");
@@ -130,31 +131,6 @@ pub fn stages(n: usize) -> u32 {
     n.trailing_zeros()
 }
 
-/// Counts the vectorized op invocations of one radix-2 NTT stage, per
-/// paper §F1: each stage is `N/2`-VecModMul + `N/2`-VecModAdd +
-/// `N/2`-VecModSub plus a bit-complement shuffle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StageOps {
-    /// Modular multiplications in the stage.
-    pub mults: usize,
-    /// Modular additions in the stage.
-    pub adds: usize,
-    /// Modular subtractions in the stage.
-    pub subs: usize,
-    /// Elements moved by the stage's bit-complement shuffle.
-    pub shuffled: usize,
-}
-
-/// Per-stage op counts for degree `n`.
-pub(crate) fn stage_ops(n: usize) -> StageOps {
-    StageOps {
-        mults: n / 2,
-        adds: n / 2,
-        subs: n / 2,
-        shuffled: n,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,8 +208,5 @@ mod tests {
     #[test]
     fn stage_op_counts() {
         assert_eq!(stages(1 << 12), 12);
-        let ops = stage_ops(1 << 12);
-        assert_eq!(ops.mults, 1 << 11);
-        assert_eq!(ops.shuffled, 1 << 12);
     }
 }

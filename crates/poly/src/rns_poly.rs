@@ -72,16 +72,6 @@ impl RnsContext {
     pub fn tables(&self) -> &[Arc<NttTables>] {
         &self.tables
     }
-
-    /// A context truncated to the first `l` limbs (sharing degree).
-    pub(crate) fn truncated(&self, l: usize) -> RnsContext {
-        assert!(l >= 1 && l <= self.level_count());
-        RnsContext {
-            n: self.n,
-            basis: self.basis.truncated(l),
-            tables: self.tables[..l].to_vec(),
-        }
-    }
 }
 
 /// A single RNS polynomial: the `batch() == 1` case of [`PolyBatch`],
@@ -202,7 +192,10 @@ mod tests {
     fn truncated_context_drop_limb() {
         let c = ctx(4, 3);
         let p = RnsPoly::from_signed_coeffs(c.clone(), &[2i64; 16]);
-        let d = p.truncate_to(Arc::new(c.truncated(2)));
+        let d = p.truncate_to(Arc::new(RnsContext::with_tables(
+            16,
+            c.tables()[..2].to_vec(),
+        )));
         assert_eq!(d.level_count(), 2);
         assert_eq!(d.coeff_signed_f64(0), 2.0);
     }

@@ -1,6 +1,5 @@
 //! Random polynomial sampling for RLWE (uniform, ternary, discrete Gaussian).
 
-use cross_math::modops::from_signed;
 use rand::Rng;
 
 /// Standard deviation of the RLWE error distribution (HE standard \[7\]).
@@ -9,16 +8,6 @@ pub const ERROR_SIGMA: f64 = 3.2;
 /// Uniform coefficients in `[0, q)`.
 pub fn uniform_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Vec<u64> {
     (0..n).map(|_| rng.gen_range(0..q)).collect()
-}
-
-/// Ternary secret coefficients in `{-1, 0, 1}` mapped into `[0, q)`.
-pub(crate) fn ternary_poly<R: Rng>(rng: &mut R, n: usize, q: u64) -> Vec<u64> {
-    (0..n)
-        .map(|_| {
-            let v: i64 = rng.gen_range(-1..=1);
-            from_signed(v, q)
-        })
-        .collect()
 }
 
 /// Signed ternary coefficients (for cross-basis reuse of one secret).
@@ -52,18 +41,6 @@ mod tests {
         let q = 268_369_921u64;
         let p = uniform_poly(&mut rng, 1024, q);
         assert!(p.iter().all(|&x| x < q));
-    }
-
-    #[test]
-    fn ternary_values() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let q = 268_369_921u64;
-        let p = ternary_poly(&mut rng, 4096, q);
-        for &x in &p {
-            assert!(x == 0 || x == 1 || x == q - 1, "x={x}");
-        }
-        // all three values should occur in 4096 draws
-        assert!(p.contains(&0) && p.contains(&1) && p.contains(&(q - 1)));
     }
 
     #[test]

@@ -62,16 +62,6 @@ impl ShoupPairs {
     pub fn get(&self, i: usize) -> (u64, u64) {
         (self.w[i], self.w_shoup[i])
     }
-
-    /// Number of stored constants.
-    pub(crate) fn len(&self) -> usize {
-        self.w.len()
-    }
-
-    /// Whether the table is empty.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.w.is_empty()
-    }
 }
 
 /// Lazy Shoup product `a·w mod q + εq ∈ [0, 2q)` with `ε ∈ {0, 1}`,
@@ -167,16 +157,6 @@ impl SmallNttTables {
             inv: ShoupPairs::from_values(tables.psi_inv_rev(), q),
             n_inv: ShoupPairs::from_values(&[tables.n_inv()], q).get(0),
         }
-    }
-
-    /// Transform size.
-    pub(crate) fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Modulus.
-    pub(crate) fn q(&self) -> u64 {
-        self.q
     }
 }
 

@@ -16,8 +16,6 @@ use std::sync::OnceLock;
 pub struct NttTables {
     n: usize,
     q: u64,
-    psi: u64,
-    psi_inv: u64,
     n_inv: u64,
     /// `ψ^i` for `i ∈ [0, N)`, natural order.
     psi_pow: Vec<u64>,
@@ -70,8 +68,6 @@ impl NttTables {
         Self {
             n,
             q,
-            psi,
-            psi_inv,
             n_inv,
             psi_pow,
             psi_inv_pow,
@@ -98,18 +94,6 @@ impl NttTables {
     #[inline]
     pub fn q(&self) -> u64 {
         self.q
-    }
-
-    /// The `2N`-th root `ψ`.
-    #[inline]
-    pub(crate) fn psi(&self) -> u64 {
-        self.psi
-    }
-
-    /// `ψ^{-1} mod q`.
-    #[inline]
-    pub(crate) fn psi_inv(&self) -> u64 {
-        self.psi_inv
     }
 
     /// `N^{-1} mod q`.
@@ -141,16 +125,6 @@ impl NttTables {
         }
     }
 
-    /// Natural-order powers `ψ^i`.
-    pub(crate) fn psi_pow(&self) -> &[u64] {
-        &self.psi_pow
-    }
-
-    /// Natural-order inverse powers `ψ^{-i}`.
-    pub(crate) fn psi_inv_pow(&self) -> &[u64] {
-        &self.psi_inv_pow
-    }
-
     /// Bit-reversed forward twiddles (CT butterflies).
     pub(crate) fn psi_rev(&self) -> &[u64] {
         &self.psi_rev
@@ -159,11 +133,6 @@ impl NttTables {
     /// Bit-reversed inverse twiddles (GS butterflies).
     pub(crate) fn psi_inv_rev(&self) -> &[u64] {
         &self.psi_inv_rev
-    }
-
-    /// `ω = ψ²`, the primitive `N`-th root of unity.
-    pub(crate) fn omega(&self) -> u64 {
-        mul_mod(self.psi, self.psi, self.q)
     }
 }
 
@@ -180,9 +149,10 @@ mod tests {
     #[test]
     fn psi_orders() {
         let t = tables(6);
-        assert_eq!(pow_mod(t.psi(), t.n() as u64, t.q()), t.q() - 1);
-        assert_eq!(pow_mod(t.omega(), t.n() as u64, t.q()), 1);
-        assert_ne!(pow_mod(t.omega(), t.n() as u64 / 2, t.q()), 1);
+        // ψ has order 2N; ω = ψ² has order N.
+        assert_eq!(pow_mod(t.psi_power(1), t.n() as u64, t.q()), t.q() - 1);
+        assert_eq!(pow_mod(t.psi_power(2), t.n() as u64, t.q()), 1);
+        assert_ne!(pow_mod(t.psi_power(2), t.n() as u64 / 2, t.q()), 1);
     }
 
     #[test]

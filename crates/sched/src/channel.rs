@@ -264,16 +264,6 @@ impl<T> Receiver<T> {
         }
         out
     }
-
-    /// Values currently queued.
-    pub(crate) fn len(&self) -> usize {
-        self.shared.state.lock().unwrap().queue.len()
-    }
-
-    /// Whether nothing is currently queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -306,7 +296,7 @@ mod tests {
         for i in 0..5 {
             tx.send(i).unwrap();
         }
-        assert_eq!(rx.len(), 5);
+        assert_eq!(rx.shared.state.lock().unwrap().queue.len(), 5);
         for i in 0..5 {
             assert_eq!(rx.recv(), Some(i));
         }

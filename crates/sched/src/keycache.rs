@@ -68,17 +68,7 @@ pub struct KeyCacheStats {
     pub admit_s: f64,
 }
 
-impl KeyCacheStats {
-    /// Hit fraction over all touches (1.0 before any touch).
-    pub(crate) fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+impl KeyCacheStats {}
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -168,28 +158,9 @@ impl KeyCache {
     }
 
     /// Whether `(tenant, key)` is currently resident.
+    #[cfg(test)]
     pub(crate) fn contains(&self, tenant: TenantId, key: KeyRef) -> bool {
         self.entries.contains_key(&(tenant, key))
-    }
-
-    /// Resident keys.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing is resident.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Resident key bytes.
-    pub(crate) fn resident_bytes(&self) -> f64 {
-        self.resident_bytes
-    }
-
-    /// Configured capacity in bytes.
-    pub(crate) fn capacity_bytes(&self) -> f64 {
-        self.capacity_bytes
     }
 
     /// Resident fraction of capacity, in `[0, 1]` except for the
@@ -201,22 +172,6 @@ impl KeyCache {
     /// Lifetime counters.
     pub(crate) fn stats(&self) -> KeyCacheStats {
         self.stats
-    }
-
-    /// Drops every key `tenant` has resident (session teardown);
-    /// returns how many were dropped. Not counted as evictions — the
-    /// tenant left, nothing was displaced.
-    pub(crate) fn evict_tenant(&mut self, tenant: TenantId) -> usize {
-        let doomed: Vec<(TenantId, KeyRef)> = self
-            .entries
-            .range((tenant, KeyRef::Relin)..=(tenant, KeyRef::Rotation(usize::MAX)))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &doomed {
-            let e = self.entries.remove(k).expect("present");
-            self.resident_bytes -= e.bytes;
-        }
-        doomed.len()
     }
 }
 
@@ -273,10 +228,10 @@ mod tests {
         for tenant in 0..32 {
             c.touch(tenant, KeyRef::Relin, KEY);
             c.touch(tenant, KeyRef::Rotation(1), KEY);
-            assert!(c.resident_bytes() <= c.capacity_bytes());
+            assert!(c.resident_bytes <= c.capacity_bytes);
             assert!(c.occupancy() <= 1.0);
         }
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.entries.len(), 3);
         assert_eq!(c.stats().evictions, 64 - 3);
     }
 
@@ -298,32 +253,7 @@ mod tests {
         c.touch(1, KeyRef::Relin, KEY / 2.0);
         let s = c.touch(1, KeyRef::Rotation(1), KEY * 10.0);
         assert!(s > 0.0);
-        assert_eq!(c.len(), 1, "everything else evicted");
+        assert_eq!(c.entries.len(), 1, "everything else evicted");
         assert!(c.contains(1, KeyRef::Rotation(1)));
-    }
-
-    #[test]
-    fn evict_tenant_drops_only_that_tenant() {
-        let mut c = cache(KEY * 8.0);
-        c.touch(1, KeyRef::Relin, KEY);
-        c.touch(1, KeyRef::Rotation(1), KEY);
-        c.touch(1, KeyRef::Rotation(usize::MAX), KEY);
-        c.touch(2, KeyRef::Relin, KEY);
-        assert_eq!(c.evict_tenant(1), 3);
-        assert!(c.is_empty() || c.contains(2, KeyRef::Relin));
-        assert_eq!(c.len(), 1);
-        assert!((c.resident_bytes() - KEY).abs() < 1e-12);
-        assert_eq!(c.stats().evictions, 0, "teardown is not displacement");
-    }
-
-    #[test]
-    fn hit_rate_tracks_touches() {
-        let mut c = cache(KEY * 4.0);
-        assert_eq!(c.stats().hit_rate(), 1.0);
-        c.touch(1, KeyRef::Relin, KEY);
-        c.touch(1, KeyRef::Relin, KEY);
-        c.touch(1, KeyRef::Relin, KEY);
-        c.touch(2, KeyRef::Relin, KEY);
-        assert!((c.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 }

@@ -22,11 +22,10 @@
 //! [`pop_fair`](RequestQueue::pop_fair) interleaves tenants by
 //! **deficit round robin**: per round every backlogged tenant earns
 //! `weight` credits and pops that many requests, so a flooding tenant
-//! cannot starve a light one while service stays work-conserving.
-//! [`drain_fair`](RequestQueue::drain_fair) builds on it and forms
-//! **one dispatch per tenant** from the popped slice — fused batches
-//! never mix tenants, because a fused group shares one switching key
-//! and keys are tenant-owned.
+//! cannot starve a light one while service stays work-conserving. The
+//! serving loop forms **one dispatch per tenant** from each popped
+//! window — fused batches never mix tenants, because a fused group
+//! shares one switching key and keys are tenant-owned.
 //!
 //! Three serving building blocks live here alongside the queue:
 //!
@@ -50,13 +49,12 @@
 //!
 //! # Examples
 //!
-//! Weighted-fair drain across two tenants — the flooding tenant gets
+//! Weighted-fair pop across two tenants — the flooding tenant gets
 //! its weight's share, not the whole window:
 //!
 //! ```
 //! use cross_ckks::params::ParamSet;
-//! use cross_sched::{HeOpKind, RequestQueue, Scheduler};
-//! use cross_tpu::TpuGeneration;
+//! use cross_sched::{HeOpKind, RequestQueue};
 //!
 //! let params = ParamSet::B.params();
 //! let mut queue = RequestQueue::new();
@@ -68,11 +66,10 @@
 //! for _ in 0..2 {
 //!     queue.submit(2, HeOpKind::Add, params.limbs, ()).unwrap(); // light tenant
 //! }
-//! let scheduler = Scheduler::new(TpuGeneration::V6e, 4);
-//! let dispatches = queue.drain_fair(&scheduler, &params, 4);
-//! // Equal weights: the 4-op window splits 2/2, one dispatch each.
-//! assert_eq!(dispatches.len(), 2);
-//! assert!(dispatches.iter().all(|(_, d)| d.tickets.len() == 2));
+//! let window = queue.pop_fair(4);
+//! // Equal weights: the 4-op window splits 2/2.
+//! assert_eq!(window.len(), 4);
+//! assert_eq!(window.iter().filter(|r| r.tenant == 2).count(), 2);
 //! ```
 
 use crate::ir::{HeOpKind, NodeId, OpGraph};
@@ -371,11 +368,6 @@ impl<P> RequestQueue<P> {
         }
     }
 
-    /// Maximum pending operations (`usize::MAX` when unbounded).
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Sets `tenant`'s fair-share weight (default 1): per
     /// [`pop_fair`](Self::pop_fair) round a backlogged tenant pops up
     /// to `weight` requests, so a tenant with weight 3 gets 3× the
@@ -562,8 +554,8 @@ impl<P> RequestQueue<P> {
     ///
     /// With multiple tenants queued, the merged graph can fuse ops
     /// *across* tenants — only correct when every tenant shares one
-    /// keyset. Tenant-owned keys require
-    /// [`drain_fair`](Self::drain_fair).
+    /// keyset. Tenant-owned keys require one dispatch per tenant, as
+    /// the serving loop forms.
     pub fn drain(
         &mut self,
         scheduler: &Scheduler,
@@ -571,24 +563,6 @@ impl<P> RequestQueue<P> {
         max_ops: usize,
     ) -> Dispatch<P> {
         Self::dispatch_requests(self.pop_fair(max_ops), scheduler, params)
-    }
-
-    /// Drains up to `max_ops` operations by deficit round robin and
-    /// schedules **one dispatch per tenant**
-    /// ([`pop_fair_by_tenant`](Self::pop_fair_by_tenant)): fused
-    /// batches never mix tenants, so each dispatch executes under its
-    /// own tenant's switching keys while the window's service split
-    /// still follows the tenants' weights.
-    pub fn drain_fair(
-        &mut self,
-        scheduler: &Scheduler,
-        params: &CkksParams,
-        max_ops: usize,
-    ) -> Vec<(TenantId, Dispatch<P>)> {
-        self.pop_fair_by_tenant(max_ops)
-            .into_iter()
-            .map(|(t, requests)| (t, Self::dispatch_requests(requests, scheduler, params)))
-            .collect()
     }
 }
 
@@ -644,7 +618,7 @@ mod tests {
     fn bounded_queue_rejects_then_frees() {
         let params = ParamSet::B.params();
         let mut q = RequestQueue::bounded(2);
-        assert_eq!(q.capacity(), 2);
+        assert_eq!(q.capacity, 2);
         q.submit_default(HeOpKind::Add, params.limbs).unwrap();
         q.submit_default(HeOpKind::Add, params.limbs).unwrap();
         assert_eq!(
@@ -775,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_fair_forms_one_dispatch_per_tenant() {
+    fn pop_fair_by_tenant_forms_one_dispatch_per_tenant() {
         let params = ParamSet::B.params();
         let mut q = RequestQueue::new();
         for _ in 0..4 {
@@ -785,7 +759,11 @@ mod tests {
                 .unwrap();
         }
         let s = Scheduler::new(TpuGeneration::V6e, 4);
-        let dispatches = q.drain_fair(&s, &params, 8);
+        let dispatches: Vec<_> = q
+            .pop_fair_by_tenant(8)
+            .into_iter()
+            .map(|(t, r)| (t, RequestQueue::dispatch_requests(r, &s, &params)))
+            .collect();
         assert_eq!(dispatches.len(), 2);
         for (tenant, d) in &dispatches {
             assert!([7, 9].contains(tenant));

@@ -119,25 +119,9 @@ impl Recorder {
         self.unary(HeOpKind::ModDrop { to_level }, a, a.level, to_level)
     }
 
-    /// Standalone hybrid key switch (cost-only in replay).
-    pub(crate) fn key_switch(&mut self, a: Vct) -> Vct {
-        self.unary(HeOpKind::KeySwitch, a, a.level, a.level)
-    }
-
-    /// Packed bootstrapping, refreshing the ciphertext to `to_level`
-    /// (cost-only in replay).
-    pub(crate) fn bootstrap(&mut self, a: Vct, to_level: usize) -> Vct {
-        self.unary(HeOpKind::Bootstrap, a, a.level, to_level)
-    }
-
     /// The recorded graph.
     pub fn finish(self) -> OpGraph {
         self.graph
-    }
-
-    /// Peek at the graph without consuming the recorder.
-    pub(crate) fn graph(&self) -> &OpGraph {
-        &self.graph
     }
 }
 
@@ -163,13 +147,5 @@ mod tests {
         // The add node executes at the aligned level 3.
         assert_eq!(g.node(s.node).level, 3);
         assert_eq!(g.sinks(), vec![m.node]);
-    }
-
-    #[test]
-    fn bootstrap_refreshes_level() {
-        let mut r = Recorder::new();
-        let x = r.input(2);
-        let b = r.bootstrap(x, 10);
-        assert_eq!(b.level, 10);
     }
 }

@@ -79,7 +79,6 @@ use crate::keycache::KeyRef;
 use crate::queue::{Backpressure, DEFAULT_TENANT};
 use crate::sched::Scheduler;
 use crate::session::{serve_tenants, Session, TenantSpec};
-use cross_ckks::costs::ExecMode;
 use cross_ckks::{CkksContext, SwitchingKey};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -152,10 +151,6 @@ pub struct ServeConfig {
     pub capacity: usize,
     /// What happens at capacity: block the producer or reject.
     pub policy: Backpressure,
-    /// Scheduler fusion cap per batch group.
-    pub max_fuse: usize,
-    /// NTT lowering mode the scheduler costs fused kernels with.
-    pub mode: ExecMode,
     /// Whether drains run the optimizer pipeline before batch
     /// formation (see [`Scheduler::optimize`]; tickets are remapped,
     /// so results are unchanged either way).
@@ -195,8 +190,9 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Defaults for a pod of `cores` tensor cores of `gen`: workers =
     /// `min(4, available_parallelism)`, drain cap 16, intake capacity
-    /// 64, blocking backpressure, fusion cap 16, fused-batch lowering,
-    /// store capacity 256, unbounded key cache, no batching window.
+    /// 64, blocking backpressure, store capacity 256, unbounded key
+    /// cache, no batching window. The scheduler keeps
+    /// [`Scheduler::new`]'s fusion cap and lowering mode.
     pub fn new(gen: cross_tpu::TpuGeneration, cores: u32) -> Self {
         Self {
             gen,
@@ -205,8 +201,6 @@ impl ServeConfig {
             drain_max: 16,
             capacity: 64,
             policy: Backpressure::Block,
-            max_fuse: 16,
-            mode: ExecMode::FusedBatch,
             optimize: false,
             batch_window: Duration::ZERO,
             store_capacity: 256,
@@ -251,16 +245,6 @@ impl ServeConfig {
         self
     }
 
-    /// Same configuration with an explicit scheduler fusion cap.
-    ///
-    /// # Panics
-    /// Panics if `max_fuse == 0`.
-    pub(crate) fn with_max_fuse(mut self, max_fuse: usize) -> Self {
-        assert!(max_fuse >= 1, "fusion cap must be ≥ 1");
-        self.max_fuse = max_fuse;
-        self
-    }
-
     /// Same configuration with an explicit micro-batching window (see
     /// [`batch_window`](ServeConfig::batch_window)).
     pub fn with_batch_window(mut self, window: Duration) -> Self {
@@ -299,10 +283,7 @@ impl ServeConfig {
     }
 
     pub(crate) fn scheduler(&self) -> Scheduler {
-        Scheduler::new(self.gen, self.cores)
-            .with_mode(self.mode)
-            .with_max_fuse(self.max_fuse)
-            .with_optimize(self.optimize)
+        Scheduler::new(self.gen, self.cores).with_optimize(self.optimize)
     }
 }
 

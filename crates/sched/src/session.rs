@@ -443,11 +443,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// This session's tenant id.
-    pub(crate) fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
     /// Stores an input ciphertext owned by this tenant, **pinned**:
     /// the client manages input lifetime explicitly
     /// ([`release`](Self::release) makes it evictable,

@@ -87,13 +87,6 @@ impl PodSim {
         }
     }
 
-    /// The exact single-core reference configuration: one core, free
-    /// links. Estimates through this pod are bit-identical to charging
-    /// a lone [`TpuSim`].
-    pub(crate) fn single_core_reference(gen: TpuGeneration) -> Self {
-        Self::with_topology(gen, Topology::zero_cost(1))
-    }
-
     /// The interconnect topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -308,7 +301,7 @@ mod tests {
 
     #[test]
     fn single_core_collectives_are_free() {
-        let mut pod = PodSim::single_core_reference(TpuGeneration::V6e);
+        let mut pod = PodSim::with_topology(TpuGeneration::V6e, Topology::zero_cost(1));
         assert_eq!(pod.broadcast(1e9, "b"), 0.0);
         assert_eq!(pod.all_gather(1e9, "g"), 0.0);
         assert_eq!(pod.all_reduce(1e9, "r"), 0.0);

@@ -229,26 +229,6 @@ impl TpuSim {
         self.trace.record(cat, s, label);
     }
 
-    /// Vectorized modular addition (2 scalar ops/elem: add + csub).
-    pub(crate) fn vec_mod_add(&mut self, a: &[u64], b: &[u64], q: u64, cat: Category) -> Vec<u64> {
-        assert_eq!(a.len(), b.len());
-        self.charge_vpu(a.len(), ops::MOD_ADD, cat, "vec_mod_add");
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| cross_math::modops::add_mod(x % q, y % q, q))
-            .collect()
-    }
-
-    /// Vectorized modular subtraction.
-    pub(crate) fn vec_mod_sub(&mut self, a: &[u64], b: &[u64], q: u64, cat: Category) -> Vec<u64> {
-        assert_eq!(a.len(), b.len());
-        self.charge_vpu(a.len(), ops::MOD_SUB, cat, "vec_mod_sub");
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| cross_math::modops::sub_mod(x % q, y % q, q))
-            .collect()
-    }
-
     /// Vectorized Montgomery modular product: `b_mont` is in the
     /// Montgomery domain (e.g. precompiled twiddles), output strict.
     pub fn vec_mod_mul_montgomery(
@@ -317,25 +297,6 @@ impl TpuSim {
         2.0 * bytes / (self.spec.vmem_write_gibs * GIB) + XLU_FIXED_S
     }
 
-    /// Functional transpose (u64-held 32-bit values), charging XLU time.
-    pub(crate) fn transpose_u64(
-        &mut self,
-        data: &[u64],
-        r: usize,
-        c: usize,
-        cat: Category,
-    ) -> Vec<u64> {
-        assert_eq!(data.len(), r * c);
-        self.charge_transpose(r, c, cat);
-        let mut out = vec![0u64; r * c];
-        for i in 0..r {
-            for j in 0..c {
-                out[j * r + i] = data[i * c + j];
-            }
-        }
-        out
-    }
-
     /// Cost-only transpose charge.
     pub fn charge_transpose(&mut self, r: usize, c: usize, cat: Category) {
         self.trace
@@ -357,42 +318,8 @@ impl TpuSim {
     }
 
     // ------------------------------------------------------------------
-    // Type conversion (BAT's 32-bit ↔ byte-chunk relayout)
+    // Relayout and materialization
     // ------------------------------------------------------------------
-
-    /// Functional decomposition of 32-bit values into `k` byte chunks,
-    /// column-stacked per Alg. 2 `RUNTIMECOMPILERIGHT` (charging VPU +
-    /// relayout time).
-    pub(crate) fn convert_u32_to_chunks(&mut self, a: &[u64], k: usize, cat: Category) -> Vec<u8> {
-        let s = self.vpu_seconds(a.len() * k, 2, a.len() as f64 * 4.0, (a.len() * k) as f64);
-        self.trace.record(cat, s, "u32->u8 chunks");
-        let mut out = vec![0u8; a.len() * k];
-        for (i, &v) in a.iter().enumerate() {
-            for c in 0..k {
-                out[c * a.len() + i] = ((v >> (8 * c)) & 0xFF) as u8;
-            }
-        }
-        out
-    }
-
-    /// Functional merge of `k` chunk-rows back to 32-bit (+charge):
-    /// `CHUNKMERGE` with carries.
-    pub(crate) fn convert_chunks_to_u32(&mut self, rows: &[Vec<u32>], cat: Category) -> Vec<u64> {
-        let k = rows.len();
-        assert!(k > 0);
-        let n = rows[0].len();
-        let s = self.vpu_seconds(n * k, 2, (n * k * 4) as f64, (n * 4) as f64);
-        self.trace.record(cat, s, "chunks->u64 merge");
-        (0..n)
-            .map(|i| {
-                let mut acc = 0u64;
-                for (c, row) in rows.iter().enumerate() {
-                    acc += (row[i] as u64) << (8 * c);
-                }
-                acc
-            })
-            .collect()
-    }
 
     /// Cost-only relayout charge (XLA copy/reshape to (8,128) tiles).
     pub fn charge_reshape(&mut self, bytes: f64, cat: Category) {
@@ -445,10 +372,6 @@ const XLU_FIXED_S: f64 = 0.2e-6;
 /// Scalar-op costs per element for the VPU modular primitives, derived
 /// from the algorithm structure (Alg. 1/4 and the Shoup flow of Fig. 7).
 pub mod ops {
-    /// add + conditional subtract.
-    pub(crate) const MOD_ADD: u32 = 2;
-    /// compare + subtract + select.
-    pub(crate) const MOD_SUB: u32 = 2;
     /// 32×32→64 product via 16-bit primitives (~6) + Alg. 1 reduction (12).
     pub const MONTGOMERY_MUL: u32 = 18;
     /// product (~6) + Alg. 4 reduction with wide products (~20).
@@ -497,22 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn vec_ops_functional() {
-        let mut s = sim();
-        let q = 268_369_921u64;
-        let a = vec![q - 1, 5, 0, 123];
-        let b = vec![1u64, q - 2, 0, 123];
-        assert_eq!(
-            s.vec_mod_add(&a, &b, q, Category::VecModOps),
-            vec![0, 3, 0, 246]
-        );
-        assert_eq!(
-            s.vec_mod_sub(&a, &b, q, Category::VecModOps),
-            vec![q - 2, 7, 0, 0]
-        );
-    }
-
-    #[test]
     fn montgomery_vec_mul_correct() {
         let mut s = sim();
         let q = 268_369_921u64;
@@ -553,14 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_functional() {
-        let mut s = sim();
-        let data = vec![1u64, 2, 3, 4, 5, 6];
-        let t = s.transpose_u64(&data, 2, 3, Category::CopyReshape);
-        assert_eq!(t, vec![1, 4, 2, 5, 3, 6]);
-    }
-
-    #[test]
     fn fine_shuffle_costs_more() {
         let s = sim();
         let coarse = s.shuffle_seconds(1 << 16, 1 << 16);
@@ -570,24 +469,6 @@ mod tests {
             "fine-grained shuffle must be far slower: {}",
             fine / coarse
         );
-    }
-
-    #[test]
-    fn chunk_roundtrip() {
-        let mut s = sim();
-        let a = vec![0xDEADBEEFu64 & 0xFFFF_FFFF, 0x01020304, 0, 0xFFFF_FFFF];
-        let chunks = s.convert_u32_to_chunks(&a, 4, Category::TypeConversion);
-        // Rebuild rows: chunk c row = chunks[c*n..(c+1)*n]
-        let rows: Vec<Vec<u32>> = (0..4)
-            .map(|c| {
-                chunks[c * a.len()..(c + 1) * a.len()]
-                    .iter()
-                    .map(|&x| x as u32)
-                    .collect()
-            })
-            .collect();
-        let back = s.convert_chunks_to_u32(&rows, Category::TypeConversion);
-        assert_eq!(back, a);
     }
 
     #[test]

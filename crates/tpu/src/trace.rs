@@ -168,32 +168,11 @@ impl Trace {
         breakdown_of(&self.entries)
     }
 
-    /// Per-category share of total time (fractions summing to 1).
-    pub(crate) fn breakdown_fractions(&self) -> Vec<(Category, f64)> {
-        let total = self.total_seconds();
-        if total == 0.0 {
-            return Vec::new();
-        }
-        self.breakdown()
-            .into_iter()
-            .map(|(c, s)| (c, s / total))
-            .collect()
-    }
-
     /// Clears all entries and zeroes the running sums.
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.total = 0.0;
         self.by_category = Default::default();
-    }
-
-    /// Renders a Fig. 12-style percentage bar as text.
-    pub(crate) fn render_percentages(&self) -> String {
-        self.breakdown_fractions()
-            .iter()
-            .map(|(c, f)| format!("{}: {:.1}%", c.label(), f * 100.0))
-            .collect::<Vec<_>>()
-            .join(" | ")
     }
 }
 
@@ -213,21 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn fractions_sum_to_one() {
-        let mut t = Trace::new();
-        t.record(Category::Permutation, 1.0, "");
-        t.record(Category::Other, 1.0, "");
-        t.record(Category::DmaHbm, 2.0, "");
-        let total: f64 = t.breakdown_fractions().iter().map(|(_, f)| f).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_trace() {
         let t = Trace::new();
         assert_eq!(t.total_seconds(), 0.0);
-        assert!(t.breakdown_fractions().is_empty());
-        assert_eq!(t.render_percentages(), "");
+        assert!(t.breakdown().is_empty());
     }
 
     #[test]

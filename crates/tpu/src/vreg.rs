@@ -7,8 +7,6 @@ pub(crate) const SUBLANES: usize = 8;
 pub(crate) const LANES: usize = 128;
 /// 32-bit elements per VReg.
 pub(crate) const ELEMS_PER_VREG: usize = SUBLANES * LANES;
-/// Bytes per VReg (32-bit elements).
-pub(crate) const BYTES_PER_VREG: usize = ELEMS_PER_VREG * 4;
 
 /// Number of VRegs needed to hold `elems` 32-bit values.
 #[inline]
@@ -43,7 +41,7 @@ mod tests {
 
     #[test]
     fn vreg_is_4kb() {
-        assert_eq!(BYTES_PER_VREG, 4096);
+        assert_eq!(ELEMS_PER_VREG * 4, 4096);
         assert_eq!(ELEMS_PER_VREG, 1024);
     }
 
