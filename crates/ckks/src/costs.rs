@@ -10,7 +10,7 @@
 //! Each HE operator is described once, as an [`OpSpec`]: a short list
 //! of named *phases* (tensor, digit decomposition, key inner product,
 //! mod-down, rescale, automorphism), each a kernel-count formula over
-//! one `(params, level)` shape. [`OpSpec::counts`] is the sum of the
+//! one `(params, level)` shape. `OpSpec::counts` is the sum of the
 //! phases and [`OpSpec::bundle`] the one place counts are paired with
 //! switching-key traffic; the `cross_sched` IR, the bootstrapping
 //! estimator and the backbone tables all charge those bundles.
@@ -297,7 +297,7 @@ impl std::ops::Add for OpCounts {
 
 /// Result level of an operator that consumes `limbs_consumed` limbs at
 /// level `l`, or `None` when `l` cannot host it (level 0, or no limb
-/// left to drop). The one level rule: [`OpSpec::counts`] asserts it,
+/// left to drop). The one level rule: `OpSpec::counts` asserts it,
 /// and `cross_sched`'s `OpGraph::add_op` and serving `admit` apply the
 /// same function.
 pub fn result_level(limbs_consumed: usize, l: usize) -> Option<usize> {
@@ -984,6 +984,14 @@ mod tests {
         assert_eq!(ROTATE.counts(&p, 1).automorphism, 2);
         assert_eq!(result_level(ROTATE.limbs_consumed(), 1), Some(1));
         assert!(std::panic::catch_unwind(|| HE_ADD.counts(&p, 0)).is_err());
+    }
+
+    #[test]
+    fn charge_bconv_matches_shapes() {
+        let mut sim = TpuSim::new(TpuGeneration::V6e);
+        charge_bconv(&mut sim, 32, 4, 4, 2);
+        assert!(sim.trace().seconds_of(Category::BconvMatMul) > 0.0);
+        assert!(sim.hbm_seconds() > 0.0, "the BAT prime matrix is loaded");
     }
 
     #[test]

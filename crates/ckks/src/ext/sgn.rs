@@ -11,7 +11,7 @@
 //! approximation exact at 0.
 //!
 //! Every degree-7 step runs as one baby-step/giant-step chain
-//! ([`eval_odd7`]) consuming exactly 4 levels, with scale-correcting
+//! (`eval_odd7`) consuming exactly 4 levels, with scale-correcting
 //! plaintext multiplies that steer the result back onto the step's
 //! target scale — so a 5-step composition stays drift-free through 20
 //! levels. The chains are written against the [`SgnBackend`] trait:

@@ -300,7 +300,7 @@ impl BconvKernel {
         self.convert_on_tpu(sim, batch.limbs(), use_bat)
     }
 
-    /// Scalar-path oracle via [`BconvTable::convert_scalar`] semantics:
+    /// Scalar-path oracle via `BconvTable::convert_scalar` semantics:
     /// full reference conversion of all coefficients (single-polynomial
     /// or batch-major limbs) — strict step 1 into whole limbs, then
     /// [`BconvKernel::step2_reference`]'s fold-per-term accumulation.

@@ -13,7 +13,7 @@ use crate::modops;
 ///
 /// `reduce(z)` maps `z ∈ [0, 2^64)`... strictly `z < q·R` ... to
 /// `z·R^{-1} mod q`, *lazily* in `[0, 2q)` exactly as Alg. 1 returns it.
-/// Use [`Montgomery::reduce_strict`] for a canonical representative.
+/// Use `Montgomery::reduce_strict` for a canonical representative.
 ///
 /// # Example
 /// ```

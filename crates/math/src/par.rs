@@ -105,7 +105,7 @@ where
     par_for_each_sized(items, usize::MAX, f);
 }
 
-/// [`par_for_each_mut`] on the [`workers_for`] a loop of `work` residue
+/// [`par_for_each_mut`] on the `workers_for` a loop of `work` residue
 /// operations in total pays for — the one gate every limb, digit and
 /// batch fan-out in the stack goes through.
 #[inline]

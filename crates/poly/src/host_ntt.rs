@@ -8,7 +8,7 @@
 //! [`crate::ntt::inverse_inplace`], so the engine is a transparent
 //! drop-in for every evaluation-domain consumer. Its tables are the
 //! Shoup companions of [`NttTables`]' own bit-reversed twiddles, built
-//! once per modulus on first use ([`NttTables::shoup_tables`]).
+//! once per modulus on first use (`NttTables::shoup_tables`).
 //!
 //! A transform here is one polynomial on one thread. Batches fan out
 //! one level up, in [`crate::PolyBatch::to_evaluation`] /

@@ -12,7 +12,7 @@
 //!   [`ntt::inverse_inplace`], the radix-2 Cooley–Tukey NTT (paper
 //!   Alg. 3 / §F1), the algorithm GPUs favour and TPUs suffer under;
 //! * the `O(N²)` oracle: [`ntt::naive_forward`] /
-//!   [`ntt::naive_inverse`], natural order.
+//!   `ntt::naive_inverse`, natural order.
 //!
 //! The host engine is bit-identical to the butterflies, which equal the
 //! naive transform up to bit-reversed output order; the MAT 3-step NTT

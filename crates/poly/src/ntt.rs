@@ -8,7 +8,7 @@
 //! classic GPU-optimized formulation whose per-stage bit-complement
 //! shuffling is exactly what MAT eliminates on TPUs.
 //!
-//! [`naive_forward`] / [`naive_inverse`] evaluate the defining sums
+//! [`naive_forward`] / `naive_inverse` evaluate the defining sums
 //! directly, in natural order — the oracle the butterflies, the host
 //! engine and every compiled TPU kernel are checked against.
 

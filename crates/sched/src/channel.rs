@@ -6,7 +6,7 @@
 //! [`std::sync::Mutex`]/[`Condvar`]: a **bounded** multi-producer
 //! channel with both backpressure flavors —
 //! [`send`](Sender::send) blocks while the queue is at capacity,
-//! [`try_send`](Sender::try_send) returns the value instead. The
+//! `try_send` returns the value instead. The
 //! receive side is cloneable too, so a pool of workers can drain one
 //! queue ("mpsc-style" in the serving architecture; mechanically MPMC).
 //!
@@ -16,7 +16,7 @@
 //! [`Receiver`] is dropped, senders get their value back as an error.
 //! Three receive primitives cover the serving loop:
 //! [`recv`](Receiver::recv) feeds one worker one item,
-//! [`try_recv_batch`](Receiver::try_recv_batch) tops a backlogged
+//! `try_recv_batch` tops a backlogged
 //! dispatcher up without blocking, and
 //! [`recv_batch`](Receiver::recv_batch) is the dispatcher's gathering
 //! primitive: block until at least one item is available, then keep

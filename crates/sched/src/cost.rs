@@ -5,7 +5,7 @@
 //! ([`crate::ir::KindRow::cost`]: nothing, one
 //! [`cross_ckks::costs::OpSpec`] bundle, or the
 //! [`cross_ckks::bootstrap::op_bundles`] list), and the bundles are
-//! charged through the one walk [`charge_kind`] — the same walk the
+//! charged through the one walk `charge_kind` — the same walk the
 //! scheduler's and the optimizer's probes use. On the equivalent
 //! single-op graph the result is **bit-identical** to
 //! [`cross_ckks::costs::charge_op_pod`], and on a bootstrap graph to

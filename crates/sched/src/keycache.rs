@@ -3,7 +3,7 @@
 //!
 //! Switching keys are the dominant memory object of CKKS serving: one
 //! hybrid key at Set-D top level is hundreds of megabytes
-//! ([`cross_ckks::costs::switching_key_bytes`]), and a server holding
+//! (`cross_ckks::costs::switching_key_bytes`), and a server holding
 //! a relin key plus a rotation key per step for *every* tenant cannot
 //! keep them all chip-resident. This module models that budget the
 //! same way the cost model treats everything else — in modeled
@@ -13,7 +13,7 @@
 //!   key its ops share ([`KeyRef`], tenant-qualified by the serving
 //!   loop);
 //! * before executing the batch, the loop
-//!   [`touch`](KeyCache::touch)es that key. A **hit** costs nothing —
+//!   `touch`es that key. A **hit** costs nothing —
 //!   the key is resident and `charge_op_pod`'s per-op key traffic
 //!   already covers its reuse from fast memory. A **miss** bills the
 //!   re-admission ([`cross_ckks::costs::key_admit_s`]: the HBM DMA of

@@ -430,7 +430,7 @@ impl<P> RequestQueue<P> {
 
     /// Pops up to `max` requests by **deficit round robin** across the
     /// backlogged tenants: on its turn each tenant with pending
-    /// requests earns [`weight`](Self::weight) credits and pops that
+    /// requests earns `weight` credits and pops that
     /// many requests FIFO; turns repeat round robin (ascending
     /// [`TenantId`], wrapping) until `max` requests are popped or
     /// every queue is empty. A turn the window cuts short is
@@ -550,7 +550,7 @@ impl<P> RequestQueue<P> {
 
     /// Drains up to `max_ops` pending operations
     /// ([`pop_fair`](Self::pop_fair)) and schedules them as **one**
-    /// dispatch ([`dispatch_requests`](Self::dispatch_requests)).
+    /// dispatch (`dispatch_requests`).
     ///
     /// With multiple tenants queued, the merged graph can fuse ops
     /// *across* tenants — only correct when every tenant shares one

@@ -19,7 +19,7 @@
 //!   batches never mix tenants (a fused batch shares one switching
 //!   key, and keys are tenant-owned), enforced structurally by
 //!   forming one dispatch per tenant
-//!   ([`RequestQueue::pop_fair_by_tenant`]).
+//!   (`RequestQueue::pop_fair_by_tenant`).
 //! * **Fairness** — the dispatcher pops each scheduling window by
 //!   deficit round robin over the per-tenant queues
 //!   ([`RequestQueue::pop_fair`]), so a flooding tenant gets its

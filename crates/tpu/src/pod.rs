@@ -24,7 +24,7 @@
 //! | all-reduce | `2·(P−1)·(ℓ.hop + (bytes/P)/ℓ.bw)` |
 //!
 //! With one core every collective is a no-op (0 s), so a 1-core pod
-//! over [`crate::topology::LinkSpec::ZERO_COST`] links reproduces the
+//! over `crate::topology::LinkSpec::ZERO_COST` links reproduces the
 //! single-[`TpuSim`] numbers bit for bit (`tests/pod_model.rs`).
 
 use crate::sim::{KernelReport, TpuSim};
@@ -66,7 +66,7 @@ pub struct PodSim {
 
 impl PodSim {
     /// A pod of `cores` tensor cores of `gen`, with the generation's
-    /// published ICI/DCN topology ([`Topology::for_generation`]).
+    /// published ICI/DCN topology (`Topology::for_generation`).
     ///
     /// # Panics
     /// Panics if `cores == 0`.

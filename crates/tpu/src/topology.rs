@@ -76,7 +76,7 @@ impl Topology {
         }
     }
 
-    /// A free interconnect: `cores` cores with [`LinkSpec::ZERO_COST`]
+    /// A free interconnect: `cores` cores with `LinkSpec::ZERO_COST`
     /// links and a single host. With `cores == 1` this is the exact
     /// single-[`crate::TpuSim`] reference configuration.
     ///
