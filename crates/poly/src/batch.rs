@@ -204,6 +204,11 @@ impl PolyBatch {
         &self.limbs
     }
 
+    /// Mutable limb views (caller must preserve reduction invariants).
+    pub fn limbs_mut(&mut self) -> &mut [Vec<u64>] {
+        &mut self.limbs
+    }
+
     /// Total residues across all limbs — the work of one element-wise
     /// pass, for [`par::par_for_each_sized`].
     fn total_elems(&self) -> usize {
