@@ -65,8 +65,8 @@ const BLOCK_ROWS: usize = 256;
 
 impl BconvKernel {
     /// Compiles the kernel from a precomputed [`BconvTable`]. The
-    /// compiled kernel is the same under every [`ModRed`]: the host
-    /// kernel is Shoup throughout, and the modeled cost is
+    /// kernel is the same under every [`ModRed`]: the host reductions
+    /// are fixed, and the modeled cost is
     /// `cross_ckks::costs::charge_bconv`'s.
     ///
     /// # Panics

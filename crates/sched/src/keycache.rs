@@ -68,8 +68,6 @@ pub struct KeyCacheStats {
     pub admit_s: f64,
 }
 
-impl KeyCacheStats {}
-
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     bytes: f64,
