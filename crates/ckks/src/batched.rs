@@ -198,14 +198,13 @@ impl<'a> Evaluator<'a> {
                 for seg in cl.chunks_mut(n) {
                     host_ntt::forward_inplace(seg, &new_ctx.tables()[i]);
                 }
-                let limb: Vec<u64> = pe.limbs()[i]
-                    .iter()
-                    .zip(&cl)
-                    .map(|(&ci, &cli)| {
-                        small_ntt::shoup_mul(modops::sub_mod(ci, cli, qi), inv, inv_shoup, qi)
-                    })
-                    .collect();
-                new_limbs.push(limb);
+                new_limbs.push(small_ntt::sub_mul_const(
+                    &pe.limbs()[i],
+                    &cl,
+                    inv,
+                    inv_shoup,
+                    qi,
+                ));
             }
             PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Evaluation)
         };
@@ -461,15 +460,14 @@ impl<'a> Evaluator<'a> {
         for i in 0..l {
             let qi = level_ctx.moduli()[i];
             let (p_inv, p_inv_shoup) = plan.p_inv.get(i);
-            let limb: Vec<u64> = limbs[i]
-                .iter()
-                .zip(&cp[i])
-                .map(|(&ci, &cpi)| {
-                    // BConv output is already < q_i — subtract directly
-                    small_ntt::shoup_mul(modops::sub_mod(ci, cpi, qi), p_inv, p_inv_shoup, qi)
-                })
-                .collect();
-            new_limbs.push(limb);
+            // BConv output is already < q_i — subtract directly
+            new_limbs.push(small_ntt::sub_mul_const(
+                &limbs[i],
+                &cp[i],
+                p_inv,
+                p_inv_shoup,
+                qi,
+            ));
         }
         PolyBatch::from_limbs(level_ctx, new_limbs, Domain::Evaluation)
     }

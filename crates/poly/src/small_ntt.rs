@@ -4,23 +4,40 @@
 //!
 //! The radix-2 loops in [`crate::ntt`] pay a `u128` division per
 //! butterfly (`mul_mod`). Every twiddle is known ahead of time, so
-//! every multiply here is a Shoup multiply (one `u64×u64→hi` product,
-//! one wrapping multiply, no division) and reductions are **lazy** in
-//! the Harvey style: forward Cooley–Tukey butterflies keep values in
-//! `[0, 4q)`, Gentleman–Sande keeps `[0, 2q)`, and one conditional
-//! subtract pair restores canonical `[0, q)` at the end. The dataflow
-//! is the reference's own — same stages, same butterfly order — with
-//! one change of schedule: the six stages that never leave a
-//! 64-element block (the last six forward, the first six inverse) run
-//! block by block through a monomorphized 64-point body (the compiler
-//! fully unrolls the fixed trip counts) instead of as six more passes
-//! over the whole polynomial. Sizes below 64 are one block.
+//! every multiply here is a Shoup multiply (no division) and reductions
+//! are **lazy** in the Harvey style: forward Cooley–Tukey butterflies
+//! keep values in `[0, 4q)`, Gentleman–Sande keeps `[0, 2q)`, and one
+//! conditional subtract pair restores canonical `[0, q)` at the end.
+//! The dataflow is the reference's own — same stages, same butterfly
+//! order — with one change of schedule: the six stages that never
+//! leave a 64-element block (the last six forward, the first six
+//! inverse) run block by block through a 64-point body the compiler
+//! fully unrolls, instead of as six more passes over the whole
+//! polynomial. Sizes below 64 are one block.
+//!
+//! **Two arithmetics, one body.** Each kernel body is written once,
+//! generic over `const LANES: bool`:
+//! * 64-bit words: a Shoup multiply is one `u64×u64→hi` product and
+//!   one wrapping multiply — a 128-bit product no x86 SIMD unit has,
+//!   so the loops run one residue at a time;
+//! * 32-bit lanes, for `q < 2³⁰` (every parameter set's primes are 28
+//!   bits): the same multiply with `β = 2³²` — `hi = (a·ws₃₂) >> 32`,
+//!   `a·w − hi·q ∈ [0, 2q)` — where every operand is below 2³², so
+//!   each product is one `vpmuludq`, four lanes at a time. The Harvey
+//!   bounds hold because `4q < 2³²`, and `ws₃₂ = ws >> 32` reads the
+//!   64-bit companions, so the lanes need no table of their own.
+//!
+//! The lane instantiation is compiled under
+//! `#[target_feature(enable = "avx2")]` and runs where [`lanes`] holds
+//! (`q < 2³⁰` and AVX2 detected at run time); the words run everywhere
+//! else — hosts without AVX2, non-x86_64 builds, and `q ≥ 2³⁰`.
 //!
 //! Twiddle **layouts are bit-for-bit those of [`crate::ntt`]** — the
 //! forward reads `fwd[m + i]` exactly like `psi_rev`, the inverse
 //! reads `inv[h + i]` like `psi_inv_rev` — and every value is the same
 //! residue class as the reference's at every stage, so the canonical
-//! outputs are bit-identical to the butterfly reference.
+//! outputs are bit-identical to the butterfly reference in either
+//! arithmetic.
 
 use crate::tables::NttTables;
 
@@ -91,27 +108,11 @@ pub fn mul_acc_lazy_const(xs: &[u64], w: u64, w_shoup: u64, acc: &mut [u64], q: 
 }
 
 /// Strict Shoup product `a·w mod q ∈ [0, q)` for any `a < 2⁶⁴` —
-/// the canonical single-constant multiply for precomputed pairs
-/// (e.g. the `P⁻¹`/`q_last⁻¹` scalings of mod-down and rescale).
+/// the canonical single-constant multiply for precomputed pairs, in
+/// 64-bit words.
 #[inline(always)]
 pub fn shoup_mul(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
-    let y = shoup_lazy(a, w, w_shoup, q);
-    if y >= q {
-        y - q
-    } else {
-        y
-    }
-}
-
-/// Conditional subtract `[0, 2·two_q) → [0, two_q)` (used with
-/// `two_q = 2q` to fold `4q`-lazy values to `2q`).
-#[inline(always)]
-fn reduce_2q(x: u64, two_q: u64) -> u64 {
-    if x >= two_q {
-        x - two_q
-    } else {
-        x
-    }
+    mul_const::<false>(a, w, w_shoup, q)
 }
 
 /// Final conditional subtract `[0, 2q) → [0, q)` over a slice — the
@@ -124,6 +125,111 @@ pub fn reduce_strict_slice(xs: &mut [u64], q: u64) {
             *x -= q;
         }
     }
+}
+
+/// The low 32 bits of a word. Masking both operands of a product tells
+/// the compiler it is a 32×32→64 multiply — one `vpmuludq` for four
+/// lanes under AVX2, where a 64×64→128 multiply has no SIMD form.
+const LO32: u64 = u32::MAX as u64;
+
+/// Whether a kernel over modulus `q` runs in 32-bit lanes: the lane
+/// form's bounds need `4q < 2³²`, and its four-wide products need AVX2.
+/// The one dispatch rule; everything else (hosts without AVX2,
+/// non-x86_64 builds, `q ≥ 2³⁰`) runs in 64-bit words.
+pub fn lanes(q: u64) -> bool {
+    q < 1 << 30 && avx2()
+}
+
+#[cfg(target_arch = "x86_64")]
+fn avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn avx2() -> bool {
+    false
+}
+
+/// The lazy Shoup product `a·w mod q + εq ∈ [0, 2q)` in the arithmetic
+/// a kernel body is instantiated with: [`shoup_lazy`]'s 64-bit words,
+/// or — `LANES`, for `q < 2³⁰` and `a < 2³²` — the same multiply with
+/// `β = 2³²`: `hi = ⌊a·ws₃₂/2³²⌋` is within 1 of `⌊a·w/q⌋`, so
+/// `a·w − hi·q ∈ [0, 2q)`, from three 32×32→64 products. The 32-bit
+/// companion needs no table of its own: `ws₃₂ = ⌊w·2³²/q⌋ = ws >> 32`,
+/// a floor of a floor. The two forms may differ by `q`; every kernel
+/// ends canonical, so their outputs are bit-identical.
+#[inline(always)]
+fn mul_lazy<const LANES: bool>(a: u64, w: u64, ws: u64, q: u64) -> u64 {
+    if !LANES {
+        return shoup_lazy(a, w, ws, q);
+    }
+    debug_assert!(a <= LO32 && q < 1 << 30, "lanes need a < 2^32, q < 2^30");
+    let a = a & LO32;
+    let hi = (a * (ws >> 32)) >> 32;
+    a * (w & LO32) - hi * (q & LO32)
+}
+
+/// Conditional subtract `[0, 2m) → [0, m)`. The lanes test the sign
+/// of `x − m` (their values are far below 2⁶³): one `vpcmpgtq`, where
+/// an unsigned 64-bit compare costs AVX2 two more instructions.
+#[inline(always)]
+fn fold<const LANES: bool>(x: u64, m: u64) -> u64 {
+    if LANES {
+        let y = x.wrapping_sub(m);
+        if (y as i64) < 0 {
+            x
+        } else {
+            y
+        }
+    } else if x >= m {
+        x - m
+    } else {
+        x
+    }
+}
+
+/// Strict Shoup product `a·w mod q ∈ [0, q)` in the arithmetic `LANES`
+/// selects (see [`mul_lazy`] for its input bounds).
+#[inline(always)]
+fn mul_const<const LANES: bool>(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
+    fold::<LANES>(mul_lazy::<LANES>(a, w, w_shoup, q), q)
+}
+
+/// `(xs[j] − ys[j])·w mod q` for canonical `xs`, `ys` against one
+/// precomputed `(w, ⌊w·2⁶⁴/q⌋)` pair — the subtract-and-scale that
+/// closes a mod-down (`w = P⁻¹`) or a rescale (`w = q_last⁻¹`).
+/// Canonical output, in 32-bit lanes where [`lanes`] allows.
+pub fn sub_mul_const(xs: &[u64], ys: &[u64], w: u64, w_shoup: u64, q: u64) -> Vec<u64> {
+    #[cfg(target_arch = "x86_64")]
+    if lanes(q) {
+        // SAFETY: `lanes` detected AVX2 on this CPU.
+        return unsafe { sub_mul_const_lanes(xs, ys, w, w_shoup, q) };
+    }
+    sub_mul_const_body::<false>(xs, ys, w, w_shoup, q)
+}
+
+#[inline(always)]
+fn sub_mul_const_body<const LANES: bool>(
+    xs: &[u64],
+    ys: &[u64],
+    w: u64,
+    w_shoup: u64,
+    q: u64,
+) -> Vec<u64> {
+    // Filled in place, not collected: the collecting form does not
+    // vectorize.
+    let mut out = vec![0u64; xs.len()];
+    for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+        debug_assert!(x < q && y < q, "operands must be reduced");
+        *o = mul_const::<LANES>(fold::<LANES>(x + q - y, q), w, w_shoup, q);
+    }
+    out
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sub_mul_const_lanes(xs: &[u64], ys: &[u64], w: u64, w_shoup: u64, q: u64) -> Vec<u64> {
+    sub_mul_const_body::<true>(xs, ys, w, w_shoup, q)
 }
 
 /// Shoup twiddle tables of the lazy negacyclic transform for one
@@ -172,10 +278,15 @@ const BLOCK: usize = 64;
 /// the whole transform when `base = 1`, and block `b` of the
 /// `len`-point tail of an `n`-point transform when `base = n/len + b`
 /// — local stage `m`, group `i` is global stage `m·n/len`, group
-/// `b·m + i`, i.e. twiddle `m·base + i`. Values enter `< 4q` (any
-/// `u64` in the upper half) and leave **lazy** in `[0, 4q)`.
+/// `b·m + i`, i.e. twiddle `m·base + i`. Values enter `< 4q` and leave
+/// **lazy** in `[0, 4q)`.
 #[inline(always)]
-fn neg_forward_stages(a: &mut [u64], tb: &SmallNttTables, base: usize, stop: usize) {
+fn neg_forward_stages<const LANES: bool>(
+    a: &mut [u64],
+    tb: &SmallNttTables,
+    base: usize,
+    stop: usize,
+) {
     let q = tb.q;
     let two_q = 2 * q;
     let mut t = a.len();
@@ -188,8 +299,8 @@ fn neg_forward_stages(a: &mut [u64], tb: &SmallNttTables, base: usize, stop: usi
             for j in j1..j1 + t {
                 // Harvey CT: u folded to [0,2q), v = lazy product
                 // < 2q, so u+v and u+2q−v stay < 4q.
-                let u = reduce_2q(a[j], two_q);
-                let v = shoup_lazy(a[j + t], w, ws, q);
+                let u = fold::<LANES>(a[j], two_q);
+                let v = mul_lazy::<LANES>(a[j + t], w, ws, q);
                 a[j] = u + v;
                 a[j + t] = u + two_q - v;
             }
@@ -201,40 +312,72 @@ fn neg_forward_stages(a: &mut [u64], tb: &SmallNttTables, base: usize, stop: usi
 /// All stages of one block, then its fold from `[0, 4q)` to canonical
 /// `[0, q)` while it is cache-hot.
 #[inline(always)]
-fn neg_forward_block(a: &mut [u64], tb: &SmallNttTables, base: usize) {
-    neg_forward_stages(a, tb, base, a.len());
+fn neg_forward_block<const LANES: bool>(a: &mut [u64], tb: &SmallNttTables, base: usize) {
+    neg_forward_stages::<LANES>(a, tb, base, a.len());
     let (q, two_q) = (tb.q, 2 * tb.q);
     for x in a.iter_mut() {
-        let y = reduce_2q(*x, two_q);
-        *x = if y >= q { y - q } else { y };
+        *x = fold::<LANES>(fold::<LANES>(*x, two_q), q);
     }
 }
 
-/// [`neg_forward_block`] at the one size worth monomorphizing: the
-/// fixed trip counts let the compiler unroll all six stages.
+/// The forward transform in one arithmetic: from 64 points up, the
+/// leading stages as full-width lazy passes and the last six block by
+/// block through [`neg_forward_block`] at the one size worth
+/// monomorphizing (the fixed trip counts let the compiler unroll all
+/// six stages).
+#[inline(always)]
+fn forward<const LANES: bool>(a: &mut [u64], tb: &SmallNttTables) {
+    let blocks = a.len() / BLOCK;
+    if blocks == 0 {
+        return neg_forward_block::<LANES>(a, tb, 1);
+    }
+    neg_forward_stages::<LANES>(a, tb, 1, blocks);
+    for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
+        let block: &mut [u64; BLOCK] = block.try_into().expect("chunks are BLOCK long");
+        if LANES {
+            neg_forward_block::<true>(block, tb, blocks + b);
+        } else {
+            neg_forward_block64_words(block, tb, blocks + b);
+        }
+    }
+}
+
+/// One 64-point forward block in 64-bit words, out of line: a few per
+/// cent faster than inlined. The lanes inline theirs instead, since an
+/// out-of-line function would be compiled without AVX2.
 #[inline(never)]
-fn neg_forward_block64(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
-    neg_forward_block(a, tb, base);
+fn neg_forward_block64_words(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
+    neg_forward_block::<false>(a, tb, base);
+}
+
+/// [`forward`] in 64-bit words, out of line: inlined into the dispatch
+/// it reads a few per cent slower.
+#[inline(never)]
+fn forward_words(a: &mut [u64], tb: &SmallNttTables) {
+    forward::<false>(a, tb)
+}
+
+/// [`forward`] in 32-bit lanes, compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn forward_lanes(a: &mut [u64], tb: &SmallNttTables) {
+    forward::<true>(a, tb)
 }
 
 /// In-place forward negacyclic NTT, natural → bit-reversed, canonical
 /// `[0, q)` output — bit-identical to [`crate::ntt::forward_inplace`].
-/// From 64 points up, the leading stages run as full-width lazy
-/// passes and the last six block by block.
+/// Runs in 32-bit lanes where [`lanes`] allows, else in 64-bit words.
 ///
 /// # Panics
 /// Panics if `a.len() != tb.n()`.
 pub(crate) fn negacyclic_forward(a: &mut [u64], tb: &SmallNttTables) {
     assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
-    let blocks = a.len() / BLOCK;
-    if blocks == 0 {
-        return neg_forward_block(a, tb, 1);
+    #[cfg(target_arch = "x86_64")]
+    if lanes(tb.q) {
+        // SAFETY: `lanes` detected AVX2 on this CPU.
+        return unsafe { forward_lanes(a, tb) };
     }
-    neg_forward_stages(a, tb, 1, blocks);
-    for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
-        let block = block.try_into().expect("chunks are BLOCK long");
-        neg_forward_block64(block, tb, blocks + b);
-    }
+    forward_words(a, tb)
 }
 
 /// Inverse GS stages of one aligned block from butterfly span `t` up
@@ -243,7 +386,12 @@ pub(crate) fn negacyclic_forward(a: &mut [u64], tb: &SmallNttTables) {
 /// Mirrors [`crate::ntt::inverse_inplace`] without its final `n⁻¹`
 /// pass; values enter and leave `< 2q`.
 #[inline(always)]
-fn neg_inverse_stages(a: &mut [u64], tb: &SmallNttTables, base: usize, mut t: usize) {
+fn neg_inverse_stages<const LANES: bool>(
+    a: &mut [u64],
+    tb: &SmallNttTables,
+    base: usize,
+    mut t: usize,
+) {
     let q = tb.q;
     let two_q = 2 * q;
     while t < a.len() {
@@ -255,44 +403,74 @@ fn neg_inverse_stages(a: &mut [u64], tb: &SmallNttTables, base: usize, mut t: us
                 // Harvey GS: inputs < 2q ⇒ u+v < 4q folds back to
                 // 2q, and u+2q−v < 4q feeds the lazy product.
                 let (u, v) = (*x, *y);
-                *x = reduce_2q(u + v, two_q);
-                *y = shoup_lazy(u + two_q - v, w, ws, q);
+                *x = fold::<LANES>(u + v, two_q);
+                *y = mul_lazy::<LANES>(u + two_q - v, w, ws, q);
             }
         }
         t *= 2;
     }
 }
 
-/// All six stages of one 64-point block, monomorphized and unrolled.
+/// The inverse transform in one arithmetic: from 64 points up, the
+/// first six stages block by block (monomorphized and unrolled), then
+/// the trailing stages as full-width passes, then the `n⁻¹` scaling.
+#[inline(always)]
+fn inverse<const LANES: bool>(a: &mut [u64], tb: &SmallNttTables) {
+    let blocks = a.len() / BLOCK;
+    if blocks == 0 {
+        neg_inverse_stages::<LANES>(a, tb, 1, 1);
+    } else {
+        for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
+            let block: &mut [u64; BLOCK] = block.try_into().expect("chunks are BLOCK long");
+            if LANES {
+                neg_inverse_stages::<true>(block, tb, blocks + b, 1);
+            } else {
+                neg_inverse_block64_words(block, tb, blocks + b);
+            }
+        }
+        neg_inverse_stages::<LANES>(a, tb, 1, BLOCK);
+    }
+    let (ni, nis) = tb.n_inv;
+    for x in a.iter_mut() {
+        *x = mul_const::<LANES>(*x, ni, nis, tb.q);
+    }
+}
+
+/// One 64-point inverse block in 64-bit words, out of line (see
+/// [`neg_forward_block64_words`]).
 #[inline(never)]
-fn neg_inverse_block64(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
-    neg_inverse_stages(a, tb, base, 1);
+fn neg_inverse_block64_words(a: &mut [u64; BLOCK], tb: &SmallNttTables, base: usize) {
+    neg_inverse_stages::<false>(a, tb, base, 1);
+}
+
+/// [`inverse`] in 64-bit words.
+fn inverse_words(a: &mut [u64], tb: &SmallNttTables) {
+    inverse::<false>(a, tb)
+}
+
+/// [`inverse`] in 32-bit lanes, compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn inverse_lanes(a: &mut [u64], tb: &SmallNttTables) {
+    inverse::<true>(a, tb)
 }
 
 /// In-place inverse negacyclic NTT (bit-reversed → natural, includes
 /// the `n⁻¹` factor) — bit-identical to
 /// [`crate::ntt::inverse_inplace`]. Input may be lazy up to `[0, 2q)`;
-/// output is canonical. From 64 points up, the first six stages run
-/// block by block, then the trailing stages as full-width passes.
+/// output is canonical. Runs in 32-bit lanes where [`lanes`] allows,
+/// else in 64-bit words.
 ///
 /// # Panics
 /// Panics if `a.len() != tb.n()`.
 pub(crate) fn negacyclic_inverse(a: &mut [u64], tb: &SmallNttTables) {
     assert_eq!(a.len(), tb.n, "input length must equal the ring degree");
-    let blocks = a.len() / BLOCK;
-    if blocks == 0 {
-        neg_inverse_stages(a, tb, 1, 1);
-    } else {
-        for (b, block) in a.chunks_exact_mut(BLOCK).enumerate() {
-            let block = block.try_into().expect("chunks are BLOCK long");
-            neg_inverse_block64(block, tb, blocks + b);
-        }
-        neg_inverse_stages(a, tb, 1, BLOCK);
+    #[cfg(target_arch = "x86_64")]
+    if lanes(tb.q) {
+        // SAFETY: `lanes` detected AVX2 on this CPU.
+        return unsafe { inverse_lanes(a, tb) };
     }
-    let (ni, nis) = tb.n_inv;
-    for x in a.iter_mut() {
-        *x = shoup_mul(*x, ni, nis, tb.q);
-    }
+    inverse_words(a, tb)
 }
 
 #[cfg(test)]
@@ -325,28 +503,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn negacyclic_matches_butterfly_reference() {
-        // Same twiddle layout as ntt::forward_inplace ⇒ identical
-        // canonical outputs, for every single-body size (≤ 64) and the
-        // first blocked sizes (128, 256: one and two leading passes).
-        for bits in [20u32, 28, 30] {
-            for logn in 0..=8u32 {
+    type Kernel = fn(&mut [u64], &SmallNttTables);
+
+    /// Races one kernel pair against the butterfly reference at every
+    /// size 2^0 … 2^14 — single-body sizes (≤ 64), the first blocked
+    /// ones (128, 256: one and two leading passes) and every degree up
+    /// to Set C's — at each prime width: canonical outputs must be
+    /// identical, forward and inverse, and round-trip.
+    fn race_reference(forward: Kernel, inverse: Kernel, widths: &[u32]) {
+        for &bits in widths {
+            for logn in 0..=14u32 {
                 let n = 1usize << logn;
-                let Some(q) = primes::ntt_prime(bits, n as u64, 0) else {
-                    continue;
-                };
+                let q = primes::ntt_prime(bits, n as u64, 0).unwrap();
                 let t = NttTables::new(n, q);
                 let tb = SmallNttTables::new(&t);
                 let a = residues(n, q, 7 + logn as u64);
                 let mut want = a.clone();
                 ntt::forward_inplace(&mut want, &t);
                 let mut got = a.clone();
-                negacyclic_forward(&mut got, &tb);
+                forward(&mut got, &tb);
                 assert_eq!(got, want, "forward bits={bits} n={n}");
                 let mut back = want.clone();
                 let mut back_ref = want.clone();
-                negacyclic_inverse(&mut back, &tb);
+                inverse(&mut back, &tb);
                 ntt::inverse_inplace(&mut back_ref, &t);
                 assert_eq!(back, back_ref, "inverse bits={bits} n={n}");
                 assert_eq!(back, a, "roundtrip bits={bits} n={n}");
@@ -355,13 +534,50 @@ mod tests {
     }
 
     #[test]
+    fn words_match_butterfly_reference() {
+        race_reference(forward_words, inverse_words, &[20, 28, 30, 31]);
+    }
+
+    #[test]
+    fn lanes_match_butterfly_reference() {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on this CPU just above.
+            let forward: Kernel = |a, tb| unsafe { forward_lanes(a, tb) };
+            // SAFETY: as above.
+            let inverse: Kernel = |a, tb| unsafe { inverse_lanes(a, tb) };
+            return race_reference(forward, inverse, &[20, 28, 30]);
+        }
+        println!("lanes_match_butterfly_reference skipped: no AVX2 on this host");
+    }
+
+    #[test]
+    fn lanes_run_exactly_below_2_30_with_avx2() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        for bits in [20u32, 28, 30, 31] {
+            let q = primes::ntt_prime(bits, 1 << 14, 0).unwrap();
+            assert_eq!(lanes(q), bits <= 30 && avx2, "{bits}-bit q={q}");
+        }
+        assert_eq!(lanes((1 << 30) - 1), avx2);
+        assert!(!lanes(1 << 30));
+    }
+
+    #[test]
     fn forward_stages_stay_lazy() {
         let n = 64usize;
         let q = primes::ntt_prime(30, (2 * n) as u64, 0).unwrap();
         let tb = SmallNttTables::new(&NttTables::new(n, q));
-        let mut a = residues(n, q, 3);
-        neg_forward_stages(&mut a, &tb, 1, n);
-        assert!(a.iter().all(|&x| x < 4 * q), "lazy bound violated");
+        let a = residues(n, q, 3);
+        let mut words = a.clone();
+        neg_forward_stages::<false>(&mut words, &tb, 1, n);
+        let mut lanes = a;
+        neg_forward_stages::<true>(&mut lanes, &tb, 1, n);
+        for x in [words, lanes] {
+            assert!(x.iter().all(|&x| x < 4 * q), "lazy bound violated");
+        }
     }
 
     #[test]
