@@ -35,11 +35,14 @@ use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Minimum work *per worker* before a limb or batch loop fans out, in
 /// residue operations: one per residue an element-wise kernel touches
-/// or per multiply-accumulate, `log₂ N` per residue of a transform
-/// (≈ 1 ns each on the host either way) — about 130 µs of arithmetic
-/// per worker, against ≈ 15 µs for a parked helper to wake and join
-/// the job. Measured on the 2-vCPU benchmark host (DESIGN.md §4): at
-/// this size one Set B rotation's key inner
+/// or per multiply-accumulate, `log₂ N` per residue of a transform.
+/// An element-wise operation costs ≈ 1 ns on the host, and so does a
+/// transform's in 64-bit words; a transform's in 32-bit lanes, which
+/// every parameter set's primes take (DESIGN.md §10), costs ≈ 0.5 ns.
+/// That is 65–130 µs of arithmetic per worker, against ≈ 15 µs for a
+/// parked helper to wake and join the job. Measured on the 2-vCPU
+/// benchmark host (DESIGN.md §4): at this size one Set B rotation's
+/// key inner
 /// product (≈ 0.5 M MACs) and a lone Set B polynomial's 8 NTTs fan
 /// out and read faster, while a 65 536-residue element-wise pass and
 /// every toy-parameter operator stay serial. Results are bit-identical

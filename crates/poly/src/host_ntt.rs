@@ -6,7 +6,7 @@
 //! six block-local stages inside cache-hot 64-element blocks. The
 //! butterflies run in 32-bit SIMD lanes (AVX2) for every modulus below
 //! 2³⁰ — every parameter set's — and in 64-bit words otherwise
-//! ([`crate::small_ntt::lanes`] is the rule). Outputs are
+//! (`small_ntt::lanes` is the rule). Outputs are
 //! bit-identical to [`crate::ntt::forward_inplace`] /
 //! [`crate::ntt::inverse_inplace`] either way, so the engine is a
 //! transparent drop-in for every evaluation-domain consumer. Its tables

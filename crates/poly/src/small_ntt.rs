@@ -28,7 +28,7 @@
 //!   64-bit companions, so the lanes need no table of their own.
 //!
 //! The lane instantiation is compiled under
-//! `#[target_feature(enable = "avx2")]` and runs where [`lanes`] holds
+//! `#[target_feature(enable = "avx2")]` and runs where `lanes` holds
 //! (`q < 2³⁰` and AVX2 detected at run time); the words run everywhere
 //! else — hosts without AVX2, non-x86_64 builds, and `q ≥ 2³⁰`.
 //!
@@ -136,7 +136,9 @@ const LO32: u64 = u32::MAX as u64;
 /// form's bounds need `4q < 2³²`, and its four-wide products need AVX2.
 /// The one dispatch rule; everything else (hosts without AVX2,
 /// non-x86_64 builds, `q ≥ 2³⁰`) runs in 64-bit words.
-pub fn lanes(q: u64) -> bool {
+// Off x86_64 only the tests call it: every dispatch site is x86-only.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) fn lanes(q: u64) -> bool {
     q < 1 << 30 && avx2()
 }
 
@@ -198,7 +200,7 @@ fn mul_const<const LANES: bool>(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
 /// `(xs[j] − ys[j])·w mod q` for canonical `xs`, `ys` against one
 /// precomputed `(w, ⌊w·2⁶⁴/q⌋)` pair — the subtract-and-scale that
 /// closes a mod-down (`w = P⁻¹`) or a rescale (`w = q_last⁻¹`).
-/// Canonical output, in 32-bit lanes where [`lanes`] allows.
+/// Canonical output, in 32-bit lanes where `lanes` allows.
 pub fn sub_mul_const(xs: &[u64], ys: &[u64], w: u64, w_shoup: u64, q: u64) -> Vec<u64> {
     #[cfg(target_arch = "x86_64")]
     if lanes(q) {
