@@ -36,7 +36,7 @@ thread_local! {
 }
 
 /// `(forward, inverse)` host transforms this thread has run since it
-/// started — one per polynomial segment, whichever arithmetic ran it.
+/// started — one per call, whichever arithmetic ran it.
 /// Take the difference around an operator to count its transforms.
 pub fn transforms() -> (u64, u64) {
     TRANSFORMS.with(Cell::get)

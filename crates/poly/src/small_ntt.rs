@@ -544,9 +544,9 @@ mod tests {
     fn lanes_match_butterfly_reference() {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected on this CPU just above.
+            // SAFETY: `is_x86_feature_detected!("avx2")` held just above.
             let forward: Kernel = |a, tb| unsafe { forward_lanes(a, tb) };
-            // SAFETY: as above.
+            // SAFETY: `is_x86_feature_detected!("avx2")` held just above.
             let inverse: Kernel = |a, tb| unsafe { inverse_lanes(a, tb) };
             return race_reference(forward, inverse, &[20, 28, 30]);
         }
