@@ -2,35 +2,10 @@
 //! BAT-lazy) on VecModMul and NTT across batch sizes (one v6e TC,
 //! Set D).
 
-use cross_bench::{banner, us};
+use cross_bench::{banner, fig13_vecmodmul_us, us};
 use cross_ckks::params::ParamSet;
 use cross_core::modred::ModRed;
 use cross_tpu::{Category, TpuGeneration, TpuSim};
-
-/// Ciphertext VecModMul (L limbs × N) latency under a strategy.
-fn vecmodmul_us(strategy: ModRed, n: usize, limbs: usize, batch: usize) -> f64 {
-    let elems = n * limbs * batch;
-    let mut sim = TpuSim::new(TpuGeneration::V6e);
-    sim.begin_kernel("vecmodmul");
-    match strategy {
-        ModRed::BatLazy => {
-            // products on VPU + K×K matmul reduction (App. J): the tiny
-            // reduction dim strands the MXU.
-            sim.charge_vpu(
-                elems,
-                cross_tpu::sim::ops::MUL_LO,
-                Category::VecModOps,
-                "mul",
-            );
-            sim.charge_matmul_u8(elems, 8, 4, Category::VecModOps);
-            sim.charge_vpu(elems, 6, Category::VecModOps, "merge");
-        }
-        s => {
-            sim.charge_vpu(elems, s.vpu_ops(), Category::VecModOps, "modmul");
-        }
-    }
-    sim.end_kernel().latency_us()
-}
 
 /// NTT latency under a strategy (BAT matmuls for Barrett/Montgomery,
 /// VPU chains for Shoup, matmul+lazy for BatLazy).
@@ -105,10 +80,10 @@ fn main() {
         println!(
             "{:>6} | {:>10} {:>10} {:>10} {:>10}",
             batch,
-            us(vecmodmul_us(ModRed::Barrett, p.n, p.limbs, batch)),
-            us(vecmodmul_us(ModRed::BatLazy, p.n, p.limbs, batch)),
-            us(vecmodmul_us(ModRed::Montgomery, p.n, p.limbs, batch)),
-            us(vecmodmul_us(ModRed::Shoup, p.n, p.limbs, batch)),
+            us(fig13_vecmodmul_us(ModRed::Barrett, &p, batch)),
+            us(fig13_vecmodmul_us(ModRed::BatLazy, &p, batch)),
+            us(fig13_vecmodmul_us(ModRed::Montgomery, &p, batch)),
+            us(fig13_vecmodmul_us(ModRed::Shoup, &p, batch)),
         );
     }
     println!("paper at batch 64: Barrett 672 | BAT-lazy 6190 | Montgomery 472 | Shoup 763");
@@ -128,8 +103,8 @@ fn main() {
             us(ntt_us(ModRed::BatLazy, p.n, batch)),
         );
     }
-    let m = vecmodmul_us(ModRed::Montgomery, p.n, p.limbs, 64);
-    let b = vecmodmul_us(ModRed::Barrett, p.n, p.limbs, 64);
+    let m = fig13_vecmodmul_us(ModRed::Montgomery, &p, 64);
+    let b = fig13_vecmodmul_us(ModRed::Barrett, &p, 64);
     println!(
         "\nTakeaway: Montgomery wins (measured Barrett/Montgomery = {:.2}x,",
         b / m

@@ -461,6 +461,38 @@ pub fn ntt_setups() -> Vec<(TpuGeneration, u32, &'static str)> {
     ]
 }
 
+/// One Fig. 13a cell: the latency in µs of one kernel multiplying
+/// `batch` ciphertexts (`params.limbs` limbs of `params.n`
+/// coefficients) element-wise on one v6e tensor core under `strategy`.
+pub fn fig13_vecmodmul_us(
+    strategy: cross_core::ModRed,
+    params: &cross_ckks::CkksParams,
+    batch: usize,
+) -> f64 {
+    use cross_core::ModRed;
+    let elems = params.n * params.limbs * batch;
+    let mut sim = cross_tpu::TpuSim::new(TpuGeneration::V6e);
+    sim.begin_kernel("vecmodmul");
+    match strategy {
+        ModRed::BatLazy => {
+            // products on VPU + K×K matmul reduction (App. J): the tiny
+            // reduction dim strands the MXU.
+            sim.charge_vpu(
+                elems,
+                cross_tpu::sim::ops::MUL_LO,
+                Category::VecModOps,
+                "mul",
+            );
+            sim.charge_matmul_u8(elems, 8, 4, Category::VecModOps);
+            sim.charge_vpu(elems, 6, Category::VecModOps, "merge");
+        }
+        s => {
+            sim.charge_vpu(elems, s.vpu_ops(), Category::VecModOps, "modmul");
+        }
+    }
+    sim.end_kernel().latency_us()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
