@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cross_core::bat::lazy::LazyReducer;
-use cross_math::{BarrettReducer, Montgomery, ShoupMul};
+use cross_math::{shoup, BarrettReducer, Montgomery};
 
 const Q: u64 = 268_369_921;
 
@@ -23,9 +23,9 @@ fn bench_modred(c: &mut Criterion) {
         b.iter(|| xs.iter().map(|&x| mont.mul_strict(x, wm)).sum::<u64>())
     });
 
-    let sh = ShoupMul::new(w, Q);
+    let ws = shoup::companion(w, Q);
     g.bench_function("shoup", |b| {
-        b.iter(|| xs.iter().map(|&x| sh.mul_strict(x)).sum::<u64>())
+        b.iter(|| xs.iter().map(|&x| shoup::mul(x, w, ws, Q)).sum::<u64>())
     });
 
     let lazy = LazyReducer::new(Q, 8);

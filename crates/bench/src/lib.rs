@@ -469,27 +469,12 @@ pub fn fig13_vecmodmul_us(
     params: &cross_ckks::CkksParams,
     batch: usize,
 ) -> f64 {
-    use cross_core::ModRed;
     let elems = params.n * params.limbs * batch;
+    let q = cross_math::primes::ntt_prime(params.log2_q, params.n as u64, 0)
+        .expect("the parameter set's chain has a largest prime");
     let mut sim = cross_tpu::TpuSim::new(TpuGeneration::V6e);
     sim.begin_kernel("vecmodmul");
-    match strategy {
-        ModRed::BatLazy => {
-            // products on VPU + K×K matmul reduction (App. J): the tiny
-            // reduction dim strands the MXU.
-            sim.charge_vpu(
-                elems,
-                cross_tpu::sim::ops::MUL_LO,
-                Category::VecModOps,
-                "mul",
-            );
-            sim.charge_matmul_u8(elems, 8, 4, Category::VecModOps);
-            sim.charge_vpu(elems, 6, Category::VecModOps, "merge");
-        }
-        s => {
-            sim.charge_vpu(elems, s.vpu_ops(), Category::VecModOps, "modmul");
-        }
-    }
+    strategy.charge_vec_mod_mul(&mut sim, elems, q, Category::VecModOps);
     sim.end_kernel().latency_us()
 }
 

@@ -19,7 +19,7 @@ use cross_core::bconv::BconvKernel;
 use cross_core::modred::ModRed;
 use cross_math::modops;
 use cross_math::rns::RnsBasis;
-use cross_poly::small_ntt::ShoupPairs;
+use cross_math::shoup::ShoupPairs;
 use std::ops::Range;
 
 /// The per-digit slice of a [`KsPlan`]: which level limbs form the

@@ -21,10 +21,9 @@ use crate::bat::{chunk, scalar};
 use crate::modred::ModRed;
 use cross_math::modops;
 use cross_math::rns::BconvTable;
-use cross_poly::small_ntt::{self, ShoupPairs};
+use cross_math::shoup::{self, ShoupPairs};
 #[cfg(test)]
 use {
-    crate::modred::VecModMul,
     cross_poly::{ring::Domain, PolyBatch},
     cross_tpu::{Category, TpuSim},
 };
@@ -161,9 +160,10 @@ impl BconvKernel {
             .iter()
             .enumerate()
             .map(|(i, limb)| {
-                let vm = VecModMul::new(self.source[i], ModRed::Montgomery);
-                let params = vm.prepare_params(&vec![self.qhat_inv_shoup.get(i).0; rows]);
-                vm.mul_vec(sim, limb, &params, Category::VecModOps)
+                let qi = self.source[i];
+                ModRed::Montgomery.charge_vec_mod_mul(sim, rows, qi, Category::VecModOps);
+                let w = self.qhat_inv_shoup.get(i).0;
+                limb.iter().map(|&x| modops::mul_mod(x, w, qi)).collect()
             })
             .collect()
     }
@@ -254,9 +254,9 @@ impl BconvKernel {
                 let mut out = vec![0u64; rows];
                 for (i, bi) in b.iter().enumerate() {
                     let (w, ws) = col.get(i);
-                    small_ntt::mul_acc_lazy_const(bi, w, ws, &mut out, pj);
+                    shoup::mul_acc_lazy_const(bi, w, ws, &mut out, pj);
                 }
-                small_ntt::reduce_strict_slice(&mut out, pj);
+                shoup::reduce_strict_slice(&mut out, pj);
                 out
             })
             .collect()
@@ -313,7 +313,7 @@ impl BconvKernel {
             .map(|(i, limb)| {
                 let (w, ws) = self.qhat_inv_shoup.get(i);
                 limb.iter()
-                    .map(|&x| small_ntt::shoup_mul(x, w, ws, self.source[i]))
+                    .map(|&x| shoup::mul(x, w, ws, self.source[i]))
                     .collect()
             })
             .collect();
@@ -351,7 +351,7 @@ impl BconvKernel {
                 let (w, ws) = self.qhat_inv_shoup.get(i);
                 let qi = self.source[i];
                 for (b, &x) in b.iter_mut().zip(&limb[start..start + len]) {
-                    *b = small_ntt::shoup_mul(x, w, ws, qi) as u32;
+                    *b = shoup::mul(x, w, ws, qi) as u32;
                 }
             }
             for (j, out) in out.iter_mut().enumerate() {

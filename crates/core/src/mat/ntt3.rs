@@ -26,7 +26,7 @@
 
 use crate::bat::matmul::{BatMatMul, BatMatMulRight};
 use crate::mat::{matmul_mod, matmul_mod_par, perm};
-use crate::modred::{ModRed, PreparedParams, VecModMul};
+use crate::modred::ModRed;
 use cross_math::bitrev::bit_reverse_permutation;
 use cross_math::modops::{inv_mod, mul_mod};
 use cross_poly::NttTables;
@@ -65,10 +65,6 @@ pub struct Ntt3Plan {
     bat_w_c: Option<BatMatMulRight>,
     bat_v_c: Option<BatMatMulRight>,
     bat_v_r: Option<BatMatMul>,
-    // ---- prepared step-2 twiddles ----
-    vm: VecModMul,
-    step2_params: PreparedParams,
-    inv_step2_params: PreparedParams,
 }
 
 impl Ntt3Plan {
@@ -159,10 +155,6 @@ impl Ntt3Plan {
             (None, None, None, None)
         };
 
-        let vm = VecModMul::new(q, cfg.modred);
-        let step2_params = vm.prepare_params(&step2);
-        let inv_step2_params = vm.prepare_params(&inv_step2);
-
         Self {
             tables,
             cfg,
@@ -176,9 +168,6 @@ impl Ntt3Plan {
             bat_w_c,
             bat_v_c,
             bat_v_r,
-            vm,
-            step2_params,
-            inv_step2_params,
         }
     }
 
@@ -272,56 +261,6 @@ impl Ntt3Plan {
         out
     }
 
-    /// Expands an `R×C` twiddle table to the `R × C·batch`
-    /// column-stacked layout (each row's block repeats per batch entry).
-    fn tile_col_stacked(&self, base: &[u64], batch: usize) -> Vec<u64> {
-        let (r, c) = (self.cfg.r, self.cfg.c);
-        let cb = c * batch;
-        let mut out = vec![0u64; r * cb];
-        for k1 in 0..r {
-            for b in 0..batch {
-                out[k1 * cb + b * c..k1 * cb + b * c + c]
-                    .copy_from_slice(&base[k1 * c..k1 * c + c]);
-            }
-        }
-        out
-    }
-
-    /// Re-tiles *prepared* step-2 parameters into the column-stacked
-    /// batch layout. Preparation (Montgomery lift / Shoup companion) is
-    /// element-wise, so reordering prepared values is identical to
-    /// preparing the reordered table — without redoing the per-element
-    /// conversions on every call.
-    fn tile_prepared_col(&self, params: &PreparedParams, batch: usize) -> PreparedParams {
-        match params {
-            PreparedParams::Plain(v) => PreparedParams::Plain(self.tile_col_stacked(v, batch)),
-            PreparedParams::Montgomery(v) => {
-                PreparedParams::Montgomery(self.tile_col_stacked(v, batch))
-            }
-            PreparedParams::Shoup(w, s) => PreparedParams::Shoup(
-                self.tile_col_stacked(w, batch),
-                self.tile_col_stacked(s, batch),
-            ),
-        }
-    }
-
-    /// Repeats prepared parameters `batch` times (the row-stacked,
-    /// polynomial-contiguous tiling with period `N`).
-    fn repeat_prepared(&self, params: &PreparedParams, batch: usize) -> PreparedParams {
-        fn rep(v: &[u64], batch: usize) -> Vec<u64> {
-            let mut out = Vec::with_capacity(v.len() * batch);
-            for _ in 0..batch {
-                out.extend_from_slice(v);
-            }
-            out
-        }
-        match params {
-            PreparedParams::Plain(v) => PreparedParams::Plain(rep(v, batch)),
-            PreparedParams::Montgomery(v) => PreparedParams::Montgomery(rep(v, batch)),
-            PreparedParams::Shoup(w, s) => PreparedParams::Shoup(rep(w, batch), rep(s, batch)),
-        }
-    }
-
     /// Forward transform of a batch, pure CPU (parallel matmuls): one
     /// fused `W_R @ [A₀|A₁|…]` over the `C·batch` streamed dimension,
     /// tiled step-2 twiddles, relayout, one fused `[X₀;X₁;…] @ W_C`.
@@ -384,9 +323,7 @@ impl Ntt3Plan {
             Some(bat) => bat.execute(sim, a, c, Category::NttMatMul),
             None => self.vpu_matmul(sim, &self.w_r, a, r, r, c, q, Category::NttMatMul),
         };
-        let x2 = self
-            .vm
-            .mul_vec(sim, &x, &self.step2_params, Category::VecModOps);
+        let x2 = self.mul_twiddles(sim, &x, |i| self.step2[i]);
         match &self.bat_w_c {
             Some(bat) => bat.execute(sim, &x2, r, Category::NttMatMul),
             None => self.vpu_matmul(sim, &x2, &self.w_c, r, c, c, q, Category::NttMatMul),
@@ -401,9 +338,7 @@ impl Ntt3Plan {
             Some(bat) => bat.execute(sim, y, r, Category::InttMatMul),
             None => self.vpu_matmul(sim, y, &self.v_c, r, c, c, q, Category::InttMatMul),
         };
-        let x = self
-            .vm
-            .mul_vec(sim, &z, &self.inv_step2_params, Category::VecModOps);
+        let x = self.mul_twiddles(sim, &z, |i| self.inv_step2[i]);
         match &self.bat_v_r {
             Some(bat) => bat.execute(sim, &x, c, Category::InttMatMul),
             None => self.vpu_matmul(sim, &self.v_r, &x, r, r, c, q, Category::InttMatMul),
@@ -425,8 +360,8 @@ impl Ntt3Plan {
             Some(bat) => bat.execute(sim, &stk, cb, Category::NttMatMul),
             None => self.vpu_matmul(sim, &self.w_r, &stk, r, r, cb, q, Category::NttMatMul),
         };
-        let step2_tiled = self.tile_prepared_col(&self.step2_params, batch);
-        let x2 = self.vm.mul_vec(sim, &x, &step2_tiled, Category::VecModOps);
+        // Step-2 twiddles tile across the batch blocks of each row.
+        let x2 = self.mul_twiddles(sim, &x, |i| self.step2[i / cb * c + i % c]);
         // Relayout from column-stacked to row-stacked batching.
         sim.charge_reshape((n * batch * 4) as f64, Category::CopyReshape);
         let row_stacked = self.col_unstack(&x2, batch);
@@ -460,8 +395,7 @@ impl Ntt3Plan {
         };
         // Row-stacked layout is polynomial-contiguous: the inverse
         // twiddle table tiles with period N.
-        let params = self.repeat_prepared(&self.inv_step2_params, batch);
-        let x = self.vm.mul_vec(sim, &z, &params, Category::VecModOps);
+        let x = self.mul_twiddles(sim, &z, |i| self.inv_step2[i % n]);
         sim.charge_reshape((n * batch * 4) as f64, Category::CopyReshape);
         let xc = self.col_stack(&x, batch);
         let w = match &self.bat_v_r {
@@ -469,6 +403,25 @@ impl Ntt3Plan {
             None => self.vpu_matmul(sim, &self.v_r, &xc, r, r, cb, q, Category::InttMatMul),
         };
         self.col_unstack(&w, batch)
+    }
+
+    /// Step 2 on the simulator, `x[i]·twiddle(i) mod q`: charged as
+    /// the configured [`ModRed`]'s VecModMul, computed as
+    /// [`Ntt3Plan::forward_reference`] computes it.
+    fn mul_twiddles(
+        &self,
+        sim: &mut TpuSim,
+        x: &[u64],
+        twiddle: impl Fn(usize) -> u64,
+    ) -> Vec<u64> {
+        let q = self.tables.q();
+        self.cfg
+            .modred
+            .charge_vec_mod_mul(sim, x.len(), q, Category::VecModOps);
+        x.iter()
+            .enumerate()
+            .map(|(i, &v)| mul_mod(v, twiddle(i), q))
+            .collect()
     }
 
     /// VPU fallback matmul (Shoup path): a chain of `k` vectorized

@@ -1,12 +1,17 @@
 //! # cross-math
 //!
-//! Arithmetic substrate for the CROSS reproduction: word-level modular
-//! arithmetic, the three modular-reduction algorithms the paper ablates
-//! (Barrett, optimized Montgomery, Shoup), NTT-friendly prime generation,
-//! a minimal arbitrary-precision integer for CRT/`Q`-level computations,
-//! RNS basis tooling (including the precomputed tables that Basis
-//! Conversion consumes), and a registry-free parked worker pool
-//! ([`par`]) for the batched limb and key-switch loops.
+//! Arithmetic substrate for the CROSS reproduction, and the one home of
+//! its modular arithmetic: word-level modular operations ([`modops`],
+//! including the division-free Barrett reduction the pointwise loops
+//! run), the Shoup kernels ([`shoup`]) with which the host NTT, key
+//! switching and BConv multiply by precomputed constants, and the
+//! scalar Barrett and optimized-Montgomery reducers of the paper's
+//! Alg. 4 and Alg. 1 that the Fig. 13 benches time. Beside them:
+//! NTT-friendly prime generation, a minimal arbitrary-precision integer
+//! for CRT/`Q`-level computations, RNS basis tooling (including the
+//! precomputed tables that Basis Conversion consumes), and a
+//! registry-free parked worker pool ([`par`]) for the batched limb and
+//! key-switch loops.
 //!
 //! Everything in this crate is implemented from scratch; no external
 //! number-theory dependencies are used.
@@ -37,4 +42,3 @@ pub use barrett::BarrettReducer;
 pub use bigint::BigUint;
 pub use montgomery::Montgomery;
 pub use rns::RnsBasis;
-pub use shoup::ShoupMul;

@@ -11,9 +11,9 @@ use crate::modops;
 
 /// Montgomery context for a modulus `q < 2^32` with `R = 2^32`.
 ///
-/// `reduce(z)` maps `z ∈ [0, 2^64)`... strictly `z < q·R` ... to
-/// `z·R^{-1} mod q`, *lazily* in `[0, 2q)` exactly as Alg. 1 returns it.
-/// Use `Montgomery::reduce_strict` for a canonical representative.
+/// `reduce(z)` maps any `z < q·R` to `z·R^{-1} mod q`, *lazily* in
+/// `[0, 2q)` exactly as Alg. 1 returns it. [`Montgomery::mul_strict`]
+/// gives the canonical representative of a product.
 ///
 /// # Example
 /// ```

@@ -1,6 +1,7 @@
 //! Property-based tests for the arithmetic substrate.
 
-use cross_math::{modops, primes, BarrettReducer, BigUint, Montgomery, RnsBasis, ShoupMul};
+use cross_math::{modops, primes, shoup, BarrettReducer, BigUint, Montgomery, RnsBasis};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 const Q28: u64 = 268_369_921; // 28-bit NTT prime
@@ -51,9 +52,29 @@ proptest! {
     }
 
     #[test]
-    fn shoup_equals_reference(a in residue(Q28), w in residue(Q28)) {
-        let sm = ShoupMul::new(w, Q28);
-        prop_assert_eq!(sm.mul_strict(a), modops::mul_mod(a, w, Q28));
+    fn shoup_mul_equals_reference_for_any_word(a in any::<u64>(), w in residue(Q28), w31 in residue(Q31)) {
+        prop_assert_eq!(shoup::mul(a, w, shoup::companion(w, Q28), Q28), modops::mul_mod(a, w, Q28));
+        prop_assert_eq!(shoup::mul(a, w31, shoup::companion(w31, Q31), Q31), modops::mul_mod(a, w31, Q31));
+    }
+
+    #[test]
+    fn shoup_lazy_accumulation_equals_reference(
+        terms in vec(((any::<u64>(), any::<u64>()), residue(Q31)), 1..64),
+    ) {
+        // Each term multiplies a two-element slice of arbitrary words by
+        // one constant; the accumulator stays below 2q throughout.
+        let mut acc = [0u64; 2];
+        let mut want = [0u64; 2];
+        for ((x0, x1), w) in terms {
+            let xs = [x0, x1];
+            shoup::mul_acc_lazy_const(&xs, w, shoup::companion(w, Q31), &mut acc, Q31);
+            prop_assert!(acc.iter().all(|&a| a < 2 * Q31));
+            for (want, x) in want.iter_mut().zip(xs) {
+                *want = modops::add_mod(*want, modops::mul_mod(x, w, Q31), Q31);
+            }
+        }
+        shoup::reduce_strict_slice(&mut acc, Q31);
+        prop_assert_eq!(acc, want);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Shoup/lazy-reduced negacyclic transforms — the arithmetic of the
-//! host NTT engine ([`crate::host_ntt`]) — and the Shoup
-//! multiply-accumulate helpers key switching and BConv share.
+//! host NTT engine ([`crate::host_ntt`]) — and the subtract-and-scale
+//! that closes a mod-down or a rescale. The word-level Shoup kernels
+//! themselves live in [`cross_math::shoup`].
 //!
 //! The radix-2 loops in [`crate::ntt`] pay a `u128` division per
 //! butterfly (`mul_mod`). Every twiddle is known ahead of time, so
@@ -40,92 +41,7 @@
 //! arithmetic.
 
 use crate::tables::NttTables;
-
-/// Parallel `(w, w·2⁶⁴/q)` arrays for Shoup multiplication by
-/// precomputed constants.
-#[derive(Debug, Clone, Default)]
-pub struct ShoupPairs {
-    w: Vec<u64>,
-    w_shoup: Vec<u64>,
-}
-
-impl ShoupPairs {
-    /// Empty table with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            w: Vec::with_capacity(cap),
-            w_shoup: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Appends constant `w < q` with its Shoup companion `⌊w·2⁶⁴/q⌋`.
-    pub fn push(&mut self, w: u64, q: u64) {
-        debug_assert!(w < q, "Shoup constant must be reduced");
-        self.w.push(w);
-        self.w_shoup.push((((w as u128) << 64) / q as u128) as u64);
-    }
-
-    /// Builds a table from a slice of reduced constants (all `< q`).
-    pub(crate) fn from_values(ws: &[u64], q: u64) -> Self {
-        let mut pairs = Self::with_capacity(ws.len());
-        for &w in ws {
-            pairs.push(w, q);
-        }
-        pairs
-    }
-
-    /// The `(w, w_shoup)` pair at index `i`.
-    #[inline(always)]
-    pub fn get(&self, i: usize) -> (u64, u64) {
-        (self.w[i], self.w_shoup[i])
-    }
-}
-
-/// Lazy Shoup product `a·w mod q + εq ∈ [0, 2q)` with `ε ∈ {0, 1}`,
-/// valid for **any** `a < 2⁶⁴` when `2q < 2⁶⁴`: with
-/// `ws = ⌊w·2⁶⁴/q⌋` the high product `⌊a·ws/2⁶⁴⌋` is within 1 of
-/// `⌊a·w/q⌋`, so the wrapping difference lands in `[0, 2q)`.
-#[inline(always)]
-pub(crate) fn shoup_lazy(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
-    let hi = ((a as u128 * w_shoup as u128) >> 64) as u64;
-    a.wrapping_mul(w).wrapping_sub(hi.wrapping_mul(q))
-}
-
-/// `acc[j] ← acc[j] + xs[j]·w mod q + εq`, folded to `< 2q` — lazy
-/// multiply-accumulate against one precomputed `(w, ⌊w·2⁶⁴/q⌋)` pair
-/// (a BConv matrix column entry). Accepts **any** `u64` inputs and
-/// keeps the accumulator `< 2q` invariantly, so a whole sum runs with
-/// a single conditional subtract per term; close the chain with
-/// [`reduce_strict_slice`].
-#[inline]
-pub fn mul_acc_lazy_const(xs: &[u64], w: u64, w_shoup: u64, acc: &mut [u64], q: u64) {
-    debug_assert!(q < 1 << 62, "need 4q < 2^64 for the lazy fold");
-    let two_q = 2 * q;
-    for (a, &x) in acc.iter_mut().zip(xs) {
-        let s = *a + shoup_lazy(x, w, w_shoup, q);
-        *a = if s >= two_q { s - two_q } else { s };
-    }
-}
-
-/// Strict Shoup product `a·w mod q ∈ [0, q)` for any `a < 2⁶⁴` —
-/// the canonical single-constant multiply for precomputed pairs, in
-/// 64-bit words.
-#[inline(always)]
-pub fn shoup_mul(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
-    mul_const::<false>(a, w, w_shoup, q)
-}
-
-/// Final conditional subtract `[0, 2q) → [0, q)` over a slice — the
-/// strict pass that closes a chain of lazy accumulations
-/// ([`mul_acc_lazy_const`]).
-#[inline]
-pub fn reduce_strict_slice(xs: &mut [u64], q: u64) {
-    for x in xs.iter_mut() {
-        if *x >= q {
-            *x -= q;
-        }
-    }
-}
+use cross_math::shoup::{self, ShoupPairs};
 
 /// The low 32 bits of a word. Masking both operands of a product tells
 /// the compiler it is a 32×32→64 multiply — one `vpmuludq` for four
@@ -153,7 +69,7 @@ fn avx2() -> bool {
 }
 
 /// The lazy Shoup product `a·w mod q + εq ∈ [0, 2q)` in the arithmetic
-/// a kernel body is instantiated with: [`shoup_lazy`]'s 64-bit words,
+/// a kernel body is instantiated with: [`shoup::mul_lazy`]'s 64-bit words,
 /// or — `LANES`, for `q < 2³⁰` and `a < 2³²` — the same multiply with
 /// `β = 2³²`: `hi = ⌊a·ws₃₂/2³²⌋` is within 1 of `⌊a·w/q⌋`, so
 /// `a·w − hi·q ∈ [0, 2q)`, from three 32×32→64 products. The 32-bit
@@ -163,7 +79,7 @@ fn avx2() -> bool {
 #[inline(always)]
 fn mul_lazy<const LANES: bool>(a: u64, w: u64, ws: u64, q: u64) -> u64 {
     if !LANES {
-        return shoup_lazy(a, w, ws, q);
+        return shoup::mul_lazy(a, w, ws, q);
     }
     debug_assert!(a <= LO32 && q < 1 << 30, "lanes need a < 2^32, q < 2^30");
     let a = a & LO32;
@@ -263,7 +179,7 @@ impl SmallNttTables {
             q,
             fwd: ShoupPairs::from_values(tables.psi_rev(), q),
             inv: ShoupPairs::from_values(tables.psi_inv_rev(), q),
-            n_inv: ShoupPairs::from_values(&[tables.n_inv()], q).get(0),
+            n_inv: (tables.n_inv(), shoup::companion(tables.n_inv(), q)),
         }
     }
 }
@@ -479,7 +395,6 @@ pub(crate) fn negacyclic_inverse(a: &mut [u64], tb: &SmallNttTables) {
 mod tests {
     use super::*;
     use crate::ntt;
-    use cross_math::modops::mul_mod;
     use cross_math::primes;
 
     fn residues(len: usize, q: u64, seed: u64) -> Vec<u64> {
@@ -492,17 +407,6 @@ mod tests {
                 (state >> 16) % q
             })
             .collect()
-    }
-
-    #[test]
-    fn shoup_lazy_in_range_and_congruent() {
-        let q = primes::ntt_prime(30, 1 << 10, 0).unwrap();
-        for (a, w) in [(0u64, 1u64), (4 * q - 1, q - 1), (u64::MAX, 12345)] {
-            let ws = (((w as u128) << 64) / q as u128) as u64;
-            let got = shoup_lazy(a, w, ws, q);
-            assert!(got < 2 * q, "a={a} w={w}: {got} not lazy");
-            assert_eq!(got % q, ((a as u128 * w as u128) % q as u128) as u64);
-        }
     }
 
     type Kernel = fn(&mut [u64], &SmallNttTables);
@@ -599,36 +503,5 @@ mod tests {
             .collect();
         negacyclic_inverse(&mut lazy, &tb);
         assert_eq!(lazy, strict);
-    }
-
-    #[test]
-    fn mul_acc_lazy_const_matches_strict_inner_product() {
-        let q = primes::ntt_prime(28, 1 << 6, 0).unwrap();
-        let terms = 7usize;
-        let len = 16usize;
-        // per-term constants and unreduced inputs (any u64 < 2q)
-        let consts = ShoupPairs::from_values(&residues(terms, q, 11), q);
-        let inputs: Vec<Vec<u64>> = (0..terms)
-            .map(|t| {
-                residues(len, q, 31 + t as u64)
-                    .into_iter()
-                    .map(|x| x + q * (t as u64 % 2)) // exercise lazy inputs
-                    .collect()
-            })
-            .collect();
-        let mut acc = vec![0u64; len];
-        for (t, xs) in inputs.iter().enumerate() {
-            let (w, ws) = consts.get(t);
-            mul_acc_lazy_const(xs, w, ws, &mut acc, q);
-            assert!(acc.iter().all(|&a| a < 2 * q), "accumulator left 2q");
-        }
-        reduce_strict_slice(&mut acc, q);
-        for j in 0..len {
-            let mut want = 0u64;
-            for (t, xs) in inputs.iter().enumerate() {
-                want = (want + mul_mod(xs[j] % q, consts.get(t).0, q)) % q;
-            }
-            assert_eq!(acc[j], want, "element {j}");
-        }
     }
 }

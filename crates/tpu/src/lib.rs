@@ -19,10 +19,12 @@
 //!   transfer/collective costs so multi-chip estimates are honest
 //!   (never `single-core / cores`).
 //!
-//! Every operation is computed for real (bit-exact integers) while its
-//! cost is charged to a [`trace::Trace`] with XProf-style categories, so
-//! the paper's latency tables, throughput plots and breakdown figures all
-//! fall out of the same machinery.
+//! Every operation charges its cost to a [`trace::Trace`] with
+//! XProf-style categories, so the paper's latency tables, throughput
+//! plots and breakdown figures all fall out of the same machinery. The
+//! MXU's int8 products are also computed for real (bit-exact integers);
+//! the VPU's modular products are charge-only, their values computed by
+//! the host arithmetic.
 //!
 //! ## Example
 //!

@@ -1,10 +1,12 @@
 //! The tensor-core simulator: functional execution + latency accounting.
 //!
-//! Each `TpuSim` models **one tensor core**. Methods come in pairs:
-//! a *functional* form that computes real results while charging time
-//! (used by correctness-verified kernels) and a `charge_*` cost-only
-//! form (used by large parameter sweeps where recomputing terabytes of
-//! integer math would serve no purpose).
+//! Each `TpuSim` models **one tensor core**. Its functional forms are
+//! the MXU's int8 products ([`TpuSim::matmul_u8`]): they compute real
+//! results while charging time, so BAT's lowering is checked on the
+//! unit it targets. Everything else is a `charge_*` cost-only form. In
+//! particular the VPU's modular products are charge-only: their values
+//! are computed by `cross_core` with the host arithmetic, and its
+//! `ModRed` strategy decides what they cost, never what they are.
 //!
 //! The latency model is a first-order roofline per kernel:
 //!
@@ -18,7 +20,6 @@
 use crate::spec::{ChipSpec, TpuGeneration};
 use crate::trace::{breakdown_of, Category, Trace};
 use crate::vreg;
-use cross_math::{BarrettReducer, Montgomery};
 
 /// Per-kernel simulation report (the trace-viewer row).
 #[derive(Debug, Clone)]
@@ -229,63 +230,6 @@ impl TpuSim {
         self.trace.record(cat, s, label);
     }
 
-    /// Vectorized Montgomery modular product: `b_mont` is in the
-    /// Montgomery domain (e.g. precompiled twiddles), output strict.
-    pub fn vec_mod_mul_montgomery(
-        &mut self,
-        a: &[u64],
-        b_mont: &[u64],
-        mont: &Montgomery,
-        cat: Category,
-    ) -> Vec<u64> {
-        assert_eq!(a.len(), b_mont.len());
-        self.charge_vpu(a.len(), ops::MONTGOMERY_MUL, cat, "vec_mod_mul(montgomery)");
-        a.iter()
-            .zip(b_mont)
-            .map(|(&x, &y)| mont.mul_strict(x, y))
-            .collect()
-    }
-
-    /// Vectorized Barrett modular product.
-    pub fn vec_mod_mul_barrett(
-        &mut self,
-        a: &[u64],
-        b: &[u64],
-        br: &BarrettReducer,
-        cat: Category,
-    ) -> Vec<u64> {
-        assert_eq!(a.len(), b.len());
-        self.charge_vpu(a.len(), ops::BARRETT_MUL, cat, "vec_mod_mul(barrett)");
-        a.iter().zip(b).map(|(&x, &y)| br.mul_mod(x, y)).collect()
-    }
-
-    /// Vectorized Shoup modular product against per-element prepared
-    /// constants `(w, w_shoup)`.
-    pub fn vec_mod_mul_shoup(
-        &mut self,
-        a: &[u64],
-        w: &[u64],
-        w_shoup: &[u64],
-        q: u64,
-        cat: Category,
-    ) -> Vec<u64> {
-        assert_eq!(a.len(), w.len());
-        assert_eq!(a.len(), w_shoup.len());
-        self.charge_vpu(a.len(), ops::SHOUP_MUL, cat, "vec_mod_mul(shoup)");
-        a.iter()
-            .zip(w.iter().zip(w_shoup))
-            .map(|(&x, (&wi, &wsi))| {
-                let hi = ((x as u128 * wsi as u128) >> 64) as u64;
-                let r = x.wrapping_mul(wi).wrapping_sub(hi.wrapping_mul(q));
-                if r >= q {
-                    r - q
-                } else {
-                    r
-                }
-            })
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // XLU (cross-lane unit)
     // ------------------------------------------------------------------
@@ -417,36 +361,6 @@ mod tests {
         let tiny = s.mxu_seconds(4, 4, 4);
         let full = s.mxu_seconds(256, 256, 4);
         assert!((tiny / full - 1.0).abs() < 1e-9, "same tile count");
-    }
-
-    #[test]
-    fn montgomery_vec_mul_correct() {
-        let mut s = sim();
-        let q = 268_369_921u64;
-        let m = Montgomery::new(q);
-        let a = vec![12345u64, q - 1, 7];
-        let b = [67890u64, q - 1, 11];
-        let bm: Vec<u64> = b.iter().map(|&x| m.to_mont(x)).collect();
-        let got = s.vec_mod_mul_montgomery(&a, &bm, &m, Category::VecModOps);
-        for i in 0..a.len() {
-            assert_eq!(got[i], cross_math::modops::mul_mod(a[i], b[i], q));
-        }
-    }
-
-    #[test]
-    fn shoup_vec_mul_correct() {
-        let mut s = sim();
-        let q = 268_369_921u64;
-        let a = vec![12345u64, q - 1, 7];
-        let w = vec![67890u64, q - 1, 11];
-        let wsh: Vec<u64> = w
-            .iter()
-            .map(|&x| (((x as u128) << 64) / q as u128) as u64)
-            .collect();
-        let got = s.vec_mod_mul_shoup(&a, &w, &wsh, q, Category::VecModOps);
-        for i in 0..a.len() {
-            assert_eq!(got[i], cross_math::modops::mul_mod(a[i], w[i], q));
-        }
     }
 
     #[test]
