@@ -13,10 +13,14 @@
 //! failure message prints. Say so in CHANGES.md — these constants are
 //! the reproduction's numbers.
 
-use cross_bench::workloads::{helr_iteration, helr_params, mnist_network, mnist_params};
+use cross_bench::workloads::{
+    argmax_head, helr_iteration, helr_params, mnist_network, mnist_params, relu_mlp_layer,
+    sgn_workload_params, topk_head,
+};
+use cross_bench::{pod_for, vm_setups};
 use cross_ckks::costs::{backbone_latencies_pod, ExecMode};
 use cross_ckks::params::{CkksParams, ParamSet};
-use cross_sched::{cost_graph, HeOpKind, OpGraph, PassManager, Scheduler};
+use cross_sched::{cost_graph, HeOpKind, OpGraph, PassManager, RequestQueue, Scheduler};
 use cross_tpu::{PodSim, TpuGeneration};
 
 const GEN: TpuGeneration = TpuGeneration::V6e;
@@ -148,6 +152,65 @@ const GOLDEN: &[(&str, u64)] = &[
     ("op/Rotate/l2/f/critical_s", 0x3f3282eae8895aab),  // 2.8246150080716664e-4
     ("op/Rotate/l2/f/amortized_s", 0x3f10e831ebf67597), // 6.449513147407101e-5
     ("op/Rotate/l2/f/comm_s", 0x3f2a9f0a134baea1),      // 2.0310399999999999e-4
+    // Recorded at eae836e, where `BENCH_results.json` held these same
+    // values as ns/iter: Tab. VIII and IX at the other VM setups, the
+    // serving drain's per-op seconds, and the comparison heads.
+    ("backbone/v4-8/HE-Add/latency_s", 0x3ef9acd35ed110b6), // 2.4485683685308074e-5
+    ("backbone/v4-8/HE-Add/amortized_s", 0x3ef7d5d8d2cac1b9), // 2.2731151306744464e-5
+    ("backbone/v4-8/HE-Mult/latency_s", 0x3f61f05014373138), // 2.189785389168499e-3
+    ("backbone/v4-8/HE-Mult/amortized_s", 0x3f533d5090728e6c), // 1.1742865333780562e-3
+    ("backbone/v4-8/Rescale/latency_s", 0x3f33c9421da76624), // 3.019129195799017e-4
+    ("backbone/v4-8/Rescale/amortized_s", 0x3f31c2d0ca24113d), // 2.7101132776887247e-4
+    ("backbone/v4-8/Rotate/latency_s", 0x3f637dee4fb01801), // 2.379384471626445e-3
+    ("backbone/v4-8/Rotate/amortized_s", 0x3f561657ac04c446), // 1.3481002971043195e-3
+    ("bootstrap/v4-8/critical_s", 0x3fd524b2f2ab4f84),      // 3.303649301353675e-1
+    ("bootstrap/v4-8/amortized_s", 0x3fc405f0fe62b6e7),     // 1.5643131657764472e-1
+    ("bootstrap/v4-8/comm_s", 0x3fc5d0660554c002),          // 1.7042231808000002e-1
+    ("backbone/v5e-4/HE-Add/latency_s", 0x3efd285d33a3781b), // 2.7806923051147772e-5
+    ("backbone/v5e-4/HE-Add/amortized_s", 0x3efbd4a77bebb567), // 2.6541405300164157e-5
+    ("backbone/v5e-4/HE-Mult/latency_s", 0x3f614ed8572717f3), // 2.1127915763114956e-3
+    ("backbone/v5e-4/HE-Mult/amortized_s", 0x3f59738b6a365b19), // 1.5534268830827479e-3
+    ("backbone/v5e-4/Rescale/latency_s", 0x3f37f5a74e5908d6), // 3.655942403818618e-4
+    ("backbone/v5e-4/Rescale/amortized_s", 0x3f37327e49718423), // 3.5396178413377356e-4
+    ("backbone/v5e-4/Rotate/latency_s", 0x3f5fe11fd91383d7), // 1.9457636847663906e-3
+    ("backbone/v5e-4/Rotate/amortized_s", 0x3f56e45f69f7def6), // 1.3972217346899774e-3
+    ("bootstrap/v5e-4/critical_s", 0x3fd0d90a56d1dc74),     // 2.6324709394925283e-1
+    ("bootstrap/v5e-4/amortized_s", 0x3fc5ca36a42a8d48),    // 1.7023356452873828e-1
+    ("bootstrap/v5e-4/comm_s", 0x3fbb87278c98f888),         // 1.0753104384e-1
+    ("backbone/v5p-8/HE-Add/latency_s", 0x3ee346258b01f919), // 9.190564327573929e-6
+    ("backbone/v5p-8/HE-Add/amortized_s", 0x3ee11bd254fd3e47), // 8.158053475120583e-6
+    ("backbone/v5p-8/HE-Mult/latency_s", 0x3f51d565fd2b5a86), // 1.088475798203399e-3
+    ("backbone/v5p-8/HE-Mult/amortized_s", 0x3f4287276116613a), // 5.654279977305506e-4
+    ("backbone/v5p-8/Rescale/latency_s", 0x3f237523aea3a9fb), // 1.48449521766139e-4
+    ("backbone/v5p-8/Rescale/amortized_s", 0x3f2154d34ed0eeef), // 1.3222770158615542e-4
+    ("backbone/v5p-8/Rotate/latency_s", 0x3f513282ec5bef32), // 1.0496405170092424e-3
+    ("backbone/v5p-8/Rotate/amortized_s", 0x3f4116f61b46f265), // 5.215360347886165e-4
+    ("bootstrap/v5p-8/critical_s", 0x3fc369a7dbcb0c98),     // 1.5166185600364623e-1
+    ("bootstrap/v5p-8/amortized_s", 0x3fb026c187e6d715),    // 6.309136932290145e-2
+    ("bootstrap/v5p-8/comm_s", 0x3fb68b91bfedada4),         // 8.806715904000001e-2
+    ("backbone/v6e-4/HE-Add/latency_s", 0x3eedf626853ad546), // 1.428676856760992e-5
+    ("backbone/v6e-4/HE-Add/amortized_s", 0x3eec28c8da5e9f51), // 1.342740763361742e-5
+    ("backbone/v6e-4/HE-Mult/latency_s", 0x3f5052fa9962c6a9), // 9.96346212144431e-4
+    ("backbone/v6e-4/HE-Mult/amortized_s", 0x3f47f3d760b29898), // 7.309724473045951e-4
+    ("backbone/v6e-4/Rescale/latency_s", 0x3f255fda9cc81c03), // 1.630739556192918e-4
+    ("backbone/v6e-4/Rescale/amortized_s", 0x3f24a9a6028173bc), // 1.5764380919139158e-4
+    ("backbone/v6e-4/Rotate/latency_s", 0x3f4d7f390fdbe9d0), // 9.00175916938745e-4
+    ("backbone/v6e-4/Rotate/amortized_s", 0x3f44f2ba6896e87a), // 6.392870138178929e-4
+    ("bootstrap/v6e-4/critical_s", 0x3fbfeb52ac4495a2),     // 1.2468449311980703e-1
+    ("bootstrap/v6e-4/amortized_s", 0x3fb488c93a31e62b),    // 8.021218939566015e-2
+    ("bootstrap/v6e-4/comm_s", 0x3fa945b937c0e3fb),         // 4.936007314285714e-2
+    ("drain/4/fused_per_op_s", 0x3f07842db9f95f41),         // 4.485382600866043e-5
+    ("drain/4/naive_per_op_s", 0x3f0f94cba501e9f7),         // 6.023642038229312e-5
+    ("drain/16/fused_per_op_s", 0x3efb17950d52ff54),        // 2.5837057212595965e-5
+    ("drain/16/naive_per_op_s", 0x3f0f94cba501e9f8),        // 6.023642038229313e-5
+    ("drain/64/fused_per_op_s", 0x3ef09d45bf97a8ea),        // 1.5844674612277525e-5
+    ("drain/64/naive_per_op_s", 0x3f0f94cba501e9fa),        // 6.023642038229314e-5
+    ("argmax4/scheduled/wall_s", 0x3fa00e35c5022e46),       // 3.135841398133414e-2
+    ("argmax4/naive/wall_s", 0x3fb19d24c8701114),           // 6.880407231807723e-2
+    ("topk6_2/scheduled/wall_s", 0x3fb57f315d73d4f3),       // 8.397205859712979e-2
+    ("topk6_2/naive/wall_s", 0x3fc820a8dc84d106),           // 1.8849669234771954e-1
+    ("mlp8/scheduled/wall_s", 0x3f9a28982204dc30),          // 2.5545479847291996e-2
+    ("mlp8/naive/wall_s", 0x3fae059eae024796),              // 5.863662599689616e-2
 ];
 
 /// Before/after-optimizer graph cost plus the scheduled wall clock of
@@ -164,6 +227,22 @@ fn program(out: &mut Vec<(String, f64)>, name: &str, params: &CkksParams, graph:
     }
     let schedule = Scheduler::new(GEN, CORES).schedule(&optimized.graph, params);
     out.push((format!("{name}/scheduled/wall_s"), schedule.wall_s()));
+}
+
+/// A serving-shaped drain of `depth` requests at `level`: mostly
+/// rotations (two distinct steps, so same-step pairs exist at every
+/// depth), some mults and adds.
+fn fill_drain_mix(queue: &mut RequestQueue, depth: usize, level: usize) {
+    for i in 0..depth {
+        let kind = match i % 4 {
+            0 | 1 => HeOpKind::Rotate {
+                steps: 1 << ((i % 8) / 4),
+            },
+            2 => HeOpKind::Mult,
+            _ => HeOpKind::Add,
+        };
+        queue.submit_default(kind, level).expect("unbounded queue");
+    }
 }
 
 /// Every pinned value, in table order.
@@ -215,6 +294,55 @@ fn modeled() -> Vec<(String, f64)> {
             }
         }
     }
+
+    // Tab. VIII and IX at the other VM setups (v6e-8 is pinned above).
+    for (gen, cores, label) in vm_setups() {
+        if label == "v6e-8" {
+            continue;
+        }
+        let mut pod = pod_for(gen, cores);
+        for (op, rep, amortized) in backbone_latencies_pod(&mut pod, &set_d, ExecMode::Unfused) {
+            out.push((format!("backbone/{label}/{op}/latency_s"), rep.latency_s));
+            out.push((format!("backbone/{label}/{op}/amortized_s"), amortized));
+        }
+        let graph = OpGraph::single_op(HeOpKind::Bootstrap, set_d.limbs);
+        let rep = cost_graph(&mut pod, &set_d, &graph, ExecMode::Unfused);
+        out.push((format!("bootstrap/{label}/critical_s"), rep.critical_s));
+        out.push((format!("bootstrap/{label}/amortized_s"), rep.amortized_s));
+        out.push((format!("bootstrap/{label}/comm_s"), rep.comm_s));
+    }
+
+    // The serving drain: per-op seconds of the fused schedule and of
+    // naive per-op dispatch, with the optimizer on as in serving.
+    let set_c = ParamSet::C.params();
+    let scheduler = Scheduler::new(GEN, CORES).with_optimize(true);
+    for depth in [4, 16, 64] {
+        let mut queue = RequestQueue::new();
+        fill_drain_mix(&mut queue, depth, set_c.limbs);
+        let dispatch = queue.drain(&scheduler, &set_c, depth);
+        let naive = scheduler.naive_wall_s(&dispatch.graph, &set_c) / depth as f64;
+        out.push((
+            format!("drain/{depth}/fused_per_op_s"),
+            dispatch.schedule.per_op_s(),
+        ));
+        out.push((format!("drain/{depth}/naive_per_op_s"), naive));
+    }
+
+    // The recorded comparison heads: scheduled against naive dispatch.
+    let params = sgn_workload_params();
+    let scheduler = Scheduler::new(GEN, CORES);
+    for (name, graph) in [
+        ("argmax4", argmax_head(params.limbs, 4)),
+        ("topk6_2", topk_head(params.limbs, 6, 2)),
+        ("mlp8", relu_mlp_layer(params.limbs, 8)),
+    ] {
+        let wall = scheduler.schedule(&graph, &params).wall_s();
+        out.push((format!("{name}/scheduled/wall_s"), wall));
+        out.push((
+            format!("{name}/naive/wall_s"),
+            scheduler.naive_wall_s(&graph, &params),
+        ));
+    }
     out
 }
 
@@ -254,5 +382,40 @@ fn the_pinned_backbone_row_is_the_published_one() {
     ] {
         let got = us(key);
         assert!((got / want - 1.0).abs() < 5e-3, "{key}: {got} µs vs {want}");
+    }
+}
+
+#[test]
+fn the_pinned_pairs_keep_their_order() {
+    // The schedule and the optimizer exist to win in the model; these
+    // pairs guard a refreshed table against losing that.
+    let s = |key: &str| f64::from_bits(GOLDEN.iter().find(|(k, _)| *k == key).expect(key).1);
+    for depth in [4, 16, 64] {
+        let (fused, naive) = (
+            s(&format!("drain/{depth}/fused_per_op_s")),
+            s(&format!("drain/{depth}/naive_per_op_s")),
+        );
+        assert!(
+            fused < naive,
+            "depth {depth}: fused {fused} vs naive {naive}"
+        );
+    }
+    // The optimizer shortens the critical path and never lengthens the
+    // amortized one.
+    for name in ["helr", "mnist"] {
+        let total = |stage: &str, what: &str| s(&format!("{name}/{stage}/{what}"));
+        assert!(
+            total("after", "critical_s") < total("before", "critical_s"),
+            "{name}"
+        );
+        assert!(
+            total("after", "amortized_s") <= total("before", "amortized_s"),
+            "{name}"
+        );
+    }
+    for name in ["argmax4", "topk6_2", "mlp8"] {
+        let scheduled = s(&format!("{name}/scheduled/wall_s"));
+        let naive = s(&format!("{name}/naive/wall_s"));
+        assert!(scheduled < naive, "{name}: {scheduled} vs naive {naive}");
     }
 }
