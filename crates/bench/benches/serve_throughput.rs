@@ -29,10 +29,8 @@
 //! construction (the loop's work strictly supersets the drain path's);
 //! on a multi-core host worker parallelism then pushes it ahead.
 //!
-//! ISSUE 8 adds the **multi-tenant** keys (gated in `bench_diff` —
-//! the fairness pair and `fairness_err` are deterministic counts; the
-//! latency/occupancy keys are wall-clock with the same refresh-the-
-//! baseline remedy as `batched_ntt`):
+//! The **multi-tenant** keys (gated in `bench_diff`; wall-clock, with
+//! the same refresh-the-baseline remedy as `batched_ntt`):
 //!
 //! * `serve_tenants/p50_latency/96` / `serve_tenants/p99_latency/96`
 //!   — submit→completion latency percentiles (ns) of a 96-request
@@ -42,22 +40,16 @@
 //! * `serve_tenants/inv_occupancy/96` — `1000 / occupancy` for the
 //!   same soak, inverted so the recorded number keeps the larger =
 //!   worse convention (fused batches never mix tenants, so occupancy
-//!   here is earned within each tenant's own burst);
-//! * `serve_tenants/fairness_err/44` vs
-//!   `serve_tenants/fairness_bound/44` — deficit-round-robin
-//!   fairness: under a 40:4 heavy/light backlog drained 4 at a time
-//!   by one worker, the completion sequence number of the light
-//!   tenant's *last* ticket (err) must stay under the pinned bound
-//!   (16; FIFO would leave it ≥ 40). `bench_diff` fails if the pair
-//!   inverts.
+//!   here is earned within each tenant's own burst).
+//!
+//! Deficit-round-robin fairness is a tier-1 test
+//! (`tests/serve_tenants.rs`), not a bench key.
 
 use criterion::{criterion_group, criterion_main, results, Criterion};
 use cross_bench::serve_tenants_smoke;
 use cross_ckks::{Ciphertext, CkksContext, CkksParams, Evaluator};
 use cross_sched::serve::{self, ServeConfig, ServeKeys};
-use cross_sched::{
-    execute_schedule, serve_tenants, HeOpKind, ReplayKeys, RequestQueue, Scheduler, TenantSpec,
-};
+use cross_sched::{execute_schedule, HeOpKind, ReplayKeys, RequestQueue, Scheduler};
 use cross_tpu::TpuGeneration;
 use std::time::Instant;
 
@@ -172,67 +164,6 @@ fn serve_rounds(ctx: &CkksContext, serve_keys: &ServeKeys, ct: &Ciphertext) -> (
 /// `serve_tenants/*/96` keys.
 const SOAK_TENANTS: usize = 4;
 const SOAK_TOTAL: usize = 96;
-/// The fairness experiment's offered load (heavy:light = 10:1) and
-/// the pinned completion-tail bound for the light tenant.
-const FAIR_HEAVY: usize = 40;
-const FAIR_LIGHT: usize = 4;
-const FAIR_BOUND: f64 = 16.0;
-
-/// Measures the deficit-round-robin fairness tail: two equal-weight
-/// tenants, a 40:4 heavy/light backlog fully queued before the first
-/// pop (one worker, 400 ms gather window, whole backlog within
-/// capacity), drained 4 requests per window. Returns the completion
-/// sequence number of the light tenant's **last** ticket: DRR serves
-/// both tenants every window so it lands within the first few
-/// dispatches (deterministically 7 here), while FIFO draining would
-/// push it behind the heavy tenant's 40.
-fn fairness_light_tail(ctx: &CkksContext, ct: &Ciphertext) -> f64 {
-    // Add-only traffic needs no switching keys; empty keysets keep
-    // the experiment about scheduling, not key residency.
-    let config = ServeConfig::new(TpuGeneration::V6e, 8)
-        .with_workers(1)
-        .with_drain_max(4)
-        .with_capacity(64)
-        .with_batch_window(std::time::Duration::from_millis(400));
-    let tenants = vec![
-        TenantSpec::new(1, ServeKeys::new()),
-        TenantSpec::new(2, ServeKeys::new()),
-    ];
-    serve_tenants(ctx, tenants, &config, |server| {
-        std::thread::scope(|s| {
-            let heavy = s.spawn(|| {
-                let session = server.session(1);
-                let x = session.insert(ct.clone());
-                let pending: Vec<_> = (0..FAIR_HEAVY)
-                    .map(|_| session.add(x, x).expect("accepted"))
-                    .collect();
-                for completion in pending {
-                    let done = completion.wait().expect("completes");
-                    session.take(done.id);
-                }
-                session.take(x);
-            });
-            let light = s.spawn(|| {
-                let session = server.session(2);
-                let x = session.insert(ct.clone());
-                let pending: Vec<_> = (0..FAIR_LIGHT)
-                    .map(|_| session.add(x, x).expect("accepted"))
-                    .collect();
-                let mut last = 0u64;
-                for completion in pending {
-                    let done = completion.wait().expect("completes");
-                    last = last.max(done.seq);
-                    session.take(done.id);
-                }
-                session.take(x);
-                last
-            });
-            heavy.join().expect("heavy tenant finishes");
-            light.join().expect("light tenant finishes") as f64
-        })
-    })
-}
-
 fn serve_throughput(_c: &mut Criterion) {
     let ctx = CkksContext::new(CkksParams::new(1 << 11, 6, 2, 28), 83);
     let kp = ctx.generate_keys();
@@ -299,21 +230,6 @@ fn serve_throughput(_c: &mut Criterion) {
         soak.occupancy,
         soak.key_misses,
         soak.key_evictions,
-    );
-
-    // DRR fairness pair: the light tenant's completion tail against
-    // its pinned bound (bench_diff fails if err >= bound).
-    let fair_total = FAIR_HEAVY + FAIR_LIGHT;
-    let err = fairness_light_tail(&ctx, &ct);
-    results::record(&format!("serve_tenants/fairness_err/{fair_total}"), err);
-    results::record(
-        &format!("serve_tenants/fairness_bound/{fair_total}"),
-        FAIR_BOUND,
-    );
-    println!(
-        "  serve_tenants/fairness: light tenant ({FAIR_LIGHT} of {fair_total} requests) \
-         finished by completion #{err:.0} under DRR (bound {FAIR_BOUND:.0}; FIFO would be \
-         >= {FAIR_HEAVY})",
     );
 }
 

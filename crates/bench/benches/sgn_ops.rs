@@ -1,26 +1,20 @@
-//! Criterion: the encrypted comparison toolkit (ISSUE 10).
+//! Criterion: the encrypted comparison toolkit, all host wall-clock.
 //!
-//! Three key families, all under the gated `sgn/` prefix:
+//! * `sgn/sign_latency/{low,mid,high}` — latency of one eager sign
+//!   evaluation per precision tier.
+//! * `sgn/exec_fused/sign_x8` vs `sgn/exec_eager/sign_x8` — eight sign
+//!   chains executed as one fused batched schedule vs the same chains
+//!   run eagerly. The two paths are asserted bit-identical before
+//!   timing. **Warn-only** as a pair (like `serve_multi` vs
+//!   `single_drain`): on the host the batched executor exists to prove
+//!   bit-exactness, and its gather/scatter overhead can outweigh the
+//!   fused-kernel win the cost model attributes to the accelerator's
+//!   batch dimension.
 //!
-//! * `sgn/recorded/*` vs `sgn/naive/*` — **deterministic cost-model**
-//!   numbers (v6e-8 milliseconds, never wall-clock): the scheduler's
-//!   fused wall time on the recorded argmax/top-k/ReLU-MLP heads vs
-//!   dispatching every op alone. This is the failing
-//!   recorded-beats-naive pair — same style as
-//!   `sched_model/fused_per_op` and `opt_model/optimized_cost`.
-//! * `sgn/sign_latency/{low,mid,high}` — wall-clock latency of one
-//!   eager sign evaluation per precision tier.
-//! * `sgn/exec_fused/sign_x8` vs `sgn/exec_eager/sign_x8` —
-//!   wall-clock: eight sign chains executed as one fused batched
-//!   schedule vs the same chains run eagerly. The two paths are
-//!   asserted bit-identical before timing. **Warn-only** as a pair
-//!   (like `serve_multi` vs `single_drain`): on the host the batched
-//!   executor exists to prove bit-exactness, and its gather/scatter
-//!   overhead can outweigh the fused-kernel win the cost model
-//!   attributes to the accelerator's batch dimension.
+//! The modeled wall seconds of the recorded argmax/top-k/ReLU-MLP
+//! heads, scheduled and naive, are pinned in `tests/model_golden.rs`.
 
-use criterion::{criterion_group, criterion_main, results, Criterion};
-use cross_bench::workloads::{argmax_head, relu_mlp_layer, sgn_workload_params, topk_head};
+use criterion::{criterion_group, criterion_main, Criterion};
 use cross_ckks::ext::sgn::{sign_chain, EagerSgnBackend, SgnTier};
 use cross_ckks::{Ciphertext, CkksContext, CkksParams, Evaluator, PublicKey};
 use cross_sched::{execute_schedule, RecordingSgnBackend, ReplayKeys, Scheduler};
@@ -107,34 +101,6 @@ fn bench_sgn(c: &mut Criterion) {
         });
     }
     g.finish();
-
-    // --- the gated pair: modeled cost of the recorded comparison
-    // heads, fused schedule vs per-op dispatch (deterministic) ---
-    let params = sgn_workload_params();
-    let sched = Scheduler::new(TpuGeneration::V6e, 8);
-    let heads = [
-        ("argmax4", argmax_head(params.limbs, 4)),
-        ("topk6_2", topk_head(params.limbs, 6, 2)),
-        ("mlp8", relu_mlp_layer(params.limbs, 8)),
-    ];
-    for (name, graph) in &heads {
-        let schedule = sched.schedule(graph, &params);
-        let recorded_ms = schedule.wall_s() * 1e3;
-        let naive_ms = sched.naive_wall_s(graph, &params) * 1e3;
-        assert!(
-            recorded_ms < naive_ms,
-            "{name}: the fused schedule must beat per-op dispatch in the model"
-        );
-        results::record(&format!("sgn/recorded/{name}"), recorded_ms);
-        results::record(&format!("sgn/naive/{name}"), naive_ms);
-        println!(
-            "  sgn/{name}: {} HE ops, modeled {:.2} ms recorded/fused vs {:.2} ms naive ({:.2}x)",
-            graph.op_count(),
-            recorded_ms,
-            naive_ms,
-            naive_ms / recorded_ms
-        );
-    }
 }
 
 criterion_group!(benches, bench_sgn);

@@ -15,8 +15,11 @@
 //! * `sim_host/charge_op_pod/v6e8_setD_mult` — one limb-parallel
 //!   HE-Mult charge at Set D on a freshly reset v6e-8 pod (8 kernels,
 //!   ~100 trace entries, three collectives and the report assembly).
+//! * `pod_model_eval/backbone_v6e8` — one full Tab. VIII backbone row
+//!   (four sharded ops, critical and amortized) at Set D on v6e-8.
 
 use criterion::{black_box, criterion_group, criterion_main, results, Criterion};
+use cross_bench::pod_for;
 use cross_bench::workloads::{helr_iteration, helr_params, mnist_network, mnist_params};
 use cross_ckks::costs::{self, ExecMode};
 use cross_ckks::params::{CkksParams, ParamSet};
@@ -64,6 +67,19 @@ fn sim_host(c: &mut Criterion) {
         b.iter(|| {
             pod.reset();
             costs::charge_op_pod(&mut pod, &params, &bundle, ExecMode::Unfused)
+        })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("pod_model_eval");
+    g.bench_function("backbone_v6e8", |b| {
+        b.iter(|| {
+            let mut pod = pod_for(TpuGeneration::V6e, 8);
+            black_box(costs::backbone_latencies_pod(
+                &mut pod,
+                &params,
+                ExecMode::Unfused,
+            ))
         })
     });
     g.finish();

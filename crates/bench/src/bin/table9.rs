@@ -4,9 +4,8 @@
 //! [`cross_sched::OpGraph`] IR, expanded by
 //! [`cross_sched::cost_graph`] into the Tab. IX kernel bundles
 //! ([`cross_ckks::bootstrap::op_bundles`]) and charged on a
-//! [`cross_tpu::PodSim`] — bit-identical to
-//! [`cross_ckks::bootstrap::estimate_pod`] (pinned by
-//! `tests/sched_model.rs`). Every row charges explicit ICI/DCN
+//! [`cross_tpu::PodSim`]; every row is pinned bit for bit in
+//! `tests/model_golden.rs`. Every row charges explicit ICI/DCN
 //! communication; the old "single-core latency divided by core count"
 //! shortcut is gone.
 
@@ -51,8 +50,8 @@ fn main() {
 
     banner("v6e bootstrapping breakdown (paper Tab. IX row)");
     // One tensor core: the apples-to-apples comparison with the
-    // paper's published percentages (the 1-core pod interpretation is
-    // bit-identical to the single-TpuSim estimator).
+    // paper's published percentages (on a 1-core pod the graph costs
+    // exactly its bundles charged on a lone TpuSim).
     let mut single = pod_for(cross_tpu::TpuGeneration::V6e, 1);
     let est = cost_graph(&mut single, &params, &graph, ExecMode::Unfused);
     println!("one tensor core:");

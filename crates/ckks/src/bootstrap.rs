@@ -1,16 +1,17 @@
-//! Packed-bootstrapping cost estimator (paper §V-E, Tab. IX).
+//! Packed-bootstrapping kernel counts (paper §V-E, Tab. IX).
 //!
 //! The paper estimates bootstrapping "by multiplying the overall number
 //! of HE kernel invocations with each profiled realistic latency …
 //! worst case, assuming no pipeline or fusion" (§V-A). This module
-//! applies the identical methodology: kernel counts follow the packed
+//! supplies the invocation counts: they follow the packed
 //! bootstrapping structure of MAD \[3\] (ModRaise → CoeffToSlot →
 //! EvalMod → SlotToCoeff with BSGS rotations and a Chebyshev-style sine
-//! approximation), multiplied by the simulator's per-kernel latencies.
+//! approximation). The one estimator is `cross_sched::cost_graph` over
+//! a single `Bootstrap` node, which charges [`op_bundles`] on the
+//! simulator's per-kernel latencies.
 
-use crate::costs::{self, ExecMode, OpBundle};
+use crate::costs::{self, OpBundle};
 use crate::params::CkksParams;
-use cross_tpu::{Category, PodSim, TpuSim};
 
 /// Phase-by-phase kernel counts of one packed bootstrapping.
 #[derive(Debug, Clone, Default)]
@@ -55,35 +56,14 @@ impl BootstrapCounts {
     }
 }
 
-/// Latency estimate and category breakdown for one bootstrapping.
-#[derive(Debug, Clone)]
-pub struct BootstrapEstimate {
-    /// Total latency (seconds, one tensor core).
-    pub latency_s: f64,
-    /// Category breakdown fractions (Tab. IX row).
-    pub breakdown: Vec<(Category, f64)>,
-    /// The kernel counts used.
-    pub counts: BootstrapCounts,
-}
-
-impl BootstrapEstimate {
-    /// Latency in milliseconds.
-    pub fn latency_ms(&self) -> f64 {
-        self.latency_s * 1e3
-    }
-}
-
 /// The per-op kernel bundles one packed bootstrapping charges, at the
 /// average working level `l = max(L/2, 2)` (bootstrapping consumes
 /// levels as it runs; the paper's per-kernel latencies are likewise
 /// mid-pipeline profiles).
 ///
-/// [`estimate`], [`estimate_pod`] and the `cross_sched` op-graph
-/// interpreter's `Bootstrap` node all iterate this one list, so their
-/// charge sequences cannot diverge — which is what the
-/// 1-core/zero-link bit-identity contract of `tests/pod_model.rs` and
-/// the `cost_graph`-exactness contract of `tests/sched_model.rs` rely
-/// on.
+/// The `cross_sched` op-graph interpreter charges a `Bootstrap` node
+/// as this list, and the 1-core/zero-link contract of
+/// `tests/pod_model.rs` sums the same list on a lone `TpuSim`.
 pub fn op_bundles(params: &CkksParams, counts: &BootstrapCounts) -> Vec<OpBundle> {
     let l = (params.limbs / 2).max(2);
     [
@@ -101,103 +81,30 @@ pub fn op_bundles(params: &CkksParams, counts: &BootstrapCounts) -> Vec<OpBundle
     .collect()
 }
 
-/// Estimates packed bootstrapping on one tensor core of `sim`'s
-/// generation, at an average working level of `params.limbs / 2`.
-pub fn estimate(sim: &mut TpuSim, params: &CkksParams) -> BootstrapEstimate {
-    let counts = BootstrapCounts::packed(params);
-    sim.reset();
-
-    let mut total = 0.0;
-    let mut acc: std::collections::BTreeMap<Category, f64> = Default::default();
-    for b in op_bundles(params, &counts) {
-        if b.times == 0 {
-            continue;
-        }
-        let rep = costs::charge_op_mode(sim, params, &b, ExecMode::Unfused);
-        for (cat, s) in &rep.breakdown {
-            *acc.entry(*cat).or_insert(0.0) += s * b.times as f64;
-        }
-        total += rep.latency_s * b.times as f64;
-    }
-
-    BootstrapEstimate {
-        latency_s: total,
-        breakdown: costs::normalize_breakdown(acc),
-        counts,
-    }
-}
-
-/// Pod-level bootstrapping estimate: critical-path latency with
-/// limb-parallel sharding plus the batch-parallel amortized figure.
-#[derive(Debug, Clone)]
-pub struct PodBootstrapEstimate {
-    /// Limb-parallel critical-path estimate (one bootstrapping as fast
-    /// as the pod can run it; communication included in the breakdown
-    /// under the ICI/DCN categories).
-    pub critical: BootstrapEstimate,
-    /// Amortized seconds per bootstrapping when every core runs an
-    /// independent one (throughput serving): pod wall clock divided by
-    /// bootstrappings completed — sublinear in cores because the
-    /// switching-key broadcasts ride the interconnect.
-    pub amortized_s: f64,
-}
-
-impl PodBootstrapEstimate {
-    /// Amortized latency in milliseconds.
-    pub fn amortized_ms(&self) -> f64 {
-        self.amortized_s * 1e3
-    }
-}
-
-/// Estimates packed bootstrapping on a multi-core pod, sharding each
-/// HE kernel limb-parallel across the cores ([`costs::charge_op_pod`])
-/// and charging the interconnect explicitly. With a 1-core zero-link
-/// pod the critical estimate is bit-identical to [`estimate`].
-pub fn estimate_pod(pod: &mut PodSim, params: &CkksParams) -> PodBootstrapEstimate {
-    let counts = BootstrapCounts::packed(params);
-    pod.reset();
-
-    // The amortized estimates charge onto a cloned pod; see
-    // `costs::charge_bundles_pod` for why the critical-path pod must
-    // stay undisturbed (bit-identity with `estimate`).
-    let mut amortized_pod = pod.clone();
-    let bundles = op_bundles(params, &counts);
-    let br = costs::charge_bundles_pod(
-        Some(pod),
-        Some(&mut amortized_pod),
-        params,
-        &bundles,
-        ExecMode::Unfused,
-    );
-
-    PodBootstrapEstimate {
-        critical: BootstrapEstimate {
-            latency_s: br.critical_s,
-            breakdown: costs::normalize_breakdown(br.acc),
-            counts,
-        },
-        amortized_s: br.amortized_s,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::ExecMode;
     use crate::params::ParamSet;
-    use cross_tpu::TpuGeneration;
+    use cross_tpu::topology::Topology;
+    use cross_tpu::{Category, PodSim, TpuGeneration};
+
+    /// One bootstrapping's seconds and busy-time breakdown on one
+    /// tensor core: the bundle walk `cost_graph` runs, on a 1-core pod.
+    fn one_core(gen: TpuGeneration, p: &CkksParams) -> (f64, Vec<(Category, f64)>) {
+        let mut pod = PodSim::with_topology(gen, Topology::zero_cost(1));
+        let bundles = op_bundles(p, &BootstrapCounts::packed(p));
+        let rep = costs::charge_bundles_pod(Some(&mut pod), None, p, &bundles, ExecMode::Unfused);
+        (rep.critical_s, costs::normalize_breakdown(rep.acc))
+    }
 
     #[test]
     fn estimate_is_positive_and_ms_scale() {
         let p = ParamSet::D.params();
-        let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let est = estimate(&mut sim, &p);
+        let ms = one_core(TpuGeneration::V6e, &p).0 * 1e3;
         // Tab. IX: v6e-8 reports 21.5 ms amortized over 8 TCs → one TC
         // is O(100 ms); accept a broad band for the model.
-        assert!(
-            est.latency_ms() > 1.0 && est.latency_ms() < 5_000.0,
-            "{}",
-            est.latency_ms()
-        );
+        assert!(ms > 1.0 && ms < 5_000.0, "{ms}");
     }
 
     #[test]
@@ -211,26 +118,20 @@ mod tests {
     #[test]
     fn breakdown_includes_permutation() {
         let p = ParamSet::D.params();
-        let mut sim = TpuSim::new(TpuGeneration::V6e);
-        let est = estimate(&mut sim, &p);
-        let perm = est
-            .breakdown
+        let (_, breakdown) = one_core(TpuGeneration::V6e, &p);
+        let perm = breakdown
             .iter()
             .find(|(c, _)| *c == Category::Permutation)
             .map(|(_, f)| *f)
             .unwrap_or(0.0);
         assert!(perm > 0.05, "permutation share {perm}");
-        let fractions: f64 = est.breakdown.iter().map(|(_, f)| f).sum();
+        let fractions: f64 = breakdown.iter().map(|(_, f)| f).sum();
         assert!((fractions - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn faster_generation_bootstraps_faster() {
         let p = ParamSet::B.params();
-        let mut s4 = TpuSim::new(TpuGeneration::V4);
-        let mut s6 = TpuSim::new(TpuGeneration::V6e);
-        let e4 = estimate(&mut s4, &p);
-        let e6 = estimate(&mut s6, &p);
-        assert!(e4.latency_s > e6.latency_s);
+        assert!(one_core(TpuGeneration::V4, &p).0 > one_core(TpuGeneration::V6e, &p).0);
     }
 }

@@ -265,9 +265,8 @@ impl OpCounts {
 
 /// One HE-operator invocation bundle: the kernel counts, its key
 /// traffic, and how many times the workload invokes it. This is the
-/// unit both the bootstrapping estimator
-/// ([`crate::bootstrap::op_bundles`]) and the `cross_sched` op-graph
-/// interpreter charge, so their sequences cannot diverge.
+/// unit the `cross_sched` op-graph interpreter charges, for a single
+/// op and for a bootstrapping ([`crate::bootstrap::op_bundles`]) alike.
 #[derive(Debug, Clone, Copy)]
 pub struct OpBundle {
     /// Kernel label (reporting only; never affects the estimate).
@@ -666,8 +665,7 @@ pub fn amortized_op_pod(
     (max_latency + comm) / cores as f64
 }
 
-/// Totals of charging a bundle list onto a pod — the shared engine
-/// behind [`crate::bootstrap::estimate_pod`] and
+/// Totals of charging a bundle list onto a pod — the engine behind
 /// `cross_sched::cost_graph`.
 #[derive(Debug, Clone, Default)]
 pub struct BundlesReport {

@@ -16,12 +16,12 @@
 //!
 //! [`modred`] selects the modular-reduction strategy (Fig. 13 ablation),
 //! [`bconv`] lowers Basis Conversion through BAT, [`plan`] sweeps
-//! `(R, C)` factorization candidates the way §V-A describes, [`batch`]
-//! drives whole batch-major [`cross_poly::PolyBatch`]es through
-//! per-limb compiled plans so the matmuls stream a `C·batch` dimension
-//! (Fig. 11b's unit of work), and [`shard`] plans how that work splits
-//! across the cores of a [`cross_tpu::PodSim`] (limb-parallel for
-//! latency, batch-parallel for throughput).
+//! `(R, C)` factorization candidates the way §V-A describes, and
+//! [`shard`] plans how the work splits across the cores of a
+//! [`cross_tpu::PodSim`] (limb-parallel for latency, batch-parallel for
+//! throughput). A batch of `B` polynomials runs one [`Ntt3Plan`] per
+//! limb modulus, whose matmuls stream a `C·B` dimension (Fig. 11b's
+//! unit of work).
 //!
 //! ## Example
 //!
@@ -44,7 +44,6 @@
 //! ```
 
 pub mod bat;
-pub mod batch;
 pub mod bconv;
 pub mod mat;
 pub mod modred;
@@ -52,7 +51,6 @@ pub mod plan;
 pub mod shard;
 
 pub use bat::matmul::BatMatMul;
-pub use batch::RnsNttPlans;
 pub use mat::ntt3::{Ntt3Config, Ntt3Plan};
 pub use modred::ModRed;
 pub use shard::{ShardPlan, ShardStrategy};

@@ -171,11 +171,6 @@ impl Ntt3Plan {
         }
     }
 
-    /// The configuration.
-    pub(crate) fn config(&self) -> Ntt3Config {
-        self.cfg
-    }
-
     /// The bound twiddle tables.
     pub fn tables(&self) -> &Arc<NttTables> {
         &self.tables
@@ -500,6 +495,8 @@ mod tests {
     use super::*;
     use cross_math::primes;
     use cross_poly::ntt;
+    use cross_poly::rns_poly::{RnsContext, RnsPoly};
+    use cross_poly::PolyBatch;
     use cross_tpu::TpuGeneration;
 
     fn tables(logn: u32) -> Arc<NttTables> {
@@ -703,6 +700,77 @@ mod tests {
         let _ = plan.forward_batch_on_tpu(&mut s_fn, &a, batch);
         let mut s_ch = TpuSim::new(TpuGeneration::V6e);
         plan.charge_forward_batch(&mut s_ch, batch);
+        let d = (s_fn.compute_seconds() - s_ch.compute_seconds()).abs();
+        assert!(d < 1e-12, "compute mismatch {d}");
+    }
+
+    /// An `l`-limb batch of `batch` polynomials of degree `2^logn`,
+    /// with one bitrev-embedded `(r, c)` plan per limb modulus.
+    fn rns_setup(
+        logn: u32,
+        l: usize,
+        batch: usize,
+        rc: Option<(usize, usize)>,
+    ) -> (PolyBatch, Vec<Ntt3Plan>) {
+        let n = 1usize << logn;
+        let moduli = primes::ntt_prime_chain(28, n as u64, l).unwrap();
+        let ctx = Arc::new(RnsContext::new(n, moduli));
+        let polys: Vec<RnsPoly> = (0..batch as i64)
+            .map(|b| {
+                let coeffs: Vec<i64> = (0..n as i64).map(|j| (j * 11 + b * 29) % 83 - 41).collect();
+                RnsPoly::from_signed_coeffs(ctx.clone(), &coeffs)
+            })
+            .collect();
+        let (r, c) = rc.unwrap_or_else(|| crate::plan::standalone_ntt_rc(n));
+        let plans = ctx
+            .tables()
+            .iter()
+            .map(|t| Ntt3Plan::new(t.clone(), cfg(r, c, ModRed::Montgomery, true)))
+            .collect();
+        (PolyBatch::from_polys(&polys), plans)
+    }
+
+    #[test]
+    fn rns_batch_reference_matches_host_to_evaluation() {
+        // With bitrev embedded, each limb's compiled matmul pipeline is
+        // bit-identical to the host engine over the whole RNS batch.
+        for logn in [6, 7] {
+            let (pb, plans) = rns_setup(logn, 3, 4, None);
+            let mut fwd = pb.clone();
+            fwd.to_evaluation();
+            for (i, plan) in plans.iter().enumerate() {
+                let want = plan.forward_batch_reference(&pb.limbs()[i], pb.batch());
+                assert_eq!(fwd.limbs()[i], want, "logn {logn} limb {i}");
+                let back = plan.inverse_batch_reference(&fwd.limbs()[i], pb.batch());
+                assert_eq!(back, pb.limbs()[i], "logn {logn} limb {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn rns_batch_tpu_path_matches_host() {
+        let (pb, plans) = rns_setup(6, 2, 3, Some((8, 8)));
+        let mut fwd = pb.clone();
+        fwd.to_evaluation();
+        let mut sim = TpuSim::new(TpuGeneration::V6e);
+        for (i, plan) in plans.iter().enumerate() {
+            let tpu = plan.forward_batch_on_tpu(&mut sim, &pb.limbs()[i], pb.batch());
+            assert_eq!(tpu, fwd.limbs()[i], "limb {i}");
+            let back = plan.inverse_batch_on_tpu(&mut sim, &tpu, pb.batch());
+            assert_eq!(back, pb.limbs()[i], "limb {i}");
+        }
+        assert!(sim.compute_seconds() > 0.0);
+    }
+
+    #[test]
+    fn rns_batch_charge_matches_functional_compute() {
+        let (pb, plans) = rns_setup(6, 2, 4, Some((8, 8)));
+        let mut s_fn = TpuSim::new(TpuGeneration::V6e);
+        let mut s_ch = TpuSim::new(TpuGeneration::V6e);
+        for (plan, limb) in plans.iter().zip(pb.limbs()) {
+            let _ = plan.forward_batch_on_tpu(&mut s_fn, limb, pb.batch());
+            plan.charge_forward_batch(&mut s_ch, pb.batch());
+        }
         let d = (s_fn.compute_seconds() - s_ch.compute_seconds()).abs();
         assert!(d < 1e-12, "compute mismatch {d}");
     }

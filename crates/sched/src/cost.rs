@@ -8,9 +8,10 @@
 //! charged through the one walk `charge_kind` — the same walk the
 //! scheduler's and the optimizer's probes use. On the equivalent
 //! single-op graph the result is **bit-identical** to
-//! [`cross_ckks::costs::charge_op_pod`], and on a bootstrap graph to
-//! [`cross_ckks::bootstrap::estimate_pod`] — pinned by
-//! `tests/sched_model.rs`.
+//! [`cross_ckks::costs::charge_op_pod`] (pinned by
+//! `tests/sched_model.rs`); a bootstrap graph is the only bootstrapping
+//! estimator, and on a 1-core zero-link pod it equals the sum of its
+//! bundles on a lone `TpuSim` (`tests/pod_model.rs`).
 
 use crate::ir::{Cost, HeOpKind, NodeId, OpGraph};
 use cross_ckks::bootstrap::{self, BootstrapCounts};

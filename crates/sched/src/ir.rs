@@ -75,17 +75,19 @@ pub enum HeOpKind {
     /// bundles).
     Bootstrap,
     /// The shared digit decomposition a hoisted rotation fan-out pays
-    /// once ([`cross_ckks::costs::HOIST_DECOMP`]). Replay
-    /// treats it as an identity — the decomposed digits are an
-    /// implementation detail the sibling
-    /// [`HoistedRotate`](HeOpKind::HoistedRotate)s consume —
-    /// so hoisting is bit-exact by construction.
+    /// once ([`cross_ckks::costs::HOIST_DECOMP`]). Replay runs the
+    /// decomposition of its operand (dropped to the node level), stores
+    /// it for the sibling [`HoistedRotate`](HeOpKind::HoistedRotate)s,
+    /// and passes that operand through as its value.
     HoistDecomp,
     /// One rotation riding a [`HoistDecomp`](HeOpKind::HoistDecomp):
     /// automorphism + key inner
     /// product + mod-down, the decomposition already paid
-    /// ([`cross_ckks::costs::HOISTED_ROTATE`]). Replays as a
-    /// full rotate of the passed-through operand.
+    /// ([`cross_ckks::costs::HOISTED_ROTATE`]). Replay runs only this
+    /// Galois tail, off the producer's stored decomposition — bit-exact
+    /// with a full rotate, so hoisting is bit-exact by construction —
+    /// and falls back to an eager rotate when its input was not
+    /// decomposed.
     HoistedRotate {
         /// Slot rotation amount; selects the switching key, exactly
         /// like [`Rotate`](HeOpKind::Rotate).

@@ -14,9 +14,8 @@
 //!   against virtual ciphertexts and get the graph back;
 //! * [`cost`] — [`cost_graph`]: interpret a graph on a
 //!   [`cross_tpu::PodSim`], charging the same kernel bundles as
-//!   [`cross_ckks::costs::charge_op_pod`] /
-//!   [`cross_ckks::bootstrap::estimate_pod`] (bit-identical on
-//!   equivalent graphs);
+//!   [`cross_ckks::costs::charge_op_pod`] (bit-identical on a one-op
+//!   graph); it is also the one bootstrapping estimator;
 //! * [`sched`] — [`Scheduler`]: greedy batch formation (same op, same
 //!   level, same wave) and the limb- vs batch-parallel choice per
 //!   fused group;

@@ -92,7 +92,7 @@ fn matches(pattern: &str, key: &str) -> bool {
 fn pattern_semantics() {
     assert_eq!(alternatives("a/{1,2}/{x,y}").len(), 4);
     assert!(matches("ntt_engines/host", "ntt_engines/host/12"));
-    assert!(matches("sgn/", "sgn/naive/mlp8"));
+    assert!(matches("sgn/", "sgn/exec_eager/sign_x8"));
     assert!(matches("ks_path/fast/*", "ks_path/fast/3"));
     assert!(matches(
         "batched_ntt/*_fused/*",

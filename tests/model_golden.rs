@@ -1,4 +1,5 @@
-//! The modeled numbers, pinned across commits bit for bit.
+//! The modeled numbers, pinned across commits bit for bit. This is
+//! their one home: `BENCH_*.json` hold host wall-clock only.
 //!
 //! Every other model test compares two paths *of the same binary*
 //! (`cost_graph` ≡ `charge_op_pod`, 1-core pod ≡ lone `TpuSim`, …), so
@@ -229,9 +230,9 @@ fn program(out: &mut Vec<(String, f64)>, name: &str, params: &CkksParams, graph:
     out.push((format!("{name}/scheduled/wall_s"), schedule.wall_s()));
 }
 
-/// A serving-shaped drain of `depth` requests at `level`: mostly
-/// rotations (two distinct steps, so same-step pairs exist at every
-/// depth), some mults and adds.
+/// The drain mix `benches/sched_throughput.rs` times: `depth` requests
+/// at `level`, mostly rotations (two distinct steps, so same-step pairs
+/// exist at every depth), some mults and adds.
 fn fill_drain_mix(queue: &mut RequestQueue, depth: usize, level: usize) {
     for i in 0..depth {
         let kind = match i % 4 {

@@ -11,7 +11,8 @@
 //! must in turn match the compiled TPU path on every generation.
 
 use cross::core::modred::ModRed;
-use cross::core::RnsNttPlans;
+use cross::core::plan::standalone_ntt_rc;
+use cross::core::{Ntt3Config, Ntt3Plan};
 use cross::math::bitrev::bit_reverse_in_place;
 use cross::math::primes;
 use cross::poly::ring::Domain;
@@ -159,9 +160,10 @@ proptest! {
         prop_assert_eq!(&pb.limbs()[0], &a);
     }
 
-    /// The host executor behind `RnsNttPlans::forward_batch`
-    /// matches the compiled matmul kernels on the simulator, for every
-    /// TPU generation and its own prime chain.
+    /// The host engine behind `PolyBatch::to_evaluation` matches the
+    /// compiled matmul kernels on the simulator — one bitrev-embedded
+    /// `Ntt3Plan` per limb — for every TPU generation and its own prime
+    /// chain: the MAT layout is the host layout across an RNS batch.
     #[test]
     fn rns_executor_matches_tpu_path_all_generations(
         seed in any::<u64>(),
@@ -181,16 +183,22 @@ proptest! {
             })
             .collect();
         let pb = PolyBatch::from_polys(&polys);
-        let plans = RnsNttPlans::standalone(&ctx, ModRed::Montgomery);
-        let fwd = plans.forward_batch(&pb);
+        let mut fwd = pb.clone();
+        fwd.to_evaluation();
+        let (r, c) = standalone_ntt_rc(n);
+        let config = Ntt3Config { r, c, modred: ModRed::Montgomery, embed_bitrev: true };
+        let plans: Vec<Ntt3Plan> =
+            ctx.tables().iter().map(|t| Ntt3Plan::new(t.clone(), config)).collect();
         for gen in TpuGeneration::ALL {
             let mut sim = TpuSim::new(gen);
-            let tpu = plans.forward_batch_on_tpu(&mut sim, &pb);
-            prop_assert_eq!(tpu.limbs(), fwd.limbs(), "forward {:?}", gen);
-            let mut sim = TpuSim::new(gen);
-            let back = plans.inverse_batch_on_tpu(&mut sim, &tpu);
-            prop_assert_eq!(back.limbs(), pb.limbs(), "roundtrip {:?}", gen);
+            for (i, plan) in plans.iter().enumerate() {
+                let tpu = plan.forward_batch_on_tpu(&mut sim, &pb.limbs()[i], batch);
+                prop_assert_eq!(&tpu, &fwd.limbs()[i], "forward {:?} limb {}", gen, i);
+                let back = plan.inverse_batch_on_tpu(&mut sim, &tpu, batch);
+                prop_assert_eq!(&back, &pb.limbs()[i], "roundtrip {:?} limb {}", gen, i);
+            }
         }
-        prop_assert_eq!(plans.inverse_batch(&fwd).limbs(), pb.limbs());
+        fwd.to_coefficient();
+        prop_assert_eq!(fwd.limbs(), pb.limbs());
     }
 }

@@ -11,9 +11,10 @@
 //!    yields super-linear speedup (communication is charged on the
 //!    critical path, so speedup < P for every keyed operator).
 
-use cross::ckks::bootstrap;
+use cross::ckks::bootstrap::{self, BootstrapCounts};
 use cross::ckks::costs::{self, ExecMode, OpBundle};
 use cross::ckks::params::{CkksParams, ParamSet};
+use cross::sched::{cost_graph, HeOpKind, OpGraph};
 use cross::tpu::topology::Topology;
 use cross::tpu::{PodSim, TpuGeneration, TpuSim};
 use proptest::prelude::*;
@@ -66,17 +67,27 @@ fn one_core_zero_link_pod_is_bit_identical_to_tpusim() {
 #[test]
 fn one_core_zero_link_bootstrap_matches_single_core_estimate() {
     let params = ParamSet::C.params();
+    // The oracle: every bootstrap bundle charged `times` times, in
+    // order, on one lone tensor core.
     let mut sim = TpuSim::new(TpuGeneration::V6e);
-    let single = bootstrap::estimate(&mut sim, &params);
+    let mut single = 0.0;
+    for b in bootstrap::op_bundles(&params, &BootstrapCounts::packed(&params)) {
+        if b.times > 0 {
+            let rep = costs::charge_op_mode(&mut sim, &params, &b, ExecMode::Unfused);
+            single += rep.latency_s * b.times as f64;
+        }
+    }
+    let graph = OpGraph::single_op(HeOpKind::Bootstrap, params.limbs);
     let mut pod = PodSim::with_topology(TpuGeneration::V6e, Topology::zero_cost(1));
-    let sharded = bootstrap::estimate_pod(&mut pod, &params);
+    let sharded = cost_graph(&mut pod, &params, &graph, ExecMode::Unfused);
     assert_eq!(
-        single.latency_s.to_bits(),
-        sharded.critical.latency_s.to_bits(),
+        single.to_bits(),
+        sharded.critical_s.to_bits(),
         "bootstrap estimate drifted through the pod path"
     );
     // Amortizing over one core is the same single bootstrapping.
-    assert_eq!(single.latency_s.to_bits(), sharded.amortized_s.to_bits());
+    assert_eq!(single.to_bits(), sharded.amortized_s.to_bits());
+    assert_eq!(sharded.comm_s, 0.0, "no links, no communication");
 }
 
 proptest! {
