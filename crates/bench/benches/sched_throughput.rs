@@ -6,29 +6,12 @@
 //! `tests/model_golden.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use cross_bench::workloads::drain_mix;
 use cross_ckks::params::ParamSet;
-use cross_sched::{HeOpKind, RequestQueue, Scheduler};
+use cross_sched::{RequestQueue, Scheduler};
 use cross_tpu::TpuGeneration;
 
 const DEPTHS: [usize; 3] = [4, 16, 64];
-
-fn fill(queue: &mut RequestQueue, depth: usize, level: usize) {
-    // A serving-shaped mix: mostly rotations (two distinct steps, so
-    // same-step pairs exist at every depth), some mults and adds.
-    for i in 0..depth {
-        match i % 4 {
-            0 | 1 => queue.submit_default(
-                HeOpKind::Rotate {
-                    steps: 1 << ((i % 8) / 4),
-                },
-                level,
-            ),
-            2 => queue.submit_default(HeOpKind::Mult, level),
-            _ => queue.submit_default(HeOpKind::Add, level),
-        }
-        .expect("unbounded queue");
-    }
-}
 
 fn sched_throughput(c: &mut Criterion) {
     let params = ParamSet::C.params();
@@ -43,7 +26,11 @@ fn sched_throughput(c: &mut Criterion) {
         g.bench_function(format!("drain/{depth}"), |b| {
             b.iter(|| {
                 let mut queue = RequestQueue::new();
-                fill(&mut queue, depth, params.limbs);
+                for i in 0..depth {
+                    queue
+                        .submit_default(drain_mix(i), params.limbs)
+                        .expect("unbounded queue");
+                }
                 criterion::black_box(queue.drain(&scheduler, &params, depth))
             })
         });

@@ -1,14 +1,27 @@
-//! The §V-D workload graphs, shared by the `helr`/`mnist` bins and the
-//! `opt_model` bench: each workload is recorded once as a
+//! The modeled workloads, shared by the bins, the benches and
+//! `tests/model_golden.rs`: each §V-D program is recorded once as a
 //! [`cross_sched::OpGraph`] and every consumer — scheduler, cost
 //! interpreter, optimizer — works from that one graph.
 //!
-//! Both builders are deterministic (pure recorder programs), so bench
-//! baselines keyed on their modeled costs are stable across runs.
+//! Every builder is deterministic (pure recorder programs), so the
+//! modeled costs `model_golden` pins are stable across runs.
 
 use cross_ckks::ext::sgn::{compare_chain, relu_chain, threshold_chain, SgnBackend, SgnTier};
 use cross_ckks::params::CkksParams;
-use cross_sched::{OpGraph, Recorder, RecordingSgnBackend, TrackedVct, Vct};
+use cross_sched::{HeOpKind, OpGraph, Recorder, RecordingSgnBackend, TrackedVct, Vct};
+
+/// Request `i` of a serving-shaped drain: mostly rotations (two
+/// distinct steps, so same-step pairs exist at every depth from 4),
+/// some mults and adds.
+pub fn drain_mix(i: usize) -> HeOpKind {
+    match i % 4 {
+        0 | 1 => HeOpKind::Rotate {
+            steps: 1 << ((i % 8) / 4),
+        },
+        2 => HeOpKind::Mult,
+        _ => HeOpKind::Add,
+    }
+}
 
 /// HELR-scale CKKS parameters (N = 2^16, L = 30, dnum = 3, 28-bit
 /// moduli — the paper's logistic-regression setting mapped to double
@@ -189,8 +202,7 @@ const SGN_DELTA: f64 = (1u64 << 28) as f64;
 /// Recording backend over a flat synthetic 2^28 modulus chain: every
 /// rescale divides the scale by exactly 2^28, so the recorded graph
 /// (and its plaintext const tables) depends only on `(level, tier)` —
-/// the same determinism contract the helr/mnist builders give the
-/// bench baselines.
+/// the same determinism contract the helr/mnist builders give.
 fn sgn_recorder(level: usize) -> RecordingSgnBackend {
     RecordingSgnBackend::new(&vec![1u64 << 28; level])
 }

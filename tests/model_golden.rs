@@ -15,8 +15,8 @@
 //! the reproduction's numbers.
 
 use cross_bench::workloads::{
-    argmax_head, helr_iteration, helr_params, mnist_network, mnist_params, relu_mlp_layer,
-    sgn_workload_params, topk_head,
+    argmax_head, drain_mix, helr_iteration, helr_params, mnist_network, mnist_params,
+    relu_mlp_layer, sgn_workload_params, topk_head,
 };
 use cross_bench::{pod_for, vm_setups};
 use cross_ckks::costs::{backbone_latencies_pod, ExecMode};
@@ -230,22 +230,6 @@ fn program(out: &mut Vec<(String, f64)>, name: &str, params: &CkksParams, graph:
     out.push((format!("{name}/scheduled/wall_s"), schedule.wall_s()));
 }
 
-/// The drain mix `benches/sched_throughput.rs` times: `depth` requests
-/// at `level`, mostly rotations (two distinct steps, so same-step pairs
-/// exist at every depth), some mults and adds.
-fn fill_drain_mix(queue: &mut RequestQueue, depth: usize, level: usize) {
-    for i in 0..depth {
-        let kind = match i % 4 {
-            0 | 1 => HeOpKind::Rotate {
-                steps: 1 << ((i % 8) / 4),
-            },
-            2 => HeOpKind::Mult,
-            _ => HeOpKind::Add,
-        };
-        queue.submit_default(kind, level).expect("unbounded queue");
-    }
-}
-
 /// Every pinned value, in table order.
 fn modeled() -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -313,13 +297,18 @@ fn modeled() -> Vec<(String, f64)> {
         out.push((format!("bootstrap/{label}/comm_s"), rep.comm_s));
     }
 
-    // The serving drain: per-op seconds of the fused schedule and of
-    // naive per-op dispatch, with the optimizer on as in serving.
+    // The drain `benches/sched_throughput.rs` times: per-op seconds of
+    // the fused schedule and of naive per-op dispatch, with the
+    // optimizer on as in serving.
     let set_c = ParamSet::C.params();
     let scheduler = Scheduler::new(GEN, CORES).with_optimize(true);
     for depth in [4, 16, 64] {
         let mut queue = RequestQueue::new();
-        fill_drain_mix(&mut queue, depth, set_c.limbs);
+        for i in 0..depth {
+            queue
+                .submit_default(drain_mix(i), set_c.limbs)
+                .expect("unbounded");
+        }
         let dispatch = queue.drain(&scheduler, &set_c, depth);
         let naive = scheduler.naive_wall_s(&dispatch.graph, &set_c) / depth as f64;
         out.push((
