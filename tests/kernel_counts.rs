@@ -69,3 +69,96 @@ fn set_b_level_7_transform_counts() {
         .expect("the counting thread panicked");
     });
 }
+
+/// An 8-rotation fan-out at the same shape. `hoisted_rotations`
+/// decomposes `c1` once — 7 inverse transforms, then 7 + 7 + 9 forward
+/// transforms of the extended digits — and each of its 8 Galois tails
+/// runs only the two mod-downs (3 inverse, 7 forward each). Eight
+/// `rotate`s decompose eight times, so the fan-out runs 7 fewer
+/// decomposition sets: `(23, 7) + 8 × (14, 6) = (135, 55)` against
+/// `8 × (37, 13) = (296, 104)`, 190 transforms against 400.
+#[test]
+fn set_b_level_7_hoisted_fan_out_counts() {
+    let ctx = CkksContext::new(ParamSet::B.params(), 0xC0_7A2);
+    let kp = ctx.generate_keys();
+    let keys: Vec<_> = (1..=8)
+        .map(|s| (s, ctx.generate_rotation_key(&kp.secret, s)))
+        .collect();
+    let rotations: Vec<_> = keys.iter().map(|(s, k)| (*s, k)).collect();
+    let msg: Vec<f64> = (0..ctx.slot_count())
+        .map(|i| 0.25 + (i as f64 * 0.05).cos() * 0.2)
+        .collect();
+    let ev = Evaluator::new(&ctx);
+    let ct = ev.mod_drop(&ctx.encrypt(&msg, &kp.public), 7);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            par::mark_worker();
+            let counts = || {
+                (
+                    transforms(|| drop(ev.hoisted_rotations(&ct, &rotations))),
+                    transforms(|| {
+                        for &(steps, key) in &rotations {
+                            drop(ev.rotate(&ct, steps, key));
+                        }
+                    }),
+                )
+            };
+            // The fan-out goes first, so it builds the 8 Galois
+            // elements' permutation tables (11 forward transforms each).
+            let (cold_hoisted, warm_eager) = counts();
+            let (hoisted, eager) = counts();
+            assert_eq!(cold_hoisted, (hoisted.0 + 8 * 11, hoisted.1));
+            assert_eq!(warm_eager, eager);
+            assert_eq!(hoisted, (135, 55), "hoisted fan-out: one decomposition");
+            assert_eq!(eager, (296, 104), "eight rotates: eight decompositions");
+        })
+        .join()
+        .expect("the counting thread panicked");
+    });
+}
+
+/// One eager `sign_chain` per precision tier, on the chain the
+/// comparison toolkit's latency was timed on (`N = 2^8`, 24 limbs,
+/// `dnum = 2`); a transform count does not depend on `N`. Every tier is
+/// a run of degree-7 odd steps (3, 4 and 5 of them), each 5 `mult`s, 4
+/// plaintext encodes and 4 rescales, starting at the top level and
+/// ending 4 levels lower, so a deeper tier adds steps at lower levels,
+/// each cheaper than the one before: Mid's fourth step runs (318, 155)
+/// transforms and High's fifth (206, 139).
+#[test]
+fn sign_chain_transform_counts_per_tier() {
+    use cross::ckks::ext::sgn::{sign_chain, EagerSgnBackend, SgnTier};
+    use cross::ckks::CkksParams;
+
+    let ctx = CkksContext::new(
+        CkksParams::new(1 << 8, SgnTier::High.min_sign_level() + 2, 2, 28),
+        0x56E1,
+    );
+    let kp = ctx.generate_keys();
+    let msg: Vec<f64> = (0..ctx.slot_count())
+        .map(|i| ((i as f64 * 0.37).sin() * 0.8).clamp(-0.9, 0.9))
+        .collect();
+    let ct = ctx.encrypt(&msg, &kp.public);
+    let ev = Evaluator::new(&ctx);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            par::mark_worker();
+            let counts = || {
+                SgnTier::ALL.map(|tier| {
+                    transforms(|| {
+                        let mut bk = EagerSgnBackend::new(&ev, &kp.relin);
+                        drop(sign_chain(&mut bk, &ct, tier));
+                    })
+                })
+            };
+            let cold = counts();
+            let [low, mid, high] = counts();
+            assert_eq!(cold, [low, mid, high], "a sign chain builds no tables");
+            assert_eq!(low, (1995, 561), "low: 3 steps");
+            assert_eq!(mid, (2313, 716), "mid: 4 steps");
+            assert_eq!(high, (2519, 855), "high: 5 steps");
+        })
+        .join()
+        .expect("the counting thread panicked");
+    });
+}

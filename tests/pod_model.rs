@@ -210,3 +210,35 @@ fn fused_mode_helps_on_pods_too() {
     // Communication is lowering-independent.
     assert!((fused.comm_s - unfused.comm_s).abs() < 1e-15);
 }
+
+/// What one limb-parallel Set D HE-Mult records on a reset v6e-8 pod:
+/// the kernel entries on each core and the collectives on the links.
+/// A count needs no clock, so it pins the charge's bookkeeping where a
+/// host timing could only bound it; a change that adds or drops a
+/// charged kernel or collective restates it here. The kernel counts
+/// are split over the cores with the remainder on the first ones, and
+/// a core whose share of a count is zero records nothing for it, so
+/// the last three cores record one or two entries fewer.
+#[test]
+fn set_d_mult_on_v6e8_records_fixed_entries() {
+    let params = ParamSet::D.params();
+    let bundle = costs::HE_MULT.bundle("HE-Mult", &params, params.limbs, 1);
+    let mut pod = PodSim::new(TpuGeneration::V6e, 8);
+    for _ in 0..2 {
+        pod.reset();
+        costs::charge_op_pod(&mut pod, &params, &bundle, ExecMode::Unfused);
+        let per_core: Vec<usize> = (0..pod.num_cores())
+            .map(|i| pod.core(i).trace().entries().len())
+            .collect();
+        assert_eq!(per_core, [74, 74, 74, 74, 74, 73, 72, 72]);
+        let comm: Vec<&str> = pod.comm_trace().entries().iter().map(|e| e.label).collect();
+        assert_eq!(
+            comm,
+            [
+                "switching-key scatter",
+                "bconv source-limb all-gather",
+                "key-switch partial-sum all-reduce",
+            ]
+        );
+    }
+}
