@@ -5,114 +5,18 @@
 //! memory system (§F1, Tab. X), plus (3) the 4-step NTT with an
 //! explicit runtime transpose (the decomposition MAT fixes).
 
-use cross_core::bat::{chunk, scalar};
 use cross_core::modred::ModRed;
-use cross_math::modops;
 use cross_poly::ntt;
 use cross_tpu::{Category, TpuSim};
 
-/// The sparse-Toeplitz expansion of a preknown `h×v` matrix: each
-/// element becomes a `(2K-1)×K` chunk block (≈43 % zeros), the
-/// decomposition TensorFHE-style GPU libraries use.
-#[derive(Debug, Clone)]
-pub struct SparseMatMul {
-    h: usize,
-    v: usize,
-    k: usize,
-    bp: u32,
-    q: u64,
-    /// `((2K-1)·H) × (K·V)` bytes, row-major — with the structural zeros.
-    a_sparse: Vec<u8>,
-}
+/// The sparse-Toeplitz low-precision ModMatMul TensorFHE-style GPU
+/// libraries use: each element of a preknown `h×v` matrix becomes a
+/// `(2K-1)×K` chunk block (≈43 % zeros). Only its cost is charged here;
+/// this module's tests execute the expansion against the oracle.
+#[derive(Debug, Clone, Copy)]
+pub struct SparseMatMul;
 
 impl SparseMatMul {
-    /// Expands the preknown matrix into its sparse chunk form.
-    pub fn compile(a: &[u64], h: usize, v: usize, q: u64, bp: u32) -> Self {
-        assert_eq!(a.len(), h * v);
-        let k = chunk::chunk_count(q, bp);
-        let rows_per = 2 * k - 1;
-        let (sh, sv) = (rows_per * h, k * v);
-        let mut a_sparse = vec![0u8; sh * sv];
-        for hh in 0..h {
-            for vv in 0..v {
-                let x = scalar::construct_toeplitz(&chunk::decompose(a[hh * v + vv], k, bp), k);
-                for (i, row) in x.iter().enumerate() {
-                    for (j, &val) in row.iter().enumerate() {
-                        a_sparse[(hh * rows_per + i) * sv + (vv * k + j)] = val as u8;
-                    }
-                }
-            }
-        }
-        Self {
-            h,
-            v,
-            k,
-            bp,
-            q,
-            a_sparse,
-        }
-    }
-
-    /// Executes `(h×v)@(v×w) mod q` through the sparse expansion on the
-    /// simulator: bigger matmul, longer carry-add chain (2K-1 psums),
-    /// and a type conversion the BAT path avoids for static params.
-    pub fn execute(&self, sim: &mut TpuSim, b: &[u64], w: usize, cat: Category) -> Vec<u64> {
-        assert_eq!(b.len(), self.v * w);
-        let rows_per = 2 * self.k - 1;
-        let (sh, sv) = (rows_per * self.h, self.k * self.v);
-        // Runtime chunking of BOTH operands (static params are re-cast
-        // each invocation in the baseline — the conversion overhead BAT
-        // removes for preknown data).
-        sim.charge_vpu(
-            self.v * w,
-            2 * self.k as u32,
-            Category::TypeConversion,
-            "rhs chunks",
-        );
-        sim.charge_vpu(
-            self.h * self.v,
-            2 * self.k as u32,
-            Category::TypeConversion,
-            "static param cast",
-        );
-        let mut b_dense = vec![0u8; sv * w];
-        for vv in 0..self.v {
-            for ww in 0..w {
-                for (kk, &c) in chunk::decompose(b[vv * w + ww], self.k, self.bp)
-                    .iter()
-                    .enumerate()
-                {
-                    b_dense[(vv * self.k + kk) * w + ww] = c as u8;
-                }
-            }
-        }
-        let z = sim.matmul_u8(&self.a_sparse, &b_dense, sh, sv, w, cat);
-        // 2K-1 psums merged through the long carry-add chain (Fig. 7 ❷).
-        sim.charge_vpu(
-            self.h * w,
-            rows_per as u32,
-            Category::VecModOps,
-            "carry-add chain",
-        );
-        sim.charge_vpu(
-            self.h * w,
-            ModRed::Montgomery.vpu_ops(),
-            Category::VecModOps,
-            "final reduce",
-        );
-        let mut out = vec![0u64; self.h * w];
-        for hh in 0..self.h {
-            for ww in 0..w {
-                let mut acc = 0u128;
-                for i in 0..rows_per {
-                    acc += (z[(hh * rows_per + i) * w + ww] as u128) << (i as u32 * self.bp);
-                }
-                out[hh * w + ww] = modops::reduce_u128(acc, self.q);
-            }
-        }
-        out
-    }
-
     /// Shape-only cost charge (no compiled matrix needed).
     pub fn charge_shape(sim: &mut TpuSim, h: usize, v: usize, w: usize, k: usize, cat: Category) {
         let rows_per = 2 * k - 1;
@@ -202,13 +106,115 @@ pub(crate) fn charge_four_step_ntt(sim: &mut TpuSim, r: usize, c: usize, batch: 
 mod tests {
     use super::*;
     use cross_core::bat::matmul::{mod_matmul_reference, BatMatMul};
+    use cross_core::bat::{chunk, scalar};
     use cross_core::mat::ntt3::{Ntt3Config, Ntt3Plan};
+    use cross_math::modops;
     use cross_math::primes;
     use cross_poly::tables::NttTables;
     use cross_tpu::TpuGeneration;
     use std::sync::Arc;
 
     const Q: u64 = 268_369_921;
+
+    /// The functional sparse expansion [`SparseMatMul`] charges.
+    struct SparseExpansion {
+        h: usize,
+        v: usize,
+        k: usize,
+        bp: u32,
+        q: u64,
+        /// `((2K-1)·H) × (K·V)` bytes, row-major — with the structural zeros.
+        a_sparse: Vec<u8>,
+    }
+
+    impl SparseExpansion {
+        /// Expands the preknown matrix into its sparse chunk form.
+        fn compile(a: &[u64], h: usize, v: usize, q: u64, bp: u32) -> Self {
+            assert_eq!(a.len(), h * v);
+            let k = chunk::chunk_count(q, bp);
+            let rows_per = 2 * k - 1;
+            let (sh, sv) = (rows_per * h, k * v);
+            let mut a_sparse = vec![0u8; sh * sv];
+            for hh in 0..h {
+                for vv in 0..v {
+                    let x = scalar::construct_toeplitz(&chunk::decompose(a[hh * v + vv], k, bp), k);
+                    for (i, row) in x.iter().enumerate() {
+                        for (j, &val) in row.iter().enumerate() {
+                            a_sparse[(hh * rows_per + i) * sv + (vv * k + j)] = val as u8;
+                        }
+                    }
+                }
+            }
+            Self {
+                h,
+                v,
+                k,
+                bp,
+                q,
+                a_sparse,
+            }
+        }
+
+        /// Executes `(h×v)@(v×w) mod q` through the sparse expansion on the
+        /// simulator: bigger matmul, longer carry-add chain (2K-1 psums),
+        /// and a type conversion the BAT path avoids for static params.
+        fn execute(&self, sim: &mut TpuSim, b: &[u64], w: usize, cat: Category) -> Vec<u64> {
+            assert_eq!(b.len(), self.v * w);
+            let rows_per = 2 * self.k - 1;
+            let (sh, sv) = (rows_per * self.h, self.k * self.v);
+            // Runtime chunking of BOTH operands (static params are re-cast
+            // each invocation in the baseline — the conversion overhead BAT
+            // removes for preknown data).
+            sim.charge_vpu(
+                self.v * w,
+                2 * self.k as u32,
+                Category::TypeConversion,
+                "rhs chunks",
+            );
+            sim.charge_vpu(
+                self.h * self.v,
+                2 * self.k as u32,
+                Category::TypeConversion,
+                "static param cast",
+            );
+            let mut b_dense = vec![0u8; sv * w];
+            for vv in 0..self.v {
+                for ww in 0..w {
+                    for (kk, &c) in chunk::decompose(b[vv * w + ww], self.k, self.bp)
+                        .iter()
+                        .enumerate()
+                    {
+                        b_dense[(vv * self.k + kk) * w + ww] = c as u8;
+                    }
+                }
+            }
+            let z = sim.matmul_u8(&self.a_sparse, &b_dense, sh, sv, w, cat);
+            // 2K-1 psums merged through the long carry-add chain (Fig. 7 ❷).
+            sim.charge_vpu(
+                self.h * w,
+                rows_per as u32,
+                Category::VecModOps,
+                "carry-add chain",
+            );
+            sim.charge_vpu(
+                self.h * w,
+                ModRed::Montgomery.vpu_ops(),
+                Category::VecModOps,
+                "final reduce",
+            );
+            let mut out = vec![0u64; self.h * w];
+            for hh in 0..self.h {
+                for ww in 0..w {
+                    let mut acc = 0u128;
+                    for i in 0..rows_per {
+                        acc += (z[(hh * rows_per + i) * w + ww] as u128) << (i as u32 * self.bp);
+                    }
+                    out[hh * w + ww] = modops::reduce_u128(acc, self.q);
+                }
+            }
+            out
+        }
+    }
 
     fn sample(n: usize, seed: u64) -> Vec<u64> {
         (0..n as u64).map(|i| (i * 2654435761 + seed) % Q).collect()
@@ -219,7 +225,7 @@ mod tests {
         let (h, v, w) = (4usize, 5usize, 3usize);
         let a = sample(h * v, 1);
         let b = sample(v * w, 2);
-        let sm = SparseMatMul::compile(&a, h, v, Q, 8);
+        let sm = SparseExpansion::compile(&a, h, v, Q, 8);
         let mut sim = TpuSim::new(TpuGeneration::V6e);
         let got = sm.execute(&mut sim, &b, w, Category::NttMatMul);
         assert_eq!(got, mod_matmul_reference(&a, &b, h, v, w, Q));
@@ -230,7 +236,7 @@ mod tests {
         let (h, v) = (4usize, 4usize);
         // use values with all chunks nonzero to isolate structural zeros
         let a = vec![0x0F0E_0D0Cu64 % Q; h * v];
-        let sm = SparseMatMul::compile(&a, h, v, Q, 8);
+        let sm = SparseExpansion::compile(&a, h, v, Q, 8);
         // (K-1)·K / (2K-1)·K = 12/28 ≈ 43 %
         let zeros = sm.a_sparse.iter().filter(|&&x| x == 0).count();
         let zero_fraction = zeros as f64 / sm.a_sparse.len() as f64;
@@ -259,7 +265,7 @@ mod tests {
     fn sparse_param_memory_is_larger() {
         let a = sample(16, 5);
         let bat = BatMatMul::compile(&a, 4, 4, Q, 8);
-        let sparse = SparseMatMul::compile(&a, 4, 4, Q, 8);
+        let sparse = SparseExpansion::compile(&a, 4, 4, Q, 8);
         let ratio = sparse.a_sparse.len() as f64 / bat.param_bytes() as f64;
         assert!((ratio - 7.0 / 4.0).abs() < 1e-9, "(2K-1)/K = 1.75x memory");
     }

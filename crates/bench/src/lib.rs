@@ -48,7 +48,7 @@ pub struct ServeSmoke {
 /// `per_client` requests — a serving-shaped rotate/square/add mix —
 /// wait on every completion, and fetch the result ciphertexts back
 /// out of the store. Shared by the `helr` and `mnist` bins' `--serve`
-/// mode and the `serve_throughput` bench.
+/// mode.
 ///
 /// Functional execution forces toy parameters (the workload bins'
 /// HELR/MNIST-scale parameter sets are cost-model-only); the
@@ -152,8 +152,7 @@ pub struct ServeTenantsSmoke {
 /// key-cache budget is set well below the tenants' combined key
 /// bytes, so switching keys thrash in and out of modeled residency —
 /// the billed re-admissions show up in `modeled_wall_s`, never in the
-/// results. Shared by `helr --serve-tenants` and the
-/// `serve_throughput` bench's `serve_tenants/*` soak keys.
+/// results. Run by `helr --serve-tenants`.
 pub fn serve_tenants_smoke(
     gen: TpuGeneration,
     cores: u32,

@@ -1,5 +1,5 @@
-//! The modeled workloads, shared by the bins, the benches and
-//! `tests/model_golden.rs`: each §V-D program is recorded once as a
+//! The modeled workloads, shared by the bins and the tests
+//! (`tests/model_golden.rs`, `tests/speed_ratios.rs`): each §V-D program is recorded once as a
 //! [`cross_sched::OpGraph`] and every consumer — scheduler, cost
 //! interpreter, optimizer — works from that one graph.
 //!

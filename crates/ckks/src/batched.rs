@@ -475,8 +475,8 @@ impl<'a> Evaluator<'a> {
     /// The pre-plan key-switch oracle: per-call kernel compilation,
     /// full `l+k`-limb NTT of every extended digit, strict add-reduce
     /// per digit. Kept as the differential reference for
-    /// [`Evaluator::key_switch_batch`]; `tests/ks_fast.rs` and the
-    /// `ks_path` bench pin the two bit-identical.
+    /// [`Evaluator::key_switch_batch`]; `tests/ks_fast.rs` pins the two
+    /// bit-identical and `tests/speed_ratios.rs` races them.
     pub fn key_switch_batch_reference(
         &self,
         d: &PolyBatch,

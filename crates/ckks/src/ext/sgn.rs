@@ -141,7 +141,7 @@ impl SgnTier {
         self.depth() + 4
     }
 
-    /// Human-readable tier name (bench keys, reports).
+    /// Human-readable tier name (reports).
     pub fn label(self) -> &'static str {
         match self {
             SgnTier::Low => "low",

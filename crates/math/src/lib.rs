@@ -6,7 +6,7 @@
 //! run), the Shoup kernels ([`shoup`]) with which the host NTT, key
 //! switching and BConv multiply by precomputed constants, and the
 //! scalar Barrett and optimized-Montgomery reducers of the paper's
-//! Alg. 4 and Alg. 1 that the Fig. 13 benches time. Beside them:
+//! Alg. 4 and Alg. 1 behind the Fig. 13 ablation. Beside them:
 //! NTT-friendly prime generation, a minimal arbitrary-precision integer
 //! for CRT/`Q`-level computations, RNS basis tooling (including the
 //! precomputed tables that Basis Conversion consumes), and a

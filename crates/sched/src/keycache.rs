@@ -12,15 +12,18 @@
 //! * every keyed [`crate::sched::FusedBatch`] names the one switching
 //!   key its ops share ([`KeyRef`], tenant-qualified by the serving
 //!   loop);
-//! * before executing the batch, the loop
-//!   `touch`es that key. A **hit** costs nothing —
-//!   the key is resident and `charge_op_pod`'s per-op key traffic
-//!   already covers its reuse from fast memory. A **miss** bills the
-//!   re-admission ([`cross_ckks::costs::key_admit_s`]: the HBM DMA of
-//!   the key material plus the pod scatter) onto the dispatch's
-//!   modeled wall clock and admits the key, evicting
-//!   least-recently-used keys until the configured byte capacity
-//!   holds.
+//! * before executing the batch, the loop `touch`es that key. A
+//!   **hit** adds no charge of its own, but it is not free: every
+//!   keyed op already pays, inside `charge_op_pod`, each core's HBM
+//!   read of its limb shard of the key *and* an ICI scatter of the
+//!   whole key (about 216 µs of a 733 µs Set D HE-Mult on v6e-8), as
+//!   if no core held it. A **miss** additionally bills the re-admission
+//!   ([`cross_ckks::costs::key_admit_s`]: an HBM DMA of the whole key
+//!   plus the same scatter again) onto the dispatch's modeled wall
+//!   clock and admits the key, evicting least-recently-used keys until
+//!   the configured byte capacity holds. So a resident key is billed
+//!   the interconnect on every op and a missed one twice; ROADMAP
+//!   item 14 owns making residency save that traffic.
 //!
 //! The cache is a *residency model*: the functional executor always
 //! replays against host-resident key material, so eviction can never

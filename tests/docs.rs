@@ -1,12 +1,14 @@
-//! The docs name only bench keys that exist.
+//! The docs name only benchmark metrics that exist.
 //!
 //! Every inline-code span in README.md and DESIGN.md shaped like
-//! `family/key`, whose `family` is a family of `BENCH_results.json`, must
-//! match a recorded key. A mention matches a key whole or as a prefix
-//! ending at a `/` (`ntt_engines/host` names `ntt_engines/host/12`); `*`
-//! matches any run of characters and `{a,b}` is an alternation, every
-//! branch of which must match. Deleting or renaming a bench fails here
-//! until the prose that cites it is fixed.
+//! `family.metric`, whose `family` is a family of the per-layer metrics
+//! in `BENCHMARK.json` (`ckks`, `sched`, …), or shaped like
+//! `metric@workload` (written in prose as two spans joined by `@`),
+//! must match a metric the benchmark declares (`end_to_end` or
+//! `per_layer`), and a `@workload` suffix must name one of its
+//! workloads. `*` matches any run of characters and `{a,b}` is an
+//! alternation, every branch of which must match. Renaming a metric
+//! fails here until the prose that cites it is fixed.
 //!
 //! The docs also name only Rust items that exist: every segment of every
 //! inline-code path shaped like `a::b[::c]` must be declared in the
@@ -22,13 +24,31 @@ fn read(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// The keys of the flat `{"key": value, …}` map the bench stub writes.
-fn bench_keys() -> Vec<String> {
-    read("BENCH_results.json")
-        .lines()
-        .filter_map(|l| l.trim().strip_prefix('"')?.split_once('"'))
-        .map(|(key, _)| key.to_string())
-        .collect()
+/// The benchmark's declared names: `(metrics, workloads)`. Each entry
+/// of `BENCHMARK.json`'s `workloads`, `end_to_end` and `per_layer` lists
+/// sits on a line of its own as `{"name": "…", …}`.
+fn benchmark_names() -> (Vec<String>, Vec<String>) {
+    let (mut metrics, mut workloads) = (Vec::new(), Vec::new());
+    let mut list = None;
+    for line in read("BENCHMARK.json").lines() {
+        let line = line.trim();
+        if let Some((key, _)) = line.strip_prefix('"').and_then(|l| l.split_once("\": [")) {
+            list = Some(key.to_string());
+        }
+        let Some(name) = line
+            .strip_prefix("{\"name\": \"")
+            .and_then(|l| l.split_once('"'))
+            .map(|(name, _)| name.to_string())
+        else {
+            continue;
+        };
+        match list.as_deref() {
+            Some("workloads") => workloads.push(name),
+            Some("end_to_end" | "per_layer") => metrics.push(name),
+            _ => {}
+        }
+    }
+    (metrics, workloads)
 }
 
 /// Inline-code spans of a markdown file, fenced blocks skipped.
@@ -79,59 +99,58 @@ fn glob(pattern: &str, text: &str) -> bool {
     }
 }
 
-/// `pattern` matches `key` whole or one of its `/`-bounded prefixes.
-fn matches(pattern: &str, key: &str) -> bool {
-    let pattern = pattern.trim_end_matches('/');
-    glob(pattern, key)
-        || key
-            .match_indices('/')
-            .any(|(i, _)| glob(pattern, &key[..i]))
-}
-
 #[test]
 fn pattern_semantics() {
-    assert_eq!(alternatives("a/{1,2}/{x,y}").len(), 4);
-    assert!(matches("ntt_engines/host", "ntt_engines/host/12"));
-    assert!(matches("sgn/", "sgn/exec_eager/sign_x8"));
-    assert!(matches("ks_path/fast/*", "ks_path/fast/3"));
-    assert!(matches(
-        "batched_ntt/*_fused/*",
-        "batched_ntt/mat3_fused/4096x8"
-    ));
-    assert!(!matches("ntt_engines/hos", "ntt_engines/host/12"));
-    assert!(!matches(
-        "batched_ntt/*_fused/*",
-        "batched_ntt/mat3_sequential/4096x8"
-    ));
+    assert_eq!(alternatives("a.{1,2}_{x,y}").len(), 4);
+    assert!(glob("ckks.*_ms", "ckks.hoisted_rot8_ms"));
+    assert!(glob("tpu.modeled_*", "tpu.modeled_he_mult_us"));
+    assert!(!glob("ckks.*_ms", "ckks.max_abs_err"));
+    assert!(!glob("sched.cost_graph", "sched.cost_graph_ms"));
 }
 
 #[test]
 fn bench_keys_named_in_docs_exist() {
-    let keys = bench_keys();
-    let families: BTreeSet<&str> = keys.iter().filter_map(|k| k.split('/').next()).collect();
+    let (metrics, workloads) = benchmark_names();
+    assert!(
+        metrics.len() >= 80 && workloads.len() == 4,
+        "BENCHMARK.json unread"
+    );
+    let families: BTreeSet<&str> = metrics
+        .iter()
+        .filter_map(|m| m.split_once('.'))
+        .map(|(f, _)| f)
+        .collect();
     let mut checked = 0;
     let mut stale = Vec::new();
     for doc in ["README.md", "DESIGN.md"] {
-        for span in code_spans(&read(doc)) {
-            let Some((family, _)) = span.split_once('/') else {
+        for span in code_spans(&read(doc).replace("`@`", "@")) {
+            if span.contains(char::is_whitespace) {
                 continue;
+            }
+            let (metric, workload) = match span.split_once('@') {
+                Some((m, w)) => (m, Some(w)),
+                None => (span.as_str(), None),
             };
-            if span.contains(char::is_whitespace) || !families.contains(family) {
+            let family = metric.split_once('.').map(|(f, _)| f);
+            if workload.is_none() && !family.is_some_and(|f| families.contains(f)) {
                 continue;
             }
             checked += 1;
-            for alt in alternatives(&span) {
-                if !keys.iter().any(|k| matches(&alt, k)) {
+            if let Some(w) = workload.filter(|w| !workloads.iter().any(|x| x == w)) {
+                stale.push(format!("{doc}: `{span}` (no workload {w})"));
+            }
+            for alt in alternatives(metric) {
+                if !metrics.iter().any(|m| glob(&alt, m)) {
                     stale.push(format!("{doc}: `{span}` ({alt})"));
                 }
             }
         }
     }
     // A parser that finds nothing would pass vacuously.
-    assert!(checked >= 10, "only {checked} bench mentions found");
+    assert!(checked >= 10, "only {checked} benchmark mentions found");
     assert!(
         stale.is_empty(),
-        "docs name bench keys BENCH_results.json does not have:\n{}",
+        "docs name benchmark metrics BENCHMARK.json does not declare:\n{}",
         stale.join("\n")
     );
 }

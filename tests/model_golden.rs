@@ -1,5 +1,5 @@
 //! The modeled numbers, pinned across commits bit for bit. This is
-//! their one home: `BENCH_*.json` hold host wall-clock only.
+//! their one home: host timings are the repo benchmark's.
 //!
 //! Every other model test compares two paths *of the same binary*
 //! (`cost_graph` ≡ `charge_op_pod`, 1-core pod ≡ lone `TpuSim`, …), so
@@ -153,7 +153,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("op/Rotate/l2/f/critical_s", 0x3f3282eae8895aab),  // 2.8246150080716664e-4
     ("op/Rotate/l2/f/amortized_s", 0x3f10e831ebf67597), // 6.449513147407101e-5
     ("op/Rotate/l2/f/comm_s", 0x3f2a9f0a134baea1),      // 2.0310399999999999e-4
-    // Recorded at eae836e, where `BENCH_results.json` held these same
+    // Recorded at eae836e, where the legacy bench file held these same
     // values as ns/iter: Tab. VIII and IX at the other VM setups, the
     // serving drain's per-op seconds, and the comparison heads.
     ("backbone/v4-8/HE-Add/latency_s", 0x3ef9acd35ed110b6), // 2.4485683685308074e-5
@@ -297,7 +297,7 @@ fn modeled() -> Vec<(String, f64)> {
         out.push((format!("bootstrap/{label}/comm_s"), rep.comm_s));
     }
 
-    // The drain `benches/sched_throughput.rs` times: per-op seconds of
+    // The serving drain of `drain_mix` requests: per-op seconds of
     // the fused schedule and of naive per-op dispatch, with the
     // optimizer on as in serving.
     let set_c = ParamSet::C.params();

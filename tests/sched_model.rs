@@ -219,7 +219,7 @@ fn optimized_drain_is_deterministic_and_a_noop_on_flat_queues() {
     // Drain-formed graphs give every request fresh Input nodes, so
     // nothing duplicates, nothing fans out, and every op is a sink:
     // the standard pipeline must be a structural no-op there (the
-    // claim `benches/sched_throughput.rs` leans on), and draining with
+    // claim serving's optimised drain leans on), and draining with
     // the optimizer on stays exactly as deterministic as without.
     let params = ParamSet::C.params();
     let build = || {
