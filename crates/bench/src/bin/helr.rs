@@ -44,9 +44,13 @@ fn main() {
             smoke.key_misses >= tenants as u64,
             "every tenant's keys admit cold at least once"
         );
+        // Each tenant's burst fuses into shared batches: the mean reads
+        // 1.58-1.88 ops per batch on a 2-core host, and below 1.32
+        // batching under contention has regressed.
         assert!(
-            smoke.occupancy >= 1.0,
-            "every op rides in a batch of at least itself"
+            smoke.occupancy >= 1.32,
+            "tenant bursts fuse (occupancy {:.2})",
+            smoke.occupancy
         );
         return;
     }
