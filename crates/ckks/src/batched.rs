@@ -121,12 +121,22 @@ impl BatchedCiphertext {
             .collect()
     }
 
-    /// This batch as an operand.
+    /// Scatters the batch into independent ciphertexts, consuming it: a
+    /// batch of one is handed back as it is, without copying a residue.
+    pub fn into_ciphertexts(self) -> Vec<Ciphertext> {
+        if self.batch() == 1 {
+            vec![self.into_single()]
+        } else {
+            self.to_ciphertexts()
+        }
+    }
+
+    /// This batch as an operand, borrowed.
     ///
     /// # Panics
     /// Panics if the components and the scale list disagree on the
     /// batch size.
-    pub(crate) fn view(&self) -> CtView<'_> {
+    pub fn view(&self) -> CtView<'_> {
         assert!(
             self.c0.batch() == self.batch() && self.c1.batch() == self.batch(),
             "components and scales must agree on the batch size"
@@ -167,7 +177,7 @@ impl<'a> Evaluator<'a> {
     /// `q_last⁻¹ mod q_i` comes as a precomputed Shoup pair off the
     /// cached [`KsPlan`]. The one body behind [`Evaluator::rescale`] and
     /// [`Evaluator::rescale_batch`].
-    pub(crate) fn rescale_view(&self, ct: CtView) -> BatchedCiphertext {
+    pub fn rescale_view(&self, ct: CtView) -> BatchedCiphertext {
         assert!(ct.level >= 2, "cannot rescale at level 1");
         let ctx = self.context();
         let l = ct.level;

@@ -23,11 +23,13 @@ pub struct Ciphertext {
 }
 
 impl Ciphertext {
-    /// This ciphertext as a one-entry operand.
+    /// This ciphertext as a one-entry operand, borrowed: the `*_view`
+    /// operators of [`crate::Evaluator`] run on it without copying a
+    /// residue.
     ///
     /// # Panics
     /// Panics if a component is not a batch of one.
-    pub(crate) fn view(&self) -> CtView<'_> {
+    pub fn view(&self) -> CtView<'_> {
         assert!(
             self.c0.batch() == 1 && self.c1.batch() == 1,
             "Ciphertext components must be batches of one (got {} and {})",
@@ -47,9 +49,11 @@ impl Ciphertext {
 /// shared level, one scale per entry. A [`Ciphertext`] is the
 /// one-entry case and a [`crate::BatchedCiphertext`] the general one;
 /// both lend this view without copying a residue, so each operator has
-/// one body and the eager call is its batch-of-one case.
+/// one body and the eager call is its batch-of-one case. A caller that
+/// holds either kind of operand runs an operator on it through the
+/// evaluator's `*_view` methods.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CtView<'a> {
+pub struct CtView<'a> {
     pub(crate) c0: &'a PolyBatch,
     pub(crate) c1: &'a PolyBatch,
     pub(crate) level: usize,

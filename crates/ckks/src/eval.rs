@@ -61,15 +61,16 @@ impl<'a> Evaluator<'a> {
     /// context — one allocation per polynomial regardless of how many
     /// levels are dropped.
     pub fn mod_drop(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
-        self.drop_to(ct.view(), level).into_single()
+        self.mod_drop_view(ct.view(), level).into_single()
     }
 
     /// Batched modulus drop to `level` (scales unchanged).
     pub fn mod_drop_batch(&self, ct: &BatchedCiphertext, level: usize) -> BatchedCiphertext {
-        self.drop_to(ct.view(), level)
+        self.mod_drop_view(ct.view(), level)
     }
 
-    fn drop_to(&self, ct: CtView, level: usize) -> BatchedCiphertext {
+    /// Modulus drop of a borrowed operand of any batch size.
+    pub fn mod_drop_view(&self, ct: CtView, level: usize) -> BatchedCiphertext {
         assert!(level >= 1 && level <= ct.level, "cannot raise levels");
         let new_ctx = self.ctx.level_ctx(level).clone();
         BatchedCiphertext {
@@ -90,13 +91,13 @@ impl<'a> Evaluator<'a> {
         let a = if a.level == level {
             a
         } else {
-            dropped_a = self.drop_to(a, level);
+            dropped_a = self.mod_drop_view(a, level);
             dropped_a.view()
         };
         let b = if b.level == level {
             b
         } else {
-            dropped_b = self.drop_to(b, level);
+            dropped_b = self.mod_drop_view(b, level);
             dropped_b.view()
         };
         f(a, b)
@@ -109,26 +110,34 @@ impl<'a> Evaluator<'a> {
     /// silently corrupt CKKS messages; sub-percent drift from unequal
     /// rescale moduli is the approximation CKKS tolerates by design).
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.linear(a.view(), b.view(), PolyBatch::add)
-            .into_single()
+        self.add_view(a.view(), b.view()).into_single()
     }
 
     /// Batched HE-Add (per-entry scale check).
     pub fn add_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
-        self.linear(a.view(), b.view(), PolyBatch::add)
+        self.add_view(a.view(), b.view())
+    }
+
+    /// HE-Add of borrowed operands of any batch size.
+    pub fn add_view(&self, a: CtView, b: CtView) -> BatchedCiphertext {
+        self.linear(a, b, PolyBatch::add)
     }
 
     /// HE-Sub. Same contract as [`Evaluator::add`]: operands align to
     /// the lower level, scales must agree within the 1 % CKKS drift
     /// tolerance.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.linear(a.view(), b.view(), PolyBatch::sub)
-            .into_single()
+        self.sub_view(a.view(), b.view()).into_single()
     }
 
     /// Batched HE-Sub (per-entry scale check).
     pub fn sub_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
-        self.linear(a.view(), b.view(), PolyBatch::sub)
+        self.sub_view(a.view(), b.view())
+    }
+
+    /// HE-Sub of borrowed operands of any batch size.
+    pub fn sub_view(&self, a: CtView, b: CtView) -> BatchedCiphertext {
+        self.linear(a, b, PolyBatch::sub)
     }
 
     /// The component-wise operators: `op` on both components at the
@@ -222,7 +231,9 @@ impl<'a> Evaluator<'a> {
         self.mult_plain_view(ct.view(), pt, pt_scale)
     }
 
-    fn mult_plain_view(&self, ct: CtView, pt: &RnsPoly, pt_scale: f64) -> BatchedCiphertext {
+    /// Ciphertext × plaintext multiply of a borrowed operand of any
+    /// batch size.
+    pub fn mult_plain_view(&self, ct: CtView, pt: &RnsPoly, pt_scale: f64) -> BatchedCiphertext {
         assert_eq!(
             pt.level_count(),
             ct.level,
@@ -270,7 +281,8 @@ impl<'a> Evaluator<'a> {
         self.mult_view(a.view(), b.view(), relin)
     }
 
-    fn mult_view(&self, a: CtView, b: CtView, relin: &SwitchingKey) -> BatchedCiphertext {
+    /// HE-Mult of borrowed operands of any batch size.
+    pub fn mult_view(&self, a: CtView, b: CtView, relin: &SwitchingKey) -> BatchedCiphertext {
         self.with_aligned(a, b, |a, b| {
             let d0 = a.c0.mul_pointwise(b.c0);
             let d1 = a.c0.mul_pointwise(b.c1).add(&a.c1.mul_pointwise(b.c0));
@@ -308,8 +320,7 @@ impl<'a> Evaluator<'a> {
     /// hoist_decompose`] followed by [`Evaluator::hoisted_rotate`], so
     /// the two stay bit-identical by construction.
     pub fn rotate(&self, ct: &Ciphertext, steps: usize, rot_key: &SwitchingKey) -> Ciphertext {
-        self.galois(ct.view(), self.ctx.galois_element(steps), rot_key)
-            .into_single()
+        self.rotate_view(ct.view(), steps, rot_key).into_single()
     }
 
     /// Batched HE-Rotate by `steps` slots: one batched decomposition
@@ -320,7 +331,17 @@ impl<'a> Evaluator<'a> {
         steps: usize,
         rot_key: &SwitchingKey,
     ) -> BatchedCiphertext {
-        self.galois(ct.view(), self.ctx.galois_element(steps), rot_key)
+        self.rotate_view(ct.view(), steps, rot_key)
+    }
+
+    /// HE-Rotate of a borrowed operand of any batch size.
+    pub fn rotate_view(
+        &self,
+        ct: CtView,
+        steps: usize,
+        rot_key: &SwitchingKey,
+    ) -> BatchedCiphertext {
+        self.galois(ct, self.ctx.galois_element(steps), rot_key)
     }
 
     /// Slot-wise complex conjugation (`σ_{2N-1}` + key switch with the

@@ -3,14 +3,23 @@
 //! [`BatchedCiphertext`] kernels.
 //!
 //! Both paths are **bit-exact** with calling the evaluator eagerly:
-//! every op goes through the `*_batch` operators, whose bodies the
-//! eager methods share (a lone op is the batch of one), and batch
-//! entries never interact (`tests/batched_equivalence.rs`).
+//! every op goes through the evaluator's `*_view` operators, whose
+//! bodies the eager methods share (a lone op runs on its operand's
+//! borrowed view, exactly as an eager call does), and batch entries
+//! never interact (`tests/batched_equivalence.rs`).
 //! `tests/sched_model.rs` pins both.
+//!
+//! Inputs are borrowed while a run executes: an input node's slot
+//! refers to the caller's ciphertext, and only a computed node owns
+//! its value. The public entry points return owned slots, so they copy
+//! the input slots out at the end; the serving worker takes the slots
+//! as they stand and moves its results out.
 
 use crate::ir::{BatchedOp, ExecOp, HeOpKind, HoistOp, NodeId, OpGraph};
 use crate::sched::Schedule;
-use cross_ckks::{BatchedCiphertext, Ciphertext, Evaluator, HoistedDecomposition, SwitchingKey};
+use cross_ckks::{
+    BatchedCiphertext, Ciphertext, CtView, Evaluator, HoistedDecomposition, SwitchingKey,
+};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -92,11 +101,42 @@ fn at_level<'c>(ev: &Evaluator, ct: &'c Ciphertext, level: usize) -> Cow<'c, Cip
     }
 }
 
-/// Executes a group of same-kind operations at `level` as one batched
-/// evaluator call; a lone op is the batch of one. Operands are
-/// mod-dropped to `level` first — exactly the alignment the eager
-/// evaluator performs internally, and the eager methods run the same
-/// operator bodies on a batch of one, so group size never changes what
+/// One side of a group's operands at the group level: a lone member
+/// borrowed as it is (mod-dropped only when it sits higher), a larger
+/// group packed into one batch.
+enum Operand<'c> {
+    One(Cow<'c, Ciphertext>),
+    Packed(BatchedCiphertext),
+}
+
+impl<'c> Operand<'c> {
+    fn new(ev: &Evaluator, cts: &[&'c Ciphertext], level: usize) -> Self {
+        match cts {
+            [one] => Self::One(at_level(ev, one, level)),
+            _ => {
+                let aligned: Vec<_> = cts.iter().map(|c| at_level(ev, c, level)).collect();
+                Self::Packed(BatchedCiphertext::from_ciphertexts(
+                    aligned.iter().map(|c| &**c),
+                ))
+            }
+        }
+    }
+
+    fn view(&self) -> CtView<'_> {
+        match self {
+            Self::One(ct) => ct.view(),
+            Self::Packed(batch) => batch.view(),
+        }
+    }
+}
+
+/// Executes a group of same-kind operations at `level` as one
+/// evaluator call. A lone op runs on its operand's borrowed view and
+/// its result is moved out, with no pack and no unpack; a larger group
+/// is packed into a batch and scattered back. Operands are mod-dropped
+/// to `level` first — exactly the alignment the eager evaluator
+/// performs internally, and the eager methods run the same operator
+/// bodies on the same one-entry view, so group size never changes what
 /// is computed — including the panic on a node declared above its
 /// operands' level.
 fn exec_group(
@@ -107,20 +147,18 @@ fn exec_group(
     lhs: &[&Ciphertext],
     rhs: &[&Ciphertext],
 ) -> Vec<Ciphertext> {
-    let pack = |cts: &[&Ciphertext]| -> BatchedCiphertext {
-        let aligned: Vec<_> = cts.iter().map(|c| at_level(ev, c, level)).collect();
-        BatchedCiphertext::from_ciphertexts(aligned.iter().map(|c| &**c))
-    };
+    let a = || Operand::new(ev, lhs, level);
+    let b = || Operand::new(ev, rhs, level);
     let out = match op {
-        BatchedOp::Add => ev.add_batch(&pack(lhs), &pack(rhs)),
-        BatchedOp::Sub => ev.sub_batch(&pack(lhs), &pack(rhs)),
-        BatchedOp::Mult => ev.mult_batch(&pack(lhs), &pack(rhs), keys.relin()),
+        BatchedOp::Add => ev.add_view(a().view(), b().view()),
+        BatchedOp::Sub => ev.sub_view(a().view(), b().view()),
+        BatchedOp::Mult => ev.mult_view(a().view(), b().view(), keys.relin()),
         BatchedOp::PlainMultConst { cid } => {
             // One encode, broadcast across the whole group.
             let (value, pt_scale) = keys.mult_const(cid);
             let ctx = ev.context();
             let pt = ctx.encode_at(&vec![value; ctx.slot_count()], level, pt_scale);
-            ev.mult_plain_batch(&pack(lhs), &pt, pt_scale)
+            ev.mult_plain_view(a().view(), &pt, pt_scale)
         }
         BatchedOp::PlainAddConst { cid } => {
             // Each member encodes its constant at its *own* (level,
@@ -137,37 +175,39 @@ fn exec_group(
                 })
                 .collect();
         }
-        BatchedOp::Rotate { steps } => ev.rotate_batch(&pack(lhs), steps, keys.rotation(steps)),
-        BatchedOp::Rescale => ev.rescale_batch(&pack(lhs)),
-        BatchedOp::ModDrop { to_level } => ev.mod_drop_batch(&pack(lhs), to_level),
+        BatchedOp::Rotate { steps } => ev.rotate_view(a().view(), steps, keys.rotation(steps)),
+        BatchedOp::Rescale => ev.rescale_view(a().view()),
+        BatchedOp::ModDrop { to_level } => ev.mod_drop_view(a().view(), to_level),
     };
-    out.to_ciphertexts()
+    out.into_ciphertexts()
 }
 
-/// One execution in progress: a value slot per node plus the hoisted
-/// decompositions, keyed by the `HoistDecomp` node that produced them.
+/// One execution in progress: a value slot per node — borrowed for an
+/// input, owned for a computed node — plus the hoisted decompositions,
+/// keyed by the `HoistDecomp` node that produced them.
 struct Run<'a> {
     graph: &'a OpGraph,
     ev: &'a Evaluator<'a>,
     keys: &'a ReplayKeys<'a>,
-    results: Vec<Option<Ciphertext>>,
+    results: Vec<Option<Cow<'a, Ciphertext>>>,
     decomps: BTreeMap<NodeId, HoistedDecomposition>,
 }
 
 impl<'a> Run<'a> {
-    /// Seeds the input nodes, in construction order, from `inputs`.
+    /// Seeds the input nodes, in construction order, from `inputs`,
+    /// borrowing each.
     fn new(
         graph: &'a OpGraph,
         ev: &'a Evaluator<'a>,
         keys: &'a ReplayKeys<'a>,
-        inputs: &[Ciphertext],
+        inputs: impl IntoIterator<Item = &'a Ciphertext>,
     ) -> Self {
-        let mut results: Vec<Option<Ciphertext>> = vec![None; graph.len()];
-        let mut unused = inputs.iter();
+        let mut results: Vec<Option<Cow<'a, Ciphertext>>> = vec![None; graph.len()];
+        let mut unused = inputs.into_iter();
         for node in graph.nodes() {
             if node.kind == HeOpKind::Input {
                 let ct = unused.next().expect("not enough input ciphertexts");
-                results[node.id] = Some(ct.clone());
+                results[node.id] = Some(Cow::Borrowed(ct));
             }
         }
         assert!(unused.next().is_none(), "unused input ciphertexts");
@@ -218,7 +258,7 @@ impl<'a> Run<'a> {
             }
         };
         for (&id, ct) in nodes.iter().zip(out) {
-            self.results[id] = Some(ct);
+            self.results[id] = Some(Cow::Owned(ct));
         }
     }
 
@@ -277,13 +317,15 @@ pub fn replay(
             run.exec(node.kind, node.level, &[node.id]);
         }
     }
-    run.results
+    owned(run.results)
 }
 
 /// Executes a schedule: every [`crate::sched::FusedBatch`] runs as one
-/// batched-evaluator call over its member ops, in schedule order.
-/// Semantics and panics match [`replay`]; results are bit-identical to
-/// it.
+/// evaluator call over its member ops, in schedule order — a group of
+/// one on its operand's borrowed view, a larger group packed into a
+/// batch. Semantics and panics match [`replay`]; results are
+/// bit-identical to it. Inputs are borrowed while the schedule runs;
+/// the input nodes' slots of the returned vector are copies of them.
 pub fn execute_schedule(
     graph: &OpGraph,
     schedule: &Schedule,
@@ -291,11 +333,32 @@ pub fn execute_schedule(
     keys: &ReplayKeys,
     inputs: &[Ciphertext],
 ) -> Vec<Option<Ciphertext>> {
+    owned(execute_borrowed(graph, schedule, ev, keys, inputs))
+}
+
+/// [`execute_schedule`] over borrowed inputs, returning every slot as
+/// it stands: an input node's still borrowed, a computed node's owned,
+/// so a caller moves its results out without a copy.
+pub(crate) fn execute_borrowed<'a>(
+    graph: &'a OpGraph,
+    schedule: &Schedule,
+    ev: &'a Evaluator<'a>,
+    keys: &'a ReplayKeys<'a>,
+    inputs: impl IntoIterator<Item = &'a Ciphertext>,
+) -> Vec<Option<Cow<'a, Ciphertext>>> {
     let mut run = Run::new(graph, ev, keys, inputs);
     for batch in &schedule.batches {
         run.exec(batch.kind, batch.level, &batch.nodes);
     }
     run.results
+}
+
+/// The public form of a run's slots: input nodes' copied out.
+fn owned(results: Vec<Option<Cow<'_, Ciphertext>>>) -> Vec<Option<Ciphertext>> {
+    results
+        .into_iter()
+        .map(|r| r.map(Cow::into_owned))
+        .collect()
 }
 
 #[cfg(test)]
@@ -339,6 +402,47 @@ mod tests {
         assert_eq!(rep.c0.limbs(), ew.c0.limbs());
         assert_eq!(rep.c1.limbs(), ew.c1.limbs());
         assert_eq!(rep.scale, ew.scale);
+    }
+
+    #[test]
+    fn group_of_one_equals_the_packed_path() {
+        let (ctx, kp) = setup();
+        let ev = Evaluator::new(&ctx);
+        let rk = ctx.generate_rotation_key(&kp.secret, 1);
+        let keys = ReplayKeys::new()
+            .with_relin(&kp.relin)
+            .with_rotation(1, &rk)
+            .with_mult_const(0, 0.5, ctx.params().scale());
+        let x = ctx.encrypt(&vec![0.2; ctx.slot_count()], &kp.public);
+        let y = ctx.encrypt(&vec![-0.1; ctx.slot_count()], &kp.public);
+        let top = x.level;
+        let ops = [
+            (BatchedOp::Add, 2),
+            (BatchedOp::Sub, 2),
+            (BatchedOp::Mult, 2),
+            (BatchedOp::PlainMultConst { cid: 0 }, 1),
+            (BatchedOp::Rotate { steps: 1 }, 1),
+            (BatchedOp::Rescale, 1),
+            (BatchedOp::ModDrop { to_level: 2 }, 1),
+        ];
+        // At the operands' level (borrowed as they are) and one below
+        // (mod-dropped first).
+        for level in [top, top - 1] {
+            for (op, arity) in ops {
+                let (rhs_one, rhs_two) = match arity {
+                    2 => (vec![&y], vec![&y, &x]),
+                    _ => (vec![], vec![]),
+                };
+                let one = exec_group(&ev, &keys, op, level, &[&x], &rhs_one);
+                // The same member first in a packed group of two.
+                let two = exec_group(&ev, &keys, op, level, &[&x, &y], &rhs_two);
+                assert_eq!((one.len(), two.len()), (1, 2));
+                assert_eq!(one[0].level, two[0].level, "{op:?} at {level}");
+                assert_eq!(one[0].c0.limbs(), two[0].c0.limbs(), "{op:?} at {level}");
+                assert_eq!(one[0].c1.limbs(), two[0].c1.limbs(), "{op:?} at {level}");
+                assert_eq!(one[0].scale.to_bits(), two[0].scale.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@
 
 use crate::ir::{HeOpKind, NodeId, OpGraph};
 use crate::opt::PassManager;
-use crate::sched::{Schedule, Scheduler};
+use crate::sched::{ProbeCache, Schedule, Scheduler};
 use cross_ckks::params::CkksParams;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -518,11 +518,13 @@ impl<P> RequestQueue<P> {
     /// ([`crate::opt::PassManager::standard`] on the scheduler's pod
     /// and mode) and tickets are remapped onto the rewritten graph —
     /// ticket values are bit-exact either way, since every ticket node
-    /// is a sink of the formed graph.
+    /// is a sink of the formed graph. Scheduling reads and fills
+    /// `probe_cache` ([`Scheduler::schedule_memo`]).
     pub(crate) fn dispatch_requests(
         requests: Vec<HeRequest<P>>,
         scheduler: &Scheduler,
         params: &CkksParams,
+        probe_cache: &mut ProbeCache,
     ) -> Dispatch<P> {
         let mut graph = OpGraph::new();
         let mut nodes = Vec::with_capacity(requests.len());
@@ -540,7 +542,7 @@ impl<P> RequestQueue<P> {
             }
             graph = rw.graph;
         }
-        let schedule = scheduler.schedule(&graph, params);
+        let schedule = scheduler.schedule_memo(&graph, params, probe_cache);
         Dispatch {
             graph,
             schedule,
@@ -562,7 +564,8 @@ impl<P> RequestQueue<P> {
         params: &CkksParams,
         max_ops: usize,
     ) -> Dispatch<P> {
-        Self::dispatch_requests(self.pop_fair(max_ops), scheduler, params)
+        let requests = self.pop_fair(max_ops);
+        Self::dispatch_requests(requests, scheduler, params, &mut ProbeCache::default())
     }
 }
 
@@ -762,7 +765,12 @@ mod tests {
         let dispatches: Vec<_> = q
             .pop_fair_by_tenant(8)
             .into_iter()
-            .map(|(t, r)| (t, RequestQueue::dispatch_requests(r, &s, &params)))
+            .map(|(t, r)| {
+                (
+                    t,
+                    RequestQueue::dispatch_requests(r, &s, &params, &mut ProbeCache::default()),
+                )
+            })
             .collect();
         assert_eq!(dispatches.len(), 2);
         for (tenant, d) in &dispatches {

@@ -53,8 +53,12 @@ use cross_core::shard::ShardStrategy;
 use cross_tpu::{PodSim, TpuGeneration};
 
 /// Memoized `(fused limb-parallel wall, batch-parallel per-op)` probe
-/// results, keyed by `(kind, level, ops)`.
-type ProbeCache = std::collections::BTreeMap<(HeOpKind, usize, usize), (f64, f64)>;
+/// results, keyed by `(kind, level, ops)`. An entry is a pure function
+/// of the key and of the parameters, generation, cores and mode it was
+/// charged under, so one cache may outlive a [`Scheduler::schedule`]
+/// call only while those four stay fixed — as they do for a serving
+/// loop's dispatcher.
+pub(crate) type ProbeCache = std::collections::BTreeMap<(HeOpKind, usize, usize), (f64, f64)>;
 
 /// Batch-forming scheduler for one pod configuration.
 #[derive(Debug, Clone, Copy)]
@@ -147,6 +151,18 @@ impl Scheduler {
     /// Forms the schedule for `graph`: batch groups in wave order, each
     /// annotated with its chosen strategy and modeled cost.
     pub fn schedule(&self, graph: &OpGraph, params: &CkksParams) -> Schedule {
+        self.schedule_memo(graph, params, &mut ProbeCache::default())
+    }
+
+    /// [`Scheduler::schedule`] reading and filling `probe_cache`, which
+    /// must only ever have seen this scheduler and `params`
+    /// ([`ProbeCache`]).
+    pub(crate) fn schedule_memo(
+        &self,
+        graph: &OpGraph,
+        params: &CkksParams,
+        probe_cache: &mut ProbeCache,
+    ) -> Schedule {
         let waves = graph.waves();
         // Deterministic grouping: (wave, kind, level) → node ids in
         // construction order. BTreeMap keeps group order stable.
@@ -164,7 +180,6 @@ impl Scheduler {
 
         // Probe results are pure and workload graphs repeat a handful
         // of (kind, level, ops) shapes across many batches — memoize.
-        let mut probe_cache: ProbeCache = Default::default();
         let mut batches = Vec::new();
         for ((wave, kind, level), nodes) in groups {
             // Chunk so each fused group covers at most max_fuse ops.
@@ -191,12 +206,12 @@ impl Scheduler {
             for id in nodes {
                 let ops = graph.node(id).batch;
                 if chunk_ops + ops > self.max_fuse && !chunk.is_empty() {
-                    flush(&mut chunk, &mut chunk_ops, &mut batches, &mut probe_cache);
+                    flush(&mut chunk, &mut chunk_ops, &mut batches, probe_cache);
                 }
                 chunk.push(id);
                 chunk_ops += ops;
             }
-            flush(&mut chunk, &mut chunk_ops, &mut batches, &mut probe_cache);
+            flush(&mut chunk, &mut chunk_ops, &mut batches, probe_cache);
         }
         batches.sort_by_key(|b| (b.wave, b.nodes[0]));
         Schedule { batches }

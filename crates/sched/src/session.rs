@@ -90,14 +90,14 @@
 //! ```
 
 use crate::channel::{self, Receiver, Sender, TrySendError};
-use crate::exec::execute_schedule;
+use crate::exec::execute_borrowed;
 use crate::ir::{ExecOp, HeOpKind, NodeId};
 use crate::keycache::KeyCache;
 use crate::queue::{
     Backpressure, BatchStats, Completed, Completion, CtId, Dispatch, HeRequest, RequestQueue,
     ServeError, TenantId,
 };
-use crate::sched::{Schedule, Scheduler};
+use crate::sched::{ProbeCache, Schedule, Scheduler};
 use crate::serve::{ServeConfig, ServeKeys, ServeStats, SubmitError};
 use cross_ckks::{Ciphertext, CkksContext, Evaluator};
 use std::any::Any;
@@ -161,7 +161,9 @@ impl TenantSpec {
 
 #[derive(Debug)]
 struct StoreEntry {
-    ct: Ciphertext,
+    /// Shared with every dispatch that resolved this entry and has not
+    /// finished: eviction or `take` drops only the store's reference.
+    ct: Arc<Ciphertext>,
     tenant: TenantId,
     pinned: bool,
     last_used: u64,
@@ -182,7 +184,9 @@ struct StoreInner {
 
 /// The serving loop's shared ciphertext store: entries are owned by
 /// the inserting tenant, the population is capped, and unpinned
-/// entries are evicted least-recently-used under pressure.
+/// entries are evicted least-recently-used under pressure. An entry is
+/// held behind an [`Arc`], so resolving it for a dispatch copies no
+/// residue.
 pub(crate) struct CtStore {
     capacity: usize,
     inner: Mutex<StoreInner>,
@@ -211,7 +215,7 @@ impl CtStore {
         st.entries.insert(
             id,
             StoreEntry {
-                ct,
+                ct: Arc::new(ct),
                 tenant,
                 pinned,
                 last_used,
@@ -242,12 +246,13 @@ impl CtStore {
         }
     }
 
-    /// Clones out `id` for `tenant`, refreshing its LRU position.
-    /// Fails with the precise reason: never allocated / already taken
-    /// → [`ServeError::UnresolvedOperand`]; reclaimed by pressure →
+    /// Shares out `id` for `tenant` — the stored allocation itself, not
+    /// a copy — refreshing its LRU position. Fails with the precise
+    /// reason: never allocated / already taken →
+    /// [`ServeError::UnresolvedOperand`]; reclaimed by pressure →
     /// [`ServeError::Evicted`]; owned by someone else →
     /// [`ServeError::CrossTenant`].
-    fn get(&self, tenant: TenantId, id: CtId) -> Result<Ciphertext, ServeError> {
+    fn get(&self, tenant: TenantId, id: CtId) -> Result<Arc<Ciphertext>, ServeError> {
         let mut st = self.inner.lock().unwrap();
         st.clock += 1;
         let clock = st.clock;
@@ -258,7 +263,7 @@ impl CtStore {
             return Err(ServeError::CrossTenant(id));
         }
         e.last_used = clock;
-        Ok(e.ct.clone())
+        Ok(Arc::clone(&e.ct))
     }
 
     /// Level and scale of `id` without cloning the ciphertext — the
@@ -277,13 +282,17 @@ impl CtStore {
         Ok((e.ct.level, e.ct.scale))
     }
 
-    /// Removes `id` if `tenant` owns it.
+    /// Removes `id` if `tenant` owns it. The ciphertext is moved out
+    /// when no dispatch still holds it, and copied only when one does.
     fn take(&self, tenant: TenantId, id: CtId) -> Option<Ciphertext> {
-        let mut st = self.inner.lock().unwrap();
-        if st.entries.get(&id)?.tenant != tenant {
-            return None;
-        }
-        st.entries.remove(&id).map(|e| e.ct)
+        let entry = {
+            let mut st = self.inner.lock().unwrap();
+            if st.entries.get(&id)?.tenant != tenant {
+                return None;
+            }
+            st.entries.remove(&id)?
+        };
+        Some(Arc::unwrap_or_clone(entry.ct))
     }
 
     fn set_pinned(&self, tenant: TenantId, id: CtId, pinned: bool) -> Result<(), ServeError> {
@@ -360,7 +369,9 @@ struct WorkItem {
     seq: u64,
     graph: crate::ir::OpGraph,
     schedule: Schedule,
-    inputs: Vec<Ciphertext>,
+    /// The operands, shared with the store (or kept alive past an
+    /// eviction) until the dispatch has executed.
+    inputs: Vec<Arc<Ciphertext>>,
     jobs: Vec<Job>,
 }
 
@@ -452,16 +463,21 @@ impl Session {
         self.intake.store.insert(self.tenant, ct, true)
     }
 
-    /// Clones a stored ciphertext out, failing with the precise
-    /// reason ([`ServeError::Evicted`] / [`ServeError::CrossTenant`] /
-    /// [`ServeError::UnresolvedOperand`]).
+    /// Copies a stored ciphertext out, leaving it stored, failing with
+    /// the precise reason ([`ServeError::Evicted`] /
+    /// [`ServeError::CrossTenant`] / [`ServeError::UnresolvedOperand`]).
+    /// The copy is the caller's own; [`take`](Self::take) moves a
+    /// ciphertext out instead.
     pub fn fetch(&self, id: CtId) -> Result<Ciphertext, ServeError> {
-        self.intake.store.get(self.tenant, id)
+        let ct = self.intake.store.get(self.tenant, id)?;
+        Ok(Ciphertext::clone(&ct))
     }
 
     /// Removes a stored ciphertext this tenant owns — the response
     /// side of the pipeline, and how results stop occupying the
-    /// bounded store.
+    /// bounded store. It is moved out, not copied, unless a dispatch
+    /// that resolved it as an operand has not finished executing; a
+    /// dispatch lets go of its operands before it completes any ticket.
     pub fn take(&self, id: CtId) -> Option<Ciphertext> {
         self.intake.store.take(self.tenant, id)
     }
@@ -584,6 +600,9 @@ struct Dispatcher<'a> {
     work_tx: Sender<WorkItem>,
     scheduler: Scheduler,
     params: cross_ckks::CkksParams,
+    /// The scheduler's cost probes, kept for the dispatcher's whole
+    /// life: `scheduler` and `params` never change under it.
+    probe_cache: ProbeCache,
     tenants: &'a BTreeMap<TenantId, ServeKeys>,
     store: Arc<CtStore>,
     stats: Arc<Mutex<ServeStats>>,
@@ -662,13 +681,18 @@ impl Dispatcher<'_> {
         &mut self,
         tenant: TenantId,
         requests: Vec<HeRequest<Ticket>>,
-        inputs: Vec<Ciphertext>,
+        inputs: Vec<Arc<Ciphertext>>,
     ) {
         let Dispatch {
             graph,
             schedule,
             tickets,
-        } = RequestQueue::dispatch_requests(requests, &self.scheduler, &self.params);
+        } = RequestQueue::dispatch_requests(
+            requests,
+            &self.scheduler,
+            &self.params,
+            &mut self.probe_cache,
+        );
 
         // Key residency: touch every key the schedule loads under
         // this tenant. Misses bill modeled re-admission seconds.
@@ -800,7 +824,7 @@ fn worker(
 ) -> Option<Box<dyn Any + Send>> {
     let ev = Evaluator::new(ctx);
     let mut fault = None;
-    while let Some(item) = rx.recv() {
+    while let Some(mut item) = rx.recv() {
         // A panic mid-dispatch (a latent evaluator bug, or the
         // injected fault below) must not strand waiters: fail the
         // item's unfulfilled tickets, keep the first panic for
@@ -812,16 +836,27 @@ fn worker(
                 panic!("injected worker fault at dispatch {}", item.seq);
             }
             let replay_keys = tenants[&item.tenant].replay();
+            let inputs = item.inputs.iter().map(|ct| &**ct);
             let mut results =
-                execute_schedule(&item.graph, &item.schedule, &ev, &replay_keys, &item.inputs);
-            for job in &item.jobs {
-                // Move (not clone) the result out of the slot — the
-                // worker owns the results vector and each node has one
-                // ticket. Results arrive unpinned: an unclaimed result
-                // is exactly what LRU pressure should reclaim.
-                let ct = results[job.node]
-                    .take()
-                    .expect("admitted ops are executable");
+                execute_borrowed(&item.graph, &item.schedule, &ev, &replay_keys, inputs);
+            // Move (not clone) each result out of its slot — a ticket
+            // node is computed, so its slot is owned, and each node
+            // has one ticket.
+            let outs: Vec<Ciphertext> = item
+                .jobs
+                .iter()
+                .map(|job| {
+                    let slot = results[job.node].take();
+                    slot.expect("admitted ops are executable").into_owned()
+                })
+                .collect();
+            // Release the operands before any waiter wakes, so a client
+            // that saw its completion `take`s them without a copy.
+            drop(results);
+            item.inputs.clear();
+            for (job, ct) in item.jobs.iter().zip(outs) {
+                // Results arrive unpinned: an unclaimed result is
+                // exactly what LRU pressure should reclaim.
                 let id = store.insert(item.tenant, ct, false);
                 let seq = seq.fetch_add(1, Ordering::Relaxed);
                 let batch = job.stats;
@@ -895,6 +930,7 @@ pub fn serve_tenants<R>(
         work_tx,
         scheduler: config.scheduler(),
         params: *ctx.params(),
+        probe_cache: ProbeCache::default(),
         tenants: keys_map,
         store: store.clone(),
         stats: stats.clone(),
@@ -992,6 +1028,90 @@ mod tests {
             store.get(1, b).err(),
             Some(ServeError::UnresolvedOperand(b))
         );
+    }
+
+    #[test]
+    fn store_get_shares_and_take_moves_an_unheld_entry() {
+        let (ctx, kp) = toy_ctx();
+        let ct = ctx.encrypt(&vec![0.1; ctx.slot_count()], &kp.public);
+        let limbs = ct.c0.limbs()[0].as_ptr();
+        let store = CtStore::new(2);
+        let id = store.insert(1, ct, true);
+        // `get` hands out the stored allocation itself.
+        let (a, b) = (store.get(1, id).unwrap(), store.get(1, id).unwrap());
+        assert!(Arc::ptr_eq(&a, &b));
+        drop((a, b));
+        // No dispatch holds it: `take` returns the inserted limbs.
+        let taken = store.take(1, id).unwrap();
+        assert_eq!(taken.c0.limbs()[0].as_ptr(), limbs);
+    }
+
+    #[test]
+    fn take_during_a_dispatch_copies_and_the_dispatch_completes() {
+        let (ctx, kp) = toy_ctx();
+        let ct = ctx.encrypt(&vec![0.3; ctx.slot_count()], &kp.public);
+        let store = CtStore::new(4);
+        let x = store.insert(1, ct.clone(), true);
+        // What the dispatcher does: resolve the operands, form the
+        // dispatch and hand it to the work channel.
+        let held = store.get(1, x).unwrap();
+        let held_limbs = held.c0.limbs()[0].as_ptr();
+        let completion = Completion::new();
+        let request = HeRequest {
+            ticket: 0,
+            tenant: 1,
+            kind: HeOpKind::Mult,
+            level: ct.level,
+            payload: Ticket {
+                operands: vec![x, x],
+                completion: completion.clone(),
+                submitted_at: Instant::now(),
+                in_flight: Arc::new(AtomicUsize::new(1)),
+            },
+        };
+        let scheduler = Scheduler::new(TpuGeneration::V6e, 4);
+        let probes = &mut ProbeCache::default();
+        let dispatch =
+            RequestQueue::dispatch_requests(vec![request], &scheduler, ctx.params(), probes);
+        let stats = BatchStats {
+            ops: 1,
+            wall_s: 0.0,
+            per_op_s: 0.0,
+        };
+        let jobs = dispatch.tickets.into_iter().map(|(req, node)| Job {
+            ticket: req.payload,
+            node,
+            stats,
+        });
+        let (tx, rx) = channel::bounded(1);
+        let item = WorkItem {
+            tenant: 1,
+            seq: 0,
+            graph: dispatch.graph,
+            schedule: dispatch.schedule,
+            inputs: vec![held.clone(), held],
+            jobs: jobs.collect(),
+        };
+        assert!(tx.send(item).is_ok());
+        drop(tx);
+
+        // The client takes the operand while the dispatch that reads
+        // it waits for a worker: equal bits, in a copy of its own.
+        let taken = store.take(1, x).unwrap();
+        assert_eq!(taken.c0.limbs(), ct.c0.limbs());
+        assert_eq!(taken.c1.limbs(), ct.c1.limbs());
+        assert_ne!(taken.c0.limbs()[0].as_ptr(), held_limbs);
+
+        // The dispatch still runs on its own reference, bit-exact.
+        let tenants = BTreeMap::from([(1, ServeKeys::new().with_relin(kp.relin.clone()))]);
+        let seq = AtomicU64::new(0);
+        assert!(worker(rx, &ctx, &tenants, &store, &seq, None).is_none());
+        let done = completion.try_wait().expect("resolved").unwrap();
+        let got = store.take(1, done.id).unwrap();
+        let want = Evaluator::new(&ctx).mult(&ct, &ct, &kp.relin);
+        assert_eq!(got.c0.limbs(), want.c0.limbs());
+        assert_eq!(got.c1.limbs(), want.c1.limbs());
+        assert_eq!(got.scale.to_bits(), want.scale.to_bits());
     }
 
     #[test]

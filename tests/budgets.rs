@@ -1,0 +1,163 @@
+//! Allocation budgets: what one unit of work allocates, counted
+//! exactly and held to a ceiling.
+//!
+//! A counting `#[global_allocator]` (std only) wraps the system
+//! allocator. A served request crosses three threads — the client, the
+//! dispatcher and the worker — so the count is process-wide, and this
+//! binary holds one test so that nothing else allocates beside it.
+//! `realloc` counts as one allocation of its new size.
+//!
+//! Each ceiling is the value measured when it was set. A change that
+//! allocates less lowers it; one that must allocate more says why.
+//! Run with `--nocapture` to see the table.
+
+use cross::ckks::{CkksContext, CkksParams};
+use cross::sched::serve::{ServeConfig, ServeKeys};
+use cross::sched::session::{serve_tenants, TenantSpec};
+use cross::sched::{CtId, HeOpKind};
+use cross::tpu::TpuGeneration;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::Duration;
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Relaxed);
+    BYTES.fetch_add(bytes as u64, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are atomics
+// and allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's guarantees for `alloc` are passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's guarantees for `alloc_zeroed` are passed on.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: the caller's guarantees for `realloc` are passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's guarantees for `dealloc` are passed on.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// `(allocations, bytes)` so far, process-wide.
+fn counts() -> (u64, u64) {
+    (ALLOCS.load(Relaxed), BYTES.load(Relaxed))
+}
+
+/// Requests served before counting, so lazily built plans and tables
+/// are in place.
+const WARM: u64 = 8;
+/// Requests counted per row.
+const ROUNDS: u64 = 32;
+
+/// One budget row: what a unit of work may allocate, on average.
+struct Row {
+    name: &'static str,
+    allocs: f64,
+    bytes: f64,
+    max_allocs: f64,
+    max_bytes: f64,
+}
+
+/// One served request, end to end: one worker, a zero batch window and
+/// one closed-loop client at toy parameters (`N = 2^10`, 4 limbs, one
+/// ciphertext 64 KiB). The client submits, waits, and takes the result
+/// out of the store; the operand stays stored.
+fn served_request_rows() -> Vec<Row> {
+    let ctx = CkksContext::new(CkksParams::toy(), 11);
+    let kp = ctx.generate_keys();
+    let rot = ctx.generate_rotation_key(&kp.secret, 1);
+    let keys = ServeKeys::new()
+        .with_relin(kp.relin.clone())
+        .with_rotation(1, rot);
+    let config = ServeConfig::new(TpuGeneration::V6e, 4)
+        .with_workers(1)
+        .with_batch_window(Duration::ZERO);
+    let ct = ctx.encrypt(&vec![0.25; ctx.slot_count()], &kp.public);
+    serve_tenants(&ctx, vec![TenantSpec::new(1, keys)], &config, |server| {
+        let s = server.session(1);
+        let x = s.insert(ct);
+        let serve = |kind: HeOpKind, operands: &[CtId]| {
+            let done = s.submit(kind, operands).unwrap().wait().unwrap();
+            drop(s.take(done.id).expect("result stored"));
+        };
+        let per_request = |kind: HeOpKind, operands: &[CtId]| -> (f64, f64) {
+            for _ in 0..WARM {
+                serve(kind, operands);
+            }
+            let (a0, b0) = counts();
+            for _ in 0..ROUNDS {
+                serve(kind, operands);
+            }
+            let (a1, b1) = counts();
+            let n = ROUNDS as f64;
+            ((a1 - a0) as f64 / n, (b1 - b0) as f64 / n)
+        };
+        let (rot_allocs, rot_bytes) = per_request(HeOpKind::Rotate { steps: 1 }, &[x]);
+        let (mult_allocs, mult_bytes) = per_request(HeOpKind::Mult, &[x, x]);
+        vec![
+            Row {
+                name: "served rotate",
+                allocs: rot_allocs,
+                bytes: rot_bytes,
+                max_allocs: 103.0,
+                max_bytes: 407_848.0,
+            },
+            Row {
+                name: "served mult",
+                allocs: mult_allocs,
+                bytes: mult_bytes,
+                max_allocs: 146.0,
+                max_bytes: 687_160.0,
+            },
+        ]
+    })
+}
+
+#[test]
+fn allocation_budgets() {
+    let rows = served_request_rows();
+    println!(
+        "{:<16} {:>10} {:>12} {:>10} {:>12}",
+        "row", "allocs", "bytes", "max", "max bytes"
+    );
+    for r in &rows {
+        println!(
+            "{:<16} {:>10.2} {:>12.1} {:>10} {:>12}",
+            r.name, r.allocs, r.bytes, r.max_allocs, r.max_bytes
+        );
+    }
+    for r in &rows {
+        assert!(
+            r.allocs <= r.max_allocs && r.bytes <= r.max_bytes,
+            "{}: {:.2} allocations, {:.1} bytes over the ceiling ({}, {})",
+            r.name,
+            r.allocs,
+            r.bytes,
+            r.max_allocs,
+            r.max_bytes
+        );
+    }
+}

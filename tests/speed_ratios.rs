@@ -19,7 +19,7 @@ use cross::ckks::costs::ExecMode;
 use cross::ckks::{CkksContext, CkksParams, Evaluator};
 use cross::core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross::core::modred::ModRed;
-use cross::math::primes;
+use cross::math::{par, primes};
 use cross::poly::ring::Domain;
 use cross::poly::{host_ntt, ntt, NttTables, PolyBatch, RnsContext};
 use cross::sched::{cost_graph, OpGraph};
@@ -157,6 +157,11 @@ fn host_ntt_within_1_05_of_radix2_and_mat3() {
 /// per-polynomial loop, and the host NTT's batch
 /// (`PolyBatch::to_evaluation`) beats the fused MAT 3-step — the
 /// Fig. 11b mechanism, and the default engine being the fastest.
+///
+/// Both races run on a thread marked with `par::mark_worker`, so every
+/// side runs on that one thread: the fused matmul would otherwise fan
+/// out over the pool while the per-polynomial loop runs on one thread,
+/// and the ratio would measure the host's core count, not fusion.
 #[test]
 #[ignore = "timing: run optimised with --ignored"]
 fn batched_ntt_fused_beats_sequential_and_host_beats_mat3() {
@@ -182,18 +187,23 @@ fn batched_ntt_fused_beats_sequential_and_host_beats_mat3() {
     let want = sequential();
     assert_eq!(fused(), want, "mat3 fused == sequential");
     assert_eq!(host().limbs()[0], want, "host batch == mat3");
-    race(
-        "batched_ntt/4096x8: mat3_fused / mat3_sequential",
-        1.0,
-        || drop(black_box(fused())),
-        || drop(black_box(sequential())),
-    );
-    race(
-        "batched_ntt/4096x8: host_fused / mat3_fused",
-        1.0,
-        || drop(black_box(host())),
-        || drop(black_box(fused())),
-    );
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            par::mark_worker();
+            race(
+                "batched_ntt/4096x8: mat3_fused / mat3_sequential",
+                1.0,
+                || drop(black_box(fused())),
+                || drop(black_box(sequential())),
+            );
+            race(
+                "batched_ntt/4096x8: host_fused / mat3_fused",
+                1.0,
+                || drop(black_box(host())),
+                || drop(black_box(fused())),
+            );
+        });
+    });
 }
 
 /// The cached-plan key switch (`key_switch_batch`) beats the pre-plan
