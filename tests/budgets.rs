@@ -5,13 +5,16 @@
 //! allocator. A served request crosses three threads — the client, the
 //! dispatcher and the worker — so the count is process-wide, and this
 //! binary holds one test so that nothing else allocates beside it.
-//! `realloc` counts as one allocation of its new size.
+//! `realloc` counts as one allocation of its new size. The eager
+//! operators run on one thread marked with `par::mark_worker`, so every
+//! kernel runs inline on it.
 //!
 //! Each ceiling is the value measured when it was set. A change that
 //! allocates less lowers it; one that must allocate more says why.
 //! Run with `--nocapture` to see the table.
 
-use cross::ckks::{CkksContext, CkksParams};
+use cross::ckks::{CkksContext, CkksParams, Evaluator, ParamSet};
+use cross::math::par;
 use cross::sched::serve::{ServeConfig, ServeKeys};
 use cross::sched::session::{serve_tenants, TenantSpec};
 use cross::sched::{CtId, HeOpKind};
@@ -72,6 +75,21 @@ const WARM: u64 = 8;
 /// Requests counted per row.
 const ROUNDS: u64 = 32;
 
+/// Average `(allocations, bytes)` of one call of `unit` over `rounds`
+/// calls, after `warm` uncounted ones.
+fn per_unit(warm: u64, rounds: u64, mut unit: impl FnMut()) -> (f64, f64) {
+    for _ in 0..warm {
+        unit();
+    }
+    let (a0, b0) = counts();
+    for _ in 0..rounds {
+        unit();
+    }
+    let (a1, b1) = counts();
+    let n = rounds as f64;
+    ((a1 - a0) as f64 / n, (b1 - b0) as f64 / n)
+}
+
 /// One budget row: what a unit of work may allocate, on average.
 struct Row {
     name: &'static str,
@@ -103,18 +121,8 @@ fn served_request_rows() -> Vec<Row> {
             let done = s.submit(kind, operands).unwrap().wait().unwrap();
             drop(s.take(done.id).expect("result stored"));
         };
-        let per_request = |kind: HeOpKind, operands: &[CtId]| -> (f64, f64) {
-            for _ in 0..WARM {
-                serve(kind, operands);
-            }
-            let (a0, b0) = counts();
-            for _ in 0..ROUNDS {
-                serve(kind, operands);
-            }
-            let (a1, b1) = counts();
-            let n = ROUNDS as f64;
-            ((a1 - a0) as f64 / n, (b1 - b0) as f64 / n)
-        };
+        let per_request =
+            |kind: HeOpKind, operands: &[CtId]| per_unit(WARM, ROUNDS, || serve(kind, operands));
         let (rot_allocs, rot_bytes) = per_request(HeOpKind::Rotate { steps: 1 }, &[x]);
         let (mult_allocs, mult_bytes) = per_request(HeOpKind::Mult, &[x, x]);
         vec![
@@ -136,9 +144,59 @@ fn served_request_rows() -> Vec<Row> {
     })
 }
 
+/// One eager operator call at Set B (`N = 2^13`, 8 limbs, one
+/// ciphertext 1 MiB) on a top-level ciphertext, after one warm call
+/// builds the plans and permutation tables it reads. The fan-out is
+/// `hoisted_rotations` over steps 1–8.
+fn eager_operator_rows() -> Vec<Row> {
+    let ctx = CkksContext::new(ParamSet::B.params(), 12);
+    let kp = ctx.generate_keys();
+    let rot: Vec<_> = (1..=8)
+        .map(|s| (s, ctx.generate_rotation_key(&kp.secret, s)))
+        .collect();
+    let fan_out: Vec<_> = rot.iter().map(|(s, k)| (*s, k)).collect();
+    let msg = vec![0.25; ctx.slot_count()];
+    let ev = Evaluator::new(&ctx);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            par::mark_worker();
+            let ct = ctx.encrypt(&msg, &kp.public);
+            let row = |name, max_allocs, max_bytes, unit: &dyn Fn()| {
+                let (allocs, bytes) = per_unit(1, 2, unit);
+                Row {
+                    name,
+                    allocs,
+                    bytes,
+                    max_allocs,
+                    max_bytes,
+                }
+            };
+            vec![
+                row("encrypt", 91.0, 5_114_304.0, &|| {
+                    drop(ctx.encrypt(&msg, &kp.public))
+                }),
+                row("add", 19.0, 1_048_968.0, &|| drop(ev.add(&ct, &ct))),
+                row("mult", 211.0, 11_357_832.0, &|| {
+                    drop(ev.mult(&ct, &ct, &kp.relin))
+                }),
+                row("rescale", 33.0, 1_966_424.0, &|| drop(ev.rescale(&ct))),
+                row("rotate", 133.0, 6_769_008.0, &|| {
+                    drop(ev.rotate(&ct, 1, &rot[0].1))
+                }),
+                row("hoisted 8 rot", 729.0, 38_942_240.0, &|| {
+                    drop(ev.hoisted_rotations(&ct, &fan_out))
+                }),
+            ]
+        })
+        .join()
+        .expect("the counting thread panicked")
+    })
+}
+
 #[test]
 fn allocation_budgets() {
-    let rows = served_request_rows();
+    let mut rows = eager_operator_rows();
+    rows.extend(served_request_rows());
     println!(
         "{:<16} {:>10} {:>12} {:>10} {:>12}",
         "row", "allocs", "bytes", "max", "max bytes"
