@@ -90,7 +90,7 @@ impl BatchedCiphertext {
     /// # Panics
     /// Panics if `cts` is empty or levels diverge.
     pub fn from_ciphertexts<'a>(cts: impl IntoIterator<Item = &'a Ciphertext>) -> Self {
-        let cts: Vec<CtView> = cts.into_iter().map(Ciphertext::view).collect();
+        let cts: Vec<CtView> = cts.into_iter().map(CtView::from).collect();
         assert!(!cts.is_empty(), "batch must be non-empty");
         let level = cts[0].level;
         assert!(
@@ -131,24 +131,6 @@ impl BatchedCiphertext {
         }
     }
 
-    /// This batch as an operand, borrowed.
-    ///
-    /// # Panics
-    /// Panics if the components and the scale list disagree on the
-    /// batch size.
-    pub fn view(&self) -> CtView<'_> {
-        assert!(
-            self.c0.batch() == self.batch() && self.c1.batch() == self.batch(),
-            "components and scales must agree on the batch size"
-        );
-        CtView {
-            c0: &self.c0,
-            c1: &self.c1,
-            level: self.level,
-            scales: &self.scales,
-        }
-    }
-
     /// The result of an operator on a one-entry view, handed back
     /// without copying a residue.
     pub(crate) fn into_single(self) -> Ciphertext {
@@ -167,17 +149,39 @@ impl BatchedCiphertext {
     }
 }
 
+/// A batch as an operand.
+///
+/// # Panics
+/// Panics if the components and the scale list disagree on the batch
+/// size.
+impl<'a> From<&'a BatchedCiphertext> for CtView<'a> {
+    fn from(batch: &'a BatchedCiphertext) -> Self {
+        assert!(
+            batch.c0.batch() == batch.batch() && batch.c1.batch() == batch.batch(),
+            "components and scales must agree on the batch size"
+        );
+        CtView {
+            c0: &batch.c0,
+            c1: &batch.c1,
+            level: batch.level,
+            scales: &batch.scales,
+        }
+    }
+}
+
 impl<'a> Evaluator<'a> {
-    /// Rescale on the key-switching fast path: only the
+    /// Batched rescale on the key-switching fast path: only the
     /// dropped limb leaves the evaluation domain (`1 INTT + (l-1) NTT`
     /// instead of `l INTT + (l-1) NTT`), the surviving limbs are
     /// updated pointwise in evaluation form — exact by NTT linearity:
     /// `NTT((c_i − cl_i)·q_last⁻¹) = (NTT(c_i) − NTT(cl_i))·q_last⁻¹`
     /// since every map involved is an exact function mod `q_i` — and
     /// `q_last⁻¹ mod q_i` comes as a precomputed Shoup pair off the
-    /// cached [`KsPlan`]. The one body behind [`Evaluator::rescale`] and
-    /// [`Evaluator::rescale_batch`].
-    pub fn rescale_view(&self, ct: CtView) -> BatchedCiphertext {
+    /// cached [`KsPlan`]. [`Evaluator::rescale`] is its batch-of-one
+    /// call. Bit-exact with [`Evaluator::rescale_batch_reference`]
+    /// (`tests/ks_fast.rs`).
+    pub fn rescale_batch<'c>(&self, ct: impl Into<CtView<'c>>) -> BatchedCiphertext {
+        let ct = ct.into();
         assert!(ct.level >= 2, "cannot rescale at level 1");
         let ctx = self.context();
         let l = ct.level;
@@ -272,13 +276,13 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Batched hybrid key switching on the cached-plan fast path:
+    /// Hybrid key switching (paper \[37\]) on the cached-plan fast path:
     /// digit decomposition, fast base extension and the key inner
     /// products all run over the fused `batch · N` rows (the BConv
     /// matmul sees `N·batch` streamed rows, the key limbs broadcast
     /// across the batch); a single polynomial is the batch-of-one
     /// call. Returns `(out0, out1)` with `out0 + out1·s ≈ d·s'`.
-    /// Bit-exact with [`Evaluator::key_switch_batch_reference`]
+    /// Bit-exact with [`Evaluator::key_switch_reference`]
     /// (`tests/ks_fast.rs`).
     ///
     /// The two halves of the fast path (DESIGN.md §12) back to back:
@@ -300,7 +304,7 @@ impl<'a> Evaluator<'a> {
     ///    residue of the same sum, so bit-identical to the strict
     ///    add-per-digit chain — and the key is read as stored, with no
     ///    Shoup companion to build, hold or stream.
-    pub fn key_switch_batch(&self, d: &PolyBatch, key: &SwitchingKey) -> (PolyBatch, PolyBatch) {
+    pub fn key_switch(&self, d: &PolyBatch, key: &SwitchingKey) -> (PolyBatch, PolyBatch) {
         let digits = self.ks_decompose(d);
         self.ks_apply(&d.in_domain(Domain::Evaluation), &digits, key, None)
     }
@@ -485,9 +489,9 @@ impl<'a> Evaluator<'a> {
     /// The pre-plan key-switch oracle: per-call kernel compilation,
     /// full `l+k`-limb NTT of every extended digit, strict add-reduce
     /// per digit. Kept as the differential reference for
-    /// [`Evaluator::key_switch_batch`]; `tests/ks_fast.rs` pins the two
+    /// [`Evaluator::key_switch`]; `tests/ks_fast.rs` pins the two
     /// bit-identical and `tests/speed_ratios.rs` races them.
-    pub fn key_switch_batch_reference(
+    pub fn key_switch_reference(
         &self,
         d: &PolyBatch,
         key: &SwitchingKey,
@@ -681,8 +685,8 @@ mod tests {
         let ct = ctx.encrypt(&messages(&ctx, 1, 0.29)[0], &kp.public);
         for level in [8usize, 5] {
             let d = ev.mod_drop(&ct, level).c1;
-            let fast = ev.key_switch_batch(&d, &kp.relin);
-            let reference = ev.key_switch_batch_reference(&d, &kp.relin);
+            let fast = ev.key_switch(&d, &kp.relin);
+            let reference = ev.key_switch_reference(&d, &kp.relin);
             assert_eq!(fast.0.limbs(), reference.0.limbs(), "level {level} out0");
             assert_eq!(fast.1.limbs(), reference.1.limbs(), "level {level} out1");
         }

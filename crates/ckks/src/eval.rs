@@ -1,17 +1,20 @@
 //! Homomorphic evaluation: the four backbone HE operators of the paper
 //! (HE-Add, HE-Mult, Rescale, Rotate) plus hybrid key switching.
 //!
-//! Every operator has **one body**, written over the borrowed
-//! `CtView` that both a [`Ciphertext`] and a [`BatchedCiphertext`]
-//! lend for free. The eager method and its `*_batch` form are two
-//! signatures over that body — a single ciphertext is the `batch = 1`
+//! Every operator has **one body** and two public forms. The `*_batch`
+//! form holds the body: it takes any borrowed operand — a
+//! [`&Ciphertext`](Ciphertext), a [`&BatchedCiphertext`](BatchedCiphertext)
+//! or a [`CtView`] of either, each converted into the view at the
+//! signature without copying a residue — and returns a
+//! [`BatchedCiphertext`]. The eager form (`&Ciphertext → Ciphertext`)
+//! is its batch-of-one call. A single ciphertext is the `batch = 1`
 //! point of the paper's streamed batch dimension (Fig. 11b, §V-A), not
-//! a different program — so batched ≡ eager holds by construction
+//! a different program, so batched ≡ eager holds by construction
 //! (`tests/batched_equivalence.rs` still pins it per operator). The
 //! key-switch and rescale kernels live in [`crate::batched`].
 
 use crate::batched::{BatchedCiphertext, KsDigits};
-use crate::ciphertext::{Ciphertext, CtView};
+use crate::ciphertext::{scales_agree, Ciphertext, CtView};
 use crate::context::CkksContext;
 use crate::keys::SwitchingKey;
 use cross_poly::rns_poly::RnsPoly;
@@ -61,16 +64,12 @@ impl<'a> Evaluator<'a> {
     /// context — one allocation per polynomial regardless of how many
     /// levels are dropped.
     pub fn mod_drop(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
-        self.mod_drop_view(ct.view(), level).into_single()
+        self.mod_drop_batch(ct, level).into_single()
     }
 
     /// Batched modulus drop to `level` (scales unchanged).
-    pub fn mod_drop_batch(&self, ct: &BatchedCiphertext, level: usize) -> BatchedCiphertext {
-        self.mod_drop_view(ct.view(), level)
-    }
-
-    /// Modulus drop of a borrowed operand of any batch size.
-    pub fn mod_drop_view(&self, ct: CtView, level: usize) -> BatchedCiphertext {
+    pub fn mod_drop_batch<'c>(&self, ct: impl Into<CtView<'c>>, level: usize) -> BatchedCiphertext {
+        let ct = ct.into();
         assert!(level >= 1 && level <= ct.level, "cannot raise levels");
         let new_ctx = self.ctx.level_ctx(level).clone();
         BatchedCiphertext {
@@ -91,14 +90,14 @@ impl<'a> Evaluator<'a> {
         let a = if a.level == level {
             a
         } else {
-            dropped_a = self.mod_drop_view(a, level);
-            dropped_a.view()
+            dropped_a = self.mod_drop_batch(a, level);
+            CtView::from(&dropped_a)
         };
         let b = if b.level == level {
             b
         } else {
-            dropped_b = self.mod_drop_view(b, level);
-            dropped_b.view()
+            dropped_b = self.mod_drop_batch(b, level);
+            CtView::from(&dropped_b)
         };
         f(a, b)
     }
@@ -110,34 +109,32 @@ impl<'a> Evaluator<'a> {
     /// silently corrupt CKKS messages; sub-percent drift from unequal
     /// rescale moduli is the approximation CKKS tolerates by design).
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.add_view(a.view(), b.view()).into_single()
+        self.add_batch(a, b).into_single()
     }
 
     /// Batched HE-Add (per-entry scale check).
-    pub fn add_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
-        self.add_view(a.view(), b.view())
-    }
-
-    /// HE-Add of borrowed operands of any batch size.
-    pub fn add_view(&self, a: CtView, b: CtView) -> BatchedCiphertext {
-        self.linear(a, b, PolyBatch::add)
+    pub fn add_batch<'c>(
+        &self,
+        a: impl Into<CtView<'c>>,
+        b: impl Into<CtView<'c>>,
+    ) -> BatchedCiphertext {
+        self.linear(a.into(), b.into(), PolyBatch::add)
     }
 
     /// HE-Sub. Same contract as [`Evaluator::add`]: operands align to
     /// the lower level, scales must agree within the 1 % CKKS drift
     /// tolerance.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.sub_view(a.view(), b.view()).into_single()
+        self.sub_batch(a, b).into_single()
     }
 
     /// Batched HE-Sub (per-entry scale check).
-    pub fn sub_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
-        self.sub_view(a.view(), b.view())
-    }
-
-    /// HE-Sub of borrowed operands of any batch size.
-    pub fn sub_view(&self, a: CtView, b: CtView) -> BatchedCiphertext {
-        self.linear(a, b, PolyBatch::sub)
+    pub fn sub_batch<'c>(
+        &self,
+        a: impl Into<CtView<'c>>,
+        b: impl Into<CtView<'c>>,
+    ) -> BatchedCiphertext {
+        self.linear(a.into(), b.into(), PolyBatch::sub)
     }
 
     /// The component-wise operators: `op` on both components at the
@@ -150,7 +147,7 @@ impl<'a> Evaluator<'a> {
     ) -> BatchedCiphertext {
         self.with_aligned(a, b, |a, b| {
             for (sa, sb) in a.scales.iter().zip(b.scales) {
-                assert!((sa / sb - 1.0).abs() < 1e-2, "scale mismatch: {sa} vs {sb}");
+                assert!(scales_agree(*sa, *sb), "scale mismatch: {sa} vs {sb}");
             }
             BatchedCiphertext {
                 c0: op(a.c0, b.c0),
@@ -172,21 +169,18 @@ impl<'a> Evaluator<'a> {
     /// silently corrupts the message (the deep-chain footgun this
     /// guard exists for; see DESIGN.md §13).
     pub fn add_plain(&self, ct: &Ciphertext, pt: &RnsPoly, pt_scale: f64) -> Ciphertext {
-        self.add_plain_view(ct.view(), pt, pt_scale).into_single()
+        self.add_plain_batch(ct, pt, pt_scale).into_single()
     }
 
     /// Batched plaintext addition: one plaintext broadcast across every
     /// entry, each entry's scale checked against `pt_scale`.
-    pub fn add_plain_batch(
+    pub fn add_plain_batch<'c>(
         &self,
-        ct: &BatchedCiphertext,
+        ct: impl Into<CtView<'c>>,
         pt: &RnsPoly,
         pt_scale: f64,
     ) -> BatchedCiphertext {
-        self.add_plain_view(ct.view(), pt, pt_scale)
-    }
-
-    fn add_plain_view(&self, ct: CtView, pt: &RnsPoly, pt_scale: f64) -> BatchedCiphertext {
+        let ct = ct.into();
         assert_eq!(
             pt.level_count(),
             ct.level,
@@ -194,7 +188,7 @@ impl<'a> Evaluator<'a> {
         );
         for s in ct.scales {
             assert!(
-                (s / pt_scale - 1.0).abs() < 1e-2,
+                scales_agree(*s, pt_scale),
                 "plaintext scale mismatch: ct at {s}, plaintext encoded at {pt_scale}"
             );
         }
@@ -216,24 +210,19 @@ impl<'a> Evaluator<'a> {
     /// point the scaled message wraps mod `Q` and every later op
     /// silently mis-tracks.
     pub fn mult_plain(&self, ct: &Ciphertext, pt: &RnsPoly, pt_scale: f64) -> Ciphertext {
-        self.mult_plain_view(ct.view(), pt, pt_scale).into_single()
+        self.mult_plain_batch(ct, pt, pt_scale).into_single()
     }
 
     /// Batched ciphertext × plaintext multiply: one plaintext
     /// (evaluation domain, encoded at the batch level) broadcast
     /// across every entry; result scales are `scales[b] · pt_scale`.
-    pub fn mult_plain_batch(
+    pub fn mult_plain_batch<'c>(
         &self,
-        ct: &BatchedCiphertext,
+        ct: impl Into<CtView<'c>>,
         pt: &RnsPoly,
         pt_scale: f64,
     ) -> BatchedCiphertext {
-        self.mult_plain_view(ct.view(), pt, pt_scale)
-    }
-
-    /// Ciphertext × plaintext multiply of a borrowed operand of any
-    /// batch size.
-    pub fn mult_plain_view(&self, ct: CtView, pt: &RnsPoly, pt_scale: f64) -> BatchedCiphertext {
+        let ct = ct.into();
         assert_eq!(
             pt.level_count(),
             ct.level,
@@ -267,34 +256,29 @@ impl<'a> Evaluator<'a> {
     /// HE-Mult: tensor product, relinearization with the `s²` switching
     /// key, then one rescale.
     pub fn mult(&self, a: &Ciphertext, b: &Ciphertext, relin: &SwitchingKey) -> Ciphertext {
-        self.mult_view(a.view(), b.view(), relin).into_single()
+        self.mult_batch(a, b, relin).into_single()
     }
 
     /// Batched HE-Mult: fused tensor products, one batched key switch,
     /// one batched rescale.
-    pub fn mult_batch(
+    pub fn mult_batch<'c>(
         &self,
-        a: &BatchedCiphertext,
-        b: &BatchedCiphertext,
+        a: impl Into<CtView<'c>>,
+        b: impl Into<CtView<'c>>,
         relin: &SwitchingKey,
     ) -> BatchedCiphertext {
-        self.mult_view(a.view(), b.view(), relin)
-    }
-
-    /// HE-Mult of borrowed operands of any batch size.
-    pub fn mult_view(&self, a: CtView, b: CtView, relin: &SwitchingKey) -> BatchedCiphertext {
-        self.with_aligned(a, b, |a, b| {
+        self.with_aligned(a.into(), b.into(), |a, b| {
             let d0 = a.c0.mul_pointwise(b.c0);
             let d1 = a.c0.mul_pointwise(b.c1).add(&a.c1.mul_pointwise(b.c0));
             let d2 = a.c1.mul_pointwise(b.c1);
-            let (k0, k1) = self.key_switch_batch(&d2, relin);
+            let (k0, k1) = self.key_switch(&d2, relin);
             let ct = BatchedCiphertext {
                 c0: d0.add(&k0),
                 c1: d1.add(&k1),
                 level: a.level,
                 scales: a.scales.iter().zip(b.scales).map(|(x, y)| x * y).collect(),
             };
-            self.rescale_view(ct.view())
+            self.rescale_batch(&ct)
         })
     }
 
@@ -305,13 +289,7 @@ impl<'a> Evaluator<'a> {
     /// # Panics
     /// Panics at level 1 (no limb left to drop).
     pub fn rescale(&self, ct: &Ciphertext) -> Ciphertext {
-        self.rescale_view(ct.view()).into_single()
-    }
-
-    /// Batched rescale. Bit-exact with
-    /// [`Evaluator::rescale_batch_reference`] (`tests/ks_fast.rs`).
-    pub fn rescale_batch(&self, ct: &BatchedCiphertext) -> BatchedCiphertext {
-        self.rescale_view(ct.view())
+        self.rescale_batch(ct).into_single()
     }
 
     /// HE-Rotate by `steps` slots (Galois automorphism + key switch):
@@ -320,48 +298,34 @@ impl<'a> Evaluator<'a> {
     /// hoist_decompose`] followed by [`Evaluator::hoisted_rotate`], so
     /// the two stay bit-identical by construction.
     pub fn rotate(&self, ct: &Ciphertext, steps: usize, rot_key: &SwitchingKey) -> Ciphertext {
-        self.rotate_view(ct.view(), steps, rot_key).into_single()
+        self.rotate_batch(ct, steps, rot_key).into_single()
     }
 
     /// Batched HE-Rotate by `steps` slots: one batched decomposition
     /// and one batched Galois tail.
-    pub fn rotate_batch(
+    pub fn rotate_batch<'c>(
         &self,
-        ct: &BatchedCiphertext,
+        ct: impl Into<CtView<'c>>,
         steps: usize,
         rot_key: &SwitchingKey,
     ) -> BatchedCiphertext {
-        self.rotate_view(ct.view(), steps, rot_key)
-    }
-
-    /// HE-Rotate of a borrowed operand of any batch size.
-    pub fn rotate_view(
-        &self,
-        ct: CtView,
-        steps: usize,
-        rot_key: &SwitchingKey,
-    ) -> BatchedCiphertext {
-        self.galois(ct, self.ctx.galois_element(steps), rot_key)
+        self.galois(ct.into(), self.ctx.galois_element(steps), rot_key)
     }
 
     /// Slot-wise complex conjugation (`σ_{2N-1}` + key switch with the
     /// conjugation key).
     pub fn conjugate(&self, ct: &Ciphertext, conj_key: &SwitchingKey) -> Ciphertext {
-        self.galois(ct.view(), self.conjugation_element(), conj_key)
-            .into_single()
+        self.conjugate_batch(ct, conj_key).into_single()
     }
 
     /// Batched slot-wise complex conjugation.
-    pub fn conjugate_batch(
+    pub fn conjugate_batch<'c>(
         &self,
-        ct: &BatchedCiphertext,
+        ct: impl Into<CtView<'c>>,
         conj_key: &SwitchingKey,
     ) -> BatchedCiphertext {
-        self.galois(ct.view(), self.conjugation_element(), conj_key)
-    }
-
-    fn conjugation_element(&self) -> u64 {
-        2 * self.ctx.params().n as u64 - 1
+        let g = 2 * self.ctx.params().n as u64 - 1;
+        self.galois(ct.into(), g, conj_key)
     }
 
     /// A whole Galois operation: decompose, then the shared tail.
@@ -390,7 +354,7 @@ impl<'a> Evaluator<'a> {
     /// commute with the sign flips), which is why every Galois path of
     /// this crate runs this one order (DESIGN.md §12).
     pub fn hoist_decompose(&self, ct: &Ciphertext) -> HoistedDecomposition {
-        let ct = ct.view();
+        let ct = CtView::from(ct);
         HoistedDecomposition {
             c0: ct.c0.clone(),
             c1: ct.c1.clone(),
@@ -427,7 +391,7 @@ impl<'a> Evaluator<'a> {
         ct: &Ciphertext,
         rotations: &[(usize, &SwitchingKey)],
     ) -> Vec<Ciphertext> {
-        let ct = ct.view();
+        let ct = CtView::from(ct);
         let digits = self.ks_decompose(ct.c1);
         rotations
             .iter()
@@ -458,13 +422,6 @@ impl<'a> Evaluator<'a> {
             level: ct.level,
             scales: ct.scales.to_vec(),
         }
-    }
-
-    /// Hybrid key switching (paper \[37\]) of one polynomial: the
-    /// batch-of-one spelling of [`Evaluator::key_switch_batch`].
-    /// Returns `(out0, out1)` with `out0 + out1·s ≈ d·s'`.
-    pub fn key_switch(&self, d: &RnsPoly, key: &SwitchingKey) -> (RnsPoly, RnsPoly) {
-        self.key_switch_batch(d, key)
     }
 }
 

@@ -46,7 +46,7 @@ pub mod ks_plan;
 pub mod params;
 
 pub use batched::BatchedCiphertext;
-pub use ciphertext::{Ciphertext, CtView};
+pub use ciphertext::{scales_agree, Ciphertext, CtView, SCALE_TOLERANCE};
 pub use context::CkksContext;
 pub use encoder::CkksEncoder;
 pub use eval::{Evaluator, HoistedDecomposition};

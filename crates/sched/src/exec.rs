@@ -3,7 +3,7 @@
 //! [`BatchedCiphertext`] kernels.
 //!
 //! Both paths are **bit-exact** with calling the evaluator eagerly:
-//! every op goes through the evaluator's `*_view` operators, whose
+//! every op goes through the evaluator's `*_batch` operators, whose
 //! bodies the eager methods share (a lone op runs on its operand's
 //! borrowed view, exactly as an eager call does), and batch entries
 //! never interact (`tests/batched_equivalence.rs`).
@@ -124,8 +124,8 @@ impl<'c> Operand<'c> {
 
     fn view(&self) -> CtView<'_> {
         match self {
-            Self::One(ct) => ct.view(),
-            Self::Packed(batch) => batch.view(),
+            Self::One(ct) => CtView::from(&**ct),
+            Self::Packed(batch) => CtView::from(batch),
         }
     }
 }
@@ -150,15 +150,15 @@ fn exec_group(
     let a = || Operand::new(ev, lhs, level);
     let b = || Operand::new(ev, rhs, level);
     let out = match op {
-        BatchedOp::Add => ev.add_view(a().view(), b().view()),
-        BatchedOp::Sub => ev.sub_view(a().view(), b().view()),
-        BatchedOp::Mult => ev.mult_view(a().view(), b().view(), keys.relin()),
+        BatchedOp::Add => ev.add_batch(a().view(), b().view()),
+        BatchedOp::Sub => ev.sub_batch(a().view(), b().view()),
+        BatchedOp::Mult => ev.mult_batch(a().view(), b().view(), keys.relin()),
         BatchedOp::PlainMultConst { cid } => {
             // One encode, broadcast across the whole group.
             let (value, pt_scale) = keys.mult_const(cid);
             let ctx = ev.context();
             let pt = ctx.encode_at(&vec![value; ctx.slot_count()], level, pt_scale);
-            ev.mult_plain_view(a().view(), &pt, pt_scale)
+            ev.mult_plain_batch(a().view(), &pt, pt_scale)
         }
         BatchedOp::PlainAddConst { cid } => {
             // Each member encodes its constant at its *own* (level,
@@ -175,9 +175,9 @@ fn exec_group(
                 })
                 .collect();
         }
-        BatchedOp::Rotate { steps } => ev.rotate_view(a().view(), steps, keys.rotation(steps)),
-        BatchedOp::Rescale => ev.rescale_view(a().view()),
-        BatchedOp::ModDrop { to_level } => ev.mod_drop_view(a().view(), to_level),
+        BatchedOp::Rotate { steps } => ev.rotate_batch(a().view(), steps, keys.rotation(steps)),
+        BatchedOp::Rescale => ev.rescale_batch(a().view()),
+        BatchedOp::ModDrop { to_level } => ev.mod_drop_batch(a().view(), to_level),
     };
     out.into_ciphertexts()
 }

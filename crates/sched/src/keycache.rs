@@ -31,7 +31,6 @@
 //! slower for tenants whose keys went cold. Bit-exactness across
 //! evictions and re-admissions is pinned by `tests/serve_tenants.rs`.
 
-use crate::ir::HeOpKind;
 use crate::queue::TenantId;
 use cross_ckks::costs;
 use cross_tpu::TpuGeneration;
@@ -48,14 +47,6 @@ pub enum KeyRef {
     /// The rotation key for this step count (`Rotate`,
     /// `HoistedRotate`).
     Rotation(usize),
-}
-
-impl KeyRef {
-    /// The key `kind` loads, or `None` for un-keyed ops
-    /// ([`crate::ir::KindRow::key`]).
-    pub fn of(kind: HeOpKind) -> Option<KeyRef> {
-        kind.row().key
-    }
 }
 
 /// Lifetime counters of a [`KeyCache`].
@@ -184,21 +175,6 @@ mod tests {
 
     fn cache(capacity: f64) -> KeyCache {
         KeyCache::new(TpuGeneration::V6e, 4, capacity)
-    }
-
-    #[test]
-    fn keyref_of_maps_keyed_kinds_only() {
-        assert_eq!(KeyRef::of(HeOpKind::Mult), Some(KeyRef::Relin));
-        assert_eq!(
-            KeyRef::of(HeOpKind::Rotate { steps: 3 }),
-            Some(KeyRef::Rotation(3))
-        );
-        assert_eq!(
-            KeyRef::of(HeOpKind::HoistedRotate { steps: 3 }),
-            Some(KeyRef::Rotation(3))
-        );
-        assert_eq!(KeyRef::of(HeOpKind::Add), None);
-        assert_eq!(KeyRef::of(HeOpKind::Rescale), None);
     }
 
     #[test]

@@ -305,19 +305,6 @@ pub struct FusedBatch {
     pub wall_s: f64,
 }
 
-impl FusedBatch {
-    /// The one switching key every member op loads (`None` for
-    /// un-keyed batches). Sharing this key is part of what makes the
-    /// members fusable — and why a multi-tenant serving loop never
-    /// fuses across tenants: each tenant owns its own key material, so
-    /// the batch's key is only well-defined within one tenant. The
-    /// loop [`touch`](crate::keycache::KeyCache::touch)es this ref
-    /// (tenant-qualified) before executing the batch.
-    pub(crate) fn key_ref(&self) -> Option<crate::keycache::KeyRef> {
-        crate::keycache::KeyRef::of(self.kind)
-    }
-}
-
 /// A full schedule: fused batches in execution order (wave-major).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {

@@ -121,7 +121,8 @@ impl ServeKeys {
         }
     }
 
-    pub fn replay(&self) -> ReplayKeys<'_> {
+    /// These keys as the executor reads them.
+    pub(crate) fn replay(&self) -> ReplayKeys<'_> {
         let mut keys = ReplayKeys::new();
         if let Some(k) = &self.relin {
             keys = keys.with_relin(k);

@@ -90,7 +90,7 @@
 //! ```
 
 use crate::channel::{self, Receiver, Sender, TrySendError};
-use crate::exec::execute_borrowed;
+use crate::exec::{execute_borrowed, ReplayKeys};
 use crate::ir::{ExecOp, HeOpKind, NodeId};
 use crate::keycache::KeyCache;
 use crate::queue::{
@@ -99,7 +99,7 @@ use crate::queue::{
 };
 use crate::sched::{ProbeCache, Schedule, Scheduler};
 use crate::serve::{ServeConfig, ServeKeys, ServeStats, SubmitError};
-use cross_ckks::{Ciphertext, CkksContext, Evaluator};
+use cross_ckks::{scales_agree, Ciphertext, CkksContext, Evaluator};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -182,6 +182,22 @@ struct StoreInner {
     evictions: u64,
 }
 
+impl StoreInner {
+    /// The entry `id` if `tenant` owns it, else the precise reason:
+    /// never allocated / already taken →
+    /// [`ServeError::UnresolvedOperand`]; reclaimed by pressure →
+    /// [`ServeError::Evicted`]; owned by someone else →
+    /// [`ServeError::CrossTenant`].
+    fn owned(&mut self, tenant: TenantId, id: CtId) -> Result<&mut StoreEntry, ServeError> {
+        match self.entries.get_mut(&id) {
+            Some(e) if e.tenant == tenant => Ok(e),
+            Some(_) => Err(ServeError::CrossTenant(id)),
+            None if self.evicted.contains(&id) => Err(ServeError::Evicted(id)),
+            None => Err(ServeError::UnresolvedOperand(id)),
+        }
+    }
+}
+
 /// The serving loop's shared ciphertext store: entries are owned by
 /// the inserting tenant, the population is capped, and unpinned
 /// entries are evicted least-recently-used under pressure. An entry is
@@ -238,48 +254,16 @@ impl CtStore {
         id
     }
 
-    fn err_for_missing(st: &StoreInner, id: CtId) -> ServeError {
-        if st.evicted.contains(&id) {
-            ServeError::Evicted(id)
-        } else {
-            ServeError::UnresolvedOperand(id)
-        }
-    }
-
     /// Shares out `id` for `tenant` — the stored allocation itself, not
-    /// a copy — refreshing its LRU position. Fails with the precise
-    /// reason: never allocated / already taken →
-    /// [`ServeError::UnresolvedOperand`]; reclaimed by pressure →
-    /// [`ServeError::Evicted`]; owned by someone else →
-    /// [`ServeError::CrossTenant`].
+    /// a copy — refreshing its LRU position. Fails as
+    /// [`StoreInner::owned`] does.
     fn get(&self, tenant: TenantId, id: CtId) -> Result<Arc<Ciphertext>, ServeError> {
         let mut st = self.inner.lock().unwrap();
         st.clock += 1;
         let clock = st.clock;
-        let Some(e) = st.entries.get_mut(&id) else {
-            return Err(Self::err_for_missing(&st, id));
-        };
-        if e.tenant != tenant {
-            return Err(ServeError::CrossTenant(id));
-        }
+        let e = st.owned(tenant, id)?;
         e.last_used = clock;
         Ok(Arc::clone(&e.ct))
-    }
-
-    /// Level and scale of `id` without cloning the ciphertext — the
-    /// dispatcher's validation probe.
-    fn inspect(&self, tenant: TenantId, id: CtId) -> Result<(usize, f64), ServeError> {
-        let mut st = self.inner.lock().unwrap();
-        st.clock += 1;
-        let clock = st.clock;
-        let Some(e) = st.entries.get_mut(&id) else {
-            return Err(Self::err_for_missing(&st, id));
-        };
-        if e.tenant != tenant {
-            return Err(ServeError::CrossTenant(id));
-        }
-        e.last_used = clock;
-        Ok((e.ct.level, e.ct.scale))
     }
 
     /// Removes `id` if `tenant` owns it. The ciphertext is moved out
@@ -287,23 +271,14 @@ impl CtStore {
     fn take(&self, tenant: TenantId, id: CtId) -> Option<Ciphertext> {
         let entry = {
             let mut st = self.inner.lock().unwrap();
-            if st.entries.get(&id)?.tenant != tenant {
-                return None;
-            }
+            st.owned(tenant, id).ok()?;
             st.entries.remove(&id)?
         };
         Some(Arc::unwrap_or_clone(entry.ct))
     }
 
     fn set_pinned(&self, tenant: TenantId, id: CtId, pinned: bool) -> Result<(), ServeError> {
-        let mut st = self.inner.lock().unwrap();
-        let Some(e) = st.entries.get_mut(&id) else {
-            return Err(Self::err_for_missing(&st, id));
-        };
-        if e.tenant != tenant {
-            return Err(ServeError::CrossTenant(id));
-        }
-        e.pinned = pinned;
+        self.inner.lock().unwrap().owned(tenant, id)?.pinned = pinned;
         Ok(())
     }
 
@@ -649,19 +624,18 @@ impl Dispatcher<'_> {
         if row.key.is_some_and(|key| keys.key_bytes(key).is_none()) {
             return Err(ServeError::MissingKey(row.label));
         }
-        let shapes = operands
+        let cts = operands
             .iter()
-            .map(|&id| self.store.inspect(sub.tenant, id))
+            .map(|&id| self.store.get(sub.tenant, id))
             .collect::<Result<Vec<_>, _>>()?;
-        let level = shapes.iter().map(|&(l, _)| l).min().expect("arity ≥ 1");
+        let level = cts.iter().map(|ct| ct.level).min().expect("arity ≥ 1");
         // The level rule `OpGraph::add_op` asserts when the dispatch
         // graph is formed.
         if row.level.result_level(level).is_none() {
             return Err(ServeError::InvalidLevel(row.label));
         }
-        // The evaluator's own Add/Sub tolerance: sub-percent scale
-        // drift is fine, more corrupts the message.
-        if scale_checked && (shapes[0].1 / shapes[1].1 - 1.0).abs() >= 1e-2 {
+        // The evaluator's own Add/Sub rule.
+        if scale_checked && !scales_agree(cts[0].scale, cts[1].scale) {
             return Err(ServeError::ScaleMismatch);
         }
         Ok(level)
@@ -701,7 +675,7 @@ impl Dispatcher<'_> {
         // Per-node batch stats from the formed schedule.
         let mut stat_of: BTreeMap<NodeId, BatchStats> = BTreeMap::new();
         for batch in &schedule.batches {
-            if let Some(kr) = batch.key_ref() {
+            if let Some(kr) = batch.kind.row().key {
                 let bytes = keys.key_bytes(kr).expect("key presence validated at admit");
                 admit_s += self.cache.touch(tenant, kr, bytes);
             }
@@ -817,7 +791,7 @@ impl Dispatcher<'_> {
 fn worker(
     rx: Receiver<WorkItem>,
     ctx: &CkksContext,
-    tenants: &BTreeMap<TenantId, ServeKeys>,
+    tenants: &BTreeMap<TenantId, ReplayKeys>,
     store: &CtStore,
     seq: &AtomicU64,
     panic_at: Option<u64>,
@@ -835,10 +809,9 @@ fn worker(
             if panic_at == Some(item.seq) {
                 panic!("injected worker fault at dispatch {}", item.seq);
             }
-            let replay_keys = tenants[&item.tenant].replay();
             let inputs = item.inputs.iter().map(|ct| &**ct);
-            let mut results =
-                execute_borrowed(&item.graph, &item.schedule, &ev, &replay_keys, inputs);
+            let keys = &tenants[&item.tenant];
+            let mut results = execute_borrowed(&item.graph, &item.schedule, &ev, keys, inputs);
             // Move (not clone) each result out of its slot — a ticket
             // node is computed, so its slot is owned, and each node
             // has one ticket.
@@ -924,6 +897,11 @@ pub fn serve_tenants<R>(
         );
     }
     let keys_map = &keys_map;
+    // Each tenant's keys as the executor reads them, built once and
+    // borrowed by every worker.
+    let replay_keys: BTreeMap<TenantId, ReplayKeys> =
+        keys_map.iter().map(|(&id, k)| (id, k.replay())).collect();
+    let replay_keys = &replay_keys;
 
     let dispatcher = Dispatcher {
         rx,
@@ -955,7 +933,7 @@ pub fn serve_tenants<R>(
                     if config.workers > 1 {
                         cross_math::par::mark_worker();
                     }
-                    worker(rx, ctx, keys_map, &store, seq, panic_at)
+                    worker(rx, ctx, replay_keys, &store, seq, panic_at)
                 })
             })
             .collect();
@@ -1103,7 +1081,7 @@ mod tests {
         assert_ne!(taken.c0.limbs()[0].as_ptr(), held_limbs);
 
         // The dispatch still runs on its own reference, bit-exact.
-        let tenants = BTreeMap::from([(1, ServeKeys::new().with_relin(kp.relin.clone()))]);
+        let tenants = BTreeMap::from([(1, ReplayKeys::new().with_relin(&kp.relin))]);
         let seq = AtomicU64::new(0);
         assert!(worker(rx, &ctx, &tenants, &store, &seq, None).is_none());
         let done = completion.try_wait().expect("resolved").unwrap();

@@ -19,6 +19,7 @@
 use crate::exec::ReplayKeys;
 use crate::ir::{HeOpKind, NodeId, OpGraph};
 use crate::queue::TenantId;
+use cross_ckks::SCALE_TOLERANCE;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -84,12 +85,12 @@ fn scale_ok(s: f64) -> bool {
     s.is_finite() && s.abs() > 1e-120 && s.abs() < 1e120
 }
 
-/// Whether the evaluator's `Add` accepts the pair. Half the 1 %
-/// tolerance the evaluator enforces, so the margin survives any
+/// Whether the evaluator's `Add` accepts the pair, with half of
+/// [`cross_ckks::scales_agree`]'s tolerance, so the margin survives any
 /// tracking-vs-replay rounding (there is none — tracking mirrors the
 /// arithmetic exactly — but the margin is free).
 fn add_compatible(sa: f64, sb: f64) -> bool {
-    (sa / sb - 1.0).abs() < 5e-3
+    (sa / sb - 1.0).abs() < SCALE_TOLERANCE / 2.0
 }
 
 /// Deterministically generates a valid random graph: same `(seed,

@@ -8,7 +8,7 @@
 //! path is the batch-of-one call of the same code, so what these pin is
 //! that batch entries never interact.
 
-use cross::ckks::{BatchedCiphertext, CkksContext, CkksParams, Evaluator};
+use cross::ckks::{BatchedCiphertext, CkksContext, CkksParams, CtView, Evaluator};
 use cross::core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross::core::modred::ModRed;
 use cross::math::primes;
@@ -67,6 +67,65 @@ fn boundary_setup() -> (CkksContext, cross::ckks::Ciphertext, RnsPoly) {
     let ct = ctx.encrypt(&msg, &kp.public);
     let pt = ctx.encode(&msg);
     (ctx, ct, pt)
+}
+
+/// Every `*_batch` entry takes any borrowed operand — a `&Ciphertext`,
+/// a one-entry `&BatchedCiphertext`, a `CtView` of either, or a mix —
+/// and gives the eager form's bits on each.
+#[test]
+fn every_batch_entry_gives_the_same_bits_on_any_borrowed_operand() {
+    let ctx = CkksContext::new(CkksParams::toy(), 0xF01D);
+    let kp = ctx.generate_keys();
+    let rk = ctx.generate_rotation_key(&kp.secret, 1);
+    let ck = ctx.generate_conjugation_key(&kp.secret);
+    let ev = Evaluator::new(&ctx);
+    let msg = messages(ctx.slot_count(), 2, 7);
+    let x = ctx.encrypt(&msg[0], &kp.public);
+    let y = ctx.encrypt(&msg[1], &kp.public);
+    let bx = BatchedCiphertext::from_ciphertexts([&x]);
+    let by = BatchedCiphertext::from_ciphertexts([&y]);
+    let delta = ctx.params().scale();
+    let pt = ctx.encode_at(&msg[1], x.level, delta);
+    macro_rules! same_bits {
+        ($name:literal, $eager:expr; $a:pat_param, $b:pat_param => $batch:expr) => {{
+            let want = $eager;
+            let spellings = [
+                {
+                    let ($a, $b) = (&x, &y);
+                    $batch
+                },
+                {
+                    let ($a, $b) = (&bx, &by);
+                    $batch
+                },
+                {
+                    let ($a, $b) = (CtView::from(&x), CtView::from(&y));
+                    $batch
+                },
+                {
+                    let ($a, $b) = (CtView::from(&bx), CtView::from(&by));
+                    $batch
+                },
+                {
+                    let ($a, $b) = (&x, &by);
+                    $batch
+                },
+            ];
+            for (i, got) in spellings.into_iter().enumerate() {
+                let got = got.into_ciphertexts().remove(0);
+                assert!(limbs_eq(&got, &want), "{}: spelling {i}", $name);
+            }
+        }};
+    }
+    same_bits!("add", ev.add(&x, &y); a, b => ev.add_batch(a, b));
+    same_bits!("sub", ev.sub(&x, &y); a, b => ev.sub_batch(a, b));
+    same_bits!("mult", ev.mult(&x, &y, &kp.relin); a, b => ev.mult_batch(a, b, &kp.relin));
+    same_bits!("mult_plain", ev.mult_plain(&x, &pt, delta); a, _ => ev.mult_plain_batch(a, &pt, delta));
+    same_bits!("add_plain", ev.add_plain(&x, &pt, delta); a, _ => ev.add_plain_batch(a, &pt, delta));
+    same_bits!("mod_drop", ev.mod_drop(&x, 2); a, _ => ev.mod_drop_batch(a, 2));
+    same_bits!("rescale", ev.rescale(&x); a, _ => ev.rescale_batch(a));
+    same_bits!("rotate", ev.rotate(&x, 1, &rk); a, _ => ev.rotate_batch(a, 1, &rk));
+    same_bits!("conjugate", ev.conjugate(&x, &ck); a, _ => ev.conjugate_batch(a, &ck));
 }
 
 /// The eager API takes exactly one polynomial per component: a

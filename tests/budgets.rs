@@ -130,15 +130,15 @@ fn served_request_rows() -> Vec<Row> {
                 name: "served rotate",
                 allocs: rot_allocs,
                 bytes: rot_bytes,
-                max_allocs: 103.0,
-                max_bytes: 407_848.0,
+                max_allocs: 102.0,
+                max_bytes: 407_624.0,
             },
             Row {
                 name: "served mult",
                 allocs: mult_allocs,
                 bytes: mult_bytes,
-                max_allocs: 146.0,
-                max_bytes: 687_160.0,
+                max_allocs: 145.0,
+                max_bytes: 686_936.0,
             },
         ]
     })

@@ -1,9 +1,9 @@
 //! Key-switching fast-path differential suite (ISSUE 9).
 //!
-//! The cached-plan fast paths (`key_switch_batch`, the fused mod-down,
+//! The cached-plan fast paths (`key_switch`, the fused mod-down,
 //! `rescale_batch`) and the functionally real rotation hoisting are
 //! pinned **bit-identical** to the pre-plan reference dataflow kept in
-//! `Evaluator::{key_switch_batch_reference, rescale_batch_reference}`:
+//! `Evaluator::{key_switch_reference, rescale_batch_reference}`:
 //!
 //! * fast vs reference key switch across every level `1..=limbs`,
 //!   digit counts `dnum ∈ {1, 2, 4}`, batch widths 1/3/8, and both
@@ -86,8 +86,8 @@ fn key_switch_fast_matches_reference_sweep() {
         for level in 1..=ctx.params().limbs {
             for batch in [1usize, 3, 8] {
                 let d = random_batch(&ctx, level, batch, 0xD1617 + (level * 31 + batch) as u64);
-                let fast = ev.key_switch_batch(&d, &kp.relin);
-                let reference = ev.key_switch_batch_reference(&d, &kp.relin);
+                let fast = ev.key_switch(&d, &kp.relin);
+                let reference = ev.key_switch_reference(&d, &kp.relin);
                 assert_pair_eq(
                     &fast,
                     &reference,
@@ -96,7 +96,7 @@ fn key_switch_fast_matches_reference_sweep() {
                 // coefficient-domain input takes the same fast path
                 let mut d_coeff = d.clone();
                 d_coeff.to_coefficient();
-                let fast_c = ev.key_switch_batch(&d_coeff, &kp.relin);
+                let fast_c = ev.key_switch(&d_coeff, &kp.relin);
                 assert_pair_eq(
                     &fast_c,
                     &reference,
@@ -146,8 +146,8 @@ fn ks_plan_is_cached_per_level() {
     let l = ctx.params().limbs;
     let first = ctx.ks_plan(l).clone();
     let d = random_batch(&ctx, l, 1, 0xCAFE);
-    let _ = ev.key_switch_batch(&d, &kp.relin);
-    let _ = ev.key_switch_batch(&d, &kp.relin);
+    let _ = ev.key_switch(&d, &kp.relin);
+    let _ = ev.key_switch(&d, &kp.relin);
     assert!(
         Arc::ptr_eq(&first, ctx.ks_plan(l)),
         "plan must be compiled once per level"
@@ -212,8 +212,8 @@ fn set_b_fast_paths_match_reference_at_two_levels() {
         for batch in [1usize, 2] {
             let d = random_batch(&ctx, level, batch, 0xB0 + (level * 7 + batch) as u64);
             assert_pair_eq(
-                &ev.key_switch_batch(&d, &kp.relin),
-                &ev.key_switch_batch_reference(&d, &kp.relin),
+                &ev.key_switch(&d, &kp.relin),
+                &ev.key_switch_reference(&d, &kp.relin),
                 &format!("Set B key switch level {level} batch {batch}"),
             );
         }
@@ -541,8 +541,8 @@ proptest! {
         let (ctx, kp) = small_ctx(dnum, seed ^ 0xA5A5);
         let ev = Evaluator::new(&ctx);
         let d = random_batch(&ctx, level, batch, seed);
-        let fast = ev.key_switch_batch(&d, &kp.relin);
-        let reference = ev.key_switch_batch_reference(&d, &kp.relin);
+        let fast = ev.key_switch(&d, &kp.relin);
+        let reference = ev.key_switch_reference(&d, &kp.relin);
         prop_assert_eq!(fast.0.limbs(), reference.0.limbs());
         prop_assert_eq!(fast.1.limbs(), reference.1.limbs());
     }

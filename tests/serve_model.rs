@@ -397,7 +397,7 @@ fn kind_rows_agree_with_behaviour() {
             assert_eq!((row.arity, kind.arity()), (arity, arity), "{kind:?}");
             assert_eq!(node.result_level(), result_level, "{kind:?} level");
             assert_eq!(row.level.result_level(top), Some(result_level), "{kind:?}");
-            assert_eq!((KeyRef::of(kind), row.key), (key, key), "{kind:?} key");
+            assert_eq!(row.key, key, "{kind:?} key");
             assert_eq!(row.label, kind.label());
             let bundles = node_bundles(&params, kind, top, 1);
             assert_eq!(bundles.is_empty(), free, "{kind:?} bundles");

@@ -206,7 +206,7 @@ fn batched_ntt_fused_beats_sequential_and_host_beats_mat3() {
     });
 }
 
-/// The cached-plan key switch (`key_switch_batch`) beats the pre-plan
+/// The cached-plan key switch (`key_switch`) beats the pre-plan
 /// reference dataflow at every level of the toy chain, on a batch of 4.
 #[test]
 #[ignore = "timing: run optimised with --ignored"]
@@ -225,15 +225,15 @@ fn key_switch_fast_beats_reference_at_every_level() {
             .map(|(i, &q)| residues(4 * n, q, 0x1226 + 31 * (level + 8 * i) as u64))
             .collect();
         let d = PolyBatch::from_limbs(level_ctx, limbs, Domain::Evaluation);
-        let fast = ev.key_switch_batch(&d, &kp.relin);
-        let reference = ev.key_switch_batch_reference(&d, &kp.relin);
+        let fast = ev.key_switch(&d, &kp.relin);
+        let reference = ev.key_switch_reference(&d, &kp.relin);
         assert_eq!(fast.0.limbs(), reference.0.limbs(), "level {level} out0");
         assert_eq!(fast.1.limbs(), reference.1.limbs(), "level {level} out1");
         race(
             &format!("ks_path/{level}: fast / reference"),
             1.0,
-            || drop(black_box(ev.key_switch_batch(&d, &kp.relin))),
-            || drop(black_box(ev.key_switch_batch_reference(&d, &kp.relin))),
+            || drop(black_box(ev.key_switch(&d, &kp.relin))),
+            || drop(black_box(ev.key_switch_reference(&d, &kp.relin))),
         );
     }
 }
