@@ -46,19 +46,32 @@ impl KsDigits {
     }
 }
 
-/// `acc[i] += xs[i]·ks[i]`, or `xs[perm[i]]·ks[i]` through an index
-/// table — raw `u64` products, reduced by the caller.
+/// One digit segment of the key inner product, both key halves in one
+/// pass: `a0[i] += x·kb[i]` and `a1[i] += x·ka[i]` with `x = xs[i]`, or
+/// `xs[perm[i]]` through an index table — each digit residue read
+/// once, the 4-byte key residues widened as they are read, raw `u64`
+/// products reduced by the caller.
 #[inline]
-fn mul_acc(xs: &[u64], perm: Option<&[u32]>, ks: &[u64], acc: &mut [u64]) {
+fn mul_acc(
+    xs: &[u64],
+    perm: Option<&[u32]>,
+    (kb, ka): (&[u32], &[u32]),
+    (a0, a1): (&mut [u64], &mut [u64]),
+) {
+    let keys = kb.iter().zip(ka);
+    let accs = a0.iter_mut().zip(a1.iter_mut());
     match perm {
         None => {
-            for ((a, &x), &k) in acc.iter_mut().zip(xs).zip(ks) {
-                *a += x * k;
+            for (((a0, a1), (&kb, &ka)), &x) in accs.zip(keys).zip(xs) {
+                *a0 += x * u64::from(kb);
+                *a1 += x * u64::from(ka);
             }
         }
         Some(perm) => {
-            for ((a, &p), &k) in acc.iter_mut().zip(perm).zip(ks) {
-                *a += xs[p as usize] * k;
+            for (((a0, a1), (&kb, &ka)), &p) in accs.zip(keys).zip(perm) {
+                let x = xs[p as usize];
+                *a0 += x * u64::from(kb);
+                *a1 += x * u64::from(ka);
             }
         }
     }
@@ -204,7 +217,8 @@ impl<'a> Evaluator<'a> {
                 let qi = new_ctx.moduli()[i];
                 let (inv, inv_shoup) = plan.rescale_inv.get(i);
                 // centered last-limb residue for round-to-nearest,
-                // lifted into q_i and carried to evaluation form
+                // lifted into q_i and carried to evaluation form, then
+                // subtracted and scaled where it lies
                 let mut cl: Vec<u64> = last
                     .iter()
                     .map(|&c| modops::from_signed(modops::to_signed(c, q_last), qi))
@@ -212,13 +226,8 @@ impl<'a> Evaluator<'a> {
                 for seg in cl.chunks_mut(n) {
                     host_ntt::forward_inplace(seg, &new_ctx.tables()[i]);
                 }
-                new_limbs.push(small_ntt::sub_mul_const(
-                    &pe.limbs()[i],
-                    &cl,
-                    inv,
-                    inv_shoup,
-                    qi,
-                ));
+                small_ntt::sub_mul_const(&pe.limbs()[i], &mut cl, inv, inv_shoup, qi);
+                new_limbs.push(cl);
             }
             PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Evaluation)
         };
@@ -302,8 +311,9 @@ impl<'a> Evaluator<'a> {
     ///    `u64` products of canonical residues across the digits and
     ///    folds once per element (Barrett, `⌊2⁶⁴/q⌋`); the canonical
     ///    residue of the same sum, so bit-identical to the strict
-    ///    add-per-digit chain — and the key is read as stored, with no
-    ///    Shoup companion to build, hold or stream.
+    ///    add-per-digit chain — and the key is read as stored, 4 B a
+    ///    residue with no Shoup companion, each digit residue read
+    ///    once for both key halves.
     pub fn key_switch(&self, d: &PolyBatch, key: &SwitchingKey) -> (PolyBatch, PolyBatch) {
         let digits = self.ks_decompose(d);
         self.ks_apply(&d.in_domain(Domain::Evaluation), &digits, key, None)
@@ -390,7 +400,8 @@ impl<'a> Evaluator<'a> {
             .zip(&key.digits)
             .collect();
         // One closure per chain limb, so its two accumulators stay
-        // cache-resident across the digits; two MACs per digit and row.
+        // cache-resident across the digits; one read of the digit and
+        // two MACs per digit and row.
         let ext = ks_ctx.moduli().len();
         let mut accs = vec![(Vec::new(), Vec::new()); ext];
         par::par_for_each_sized(&mut accs, 2 * ext * terms.len() * rows, |t, (a0, a1)| {
@@ -417,9 +428,8 @@ impl<'a> Evaluator<'a> {
                     let segs = src_limb
                         .chunks(n)
                         .zip(a0.chunks_mut(n).zip(a1.chunks_mut(n)));
-                    for (seg, (a0, a1)) in segs {
-                        mul_acc(seg, perm, &kd.b[g], a0);
-                        mul_acc(seg, perm, &kd.a[g], a1);
+                    for (seg, accs) in segs {
+                        mul_acc(seg, perm, (&kd.b[g], &kd.a[g]), accs);
                     }
                 }
                 for a in a0.iter_mut().chain(a1.iter_mut()) {
@@ -443,7 +453,8 @@ impl<'a> Evaluator<'a> {
     /// converted correction comes back to evaluation form, and the
     /// subtract-and-scale runs pointwise in the evaluation domain with
     /// the plan's `P⁻¹` Shoup pairs — exact by NTT linearity, saving
-    /// the `l` inverse transforms the reference pays. Input limbs are
+    /// the `l` inverse transforms the reference pays — written over the
+    /// correction limbs, which become the output. Input limbs are
     /// canonical evaluation-domain residues over the ks chain.
     fn mod_down_fast(
         &self,
@@ -470,20 +481,13 @@ impl<'a> Evaluator<'a> {
                 host_ntt::forward_inplace(seg, tables);
             }
         }
-        let mut new_limbs = Vec::with_capacity(l);
-        for i in 0..l {
-            let qi = level_ctx.moduli()[i];
+        for (i, (c, cp)) in limbs.iter().zip(&mut cp).enumerate() {
             let (p_inv, p_inv_shoup) = plan.p_inv.get(i);
-            // BConv output is already < q_i — subtract directly
-            new_limbs.push(small_ntt::sub_mul_const(
-                &limbs[i],
-                &cp[i],
-                p_inv,
-                p_inv_shoup,
-                qi,
-            ));
+            // BConv output is already < q_i — subtract directly, into
+            // the correction limb, which becomes the output limb
+            small_ntt::sub_mul_const(c, cp, p_inv, p_inv_shoup, level_ctx.moduli()[i]);
         }
-        PolyBatch::from_limbs(level_ctx, new_limbs, Domain::Evaluation)
+        PolyBatch::from_limbs(level_ctx, cp, Domain::Evaluation)
     }
 
     /// The pre-plan key-switch oracle: per-call kernel compilation,
@@ -550,10 +554,12 @@ impl<'a> Evaluator<'a> {
             ext.to_evaluation();
             // select the key limbs for this level: q indices 0..l plus
             // the extension indices big_l..big_l+k of the global chain.
-            let select = |limbs: &[Vec<u64>]| -> Vec<Vec<u64>> {
-                let mut out: Vec<Vec<u64>> = limbs[..l].to_vec();
-                out.extend_from_slice(&limbs[big_l..big_l + ps.len()]);
-                out
+            let select = |limbs: &[Vec<u32>]| -> Vec<Vec<u64>> {
+                limbs[..l]
+                    .iter()
+                    .chain(&limbs[big_l..big_l + ps.len()])
+                    .map(|limb| limb.iter().map(|&x| u64::from(x)).collect())
+                    .collect()
             };
             let kb =
                 RnsPoly::from_limbs(ks_ctx.clone(), select(&key.digits[j].b), Domain::Evaluation);
@@ -689,6 +695,76 @@ mod tests {
             let reference = ev.key_switch_reference(&d, &kp.relin);
             assert_eq!(fast.0.limbs(), reference.0.limbs(), "level {level} out0");
             assert_eq!(fast.1.limbs(), reference.1.limbs(), "level {level} out1");
+        }
+        // Every residue at q − 1, the largest product and the largest
+        // carried-in residue a round holds, in both key halves. Both
+        // halves of the key are all q − 1 over the global chain.
+        let n = ctx.params().n;
+        let chain: Vec<u64> = ctx
+            .q_moduli()
+            .iter()
+            .chain(ctx.p_moduli())
+            .copied()
+            .collect();
+        let max_limbs = || -> Vec<Vec<u32>> {
+            chain
+                .iter()
+                .map(|&q| vec![u32::try_from(q - 1).unwrap(); n])
+                .collect()
+        };
+        let key = SwitchingKey {
+            digits: (0..kp.relin.digits.len())
+                .map(|_| crate::keys::SwitchingKeyDigit {
+                    b: max_limbs(),
+                    a: max_limbs(),
+                })
+                .collect(),
+        };
+        let perms = ctx.galois_eval_perm(ctx.galois_element(1));
+        let max_poly = |c: &Arc<RnsContext>| {
+            let limbs = c.moduli().iter().map(|&q| vec![q - 1; n]).collect();
+            PolyBatch::from_limbs(c.clone(), limbs, Domain::Evaluation)
+        };
+        for level in [8usize, 5] {
+            // d = −1, all q − 1 in evaluation form. σ_g(−1) = −1 and a
+            // constant's base extensions are constants, so the gathered
+            // read moves no residue and the reference still applies.
+            let d = max_poly(ctx.level_ctx(level));
+            let reference = ev.key_switch_reference(&d, &key);
+            let digits = ev.ks_decompose(&d);
+            // Then every extended digit residue at q − 1 as well, own
+            // and converted: Σ_j (q − 1)² ≡ dnum, so both accumulators
+            // must read dnum mod q before the mod-down.
+            let ks_ctx = ctx.ks_ctx(level).clone();
+            let plan = ctx.ks_plan(level).clone();
+            let all_max = KsDigits {
+                converted: plan
+                    .digits
+                    .iter()
+                    .map(|dp| {
+                        dp.other_idx
+                            .iter()
+                            .map(|&t| vec![ks_ctx.moduli()[t] - 1; n])
+                            .collect()
+                    })
+                    .collect(),
+            };
+            let dnum = plan.digits.len() as u64;
+            let acc = PolyBatch::from_limbs(
+                ks_ctx.clone(),
+                ks_ctx.moduli().iter().map(|&q| vec![dnum % q; n]).collect(),
+                Domain::Evaluation,
+            );
+            let want = ev.mod_down_batch_reference(&acc, level);
+            for perm in [None, Some(perms.as_slice())] {
+                let fast = ev.ks_apply(&d, &digits, &key, perm);
+                let at = format!("level {level}, permuted {}", perm.is_some());
+                assert_eq!(fast.0.limbs(), reference.0.limbs(), "{at}: out0");
+                assert_eq!(fast.1.limbs(), reference.1.limbs(), "{at}: out1");
+                let fast = ev.ks_apply(&d, &all_max, &key, perm);
+                assert_eq!(fast.0.limbs(), want.limbs(), "{at}, all q - 1: out0");
+                assert_eq!(fast.1.limbs(), want.limbs(), "{at}, all q - 1: out1");
+            }
         }
     }
 

@@ -362,7 +362,21 @@ impl CkksContext {
         let w_res: Vec<u64> = self.chain.iter().map(|&m| w_j.mod_u64(m)).collect();
         let wsp = sp.mul_scalar_per_limb(&w_res);
         let b = a.mul_pointwise(&s).neg().add(&e_poly).add(&wsp);
-        SwitchingKeyDigit::new(b.limbs().to_vec(), a.limbs().to_vec())
+        // canonical residues of sub-2³² moduli: stored at their width
+        let narrow = |p: &RnsPoly| -> Vec<Vec<u32>> {
+            p.limbs()
+                .iter()
+                .map(|l| {
+                    l.iter()
+                        .map(|&x| u32::try_from(x).expect("chain moduli are below 2^32"))
+                        .collect()
+                })
+                .collect()
+        };
+        SwitchingKeyDigit {
+            b: narrow(&b),
+            a: narrow(&a),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -473,9 +487,64 @@ pub(crate) fn automorphism_signed(s: &[i64], g: u64) -> Vec<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::ParamSet;
 
     fn ctx() -> CkksContext {
         CkksContext::new(CkksParams::toy(), 7)
+    }
+
+    #[test]
+    fn a_switching_key_bills_its_heap_bytes() {
+        let c = CkksContext::new(ParamSet::B.params(), 3);
+        let key = c.generate_rotation_key(&c.generate_secret(), 1);
+        let heap: usize = key
+            .digits
+            .iter()
+            .flat_map(|d| d.b.iter().chain(&d.a))
+            .map(|limb| limb.len() * std::mem::size_of::<u32>())
+            .sum();
+        assert_eq!(key.bytes(), heap);
+        // 3 digits × 2 halves × 11 chain limbs × 8192 residues × 4 B
+        assert_eq!(key.bytes(), 2_162_688);
+    }
+
+    #[test]
+    fn centered_decode_matches_the_big_integer_oracle_at_every_level() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(41);
+        for set in [ParamSet::A, ParamSet::B] {
+            let c = CkksContext::new(set.params(), 5);
+            for level in 1..=c.params().limbs {
+                let basis = cross_math::rns::RnsBasis::new(c.q_moduli()[..level].to_vec());
+                let half = basis.big_q().div_rem_u64(2).0;
+                // the centering boundary, both ends, zero and one
+                let mut cases: Vec<Vec<u64>> = [
+                    half.clone(),
+                    half.add_u64(1),
+                    basis.big_q().sub(&BigUint::from(1u64)),
+                    BigUint::from(0u64),
+                    BigUint::from(1u64),
+                ]
+                .iter()
+                .map(|x| basis.residues_of(x))
+                .collect();
+                cases.extend((0..2000).map(|_| {
+                    basis
+                        .moduli()
+                        .iter()
+                        .map(|&q| rng.gen_range(0..q))
+                        .collect()
+                }));
+                for r in &cases {
+                    assert_eq!(
+                        basis.centered_f64(r.iter().copied()).to_bits(),
+                        basis.reconstruct_signed_f64(r).to_bits(),
+                        "{} level {level}: residues {r:?}",
+                        set.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

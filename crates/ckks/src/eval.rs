@@ -269,12 +269,15 @@ impl<'a> Evaluator<'a> {
     ) -> BatchedCiphertext {
         self.with_aligned(a.into(), b.into(), |a, b| {
             let d0 = a.c0.mul_pointwise(b.c0);
-            let d1 = a.c0.mul_pointwise(b.c1).add(&a.c1.mul_pointwise(b.c0));
+            let mut d1 = a.c0.mul_pointwise(b.c1);
+            d1.add_assign(&a.c1.mul_pointwise(b.c0));
             let d2 = a.c1.mul_pointwise(b.c1);
-            let (k0, k1) = self.key_switch(&d2, relin);
+            let (mut k0, mut k1) = self.key_switch(&d2, relin);
+            k0.add_assign(&d0);
+            k1.add_assign(&d1);
             let ct = BatchedCiphertext {
-                c0: d0.add(&k0),
-                c1: d1.add(&k1),
+                c0: k0,
+                c1: k1,
                 level: a.level,
                 scales: a.scales.iter().zip(b.scales).map(|(x, y)| x * y).collect(),
             };
@@ -406,7 +409,7 @@ impl<'a> Evaluator<'a> {
     /// `ModDown`): `σ_g` as the cached evaluation-domain index gather
     /// (`NTT(σ_g(c)) = π_g(NTT(c))`, exact — zero transforms), read
     /// into the key inner product for the extended digits of `c1` and
-    /// applied to `c0` directly.
+    /// into the sum that adds `c0` to the switched `k0`.
     fn galois_tail(
         &self,
         ct: CtView,
@@ -415,9 +418,10 @@ impl<'a> Evaluator<'a> {
         key: &SwitchingKey,
     ) -> BatchedCiphertext {
         let perms = self.ctx.galois_eval_perm(g);
-        let (k0, k1) = self.ks_apply(ct.c1, digits, key, Some(&perms));
+        let (mut k0, k1) = self.ks_apply(ct.c1, digits, key, Some(&perms));
+        k0.add_gathered(ct.c0, &perms);
         BatchedCiphertext {
-            c0: ct.c0.gather_eval(&perms).add(&k0),
+            c0: k0,
             c1: k1,
             level: ct.level,
             scales: ct.scales.to_vec(),

@@ -22,20 +22,16 @@ pub struct PublicKey {
 
 /// One digit of a hybrid switching key: `(b_j, a_j)` over the extended
 /// `Q·P` chain, stored as raw per-modulus limbs in the evaluation
-/// domain (limb `i` corresponds to global chain modulus `i`).
+/// domain (limb `i` corresponds to global chain modulus `i`). Every
+/// chain modulus is below `2³²` (`CkksParams`' bound), so a residue is
+/// held at its own width, 4 B — the key inner product widens it as it
+/// reads it.
 #[derive(Debug, Clone)]
 pub struct SwitchingKeyDigit {
     /// `b_j = -a_j·s + e_j + P·q̃_j·s'` limbs over the full chain.
-    pub b: Vec<Vec<u64>>,
+    pub b: Vec<Vec<u32>>,
     /// `a_j` limbs over the full chain.
-    pub a: Vec<Vec<u64>>,
-}
-
-impl SwitchingKeyDigit {
-    /// Wraps raw full-chain limbs (evaluation domain) as a key digit.
-    pub(crate) fn new(b: Vec<Vec<u64>>, a: Vec<Vec<u64>>) -> Self {
-        Self { b, a }
-    }
+    pub a: Vec<Vec<u32>>,
 }
 
 /// A hybrid key-switching key (`dnum` digits, \[37\]).
@@ -46,14 +42,13 @@ pub struct SwitchingKey {
 }
 
 impl SwitchingKey {
-    /// Bytes of key material (for memory accounting, paper §V-C).
+    /// Bytes of key material (for memory accounting, paper §V-C): the
+    /// heap bytes its residues occupy, 4 B each.
     pub fn bytes(&self) -> usize {
         self.digits
             .iter()
-            .map(|d| {
-                d.b.iter().map(|l| l.len() * 4).sum::<usize>()
-                    + d.a.iter().map(|l| l.len() * 4).sum::<usize>()
-            })
+            .flat_map(|d| d.b.iter().chain(&d.a))
+            .map(|l| std::mem::size_of_val(l.as_slice()))
             .sum()
     }
 }

@@ -199,6 +199,11 @@ impl BigUint {
         acc
     }
 
+    /// Little-endian limbs, no trailing zero limb.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.limbs
+    }
+
     /// Lower `u64` value (truncating).
     pub(crate) fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)

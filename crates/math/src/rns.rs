@@ -8,6 +8,12 @@
 
 use crate::bigint::BigUint;
 use crate::modops;
+use std::cmp::Ordering;
+
+/// Most moduli [`RnsBasis::centered_f64`] reconstructs over: its
+/// Garner digits and Horner words live in fixed stack arrays (`Q` of
+/// up to 128 sub-2³² moduli fits 64 words).
+const MAX_LIMBS: usize = 128;
 
 /// A chain of pairwise-coprime word moduli with precomputed contexts.
 ///
@@ -29,6 +35,9 @@ pub struct RnsBasis {
     half_q: BigUint,
     /// Garner: `inv_partial[i] = (Π_{j<i} q_j)^{-1} mod q_i`
     garner_inv: Vec<u64>,
+    /// Garner's mixed-radix constants, row `i` at offset `i(i−1)/2`:
+    /// `(Π_{k<j} q_k) mod q_i` for `j < i`.
+    garner_radix: Vec<u64>,
 }
 
 impl RnsBasis {
@@ -50,9 +59,11 @@ impl RnsBasis {
         let big_q = BigUint::product_of(&moduli);
         let half_q = big_q.shr1();
         let mut garner_inv = Vec::with_capacity(moduli.len());
+        let mut garner_radix = Vec::with_capacity(moduli.len() * moduli.len() / 2);
         for (i, &qi) in moduli.iter().enumerate() {
             let mut prod = 1u64 % qi;
             for &qj in &moduli[..i] {
+                garner_radix.push(prod);
                 prod = modops::mul_mod(prod, qj % qi, qi);
             }
             garner_inv.push(modops::inv_mod(prod, qi).expect("coprime by construction"));
@@ -62,6 +73,7 @@ impl RnsBasis {
             big_q,
             half_q,
             garner_inv,
+            garner_radix,
         }
     }
 
@@ -134,13 +146,78 @@ impl RnsBasis {
     /// Reconstructs and centers into `(-Q/2, Q/2]`, returned as `f64`.
     ///
     /// Precision is limited to `f64` mantissa — exactly what CKKS decoding
-    /// needs when dividing by the scale.
+    /// needs when dividing by the scale. The big-integer oracle of
+    /// [`RnsBasis::centered_f64`].
     pub fn reconstruct_signed_f64(&self, residues: &[u64]) -> f64 {
         let x = self.reconstruct(residues);
         if x > self.half_q {
             -(self.big_q.sub(&x).to_f64())
         } else {
             x.to_f64()
+        }
+    }
+
+    /// [`RnsBasis::reconstruct_signed_f64`] without a heap temporary,
+    /// bit-identical to it: the Garner digits against the precomputed
+    /// mixed-radix constants, the Horner evaluation into stack words,
+    /// the centering in words, and the same word-by-word Horner into
+    /// `f64` as `BigUint::to_f64`. The per-coefficient decode of a
+    /// decryption.
+    ///
+    /// # Panics
+    /// Panics if `residues` does not yield exactly `self.len()` values,
+    /// or the basis has more than 128 moduli.
+    pub fn centered_f64(&self, residues: impl IntoIterator<Item = u64>) -> f64 {
+        let l = self.len();
+        assert!(l <= MAX_LIMBS, "at most {MAX_LIMBS} moduli");
+        // Mixed-radix digits v_i: x = v_0 + v_1 q_0 + v_2 q_0 q_1 + ...
+        let mut digits = [0u64; MAX_LIMBS];
+        let mut count = 0;
+        for (i, r) in residues.into_iter().enumerate() {
+            assert!(i < l, "residue count mismatch");
+            let qi = self.moduli[i];
+            let radix = &self.garner_radix[i * i.saturating_sub(1) / 2..][..i];
+            let mut partial = 0u64;
+            for (&dj, &rj) in digits[..i].iter().zip(radix) {
+                partial = modops::add_mod(partial, modops::mul_mod(dj % qi, rj, qi), qi);
+            }
+            let diff = modops::sub_mod(r % qi, partial, qi);
+            digits[i] = modops::mul_mod(diff, self.garner_inv[i], qi);
+            count = i + 1;
+        }
+        assert_eq!(count, l, "residue count mismatch");
+        // Horner: x = ((v_{L-1} q_{L-2} + v_{L-2}) q_{L-3} + ...) — below
+        // Q, so within Q's word count
+        let mut x = [0u64; MAX_LIMBS / 2];
+        x[0] = digits[l - 1];
+        let mut len = 1;
+        for i in (0..l - 1).rev() {
+            let mut carry = u128::from(digits[i]);
+            for w in &mut x[..len] {
+                let p = u128::from(*w) * u128::from(self.moduli[i]) + carry;
+                *w = p as u64;
+                carry = p >> 64;
+            }
+            if carry != 0 {
+                x[len] = carry as u64;
+                len += 1;
+            }
+        }
+        let x = &mut x[..len];
+        if cmp_words(x, self.half_q.words()) == Ordering::Greater {
+            // Q − x, in Q's words (x < Q)
+            let q = self.big_q.words();
+            let mut neg = [0u64; MAX_LIMBS / 2];
+            let mut borrow = false;
+            for (k, (d, &qk)) in neg.iter_mut().zip(q).enumerate() {
+                let (t, b0) = qk.overflowing_sub(x.get(k).copied().unwrap_or(0));
+                let (t, b1) = t.overflowing_sub(u64::from(borrow));
+                *d = t;
+                borrow = b0 || b1;
+            }
+            -words_to_f64(&neg[..q.len()])
+        } else {
+            words_to_f64(x)
         }
     }
 
@@ -231,6 +308,26 @@ impl BconvTable {
             })
             .collect()
     }
+}
+
+/// Compares little-endian word strings as numbers (missing high words
+/// read as zero).
+fn cmp_words(a: &[u64], b: &[u64]) -> Ordering {
+    let word = |v: &[u64], k: usize| v.get(k).copied().unwrap_or(0);
+    (0..a.len().max(b.len()))
+        .rev()
+        .map(|k| word(a, k).cmp(&word(b, k)))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// Little-endian words to `f64`, most significant first — the Horner
+/// of `BigUint::to_f64` (a leading zero word leaves `0.0` unchanged).
+fn words_to_f64(words: &[u64]) -> f64 {
+    words
+        .iter()
+        .rev()
+        .fold(0.0, |acc, &w| acc * 18_446_744_073_709_551_616.0 + w as f64)
 }
 
 fn gcd(mut a: u64, mut b: u64) -> u64 {

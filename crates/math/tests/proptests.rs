@@ -141,5 +141,6 @@ proptest! {
         let basis = RnsBasis::new(moduli);
         let res = basis.residues_of_i64(v);
         prop_assert_eq!(basis.reconstruct_signed_f64(&res), v as f64);
+        prop_assert_eq!(basis.centered_f64(res.iter().copied()), v as f64);
     }
 }

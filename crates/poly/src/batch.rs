@@ -325,6 +325,23 @@ impl PolyBatch {
         self.zip_with(other, add_mod)
     }
 
+    /// Limb-wise sum written into this batch (`self += other`), for a
+    /// caller that owns a batch the sum can replace: no limb is
+    /// allocated. Bit-identical to [`PolyBatch::add`].
+    pub fn add_assign(&mut self, other: &Self) {
+        assert_eq!(self.batch, other.batch, "batch size mismatch");
+        assert_eq!(self.ctx.n(), other.ctx.n(), "degree mismatch");
+        assert_eq!(self.level_count(), other.level_count(), "level mismatch");
+        assert_eq!(self.domain, other.domain, "domain mismatch");
+        let moduli = self.ctx.moduli();
+        let work = self.total_elems();
+        par::par_for_each_sized(&mut self.limbs, work, |i, limb| {
+            for (x, &y) in limb.iter_mut().zip(&other.limbs[i]) {
+                *x = add_mod(*x, y, moduli[i]);
+            }
+        });
+    }
+
     /// Limb-wise difference over the whole batch.
     pub fn sub(&self, other: &Self) -> Self {
         assert_eq!(self.batch, other.batch, "batch size mismatch");
@@ -457,6 +474,37 @@ impl PolyBatch {
         })
     }
 
+    /// Adds `other` read through the [`PolyBatch::gather_eval`] index
+    /// tables into this batch (`self += π(other)`) in one pass, without
+    /// materializing the gathered batch. Bit-identical to
+    /// `other.gather_eval(perms).add(self)`.
+    ///
+    /// # Panics
+    /// Panics off the evaluation domain, on a shape mismatch or on a
+    /// ragged table.
+    pub fn add_gathered(&mut self, other: &Self, perms: &[Vec<u32>]) {
+        assert_eq!(self.batch, other.batch, "batch size mismatch");
+        assert_eq!(self.ctx.n(), other.ctx.n(), "degree mismatch");
+        assert_eq!(self.level_count(), other.level_count(), "level mismatch");
+        assert!(
+            self.domain == Domain::Evaluation && other.domain == Domain::Evaluation,
+            "gather_eval permutes evaluation points"
+        );
+        assert!(perms.len() >= self.limbs.len(), "one permutation per limb");
+        let n = self.ctx.n();
+        let moduli = self.ctx.moduli();
+        let work = self.total_elems();
+        par::par_for_each_sized(&mut self.limbs, work, |t, limb| {
+            let perm = &perms[t];
+            assert_eq!(perm.len(), n, "permutation length mismatch");
+            for (out, seg) in limb.chunks_mut(n).zip(other.limbs[t].chunks(n)) {
+                for (x, &s) in out.iter_mut().zip(perm) {
+                    *x = add_mod(*x, seg[s as usize], moduli[t]);
+                }
+            }
+        });
+    }
+
     /// Drops trailing limbs down to `new_ctx` (a prefix of this batch's
     /// basis) in one step — the modulus-drop shape (coefficient
     /// interpretation unchanged mod the remaining basis), one
@@ -483,12 +531,15 @@ impl PolyBatch {
 
     /// Reconstructs coefficient `j` of a batch of one as a centered
     /// `f64` via CRT — the decode-side helper (requires the coefficient
-    /// domain).
+    /// domain). Allocates nothing ([`RnsBasis::centered_f64`]).
+    ///
+    /// [`RnsBasis::centered_f64`]: cross_math::rns::RnsBasis::centered_f64
     pub fn coeff_signed_f64(&self, j: usize) -> f64 {
         assert_eq!(self.batch, 1, "decode one polynomial at a time");
         assert_eq!(self.domain, Domain::Coefficient);
-        let residues: Vec<u64> = self.limbs.iter().map(|l| l[j]).collect();
-        self.ctx.basis().reconstruct_signed_f64(&residues)
+        self.ctx
+            .basis()
+            .centered_f64(self.limbs.iter().map(|l| l[j]))
     }
 }
 
@@ -565,6 +616,9 @@ mod tests {
             let diff = bx.sub(&by);
             let neg = bx.neg();
             let bcast = bx.add_poly(&ys[0]);
+            let mut in_place = bx.clone();
+            in_place.add_assign(&by);
+            assert_eq!(in_place.limbs(), sum.limbs(), "add_assign");
             for b in 0..batch {
                 assert_eq!(sum.poly(b).limbs(), xs[b].add(&ys[b]).limbs());
                 assert_eq!(diff.poly(b).limbs(), xs[b].sub(&ys[b]).limbs());
@@ -611,6 +665,10 @@ mod tests {
         let mut pe = pb.clone();
         pe.to_evaluation();
         let gathered = pe.gather_eval(&perms);
+        let mut sum = pe.mul_scalar_per_limb(&s);
+        let want_sum = gathered.add(&sum);
+        sum.add_gathered(&pe, &perms);
+        assert_eq!(sum.limbs(), want_sum.limbs(), "add_gathered");
         for (b, x) in xs.iter().enumerate() {
             assert_eq!(rot.poly(b).limbs(), x.automorphism(5).limbs());
             assert_eq!(scaled.poly(b).limbs(), x.mul_scalar_per_limb(&s).limbs());

@@ -113,11 +113,14 @@ fn mul_const<const LANES: bool>(a: u64, w: u64, w_shoup: u64, q: u64) -> u64 {
     fold::<LANES>(mul_lazy::<LANES>(a, w, w_shoup, q), q)
 }
 
-/// `(xs[j] − ys[j])·w mod q` for canonical `xs`, `ys` against one
-/// precomputed `(w, ⌊w·2⁶⁴/q⌋)` pair — the subtract-and-scale that
-/// closes a mod-down (`w = P⁻¹`) or a rescale (`w = q_last⁻¹`).
-/// Canonical output, in 32-bit lanes where `lanes` allows.
-pub fn sub_mul_const(xs: &[u64], ys: &[u64], w: u64, w_shoup: u64, q: u64) -> Vec<u64> {
+/// `ys[j] ← (xs[j] − ys[j])·w mod q` for canonical `xs`, `ys` against
+/// one precomputed `(w, ⌊w·2⁶⁴/q⌋)` pair — the subtract-and-scale that
+/// closes a mod-down (`w = P⁻¹`, into the converted correction) or a
+/// rescale (`w = q_last⁻¹`, into the lifted last limb). Written over
+/// the subtrahend, which both callers own; canonical output, in 32-bit
+/// lanes where `lanes` allows.
+pub fn sub_mul_const(xs: &[u64], ys: &mut [u64], w: u64, w_shoup: u64, q: u64) {
+    assert_eq!(xs.len(), ys.len(), "operand length mismatch");
     #[cfg(target_arch = "x86_64")]
     if lanes(q) {
         // SAFETY: `lanes` detected AVX2 on this CPU.
@@ -127,26 +130,16 @@ pub fn sub_mul_const(xs: &[u64], ys: &[u64], w: u64, w_shoup: u64, q: u64) -> Ve
 }
 
 #[inline(always)]
-fn sub_mul_const_body<const LANES: bool>(
-    xs: &[u64],
-    ys: &[u64],
-    w: u64,
-    w_shoup: u64,
-    q: u64,
-) -> Vec<u64> {
-    // Filled in place, not collected: the collecting form does not
-    // vectorize.
-    let mut out = vec![0u64; xs.len()];
-    for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-        debug_assert!(x < q && y < q, "operands must be reduced");
-        *o = mul_const::<LANES>(fold::<LANES>(x + q - y, q), w, w_shoup, q);
+fn sub_mul_const_body<const LANES: bool>(xs: &[u64], ys: &mut [u64], w: u64, w_shoup: u64, q: u64) {
+    for (y, &x) in ys.iter_mut().zip(xs) {
+        debug_assert!(x < q && *y < q, "operands must be reduced");
+        *y = mul_const::<LANES>(fold::<LANES>(x + q - *y, q), w, w_shoup, q);
     }
-    out
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn sub_mul_const_lanes(xs: &[u64], ys: &[u64], w: u64, w_shoup: u64, q: u64) -> Vec<u64> {
+fn sub_mul_const_lanes(xs: &[u64], ys: &mut [u64], w: u64, w_shoup: u64, q: u64) {
     sub_mul_const_body::<true>(xs, ys, w, w_shoup, q)
 }
 

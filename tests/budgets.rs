@@ -130,15 +130,15 @@ fn served_request_rows() -> Vec<Row> {
                 name: "served rotate",
                 allocs: rot_allocs,
                 bytes: rot_bytes,
-                max_allocs: 102.0,
-                max_bytes: 407_624.0,
+                max_allocs: 82.0,
+                max_bytes: 276_168.0,
             },
             Row {
                 name: "served mult",
                 allocs: mult_allocs,
                 bytes: mult_bytes,
-                max_allocs: 145.0,
-                max_bytes: 686_936.0,
+                max_allocs: 114.0,
+                max_bytes: 473_464.0,
             },
         ]
     })
@@ -176,14 +176,14 @@ fn eager_operator_rows() -> Vec<Row> {
                     drop(ctx.encrypt(&msg, &kp.public))
                 }),
                 row("add", 19.0, 1_048_968.0, &|| drop(ev.add(&ct, &ct))),
-                row("mult", 211.0, 11_357_832.0, &|| {
+                row("mult", 152.0, 7_817_928.0, &|| {
                     drop(ev.mult(&ct, &ct, &kp.relin))
                 }),
-                row("rescale", 33.0, 1_966_424.0, &|| drop(ev.rescale(&ct))),
-                row("rotate", 133.0, 6_769_008.0, &|| {
+                row("rescale", 19.0, 1_048_920.0, &|| drop(ev.rescale(&ct))),
+                row("rotate", 97.0, 4_671_088.0, &|| {
                     drop(ev.rotate(&ct, 1, &rot[0].1))
                 }),
-                row("hoisted 8 rot", 729.0, 38_942_240.0, &|| {
+                row("hoisted 8 rot", 441.0, 22_158_880.0, &|| {
                     drop(ev.hoisted_rotations(&ct, &fan_out))
                 }),
             ]
