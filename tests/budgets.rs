@@ -17,7 +17,7 @@ use cross::ckks::{CkksContext, CkksParams, Evaluator, ParamSet};
 use cross::math::par;
 use cross::sched::serve::{ServeConfig, ServeKeys};
 use cross::sched::session::{serve_tenants, TenantSpec};
-use cross::sched::{CtId, HeOpKind};
+use cross::sched::{execute_schedule, CtId, HeOpKind, Recorder, ReplayKeys, Scheduler};
 use cross::tpu::TpuGeneration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -147,7 +147,9 @@ fn served_request_rows() -> Vec<Row> {
 /// One eager operator call at Set B (`N = 2^13`, 8 limbs, one
 /// ciphertext 1 MiB) on a top-level ciphertext, after one warm call
 /// builds the plans and permutation tables it reads. The fan-out is
-/// `hoisted_rotations` over steps 1–8.
+/// `hoisted_rotations` over steps 1–8. The executed group is
+/// `execute_schedule` over one fused group of eight `rotate(·, 1)` of
+/// distinct inputs, the input copies it returns included.
 fn eager_operator_rows() -> Vec<Row> {
     let ctx = CkksContext::new(ParamSet::B.params(), 12);
     let kp = ctx.generate_keys();
@@ -157,10 +159,23 @@ fn eager_operator_rows() -> Vec<Row> {
     let fan_out: Vec<_> = rot.iter().map(|(s, k)| (*s, k)).collect();
     let msg = vec![0.25; ctx.slot_count()];
     let ev = Evaluator::new(&ctx);
+    let params = *ctx.params();
+    let mut r = Recorder::new();
+    for _ in 0..8 {
+        let x = r.input(params.limbs);
+        r.rotate(x, 1);
+    }
+    let group = r.finish();
+    let schedule = Scheduler::new(TpuGeneration::V6e, 8).schedule(&group, &params);
+    assert_eq!(schedule.batches.len(), 1, "eight rotations form one group");
+    let replay_keys = ReplayKeys::new().with_rotation(1, &rot[0].1);
     std::thread::scope(|s| {
         s.spawn(|| {
             par::mark_worker();
             let ct = ctx.encrypt(&msg, &kp.public);
+            let inputs: Vec<_> = (0..8)
+                .map(|i| ctx.encrypt(&vec![0.1 * i as f64; ctx.slot_count()], &kp.public))
+                .collect();
             let row = |name, max_allocs, max_bytes, unit: &dyn Fn()| {
                 let (allocs, bytes) = per_unit(1, 2, unit);
                 Row {
@@ -185,6 +200,15 @@ fn eager_operator_rows() -> Vec<Row> {
                 }),
                 row("hoisted 8 rot", 441.0, 22_158_880.0, &|| {
                     drop(ev.hoisted_rotations(&ct, &fan_out))
+                }),
+                row("executed 8 rot", 413.0, 62_421_160.0, &|| {
+                    drop(execute_schedule(
+                        &group,
+                        &schedule,
+                        &ev,
+                        &replay_keys,
+                        &inputs,
+                    ))
                 }),
             ]
         })
