@@ -103,7 +103,7 @@ fn main() {
     );
 
     for cores in [1u32, 8] {
-        let scheduler = Scheduler::new(TpuGeneration::V6e, cores).with_optimize(true);
+        let scheduler = Scheduler::new(TpuGeneration::V6e, cores);
         let schedule = scheduler.schedule(&optimized.graph, &params);
         let naive_s = scheduler.naive_wall_s(&graph, &params);
         let fused_groups = schedule.batches.iter().filter(|b| b.ops > 1).count();

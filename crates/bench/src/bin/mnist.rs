@@ -78,7 +78,7 @@ fn main() {
     // batch formation over the optimized graph) at 1 and 8 cores.
     let mut per_image = Vec::new();
     for cores in [1u32, 8] {
-        let scheduler = Scheduler::new(TpuGeneration::V6e, cores).with_optimize(true);
+        let scheduler = Scheduler::new(TpuGeneration::V6e, cores);
         let schedule = scheduler.schedule(&optimized.graph, &params);
         let naive_s = scheduler.naive_wall_s(&graph, &params);
         let fused = schedule.batches.iter().filter(|b| b.ops > 1).count();

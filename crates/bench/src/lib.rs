@@ -69,9 +69,7 @@ pub fn serve_smoke(
     let keys = ServeKeys::new()
         .with_relin(kp.relin.clone())
         .with_rotation(1, ctx.generate_rotation_key(&kp.secret, 1));
-    let config = ServeConfig::new(gen, cores)
-        .with_workers(workers)
-        .with_optimize(true);
+    let config = ServeConfig::new(gen, cores).with_workers(workers);
 
     let start = std::time::Instant::now();
     let stats = serve::run(&ctx, &keys, &config, |session| {
@@ -213,8 +211,7 @@ pub fn serve_tenants_smoke(
     let config = ServeConfig::new(gen, cores)
         .with_workers(workers)
         .with_batch_window(std::time::Duration::from_millis(2))
-        .with_key_cache_bytes(budget)
-        .with_optimize(true);
+        .with_key_cache_bytes(budget);
 
     let latencies = Mutex::new(Vec::with_capacity(trace.len()));
     let start = Instant::now();

@@ -14,6 +14,11 @@
 //! batched ≡ eager is one code path, and the layout only changes where
 //! residues live, never what is computed on them
 //! (`tests/batched_equivalence.rs` pins it per operator).
+//!
+//! No executed path packs a batch: the graph executor and the serving
+//! loop run every entry on its own through the eager methods, and only
+//! the cost model fuses (`cross_sched`'s `FusedBatch`). A packed batch
+//! is built only by a caller that asks for one.
 
 use crate::ciphertext::{Ciphertext, CtView};
 use crate::eval::Evaluator;
@@ -132,16 +137,6 @@ impl BatchedCiphertext {
                 scale,
             })
             .collect()
-    }
-
-    /// Scatters the batch into independent ciphertexts, consuming it: a
-    /// batch of one is handed back as it is, without copying a residue.
-    pub fn into_ciphertexts(self) -> Vec<Ciphertext> {
-        if self.batch() == 1 {
-            vec![self.into_single()]
-        } else {
-            self.to_ciphertexts()
-        }
     }
 
     /// The result of an operator on a one-entry view, handed back

@@ -1,13 +1,16 @@
 //! Functional execution of op graphs: replay a recorded graph op by
-//! op, or execute a [`Schedule`] so fused groups actually run as
-//! [`BatchedCiphertext`] kernels.
+//! op, or execute a [`Schedule`] group by group.
 //!
-//! Both paths are **bit-exact** with calling the evaluator eagerly:
-//! every op goes through the evaluator's `*_batch` operators, whose
-//! bodies the eager methods share (a lone op runs on its operand's
-//! borrowed view, exactly as an eager call does), and batch entries
-//! never interact (`tests/batched_equivalence.rs`).
-//! `tests/sched_model.rs` pins both.
+//! The host runs every op on its own, through the eager [`Evaluator`]
+//! method for its kind, in both paths: `replay` walks the graph in
+//! construction order, `execute_schedule` walks the schedule's fused
+//! groups in order. A fused group is the model's unit (one kernel
+//! streaming its entries through the MXU, paper §V-A); on the host it
+//! is a set of independent entries, never packed: on a free thread
+//! they spread over the `cross_math::par` pool, one whole operation
+//! per item, and on a marked thread they run in order. Results are
+//! **bit-exact** with calling the evaluator eagerly whatever the
+//! grouping. `tests/sched_model.rs` pins both paths.
 //!
 //! Inputs are borrowed while a run executes: an input node's slot
 //! refers to the caller's ciphertext, and only a computed node owns
@@ -15,13 +18,14 @@
 //! the input slots out at the end; the serving worker takes the slots
 //! as they stand and moves its results out.
 
-use crate::ir::{BatchedOp, ExecOp, HeOpKind, HoistOp, NodeId, OpGraph};
+use crate::ir::{ExecOp, HeOpKind, NodeId, OpGraph};
 use crate::sched::Schedule;
-use cross_ckks::{
-    BatchedCiphertext, Ciphertext, CtView, Evaluator, HoistedDecomposition, SwitchingKey,
-};
+use cross_ckks::{Ciphertext, Evaluator, HoistedDecomposition, SwitchingKey};
+use cross_math::par;
+use cross_poly::RnsPoly;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// The switching keys replay needs — the relinearization key for
 /// `Mult` and one rotation key per distinct step — plus the plaintext
@@ -101,87 +105,6 @@ fn at_level<'c>(ev: &Evaluator, ct: &'c Ciphertext, level: usize) -> Cow<'c, Cip
     }
 }
 
-/// One side of a group's operands at the group level: a lone member
-/// borrowed as it is (mod-dropped only when it sits higher), a larger
-/// group packed into one batch.
-enum Operand<'c> {
-    One(Cow<'c, Ciphertext>),
-    Packed(BatchedCiphertext),
-}
-
-impl<'c> Operand<'c> {
-    fn new(ev: &Evaluator, cts: &[&'c Ciphertext], level: usize) -> Self {
-        match cts {
-            [one] => Self::One(at_level(ev, one, level)),
-            _ => {
-                let aligned: Vec<_> = cts.iter().map(|c| at_level(ev, c, level)).collect();
-                Self::Packed(BatchedCiphertext::from_ciphertexts(
-                    aligned.iter().map(|c| &**c),
-                ))
-            }
-        }
-    }
-
-    fn view(&self) -> CtView<'_> {
-        match self {
-            Self::One(ct) => CtView::from(&**ct),
-            Self::Packed(batch) => CtView::from(batch),
-        }
-    }
-}
-
-/// Executes a group of same-kind operations at `level` as one
-/// evaluator call. A lone op runs on its operand's borrowed view and
-/// its result is moved out, with no pack and no unpack; a larger group
-/// is packed into a batch and scattered back. Operands are mod-dropped
-/// to `level` first — exactly the alignment the eager evaluator
-/// performs internally, and the eager methods run the same operator
-/// bodies on the same one-entry view, so group size never changes what
-/// is computed — including the panic on a node declared above its
-/// operands' level.
-fn exec_group(
-    ev: &Evaluator,
-    keys: &ReplayKeys,
-    op: BatchedOp,
-    level: usize,
-    lhs: &[&Ciphertext],
-    rhs: &[&Ciphertext],
-) -> Vec<Ciphertext> {
-    let a = || Operand::new(ev, lhs, level);
-    let b = || Operand::new(ev, rhs, level);
-    let out = match op {
-        BatchedOp::Add => ev.add_batch(a().view(), b().view()),
-        BatchedOp::Sub => ev.sub_batch(a().view(), b().view()),
-        BatchedOp::Mult => ev.mult_batch(a().view(), b().view(), keys.relin()),
-        BatchedOp::PlainMultConst { cid } => {
-            // One encode, broadcast across the whole group.
-            let (value, pt_scale) = keys.mult_const(cid);
-            let ctx = ev.context();
-            let pt = ctx.encode_at(&vec![value; ctx.slot_count()], level, pt_scale);
-            ev.mult_plain_batch(a().view(), &pt, pt_scale)
-        }
-        BatchedOp::PlainAddConst { cid } => {
-            // Each member encodes its constant at its *own* (level,
-            // scale) so the add is drift-free — a per-entry plaintext,
-            // so there is no shared broadcast kernel to pack for.
-            let value = keys.add_const(cid);
-            let ctx = ev.context();
-            return lhs
-                .iter()
-                .map(|c| {
-                    let a = at_level(ev, c, level);
-                    let pt = ctx.encode_at(&vec![value; ctx.slot_count()], level, a.scale);
-                    ev.add_plain(&a, &pt, a.scale)
-                })
-                .collect();
-        }
-        BatchedOp::Rotate { steps } => ev.rotate_batch(a().view(), steps, keys.rotation(steps)),
-        BatchedOp::Rescale => ev.rescale_batch(a().view()),
-        BatchedOp::ModDrop { to_level } => ev.mod_drop_batch(a().view(), to_level),
-    };
-    out.into_ciphertexts()
-}
-
 /// One execution in progress: a value slot per node — borrowed for an
 /// input, owned for a computed node — plus the hoisted decompositions,
 /// keyed by the `HoistDecomp` node that produced them.
@@ -226,72 +149,103 @@ impl<'a> Run<'a> {
             .unwrap_or_else(|| panic!("node {id} produced no value (cost-only producer?)"))
     }
 
-    /// Executes the same-kind ops `nodes` at `level` and stores their
-    /// values; cost-only kinds produce none. The one place a graph
-    /// kind is converted to its executable form
-    /// ([`crate::ir::KindRow::exec`]).
+    /// Executes the same-kind ops `nodes` at `level`, each on its own,
+    /// and stores their values; `Input` and the cost-only kinds produce
+    /// none. The one place a graph kind is converted to its executable
+    /// form ([`crate::ir::KindRow::exec`]).
+    ///
+    /// Members never read each other, so they are the items of one
+    /// `par` loop: on a free thread a group of two or more spreads its
+    /// members over the pool, one whole operation per item, and each
+    /// member's own kernels run inline; on a marked thread the members
+    /// run in order. Either way every member computes the same bits.
     fn exec(&mut self, kind: HeOpKind, level: usize, nodes: &[NodeId]) {
         let graph = self.graph;
         for &id in nodes {
             assert_eq!(graph.node(id).batch, 1, "pre-fused nodes are cost-only");
         }
-        let row = kind.row();
-        let out = match row.exec {
-            None => return,
-            // Hoist-pipeline groups run node by node off the shared
-            // decomposition map — each rotation is already just the
-            // cheap tail, so there is no batched variant to prefer.
-            Some(ExecOp::Hoist(op)) => nodes
-                .iter()
-                .map(|&id| self.exec_hoist_node(op, level, id))
-                .collect(),
-            Some(ExecOp::Batched(op)) => {
-                // operand `k` of every member (none for a unary kind's rhs)
-                let side = |k: usize| -> Vec<&Ciphertext> {
-                    let members = if k < row.arity { nodes } else { &[] };
-                    members
-                        .iter()
-                        .map(|&id| self.operand(graph.node(id).inputs[k]))
-                        .collect()
-                };
-                exec_group(self.ev, self.keys, op, level, &side(0), &side(1))
-            }
-        };
-        for (&id, ct) in nodes.iter().zip(out) {
-            self.results[id] = Some(Cow::Owned(ct));
+        let Some(op) = kind.row().exec else { return };
+        let group_pt = OnceLock::new();
+        if let [id] = *nodes {
+            // A lone member is stored as it comes, with no buffer.
+            let out = self.step(op, level, id, &group_pt);
+            return self.store(id, out);
+        }
+        let run = &*self;
+        let mut outs: Vec<_> = nodes.iter().map(|&id| (id, None)).collect();
+        par::par_for_each_mut(&mut outs, |_, (id, out)| {
+            *out = Some(run.step(op, level, *id, &group_pt));
+        });
+        for (id, out) in outs {
+            self.store(id, out.expect("every member ran"));
         }
     }
 
-    /// Executes one hoist-pipeline node against the decomposition side
-    /// map. `HoistDecomp` mod-drops its operand to the node level (the
-    /// same alignment every other kind gets), runs the whole digit
+    /// Stores node `id`'s value and, for a `HoistDecomp`, its
+    /// decomposition.
+    fn store(&mut self, id: NodeId, (ct, decomp): (Ciphertext, Option<HoistedDecomposition>)) {
+        self.decomps.extend(decomp.map(|h| (id, h)));
+        self.results[id] = Some(Cow::Owned(ct));
+    }
+
+    /// Runs node `id` as `op` at `level`: its operands are mod-dropped
+    /// to `level` first — exactly the alignment the eager evaluator
+    /// performs internally, including the panic on a node declared
+    /// above its operands' level — and go to the eager method.
+    ///
+    /// `PlainMultConst` encodes its plaintext into `group_pt` once for
+    /// the whole group (the members share `cid` and level).
+    /// `PlainAddConst` encodes its constant at its operand's own scale,
+    /// so the add is drift-free. `HoistDecomp` runs the whole digit
     /// decomposition of `c1` — INTT, per-digit base extension, NTTs of
-    /// the extended limbs: what `costs::HOIST_DECOMP` charges — stores
-    /// it under its node id, and passes the aligned ciphertext through
-    /// as its value. `HoistedRotate` runs the Galois tail alone off the
-    /// producer's stored decomposition, bit-identical to a full rotate
-    /// of the pass-through value because [`Evaluator::rotate`] *is*
-    /// [`Evaluator::hoist_decompose`] then [`Evaluator::hoisted_rotate`]
-    /// — falling back to the eager rotate if its input was not
-    /// decomposed (a hand-built graph wiring HoistedRotate to an
-    /// ordinary producer) or sits at another level.
-    fn exec_hoist_node(&mut self, op: HoistOp, level: usize, id: NodeId) -> Ciphertext {
-        let (ev, keys) = (self.ev, self.keys);
-        let input = self.graph.node(id).inputs[0];
-        match op {
-            HoistOp::Decomp => {
-                let a = ev.mod_drop(self.operand(input), level);
-                self.decomps.insert(id, ev.hoist_decompose(&a));
-                a
+    /// the extended limbs: what `costs::HOIST_DECOMP` charges — returns
+    /// it for the run to store under its node id, and passes the
+    /// aligned ciphertext through as its value. `HoistedRotate` runs
+    /// the Galois tail alone off the producer's stored decomposition,
+    /// bit-identical to a full rotate of the pass-through value because
+    /// [`Evaluator::rotate`] *is* [`Evaluator::hoist_decompose`] then
+    /// [`Evaluator::hoisted_rotate`] — falling back to the eager rotate
+    /// if its input was not decomposed (a hand-built graph wiring
+    /// HoistedRotate to an ordinary producer) or sits at another level.
+    fn step(
+        &self,
+        op: ExecOp,
+        level: usize,
+        id: NodeId,
+        group_pt: &OnceLock<RnsPoly>,
+    ) -> (Ciphertext, Option<HoistedDecomposition>) {
+        let (ev, keys, ctx) = (self.ev, self.keys, self.ev.context());
+        let inputs = &self.graph.node(id).inputs;
+        let arg = |k: usize| at_level(ev, self.operand(inputs[k]), level);
+        let constant =
+            |value: f64, scale: f64| ctx.encode_at(&vec![value; ctx.slot_count()], level, scale);
+        let ct = match op {
+            ExecOp::Add => ev.add(&arg(0), &arg(1)),
+            ExecOp::Sub => ev.sub(&arg(0), &arg(1)),
+            ExecOp::Mult => ev.mult(&arg(0), &arg(1), keys.relin()),
+            ExecOp::PlainMultConst { cid } => {
+                let (value, pt_scale) = keys.mult_const(cid);
+                let pt = group_pt.get_or_init(|| constant(value, pt_scale));
+                ev.mult_plain(&arg(0), pt, pt_scale)
             }
-            HoistOp::Rotate { steps } => match self.decomps.get(&input) {
+            ExecOp::PlainAddConst { cid } => {
+                let a = arg(0);
+                ev.add_plain(&a, &constant(keys.add_const(cid), a.scale), a.scale)
+            }
+            ExecOp::Rotate { steps } => ev.rotate(&arg(0), steps, keys.rotation(steps)),
+            ExecOp::Rescale => ev.rescale(&arg(0)),
+            ExecOp::ModDrop { to_level } => ev.mod_drop(&arg(0), to_level),
+            ExecOp::HoistDecomp => {
+                let a = ev.mod_drop(self.operand(inputs[0]), level);
+                let h = ev.hoist_decompose(&a);
+                return (a, Some(h));
+            }
+            ExecOp::HoistedRotate { steps } => match self.decomps.get(&inputs[0]) {
                 Some(h) if h.level == level => ev.hoisted_rotate(h, steps, keys.rotation(steps)),
-                _ => {
-                    let a = at_level(ev, self.operand(input), level);
-                    ev.rotate(&a, steps, keys.rotation(steps))
-                }
+                _ => ev.rotate(&arg(0), steps, keys.rotation(steps)),
             },
-        }
+        };
+        (ct, None)
     }
 }
 
@@ -303,8 +257,8 @@ impl<'a> Run<'a> {
 /// Panics if `inputs` does not match the graph's input-node count, on
 /// pre-fused (`batch > 1`) nodes — those are cost-model artifacts
 /// with no per-op operand wiring, executable by neither this path nor
-/// [`execute_schedule`] (which fuses batch-1 nodes itself) — or when
-/// a replayable op consumes a cost-only node's value.
+/// [`execute_schedule`] — or when a replayable op consumes a cost-only
+/// node's value.
 pub fn replay(
     graph: &OpGraph,
     ev: &Evaluator,
@@ -313,19 +267,16 @@ pub fn replay(
 ) -> Vec<Option<Ciphertext>> {
     let mut run = Run::new(graph, ev, keys, inputs);
     for node in graph.nodes() {
-        if node.kind != HeOpKind::Input {
-            run.exec(node.kind, node.level, &[node.id]);
-        }
+        run.exec(node.kind, node.level, &[node.id]);
     }
     owned(run.results)
 }
 
-/// Executes a schedule: every [`crate::sched::FusedBatch`] runs as one
-/// evaluator call over its member ops, in schedule order — a group of
-/// one on its operand's borrowed view, a larger group packed into a
-/// batch. Semantics and panics match [`replay`]; results are
-/// bit-identical to it. Inputs are borrowed while the schedule runs;
-/// the input nodes' slots of the returned vector are copies of them.
+/// Executes a schedule: the [`crate::sched::FusedBatch`]es in schedule
+/// order, each group's member ops one by one. Semantics and panics
+/// match [`replay`]; results are bit-identical to it. Inputs are
+/// borrowed while the schedule runs; the input nodes' slots of the
+/// returned vector are copies of them.
 pub fn execute_schedule(
     graph: &OpGraph,
     schedule: &Schedule,
@@ -405,42 +356,95 @@ mod tests {
     }
 
     #[test]
-    fn group_of_one_equals_the_packed_path() {
+    fn every_group_member_gets_its_eager_bits() {
         let (ctx, kp) = setup();
         let ev = Evaluator::new(&ctx);
         let rk = ctx.generate_rotation_key(&kp.secret, 1);
+        let delta = ctx.params().scale();
         let keys = ReplayKeys::new()
             .with_relin(&kp.relin)
             .with_rotation(1, &rk)
-            .with_mult_const(0, 0.5, ctx.params().scale());
+            .with_mult_const(0, 0.5, delta)
+            .with_add_const(0, 0.25);
         let x = ctx.encrypt(&vec![0.2; ctx.slot_count()], &kp.public);
         let y = ctx.encrypt(&vec![-0.1; ctx.slot_count()], &kp.public);
         let top = x.level;
-        let ops = [
-            (BatchedOp::Add, 2),
-            (BatchedOp::Sub, 2),
-            (BatchedOp::Mult, 2),
-            (BatchedOp::PlainMultConst { cid: 0 }, 1),
-            (BatchedOp::Rotate { steps: 1 }, 1),
-            (BatchedOp::Rescale, 1),
-            (BatchedOp::ModDrop { to_level: 2 }, 1),
+        let constant =
+            |value, level, scale| ctx.encode_at(&vec![value; ctx.slot_count()], level, scale);
+        // The direct eager call for one member on operands at `level`.
+        let eager = |op: ExecOp, a: &Ciphertext, b: &Ciphertext| match op {
+            ExecOp::Add => ev.add(a, b),
+            ExecOp::Sub => ev.sub(a, b),
+            ExecOp::Mult => ev.mult(a, b, &kp.relin),
+            ExecOp::PlainMultConst { .. } => {
+                ev.mult_plain(a, &constant(0.5, a.level, delta), delta)
+            }
+            ExecOp::PlainAddConst { .. } => {
+                ev.add_plain(a, &constant(0.25, a.level, a.scale), a.scale)
+            }
+            ExecOp::Rotate { .. } | ExecOp::HoistedRotate { .. } => ev.rotate(a, 1, &rk),
+            ExecOp::Rescale => ev.rescale(a),
+            ExecOp::ModDrop { to_level } => ev.mod_drop(a, to_level),
+            ExecOp::HoistDecomp => a.clone(),
+        };
+        let kinds = [
+            HeOpKind::Add,
+            HeOpKind::Sub,
+            HeOpKind::Mult,
+            HeOpKind::PlainMultConst { cid: 0 },
+            HeOpKind::PlainAddConst { cid: 0 },
+            HeOpKind::Rotate { steps: 1 },
+            HeOpKind::Rescale,
+            HeOpKind::ModDrop { to_level: 2 },
+            HeOpKind::HoistDecomp,
+            HeOpKind::HoistedRotate { steps: 1 },
         ];
         // At the operands' level (borrowed as they are) and one below
-        // (mod-dropped first).
+        // (mod-dropped first); a group of one, then of two whose
+        // members swap their operands.
+        let pairs = [(&x, &y), (&y, &x)];
         for level in [top, top - 1] {
-            for (op, arity) in ops {
-                let (rhs_one, rhs_two) = match arity {
-                    2 => (vec![&y], vec![&y, &x]),
-                    _ => (vec![], vec![]),
-                };
-                let one = exec_group(&ev, &keys, op, level, &[&x], &rhs_one);
-                // The same member first in a packed group of two.
-                let two = exec_group(&ev, &keys, op, level, &[&x, &y], &rhs_two);
-                assert_eq!((one.len(), two.len()), (1, 2));
-                assert_eq!(one[0].level, two[0].level, "{op:?} at {level}");
-                assert_eq!(one[0].c0.limbs(), two[0].c0.limbs(), "{op:?} at {level}");
-                assert_eq!(one[0].c1.limbs(), two[0].c1.limbs(), "{op:?} at {level}");
-                assert_eq!(one[0].scale.to_bits(), two[0].scale.to_bits());
+            for kind in kinds {
+                let op = kind.row().exec.expect("executable kind");
+                for members in [&pairs[..1], &pairs[..]] {
+                    let mut g = OpGraph::new();
+                    let mut inputs = Vec::new();
+                    let mut nodes = Vec::new();
+                    for &(a, b) in members {
+                        let ins: Vec<_> = [a, b][..kind.arity()]
+                            .iter()
+                            .map(|ct| {
+                                inputs.push(*ct);
+                                g.input(ct.level)
+                            })
+                            .collect();
+                        // A hoisted rotation reads its producer's
+                        // decomposition.
+                        let ins = match op {
+                            ExecOp::HoistedRotate { .. } => {
+                                vec![g.add_op(HeOpKind::HoistDecomp, level, 1, &ins)]
+                            }
+                            _ => ins,
+                        };
+                        nodes.push(g.add_op(kind, level, 1, &ins));
+                    }
+                    let mut run = Run::new(&g, &ev, &keys, inputs);
+                    if let ExecOp::HoistedRotate { .. } = op {
+                        let decomps: Vec<_> = nodes.iter().map(|&n| n - 1).collect();
+                        run.exec(HeOpKind::HoistDecomp, level, &decomps);
+                    }
+                    run.exec(kind, level, &nodes);
+                    for (&(a, b), &id) in members.iter().zip(&nodes) {
+                        let (a, b) = (ev.mod_drop(a, level), ev.mod_drop(b, level));
+                        let want = eager(op, &a, &b);
+                        let got = run.operand(id);
+                        let at = format!("{kind:?} at {level}, group of {}", members.len());
+                        assert_eq!(got.level, want.level, "{at}");
+                        assert_eq!(got.c0.limbs(), want.c0.limbs(), "{at}");
+                        assert_eq!(got.c1.limbs(), want.c1.limbs(), "{at}");
+                        assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{at}");
+                    }
+                }
             }
         }
     }

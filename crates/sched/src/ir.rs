@@ -131,10 +131,14 @@ impl LevelRule {
     }
 }
 
-/// A kind the functional executor can run as one batched evaluator
-/// call over a group of same-kind ops.
+/// An operator the functional executor can run, one node at a time
+/// through the eager [`cross_ckks::Evaluator`]. [`HeOpKind`] is the
+/// graph vocabulary and also names cost-only kinds (`PlainMult`
+/// without its plaintext, standalone `KeySwitch`, `Bootstrap`); this
+/// type cannot hold one, so code that matches it needs no run-time
+/// "is this executable" check. [`KindRow::exec`] is the one conversion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchedOp {
+pub enum ExecOp {
     /// [`HeOpKind::Add`].
     Add,
     /// [`HeOpKind::Sub`].
@@ -163,32 +167,13 @@ pub enum BatchedOp {
         /// Target level.
         to_level: usize,
     },
-}
-
-/// A kind the executor runs node by node against the shared
-/// hoisted-decomposition map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HoistOp {
     /// [`HeOpKind::HoistDecomp`].
-    Decomp,
+    HoistDecomp,
     /// [`HeOpKind::HoistedRotate`].
-    Rotate {
+    HoistedRotate {
         /// Slot rotation amount.
         steps: usize,
     },
-}
-
-/// An operator the functional executor can run. [`HeOpKind`] is the
-/// graph vocabulary and also names cost-only kinds (`PlainMult`
-/// without its plaintext, standalone `KeySwitch`, `Bootstrap`); this
-/// type cannot hold one, so code that matches it needs no run-time
-/// "is this executable" check. [`KindRow::exec`] is the one conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecOp {
-    /// Runs as a batched evaluator call.
-    Batched(BatchedOp),
-    /// Runs through the hoisting pipeline.
-    Hoist(HoistOp),
 }
 
 /// The static facts of one [`HeOpKind`]: the single per-kind table the
@@ -214,7 +199,7 @@ pub struct KindRow {
 impl HeOpKind {
     /// This kind's row of static facts.
     pub fn row(self) -> KindRow {
-        use {BatchedOp as B, Cost::*, HoistOp as H, KeyRef::*};
+        use {Cost::*, ExecOp as E, KeyRef::*};
         let row = |label, arity, key, cost, exec| KindRow {
             label,
             arity,
@@ -226,41 +211,38 @@ impl HeOpKind {
             cost,
             exec,
         };
-        let batched = |op| Some(ExecOp::Batched(op));
-        let hoist = |op| Some(ExecOp::Hoist(op));
         let (add, pmult) = (Spec(&costs::HE_ADD), Spec(&costs::PLAIN_MULT));
         let (mult, rescale) = (Spec(&costs::HE_MULT), Spec(&costs::RESCALE));
         match self {
             Self::Input => row("Input", 0, None, Free, None),
-            Self::Add => row("HE-Add", 2, None, add, batched(B::Add)),
-            Self::Sub => row("HE-Sub", 2, None, add, batched(B::Sub)),
+            Self::Add => row("HE-Add", 2, None, add, Some(E::Add)),
+            Self::Sub => row("HE-Sub", 2, None, add, Some(E::Sub)),
             Self::PlainMult => row("HE-PMult", 1, None, pmult, None),
             Self::PlainMultConst { cid } => {
-                let exec = batched(B::PlainMultConst { cid });
+                let exec = Some(E::PlainMultConst { cid });
                 row("HE-PMultConst", 1, None, pmult, exec)
             }
             Self::PlainAddConst { cid } => {
-                let exec = batched(B::PlainAddConst { cid });
-                row("HE-PAddConst", 1, None, add, exec)
+                row("HE-PAddConst", 1, None, add, Some(E::PlainAddConst { cid }))
             }
-            Self::Mult => row("HE-Mult", 2, Some(Relin), mult, batched(B::Mult)),
+            Self::Mult => row("HE-Mult", 2, Some(Relin), mult, Some(E::Mult)),
             Self::Rotate { steps } => {
-                let (key, exec) = (Some(Rotation(steps)), batched(B::Rotate { steps }));
+                let (key, exec) = (Some(Rotation(steps)), Some(E::Rotate { steps }));
                 row("Rotate", 1, key, Spec(&costs::ROTATE), exec)
             }
-            Self::Rescale => row("Rescale", 1, None, rescale, batched(B::Rescale)),
+            Self::Rescale => row("Rescale", 1, None, rescale, Some(E::Rescale)),
             Self::ModDrop { to_level } => KindRow {
                 level: LevelRule::DropTo(to_level),
-                ..row("ModDrop", 1, None, Free, batched(B::ModDrop { to_level }))
+                ..row("ModDrop", 1, None, Free, Some(E::ModDrop { to_level }))
             },
             Self::KeySwitch => row("KeySwitch", 1, Some(Relin), Spec(&costs::KEY_SWITCH), None),
             Self::Bootstrap => row("Bootstrap", 1, Some(Relin), Bootstrap, None),
             Self::HoistDecomp => {
                 let cost = Spec(&costs::HOIST_DECOMP);
-                row("HoistDecomp", 1, None, cost, hoist(H::Decomp))
+                row("HoistDecomp", 1, None, cost, Some(E::HoistDecomp))
             }
             Self::HoistedRotate { steps } => {
-                let (key, exec) = (Some(Rotation(steps)), hoist(H::Rotate { steps }));
+                let (key, exec) = (Some(Rotation(steps)), Some(E::HoistedRotate { steps }));
                 row("HoistedRotate", 1, key, Spec(&costs::HOISTED_ROTATE), exec)
             }
         }

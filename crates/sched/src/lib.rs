@@ -24,8 +24,8 @@
 //!   loop's whole ticket, [`Completion`] slot included), drain
 //!   scheduled batches;
 //! * [`exec`] — [`replay`]/[`execute_schedule`]: run graphs and
-//!   schedules through the (batched) evaluator, bit-exact with eager
-//!   calls;
+//!   schedules op by op through the eager evaluator (a fused group is
+//!   the model's unit, not a host kernel);
 //! * [`opt`] — [`PassManager`]: optimizer passes over the IR
 //!   (waterline level placement, rotation dedup, CSE, probe-guarded
 //!   rotation hoisting), bit-exact on sink values and never

@@ -73,7 +73,6 @@
 //! ```
 
 use crate::ir::{HeOpKind, NodeId, OpGraph};
-use crate::opt::PassManager;
 use crate::sched::{ProbeCache, Schedule, Scheduler};
 use cross_ckks::params::CkksParams;
 use std::collections::{BTreeMap, VecDeque};
@@ -511,15 +510,8 @@ impl<P> RequestQueue<P> {
     /// slice order, operand-major — the order an executor's `inputs`
     /// slice must follow. Public so a serving loop that resolves
     /// operands *between* popping and scheduling (to surface evictions
-    /// as per-ticket errors) can drive it directly.
-    ///
-    /// When the scheduler has [`Scheduler::optimize`] set, the graph
-    /// first runs through the standard optimizer pipeline
-    /// ([`crate::opt::PassManager::standard`] on the scheduler's pod
-    /// and mode) and tickets are remapped onto the rewritten graph —
-    /// ticket values are bit-exact either way, since every ticket node
-    /// is a sink of the formed graph. Scheduling reads and fills
-    /// `probe_cache` ([`Scheduler::schedule_memo`]).
+    /// as per-ticket errors) can drive it directly. Scheduling reads
+    /// and fills `probe_cache` ([`Scheduler::schedule_memo`]).
     pub(crate) fn dispatch_requests(
         requests: Vec<HeRequest<P>>,
         scheduler: &Scheduler,
@@ -533,14 +525,6 @@ impl<P> RequestQueue<P> {
                 .map(|_| graph.input(req.level))
                 .collect();
             nodes.push(graph.add_op(req.kind, req.level, 1, &ins));
-        }
-        if scheduler.optimize {
-            let pm = PassManager::standard(scheduler.gen, scheduler.cores, scheduler.mode);
-            let rw = pm.run(&graph, params);
-            for node in &mut nodes {
-                *node = rw.remap[*node];
-            }
-            graph = rw.graph;
         }
         let schedule = scheduler.schedule_memo(&graph, params, probe_cache);
         Dispatch {

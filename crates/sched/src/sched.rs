@@ -75,12 +75,6 @@ pub struct Scheduler {
     /// pre-fused node larger than the cap is atomic and forms its own
     /// over-sized batch.
     pub max_fuse: usize,
-    /// Whether [`crate::queue::RequestQueue::drain`] runs the standard
-    /// optimizer pipeline ([`crate::opt::PassManager::standard`], on
-    /// this scheduler's pod and mode) over the drained graph before
-    /// batch formation. [`Scheduler::schedule`] itself never rewrites
-    /// the graph it is handed.
-    pub optimize: bool,
 }
 
 impl Scheduler {
@@ -92,7 +86,6 @@ impl Scheduler {
             cores,
             mode: ExecMode::FusedBatch,
             max_fuse: 16,
-            optimize: false,
         }
     }
 
@@ -112,10 +105,13 @@ impl Scheduler {
         self
     }
 
-    /// Same scheduler with drain-time optimization switched on or off
-    /// (see [`Scheduler::optimize`]).
-    pub fn with_optimize(mut self, optimize: bool) -> Self {
-        self.optimize = optimize;
+    /// The same scheduler: this setting has no effect. A drain-formed
+    /// graph gives every op fresh input nodes, so the optimizer
+    /// pipeline ([`crate::opt::PassManager::standard`]) has nothing to
+    /// rewrite there, and [`Scheduler::schedule`] never rewrites the
+    /// graph it is handed. Run the pipeline on a recorded graph before
+    /// scheduling it.
+    pub fn with_optimize(self, _optimize: bool) -> Self {
         self
     }
 

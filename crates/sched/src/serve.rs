@@ -15,10 +15,12 @@
 //!   [`crate::channel`], validates them, forms batches with the
 //!   existing [`Scheduler`], and hands each dispatch to the workers;
 //! * **worker** threads execute dispatches through
-//!   [`crate::exec::execute_schedule`] against the batched evaluator
-//!   (whose kernels fan out over `cross_math::par`), store each result
-//!   ciphertext, and fulfill the ticket's completion with the result
-//!   id plus the modeled cost of the fused batch it rode in.
+//!   [`crate::exec::execute_schedule`], every member of a fused batch
+//!   on its own through the eager evaluator (whose kernels fan out over
+//!   `cross_math::par`), store each result ciphertext, and fulfill the
+//!   ticket's completion with the result id plus the modeled cost of
+//!   the fused batch it rode in. Only the model fuses; the host never
+//!   packs a batch.
 //!
 //! Backpressure is explicit: the intake channel holds at most
 //! [`ServeConfig::capacity`] pending submissions, and
@@ -33,9 +35,8 @@
 //!
 //! Functional results are **bit-exact** with eager
 //! [`cross_ckks::Evaluator`] calls regardless of worker count or
-//! batch formation — that is the batched operators' equivalence
-//! contract, pinned end-to-end by `tests/serve_model.rs` and
-//! `tests/serve_tenants.rs`.
+//! batch formation — they *are* eager calls — pinned end-to-end by
+//! `tests/serve_model.rs` and `tests/serve_tenants.rs`.
 //!
 //! For per-tenant sessions, tenant-owned keys behind the LRU
 //! [`crate::keycache::KeyCache`], fair scheduling, and admission
@@ -152,10 +153,6 @@ pub struct ServeConfig {
     pub capacity: usize,
     /// What happens at capacity: block the producer or reject.
     pub policy: Backpressure,
-    /// Whether drains run the optimizer pipeline before batch
-    /// formation (see [`Scheduler::optimize`]; tickets are remapped,
-    /// so results are unchanged either way).
-    pub optimize: bool,
     /// Micro-batching window — the batching delay each request
     /// tolerates: an idle dispatcher that has its first request keeps
     /// gathering until the intake holds [`capacity`] requests or the
@@ -202,7 +199,6 @@ impl ServeConfig {
             drain_max: 16,
             capacity: 64,
             policy: Backpressure::Block,
-            optimize: false,
             batch_window: Duration::ZERO,
             store_capacity: 256,
             key_cache_bytes: f64::INFINITY,
@@ -276,15 +272,14 @@ impl ServeConfig {
         self
     }
 
-    /// Same configuration with drain-time optimization switched on or
-    /// off (see [`ServeConfig::optimize`]).
-    pub fn with_optimize(mut self, optimize: bool) -> Self {
-        self.optimize = optimize;
+    /// The same configuration: this setting has no effect on the
+    /// graphs a drain forms (see [`Scheduler::with_optimize`]).
+    pub fn with_optimize(self, _optimize: bool) -> Self {
         self
     }
 
     pub(crate) fn scheduler(&self) -> Scheduler {
-        Scheduler::new(self.gen, self.cores).with_optimize(self.optimize)
+        Scheduler::new(self.gen, self.cores)
     }
 }
 

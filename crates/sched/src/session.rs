@@ -599,20 +599,20 @@ impl Dispatcher<'_> {
     /// admitted request, so a bad one fails its ticket here instead of
     /// panicking a thread there.
     fn admit(&self, sub: &Submission) -> Result<usize, ServeError> {
-        use crate::ir::{BatchedOp as B, HoistOp as H};
+        use ExecOp as E;
         let (row, operands) = (sub.kind.row(), &sub.ticket.operands);
         // Exhaustive on purpose: a new executable op must decide here
         // whether a session can serve it. Cost-only kinds have no
         // executable form to decide about.
         let scale_checked = match row.exec {
-            Some(ExecOp::Batched(B::Add | B::Sub)) => true,
-            Some(ExecOp::Batched(B::Mult | B::Rotate { .. } | B::Rescale | B::ModDrop { .. }))
-            | Some(ExecOp::Hoist(H::Rotate { .. })) => false,
+            Some(E::Add | E::Sub) => true,
+            Some(E::Mult | E::Rotate { .. } | E::Rescale | E::ModDrop { .. })
+            | Some(E::HoistedRotate { .. }) => false,
             // The const kinds' scalar table is not something a session
             // carries, and a decomposition alone is no result.
-            Some(ExecOp::Batched(B::PlainMultConst { .. } | B::PlainAddConst { .. }))
-            | Some(ExecOp::Hoist(H::Decomp))
-            | None => return Err(ServeError::Unservable(row.label)),
+            Some(E::PlainMultConst { .. } | E::PlainAddConst { .. } | E::HoistDecomp) | None => {
+                return Err(ServeError::Unservable(row.label))
+            }
         };
         if operands.len() != row.arity {
             return Err(ServeError::WrongArity {

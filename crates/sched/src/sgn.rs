@@ -2,7 +2,7 @@
 //! (`cross_ckks::ext::sgn`): the same generic chain builders write
 //! their program into an [`OpGraph`] instead of executing it, so sign
 //! / compare / min / max / relu DAGs flow through the scheduler, the
-//! optimizer passes and the batched replay executor like any other
+//! optimizer passes and the replay executor like any other
 //! workload.
 //!
 //! Bit-exactness with the eager [`cross_ckks::ext::sgn::SignEvaluator`]

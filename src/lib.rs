@@ -116,7 +116,7 @@
 //! ```
 //! use cross::ckks::costs::ExecMode;
 //! use cross::ckks::params::ParamSet;
-//! use cross::sched::{cost_graph, HeOpKind, OpGraph, PassManager, Scheduler};
+//! use cross::sched::{cost_graph, HeOpKind, OpGraph, PassManager};
 //! use cross::tpu::{PodSim, TpuGeneration};
 //!
 //! let params = ParamSet::C.params();
@@ -133,17 +133,15 @@
 //! let before = cost_graph(&mut pod, &params, &g, ExecMode::FusedBatch);
 //! let after = cost_graph(&mut pod, &params, &rw.graph, ExecMode::FusedBatch);
 //! assert!(after.critical_s <= before.critical_s); // passes never cost
-//! // rw.remap[old] says where every original value now lives. On the
-//! // serving path the drain does all of this per batch when asked:
-//! let _optimizing = Scheduler::new(TpuGeneration::V6e, 8).with_optimize(true);
+//! // rw.remap[old] says where every original value now lives.
 //! ```
 //!
 //! ## Serving
 //!
 //! [`sched::serve::run`] wraps the queue and scheduler in a
 //! registry-free multi-threaded serving loop — a dispatcher thread
-//! forms batches, scoped workers execute them through the batched
-//! evaluator, and every submission resolves to a
+//! forms batches, scoped workers execute them entry by entry through
+//! the evaluator, and every submission resolves to a
 //! [`sched::Completion`] carrying the result ciphertext id plus the
 //! modeled pod cost of the fused batch it rode in (this is the
 //! README's serving doctest):

@@ -112,7 +112,7 @@ fn every_batch_entry_gives_the_same_bits_on_any_borrowed_operand() {
                 },
             ];
             for (i, got) in spellings.into_iter().enumerate() {
-                let got = got.into_ciphertexts().remove(0);
+                let got = got.to_ciphertexts().remove(0);
                 assert!(limbs_eq(&got, &want), "{}: spelling {i}", $name);
             }
         }};

@@ -130,15 +130,15 @@ fn served_request_rows() -> Vec<Row> {
                 name: "served rotate",
                 allocs: rot_allocs,
                 bytes: rot_bytes,
-                max_allocs: 82.0,
-                max_bytes: 276_168.0,
+                max_allocs: 80.0,
+                max_bytes: 276_048.0,
             },
             Row {
                 name: "served mult",
                 allocs: mult_allocs,
                 bytes: mult_bytes,
-                max_allocs: 114.0,
-                max_bytes: 473_464.0,
+                max_allocs: 111.0,
+                max_bytes: 473_336.0,
             },
         ]
     })
@@ -201,7 +201,7 @@ fn eager_operator_rows() -> Vec<Row> {
                 row("hoisted 8 rot", 441.0, 22_158_880.0, &|| {
                     drop(ev.hoisted_rotations(&ct, &fan_out))
                 }),
-                row("executed 8 rot", 413.0, 62_421_160.0, &|| {
+                row("executed 8 rot", 922.0, 45_764_224.0, &|| {
                     drop(execute_schedule(
                         &group,
                         &schedule,
