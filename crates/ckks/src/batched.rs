@@ -19,6 +19,13 @@
 //! loop run every entry on its own through the eager methods, and only
 //! the cost model fuses (`cross_sched`'s `FusedBatch`). A packed batch
 //! is built only by a caller that asks for one.
+//!
+//! Every limb these kernels make — the converted digits, the key inner
+//! product's accumulators, the mod-down's correction limbs, the rescaled
+//! limbs — is drawn from the context's [`LimbPool`] and goes back to it
+//! when its holder is dropped, so a warm operator at batch one asks the
+//! allocator for no limb (`tests/budgets.rs`). An accumulator is
+//! zero-filled explicitly; every other limb is written whole.
 
 use crate::ciphertext::{Ciphertext, CtView};
 use crate::eval::Evaluator;
@@ -30,16 +37,34 @@ use cross_math::rns::RnsBasis;
 use cross_math::{modops, par};
 use cross_poly::ring::Domain;
 use cross_poly::rns_poly::{RnsContext, RnsPoly};
-use cross_poly::{host_ntt, small_ntt, PolyBatch};
+use cross_poly::{host_ntt, small_ntt, LimbPool, PolyBatch};
 use std::sync::Arc;
 
 /// The key-independent half of a hybrid key switch
 /// ([`Evaluator::ks_decompose`]): per digit, the base-extended limbs
 /// in evaluation form, batch-major, in the digit plan's kernel output
-/// order. `dnum·(l+k) − l` limbs of `N·batch` words at level `l`.
-#[derive(Debug, Clone)]
+/// order. `dnum·(l+k) − l` limbs of `N·batch` words at level `l`,
+/// drawn from the context's limb pool and given back when dropped.
+#[derive(Debug)]
 pub(crate) struct KsDigits {
     converted: Vec<Vec<Vec<u64>>>,
+    pool: Arc<LimbPool>,
+}
+
+impl Clone for KsDigits {
+    fn clone(&self) -> Self {
+        let copy = |digit: &Vec<Vec<u64>>| digit.iter().map(|l| self.pool.copy_of(l)).collect();
+        Self {
+            converted: self.converted.iter().map(copy).collect(),
+            pool: self.pool.clone(),
+        }
+    }
+}
+
+impl Drop for KsDigits {
+    fn drop(&mut self) {
+        self.pool.give(self.converted.drain(..).flatten());
+    }
 }
 
 #[cfg(test)]
@@ -199,11 +224,12 @@ impl<'a> Evaluator<'a> {
         let old_ctx = ctx.level_ctx(l).clone();
         let new_ctx = ctx.level_ctx(l - 1).clone();
         let rescale_pb = |p: &PolyBatch| -> PolyBatch {
+            let pool = new_ctx.pool();
             // Ciphertext components live in evaluation form; the (rare)
             // coefficient-domain caller pays one conversion.
             let pe = p.in_domain(Domain::Evaluation);
             // The dropped limb is the only one that needs coefficients.
-            let mut last = pe.limbs()[l - 1].clone();
+            let mut last = pool.copy_of(&pe.limbs()[l - 1]);
             for seg in last.chunks_mut(n) {
                 host_ntt::inverse_inplace(seg, &old_ctx.tables()[l - 1]);
             }
@@ -214,16 +240,18 @@ impl<'a> Evaluator<'a> {
                 // centered last-limb residue for round-to-nearest,
                 // lifted into q_i and carried to evaluation form, then
                 // subtracted and scaled where it lies
-                let mut cl: Vec<u64> = last
-                    .iter()
-                    .map(|&c| modops::from_signed(modops::to_signed(c, q_last), qi))
-                    .collect();
+                let mut cl = pool.take(last.len());
+                cl.extend(
+                    last.iter()
+                        .map(|&c| modops::from_signed(modops::to_signed(c, q_last), qi)),
+                );
                 for seg in cl.chunks_mut(n) {
                     host_ntt::forward_inplace(seg, &new_ctx.tables()[i]);
                 }
                 small_ntt::sub_mul_const(&pe.limbs()[i], &mut cl, inv, inv_shoup, qi);
                 new_limbs.push(cl);
             }
+            pool.give([last]);
             PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Evaluation)
         };
         // per component: one INTT and l − 1 NTTs, then the pointwise pass
@@ -336,14 +364,18 @@ impl<'a> Evaluator<'a> {
             .iter()
             .map(|dp| dp.range.len() * dp.other_idx.len() * rows)
             .sum();
-        let mut converted = vec![Vec::new(); digits.len()];
+        let pool = ks_ctx.pool();
+        let mut converted: Vec<Vec<Vec<u64>>> = digits
+            .iter()
+            .map(|dp| dp.other_idx.iter().map(|_| pool.take(rows)).collect())
+            .collect();
         par::par_for_each_sized(&mut converted, bconv_work, |j, out| {
             let src: Vec<&[u64]> = digits[j]
                 .range
                 .clone()
                 .map(|i| d_coeff.limbs()[i].as_slice())
                 .collect();
-            *out = digits[j].kernel.convert_slices(&src);
+            digits[j].kernel.convert_slices_into(&src, out);
         });
         // then every converted limb's forward NTT, across the digits
         let mut limbs: Vec<(&mut Vec<u64>, usize)> = converted
@@ -357,7 +389,10 @@ impl<'a> Evaluator<'a> {
                 host_ntt::forward_inplace(seg, &ks_ctx.tables()[*slot]);
             }
         });
-        KsDigits { converted }
+        KsDigits {
+            converted,
+            pool: pool.clone(),
+        }
     }
 
     /// The apply half of a key switch — `KeyInnerProduct` then
@@ -398,6 +433,7 @@ impl<'a> Evaluator<'a> {
         // cache-resident across the digits; one read of the digit and
         // two MACs per digit and row.
         let ext = ks_ctx.moduli().len();
+        let pool = ks_ctx.pool();
         let mut accs = vec![(Vec::new(), Vec::new()); ext];
         par::par_for_each_sized(&mut accs, 2 * ext * terms.len() * rows, |t, (a0, a1)| {
             let qt = ks_ctx.moduli()[t];
@@ -411,7 +447,7 @@ impl<'a> Evaluator<'a> {
             // q < 2³², `CkksParams`' bound), so this many of them,
             // plus a carried-in residue, fit a `u64`: 256 at 28 bits.
             let fit = (u64::MAX / (qt * qt)) as usize;
-            (*a0, *a1) = (vec![0u64; rows], vec![0u64; rows]);
+            (*a0, *a1) = (pool.take_zeroed(rows), pool.take_zeroed(rows));
             for chunk in terms.chunks(fit) {
                 for &((dp, converted), kd) in chunk {
                     let src_limb: &[u64] = match dp.conv_pos[t] {
@@ -450,7 +486,8 @@ impl<'a> Evaluator<'a> {
     /// the plan's `P⁻¹` Shoup pairs — exact by NTT linearity, saving
     /// the `l` inverse transforms the reference pays — written over the
     /// correction limbs, which become the output. Input limbs are
-    /// canonical evaluation-domain residues over the ks chain.
+    /// canonical evaluation-domain residues over the ks chain; they go
+    /// back to the limb pool.
     fn mod_down_fast(
         &self,
         plan: &Arc<KsPlan>,
@@ -469,7 +506,9 @@ impl<'a> Evaluator<'a> {
             }
         }
         let p_slices: Vec<&[u64]> = limbs[l..].iter().map(|v| v.as_slice()).collect();
-        let mut cp = plan.mod_down.convert_slices(&p_slices);
+        let pool = level_ctx.pool();
+        let mut cp: Vec<Vec<u64>> = (0..l).map(|_| pool.take(limbs[0].len())).collect();
+        plan.mod_down.convert_slices_into(&p_slices, &mut cp);
         for (i, limb) in cp.iter_mut().enumerate() {
             let tables = &level_ctx.tables()[i];
             for seg in limb.chunks_mut(n) {
@@ -482,6 +521,7 @@ impl<'a> Evaluator<'a> {
             // the correction limb, which becomes the output limb
             small_ntt::sub_mul_const(c, cp, p_inv, p_inv_shoup, level_ctx.moduli()[i]);
         }
+        ks_ctx.pool().give(limbs);
         PolyBatch::from_limbs(level_ctx, cp, Domain::Evaluation)
     }
 
@@ -733,6 +773,7 @@ mod tests {
             let ks_ctx = ctx.ks_ctx(level).clone();
             let plan = ctx.ks_plan(level).clone();
             let all_max = KsDigits {
+                pool: ks_ctx.pool().clone(),
                 converted: plan
                     .digits
                     .iter()
@@ -759,6 +800,143 @@ mod tests {
                 let fast = ev.ks_apply(&d, &all_max, &key, perm);
                 assert_eq!(fast.0.limbs(), want.limbs(), "{at}, all q - 1: out0");
                 assert_eq!(fast.1.limbs(), want.limbs(), "{at}, all q - 1: out1");
+            }
+        }
+    }
+
+    /// Leaves `count` spare buffers of `q − 1` and arbitrary words on
+    /// top of `ctx`'s limb pool, so the next `count` limbs an operator
+    /// draws hold garbage. The returned batches hold as many buffers
+    /// out, which lets the pool's bound admit the spares; drop them
+    /// after the operator ran.
+    fn dirty_pool(ctx: &CkksContext, count: usize) -> Vec<PolyBatch> {
+        let c = ctx.level_ctx(1);
+        let held = (0..count)
+            .map(|_| PolyBatch::zero_evaluation(c.clone(), 1))
+            .collect();
+        let q = c.moduli()[0];
+        let mut word = 0x9e37_79b9_7f4a_7c15_u64;
+        for k in 0..count {
+            let limb = (0..ctx.params().n)
+                .map(|j| {
+                    word = word
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    if (j + k) % 2 == 0 {
+                        q - 1
+                    } else {
+                        word
+                    }
+                })
+                .collect();
+            drop(PolyBatch::from_limbs(
+                c.clone(),
+                vec![limb],
+                Domain::Evaluation,
+            ));
+        }
+        held
+    }
+
+    #[test]
+    fn operators_on_a_dirty_pool_match_a_fresh_context_and_the_oracles() {
+        // Each operator runs once on a fresh context and once on a
+        // twin (same seed, so same keys and ciphertexts) whose pool was
+        // just filled with garbage: a kernel that reads a recycled
+        // buffer before writing all of it shows as a bit difference.
+        // Enough garbage for every limb the largest operator draws.
+        const GARBAGE: usize = 160;
+        let shapes = [
+            CkksParams::toy(),
+            crate::ParamSet::B.params(),
+            CkksParams::new(1 << 6, 8, 8, 31),
+        ];
+        for params in shapes {
+            let results = |dirty: bool| {
+                let ctx = CkksContext::new(params, 77);
+                let kp = ctx.generate_keys();
+                let rk1 = ctx.generate_rotation_key(&kp.secret, 1);
+                let rk2 = ctx.generate_rotation_key(&kp.secret, 2);
+                let ck = ctx.generate_conjugation_key(&kp.secret);
+                let ev = Evaluator::new(&ctx);
+                let ms = messages(&ctx, 2, 0.37);
+                let a = ctx.encrypt(&ms[0], &kp.public);
+                let b = ctx.encrypt(&ms[1], &kp.public);
+                let mut out: Vec<(&str, Vec<Vec<u64>>)> = Vec::new();
+                let mut record = |name, polys: &[&PolyBatch]| {
+                    let limbs = polys.iter().flat_map(|p| p.limbs().to_vec()).collect();
+                    out.push((name, limbs));
+                };
+                let garbage = || {
+                    if dirty {
+                        dirty_pool(&ctx, GARBAGE)
+                    } else {
+                        Vec::new()
+                    }
+                };
+                let held = garbage();
+                let prod = ev.mult(&a, &b, &kp.relin);
+                drop(held);
+                record("mult", &[&prod.c0, &prod.c1]);
+                let held = garbage();
+                let rot = ev.rotate(&a, 1, &rk1);
+                drop(held);
+                record("rotate", &[&rot.c0, &rot.c1]);
+                let held = garbage();
+                let conj = ev.conjugate(&a, &ck);
+                drop(held);
+                record("conjugate", &[&conj.c0, &conj.c1]);
+                let held = garbage();
+                let resc = ev.rescale(&a);
+                drop(held);
+                record("rescale", &[&resc.c0, &resc.c1]);
+                let held = garbage();
+                let dropped = ev.mod_drop(&a, 2);
+                drop(held);
+                record("mod_drop", &[&dropped.c0, &dropped.c1]);
+                let held = garbage();
+                let (k0, k1) = ev.key_switch(&a.c1, &kp.relin);
+                drop(held);
+                record("key_switch", &[&k0, &k1]);
+                let held = garbage();
+                let fan = ev.hoisted_rotations(&a, &[(1, &rk1), (2, &rk2)]);
+                drop(held);
+                record(
+                    "hoisted_rotations",
+                    &[&fan[0].c0, &fan[0].c1, &fan[1].c0, &fan[1].c1],
+                );
+                let held = garbage();
+                let m = ctx.decrypt_to_poly(&prod, &kp.secret);
+                let slots = ctx.decrypt(&prod, &kp.secret);
+                drop(held);
+                record("decrypt", &[&m]);
+                out.push((
+                    "decrypt slots",
+                    vec![slots.iter().map(|v| v.to_bits()).collect()],
+                ));
+                // and the fast kernels against their oracles, on this pool
+                let reference = ev.key_switch_reference(&a.c1, &kp.relin);
+                let at = format!("N = {}, dirty {dirty}", params.n);
+                let same = k0.limbs() == reference.0.limbs() && k1.limbs() == reference.1.limbs();
+                assert!(same, "{at}: key_switch");
+                let batch = BatchedCiphertext::from_ciphertexts([&a]);
+                let held = garbage();
+                let fast = ev.rescale_batch(&batch);
+                drop(held);
+                let reference = ev.rescale_batch_reference(&batch);
+                let same = fast.c0.limbs() == reference.c0.limbs()
+                    && fast.c1.limbs() == reference.c1.limbs();
+                assert!(same, "{at}: rescale_batch");
+                out
+            };
+            let fresh = results(false);
+            let dirty = results(true);
+            for ((name, want), (_, got)) in fresh.iter().zip(&dirty) {
+                assert!(
+                    got == want,
+                    "N = {}: {name} differs on a dirty pool",
+                    params.n
+                );
             }
         }
     }

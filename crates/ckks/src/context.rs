@@ -11,7 +11,7 @@ use cross_math::{modops, primes};
 use cross_poly::ring::Domain;
 use cross_poly::rns_poly::{RnsContext, RnsPoly};
 use cross_poly::sampling;
-use cross_poly::{host_ntt, NttTables};
+use cross_poly::{host_ntt, LimbPool, NttTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -63,16 +63,20 @@ impl CkksContext {
             .iter()
             .map(|&q| Arc::new(NttTables::new(params.n, q)))
             .collect();
+        // Likewise one pool of spare limbs: a limb freed at one level is
+        // reused at any other, or in a key-switching extension.
+        let pool = LimbPool::new(params.n);
+        let ctx_of = |tables| Arc::new(RnsContext::with_pool(tables, pool.clone()));
         let mut level_ctxs = Vec::with_capacity(params.limbs);
         let mut ks_ctxs = Vec::with_capacity(params.limbs);
         for l in 1..=params.limbs {
             let q_part = shared[..l].to_vec();
-            level_ctxs.push(Arc::new(RnsContext::with_tables(params.n, q_part.clone())));
+            level_ctxs.push(ctx_of(q_part.clone()));
             let mut ext = q_part;
             ext.extend_from_slice(&shared[params.limbs..]);
-            ks_ctxs.push(Arc::new(RnsContext::with_tables(params.n, ext)));
+            ks_ctxs.push(ctx_of(ext));
         }
-        let full_ctx = Arc::new(RnsContext::with_tables(params.n, shared));
+        let full_ctx = ctx_of(shared);
         let big_p = BigUint::product_of(&chain[params.limbs..]);
         Self {
             params,

@@ -269,8 +269,7 @@ impl<'a> Evaluator<'a> {
     ) -> BatchedCiphertext {
         self.with_aligned(a.into(), b.into(), |a, b| {
             let d0 = a.c0.mul_pointwise(b.c0);
-            let mut d1 = a.c0.mul_pointwise(b.c1);
-            d1.add_assign(&a.c1.mul_pointwise(b.c0));
+            let d1 = a.c0.mul_pointwise_sum(b.c1, a.c1, b.c0);
             let d2 = a.c1.mul_pointwise(b.c1);
             let (mut k0, mut k1) = self.key_switch(&d2, relin);
             k0.add_assign(&d0);

@@ -338,8 +338,26 @@ impl BconvKernel {
     /// Panics on a limb count other than the source basis', ragged
     /// limbs, or a limb length that is not a multiple of the degree.
     pub fn convert_slices(&self, limbs: &[&[u64]]) -> Vec<Vec<u64>> {
+        let mut out = vec![Vec::new(); self.l_out];
+        self.convert_slices_into(limbs, &mut out);
+        out
+    }
+
+    /// [`BconvKernel::convert_slices`] into caller-owned buffers, one
+    /// per target limb — recycled limbs, say. Each buffer is cleared
+    /// and zero-filled to the row count first, so what it held before
+    /// never reaches the output.
+    ///
+    /// # Panics
+    /// As [`BconvKernel::convert_slices`], and on a buffer count other
+    /// than the target basis'.
+    pub fn convert_slices_into(&self, limbs: &[&[u64]], out: &mut [Vec<u64>]) {
         let rows = self.rows_of(limbs);
-        let mut out = vec![vec![0u64; rows]; self.l_out];
+        assert_eq!(out.len(), self.l_out, "one buffer per target limb");
+        for o in out.iter_mut() {
+            o.clear();
+            o.resize(rows, 0);
+        }
         // Step-1 products and matrix entries are canonical residues of
         // moduli `compile` checked to be below 2³², so they are held
         // and multiplied as 32-bit words (a widening 32×32 multiply
@@ -370,7 +388,6 @@ impl BconvKernel {
                 }
             }
         }
-        out
     }
 }
 
@@ -421,6 +438,11 @@ mod tests {
         let base = kernel.convert_on_tpu(&mut s2, &limbs, false);
         assert_eq!(bat, base, "BAT and baseline must agree functionally");
         assert_eq!(bat, kernel.convert_reference(&limbs));
+        // into buffers that held other words, of other lengths
+        let views: Vec<&[u64]> = limbs.iter().map(Vec::as_slice).collect();
+        let mut dirty = vec![vec![u64::MAX; 8], vec![3; 5], vec![7; 20]];
+        kernel.convert_slices_into(&views, &mut dirty);
+        assert_eq!(dirty, bat);
     }
 
     #[test]

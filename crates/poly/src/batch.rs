@@ -20,12 +20,21 @@
 //! Batch entries never interact: a batch-`B` result is bit-identical to
 //! the `B` batch-of-one results laid side by side — the property the
 //! batched-vs-sequential tests pin down.
+//!
+//! Limbs are drawn from the context's [`LimbPool`] and given back to it
+//! when a batch is dropped: every kernel here that makes a limb fills a
+//! recycled buffer, zero-filling it explicitly where it accumulates, so
+//! a steady stream of operators stops freeing and re-faulting its
+//! working set. Batches of more than one polynomial have limbs longer
+//! than `N`, which bypass the pool.
+//!
+//! [`LimbPool`]: crate::LimbPool
 
 use crate::host_ntt;
 use crate::ring::Domain;
 use crate::rns_poly::{RnsContext, RnsPoly};
 use cross_math::modops::{
-    add_mod, barrett_mu, from_signed, mul_mod, mul_mod_barrett32, neg_mod, sub_mod,
+    add_mod, barrett_mu, from_signed, mul_mod, mul_mod_barrett32, neg_mod, reduce_barrett, sub_mod,
 };
 use cross_math::par;
 use std::borrow::Cow;
@@ -50,7 +59,7 @@ fn mul_segment(q: u64, a: &[u64], b: &[u64], out: &mut Vec<u64>) {
 }
 
 /// A batch of RNS polynomials in struct-of-limbs, batch-major layout.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PolyBatch {
     ctx: Arc<RnsContext>,
     batch: usize,
@@ -64,7 +73,10 @@ impl PolyBatch {
     /// A batch of `batch` zero polynomials in the coefficient domain.
     pub(crate) fn zero(ctx: Arc<RnsContext>, batch: usize) -> Self {
         assert!(batch >= 1, "batch must be non-empty");
-        let limbs = vec![vec![0u64; batch * ctx.n()]; ctx.level_count()];
+        let len = batch * ctx.n();
+        let limbs = (0..ctx.level_count())
+            .map(|_| ctx.pool().take_zeroed(len))
+            .collect();
         Self {
             ctx,
             batch,
@@ -114,7 +126,11 @@ impl PolyBatch {
         let limbs = ctx
             .moduli()
             .iter()
-            .map(|&q| coeffs.iter().map(|&v| from_signed(v, q)).collect())
+            .map(|&q| {
+                let mut limb = ctx.pool().take(coeffs.len());
+                limb.extend(coeffs.iter().map(|&v| from_signed(v, q)));
+                limb
+            })
             .collect();
         Self {
             ctx,
@@ -143,7 +159,7 @@ impl PolyBatch {
         let batch = polys.iter().map(|p| p.batch).sum();
         let limbs = (0..ctx.level_count())
             .map(|i| {
-                let mut limb = Vec::with_capacity(batch * ctx.n());
+                let mut limb = ctx.pool().take(batch * ctx.n());
                 for p in &polys {
                     limb.extend_from_slice(&p.limbs[i]);
                 }
@@ -167,13 +183,14 @@ impl PolyBatch {
     pub fn poly(&self, b: usize) -> RnsPoly {
         assert!(b < self.batch, "batch index out of range");
         let n = self.ctx.n();
+        let pool = self.ctx.pool();
         Self {
             ctx: self.ctx.clone(),
             batch: 1,
             limbs: self
                 .limbs
                 .iter()
-                .map(|l| l[b * n..(b + 1) * n].to_vec())
+                .map(|l| pool.copy_of(&l[b * n..(b + 1) * n]))
                 .collect(),
             domain: self.domain,
         }
@@ -269,11 +286,14 @@ impl PolyBatch {
         Cow::Owned(copy)
     }
 
-    /// A same-shape result whose limb `i` is `f(i)`, limbs fanned out
+    /// A same-shape result whose limb `i` is written by `f(i, out)`
+    /// into an empty buffer drawn from the limb pool, limbs fanned out
     /// over as many pool workers as the pass pays for.
-    fn map_limbs(&self, f: impl Fn(usize) -> Vec<u64> + Sync) -> Self {
-        let mut limbs = vec![Vec::new(); self.limbs.len()];
-        par::par_for_each_sized(&mut limbs, self.total_elems(), |i, limb| *limb = f(i));
+    fn map_limbs(&self, f: impl Fn(usize, &mut Vec<u64>) + Sync) -> Self {
+        let pool = self.ctx.pool();
+        let len = self.batch * self.ctx.n();
+        let mut limbs: Vec<Vec<u64>> = self.limbs.iter().map(|_| pool.take(len)).collect();
+        par::par_for_each_sized(&mut limbs, self.total_elems(), |i, limb| f(i, limb));
         Self {
             ctx: self.ctx.clone(),
             batch: self.batch,
@@ -295,13 +315,11 @@ impl PolyBatch {
         assert_eq!(self.level_count(), other.level_count(), "level mismatch");
         assert_eq!(self.domain, other.domain, "domain mismatch");
         let moduli = self.ctx.moduli();
-        self.map_limbs(|i| {
+        self.map_limbs(|i, out| {
             let w = &other.limbs[i];
-            let mut out = Vec::with_capacity(self.limbs[i].len());
             for seg in self.limbs[i].chunks(w.len()) {
-                kernel(moduli[i], seg, w, &mut out);
+                kernel(moduli[i], seg, w, out);
             }
-            out
         })
     }
 
@@ -370,6 +388,43 @@ impl PolyBatch {
         self.zip_limbs(other, mul_segment)
     }
 
+    /// The sum of two pointwise products, `self ⊙ other + x ⊙ y`, in
+    /// one pass: per element the two raw products are added and the sum
+    /// is reduced once. That is the canonical residue of the same sum,
+    /// so it is bit-identical to `self.mul_pointwise(other)
+    /// .add(&x.mul_pointwise(y))` with one limb set and one memory pass
+    /// fewer — the cross term of the HE-Mult tensor product.
+    ///
+    /// # Panics
+    /// Panics if the four operands disagree on shape or domain, or are
+    /// in the coefficient domain.
+    pub fn mul_pointwise_sum(&self, other: &Self, x: &Self, y: &Self) -> Self {
+        self.assert_evaluation();
+        for o in [other, x, y] {
+            assert_eq!(self.batch, o.batch, "batch size mismatch");
+            assert_eq!(self.ctx.n(), o.ctx.n(), "degree mismatch");
+            assert_eq!(self.level_count(), o.level_count(), "level mismatch");
+            assert_eq!(self.domain, o.domain, "domain mismatch");
+        }
+        let moduli = self.ctx.moduli();
+        self.map_limbs(|i, out| {
+            let q = moduli[i];
+            let pairs = self.limbs[i].iter().zip(&other.limbs[i]);
+            let terms = pairs.zip(x.limbs[i].iter().zip(&y.limbs[i]));
+            if q >> 31 == 0 {
+                // two raw products of canonical residues, each below
+                // 2⁶², sum without overflowing a u64
+                let mu = barrett_mu(q);
+                out.extend(terms.map(|((&a, &b), (&c, &d))| reduce_barrett(a * b + c * d, q, mu)));
+            } else {
+                out.extend(
+                    terms
+                        .map(|((&a, &b), (&c, &d))| add_mod(mul_mod(a, b, q), mul_mod(c, d, q), q)),
+                );
+            }
+        })
+    }
+
     /// Pointwise product with a single polynomial broadcast across the
     /// batch (e.g. a switching-key limb or an encoded plaintext
     /// multiplying every batch entry).
@@ -386,12 +441,7 @@ impl PolyBatch {
     /// Negation over the whole batch.
     pub fn neg(&self) -> Self {
         let moduli = self.ctx.moduli();
-        self.map_limbs(|i| {
-            self.limbs[i]
-                .iter()
-                .map(|&x| neg_mod(x, moduli[i]))
-                .collect()
-        })
+        self.map_limbs(|i, out| out.extend(self.limbs[i].iter().map(|&x| neg_mod(x, moduli[i]))))
     }
 
     /// Multiplies limb `i` by scalar `s[i]` across the whole batch —
@@ -402,10 +452,10 @@ impl PolyBatch {
     pub fn mul_scalar_per_limb(&self, s: &[u64]) -> Self {
         assert_eq!(s.len(), self.level_count());
         let moduli = self.ctx.moduli();
-        self.map_limbs(|i| {
+        self.map_limbs(|i, out| {
             let q = moduli[i];
             let si = s[i] % q;
-            self.limbs[i].iter().map(|&x| mul_mod(x, si, q)).collect()
+            out.extend(self.limbs[i].iter().map(|&x| mul_mod(x, si, q)));
         })
     }
 
@@ -421,9 +471,9 @@ impl PolyBatch {
         let n = self.ctx.n();
         let two_n = 2 * n as u64;
         let moduli = self.ctx.moduli();
-        self.map_limbs(|i| {
+        self.map_limbs(|i, out| {
             let q = moduli[i];
-            let mut out = vec![0u64; self.limbs[i].len()];
+            out.resize(self.limbs[i].len(), 0);
             for (seg_out, seg_in) in out.chunks_mut(n).zip(self.limbs[i].chunks(n)) {
                 for (j, &aj) in seg_in.iter().enumerate() {
                     if aj == 0 {
@@ -438,7 +488,6 @@ impl PolyBatch {
                     }
                 }
             }
-            out
         })
     }
 
@@ -463,14 +512,12 @@ impl PolyBatch {
         );
         assert!(perms.len() >= self.limbs.len(), "one permutation per limb");
         let n = self.ctx.n();
-        self.map_limbs(|t| {
+        self.map_limbs(|t, out| {
             let perm = &perms[t];
             assert_eq!(perm.len(), n, "permutation length mismatch");
-            let mut out = Vec::with_capacity(self.limbs[t].len());
             for seg in self.limbs[t].chunks(n) {
                 out.extend(perm.iter().map(|&s| seg[s as usize]));
             }
-            out
         })
     }
 
@@ -521,10 +568,14 @@ impl PolyBatch {
             &self.ctx.moduli()[..l],
             "target basis must be a prefix"
         );
+        let limbs = self.limbs[..l]
+            .iter()
+            .map(|limb| new_ctx.pool().copy_of(limb))
+            .collect();
         Self {
             ctx: new_ctx,
             batch: self.batch,
-            limbs: self.limbs[..l].to_vec(),
+            limbs,
             domain: self.domain,
         }
     }
@@ -540,6 +591,26 @@ impl PolyBatch {
         self.ctx
             .basis()
             .centered_f64(self.limbs.iter().map(|l| l[j]))
+    }
+}
+
+/// A copy whose limbs are drawn from the context's pool.
+impl Clone for PolyBatch {
+    fn clone(&self) -> Self {
+        let pool = self.ctx.pool();
+        Self {
+            ctx: self.ctx.clone(),
+            batch: self.batch,
+            limbs: self.limbs.iter().map(|l| pool.copy_of(l)).collect(),
+            domain: self.domain,
+        }
+    }
+}
+
+/// Gives the limbs back to the context's pool.
+impl Drop for PolyBatch {
+    fn drop(&mut self) {
+        self.ctx.pool().give(self.limbs.drain(..));
     }
 }
 
@@ -624,6 +695,38 @@ mod tests {
                 assert_eq!(diff.poly(b).limbs(), xs[b].sub(&ys[b]).limbs());
                 assert_eq!(neg.poly(b).limbs(), xs[b].neg().limbs());
                 assert_eq!(bcast.poly(b).limbs(), xs[b].add(&ys[0]).limbs());
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_product_sum_matches_two_products_and_an_add() {
+        // 28-bit moduli take the raw-sum path, 32-bit ones the strict one
+        for bits in [28, 32] {
+            let moduli = primes::ntt_prime_chain(bits, 32, 2).unwrap();
+            let c = Arc::new(RnsContext::new(32, moduli));
+            let mut ops: Vec<PolyBatch> = (0..4)
+                .map(|k| PolyBatch::from_polys(&sample_polys(&c, 3, 5 + 6 * k)))
+                .collect();
+            for op in &mut ops {
+                op.to_evaluation();
+            }
+            // and every residue at q − 1, the largest raw products
+            let max = PolyBatch::from_limbs(
+                c.clone(),
+                c.moduli().iter().map(|&q| vec![q - 1; 3 * 32]).collect(),
+                Domain::Evaluation,
+            );
+            for [a, b, x, y] in [
+                [&ops[0], &ops[1], &ops[2], &ops[3]],
+                [&max, &max, &max, &max],
+            ] {
+                let want = a.mul_pointwise(b).add(&x.mul_pointwise(y));
+                assert_eq!(
+                    a.mul_pointwise_sum(b, x, y).limbs(),
+                    want.limbs(),
+                    "{bits} bits"
+                );
             }
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! RNS polynomials over negacyclic rings `R_q = Z_q[x]/(x^N + 1)` —
 //! one container, [`PolyBatch`] ([`RnsPoly`] is its batch-of-one
-//! alias) — and one NTT per role:
+//! alias), whose limbs are recycled through its context's
+//! [`LimbPool`] — and one NTT per role:
 //!
 //! * the product: [`host_ntt::forward_inplace`] /
 //!   [`host_ntt::inverse_inplace`], the radix-2 dataflow on
@@ -35,6 +36,7 @@
 pub mod batch;
 pub mod host_ntt;
 pub mod ntt;
+pub mod pool;
 pub mod ring;
 pub mod rns_poly;
 pub mod sampling;
@@ -42,5 +44,6 @@ pub mod small_ntt;
 pub mod tables;
 
 pub use batch::PolyBatch;
+pub use pool::LimbPool;
 pub use rns_poly::{RnsContext, RnsPoly};
 pub use tables::NttTables;

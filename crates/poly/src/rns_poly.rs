@@ -5,18 +5,25 @@
 //! An [`RnsPoly`] is the paper's post-CRT ciphertext polynomial
 //! (§II-A3): `L` limbs of degree-`N` residues that are processed
 //! independently — the limb-level parallelism every accelerator exploits.
+//!
+//! A context also owns the [`LimbPool`] its polynomials draw their limbs
+//! from and give them back to; the contexts of one CKKS context share
+//! one pool, as they share their NTT tables.
 
 use crate::batch::PolyBatch;
+use crate::pool::LimbPool;
 use crate::tables::NttTables;
 use cross_math::rns::RnsBasis;
 use std::sync::Arc;
 
-/// Shared context: degree, RNS basis, and per-limb NTT tables.
+/// Shared context: degree, RNS basis, per-limb NTT tables and the
+/// pool of spare limb buffers.
 #[derive(Debug, Clone)]
 pub struct RnsContext {
     n: usize,
     basis: RnsBasis,
     tables: Vec<Arc<NttTables>>,
+    pool: Arc<LimbPool>,
 }
 
 impl RnsContext {
@@ -35,17 +42,34 @@ impl RnsContext {
     /// Builds a context over pre-built per-modulus tables, so several
     /// contexts (CKKS levels, key-switching extensions) share one table
     /// — and one cached set of host-engine twiddles — per modulus instead of
-    /// rebuilding `O(N)` twiddle material per context.
+    /// rebuilding `O(N)` twiddle material per context. The context gets
+    /// a limb pool of its own.
     ///
     /// # Panics
     /// Panics if `tables` is empty or any table's degree differs from `n`.
     pub fn with_tables(n: usize, tables: Vec<Arc<NttTables>>) -> Self {
+        Self::with_pool(tables, LimbPool::new(n))
+    }
+
+    /// Builds a context over pre-built tables that draws its limbs from
+    /// a shared `pool`, of the pool's degree.
+    ///
+    /// # Panics
+    /// Panics if `tables` is empty or any table's degree differs from
+    /// the pool's.
+    pub fn with_pool(tables: Vec<Arc<NttTables>>, pool: Arc<LimbPool>) -> Self {
         assert!(!tables.is_empty(), "context needs at least one modulus");
+        let n = pool.n();
         for t in &tables {
             assert_eq!(t.n(), n, "table degree mismatch");
         }
         let basis = RnsBasis::new(tables.iter().map(|t| t.q()).collect());
-        Self { n, basis, tables }
+        Self {
+            n,
+            basis,
+            tables,
+            pool,
+        }
     }
 
     /// Ring degree `N`.
@@ -71,6 +95,11 @@ impl RnsContext {
     /// Per-limb NTT tables.
     pub fn tables(&self) -> &[Arc<NttTables>] {
         &self.tables
+    }
+
+    /// The pool this context's polynomials draw their limbs from.
+    pub fn pool(&self) -> &Arc<LimbPool> {
+        &self.pool
     }
 }
 

@@ -32,7 +32,9 @@
 //!   request whose operand was evicted fails its own ticket with
 //!   [`ServeError::Evicted`] — never a wrong result. Switching-key
 //!   residency is bounded the same way by the [`KeyCache`], whose
-//!   misses bill modeled re-admission seconds onto the schedule.
+//!   misses bill modeled re-admission seconds onto the schedule. When
+//!   the last session closes, the context's spare limbs go back to
+//!   the allocator ([`cross_poly::LimbPool::release`]).
 //! * **Admission control** — each tenant has an in-flight quota;
 //!   beyond it, [`Session::submit`] returns
 //!   [`SubmitError::TenantOverQuota`] without touching the shared
@@ -100,6 +102,7 @@ use crate::queue::{
 use crate::sched::{ProbeCache, Schedule, Scheduler};
 use crate::serve::{ServeConfig, ServeKeys, ServeStats, SubmitError};
 use cross_ckks::{scales_agree, Ciphertext, CkksContext, Evaluator};
+use cross_poly::LimbPool;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -391,6 +394,16 @@ impl Intake {
 pub struct Server {
     intake: Intake,
     gates: BTreeMap<TenantId, TenantGate>,
+    sessions: Arc<OpenSessions>,
+}
+
+/// The sessions open on one server, and the limb pool of its context:
+/// when the last session closes, no request can arrive until another
+/// opens, so the spare limbs go back to the allocator for whatever the
+/// program does next.
+struct OpenSessions {
+    count: AtomicUsize,
+    limbs: Arc<LimbPool>,
 }
 
 impl Server {
@@ -407,10 +420,12 @@ impl Server {
             .get(&tenant)
             .unwrap_or_else(|| panic!("tenant {tenant} not registered with this server"))
             .clone();
+        self.sessions.count.fetch_add(1, Ordering::Relaxed);
         Session {
             tenant,
             gate,
             intake: self.intake.clone(),
+            sessions: self.sessions.clone(),
         }
     }
 
@@ -426,6 +441,17 @@ pub struct Session {
     tenant: TenantId,
     gate: TenantGate,
     intake: Intake,
+    sessions: Arc<OpenSessions>,
+}
+
+/// Closes the session; the last one to close releases the context's
+/// spare limbs.
+impl Drop for Session {
+    fn drop(&mut self) {
+        if self.sessions.count.fetch_sub(1, Ordering::Relaxed) == 1 {
+            self.sessions.limbs.release();
+        }
+    }
 }
 
 impl Session {
@@ -946,6 +972,11 @@ pub fn serve_tenants<R>(
                 policy: config.policy,
             },
             gates,
+            sessions: Arc::new(OpenSessions {
+                count: AtomicUsize::new(0),
+                // every RNS context of `ctx` shares this one pool
+                limbs: ctx.level_ctx(1).pool().clone(),
+            }),
         };
         let result = f(&server);
         // Dropping the server (and with it the last intake sender,
@@ -1145,6 +1176,26 @@ mod tests {
             // Quota slots free as tickets resolve.
             assert_eq!(s.in_flight(), 0);
             assert!(s.add(x, x).is_ok());
+        });
+    }
+
+    #[test]
+    fn the_last_session_to_close_releases_the_spare_limbs() {
+        let (ctx, kp) = toy_ctx();
+        let tenants = vec![TenantSpec::new(7, ServeKeys::new())];
+        let config = ServeConfig::new(TpuGeneration::V6e, 4).with_workers(1);
+        let ct = ctx.encrypt(&vec![0.5; ctx.slot_count()], &kp.public);
+        let pool = ctx.level_ctx(1).pool().clone();
+        serve_tenants(&ctx, tenants, &config, |server| {
+            let (a, b) = (server.session(7), server.session(7));
+            let x = a.insert(ct.clone());
+            let done = a.add(x, x).unwrap().wait().unwrap();
+            drop(a.take(done.id).expect("result stored"));
+            assert!(pool.spare_count() > 0, "the result's limbs are spare");
+            drop(a);
+            assert!(pool.spare_count() > 0, "one session is still open");
+            drop(b);
+            assert_eq!(pool.spare_count(), 0, "the last session released them");
         });
     }
 

@@ -1,5 +1,5 @@
-//! Allocation budgets: what one unit of work allocates, counted
-//! exactly and held to a ceiling.
+//! Allocation budgets: what one unit of work asks of the allocator,
+//! counted exactly and held to a ceiling.
 //!
 //! A counting `#[global_allocator]` (std only) wraps the system
 //! allocator. A served request crosses three threads — the client, the
@@ -8,6 +8,16 @@
 //! `realloc` counts as one allocation of its new size. The eager
 //! operators run on one thread marked with `par::mark_worker`, so every
 //! kernel runs inline on it.
+//!
+//! Limbs are recycled through their context's limb pool, so the rows
+//! count allocator traffic — pool misses — not the limbs an operator
+//! uses. Four columns per row, each an average over the counted calls
+//! but the third, a maximum:
+//! - allocations;
+//! - bytes allocated;
+//! - peak live: the high-water of live heap bytes within one call,
+//!   above what was live when it started;
+//! - limb-size allocations: those of at least one limb, `N·8` B.
 //!
 //! Each ceiling is the value measured when it was set. A change that
 //! allocates less lowers it; one that must allocate more says why.
@@ -20,17 +30,36 @@ use cross::sched::session::{serve_tenants, TenantSpec};
 use cross::sched::{execute_schedule, CtId, HeOpKind, Recorder, ReplayKeys, Scheduler};
 use cross::tpu::TpuGeneration;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::time::Duration;
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Heap bytes live now, and their high-water since the last reset.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+/// Allocations of at least `LIMB_BYTES`, the limb size of the rows
+/// being counted.
+static LIMB_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIMB_BYTES: AtomicUsize = AtomicUsize::new(usize::MAX);
 
 fn count(bytes: usize) {
     ALLOCS.fetch_add(1, Relaxed);
     BYTES.fetch_add(bytes as u64, Relaxed);
+    if bytes >= LIMB_BYTES.load(Relaxed) {
+        LIMB_ALLOCS.fetch_add(1, Relaxed);
+    }
+}
+
+fn live_add(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+fn live_sub(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -39,23 +68,28 @@ fn count(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live_add(layout.size());
         // SAFETY: the caller's guarantees for `alloc` are passed on.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        live_add(layout.size());
         // SAFETY: the caller's guarantees for `alloc_zeroed` are passed on.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        live_add(new_size);
+        live_sub(layout.size());
         // SAFETY: the caller's guarantees for `realloc` are passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_sub(layout.size());
         // SAFETY: the caller's guarantees for `dealloc` are passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -64,9 +98,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// `(allocations, bytes)` so far, process-wide.
-fn counts() -> (u64, u64) {
-    (ALLOCS.load(Relaxed), BYTES.load(Relaxed))
+/// `(allocations, bytes, limb-size allocations)` so far, process-wide.
+fn counts() -> (u64, u64, u64) {
+    (
+        ALLOCS.load(Relaxed),
+        BYTES.load(Relaxed),
+        LIMB_ALLOCS.load(Relaxed),
+    )
 }
 
 /// Requests served before counting, so lazily built plans and tables
@@ -75,28 +113,57 @@ const WARM: u64 = 8;
 /// Requests counted per row.
 const ROUNDS: u64 = 32;
 
-/// Average `(allocations, bytes)` of one call of `unit` over `rounds`
-/// calls, after `warm` uncounted ones.
-fn per_unit(warm: u64, rounds: u64, mut unit: impl FnMut()) -> (f64, f64) {
+/// What `rounds` calls of `unit` ask of the allocator, after `warm`
+/// uncounted ones.
+fn per_unit(warm: u64, rounds: u64, mut unit: impl FnMut()) -> Counted {
     for _ in 0..warm {
         unit();
     }
-    let (a0, b0) = counts();
+    let (a0, b0, l0) = counts();
+    let mut peak = 0;
     for _ in 0..rounds {
+        let base = LIVE.load(Relaxed);
+        PEAK.store(base, Relaxed);
         unit();
+        peak = peak.max(PEAK.load(Relaxed).saturating_sub(base));
     }
-    let (a1, b1) = counts();
+    let (a1, b1, l1) = counts();
     let n = rounds as f64;
-    ((a1 - a0) as f64 / n, (b1 - b0) as f64 / n)
+    Counted {
+        allocs: (a1 - a0) as f64 / n,
+        bytes: (b1 - b0) as f64 / n,
+        peak_live: peak as f64,
+        limb_allocs: (l1 - l0) as f64 / n,
+    }
 }
 
-/// One budget row: what a unit of work may allocate, on average.
-struct Row {
-    name: &'static str,
+/// What a unit of work asked of the allocator: averages per call, but
+/// `peak_live`, the largest of the calls.
+#[derive(Clone, Copy)]
+struct Counted {
     allocs: f64,
     bytes: f64,
-    max_allocs: f64,
-    max_bytes: f64,
+    peak_live: f64,
+    limb_allocs: f64,
+}
+
+/// One budget row: what a unit of work did, against its ceilings in
+/// the same order.
+struct Row {
+    name: &'static str,
+    got: Counted,
+    max: [f64; 4],
+}
+
+impl Row {
+    fn new(name: &'static str, got: Counted, max: [f64; 4]) -> Self {
+        Self { name, got, max }
+    }
+
+    fn got(&self) -> [f64; 4] {
+        let c = self.got;
+        [c.allocs, c.bytes, c.peak_live, c.limb_allocs]
+    }
 }
 
 /// One served request, end to end: one worker, a zero batch window and
@@ -114,6 +181,7 @@ fn served_request_rows() -> Vec<Row> {
         .with_workers(1)
         .with_batch_window(Duration::ZERO);
     let ct = ctx.encrypt(&vec![0.25; ctx.slot_count()], &kp.public);
+    LIMB_BYTES.store(ctx.params().n * 8, Relaxed);
     serve_tenants(&ctx, vec![TenantSpec::new(1, keys)], &config, |server| {
         let s = server.session(1);
         let x = s.insert(ct);
@@ -123,23 +191,11 @@ fn served_request_rows() -> Vec<Row> {
         };
         let per_request =
             |kind: HeOpKind, operands: &[CtId]| per_unit(WARM, ROUNDS, || serve(kind, operands));
-        let (rot_allocs, rot_bytes) = per_request(HeOpKind::Rotate { steps: 1 }, &[x]);
-        let (mult_allocs, mult_bytes) = per_request(HeOpKind::Mult, &[x, x]);
+        let rot = per_request(HeOpKind::Rotate { steps: 1 }, &[x]);
+        let mult = per_request(HeOpKind::Mult, &[x, x]);
         vec![
-            Row {
-                name: "served rotate",
-                allocs: rot_allocs,
-                bytes: rot_bytes,
-                max_allocs: 80.0,
-                max_bytes: 276_048.0,
-            },
-            Row {
-                name: "served mult",
-                allocs: mult_allocs,
-                bytes: mult_bytes,
-                max_allocs: 111.0,
-                max_bytes: 473_336.0,
-            },
+            Row::new("served rotate", rot, [48.0, 13_904.0, 3_832.0, 0.0]),
+            Row::new("served mult", mult, [54.0, 14_488.0, 4_248.0, 0.0]),
         ]
     })
 }
@@ -149,7 +205,9 @@ fn served_request_rows() -> Vec<Row> {
 /// builds the plans and permutation tables it reads. The fan-out is
 /// `hoisted_rotations` over steps 1–8. The executed group is
 /// `execute_schedule` over one fused group of eight `rotate(·, 1)` of
-/// distinct inputs, the input copies it returns included.
+/// distinct inputs, the input copies it returns included. The last row
+/// is a warm `mult` and `rotate` back to back, which must draw every
+/// limb from the pool.
 fn eager_operator_rows() -> Vec<Row> {
     let ctx = CkksContext::new(ParamSet::B.params(), 12);
     let kp = ctx.generate_keys();
@@ -169,6 +227,7 @@ fn eager_operator_rows() -> Vec<Row> {
     let schedule = Scheduler::new(TpuGeneration::V6e, 8).schedule(&group, &params);
     assert_eq!(schedule.batches.len(), 1, "eight rotations form one group");
     let replay_keys = ReplayKeys::new().with_rotation(1, &rot[0].1);
+    LIMB_BYTES.store(params.n * 8, Relaxed);
     std::thread::scope(|s| {
         s.spawn(|| {
             par::mark_worker();
@@ -176,32 +235,25 @@ fn eager_operator_rows() -> Vec<Row> {
             let inputs: Vec<_> = (0..8)
                 .map(|i| ctx.encrypt(&vec![0.1 * i as f64; ctx.slot_count()], &kp.public))
                 .collect();
-            let row = |name, max_allocs, max_bytes, unit: &dyn Fn()| {
-                let (allocs, bytes) = per_unit(1, 2, unit);
-                Row {
-                    name,
-                    allocs,
-                    bytes,
-                    max_allocs,
-                    max_bytes,
-                }
-            };
+            let row = |name, max, unit: &dyn Fn()| Row::new(name, per_unit(1, 2, unit), max);
             vec![
-                row("encrypt", 91.0, 5_114_304.0, &|| {
+                row("encrypt", [19.0, 395_712.0, 197_952.0, 6.0], &|| {
                     drop(ctx.encrypt(&msg, &kp.public))
                 }),
-                row("add", 19.0, 1_048_968.0, &|| drop(ev.add(&ct, &ct))),
-                row("mult", 152.0, 7_817_928.0, &|| {
+                row("add", [3.0, 392.0, 392.0, 0.0], &|| drop(ev.add(&ct, &ct))),
+                row("mult", [32.0, 18_952.0, 5_160.0, 0.0], &|| {
                     drop(ev.mult(&ct, &ct, &kp.relin))
                 }),
-                row("rescale", 19.0, 1_048_920.0, &|| drop(ev.rescale(&ct))),
-                row("rotate", 97.0, 4_671_088.0, &|| {
+                row("rescale", [3.0, 344.0, 344.0, 0.0], &|| {
+                    drop(ev.rescale(&ct))
+                }),
+                row("rotate", [26.0, 18_032.0, 4_584.0, 0.0], &|| {
                     drop(ev.rotate(&ct, 1, &rot[0].1))
                 }),
-                row("hoisted 8 rot", 441.0, 22_158_880.0, &|| {
+                row("hoisted 8 rot", [104.0, 73_248.0, 8_168.0, 0.0], &|| {
                     drop(ev.hoisted_rotations(&ct, &fan_out))
                 }),
-                row("executed 8 rot", 922.0, 45_764_224.0, &|| {
+                row("executed 8 rot", [226.0, 151_232.0, 11_176.0, 0.0], &|| {
                     drop(execute_schedule(
                         &group,
                         &schedule,
@@ -209,6 +261,10 @@ fn eager_operator_rows() -> Vec<Row> {
                         &replay_keys,
                         &inputs,
                     ))
+                }),
+                row("mult + rotate", [58.0, 36_984.0, 5_160.0, 0.0], &|| {
+                    drop(ev.mult(&ct, &ct, &kp.relin));
+                    drop(ev.rotate(&ct, 1, &rot[0].1));
                 }),
             ]
         })
@@ -221,25 +277,26 @@ fn eager_operator_rows() -> Vec<Row> {
 fn allocation_budgets() {
     let mut rows = eager_operator_rows();
     rows.extend(served_request_rows());
+    const COLUMNS: [&str; 4] = ["allocs", "bytes", "peak live", "limb allocs"];
     println!(
-        "{:<16} {:>10} {:>12} {:>10} {:>12}",
-        "row", "allocs", "bytes", "max", "max bytes"
+        "{:<16} {:>8} {:>12} {:>10} {:>11}   (ceilings)",
+        "row", COLUMNS[0], COLUMNS[1], COLUMNS[2], COLUMNS[3]
     );
     for r in &rows {
+        let [a, b, p, l] = r.got();
+        let [ma, mb, mp, ml] = r.max;
         println!(
-            "{:<16} {:>10.2} {:>12.1} {:>10} {:>12}",
-            r.name, r.allocs, r.bytes, r.max_allocs, r.max_bytes
+            "{:<16} {a:>8.2} {b:>12.1} {p:>10} {l:>11.2}   ({ma}, {mb}, {mp}, {ml})",
+            r.name
         );
     }
     for r in &rows {
-        assert!(
-            r.allocs <= r.max_allocs && r.bytes <= r.max_bytes,
-            "{}: {:.2} allocations, {:.1} bytes over the ceiling ({}, {})",
-            r.name,
-            r.allocs,
-            r.bytes,
-            r.max_allocs,
-            r.max_bytes
-        );
+        for ((got, max), column) in r.got().into_iter().zip(r.max).zip(COLUMNS) {
+            assert!(
+                got <= max,
+                "{}: {column} {got:.2} over the ceiling {max}",
+                r.name
+            );
+        }
     }
 }

@@ -279,11 +279,12 @@ fn set_b_ops_match_on_a_marked_worker_and_a_free_thread() {
     assert_eq!(inline.3.limbs(), fanned.3.limbs(), "decrypt");
 }
 
-/// The serving path with the optimizer ON (so `HoistDecomp` /
-/// `HoistedRotate` nodes execute through the hoisted engine) stays
-/// bit-exact with eager evaluation — the engine-swap guard.
+/// Four plain rotations of one ciphertext, served by two workers, are
+/// bit-exact with eager `rotate`. A drain forms no `HoistDecomp` /
+/// `HoistedRotate` node, and `with_optimize` has no effect on a drain,
+/// so every served rotation runs the eager operator on its own.
 #[test]
-fn served_rotation_fanout_bit_exact_with_optimizer() {
+fn served_rotations_bit_exact_with_eager() {
     let ctx = CkksContext::new(CkksParams::toy(), 0x5E12E);
     let kp = ctx.generate_keys();
     let steps = [1usize, 2, 3, 1];
@@ -311,8 +312,7 @@ fn served_rotation_fanout_bit_exact_with_optimizer() {
     serve_tenants(&ctx, specs, &config, |server| {
         let session = server.session(1);
         let x = session.insert(base.clone());
-        // fan-out: every rotation reads the same source, so the
-        // optimizer's hoisting pass can fire inside the drain
+        // every rotation reads the same source
         let completions: Vec<_> = steps
             .iter()
             .map(|&s| session.rotate(x, s).expect("submit"))
