@@ -162,3 +162,107 @@ fn sign_chain_transform_counts_per_tier() {
         .expect("the counting thread panicked");
     });
 }
+
+/// The same fan-out as a graph, `x → Rotate{1..8}`, each rotation its
+/// own fused group, through `execute_schedule` and `replay`; and eight
+/// `PlainMultConst` nodes of one `(value, pt_scale)` at level 7 under
+/// distinct `cid`s, each encoding its own plaintext (7 forward
+/// transforms per encode; the multiply itself runs none).
+#[test]
+fn set_b_level_7_graph_run_counts() {
+    use cross::sched::{execute_schedule, replay, HeOpKind, OpGraph, ReplayKeys, Scheduler};
+    use cross::tpu::TpuGeneration;
+
+    let ctx = CkksContext::new(ParamSet::B.params(), 0xC0_7A3);
+    let kp = ctx.generate_keys();
+    let rot_keys: Vec<_> = (1..=8)
+        .map(|s| ctx.generate_rotation_key(&kp.secret, s))
+        .collect();
+    let msg: Vec<f64> = (0..ctx.slot_count())
+        .map(|i| 0.25 + (i as f64 * 0.07).sin() * 0.2)
+        .collect();
+    let ev = Evaluator::new(&ctx);
+    let ct = ev.mod_drop(&ctx.encrypt(&msg, &kp.public), 7);
+    let params = *ctx.params();
+    let delta = params.scale();
+    let scheduler = Scheduler::new(TpuGeneration::V6e, 8);
+
+    let mut fan_out = OpGraph::new();
+    let x = fan_out.input(7);
+    for steps in 1..=8 {
+        fan_out.add_op(HeOpKind::Rotate { steps }, 7, 1, &[x]);
+    }
+    let mut consts = OpGraph::new();
+    let x = consts.input(7);
+    for cid in 0..8 {
+        consts.add_op(HeOpKind::PlainMultConst { cid }, 7, 1, &[x]);
+    }
+    let mut keys = ReplayKeys::new();
+    for (i, key) in rot_keys.iter().enumerate() {
+        keys = keys.with_rotation(i + 1, key);
+    }
+    for cid in 0..8 {
+        keys = keys.with_mult_const(cid, 0.5, delta);
+    }
+    let fan_out_schedule = scheduler.schedule(&fan_out, &params);
+    let consts_schedule = scheduler.schedule(&consts, &params);
+    assert_eq!(fan_out_schedule.batches.len(), 8, "one group per rotation");
+    assert_eq!(consts_schedule.batches.len(), 8, "one group per cid");
+    let inputs = std::slice::from_ref(&ct);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            par::mark_worker();
+            let counts = || {
+                (
+                    transforms(|| {
+                        drop(execute_schedule(
+                            &fan_out,
+                            &fan_out_schedule,
+                            &ev,
+                            &keys,
+                            inputs,
+                        ))
+                    }),
+                    transforms(|| drop(replay(&fan_out, &ev, &keys, inputs))),
+                    transforms(|| {
+                        drop(execute_schedule(
+                            &consts,
+                            &consts_schedule,
+                            &ev,
+                            &keys,
+                            inputs,
+                        ))
+                    }),
+                    transforms(|| drop(replay(&consts, &ev, &keys, inputs))),
+                    transforms(|| drop(ctx.encode_at(&vec![0.5; ctx.slot_count()], 7, delta))),
+                )
+            };
+            // The first run builds the 8 Galois elements' permutation
+            // tables (11 forward transforms each).
+            let cold = counts();
+            let (executed, replayed, executed_consts, replayed_consts, encode) = counts();
+            let first_executed = (executed.0 + 8 * 11, executed.1);
+            assert_eq!(
+                cold,
+                (
+                    first_executed,
+                    replayed,
+                    executed_consts,
+                    replayed_consts,
+                    encode
+                )
+            );
+            assert_eq!(encode, (7, 0), "one encode at level 7");
+            assert_eq!(
+                executed,
+                (296, 104),
+                "executed fan-out: eight decompositions"
+            );
+            assert_eq!(replayed, executed, "replayed fan-out");
+            assert_eq!(executed_consts, (8 * encode.0, 0), "eight encodes");
+            assert_eq!(replayed_consts, executed_consts, "replayed constants");
+        })
+        .join()
+        .expect("the counting thread panicked");
+    });
+}
