@@ -205,7 +205,9 @@ fn served_request_rows() -> Vec<Row> {
 /// builds the plans and permutation tables it reads. The fan-out is
 /// `hoisted_rotations` over steps 1–8. The executed group is
 /// `execute_schedule` over one fused group of eight `rotate(·, 1)` of
-/// distinct inputs, the input copies it returns included. The last row
+/// distinct inputs, the input copies it returns included; the executed
+/// fan-out is `execute_schedule` over one input rotated by steps 1–8,
+/// each rotation its own group. The last row
 /// is a warm `mult` and `rotate` back to back, which must draw every
 /// limb from the pool.
 fn eager_operator_rows() -> Vec<Row> {
@@ -224,9 +226,20 @@ fn eager_operator_rows() -> Vec<Row> {
         r.rotate(x, 1);
     }
     let group = r.finish();
-    let schedule = Scheduler::new(TpuGeneration::V6e, 8).schedule(&group, &params);
+    let scheduler = Scheduler::new(TpuGeneration::V6e, 8);
+    let schedule = scheduler.schedule(&group, &params);
     assert_eq!(schedule.batches.len(), 1, "eight rotations form one group");
-    let replay_keys = ReplayKeys::new().with_rotation(1, &rot[0].1);
+    let mut r = Recorder::new();
+    let x = r.input(params.limbs);
+    for steps in 1..=8 {
+        r.rotate(x, steps);
+    }
+    let fan_out_graph = r.finish();
+    let fan_out_schedule = scheduler.schedule(&fan_out_graph, &params);
+    assert_eq!(fan_out_schedule.batches.len(), 8, "one group per rotation");
+    let replay_keys = rot
+        .iter()
+        .fold(ReplayKeys::new(), |keys, (s, k)| keys.with_rotation(*s, k));
     LIMB_BYTES.store(params.n * 8, Relaxed);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -262,6 +275,19 @@ fn eager_operator_rows() -> Vec<Row> {
                         &inputs,
                     ))
                 }),
+                row(
+                    "executed fan-out",
+                    [211.0, 145_648.0, 8_280.0, 0.0],
+                    &|| {
+                        drop(execute_schedule(
+                            &fan_out_graph,
+                            &fan_out_schedule,
+                            &ev,
+                            &replay_keys,
+                            std::slice::from_ref(&ct),
+                        ))
+                    },
+                ),
                 row("mult + rotate", [58.0, 36_984.0, 5_160.0, 0.0], &|| {
                     drop(ev.mult(&ct, &ct, &kp.relin));
                     drop(ev.rotate(&ct, 1, &rot[0].1));
