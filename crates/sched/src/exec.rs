@@ -12,6 +12,25 @@
 //! **bit-exact** with calling the evaluator eagerly whatever the
 //! grouping. `tests/sched_model.rs` pins both paths.
 //!
+//! A run does not repeat work that several nodes share. It keeps one
+//! reuse table:
+//! - the digit decomposition of a ciphertext that two or more Galois
+//!   nodes (`Rotate`, `HoistedRotate`) read, keyed by the source node
+//!   and the level the reader runs at: the first reader builds it with
+//!   [`Evaluator::hoist_decompose`] and every reader runs
+//!   [`Evaluator::hoisted_rotate`] off it;
+//! - the plaintext of a constant that two or more `PlainMultConst` /
+//!   `PlainAddConst` nodes encode, keyed by value, level and scale,
+//!   whatever their `cid`s.
+//!
+//! Each entry is dropped once its last reader has run, and a run with
+//! nothing to share allocates no entry. The bits are those of the
+//! eager calls: [`Evaluator::rotate`] *is* `hoist_decompose` then
+//! `hoisted_rotate`, and an encode is a pure function of its key. The
+//! cost model still charges every decomposition and every per-`cid`
+//! encode the graph holds (hoisting there is the optimizer's
+//! `HoistDecomp`), so the saving is host time only.
+//!
 //! Inputs are borrowed while a run executes: an input node's slot
 //! refers to the caller's ciphertext, and only a computed node owns
 //! its value. The public entry points return owned slots, so they copy
@@ -25,7 +44,7 @@ use cross_math::par;
 use cross_poly::RnsPoly;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The switching keys replay needs — the relinearization key for
 /// `Mult` and one rotation key per distinct step — plus the plaintext
@@ -93,6 +112,15 @@ impl<'a> ReplayKeys<'a> {
             .get(&cid)
             .unwrap_or_else(|| panic!("no add const registered for cid {cid}"))
     }
+
+    /// The value a constant node encodes, if its `cid` is registered.
+    fn const_value(&self, op: ExecOp) -> Option<f64> {
+        match op {
+            ExecOp::PlainMultConst { cid } => self.mult_consts.get(&cid).map(|c| c.0),
+            ExecOp::PlainAddConst { cid } => self.add_consts.get(&cid).copied(),
+            _ => None,
+        }
+    }
 }
 
 /// `ct` at `level`: borrowed when it is already there, mod-dropped
@@ -105,48 +133,200 @@ fn at_level<'c>(ev: &Evaluator, ct: &'c Ciphertext, level: usize) -> Cow<'c, Cip
     }
 }
 
-/// One execution in progress: a value slot per node — borrowed for an
-/// input, owned for a computed node — plus the hoisted decompositions,
-/// keyed by the `HoistDecomp` node that produced them.
+/// A node's place in a run: before the node has a value, the number
+/// of Galois nodes that read it; then its value, borrowed for an input
+/// and owned for a computed node.
+#[derive(Clone)]
+pub(crate) enum Slot<'a> {
+    Pending(usize),
+    Input(&'a Ciphertext),
+    Computed(Ciphertext),
+}
+
+impl Slot<'_> {
+    /// The slot's value, an input's copied.
+    pub(crate) fn into_owned(self) -> Option<Ciphertext> {
+        match self {
+            Slot::Pending(_) => None,
+            Slot::Input(ct) => Some(ct.clone()),
+            Slot::Computed(ct) => Some(ct),
+        }
+    }
+}
+
+/// What a run builds once for several nodes: the decompositions of
+/// Galois sources, grouped by source node with one per reader level,
+/// and constant plaintexts, grouped by `(value bits, level)` with one
+/// per scale.
+#[derive(Default)]
+struct Reuse {
+    decomps: Shared<NodeId, HoistedDecomposition>,
+    plaintexts: Shared<(u64, usize), RnsPoly>,
+}
+
+/// Values the readers of a group share: one cell per variant, built by
+/// the first reader that needs it, all dropped with the group once its
+/// last reader is done. Holds only groups of two or more readers.
+struct Shared<G, T> {
+    groups: Mutex<BTreeMap<G, Readers<T>>>,
+}
+
+struct Readers<T> {
+    /// Readers still to run.
+    left: usize,
+    cells: Vec<(u64, Arc<OnceLock<T>>)>,
+}
+
+impl<G, T> Default for Shared<G, T> {
+    fn default() -> Self {
+        Self {
+            groups: Mutex::new(BTreeMap::new()),
+        }
+    }
+}
+
+impl<G: Ord + Copy, T> Shared<G, T> {
+    /// Registers a group `readers` nodes will read; a lone reader has
+    /// nothing to share.
+    fn expect(&mut self, group: G, readers: usize) {
+        if readers >= 2 {
+            let groups = self
+                .groups
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            groups.insert(
+                group,
+                Readers {
+                    left: readers,
+                    cells: Vec::new(),
+                },
+            );
+        }
+    }
+
+    /// One reader's hold on the `variant` cell of `group`, or `None`
+    /// when the group is not shared.
+    fn lease(&self, group: G, variant: u64) -> Option<Lease<'_, G, T>> {
+        let mut groups = self.lock();
+        let readers = groups.get_mut(&group)?;
+        let cell = match readers.cells.iter().find(|(v, _)| *v == variant) {
+            Some((_, cell)) => Arc::clone(cell),
+            None => {
+                let cell = Arc::default();
+                readers.cells.push((variant, Arc::clone(&cell)));
+                cell
+            }
+        };
+        Some(Lease {
+            shared: self,
+            group,
+            cell,
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<G, Readers<T>>> {
+        // No build runs under the lock, and each update leaves the
+        // counts valid, so a panic elsewhere cannot have left the map
+        // inconsistent.
+        self.groups.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A reader's hold on a shared cell; dropping it counts the read done.
+struct Lease<'t, G: Ord + Copy, T> {
+    shared: &'t Shared<G, T>,
+    group: G,
+    cell: Arc<OnceLock<T>>,
+}
+
+impl<G: Ord + Copy, T> Lease<'_, G, T> {
+    /// The cell's value, built by `build` if no reader has yet.
+    fn get_or_init(&self, build: impl FnOnce() -> T) -> &T {
+        self.cell.get_or_init(build)
+    }
+}
+
+impl<G: Ord + Copy, T> Drop for Lease<'_, G, T> {
+    fn drop(&mut self) {
+        let mut groups = self.shared.lock();
+        if let Some(readers) = groups.get_mut(&self.group) {
+            readers.left -= 1;
+            if readers.left == 0 {
+                groups.remove(&self.group);
+            }
+        }
+    }
+}
+
+/// One execution in progress: a slot per node and the reuse table.
 struct Run<'a> {
     graph: &'a OpGraph,
     ev: &'a Evaluator<'a>,
     keys: &'a ReplayKeys<'a>,
-    results: Vec<Option<Cow<'a, Ciphertext>>>,
-    decomps: BTreeMap<NodeId, HoistedDecomposition>,
+    slots: Vec<Slot<'a>>,
+    reuse: Reuse,
 }
 
 impl<'a> Run<'a> {
-    /// Seeds the input nodes, in construction order, from `inputs`,
-    /// borrowing each.
+    /// Counts what the graph's nodes share and seeds the input nodes,
+    /// in construction order, from `inputs`, borrowing each.
     fn new(
         graph: &'a OpGraph,
         ev: &'a Evaluator<'a>,
         keys: &'a ReplayKeys<'a>,
         inputs: impl IntoIterator<Item = &'a Ciphertext>,
     ) -> Self {
-        let mut results: Vec<Option<Cow<'a, Ciphertext>>> = vec![None; graph.len()];
+        let mut slots = vec![Slot::Pending(0); graph.len()];
+        let mut constants = BTreeMap::new();
+        for node in graph.nodes() {
+            let Some(op) = node.kind.row().exec else {
+                continue;
+            };
+            if let ExecOp::Rotate { .. } | ExecOp::HoistedRotate { .. } = op {
+                if let Slot::Pending(readers) = &mut slots[node.inputs[0]] {
+                    *readers += 1;
+                }
+            }
+            if let Some(value) = keys.const_value(op) {
+                *constants.entry((value.to_bits(), node.level)).or_default() += 1;
+            }
+        }
+        let mut reuse = Reuse::default();
+        for (group, readers) in constants {
+            reuse.plaintexts.expect(group, readers);
+        }
+        let mut run = Self {
+            graph,
+            ev,
+            keys,
+            slots,
+            reuse,
+        };
         let mut unused = inputs.into_iter();
         for node in graph.nodes() {
             if node.kind == HeOpKind::Input {
                 let ct = unused.next().expect("not enough input ciphertexts");
-                results[node.id] = Some(Cow::Borrowed(ct));
+                run.set(node.id, Slot::Input(ct));
             }
         }
         assert!(unused.next().is_none(), "unused input ciphertexts");
-        Self {
-            graph,
-            ev,
-            keys,
-            results,
-            decomps: BTreeMap::new(),
-        }
+        run
     }
 
     fn operand(&self, id: NodeId) -> &Ciphertext {
-        self.results[id]
-            .as_ref()
-            .unwrap_or_else(|| panic!("node {id} produced no value (cost-only producer?)"))
+        match &self.slots[id] {
+            Slot::Input(ct) => ct,
+            Slot::Computed(ct) => ct,
+            Slot::Pending(_) => panic!("node {id} produced no value (cost-only producer?)"),
+        }
+    }
+
+    /// Gives node `id` its value, and a shared decomposition group if
+    /// two or more Galois nodes read it.
+    fn set(&mut self, id: NodeId, value: Slot<'a>) {
+        if let Slot::Pending(readers) = std::mem::replace(&mut self.slots[id], value) {
+            self.reuse.decomps.expect(id, readers);
+        }
     }
 
     /// Executes the same-kind ops `nodes` at `level`, each on its own,
@@ -165,27 +345,19 @@ impl<'a> Run<'a> {
             assert_eq!(graph.node(id).batch, 1, "pre-fused nodes are cost-only");
         }
         let Some(op) = kind.row().exec else { return };
-        let group_pt = OnceLock::new();
         if let [id] = *nodes {
             // A lone member is stored as it comes, with no buffer.
-            let out = self.step(op, level, id, &group_pt);
-            return self.store(id, out);
+            let out = self.step(op, level, id);
+            return self.set(id, Slot::Computed(out));
         }
         let run = &*self;
         let mut outs: Vec<_> = nodes.iter().map(|&id| (id, None)).collect();
         par::par_for_each_mut(&mut outs, |_, (id, out)| {
-            *out = Some(run.step(op, level, *id, &group_pt));
+            *out = Some(run.step(op, level, *id));
         });
         for (id, out) in outs {
-            self.store(id, out.expect("every member ran"));
+            self.set(id, Slot::Computed(out.expect("every member ran")));
         }
-    }
-
-    /// Stores node `id`'s value and, for a `HoistDecomp`, its
-    /// decomposition.
-    fn store(&mut self, id: NodeId, (ct, decomp): (Ciphertext, Option<HoistedDecomposition>)) {
-        self.decomps.extend(decomp.map(|h| (id, h)));
-        self.results[id] = Some(Cow::Owned(ct));
     }
 
     /// Runs node `id` as `op` at `level`: its operands are mod-dropped
@@ -193,59 +365,66 @@ impl<'a> Run<'a> {
     /// performs internally, including the panic on a node declared
     /// above its operands' level — and go to the eager method.
     ///
-    /// `PlainMultConst` encodes its plaintext into `group_pt` once for
-    /// the whole group (the members share `cid` and level).
-    /// `PlainAddConst` encodes its constant at its operand's own scale,
-    /// so the add is drift-free. `HoistDecomp` runs the whole digit
-    /// decomposition of `c1` — INTT, per-digit base extension, NTTs of
-    /// the extended limbs: what `costs::HOIST_DECOMP` charges — returns
-    /// it for the run to store under its node id, and passes the
-    /// aligned ciphertext through as its value. `HoistedRotate` runs
-    /// the Galois tail alone off the producer's stored decomposition,
-    /// bit-identical to a full rotate of the pass-through value because
-    /// [`Evaluator::rotate`] *is* [`Evaluator::hoist_decompose`] then
-    /// [`Evaluator::hoisted_rotate`] — falling back to the eager rotate
-    /// if its input was not decomposed (a hand-built graph wiring
-    /// HoistedRotate to an ordinary producer) or sits at another level.
-    fn step(
-        &self,
-        op: ExecOp,
-        level: usize,
-        id: NodeId,
-        group_pt: &OnceLock<RnsPoly>,
-    ) -> (Ciphertext, Option<HoistedDecomposition>) {
-        let (ev, keys, ctx) = (self.ev, self.keys, self.ev.context());
+    /// A Galois node whose source has other Galois readers runs
+    /// [`Evaluator::hoisted_rotate`] off the source's shared
+    /// decomposition at `level`, which the first of them builds; a
+    /// constant node whose plaintext other constant nodes encode too
+    /// reads it from the table. `PlainAddConst` encodes its constant
+    /// at its operand's own scale, so the add is drift-free.
+    /// `HoistDecomp` only aligns its operand to `level`: its
+    /// `HoistedRotate`s are Galois readers of it like any other, so
+    /// they share its decomposition through the table.
+    fn step(&self, op: ExecOp, level: usize, id: NodeId) -> Ciphertext {
+        let (ev, keys) = (self.ev, self.keys);
         let inputs = &self.graph.node(id).inputs;
         let arg = |k: usize| at_level(ev, self.operand(inputs[k]), level);
-        let constant =
-            |value: f64, scale: f64| ctx.encode_at(&vec![value; ctx.slot_count()], level, scale);
-        let ct = match op {
+        match op {
             ExecOp::Add => ev.add(&arg(0), &arg(1)),
             ExecOp::Sub => ev.sub(&arg(0), &arg(1)),
             ExecOp::Mult => ev.mult(&arg(0), &arg(1), keys.relin()),
             ExecOp::PlainMultConst { cid } => {
                 let (value, pt_scale) = keys.mult_const(cid);
-                let pt = group_pt.get_or_init(|| constant(value, pt_scale));
-                ev.mult_plain(&arg(0), pt, pt_scale)
+                let a = arg(0);
+                self.with_constant(value, level, pt_scale, |pt| ev.mult_plain(&a, pt, pt_scale))
             }
             ExecOp::PlainAddConst { cid } => {
                 let a = arg(0);
-                ev.add_plain(&a, &constant(keys.add_const(cid), a.scale), a.scale)
+                self.with_constant(keys.add_const(cid), level, a.scale, |pt| {
+                    ev.add_plain(&a, pt, a.scale)
+                })
             }
-            ExecOp::Rotate { steps } => ev.rotate(&arg(0), steps, keys.rotation(steps)),
+            ExecOp::Rotate { steps } | ExecOp::HoistedRotate { steps } => {
+                let key = keys.rotation(steps);
+                match self.reuse.decomps.lease(inputs[0], level as u64) {
+                    Some(lease) => {
+                        let h = lease.get_or_init(|| ev.hoist_decompose(&arg(0)));
+                        ev.hoisted_rotate(h, steps, key)
+                    }
+                    None => ev.rotate(&arg(0), steps, key),
+                }
+            }
             ExecOp::Rescale => ev.rescale(&arg(0)),
             ExecOp::ModDrop { to_level } => ev.mod_drop(&arg(0), to_level),
-            ExecOp::HoistDecomp => {
-                let a = ev.mod_drop(self.operand(inputs[0]), level);
-                let h = ev.hoist_decompose(&a);
-                return (a, Some(h));
-            }
-            ExecOp::HoistedRotate { steps } => match self.decomps.get(&inputs[0]) {
-                Some(h) if h.level == level => ev.hoisted_rotate(h, steps, keys.rotation(steps)),
-                _ => ev.rotate(&arg(0), steps, keys.rotation(steps)),
-            },
-        };
-        (ct, None)
+            ExecOp::HoistDecomp => ev.mod_drop(self.operand(inputs[0]), level),
+        }
+    }
+
+    /// `f` of the plaintext of `value` at `level` and `scale`: the
+    /// shared one when other nodes encode it too, else its own.
+    fn with_constant(
+        &self,
+        value: f64,
+        level: usize,
+        scale: f64,
+        f: impl FnOnce(&RnsPoly) -> Ciphertext,
+    ) -> Ciphertext {
+        let ctx = self.ev.context();
+        let encode = || ctx.encode_at(&vec![value; ctx.slot_count()], level, scale);
+        let group = (value.to_bits(), level);
+        match self.reuse.plaintexts.lease(group, scale.to_bits()) {
+            Some(lease) => f(lease.get_or_init(encode)),
+            None => f(&encode()),
+        }
     }
 }
 
@@ -269,7 +448,7 @@ pub fn replay(
     for node in graph.nodes() {
         run.exec(node.kind, node.level, &[node.id]);
     }
-    owned(run.results)
+    owned(run.slots)
 }
 
 /// Executes a schedule: the [`crate::sched::FusedBatch`]es in schedule
@@ -296,20 +475,17 @@ pub(crate) fn execute_borrowed<'a>(
     ev: &'a Evaluator<'a>,
     keys: &'a ReplayKeys<'a>,
     inputs: impl IntoIterator<Item = &'a Ciphertext>,
-) -> Vec<Option<Cow<'a, Ciphertext>>> {
+) -> Vec<Slot<'a>> {
     let mut run = Run::new(graph, ev, keys, inputs);
     for batch in &schedule.batches {
         run.exec(batch.kind, batch.level, &batch.nodes);
     }
-    run.results
+    run.slots
 }
 
 /// The public form of a run's slots: input nodes' copied out.
-fn owned(results: Vec<Option<Cow<'_, Ciphertext>>>) -> Vec<Option<Ciphertext>> {
-    results
-        .into_iter()
-        .map(|r| r.map(Cow::into_owned))
-        .collect()
+fn owned(slots: Vec<Slot<'_>>) -> Vec<Option<Ciphertext>> {
+    slots.into_iter().map(Slot::into_owned).collect()
 }
 
 #[cfg(test)]
@@ -447,6 +623,121 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What a run shares keeps every reader's eager bits, through
+    /// `replay` and `execute_schedule`, on a free thread and on a
+    /// marked one: one source rotated by three steps in three groups
+    /// (one a level lower) plus a duplicate that races the first for
+    /// the decomposition; a `HoistDecomp` whose `HoistedRotate`s run at
+    /// its level and one below; equal constants under distinct `cid`s
+    /// at two levels and two scales; and `PlainAddConst` of one value
+    /// on operands of different scales.
+    #[test]
+    fn shared_work_keeps_every_readers_eager_bits() {
+        let (ctx, kp) = setup();
+        let ev = Evaluator::new(&ctx);
+        let rks: Vec<_> = (1..=3)
+            .map(|s| ctx.generate_rotation_key(&kp.secret, s))
+            .collect();
+        let delta = ctx.params().scale();
+        let half = delta / 2.0;
+        let mut keys = ReplayKeys::new()
+            .with_add_const(0, 0.25)
+            .with_add_const(1, 0.25)
+            .with_add_const(2, 0.25);
+        for (i, key) in rks.iter().enumerate() {
+            keys = keys.with_rotation(i + 1, key);
+        }
+        for cid in 0..6 {
+            keys = keys.with_mult_const(cid, 0.5, if cid < 4 { delta } else { half });
+        }
+        let msg: Vec<f64> = (0..ctx.slot_count())
+            .map(|i| 0.3 - 0.0005 * i as f64)
+            .collect();
+        let x = ctx.encrypt(&msg, &kp.public);
+        let (top, low) = (x.level, x.level - 1);
+        let x_low = ev.mod_drop(&x, low);
+        let rot = |ct: &Ciphertext, steps: usize| ev.rotate(ct, steps, &rks[steps - 1]);
+        let pt = |value, level, scale| ctx.encode_at(&vec![value; ctx.slot_count()], level, scale);
+        let mult = |ct: &Ciphertext, scale| ev.mult_plain(ct, &pt(0.5, ct.level, scale), scale);
+        let add = |ct: &Ciphertext| ev.add_plain(ct, &pt(0.25, ct.level, ct.scale), ct.scale);
+
+        let mut g = OpGraph::new();
+        let xi = g.input(top);
+        let mut want = Vec::new();
+        let mut node = |kind, level, input, eager| {
+            let id = g.add_op(kind, level, 1, &[input]);
+            want.push((id, eager));
+            id
+        };
+        node(HeOpKind::Rotate { steps: 1 }, top, xi, rot(&x, 1));
+        node(HeOpKind::Rotate { steps: 2 }, top, xi, rot(&x, 2));
+        node(HeOpKind::Rotate { steps: 3 }, low, xi, rot(&x_low, 3));
+        node(HeOpKind::Rotate { steps: 1 }, top, xi, rot(&x, 1));
+        let h = node(HeOpKind::HoistDecomp, top, xi, x.clone());
+        node(HeOpKind::HoistedRotate { steps: 1 }, top, h, rot(&x, 1));
+        node(HeOpKind::HoistedRotate { steps: 2 }, low, h, rot(&x_low, 2));
+        let m = mult(&x, delta);
+        let mi = node(HeOpKind::PlainMultConst { cid: 0 }, top, xi, m.clone());
+        node(HeOpKind::PlainMultConst { cid: 1 }, top, xi, m.clone());
+        node(
+            HeOpKind::PlainMultConst { cid: 2 },
+            low,
+            xi,
+            mult(&x_low, delta),
+        );
+        node(
+            HeOpKind::PlainMultConst { cid: 3 },
+            low,
+            xi,
+            mult(&x_low, delta),
+        );
+        node(HeOpKind::PlainMultConst { cid: 4 }, top, xi, mult(&x, half));
+        node(
+            HeOpKind::PlainMultConst { cid: 5 },
+            low,
+            xi,
+            mult(&x_low, half),
+        );
+        node(HeOpKind::PlainAddConst { cid: 0 }, top, xi, add(&x));
+        node(HeOpKind::PlainAddConst { cid: 1 }, top, xi, add(&x));
+        node(HeOpKind::PlainAddConst { cid: 2 }, top, mi, add(&m));
+        let params = *ctx.params();
+        let schedule =
+            crate::sched::Scheduler::new(cross_tpu::TpuGeneration::V6e, 4).schedule(&g, &params);
+        let inputs = std::slice::from_ref(&x);
+
+        let check = |thread: &str| {
+            for (path, got) in [
+                ("replay", replay(&g, &ev, &keys, inputs)),
+                (
+                    "execute_schedule",
+                    execute_schedule(&g, &schedule, &ev, &keys, inputs),
+                ),
+            ] {
+                for (id, want) in &want {
+                    let got = got[*id].as_ref().expect("every node has a value");
+                    let at = format!(
+                        "{:?} (node {id}), {path} on a {thread} thread",
+                        g.node(*id).kind
+                    );
+                    assert_eq!(got.level, want.level, "{at}");
+                    assert_eq!(got.c0.limbs(), want.c0.limbs(), "{at}");
+                    assert_eq!(got.c1.limbs(), want.c1.limbs(), "{at}");
+                    assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{at}");
+                }
+            }
+        };
+        check("free");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                par::mark_worker();
+                check("marked");
+            })
+            .join()
+            .expect("the marked thread panicked")
+        });
     }
 
     #[test]

@@ -75,19 +75,20 @@ pub enum HeOpKind {
     /// bundles).
     Bootstrap,
     /// The shared digit decomposition a hoisted rotation fan-out pays
-    /// once ([`cross_ckks::costs::HOIST_DECOMP`]). Replay runs the
-    /// decomposition of its operand (dropped to the node level), stores
-    /// it for the sibling [`HoistedRotate`](HeOpKind::HoistedRotate)s,
-    /// and passes that operand through as its value.
+    /// once ([`cross_ckks::costs::HOIST_DECOMP`]). Replay passes its
+    /// operand, dropped to the node level, through as its value; the
+    /// sibling [`HoistedRotate`](HeOpKind::HoistedRotate)s share that
+    /// value's decomposition as every Galois reader of one source does
+    /// ([`crate::exec`]).
     HoistDecomp,
     /// One rotation riding a [`HoistDecomp`](HeOpKind::HoistDecomp):
     /// automorphism + key inner
     /// product + mod-down, the decomposition already paid
-    /// ([`cross_ckks::costs::HOISTED_ROTATE`]). Replay runs only this
-    /// Galois tail, off the producer's stored decomposition — bit-exact
-    /// with a full rotate, so hoisting is bit-exact by construction —
-    /// and falls back to an eager rotate when its input was not
-    /// decomposed.
+    /// ([`cross_ckks::costs::HOISTED_ROTATE`]). Replay runs it as a
+    /// [`Rotate`](HeOpKind::Rotate): the Galois tail off the shared
+    /// decomposition of its input when other Galois nodes read that
+    /// input too, else a full rotate — the same bits either way, so
+    /// hoisting is bit-exact by construction.
     HoistedRotate {
         /// Slot rotation amount; selects the switching key, exactly
         /// like [`Rotate`](HeOpKind::Rotate).

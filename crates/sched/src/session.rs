@@ -92,7 +92,7 @@
 //! ```
 
 use crate::channel::{self, Receiver, Sender, TrySendError};
-use crate::exec::{execute_borrowed, ReplayKeys};
+use crate::exec::{execute_borrowed, ReplayKeys, Slot};
 use crate::ir::{ExecOp, HeOpKind, NodeId};
 use crate::keycache::KeyCache;
 use crate::queue::{
@@ -845,8 +845,8 @@ fn worker(
                 .jobs
                 .iter()
                 .map(|job| {
-                    let slot = results[job.node].take();
-                    slot.expect("admitted ops are executable").into_owned()
+                    let slot = std::mem::replace(&mut results[job.node], Slot::Pending(0));
+                    slot.into_owned().expect("admitted ops are executable")
                 })
                 .collect();
             // Release the operands before any waiter wakes, so a client

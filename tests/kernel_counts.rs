@@ -164,10 +164,12 @@ fn sign_chain_transform_counts_per_tier() {
 }
 
 /// The same fan-out as a graph, `x → Rotate{1..8}`, each rotation its
-/// own fused group, through `execute_schedule` and `replay`; and eight
-/// `PlainMultConst` nodes of one `(value, pt_scale)` at level 7 under
-/// distinct `cid`s, each encoding its own plaintext (7 forward
-/// transforms per encode; the multiply itself runs none).
+/// own fused group, through `execute_schedule` and `replay`: a run
+/// decomposes a source that several Galois nodes read once, so it runs
+/// `hoisted_rotations`' (135, 55), not eight rotates' (296, 104). And
+/// eight `PlainMultConst` nodes of one `(value, pt_scale)` at level 7
+/// under distinct `cid`s: a run encodes one plaintext for all of them
+/// (7 forward transforms; the multiplies run none), not eight.
 #[test]
 fn set_b_level_7_graph_run_counts() {
     use cross::sched::{execute_schedule, replay, HeOpKind, OpGraph, ReplayKeys, Scheduler};
@@ -253,13 +255,9 @@ fn set_b_level_7_graph_run_counts() {
                 )
             );
             assert_eq!(encode, (7, 0), "one encode at level 7");
-            assert_eq!(
-                executed,
-                (296, 104),
-                "executed fan-out: eight decompositions"
-            );
+            assert_eq!(executed, (135, 55), "executed fan-out: one decomposition");
             assert_eq!(replayed, executed, "replayed fan-out");
-            assert_eq!(executed_consts, (8 * encode.0, 0), "eight encodes");
+            assert_eq!(executed_consts, encode, "one encode");
             assert_eq!(replayed_consts, executed_consts, "replayed constants");
         })
         .join()
