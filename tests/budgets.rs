@@ -23,7 +23,7 @@
 //! allocates less lowers it; one that must allocate more says why.
 //! Run with `--nocapture` to see the table.
 
-use cross::ckks::{CkksContext, CkksParams, Evaluator, ParamSet};
+use cross::ckks::{BatchedCiphertext, CkksContext, CkksParams, Evaluator, ParamSet};
 use cross::math::par;
 use cross::sched::serve::{ServeConfig, ServeKeys};
 use cross::sched::session::{serve_tenants, TenantSpec};
@@ -211,9 +211,10 @@ fn served_request_rows() -> Vec<Row> {
 /// holds the decomposition until the eighth group has read it, so the
 /// fan-out's peak live bytes sit above the one-rotation-at-a-time
 /// figure (8 280 B) by the held decomposition's limb lists and its
-/// table entry (its limbs come from the pool). The last row
-/// is a warm `mult` and `rotate` back to back, which must draw every
-/// limb from the pool.
+/// table entry (its limbs come from the pool). The batch row is
+/// `mult_batch` over those eight inputs, packed once outside the count.
+/// The last row is a warm `mult` and `rotate` back to back, which must
+/// draw every limb from the pool.
 fn eager_operator_rows() -> Vec<Row> {
     let ctx = CkksContext::new(ParamSet::B.params(), 12);
     let kp = ctx.generate_keys();
@@ -252,6 +253,7 @@ fn eager_operator_rows() -> Vec<Row> {
             let inputs: Vec<_> = (0..8)
                 .map(|i| ctx.encrypt(&vec![0.1 * i as f64; ctx.slot_count()], &kp.public))
                 .collect();
+            let packed = BatchedCiphertext::from_ciphertexts(&inputs);
             let row = |name, max, unit: &dyn Fn()| Row::new(name, per_unit(1, 2, unit), max);
             vec![
                 row("encrypt", [19.0, 395_712.0, 197_952.0, 6.0], &|| {
@@ -288,6 +290,11 @@ fn eager_operator_rows() -> Vec<Row> {
                         std::slice::from_ref(&ct),
                     ))
                 }),
+                row(
+                    "mult batch 8",
+                    [171.0, 58_221_656.0, 41_423_912.0, 111.0],
+                    &|| drop(ev.mult_batch(&packed, &packed, &kp.relin)),
+                ),
                 row("mult + rotate", [58.0, 36_984.0, 5_160.0, 0.0], &|| {
                     drop(ev.mult(&ct, &ct, &kp.relin));
                     drop(ev.rotate(&ct, 1, &rot[0].1));
