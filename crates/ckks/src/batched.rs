@@ -1,33 +1,31 @@
-//! The batched ciphertext container and the two heavy kernels every
-//! operator bottoms out in — rescale and hybrid key switching — over
-//! the fused batch dimension (paper Fig. 11b, §V-A), next to the
-//! reference dataflows they are pinned against.
+//! The batched ciphertext container, and the hybrid key-switching
+//! kernels HE-Mult and every Galois operator bottom out in, next to
+//! the reference dataflows they are pinned against.
 //!
-//! A [`BatchedCiphertext`] packs `B` same-level ciphertexts into two
-//! batch-major [`PolyBatch`]es, so every lowered kernel underneath —
-//! NTT matmuls, BConv inner products, VecModOps — runs once over the
-//! fused `batch` dimension instead of once per ciphertext. Scales stay
-//! per-entry (CKKS tracks them approximately), level is shared.
+//! A [`BatchedCiphertext`] holds `B` same-level ciphertexts as they
+//! are. Each `*_batch` operator maps the eager body of its
+//! [`Evaluator`] method over the entries, so every entry of a batch
+//! result is the eager result's bits by construction
+//! (`tests/batched_equivalence.rs` pins it per operator). The entries
+//! spread over the `par` pool once their work pays for a second
+//! worker, the gate every kernel's own loop passes.
 //!
-//! The kernels here take any batch size, one included: the eager
-//! [`Evaluator`] methods run them on a borrowed batch of one, so
-//! batched ≡ eager is one code path, and the layout only changes where
-//! residues live, never what is computed on them
-//! (`tests/batched_equivalence.rs` pins it per operator).
+//! No executed path builds a batch: the graph executor and the serving
+//! loop call the eager methods, and only the cost model fuses a batch
+//! (`cross_sched`'s `FusedBatch`: the paper's streamed batch
+//! dimension, Fig. 11b, §V-A). A batch is built only by a caller that
+//! asks for one.
 //!
-//! No executed path packs a batch: the graph executor and the serving
-//! loop run every entry on its own through the eager methods, and only
-//! the cost model fuses (`cross_sched`'s `FusedBatch`). A packed batch
-//! is built only by a caller that asks for one.
-//!
-//! Every limb these kernels make — the converted digits, the key inner
-//! product's accumulators, the mod-down's correction limbs, the rescaled
-//! limbs — is drawn from the context's [`LimbPool`] and goes back to it
-//! when its holder is dropped, so a warm operator at batch one asks the
-//! allocator for no limb (`tests/budgets.rs`). An accumulator is
-//! zero-filled explicitly; every other limb is written whole.
+//! The key-switch kernels take a [`PolyBatch`] of any width; the eager
+//! operators call them at width one. Every limb they make — the
+//! converted digits, the key inner product's accumulators, the
+//! mod-down's correction limbs — is drawn from the context's
+//! [`LimbPool`] and goes back to it when its holder is dropped, so a
+//! warm operator asks the allocator for no limb (`tests/budgets.rs`).
+//! An accumulator is zero-filled explicitly; every other limb is
+//! written whole.
 
-use crate::ciphertext::{Ciphertext, CtView};
+use crate::ciphertext::Ciphertext;
 use crate::eval::Evaluator;
 use crate::keys::SwitchingKey;
 use crate::ks_plan::KsPlan;
@@ -113,170 +111,169 @@ thread_local! {
     pub(crate) static DECOMPOSITIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// A batch of same-level CKKS ciphertexts in batch-major layout.
+/// A batch of same-level CKKS ciphertexts, held entry by entry.
 #[derive(Debug, Clone)]
 pub struct BatchedCiphertext {
-    /// Constant components, batch-major.
-    pub c0: PolyBatch,
-    /// Linear components, batch-major.
-    pub c1: PolyBatch,
-    /// Shared level (remaining limbs).
-    pub level: usize,
-    /// Per-entry encoding scales `Δ_b`.
-    pub scales: Vec<f64>,
+    entries: Vec<Ciphertext>,
 }
 
 impl BatchedCiphertext {
     /// Gathers same-level ciphertexts into one batch (one copy of
-    /// every residue).
+    /// each).
     ///
     /// # Panics
-    /// Panics if `cts` is empty or levels diverge.
+    /// Panics if `cts` is empty, levels diverge, or a component is not
+    /// a batch of one.
     pub fn from_ciphertexts<'a>(cts: impl IntoIterator<Item = &'a Ciphertext>) -> Self {
-        let cts: Vec<CtView> = cts.into_iter().map(CtView::from).collect();
-        assert!(!cts.is_empty(), "batch must be non-empty");
-        let level = cts[0].level;
+        let entries: Vec<Ciphertext> = cts.into_iter().cloned().collect();
+        assert!(!entries.is_empty(), "batch must be non-empty");
+        entries.iter().for_each(Ciphertext::assert_single);
         assert!(
-            cts.iter().all(|c| c.level == level),
+            entries.iter().all(|c| c.level == entries[0].level),
             "ciphertexts must share a level (mod_drop first)"
         );
-        Self {
-            c0: PolyBatch::from_polys(cts.iter().map(|c| c.c0)),
-            c1: PolyBatch::from_polys(cts.iter().map(|c| c.c1)),
-            level,
-            scales: cts.iter().map(|c| c.scales[0]).collect(),
-        }
+        Self { entries }
     }
 
-    /// Scatters the batch back into independent ciphertexts.
+    /// Scatters the batch back into independent ciphertexts (one copy
+    /// of each).
     pub fn to_ciphertexts(&self) -> Vec<Ciphertext> {
-        self.c0
-            .to_polys()
-            .into_iter()
-            .zip(self.c1.to_polys())
-            .zip(&self.scales)
-            .map(|((c0, c1), &scale)| Ciphertext {
-                c0,
-                c1,
-                level: self.level,
-                scale,
-            })
-            .collect()
+        self.entries.clone()
     }
 
-    /// The result of an operator on a one-entry view, handed back
-    /// without copying a residue.
-    pub(crate) fn into_single(self) -> Ciphertext {
-        assert_eq!(self.batch(), 1, "not a batch of one");
-        Ciphertext {
-            c0: self.c0,
-            c1: self.c1,
-            level: self.level,
-            scale: self.scales[0],
+    /// `f(b, entry)` for every entry, as a new batch. The entries
+    /// spread over the `par` pool once `per_residue` operations per
+    /// residue of each entry pay for a second worker; an entry's own
+    /// kernels then run inline on its worker.
+    fn map(&self, per_residue: usize, f: impl Fn(usize, &Ciphertext) -> Ciphertext + Sync) -> Self {
+        let first = &self.entries[0];
+        let residues = 2 * first.level * first.c0.context().n();
+        let work = self.entries.len() * residues * per_residue;
+        let mut out: Vec<Option<Ciphertext>> = self.entries.iter().map(|_| None).collect();
+        par::par_for_each_sized(&mut out, work, |b, slot| {
+            *slot = Some(f(b, &self.entries[b]));
+        });
+        let entries = out.into_iter().map(|ct| ct.expect("every entry is mapped"));
+        Self {
+            entries: entries.collect(),
         }
     }
 
-    /// Number of ciphertexts in the batch.
-    pub(crate) fn batch(&self) -> usize {
-        self.scales.len()
-    }
-}
-
-/// A batch as an operand.
-///
-/// # Panics
-/// Panics if the components and the scale list disagree on the batch
-/// size.
-impl<'a> From<&'a BatchedCiphertext> for CtView<'a> {
-    fn from(batch: &'a BatchedCiphertext) -> Self {
-        assert!(
-            batch.c0.batch() == batch.batch() && batch.c1.batch() == batch.batch(),
-            "components and scales must agree on the batch size"
+    /// [`BatchedCiphertext::map`] over the pairs of entries of `self`
+    /// and `other`.
+    ///
+    /// # Panics
+    /// Panics if the batch sizes differ.
+    fn zip_map(
+        &self,
+        other: &Self,
+        per_residue: usize,
+        f: impl Fn(&Ciphertext, &Ciphertext) -> Ciphertext + Sync,
+    ) -> Self {
+        assert_eq!(
+            self.entries.len(),
+            other.entries.len(),
+            "batch size mismatch"
         );
-        CtView {
-            c0: &batch.c0,
-            c1: &batch.c1,
-            level: batch.level,
-            scales: &batch.scales,
-        }
+        self.map(per_residue, |b, x| f(x, &other.entries[b]))
     }
 }
 
+/// The `*_batch` forms: each eager body on every entry. Each panics
+/// where its eager body does, and a binary one also when the batch
+/// sizes differ.
 impl<'a> Evaluator<'a> {
-    /// Batched rescale on the key-switching fast path: only the
-    /// dropped limb leaves the evaluation domain (`1 INTT + (l-1) NTT`
-    /// instead of `l INTT + (l-1) NTT`), the surviving limbs are
-    /// updated pointwise in evaluation form — exact by NTT linearity:
-    /// `NTT((c_i − cl_i)·q_last⁻¹) = (NTT(c_i) − NTT(cl_i))·q_last⁻¹`
-    /// since every map involved is an exact function mod `q_i` — and
-    /// `q_last⁻¹ mod q_i` comes as a precomputed Shoup pair off the
-    /// cached [`KsPlan`]. [`Evaluator::rescale`] is its batch-of-one
-    /// call. Bit-exact with [`Evaluator::rescale_batch_reference`]
-    /// (`tests/ks_fast.rs`).
-    pub fn rescale_batch<'c>(&self, ct: impl Into<CtView<'c>>) -> BatchedCiphertext {
-        let ct = ct.into();
-        assert!(ct.level >= 2, "cannot rescale at level 1");
-        let ctx = self.context();
-        let l = ct.level;
-        let n = ctx.params().n;
-        let q_last = ctx.q_moduli()[l - 1];
-        let plan = ctx.ks_plan(l).clone();
-        let old_ctx = ctx.level_ctx(l).clone();
-        let new_ctx = ctx.level_ctx(l - 1).clone();
-        let rescale_pb = |p: &PolyBatch| -> PolyBatch {
-            let pool = new_ctx.pool();
-            // Ciphertext components live in evaluation form; the (rare)
-            // coefficient-domain caller pays one conversion.
-            let pe = p.in_domain(Domain::Evaluation);
-            // The dropped limb is the only one that needs coefficients.
-            let mut last = pool.copy_of(&pe.limbs()[l - 1]);
-            for seg in last.chunks_mut(n) {
-                host_ntt::inverse_inplace(seg, &old_ctx.tables()[l - 1]);
-            }
-            let mut new_limbs = Vec::with_capacity(l - 1);
-            for i in 0..l - 1 {
-                let qi = new_ctx.moduli()[i];
-                let (inv, inv_shoup) = plan.rescale_inv.get(i);
-                // centered last-limb residue for round-to-nearest,
-                // lifted into q_i and carried to evaluation form, then
-                // subtracted and scaled where it lies
-                let mut cl = pool.take(last.len());
-                cl.extend(
-                    last.iter()
-                        .map(|&c| modops::from_signed(modops::to_signed(c, q_last), qi)),
-                );
-                for seg in cl.chunks_mut(n) {
-                    host_ntt::forward_inplace(seg, &new_ctx.tables()[i]);
-                }
-                small_ntt::sub_mul_const(&pe.limbs()[i], &mut cl, inv, inv_shoup, qi);
-                new_limbs.push(cl);
-            }
-            pool.give([last]);
-            PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Evaluation)
-        };
-        // per component: one INTT and l − 1 NTTs, then the pointwise pass
-        let rows = ct.c0.batch() * n;
-        let work = 2 * l * rows * (n.trailing_zeros() as usize + 1);
-        let (c0, c1) = par::join(work, || rescale_pb(ct.c0), || rescale_pb(ct.c1));
-        BatchedCiphertext {
-            c0,
-            c1,
-            level: l - 1,
-            scales: ct.scales.iter().map(|s| s / q_last as f64).collect(),
-        }
+    /// Operations per residue of an operator that transforms its limbs
+    /// — the fan-out gate's weight for rescale, HE-Mult and the Galois
+    /// operators; an element-wise operator weighs 1.
+    fn log_n(&self) -> usize {
+        self.context().params().n.trailing_zeros() as usize
     }
 
-    /// The pre-plan rescale oracle (PR 2 arithmetic, all limbs through
-    /// a full INTT/NTT round trip, `inv_mod` recomputed per limb).
-    /// Kept verbatim as the differential reference for
-    /// [`Evaluator::rescale_batch`]; `tests/ks_fast.rs` pins the two
-    /// bit-identical.
+    /// [`Evaluator::mod_drop`] on every entry.
+    pub fn mod_drop_batch(&self, ct: &BatchedCiphertext, level: usize) -> BatchedCiphertext {
+        ct.map(1, |_, e| self.mod_drop(e, level))
+    }
+
+    /// [`Evaluator::add`] on every pair of entries.
+    pub fn add_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
+        a.zip_map(b, 1, |x, y| self.add(x, y))
+    }
+
+    /// [`Evaluator::sub`] on every pair of entries.
+    pub fn sub_batch(&self, a: &BatchedCiphertext, b: &BatchedCiphertext) -> BatchedCiphertext {
+        a.zip_map(b, 1, |x, y| self.sub(x, y))
+    }
+
+    /// [`Evaluator::add_plain`] on every entry, one plaintext for all.
+    pub fn add_plain_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        pt: &RnsPoly,
+        pt_scale: f64,
+    ) -> BatchedCiphertext {
+        ct.map(1, |_, e| self.add_plain(e, pt, pt_scale))
+    }
+
+    /// [`Evaluator::mult_plain`] on every entry, one plaintext for all.
+    pub fn mult_plain_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        pt: &RnsPoly,
+        pt_scale: f64,
+    ) -> BatchedCiphertext {
+        ct.map(1, |_, e| self.mult_plain(e, pt, pt_scale))
+    }
+
+    /// [`Evaluator::mult`] on every pair of entries.
+    pub fn mult_batch(
+        &self,
+        a: &BatchedCiphertext,
+        b: &BatchedCiphertext,
+        relin: &SwitchingKey,
+    ) -> BatchedCiphertext {
+        a.zip_map(b, self.log_n(), |x, y| self.mult(x, y, relin))
+    }
+
+    /// [`Evaluator::rescale`] on every entry.
+    pub fn rescale_batch(&self, ct: &BatchedCiphertext) -> BatchedCiphertext {
+        ct.map(self.log_n(), |_, e| self.rescale(e))
+    }
+
+    /// [`Evaluator::rotate`] on every entry.
+    pub fn rotate_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        steps: usize,
+        rot_key: &SwitchingKey,
+    ) -> BatchedCiphertext {
+        ct.map(self.log_n(), |_, e| self.rotate(e, steps, rot_key))
+    }
+
+    /// [`Evaluator::conjugate`] on every entry.
+    pub fn conjugate_batch(
+        &self,
+        ct: &BatchedCiphertext,
+        conj_key: &SwitchingKey,
+    ) -> BatchedCiphertext {
+        ct.map(self.log_n(), |_, e| self.conjugate(e, conj_key))
+    }
+
+    /// The pre-plan rescale oracle on every entry: all limbs through a
+    /// full INTT/NTT round trip, `inv_mod` recomputed per limb. Kept as
+    /// the differential reference for [`Evaluator::rescale`];
+    /// `tests/ks_fast.rs` pins the two bit-identical.
     pub fn rescale_batch_reference(&self, ct: &BatchedCiphertext) -> BatchedCiphertext {
+        ct.map(self.log_n(), |_, e| self.rescale_reference(e))
+    }
+
+    /// One entry of [`Evaluator::rescale_batch_reference`].
+    fn rescale_reference(&self, ct: &Ciphertext) -> Ciphertext {
         assert!(ct.level >= 2, "cannot rescale at level 1");
         let l = ct.level;
         let q_last = self.context().q_moduli()[l - 1];
         let new_ctx = self.context().level_ctx(l - 1).clone();
-        let rescale_pb = |p: &PolyBatch| -> PolyBatch {
+        let rescale_poly = |p: &RnsPoly| -> RnsPoly {
             let mut c = p.clone();
             c.to_coefficient();
             let last = c.limbs()[l - 1].clone();
@@ -300,11 +297,11 @@ impl<'a> Evaluator<'a> {
             out.to_evaluation();
             out
         };
-        BatchedCiphertext {
-            c0: rescale_pb(&ct.c0),
-            c1: rescale_pb(&ct.c1),
+        Ciphertext {
+            c0: rescale_poly(&ct.c0),
+            c1: rescale_poly(&ct.c1),
             level: l - 1,
-            scales: ct.scales.iter().map(|s| s / q_last as f64).collect(),
+            scale: ct.scale / q_last as f64,
         }
     }
 
@@ -588,20 +585,21 @@ impl<'a> Evaluator<'a> {
             let mut ext = PolyBatch::from_limbs(ks_ctx.clone(), ext_limbs, Domain::Coefficient);
             ext.to_evaluation();
             // select the key limbs for this level: q indices 0..l plus
-            // the extension indices big_l..big_l+k of the global chain.
-            let select = |limbs: &[Vec<u32>]| -> Vec<Vec<u64>> {
-                limbs[..l]
+            // the extension indices big_l..big_l+k of the global chain,
+            // each repeated across the batch.
+            let select = |limbs: &[Vec<u32>]| -> PolyBatch {
+                let limbs = limbs[..l]
                     .iter()
                     .chain(&limbs[big_l..big_l + ps.len()])
-                    .map(|limb| limb.iter().map(|&x| u64::from(x)).collect())
-                    .collect()
+                    .map(|limb| limb.iter().cycle().take(batch * n).map(|&x| u64::from(x)));
+                PolyBatch::from_limbs(
+                    ks_ctx.clone(),
+                    limbs.map(Iterator::collect).collect(),
+                    Domain::Evaluation,
+                )
             };
-            let kb =
-                RnsPoly::from_limbs(ks_ctx.clone(), select(&key.digits[j].b), Domain::Evaluation);
-            let ka =
-                RnsPoly::from_limbs(ks_ctx.clone(), select(&key.digits[j].a), Domain::Evaluation);
-            acc0 = acc0.add(&ext.mul_pointwise_poly(&kb));
-            acc1 = acc1.add(&ext.mul_pointwise_poly(&ka));
+            acc0 = acc0.add(&ext.mul_pointwise(&select(&key.digits[j].b)));
+            acc1 = acc1.add(&ext.mul_pointwise(&select(&key.digits[j].a)));
         }
         (
             self.mod_down_batch_reference(&acc0, l),
@@ -677,7 +675,7 @@ mod tests {
             .map(|m| ctx.encrypt(m, &kp.public))
             .collect();
         let bc = BatchedCiphertext::from_ciphertexts(&cts);
-        assert_eq!(bc.batch(), 3);
+        assert_eq!(bc.entries.len(), 3);
         for (orig, back) in cts.iter().zip(bc.to_ciphertexts()) {
             assert!(limbs_eq(orig, &back));
             assert_eq!(orig.scale, back.scale);
@@ -919,14 +917,9 @@ mod tests {
                 let at = format!("N = {}, dirty {dirty}", params.n);
                 let same = k0.limbs() == reference.0.limbs() && k1.limbs() == reference.1.limbs();
                 assert!(same, "{at}: key_switch");
-                let batch = BatchedCiphertext::from_ciphertexts([&a]);
-                let held = garbage();
-                let fast = ev.rescale_batch(&batch);
-                drop(held);
-                let reference = ev.rescale_batch_reference(&batch);
-                let same = fast.c0.limbs() == reference.c0.limbs()
-                    && fast.c1.limbs() == reference.c1.limbs();
-                assert!(same, "{at}: rescale_batch");
+                let reference =
+                    ev.rescale_batch_reference(&BatchedCiphertext::from_ciphertexts([&a]));
+                assert!(limbs_eq(&resc, &reference.entries[0]), "{at}: rescale");
                 out
             };
             let fresh = results(false);

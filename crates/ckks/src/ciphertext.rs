@@ -1,8 +1,7 @@
-//! CKKS ciphertexts, the borrowed operand view every evaluator
-//! operator is written over, and the rule for when two scales agree.
+//! CKKS ciphertexts — the one operand every evaluator operator body is
+//! written over — and the rule for when two scales agree.
 
 use cross_poly::rns_poly::RnsPoly;
-use cross_poly::PolyBatch;
 
 /// The relative scale drift two addends may carry: sub-percent drift
 /// from unequal rescale moduli is the approximation CKKS tolerates by
@@ -34,38 +33,17 @@ pub struct Ciphertext {
     pub scale: f64,
 }
 
-/// What an operator reads of its operand: two component batches, the
-/// shared level, one scale per entry. A [`Ciphertext`] is the
-/// one-entry case and a [`crate::BatchedCiphertext`] the general one;
-/// both lend this view without copying a residue (`CtView::from`), so
-/// each operator has one body and the eager call is its batch-of-one
-/// case. Every `*_batch` operator of [`crate::Evaluator`] takes a view
-/// or either kind of operand.
-#[derive(Debug, Clone, Copy)]
-pub struct CtView<'a> {
-    pub(crate) c0: &'a PolyBatch,
-    pub(crate) c1: &'a PolyBatch,
-    pub(crate) level: usize,
-    pub(crate) scales: &'a [f64],
-}
-
-/// A ciphertext as a one-entry operand.
-///
-/// # Panics
-/// Panics if a component is not a batch of one.
-impl<'a> From<&'a Ciphertext> for CtView<'a> {
-    fn from(ct: &'a Ciphertext) -> Self {
+impl Ciphertext {
+    /// Checks the one shape rule the type does not enforce.
+    ///
+    /// # Panics
+    /// Panics if a component is not a batch of one.
+    pub(crate) fn assert_single(&self) {
         assert!(
-            ct.c0.batch() == 1 && ct.c1.batch() == 1,
+            self.c0.batch() == 1 && self.c1.batch() == 1,
             "Ciphertext components must be batches of one (got {} and {})",
-            ct.c0.batch(),
-            ct.c1.batch()
+            self.c0.batch(),
+            self.c1.batch()
         );
-        CtView {
-            c0: &ct.c0,
-            c1: &ct.c1,
-            level: ct.level,
-            scales: std::slice::from_ref(&ct.scale),
-        }
     }
 }

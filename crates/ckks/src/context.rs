@@ -15,7 +15,14 @@ use cross_poly::{host_ntt, LimbPool, NttTables};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Locks `m`, recovering it from poisoning, as `cross_math::par` does:
+/// the Galois cache is written only by a completed insert, and an RNG
+/// a panic interrupted is still a sound RNG whose stream moved on.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A fully precomputed CKKS context.
 ///
@@ -153,7 +160,7 @@ impl CkksContext {
     /// transforming the monomial `x` (its transform *is* the point
     /// list) and inverting `ψ^e` through a power table.
     pub fn galois_eval_perm(&self, g: u64) -> Arc<Vec<Vec<u32>>> {
-        let mut cache = self.galois_perms.lock().unwrap();
+        let mut cache = lock(&self.galois_perms);
         if let Some(p) = cache.get(&g) {
             return p.clone();
         }
@@ -237,7 +244,7 @@ impl CkksContext {
 
     /// Samples a ternary secret.
     pub(crate) fn generate_secret(&self) -> SecretKey {
-        let mut rng = self.rng.lock().unwrap();
+        let mut rng = lock(&self.rng);
         SecretKey {
             coeffs: sampling::ternary_signed(&mut *rng, self.params.n),
         }
@@ -246,7 +253,7 @@ impl CkksContext {
     /// Public key `(b, a) = (-a·s + e, a)` over the top-level `Q` basis.
     pub(crate) fn generate_public(&self, sk: &SecretKey) -> PublicKey {
         let ctx = self.level_ctx(self.params.limbs).clone();
-        let mut rng = self.rng.lock().unwrap();
+        let mut rng = lock(&self.rng);
         let n = self.params.n;
         let a_limbs: Vec<Vec<u64>> = ctx
             .moduli()
@@ -346,7 +353,7 @@ impl CkksContext {
     ) -> SwitchingKeyDigit {
         let n = self.params.n;
         let full_ctx = self.full_ctx.clone();
-        let mut rng = self.rng.lock().unwrap();
+        let mut rng = lock(&self.rng);
         let a_limbs: Vec<Vec<u64>> = self
             .chain
             .iter()
@@ -410,7 +417,7 @@ impl CkksContext {
     pub fn encrypt_plaintext(&self, m: &RnsPoly, pk: &PublicKey, scale: f64) -> Ciphertext {
         let ctx = self.level_ctx(self.params.limbs).clone();
         let n = self.params.n;
-        let mut rng = self.rng.lock().unwrap();
+        let mut rng = lock(&self.rng);
         let v = sampling::ternary_signed(&mut *rng, n);
         let e0 = sampling::gaussian_signed(&mut *rng, n, sampling::ERROR_SIGMA);
         let e1 = sampling::gaussian_signed(&mut *rng, n, sampling::ERROR_SIGMA);
@@ -495,6 +502,31 @@ mod tests {
 
     fn ctx() -> CkksContext {
         CkksContext::new(CkksParams::toy(), 7)
+    }
+
+    #[test]
+    fn a_lock_a_panic_poisoned_still_serves() {
+        let c = ctx();
+        let poison = |m: &dyn Fn()| {
+            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(m));
+            assert!(hit.is_err());
+        };
+        poison(&|| {
+            let _held = c.rng.lock();
+            panic!("poisons the RNG lock");
+        });
+        poison(&|| {
+            let _held = c.galois_perms.lock();
+            panic!("poisons the Galois cache lock");
+        });
+        assert!(c.rng.is_poisoned() && c.galois_perms.is_poisoned());
+        let kp = c.generate_keys();
+        let rk = c.generate_rotation_key(&kp.secret, 1);
+        let msg = vec![0.25; c.slot_count()];
+        let rot = crate::Evaluator::new(&c).rotate(&c.encrypt(&msg, &kp.public), 1, &rk);
+        for v in c.decrypt(&rot, &kp.secret) {
+            assert!((v - 0.25).abs() < 1e-2, "slot {v}");
+        }
     }
 
     #[test]

@@ -1,24 +1,24 @@
 //! Homomorphic evaluation: the four backbone HE operators of the paper
 //! (HE-Add, HE-Mult, Rescale, Rotate) plus hybrid key switching.
 //!
-//! Every operator has **one body** and two public forms. The `*_batch`
-//! form holds the body: it takes any borrowed operand — a
-//! [`&Ciphertext`](Ciphertext), a [`&BatchedCiphertext`](BatchedCiphertext)
-//! or a [`CtView`] of either, each converted into the view at the
-//! signature without copying a residue — and returns a
-//! [`BatchedCiphertext`]. The eager form (`&Ciphertext → Ciphertext`)
-//! is its batch-of-one call. A single ciphertext is the `batch = 1`
-//! point of the paper's streamed batch dimension (Fig. 11b, §V-A), not
-//! a different program, so batched ≡ eager holds by construction
-//! (`tests/batched_equivalence.rs` still pins it per operator). The
-//! key-switch and rescale kernels live in [`crate::batched`].
+//! Every operator has **one body**: the eager method, on a borrowed
+//! [`Ciphertext`]. The `*_batch` forms ([`crate::batched`]) map that
+//! body over the entries a [`crate::BatchedCiphertext`] holds, so
+//! batched ≡ eager holds by construction (`tests/batched_equivalence.rs`
+//! still pins it per operator). The paper's batch is the TPU's streamed
+//! matmul dimension (Fig. 11b, §V-A); the cost model fuses it
+//! (`cross_sched`'s `FusedBatch`), and no host body packs one. The
+//! key-switch kernels live in [`crate::batched`].
 
-use crate::batched::{BatchedCiphertext, KsDigits};
-use crate::ciphertext::{scales_agree, Ciphertext, CtView};
+use crate::batched::KsDigits;
+use crate::ciphertext::{scales_agree, Ciphertext};
 use crate::context::CkksContext;
 use crate::keys::SwitchingKey;
+use cross_math::{modops, par};
+use cross_poly::ring::Domain;
 use cross_poly::rns_poly::RnsPoly;
-use cross_poly::PolyBatch;
+use cross_poly::{host_ntt, small_ntt, PolyBatch};
+use std::borrow::Cow;
 
 /// Homomorphic operator implementations over a [`CkksContext`].
 #[derive(Debug, Clone, Copy)]
@@ -27,9 +27,9 @@ pub struct Evaluator<'a> {
 }
 
 /// The hoisted (rotation-independent) prefix of a Galois fan-out,
-/// ready for [`Evaluator::hoisted_rotate`]: both components in
-/// evaluation form plus the digit decomposition of `c1` — every
-/// digit base-extended over the `Q_l·P` chain and forward-transformed
+/// ready for [`Evaluator::hoisted_rotate`]: a copy of the source
+/// ciphertext plus the digit decomposition of its `c1` — every digit
+/// base-extended over the `Q_l·P` chain and forward-transformed
 /// ([`Evaluator::hoist_decompose`]). Per rotation only index gathers,
 /// the key inner product and the mod-down remain.
 ///
@@ -38,13 +38,23 @@ pub struct Evaluator<'a> {
 /// Set D at top level.
 #[derive(Debug, Clone)]
 pub struct HoistedDecomposition {
-    c0: PolyBatch,
-    c1: PolyBatch,
+    source: Ciphertext,
     digits: KsDigits,
-    /// Level of the source ciphertext.
-    pub level: usize,
-    /// Scale of the source ciphertext.
-    pub scale: f64,
+}
+
+/// The checks both plaintext operators share.
+///
+/// # Panics
+/// Panics if `ct` or `pt` is not a batch of one, or `pt` is not at
+/// `ct`'s level.
+fn check_plain(ct: &Ciphertext, pt: &RnsPoly) {
+    ct.assert_single();
+    assert_eq!(pt.batch(), 1, "the plaintext must be a batch of one");
+    assert_eq!(
+        pt.level_count(),
+        ct.level,
+        "encode the plaintext at ct's level"
+    );
 }
 
 impl<'a> Evaluator<'a> {
@@ -64,42 +74,29 @@ impl<'a> Evaluator<'a> {
     /// context — one allocation per polynomial regardless of how many
     /// levels are dropped.
     pub fn mod_drop(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
-        self.mod_drop_batch(ct, level).into_single()
-    }
-
-    /// Batched modulus drop to `level` (scales unchanged).
-    pub fn mod_drop_batch<'c>(&self, ct: impl Into<CtView<'c>>, level: usize) -> BatchedCiphertext {
-        let ct = ct.into();
+        ct.assert_single();
         assert!(level >= 1 && level <= ct.level, "cannot raise levels");
-        let new_ctx = self.ctx.level_ctx(level).clone();
-        BatchedCiphertext {
+        let new_ctx = self.ctx.level_ctx(level);
+        Ciphertext {
             c0: ct.c0.truncate_to(new_ctx.clone()),
-            c1: ct.c1.truncate_to(new_ctx),
+            c1: ct.c1.truncate_to(new_ctx.clone()),
             level,
-            scales: ct.scales.to_vec(),
+            scale: ct.scale,
         }
     }
 
-    /// Runs `f` on both operands at their lower common level. An
-    /// operand already there is borrowed as it is; only a higher one
-    /// is truncated.
-    fn with_aligned<R>(&self, a: CtView, b: CtView, f: impl FnOnce(CtView, CtView) -> R) -> R {
-        assert_eq!(a.scales.len(), b.scales.len(), "batch size mismatch");
+    /// Both operands at their lower common level. An operand already
+    /// there is borrowed as it is; only a higher one is truncated.
+    fn aligned<'c>(&self, a: &'c Ciphertext, b: &'c Ciphertext) -> [Cow<'c, Ciphertext>; 2] {
         let level = a.level.min(b.level);
-        let (dropped_a, dropped_b);
-        let a = if a.level == level {
-            a
-        } else {
-            dropped_a = self.mod_drop_batch(a, level);
-            CtView::from(&dropped_a)
-        };
-        let b = if b.level == level {
-            b
-        } else {
-            dropped_b = self.mod_drop_batch(b, level);
-            CtView::from(&dropped_b)
-        };
-        f(a, b)
+        [a, b].map(|ct| {
+            ct.assert_single();
+            if ct.level == level {
+                Cow::Borrowed(ct)
+            } else {
+                Cow::Owned(self.mod_drop(ct, level))
+            }
+        })
     }
 
     /// HE-Add.
@@ -109,53 +106,33 @@ impl<'a> Evaluator<'a> {
     /// silently corrupt CKKS messages; sub-percent drift from unequal
     /// rescale moduli is the approximation CKKS tolerates by design).
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.add_batch(a, b).into_single()
-    }
-
-    /// Batched HE-Add (per-entry scale check).
-    pub fn add_batch<'c>(
-        &self,
-        a: impl Into<CtView<'c>>,
-        b: impl Into<CtView<'c>>,
-    ) -> BatchedCiphertext {
-        self.linear(a.into(), b.into(), PolyBatch::add)
+        self.linear(a, b, PolyBatch::add)
     }
 
     /// HE-Sub. Same contract as [`Evaluator::add`]: operands align to
     /// the lower level, scales must agree within the 1 % CKKS drift
     /// tolerance.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.sub_batch(a, b).into_single()
-    }
-
-    /// Batched HE-Sub (per-entry scale check).
-    pub fn sub_batch<'c>(
-        &self,
-        a: impl Into<CtView<'c>>,
-        b: impl Into<CtView<'c>>,
-    ) -> BatchedCiphertext {
-        self.linear(a.into(), b.into(), PolyBatch::sub)
+        self.linear(a, b, PolyBatch::sub)
     }
 
     /// The component-wise operators: `op` on both components at the
     /// aligned level.
     fn linear(
         &self,
-        a: CtView,
-        b: CtView,
+        a: &Ciphertext,
+        b: &Ciphertext,
         op: fn(&PolyBatch, &PolyBatch) -> PolyBatch,
-    ) -> BatchedCiphertext {
-        self.with_aligned(a, b, |a, b| {
-            for (sa, sb) in a.scales.iter().zip(b.scales) {
-                assert!(scales_agree(*sa, *sb), "scale mismatch: {sa} vs {sb}");
-            }
-            BatchedCiphertext {
-                c0: op(a.c0, b.c0),
-                c1: op(a.c1, b.c1),
-                level: a.level,
-                scales: a.scales.to_vec(),
-            }
-        })
+    ) -> Ciphertext {
+        let [a, b] = self.aligned(a, b);
+        let (sa, sb) = (a.scale, b.scale);
+        assert!(scales_agree(sa, sb), "scale mismatch: {sa} vs {sb}");
+        Ciphertext {
+            c0: op(&a.c0, &b.c0),
+            c1: op(&a.c1, &b.c1),
+            level: a.level,
+            scale: sa,
+        }
     }
 
     /// Plaintext addition (plaintext encoded at the ciphertext's level
@@ -169,34 +146,17 @@ impl<'a> Evaluator<'a> {
     /// silently corrupts the message (the deep-chain footgun this
     /// guard exists for; see DESIGN.md §13).
     pub fn add_plain(&self, ct: &Ciphertext, pt: &RnsPoly, pt_scale: f64) -> Ciphertext {
-        self.add_plain_batch(ct, pt, pt_scale).into_single()
-    }
-
-    /// Batched plaintext addition: one plaintext broadcast across every
-    /// entry, each entry's scale checked against `pt_scale`.
-    pub fn add_plain_batch<'c>(
-        &self,
-        ct: impl Into<CtView<'c>>,
-        pt: &RnsPoly,
-        pt_scale: f64,
-    ) -> BatchedCiphertext {
-        let ct = ct.into();
-        assert_eq!(
-            pt.level_count(),
-            ct.level,
-            "encode the plaintext at ct's level"
+        check_plain(ct, pt);
+        let s = ct.scale;
+        assert!(
+            scales_agree(s, pt_scale),
+            "plaintext scale mismatch: ct at {s}, plaintext encoded at {pt_scale}"
         );
-        for s in ct.scales {
-            assert!(
-                scales_agree(*s, pt_scale),
-                "plaintext scale mismatch: ct at {s}, plaintext encoded at {pt_scale}"
-            );
-        }
-        BatchedCiphertext {
-            c0: ct.c0.add_poly(pt),
+        Ciphertext {
+            c0: ct.c0.add(pt),
             c1: ct.c1.clone(),
             level: ct.level,
-            scales: ct.scales.to_vec(),
+            scale: s,
         }
     }
 
@@ -210,24 +170,7 @@ impl<'a> Evaluator<'a> {
     /// point the scaled message wraps mod `Q` and every later op
     /// silently mis-tracks.
     pub fn mult_plain(&self, ct: &Ciphertext, pt: &RnsPoly, pt_scale: f64) -> Ciphertext {
-        self.mult_plain_batch(ct, pt, pt_scale).into_single()
-    }
-
-    /// Batched ciphertext × plaintext multiply: one plaintext
-    /// (evaluation domain, encoded at the batch level) broadcast
-    /// across every entry; result scales are `scales[b] · pt_scale`.
-    pub fn mult_plain_batch<'c>(
-        &self,
-        ct: impl Into<CtView<'c>>,
-        pt: &RnsPoly,
-        pt_scale: f64,
-    ) -> BatchedCiphertext {
-        let ct = ct.into();
-        assert_eq!(
-            pt.level_count(),
-            ct.level,
-            "encode the plaintext at ct's level"
-        );
+        check_plain(ct, pt);
         assert!(
             pt_scale.is_finite() && pt_scale > 0.0,
             "plaintext scale must be a positive finite value, got {pt_scale}"
@@ -236,62 +179,99 @@ impl<'a> Evaluator<'a> {
             .iter()
             .map(|&q| q as f64)
             .product();
-        for s in ct.scales {
-            let product = s * pt_scale;
-            assert!(
-                product.is_finite() && product < budget / 2.0,
-                "scale overflow: ct.scale {s} × pt_scale {pt_scale} exceeds the \
-                 level-{} modulus budget {budget:e}",
-                ct.level
-            );
-        }
-        BatchedCiphertext {
-            c0: ct.c0.mul_pointwise_poly(pt),
-            c1: ct.c1.mul_pointwise_poly(pt),
+        let (s, scale) = (ct.scale, ct.scale * pt_scale);
+        assert!(
+            scale.is_finite() && scale < budget / 2.0,
+            "scale overflow: ct.scale {s} × pt_scale {pt_scale} exceeds the \
+             level-{} modulus budget {budget:e}",
+            ct.level
+        );
+        Ciphertext {
+            c0: ct.c0.mul_pointwise(pt),
+            c1: ct.c1.mul_pointwise(pt),
             level: ct.level,
-            scales: ct.scales.iter().map(|s| s * pt_scale).collect(),
+            scale,
         }
     }
 
     /// HE-Mult: tensor product, relinearization with the `s²` switching
     /// key, then one rescale.
     pub fn mult(&self, a: &Ciphertext, b: &Ciphertext, relin: &SwitchingKey) -> Ciphertext {
-        self.mult_batch(a, b, relin).into_single()
-    }
-
-    /// Batched HE-Mult: fused tensor products, one batched key switch,
-    /// one batched rescale.
-    pub fn mult_batch<'c>(
-        &self,
-        a: impl Into<CtView<'c>>,
-        b: impl Into<CtView<'c>>,
-        relin: &SwitchingKey,
-    ) -> BatchedCiphertext {
-        self.with_aligned(a.into(), b.into(), |a, b| {
-            let d0 = a.c0.mul_pointwise(b.c0);
-            let d1 = a.c0.mul_pointwise_sum(b.c1, a.c1, b.c0);
-            let d2 = a.c1.mul_pointwise(b.c1);
-            let (mut k0, mut k1) = self.key_switch(&d2, relin);
-            k0.add_assign(&d0);
-            k1.add_assign(&d1);
-            let ct = BatchedCiphertext {
-                c0: k0,
-                c1: k1,
-                level: a.level,
-                scales: a.scales.iter().zip(b.scales).map(|(x, y)| x * y).collect(),
-            };
-            self.rescale_batch(&ct)
+        let [a, b] = self.aligned(a, b);
+        let d0 = a.c0.mul_pointwise(&b.c0);
+        let d1 = a.c0.mul_pointwise_sum(&b.c1, &a.c1, &b.c0);
+        let d2 = a.c1.mul_pointwise(&b.c1);
+        let (mut k0, mut k1) = self.key_switch(&d2, relin);
+        k0.add_assign(&d0);
+        k1.add_assign(&d1);
+        self.rescale(&Ciphertext {
+            c0: k0,
+            c1: k1,
+            level: a.level,
+            scale: a.scale * b.scale,
         })
     }
 
-    /// Rescale: divides by the last modulus and drops one limb
-    /// (`1 INTT + (l-1) NTT` worth of domain conversions — the kernel
-    /// mix of paper Fig. 14).
+    /// Rescale on the key-switching fast path: divides by the last
+    /// modulus and drops one limb (`1 INTT + (l-1) NTT` worth of domain
+    /// conversions — the kernel mix of paper Fig. 14). Only the dropped
+    /// limb leaves the evaluation domain, instead of `l INTT + (l-1)
+    /// NTT`; the surviving limbs are updated pointwise in evaluation
+    /// form — exact by NTT linearity:
+    /// `NTT((c_i − cl_i)·q_last⁻¹) = (NTT(c_i) − NTT(cl_i))·q_last⁻¹`
+    /// since every map involved is an exact function mod `q_i` — and
+    /// `q_last⁻¹ mod q_i` comes as a precomputed Shoup pair off the
+    /// cached [`crate::ks_plan::KsPlan`]. Bit-exact with
+    /// [`Evaluator::rescale_batch_reference`] (`tests/ks_fast.rs`).
     ///
     /// # Panics
     /// Panics at level 1 (no limb left to drop).
     pub fn rescale(&self, ct: &Ciphertext) -> Ciphertext {
-        self.rescale_batch(ct).into_single()
+        ct.assert_single();
+        assert!(ct.level >= 2, "cannot rescale at level 1");
+        let ctx = self.ctx;
+        let l = ct.level;
+        let n = ctx.params().n;
+        let q_last = ctx.q_moduli()[l - 1];
+        let plan = ctx.ks_plan(l).clone();
+        let old_ctx = ctx.level_ctx(l).clone();
+        let new_ctx = ctx.level_ctx(l - 1).clone();
+        let rescale_poly = |p: &RnsPoly| -> RnsPoly {
+            let pool = new_ctx.pool();
+            // Ciphertext components live in evaluation form; the (rare)
+            // coefficient-domain caller pays one conversion.
+            let pe = p.in_domain(Domain::Evaluation);
+            // The dropped limb is the only one that needs coefficients.
+            let mut last = pool.copy_of(&pe.limbs()[l - 1]);
+            host_ntt::inverse_inplace(&mut last, &old_ctx.tables()[l - 1]);
+            let mut new_limbs = Vec::with_capacity(l - 1);
+            for i in 0..l - 1 {
+                let qi = new_ctx.moduli()[i];
+                let (inv, inv_shoup) = plan.rescale_inv.get(i);
+                // centered last-limb residue for round-to-nearest,
+                // lifted into q_i and carried to evaluation form, then
+                // subtracted and scaled where it lies
+                let mut cl = pool.take(n);
+                cl.extend(
+                    last.iter()
+                        .map(|&c| modops::from_signed(modops::to_signed(c, q_last), qi)),
+                );
+                host_ntt::forward_inplace(&mut cl, &new_ctx.tables()[i]);
+                small_ntt::sub_mul_const(&pe.limbs()[i], &mut cl, inv, inv_shoup, qi);
+                new_limbs.push(cl);
+            }
+            pool.give([last]);
+            PolyBatch::from_limbs(new_ctx.clone(), new_limbs, Domain::Evaluation)
+        };
+        // per component: one INTT and l − 1 NTTs, then the pointwise pass
+        let work = 2 * l * n * (n.trailing_zeros() as usize + 1);
+        let (c0, c1) = par::join(work, || rescale_poly(&ct.c0), || rescale_poly(&ct.c1));
+        Ciphertext {
+            c0,
+            c1,
+            level: l - 1,
+            scale: ct.scale / q_last as f64,
+        }
     }
 
     /// HE-Rotate by `steps` slots (Galois automorphism + key switch):
@@ -300,39 +280,20 @@ impl<'a> Evaluator<'a> {
     /// hoist_decompose`] followed by [`Evaluator::hoisted_rotate`], so
     /// the two stay bit-identical by construction.
     pub fn rotate(&self, ct: &Ciphertext, steps: usize, rot_key: &SwitchingKey) -> Ciphertext {
-        self.rotate_batch(ct, steps, rot_key).into_single()
-    }
-
-    /// Batched HE-Rotate by `steps` slots: one batched decomposition
-    /// and one batched Galois tail.
-    pub fn rotate_batch<'c>(
-        &self,
-        ct: impl Into<CtView<'c>>,
-        steps: usize,
-        rot_key: &SwitchingKey,
-    ) -> BatchedCiphertext {
-        self.galois(ct.into(), self.ctx.galois_element(steps), rot_key)
+        self.galois(ct, self.ctx.galois_element(steps), rot_key)
     }
 
     /// Slot-wise complex conjugation (`σ_{2N-1}` + key switch with the
     /// conjugation key).
     pub fn conjugate(&self, ct: &Ciphertext, conj_key: &SwitchingKey) -> Ciphertext {
-        self.conjugate_batch(ct, conj_key).into_single()
-    }
-
-    /// Batched slot-wise complex conjugation.
-    pub fn conjugate_batch<'c>(
-        &self,
-        ct: impl Into<CtView<'c>>,
-        conj_key: &SwitchingKey,
-    ) -> BatchedCiphertext {
         let g = 2 * self.ctx.params().n as u64 - 1;
-        self.galois(ct.into(), g, conj_key)
+        self.galois(ct, g, conj_key)
     }
 
     /// A whole Galois operation: decompose, then the shared tail.
-    fn galois(&self, ct: CtView, g: u64, key: &SwitchingKey) -> BatchedCiphertext {
-        self.galois_tail(ct, &self.ks_decompose(ct.c1), g, key)
+    fn galois(&self, ct: &Ciphertext, g: u64, key: &SwitchingKey) -> Ciphertext {
+        ct.assert_single();
+        self.galois_tail(ct, &self.ks_decompose(&ct.c1), g, key)
     }
 
     /// Hoists the rotation-independent prefix of a Galois operation —
@@ -356,14 +317,10 @@ impl<'a> Evaluator<'a> {
     /// commute with the sign flips), which is why every Galois path of
     /// this crate runs this one order (DESIGN.md §12).
     pub fn hoist_decompose(&self, ct: &Ciphertext) -> HoistedDecomposition {
-        let ct = CtView::from(ct);
-        HoistedDecomposition {
-            c0: ct.c0.clone(),
-            c1: ct.c1.clone(),
-            digits: self.ks_decompose(ct.c1),
-            level: ct.level,
-            scale: ct.scales[0],
-        }
+        ct.assert_single();
+        let source = ct.clone();
+        let digits = self.ks_decompose(&source.c1);
+        HoistedDecomposition { source, digits }
     }
 
     /// One rotation off a hoisted decomposition: the Galois tail alone.
@@ -374,14 +331,8 @@ impl<'a> Evaluator<'a> {
         steps: usize,
         rot_key: &SwitchingKey,
     ) -> Ciphertext {
-        let source = CtView {
-            c0: &h.c0,
-            c1: &h.c1,
-            level: h.level,
-            scales: std::slice::from_ref(&h.scale),
-        };
-        self.galois_tail(source, &h.digits, self.ctx.galois_element(steps), rot_key)
-            .into_single()
+        let g = self.ctx.galois_element(steps);
+        self.galois_tail(&h.source, &h.digits, g, rot_key)
     }
 
     /// A rotation fan-out over one ciphertext: decomposes `c1` once,
@@ -393,14 +344,11 @@ impl<'a> Evaluator<'a> {
         ct: &Ciphertext,
         rotations: &[(usize, &SwitchingKey)],
     ) -> Vec<Ciphertext> {
-        let ct = CtView::from(ct);
-        let digits = self.ks_decompose(ct.c1);
+        ct.assert_single();
+        let digits = self.ks_decompose(&ct.c1);
         rotations
             .iter()
-            .map(|&(steps, key)| {
-                self.galois_tail(ct, &digits, self.ctx.galois_element(steps), key)
-                    .into_single()
-            })
+            .map(|&(steps, key)| self.galois_tail(ct, &digits, self.ctx.galois_element(steps), key))
             .collect()
     }
 
@@ -411,19 +359,19 @@ impl<'a> Evaluator<'a> {
     /// into the sum that adds `c0` to the switched `k0`.
     fn galois_tail(
         &self,
-        ct: CtView,
+        ct: &Ciphertext,
         digits: &KsDigits,
         g: u64,
         key: &SwitchingKey,
-    ) -> BatchedCiphertext {
+    ) -> Ciphertext {
         let perms = self.ctx.galois_eval_perm(g);
-        let (mut k0, k1) = self.ks_apply(ct.c1, digits, key, Some(&perms));
-        k0.add_gathered(ct.c0, &perms);
-        BatchedCiphertext {
+        let (mut k0, c1) = self.ks_apply(&ct.c1, digits, key, Some(&perms));
+        k0.add_gathered(&ct.c0, &perms);
+        Ciphertext {
             c0: k0,
-            c1: k1,
+            c1,
             level: ct.level,
-            scales: ct.scales.to_vec(),
+            scale: ct.scale,
         }
     }
 }

@@ -6,9 +6,9 @@
 //! * canonical-embedding encoder (special FFT over `C^{N/2}`),
 //! * RLWE key generation, encryption, decryption,
 //! * HE-Add / HE-Mult (tensor + relinearization) / Rescale / Rotate,
-//! * batched evaluation over [`BatchedCiphertext`] (batch-major packs
-//!   of same-level ciphertexts; every kernel amortizes across the
-//!   batch, bit-exact with the sequential loop),
+//! * batched evaluation over [`BatchedCiphertext`] (same-level
+//!   ciphertexts held entry by entry; each `*_batch` operator maps the
+//!   eager body over them, so it is bit-exact with the sequential loop),
 //! * hybrid key switching with digit decomposition (`dnum`, \[37\]),
 //! * fast basis conversion (BConv) raise/reduce,
 //! * a packed-bootstrapping cost estimator following the paper's own
@@ -46,7 +46,7 @@ pub mod ks_plan;
 pub mod params;
 
 pub use batched::BatchedCiphertext;
-pub use ciphertext::{scales_agree, Ciphertext, CtView, SCALE_TOLERANCE};
+pub use ciphertext::{scales_agree, Ciphertext, SCALE_TOLERANCE};
 pub use context::CkksContext;
 pub use encoder::CkksEncoder;
 pub use eval::{Evaluator, HoistedDecomposition};

@@ -302,25 +302,22 @@ impl PolyBatch {
         }
     }
 
-    /// Runs `kernel(q_i, segment, other_limb_i, out)` over every limb,
-    /// `other`'s limb meeting each of this batch's segments of its own
-    /// length: the whole limb when the batch sizes agree, every
-    /// degree-`N` entry in turn when `other` is a broadcast batch of one.
+    /// Runs `kernel(q_i, limb_i, other_limb_i, out)` over every limb of
+    /// two batches of one shape.
+    ///
+    /// # Panics
+    /// Panics if the batches disagree on size, degree, level or domain.
     fn zip_limbs(
         &self,
         other: &Self,
         kernel: impl Fn(u64, &[u64], &[u64], &mut Vec<u64>) + Sync,
     ) -> Self {
+        assert_eq!(self.batch, other.batch, "batch size mismatch");
         assert_eq!(self.ctx.n(), other.ctx.n(), "degree mismatch");
         assert_eq!(self.level_count(), other.level_count(), "level mismatch");
         assert_eq!(self.domain, other.domain, "domain mismatch");
         let moduli = self.ctx.moduli();
-        self.map_limbs(|i, out| {
-            let w = &other.limbs[i];
-            for seg in self.limbs[i].chunks(w.len()) {
-                kernel(moduli[i], seg, w, out);
-            }
-        })
+        self.map_limbs(|i, out| kernel(moduli[i], &self.limbs[i], &other.limbs[i], out))
     }
 
     fn zip_with(&self, other: &Self, f: impl Fn(u64, u64, u64) -> u64 + Sync) -> Self {
@@ -339,7 +336,6 @@ impl PolyBatch {
 
     /// Limb-wise sum over the whole batch.
     pub fn add(&self, other: &Self) -> Self {
-        assert_eq!(self.batch, other.batch, "batch size mismatch");
         self.zip_with(other, add_mod)
     }
 
@@ -362,18 +358,7 @@ impl PolyBatch {
 
     /// Limb-wise difference over the whole batch.
     pub fn sub(&self, other: &Self) -> Self {
-        assert_eq!(self.batch, other.batch, "batch size mismatch");
         self.zip_with(other, sub_mod)
-    }
-
-    /// Sum with a single polynomial broadcast across the batch (an
-    /// encoded plaintext added to every entry).
-    ///
-    /// # Panics
-    /// Panics on basis/domain mismatch or a multi-entry `other`.
-    pub fn add_poly(&self, other: &RnsPoly) -> Self {
-        assert_eq!(other.batch, 1, "broadcast operand must be a batch of one");
-        self.zip_with(other, add_mod)
     }
 
     /// Limb-wise pointwise product over the whole batch — one fused
@@ -383,7 +368,6 @@ impl PolyBatch {
     /// # Panics
     /// Panics if either operand is in the coefficient domain.
     pub fn mul_pointwise(&self, other: &Self) -> Self {
-        assert_eq!(self.batch, other.batch, "batch size mismatch");
         self.assert_evaluation();
         self.zip_limbs(other, mul_segment)
     }
@@ -423,19 +407,6 @@ impl PolyBatch {
                 );
             }
         })
-    }
-
-    /// Pointwise product with a single polynomial broadcast across the
-    /// batch (e.g. a switching-key limb or an encoded plaintext
-    /// multiplying every batch entry).
-    ///
-    /// # Panics
-    /// Panics on basis/domain mismatch, coefficient-domain operands, or
-    /// a multi-entry `other`.
-    pub fn mul_pointwise_poly(&self, other: &RnsPoly) -> Self {
-        assert_eq!(other.batch, 1, "broadcast operand must be a batch of one");
-        self.assert_evaluation();
-        self.zip_limbs(other, mul_segment)
     }
 
     /// Negation over the whole batch.
@@ -686,7 +657,6 @@ mod tests {
             let sum = bx.add(&by);
             let diff = bx.sub(&by);
             let neg = bx.neg();
-            let bcast = bx.add_poly(&ys[0]);
             let mut in_place = bx.clone();
             in_place.add_assign(&by);
             assert_eq!(in_place.limbs(), sum.limbs(), "add_assign");
@@ -694,7 +664,6 @@ mod tests {
                 assert_eq!(sum.poly(b).limbs(), xs[b].add(&ys[b]).limbs());
                 assert_eq!(diff.poly(b).limbs(), xs[b].sub(&ys[b]).limbs());
                 assert_eq!(neg.poly(b).limbs(), xs[b].neg().limbs());
-                assert_eq!(bcast.poly(b).limbs(), xs[b].add(&ys[0]).limbs());
             }
         }
     }
@@ -732,7 +701,7 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_and_broadcast_match_sequential() {
+    fn pointwise_matches_sequential() {
         let c = ctx(5, 2);
         let xs = sample_polys(&c, 3, 5);
         let ys = sample_polys(&c, 3, 17);
@@ -741,16 +710,12 @@ mod tests {
         bx.to_evaluation();
         by.to_evaluation();
         let prod = bx.mul_pointwise(&by);
-        let mut w = ys[0].clone();
-        w.to_evaluation();
-        let bcast = bx.mul_pointwise_poly(&w);
         for b in 0..3 {
             let mut ex = xs[b].clone();
             ex.to_evaluation();
             let mut ey = ys[b].clone();
             ey.to_evaluation();
             assert_eq!(prod.poly(b).limbs(), ex.mul_pointwise(&ey).limbs());
-            assert_eq!(bcast.poly(b).limbs(), ex.mul_pointwise(&w).limbs());
         }
     }
 
@@ -818,11 +783,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "batch of one")]
-    fn multi_entry_broadcast_operand_rejected() {
+    #[should_panic(expected = "batch size mismatch")]
+    fn mismatched_batch_sizes_rejected() {
         let c = ctx(4, 2);
-        let mut pb = PolyBatch::from_polys(&sample_polys(&c, 2, 1));
+        let polys = sample_polys(&c, 2, 1);
+        let mut pb = PolyBatch::from_polys(&polys);
         pb.to_evaluation();
-        let _ = pb.mul_pointwise_poly(&pb);
+        let mut one = polys[0].clone();
+        one.to_evaluation();
+        let _ = pb.mul_pointwise(&one);
     }
 }

@@ -8,7 +8,7 @@
 //! path is the batch-of-one call of the same code, so what these pin is
 //! that batch entries never interact.
 
-use cross::ckks::{BatchedCiphertext, CkksContext, CkksParams, CtView, Evaluator};
+use cross::ckks::{BatchedCiphertext, CkksContext, CkksParams, Evaluator};
 use cross::core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross::core::modred::ModRed;
 use cross::math::primes;
@@ -69,9 +69,8 @@ fn boundary_setup() -> (CkksContext, cross::ckks::Ciphertext, RnsPoly) {
     (ctx, ct, pt)
 }
 
-/// Every `*_batch` entry takes any borrowed operand — a `&Ciphertext`,
-/// a one-entry `&BatchedCiphertext`, a `CtView` of either, or a mix —
-/// and gives the eager form's bits on each.
+/// Every `*_batch` entry, on a one-entry `&BatchedCiphertext`, gives
+/// the eager form's bits.
 #[test]
 fn every_batch_entry_gives_the_same_bits_on_any_borrowed_operand() {
     let ctx = CkksContext::new(CkksParams::toy(), 0xF01D);
@@ -89,28 +88,10 @@ fn every_batch_entry_gives_the_same_bits_on_any_borrowed_operand() {
     macro_rules! same_bits {
         ($name:literal, $eager:expr; $a:pat_param, $b:pat_param => $batch:expr) => {{
             let want = $eager;
-            let spellings = [
-                {
-                    let ($a, $b) = (&x, &y);
-                    $batch
-                },
-                {
-                    let ($a, $b) = (&bx, &by);
-                    $batch
-                },
-                {
-                    let ($a, $b) = (CtView::from(&x), CtView::from(&y));
-                    $batch
-                },
-                {
-                    let ($a, $b) = (CtView::from(&bx), CtView::from(&by));
-                    $batch
-                },
-                {
-                    let ($a, $b) = (&x, &by);
-                    $batch
-                },
-            ];
+            let spellings = [{
+                let ($a, $b) = (&bx, &by);
+                $batch
+            }];
             for (i, got) in spellings.into_iter().enumerate() {
                 let got = got.to_ciphertexts().remove(0);
                 assert!(limbs_eq(&got, &want), "{}: spelling {i}", $name);

@@ -62,6 +62,25 @@ fn random_batch(ctx: &CkksContext, level: usize, batch: usize, seed: u64) -> Pol
     PolyBatch::from_limbs(level_ctx, limbs, Domain::Evaluation)
 }
 
+/// The batch whose entry `b` is entry `b` of `c0` and `c1`, at `level`
+/// and `scale(b)`.
+fn packed(
+    c0: PolyBatch,
+    c1: PolyBatch,
+    level: usize,
+    scale: impl Fn(usize) -> f64,
+) -> BatchedCiphertext {
+    let cts: Vec<Ciphertext> = (0..c0.batch())
+        .map(|b| Ciphertext {
+            c0: c0.poly(b),
+            c1: c1.poly(b),
+            level,
+            scale: scale(b),
+        })
+        .collect();
+    BatchedCiphertext::from_ciphertexts(&cts)
+}
+
 fn assert_pair_eq(got: &(PolyBatch, PolyBatch), want: &(PolyBatch, PolyBatch), what: &str) {
     assert_eq!(got.0.domain(), want.0.domain(), "{what}: out0 domain");
     assert_eq!(got.1.domain(), want.1.domain(), "{what}: out1 domain");
@@ -115,23 +134,28 @@ fn rescale_fast_matches_reference_sweep() {
     let ev = Evaluator::new(&ctx);
     for level in 2..=ctx.params().limbs {
         for batch in [1usize, 3, 8] {
-            let ct = BatchedCiphertext {
-                c0: random_batch(&ctx, level, batch, 0xC0 + (level * 17 + batch) as u64),
-                c1: random_batch(&ctx, level, batch, 0xC1 + (level * 23 + batch) as u64),
+            let ct = packed(
+                random_batch(&ctx, level, batch, 0xC0 + (level * 17 + batch) as u64),
+                random_batch(&ctx, level, batch, 0xC1 + (level * 23 + batch) as u64),
                 level,
-                scales: (0..batch).map(|b| 1e9 + b as f64).collect(),
-            };
-            let fast = ev.rescale_batch(&ct);
-            let reference = ev.rescale_batch_reference(&ct);
-            assert_eq!(fast.level, reference.level);
-            for (a, b) in fast.scales.iter().zip(&reference.scales) {
-                assert_eq!(a.to_bits(), b.to_bits(), "scale bits");
-            }
-            assert_pair_eq(
-                &(fast.c0, fast.c1),
-                &(reference.c0, reference.c1),
-                &format!("rescale level {level} batch {batch}"),
+                |b| 1e9 + b as f64,
             );
+            let fast = ev.rescale_batch(&ct).to_ciphertexts();
+            let reference = ev.rescale_batch_reference(&ct).to_ciphertexts();
+            assert_eq!(fast.len(), reference.len());
+            for (fast, reference) in fast.into_iter().zip(reference) {
+                assert_eq!(fast.level, reference.level);
+                assert_eq!(
+                    fast.scale.to_bits(),
+                    reference.scale.to_bits(),
+                    "scale bits"
+                );
+                assert_pair_eq(
+                    &(fast.c0, fast.c1),
+                    &(reference.c0, reference.c1),
+                    &format!("rescale level {level} batch {batch}"),
+                );
+            }
         }
     }
 }
@@ -217,14 +241,14 @@ fn set_b_fast_paths_match_reference_at_two_levels() {
                 &format!("Set B key switch level {level} batch {batch}"),
             );
         }
-        let ct = BatchedCiphertext {
-            c0: random_batch(&ctx, level, 1, 0xBC0 + level as u64),
-            c1: random_batch(&ctx, level, 1, 0xBC1 + level as u64),
+        let ct = packed(
+            random_batch(&ctx, level, 1, 0xBC0 + level as u64),
+            random_batch(&ctx, level, 1, 0xBC1 + level as u64),
             level,
-            scales: vec![1e9],
-        };
-        let fast = ev.rescale_batch(&ct);
-        let reference = ev.rescale_batch_reference(&ct);
+            |_| 1e9,
+        );
+        let fast = ev.rescale_batch(&ct).to_ciphertexts().remove(0);
+        let reference = ev.rescale_batch_reference(&ct).to_ciphertexts().remove(0);
         assert_pair_eq(
             &(fast.c0, fast.c1),
             &(reference.c0, reference.c1),
@@ -556,15 +580,17 @@ proptest! {
     ) {
         let (ctx, _kp) = small_ctx(2, seed ^ 0x5A5A);
         let ev = Evaluator::new(&ctx);
-        let ct = BatchedCiphertext {
-            c0: random_batch(&ctx, level, batch, seed),
-            c1: random_batch(&ctx, level, batch, seed ^ 0xFF),
+        let ct = packed(
+            random_batch(&ctx, level, batch, seed),
+            random_batch(&ctx, level, batch, seed ^ 0xFF),
             level,
-            scales: vec![1e9; batch],
-        };
-        let fast = ev.rescale_batch(&ct);
-        let reference = ev.rescale_batch_reference(&ct);
-        prop_assert_eq!(fast.c0.limbs(), reference.c0.limbs());
-        prop_assert_eq!(fast.c1.limbs(), reference.c1.limbs());
+            |_| 1e9,
+        );
+        let fast = ev.rescale_batch(&ct).to_ciphertexts();
+        let reference = ev.rescale_batch_reference(&ct).to_ciphertexts();
+        for (fast, reference) in fast.iter().zip(&reference) {
+            prop_assert_eq!(fast.c0.limbs(), reference.c0.limbs());
+            prop_assert_eq!(fast.c1.limbs(), reference.c1.limbs());
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! Each test holds a shared lock throughout, so none times another.
 
 use cross::ckks::costs::ExecMode;
-use cross::ckks::{CkksContext, CkksParams, Evaluator};
+use cross::ckks::{BatchedCiphertext, Ciphertext, CkksContext, CkksParams, Evaluator, ParamSet};
 use cross::core::mat::ntt3::{Ntt3Config, Ntt3Plan};
 use cross::core::modred::ModRed;
 use cross::math::{par, primes};
@@ -74,11 +74,16 @@ fn ratios(mut a: impl FnMut(), mut b: impl FnMut()) -> Vec<f64> {
     ratios
 }
 
+/// The first quartile, median and third quartile of sorted `ratios`.
+fn quartiles(ratios: &[f64]) -> (f64, f64, f64) {
+    let n = ratios.len();
+    (ratios[n / 4], ratios[n / 2], ratios[3 * n / 4])
+}
+
 /// Prints the median of sorted `ratios` with its quartiles, and fails
 /// unless the median reads below `bar`.
 fn gate(name: &str, bar: f64, ratios: &[f64]) {
-    let n = ratios.len();
-    let (q1, median, q3) = (ratios[n / 4], ratios[n / 2], ratios[3 * n / 4]);
+    let (q1, median, q3) = quartiles(ratios);
     println!("{name}: median {median:.3} (quartiles {q1:.3}–{q3:.3}), bar < {bar}");
     assert!(
         median < bar,
@@ -235,6 +240,89 @@ fn key_switch_fast_beats_reference_at_every_level() {
             || drop(black_box(ev.key_switch(&d, &kp.relin))),
             || drop(black_box(ev.key_switch_reference(&d, &kp.relin))),
         );
+    }
+}
+
+/// A batch of 8 is 8 eager calls: `mult_batch` and `rotate_batch` over
+/// 8 entries read within 1.05 × 8 eager `mult` / `rotate` calls on the
+/// same ciphertexts, at Set B (`N = 2^13`, 8 limbs, dnum 3), at the
+/// `serve_tenants` benchmark's shape (`2^12`, 4, 2) and at
+/// `fused_graph`'s (`2^10`, 17, 3). The gated races run on a thread
+/// marked with `par::mark_worker`, where every kernel runs inline, so
+/// the ratio is the cost of the batch's loop over its entries. On a
+/// plain thread the batch spreads its entries over the pool while each
+/// eager call fans out inside its kernels; those rows only print.
+#[test]
+#[ignore = "timing: run optimised with --ignored"]
+fn batch_of_eight_reads_as_eight_eager_calls() {
+    let _alone = alone();
+    let shapes = [
+        ("Set B", ParamSet::B.params()),
+        ("serve_tenants", CkksParams::new(1 << 12, 4, 2, 28)),
+        ("fused_graph", CkksParams::new(1 << 10, 17, 3, 28)),
+    ];
+    for (shape, params) in shapes {
+        let ctx = CkksContext::new(params, 0xBA7C);
+        let kp = ctx.generate_keys();
+        let rot = ctx.generate_rotation_key(&kp.secret, 1);
+        let ev = Evaluator::new(&ctx);
+        let cts: Vec<Ciphertext> = (0..8)
+            .map(|i| ctx.encrypt(&vec![0.05 * i as f64; ctx.slot_count()], &kp.public))
+            .collect();
+        let packed = BatchedCiphertext::from_ciphertexts(&cts);
+        let mult_batch = || ev.mult_batch(&packed, &packed, &kp.relin);
+        let mult_eager = || -> Vec<_> { cts.iter().map(|c| ev.mult(c, c, &kp.relin)).collect() };
+        let rotate_batch = || ev.rotate_batch(&packed, 1, &rot);
+        let rotate_eager = || -> Vec<_> { cts.iter().map(|c| ev.rotate(c, 1, &rot)).collect() };
+        for (op, batch, eager) in [
+            ("mult", mult_batch().to_ciphertexts(), mult_eager()),
+            ("rotate", rotate_batch().to_ciphertexts(), rotate_eager()),
+        ] {
+            for (b, (got, want)) in batch.iter().zip(&eager).enumerate() {
+                let same = got.c0.limbs() == want.c0.limbs()
+                    && got.c1.limbs() == want.c1.limbs()
+                    && got.level == want.level
+                    && got.scale.to_bits() == want.scale.to_bits();
+                assert!(same, "{shape} {op}: entry {b} differs from the eager call");
+            }
+        }
+        let races = || {
+            [
+                (
+                    "mult",
+                    ratios(
+                        || drop(black_box(mult_batch())),
+                        || drop(black_box(mult_eager())),
+                    ),
+                ),
+                (
+                    "rotate",
+                    ratios(
+                        || drop(black_box(rotate_batch())),
+                        || drop(black_box(rotate_eager())),
+                    ),
+                ),
+            ]
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                par::mark_worker();
+                for (op, r) in races() {
+                    gate(
+                        &format!("batch8/{shape}/{op}/marked: batch / eager"),
+                        1.05,
+                        &r,
+                    );
+                }
+            });
+        });
+        for (op, r) in races() {
+            let (q1, median, q3) = quartiles(&r);
+            println!(
+                "batch8/{shape}/{op}/plain: batch / eager: median {median:.3} \
+                 (quartiles {q1:.3}–{q3:.3}), printed only"
+            );
+        }
     }
 }
 
