@@ -112,6 +112,10 @@ thread_local! {
 }
 
 /// A batch of same-level CKKS ciphertexts, held entry by entry.
+///
+/// Each `*_batch` operator of [`Evaluator`] runs its eager body on
+/// every entry, and panics where that body does; a binary one also
+/// panics when the batch sizes differ.
 #[derive(Debug, Clone)]
 pub struct BatchedCiphertext {
     entries: Vec<Ciphertext>,
@@ -179,9 +183,6 @@ impl BatchedCiphertext {
     }
 }
 
-/// The `*_batch` forms: each eager body on every entry. Each panics
-/// where its eager body does, and a binary one also when the batch
-/// sizes differ.
 impl<'a> Evaluator<'a> {
     /// Operations per residue of an operator that transforms its limbs
     /// — the fan-out gate's weight for rescale, HE-Mult and the Galois

@@ -29,10 +29,12 @@
 //!
 //! ## Batched execution
 //!
-//! Same-level ciphertexts pack into a batch-major
-//! [`BatchedCiphertext`](ckks::BatchedCiphertext), so every lowered
-//! kernel (NTT matmuls, BConv inner products, VecModOps) amortizes
-//! over the batch — bit-exact with the sequential loop:
+//! Same-level ciphertexts gather into a
+//! [`BatchedCiphertext`](ckks::BatchedCiphertext), and each `*_batch`
+//! operator runs the eager body on every entry, spread over the worker
+//! pool once the entries pay for it — bit-exact with the sequential
+//! loop. Fusing a batch into the matmul dimensions (Fig. 11b) is the
+//! cost model's, `cross_sched`'s `FusedBatch`:
 //!
 //! ```
 //! use cross::ckks::{BatchedCiphertext, CkksContext, CkksParams, Evaluator};
@@ -44,7 +46,7 @@
 //!     (0..4).map(|b| vec![0.1 * b as f64; ctx.slot_count()]).collect();
 //! let cts: Vec<_> = msgs.iter().map(|m| ctx.encrypt(m, &keys.public)).collect();
 //! let batch = BatchedCiphertext::from_ciphertexts(&cts);
-//! let sq = ev.mult_batch(&batch, &batch, &keys.relin); // 4 ciphertexts, one fused pipeline
+//! let sq = ev.mult_batch(&batch, &batch, &keys.relin); // the eager mult on each entry
 //! for (b, ct) in sq.to_ciphertexts().iter().enumerate() {
 //!     let out = ctx.decrypt(ct, &keys.secret);
 //!     let want = (0.1 * b as f64) * (0.1 * b as f64);

@@ -214,9 +214,7 @@ fn served_request_rows() -> Vec<Row> {
 /// table entry (its limbs come from the pool). The batch row is
 /// `mult_batch` over those eight inputs, packed once outside the count:
 /// eight eager `mult`s and the list that holds their results, so its
-/// allocations are eight `mult` rows' and one more. (A batch-major
-/// batch made 171 allocations, but 111 of them were limbs eight times
-/// the pool's size, 58 MB a call.)
+/// allocations are eight `mult` rows' and one more.
 /// The last row is a warm `mult` and `rotate` back to back, which must
 /// draw every limb from the pool.
 fn eager_operator_rows() -> Vec<Row> {
